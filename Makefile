@@ -54,9 +54,11 @@ bench:
 #     tighter wall gate flaps red on quiet commits. 40% still trips on
 #     catastrophic slowdowns (reintroducing per-cycle polling, an
 #     accidental O(domains) scan per edge).
-#   * allocs/op at ±10% — allocation counts are deterministic between
+#   * work counts at ±10% — allocs/op, and the warm-disk matrix's
+#     disk-B/cell (mean cache-entry size), repeat exactly between
 #     runs, so this gate is tight; it is the one that catches
-#     per-iteration garbage creeping back into the hot path.
+#     per-iteration garbage creeping back into the hot path, or a
+#     cache entry quietly growing.
 #
 # After a deliberate performance change, refresh the baseline with
 # `make bench-baseline`.

@@ -11,6 +11,8 @@ package mcddvfs
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mcddvfs/internal/clock"
@@ -204,7 +206,8 @@ func BenchmarkTransitionStyles(b *testing.B) {
 // warm from the in-process cache, and warm from the on-disk cache
 // (models re-rendering after process death). Every regime reports
 // cells/s — matrix cells retired per second, the throughput figure the
-// corpus work targets — so BENCH_baseline.json gates it.
+// corpus work targets — so BENCH_baseline.json gates it. warm-disk also
+// reports disk-B/cell, the mean entry size each cell decodes.
 func BenchmarkRunMatrix(b *testing.B) {
 	opt := benchOpt(60000, "adpcm_encode", "gsm_decode", "gzip", "swim")
 	check := func(m *experiment.Matrix, err error) int {
@@ -266,6 +269,7 @@ func BenchmarkRunMatrix(b *testing.B) {
 		experiment.ResetCache()
 		b.Cleanup(experiment.ResetCache)
 		check(experiment.RunMatrix(dopt)) // populate the store
+		entryBytes := diskBytesPerEntry(b, dopt.CacheDir)
 		b.ResetTimer()
 		cells := 0
 		for i := 0; i < b.N; i++ {
@@ -273,7 +277,29 @@ func BenchmarkRunMatrix(b *testing.B) {
 			cells += check(experiment.RunMatrix(dopt))
 		}
 		reportCells(b, cells)
+		b.ReportMetric(entryBytes, "disk-B/cell")
 	})
+}
+
+// diskBytesPerEntry returns the mean size of the published cache
+// entries in dir: the bytes a warm-disk cell reads and checksums. It is
+// a deterministic work count (gob's map order permutes an entry's
+// bytes, never its length), so benchjson gates it like allocs/op.
+func diskBytesPerEntry(b *testing.B, dir string) float64 {
+	b.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.res"))
+	if err != nil || len(paths) == 0 {
+		b.Fatalf("no cache entries in %s: %v", dir, err)
+	}
+	var total int64
+	for _, p := range paths {
+		info, err := os.Stat(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += info.Size()
+	}
+	return float64(total) / float64(len(paths))
 }
 
 // buildBenchCorpus emits a chunked trace corpus matching opt into a

@@ -22,10 +22,11 @@
 //     gate is deliberately coarse — wall time on shared machines
 //     drifts ±20-30% between invocations, so it only trips on
 //     catastrophic slowdowns.
-//   - allocs/op, at -alloc-tolerance percent: allocation counts are
-//     deterministic run to run, so this gate can be tight. It is the
-//     one that catches per-iteration garbage creeping back into the
-//     hot path.
+//   - work counts, at -alloc-tolerance percent: allocs/op and the
+//     warm-disk matrix's disk-B/cell (mean cache-entry size) repeat
+//     exactly run to run, so this gate can be tight. It is the one
+//     that catches per-iteration garbage creeping back into the hot
+//     path, or a cache entry quietly growing.
 //
 // Speedups and allocation drops never fail:
 //
@@ -68,7 +69,7 @@ func main() {
 	out := flag.String("out", "", "write JSON here instead of stdout")
 	compare := flag.Bool("compare", false, "compare two baseline JSON files (old new) instead of parsing stdin")
 	tolerance := flag.Float64("tolerance", 25, "with -compare, max allowed wall-clock (ns/op or sim-insts/s) regression in percent")
-	allocTolerance := flag.Float64("alloc-tolerance", 10, "with -compare, max allowed allocs/op regression in percent")
+	allocTolerance := flag.Float64("alloc-tolerance", 10, "with -compare, max allowed regression in percent of allocs/op and disk-B/cell")
 	flag.Parse()
 
 	if *compare {
@@ -146,19 +147,21 @@ func addBest(base *Baseline, b Benchmark) {
 // figure, cells/s the matrix harness's.
 var throughputUnits = []string{"sim-insts/s", "cells/s"}
 
-// allocUnit is -benchmem's allocation-count column. Unlike wall time
-// it is deterministic between runs, so it gets its own, much tighter
-// gate.
-const allocUnit = "allocs/op"
+// workUnits are the deterministic work counts: -benchmem's
+// allocation-count column and the cache-entry bytes per warm-disk cell.
+// Unlike wall time they repeat between runs, so they share their own,
+// much tighter gate.
+var workUnits = []string{"allocs/op", "disk-B/cell"}
 
 // compareBaselines diffs old vs new by benchmark name and returns the
 // process exit code: 0 when every shared benchmark's regression is
 // within tolerance, 1 past it, 2 on unusable input. Two gates run per
 // benchmark: wall clock at tolerance percent (sim-insts/s when both
-// sides report it, ns/op otherwise) and allocs/op at allocTolerance
-// percent. Benchmarks present on only one side are reported but never
-// fail the comparison — adding or retiring a benchmark is not a
-// regression. Remaining metric deltas (B/op, ...) are informational.
+// sides report it, ns/op otherwise) and each work count in workUnits
+// at allocTolerance percent. Benchmarks present on only one side are
+// reported but never fail the comparison — adding or retiring a
+// benchmark is not a regression. Remaining metric deltas (B/op, ...)
+// are informational.
 func compareBaselines(oldPath, newPath string, tolerance, allocTolerance float64) int {
 	load := func(path string) (map[string]Benchmark, []string, bool) {
 		blob, err := os.ReadFile(path)
@@ -174,10 +177,11 @@ func compareBaselines(oldPath, newPath string, tolerance, allocTolerance float64
 		m := make(map[string]Benchmark, len(b.Benchmarks))
 		var names []string
 		for _, bench := range b.Benchmarks {
-			if _, dup := m[bench.Name]; !dup {
-				names = append(names, bench.Name)
+			name := procless(bench.Name)
+			if _, dup := m[name]; !dup {
+				names = append(names, name)
 			}
-			m[bench.Name] = bench
+			m[name] = bench
 		}
 		return m, names, true
 	}
@@ -224,10 +228,12 @@ func compareBaselines(oldPath, newPath string, tolerance, allocTolerance float64
 			verdict = fmt.Sprintf("FAIL (> %+.0f%%)", tolerance)
 			failed = true
 		}
-		if oa, na := ob.Metrics[allocUnit], nb.Metrics[allocUnit]; oa > 0 && na > 0 {
-			if aDelta := 100 * (na - oa) / oa; aDelta > allocTolerance {
-				verdict = fmt.Sprintf("FAIL (%s %+.1f%%, tolerance ±%.0f%%)", allocUnit, aDelta, allocTolerance)
-				failed = true
+		for _, unit := range workUnits {
+			if oa, na := ob.Metrics[unit], nb.Metrics[unit]; oa > 0 && na > 0 {
+				if aDelta := 100 * (na - oa) / oa; aDelta > allocTolerance {
+					verdict = fmt.Sprintf("FAIL (%s %+.1f%%, tolerance ±%.0f%%)", unit, aDelta, allocTolerance)
+					failed = true
+				}
 			}
 		}
 		fmt.Printf("%-50s %12.0f -> %12.0f ns/op  %+7.1f%%  %s\n",
@@ -258,11 +264,27 @@ func compareBaselines(oldPath, newPath string, tolerance, allocTolerance float64
 		return 2
 	}
 	if failed {
-		fmt.Printf("\nFAIL: at least one benchmark regressed beyond tolerance (wall ±%.0f%%, %s ±%.0f%%)\n", tolerance, allocUnit, allocTolerance)
+		fmt.Printf("\nFAIL: at least one benchmark regressed beyond tolerance (wall ±%.0f%%, work counts ±%.0f%%)\n", tolerance, allocTolerance)
 		return 1
 	}
-	fmt.Printf("\nok: %d benchmarks within tolerance of %s (wall ±%.0f%%, %s ±%.0f%%)\n", compared, oldPath, tolerance, allocUnit, allocTolerance)
+	fmt.Printf("\nok: %d benchmarks within tolerance of %s (wall ±%.0f%%, work counts ±%.0f%%)\n", compared, oldPath, tolerance, allocTolerance)
 	return 0
+}
+
+// procless drops the -GOMAXPROCS suffix go test appends to a
+// benchmark name when GOMAXPROCS is above 1 ("BenchmarkX/y-4" ->
+// "BenchmarkX/y"), so baselines recorded on hosts with different CPU
+// counts still compare by name. The tracked benchmark names never end
+// in -digits themselves.
+func procless(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 {
+		return name
+	}
+	if _, err := strconv.Atoi(name[i+1:]); err != nil {
+		return name
+	}
+	return name[:i]
 }
 
 // parseLine parses one "BenchmarkName-8  5  87828868 ns/op  1138580

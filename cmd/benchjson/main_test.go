@@ -121,3 +121,51 @@ func TestCompareGatesOnAllocs(t *testing.T) {
 		}
 	}
 }
+
+// disk-B/cell, the warm-disk matrix's mean cache-entry size, is a work
+// count that repeats exactly, so it shares the allocs/op gate.
+func TestCompareGatesOnDiskBytes(t *testing.T) {
+	dir := t.TempDir()
+	bench := func(ns, diskB float64) Benchmark {
+		return Benchmark{Name: "BenchmarkRunMatrix/warm-disk", NsPerOp: ns,
+			Metrics: map[string]float64{"allocs/op": 7000, "disk-B/cell": diskB}}
+	}
+	old := writeBaseline(t, dir, "old.json", bench(100, 74000))
+
+	cases := []struct {
+		name string
+		new  Benchmark
+		want int
+	}{
+		{"entry size unchanged", bench(100, 74000), 0},
+		{"entry size within tolerance", bench(100, 80000), 0},
+		{"entry size grows past tolerance", bench(100, 150000), 1},
+		{"entry size grows despite faster wall clock", bench(50, 150000), 1},
+		{"entry size shrinks", bench(100, 37000), 0},
+	}
+	for _, tc := range cases {
+		newPath := writeBaseline(t, dir, "new.json", tc.new)
+		if got := compareBaselines(old, newPath, 40, 10); got != tc.want {
+			t.Errorf("%s: exit %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// A baseline recorded at GOMAXPROCS=1 (bare names) must gate a run at
+// GOMAXPROCS=2 ("-2" names), and vice versa.
+func TestCompareIgnoresProcSuffix(t *testing.T) {
+	dir := t.TempDir()
+	bench := func(name string, allocs float64) Benchmark {
+		return Benchmark{Name: name, NsPerOp: 100, Metrics: map[string]float64{"allocs/op": allocs}}
+	}
+	old := writeBaseline(t, dir, "old.json", bench("BenchmarkChip/cores=4/gov=none", 200))
+	if got := compareBaselines(old, writeBaseline(t, dir, "ok.json", bench("BenchmarkChip/cores=4/gov=none-2", 200)), 40, 10); got != 0 {
+		t.Errorf("same benchmark at another GOMAXPROCS: exit %d, want 0", got)
+	}
+	if got := compareBaselines(old, writeBaseline(t, dir, "bad.json", bench("BenchmarkChip/cores=4/gov=none-2", 300)), 40, 10); got != 1 {
+		t.Errorf("alloc regression across GOMAXPROCS suffixes: exit %d, want 1", got)
+	}
+	if got, want := procless("BenchmarkRunMatrix/warm-disk-16"), "BenchmarkRunMatrix/warm-disk"; got != want {
+		t.Errorf("procless = %q, want %q", got, want)
+	}
+}

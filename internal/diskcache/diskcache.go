@@ -4,7 +4,10 @@
 // harness, the SHA-256 of everything that determines a simulation), so
 // a stored value never goes stale — a different input is a different
 // key — and the only invalidation ever needed is a FormatVersion bump
-// when the encoding itself changes.
+// when the encoding itself changes. The version lives in each entry's
+// header, not in the key: after a bump an old entry sits at the same
+// path as its replacement, misses with ErrVersionMismatch, and is
+// deleted and rewritten in place rather than orphaned.
 //
 // Durability model, in order of the failure modes that matter:
 //
@@ -30,10 +33,12 @@
 //     are counted in Stats and reported to an optional observer — the
 //     hook a circuit breaker latches onto (see internal/serve).
 //
-// Values are encoded with encoding/gob: binary-exact for float64 (the
-// harness's dominant payload is occupancy sample series) and several
-// times faster than JSON at the megabyte sizes simulation results
-// reach.
+// Values are encoded with encoding/gob: binary-exact for float64 and
+// several times faster than JSON at the sizes simulation results
+// reach. The harness's dominant payload — occupancy and frequency
+// series — carries its own compact gob form (mcd.Series,
+// mcd.FreqSeries), so an entry costs about a byte per occupancy sample
+// rather than a varint-encoded float.
 package diskcache
 
 import (
@@ -53,11 +58,14 @@ import (
 	"time"
 )
 
-// FormatVersion is the on-disk encoding version. Bump it whenever the
-// entry header or payload encoding changes shape: every entry written
-// by an older version then misses with ErrVersionMismatch and is
-// lazily rewritten, instead of being misdecoded.
-const FormatVersion = 1
+// FormatVersion is the on-disk encoding version, written into every
+// entry header. Bump it whenever the entry header or payload encoding
+// changes shape: every entry written by an older version then misses
+// with ErrVersionMismatch and is deleted and lazily rewritten at the
+// same key, instead of being misdecoded. Version 2 introduced the
+// packed occupancy and frequency series (mcd.Series, mcd.FreqSeries).
+// Cache keys do not include this number, so a bump keeps every key.
+const FormatVersion = 2
 
 // Store error taxonomy. Callers dispatch with errors.Is; every Get
 // failure wraps exactly one of these.

@@ -174,9 +174,11 @@ func DiskCacheStats() (diskcache.Stats, error) {
 // MutateAdaptive is a function and cannot be hashed directly; it is
 // canonicalized by its observable effect — the controller
 // configuration it produces from each domain's default. The Format
-// field versions the key itself: bumping diskcache.FormatVersion
-// retires every existing on-disk entry at once. opt must already have
-// defaults applied.
+// field versions the key derivation itself and stays at keyFormat; the
+// entry encoding is versioned separately in each entry's header
+// (diskcache.FormatVersion), so an encoding change retires old entries
+// at the same keys without moving them. opt must already have defaults
+// applied.
 func cacheKey(prof trace.Profile, scheme Scheme, opt Options) ([sha256.Size]byte, error) {
 	if opt.chipMode() {
 		// Chip-mode cells key on the chip shape as well — core count,
@@ -203,7 +205,7 @@ func cacheKey(prof trace.Profile, scheme Scheme, opt Options) ([sha256.Size]byte
 		Machine          mcd.Config
 		Adaptive         []control.Config
 	}{
-		Format:           diskcache.FormatVersion,
+		Format:           keyFormat,
 		Profile:          prof,
 		Scheme:           scheme,
 		Instructions:     opt.Instructions,
@@ -218,6 +220,12 @@ func cacheKey(prof trace.Profile, scheme Scheme, opt Options) ([sha256.Size]byte
 	}
 	return sha256.Sum256(blob), nil
 }
+
+// keyFormat is the Format field of every cache key. It versions the
+// key derivation alone — the entry encoding is versioned in each entry
+// header by diskcache.FormatVersion — so encoding bumps keep every key
+// (TestCacheKeyGolden). Change it only when the derivation changes.
+const keyFormat = 1
 
 // cachedRun returns the memoized result for (prof, scheme, opt) or
 // simulates it via run. Exactly one caller simulates a given key; any

@@ -144,9 +144,10 @@ func TestCacheKeyCanonicalizesMutator(t *testing.T) {
 // address warm on-disk cache entries, so ANY drift — field order,
 // type, the scheme's representation in the key — silently invalidates
 // every cache a user has built. If this test fails, the fix is to
-// restore the key derivation, not to update the constants (unless
-// diskcache.FormatVersion was deliberately bumped, which retires old
-// entries explicitly).
+// restore the key derivation, not to update the constants. Keys no
+// longer follow the entry encoding: a diskcache.FormatVersion bump
+// retires old entries through their headers and leaves these keys
+// alone; only a deliberate keyFormat change may move them.
 func TestCacheKeyGolden(t *testing.T) {
 	golden := map[Scheme]string{
 		SchemeNone:        "a1b6fc3e404c1a72c3f8771a2f99491b02a8f6fbb05df6abbdd7b74b79a08d83",
@@ -176,6 +177,31 @@ func TestCacheKeyGolden(t *testing.T) {
 	k2, _ := cacheKey(prof, SchemeAdaptive, sub)
 	if k1 != k2 {
 		t.Error("Options.Schemes leaked into the cache key")
+	}
+}
+
+// TestChipCacheKeyGolden pins the chip-mode key (gzip on 4 cores under
+// a 30 W integral-gain cap, Instructions 20000, Seed 3) the same way
+// TestCacheKeyGolden pins the single-core one: warm chip entries must
+// keep their addresses across encoding bumps.
+func TestChipCacheKeyGolden(t *testing.T) {
+	golden := map[Scheme]string{
+		SchemeNone:     "6319ffac7f2044e0840562787dd6fa782341dbaf5dd97ec079dd2e1b3a0263a7",
+		SchemeAdaptive: "979f72058728d5fb092b247da0e634f1fc48d2913b1158216f92960b53b04604",
+	}
+	prof, err := trace.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Instructions: 20000, Seed: 3, Cores: 4, PowerCapW: 30, Governor: "integral-gain"}.withDefaults()
+	for sch, want := range golden {
+		k, err := cacheKey(prof, sch, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(k[:]); got != want {
+			t.Errorf("%s: chip cache key %s, want %s — existing disk caches no longer hit", sch, got, want)
+		}
 	}
 }
 

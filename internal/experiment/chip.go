@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"mcddvfs/internal/control"
-	"mcddvfs/internal/diskcache"
 	"mcddvfs/internal/isa"
 	"mcddvfs/internal/mcd"
 	"mcddvfs/internal/trace"
@@ -107,7 +106,7 @@ func chipCacheKey(profs []trace.Profile, scheme Scheme, opt Options) ([sha256.Si
 		Governor         string
 		GovernorGain     float64
 	}{
-		Format:           diskcache.FormatVersion,
+		Format:           keyFormat,
 		Kind:             "chip",
 		Profiles:         profs,
 		Scheme:           scheme,

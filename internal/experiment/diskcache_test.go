@@ -1,12 +1,17 @@
 package experiment
 
 import (
+	"bytes"
+	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
+
+	"mcddvfs/internal/diskcache"
 )
 
 // diskOpt is smallOpt with the persistent cache rooted in a fresh
@@ -145,6 +150,81 @@ func TestDiskCacheCorruptEntryResimulates(t *testing.T) {
 	}
 	if n := entryCount(t, opt.CacheDir); n != 1 {
 		t.Errorf("corrupt entry was not healed: %d entries on disk", n)
+	}
+}
+
+// TestDiskCacheMigratesV1Entries asserts an encoding bump retires old
+// entries in place: an entry whose header carries the previous format
+// version, published under a current key, misses as stale, is deleted,
+// re-simulated and rewritten at the same path in the current version,
+// and the re-rendered artifact is byte-identical. Get rejects on the
+// header version before it reads the payload, so restamping a current
+// entry's header is a faithful v1 entry for this purpose.
+func TestDiskCacheMigratesV1Entries(t *testing.T) {
+	defer func() { SetCaching(true); ResetCache() }()
+	SetCaching(true)
+	ResetCache()
+	opt := diskOpt(t)
+	ctx := context.Background()
+
+	cold, _, err := RenderArtifactContext(ctx, "fig9", FormatText, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(opt.CacheDir, "*.res"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("cold render published no entries (err %v)", err)
+	}
+	for _, p := range paths {
+		restampVersion(t, p, 1)
+	}
+
+	ResetCache()
+	before, _ := DiskCacheStats()
+	warm, _, err := RenderArtifactContext(ctx, "fig9", FormatText, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, _ := DiskCacheStats()
+	n := uint64(len(paths))
+	if got := after.Stale - before.Stale; got != n {
+		t.Errorf("%d entries counted stale, want %d", got, n)
+	}
+	if got := after.Hits - before.Hits; got != 0 {
+		t.Errorf("%d v1 entries were served, want none", got)
+	}
+	if got := after.Writes - before.Writes; got != n {
+		t.Errorf("%d entries rewritten, want %d", got, n)
+	}
+	if !bytes.Equal(cold, warm) {
+		t.Error("artifact re-rendered over v1 entries differs from the cold render")
+	}
+	again, err := filepath.Glob(filepath.Join(opt.CacheDir, "*.res"))
+	if err != nil || !reflect.DeepEqual(again, paths) {
+		t.Fatalf("entries moved: %v -> %v (err %v)", paths, again, err)
+	}
+	for _, p := range again {
+		blob, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint32(blob[4:8]); v != diskcache.FormatVersion {
+			t.Errorf("%s: rewritten as v%d, want v%d", filepath.Base(p), v, diskcache.FormatVersion)
+		}
+	}
+}
+
+// restampVersion rewrites the format version in an entry's header
+// (magic(4) | version(u32 LE) | ...).
+func restampVersion(t *testing.T, path string, version uint32) {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(blob[4:8], version)
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1330,8 +1330,8 @@ func (p *Processor) collect(end clock.Time) *Result {
 	res := &Result{
 		Benchmark:       p.src.Name(),
 		Domains:         make(map[string]DomainStats, 4),
-		QueueSamples:    make(map[string][]float64, 3),
-		FreqTrace:       make(map[string][]FreqPoint, 3),
+		QueueSamples:    make(map[string]Series, 3),
+		FreqTrace:       make(map[string]FreqSeries, 3),
 		QueueFullStalls: make(map[string]uint64, 3),
 	}
 	total := 0.0

@@ -47,10 +47,10 @@ type Result struct {
 
 	// QueueSamples holds the 250 MHz occupancy series per controlled
 	// domain (INT, FP, LS), possibly truncated to the sample limit.
-	QueueSamples map[string][]float64
+	QueueSamples map[string]Series
 
 	// FreqTrace holds the frequency trajectory per controlled domain.
-	FreqTrace map[string][]FreqPoint
+	FreqTrace map[string]FreqSeries
 
 	// IPC is retired instructions per front-end cycle.
 	IPC float64
