@@ -358,9 +358,11 @@ func Governors() []GovernorInfo {
 // RunChip simulates an N-core chip: each core is a full MCD processor
 // running one benchmark (assigned round-robin from benchmarks; nil
 // picks a default heterogeneous mix), with opt.PowerCapW and
-// opt.Governor selecting the chip-level power-cap policy. With
-// opt.Cores <= 1, no budget, and no governor this is exactly the
-// single-core simulation.
+// opt.Governor selecting the chip-level power-cap policy. Every run
+// is a chip: with opt.Cores <= 1, no budget, and no governor it is the
+// single-core run itself — the same cache entry and the same
+// simulation as Run of that benchmark, whose Result is the chip's only
+// core.
 func RunChip(benchmarks []string, sch Scheme, opt Options) (*ChipResult, error) {
 	return experiment.RunChip(benchmarks, sch, opt)
 }

@@ -101,25 +101,22 @@ func main() {
 	opt := experiment.Options{Instructions: *insts, Seed: *seed, Machine: &machine, Timeout: *timeout, CacheDir: *cacheDir, CacheMaxBytes: *cacheMaxBytes,
 		Cores: *cores, PowerCapW: *powerCap, Governor: *governorName, GovernorGain: *governorGain}
 
-	if *cores > 1 || *powerCap > 0 || (*governorName != "" && *governorName != "none") {
-		// Chip mode: every core runs -bench (a homogeneous chip; the
-		// experiments CLI's capsweep/captransient artifacts cover the
-		// heterogeneous mixes).
-		cr, err := experiment.RunChipContext(ctx, []string{*bench}, experiment.Scheme(*scheme), opt)
-		if err != nil {
-			exitErr(err)
-		}
+	// Every run is a chip; every core runs -bench (a homogeneous chip;
+	// the experiments CLI's capsweep/captransient artifacts cover the
+	// heterogeneous mixes). One unbudgeted core prints the single-core
+	// report.
+	cr, err := experiment.RunChipContext(ctx, []string{*bench}, experiment.Scheme(*scheme), opt)
+	if err != nil {
+		exitErr(err)
+	}
+	if len(cr.Cores) > 1 || cr.PowerCapW > 0 {
 		printChip(cr, *verbose)
 		if *compare {
 			fmt.Fprintln(os.Stderr, "mcdsim: -compare applies to single-core runs only; ignored")
 		}
 		return
 	}
-
-	res, err := experiment.RunOneContext(ctx, *bench, experiment.Scheme(*scheme), opt)
-	if err != nil {
-		exitErr(err)
-	}
+	res := cr.Cores[0]
 	printRun(res, *verbose)
 
 	if *compare && experiment.Scheme(*scheme) != experiment.SchemeNone {

@@ -14,14 +14,19 @@ import (
 	"mcddvfs/internal/trace"
 )
 
-// The result cache memoizes RunProfile outcomes, keyed by a content
-// hash of everything that determines a simulation: the workload
-// profile, the scheme, and the canonicalized options (instruction
-// budget, seed, machine configuration — including the fault spec —
-// PID interval, and the *effect* of MutateAdaptive). The harness
-// regenerates Tables 2-4, Figures 7-11 and the E1-E5 extensions from
-// overlapping (benchmark, scheme, options) triples; with the cache
-// each distinct triple is simulated exactly once per process.
+// The result cache memoizes every harness run — RunProfile, matrix
+// cells and RunChip alike — keyed by a content hash of everything that
+// determines a simulation: the per-core workload profiles, the scheme,
+// and the canonicalized options (instruction budget, seed, machine
+// configuration — including the fault spec — PID interval, the
+// *effect* of MutateAdaptive, and in chip mode the chip shape). Every
+// run is an N-core chip: a single-core run is a 1-core governorless
+// chip, whose only core is bit for bit the single-processor machine,
+// and single-core callers read that core back through
+// ChipResult.Aggregate. The harness regenerates Tables 2-4, Figures
+// 7-11, the E1-E5 extensions and the chip artifacts from overlapping
+// (workload, scheme, options) triples; with the cache each distinct
+// triple is simulated exactly once per process.
 //
 // Caching is two-level. The first level is this in-process map;
 // entries use a done-channel so concurrent requests for the same key
@@ -34,10 +39,10 @@ import (
 // disk — errors, and in particular transient CellErrors (timeout,
 // cancellation), are never persisted.
 //
-// Cached *mcd.Result values are shared between callers and MUST be
-// treated as read-only. The one historical mutation site — RunMatrix
-// stripping QueueSamples from non-baseline cells — now copies the
-// struct first.
+// Cached *mcd.ChipResult values, and the *mcd.Result values callers
+// reach through them, are shared between callers and MUST be treated
+// as read-only. The one historical mutation site — RunMatrix stripping
+// QueueSamples from non-baseline cells — copies the struct first.
 //
 // A simulation is deterministic, so caching never changes any value a
 // caller observes; it only removes duplicate work.
@@ -51,7 +56,7 @@ var resultCache = struct {
 
 type cacheEntry struct {
 	done chan struct{}
-	res  *mcd.Result
+	res  *mcd.ChipResult
 	err  error
 }
 
@@ -74,12 +79,12 @@ func ResetCache() {
 	resultCache.hits = 0
 	resultCache.misses = 0
 	resultCache.mu.Unlock()
-	resetChipCache()
 	sharedReplays.reset()
 }
 
-// CacheStats reports how many RunProfile calls were served from memory
-// versus not (disk hits count as misses here; see DiskCacheStats).
+// CacheStats reports how many runs (RunProfile, matrix cells, RunChip)
+// were served from memory versus not (disk hits count as misses here;
+// see DiskCacheStats).
 func CacheStats() (hits, misses uint64) {
 	resultCache.mu.Lock()
 	defer resultCache.mu.Unlock()
@@ -87,14 +92,15 @@ func CacheStats() (hits, misses uint64) {
 }
 
 // diskStores holds one open store per cache directory, created
-// lazily. A store that fails to open is recorded as nil so a
-// misconfigured directory degrades to uncached operation once instead
-// of erroring every run.
+// lazily. A store that fails to open is recorded as nil, with its own
+// open error, so a misconfigured directory degrades to uncached
+// operation once instead of erroring every run.
 var diskStores = struct {
-	mu      sync.Mutex
-	stores  map[string]*diskcache.Store
-	openErr error
-}{stores: make(map[string]*diskcache.Store)}
+	mu       sync.Mutex
+	stores   map[string]*diskcache.Store
+	openErrs map[string]error
+	firstErr error // the first open failure, in open order
+}{stores: make(map[string]*diskcache.Store), openErrs: make(map[string]error)}
 
 // diskStore returns the store for opt.CacheDir, opening it on first
 // use, or nil when disk caching is off (empty CacheDir) or the
@@ -113,9 +119,9 @@ func diskStore(opt Options) *diskcache.Store {
 // Options.CacheDir == dir goes through the returned store, so an
 // operator attaching an observer or swapping the FS (chaos injection,
 // circuit breaking in internal/serve) sees exactly the traffic the
-// runs generate. The error reports an unusable directory; such a
-// directory is cached as nil, and runs against it silently degrade to
-// uncached simulation.
+// runs generate. The error reports why dir is unusable; such a
+// directory is cached as nil, later calls return the same error, and
+// runs against it silently degrade to uncached simulation.
 func DiskStore(dir string, maxBytes int64) (*diskcache.Store, error) {
 	if dir == "" {
 		return nil, invalidSpec(fmt.Errorf("experiment: DiskStore: empty cache directory"))
@@ -123,15 +129,15 @@ func DiskStore(dir string, maxBytes int64) (*diskcache.Store, error) {
 	diskStores.mu.Lock()
 	defer diskStores.mu.Unlock()
 	if s, ok := diskStores.stores[dir]; ok {
-		if s == nil {
-			return nil, diskStores.openErr
-		}
-		return s, nil
+		return s, diskStores.openErrs[dir]
 	}
 	s, err := diskcache.Open(dir, maxBytes)
 	if err != nil {
 		s = nil
-		diskStores.openErr = err
+		diskStores.openErrs[dir] = err
+		if diskStores.firstErr == nil {
+			diskStores.firstErr = err
+		}
 	}
 	diskStores.stores[dir] = s
 	return s, err
@@ -159,34 +165,35 @@ func DiskCacheStats() (diskcache.Stats, error) {
 		total.WriteErrors += st.WriteErrors
 		total.Retries += st.Retries
 	}
-	return total, diskStores.openErr
+	return total, diskStores.firstErr
 }
 
-// cacheKey hashes the complete simulation input. Options.Benchmarks
-// and Options.Schemes are deliberately excluded: they select which
-// runs happen, not what any individual run computes — a cell simulated
-// for a subset matrix must hit the same warm disk-cache entry as the
-// full sweep. CacheDir/CacheMaxBytes are excluded for the same reason
-// — they say where results are stored, not what they are. The scheme
-// enters the key as its registry name only (the struct below is part
-// of the byte-stability contract; see TestCacheKeyGolden), so a
-// registry refactor must never reorder or retype these fields.
-// MutateAdaptive is a function and cannot be hashed directly; it is
-// canonicalized by its observable effect — the controller
-// configuration it produces from each domain's default. The Format
-// field versions the key derivation itself and stays at keyFormat; the
-// entry encoding is versioned separately in each entry's header
-// (diskcache.FormatVersion), so an encoding change retires old entries
-// at the same keys without moving them. opt must already have defaults
-// applied.
-func cacheKey(prof trace.Profile, scheme Scheme, opt Options) ([sha256.Size]byte, error) {
-	if opt.chipMode() {
-		// Chip-mode cells key on the chip shape as well — core count,
-		// power budget, governor, gain — in a disjoint keyspace (see
-		// chipCacheKey). The default single-core options never take
-		// this branch, so the legacy key bytes are untouched.
-		return chipCacheKey(chipProfiles(prof, opt), scheme, opt)
-	}
+// cacheKey hashes the complete simulation input: profs holds one
+// workload profile per core. Options.Benchmarks and Options.Schemes
+// are deliberately excluded: they select which runs happen, not what
+// any individual run computes — a cell simulated for a subset matrix
+// must hit the same warm disk-cache entry as the full sweep.
+// CacheDir/CacheMaxBytes/CorpusDir and the rest of the waived fields
+// are excluded for the same reason — they select or store runs, they
+// never change what one computes. The scheme enters the key as its
+// registry name only. MutateAdaptive is a function and cannot be
+// hashed directly; it is canonicalized by its observable effect — the
+// controller configuration it produces from each domain's default.
+//
+// There are two hash structs, and both are part of the byte-stability
+// contract (TestCacheKeyGolden, TestChipCacheKeyGolden), so a refactor
+// must never reorder or retype their fields. A run outside chip mode —
+// one core, no budget, no governor — hashes the legacy single-core
+// struct, so warm entries written before chip support still hit. A
+// chip-mode run also hashes the chip shape — per-core profiles, core
+// count, budget, governor, gain — under a Kind tag that keeps it in a
+// keyspace disjoint from the legacy one (the two store different entry
+// types; see cachedRun). The Format field versions the key derivation
+// itself and stays at keyFormat; the entry encoding is versioned
+// separately in each entry's header (diskcache.FormatVersion), so an
+// encoding change retires old entries at the same keys without moving
+// them. opt must already have defaults applied.
+func cacheKey(profs []trace.Profile, scheme Scheme, opt Options) ([sha256.Size]byte, error) {
 	mutated := make([]control.Config, isa.NumExecDomains)
 	for d := 0; d < isa.NumExecDomains; d++ {
 		cfg := control.DefaultConfig(isa.ExecDomain(d))
@@ -195,26 +202,59 @@ func cacheKey(prof trace.Profile, scheme Scheme, opt Options) ([sha256.Size]byte
 		}
 		mutated[d] = cfg
 	}
-	key := struct {
-		Format           int
-		Profile          trace.Profile
-		Scheme           Scheme
-		Instructions     int64
-		Seed             int64
-		PIDIntervalTicks int
-		Machine          mcd.Config
-		Adaptive         []control.Config
-	}{
-		Format:           keyFormat,
-		Profile:          prof,
-		Scheme:           scheme,
-		Instructions:     opt.Instructions,
-		Seed:             opt.Seed,
-		PIDIntervalTicks: opt.PIDIntervalTicks,
-		Machine:          opt.machine(),
-		Adaptive:         mutated,
+	var key any
+	if !opt.chipMode() {
+		key = struct {
+			Format           int
+			Profile          trace.Profile
+			Scheme           Scheme
+			Instructions     int64
+			Seed             int64
+			PIDIntervalTicks int
+			Machine          mcd.Config
+			Adaptive         []control.Config
+		}{
+			Format:           keyFormat,
+			Profile:          profs[0],
+			Scheme:           scheme,
+			Instructions:     opt.Instructions,
+			Seed:             opt.Seed,
+			PIDIntervalTicks: opt.PIDIntervalTicks,
+			Machine:          opt.machine(),
+			Adaptive:         mutated,
+		}
+	} else {
+		key = struct {
+			Format           int
+			Kind             string
+			Profiles         []trace.Profile
+			Scheme           Scheme
+			Instructions     int64
+			Seed             int64
+			PIDIntervalTicks int
+			Machine          mcd.Config
+			Adaptive         []control.Config
+			Cores            int
+			PowerCapW        float64
+			Governor         string
+			GovernorGain     float64
+		}{
+			Format:           keyFormat,
+			Kind:             "chip",
+			Profiles:         profs,
+			Scheme:           scheme,
+			Instructions:     opt.Instructions,
+			Seed:             opt.Seed,
+			PIDIntervalTicks: opt.PIDIntervalTicks,
+			Machine:          opt.machine(),
+			Adaptive:         mutated,
+			Cores:            opt.chipCores(),
+			PowerCapW:        opt.PowerCapW,
+			Governor:         opt.governorName(),
+			GovernorGain:     opt.GovernorGain,
+		}
 	}
-	blob, err := json.Marshal(&key)
+	blob, err := json.Marshal(key)
 	if err != nil {
 		return [sha256.Size]byte{}, fmt.Errorf("experiment: cache key: %w", err)
 	}
@@ -227,18 +267,27 @@ func cacheKey(prof trace.Profile, scheme Scheme, opt Options) ([sha256.Size]byte
 // (TestCacheKeyGolden). Change it only when the derivation changes.
 const keyFormat = 1
 
-// cachedRun returns the memoized result for (prof, scheme, opt) or
-// simulates it via run. Exactly one caller simulates a given key; any
+// cachedRun returns the memoized chip result for (profs, scheme, opt)
+// or simulates it. Exactly one caller simulates a given key; any
 // concurrent callers block on its completion and share the outcome.
-// ctx gates only this attempt's disk probe — a cancelled context
-// falls straight through to run, whose own machinery honors it.
-func cachedRun(ctx context.Context, prof trace.Profile, scheme Scheme, opt Options, run func() (*mcd.Result, error)) (*mcd.Result, error) {
+// bankSrc is handed to simulate (core 0's stream) and is only invoked
+// if the run actually simulates. ctx gates only this attempt's disk
+// probe — a cancelled context falls straight through to simulate,
+// whose own machinery honors it. opt must already have defaults
+// applied and been validated.
+//
+// On disk, a legacy-key run stores its one core as a plain mcd.Result,
+// the entry type that predates chip support, so existing warm caches
+// still hit; the 1-core chip result is rebuilt from it exactly (the
+// chip rollup of one core is that core's metrics). Chip keys store the
+// whole mcd.ChipResult.
+func cachedRun(ctx context.Context, profs []trace.Profile, scheme Scheme, opt Options, bankSrc func() (trace.Source, error)) (*mcd.ChipResult, error) {
 	resultCache.mu.Lock()
 	if !resultCache.enabled {
 		resultCache.mu.Unlock()
-		return run()
+		return simulate(ctx, profs, scheme, opt, bankSrc)
 	}
-	k, err := cacheKey(prof, scheme, opt)
+	k, err := cacheKey(profs, scheme, opt)
 	if err != nil {
 		resultCache.mu.Unlock()
 		return nil, err
@@ -255,24 +304,37 @@ func cachedRun(ctx context.Context, prof trace.Profile, scheme Scheme, opt Optio
 	resultCache.mu.Unlock()
 
 	store := diskStore(opt)
+	legacy := !opt.chipMode()
 	func() {
-		// Close even if run panics so waiters are not stranded; the
-		// panic still propagates to this (first) caller.
+		// Close even if simulate panics so waiters are not stranded;
+		// the panic still propagates to this (first) caller.
 		defer close(e.done)
 		if store != nil && ctx.Err() == nil {
-			var res mcd.Result
-			if derr := store.Get(k, &res); derr == nil {
-				e.res = &res
-				return
-			}
 			// Any disk failure — miss, corruption, version mismatch —
 			// falls back to simulation; Get already healed bad entries.
+			if legacy {
+				var res mcd.Result
+				if store.Get(k, &res) == nil {
+					e.res = &mcd.ChipResult{Cores: []*mcd.Result{&res}, Metrics: res.Metrics}
+					return
+				}
+			} else {
+				var res mcd.ChipResult
+				if store.Get(k, &res) == nil {
+					e.res = &res
+					return
+				}
+			}
 		}
-		e.res, e.err = run()
+		e.res, e.err = simulate(ctx, profs, scheme, opt, bankSrc)
 		if e.err == nil && store != nil {
 			// Persist only clean results. A write failure costs the
 			// persistence of this one cell, not the run.
-			store.Put(k, e.res) //nolint:errcheck // cache write is best-effort
+			var entry any = e.res
+			if legacy {
+				entry = e.res.Cores[0]
+			}
+			store.Put(k, entry) //nolint:errcheck // cache write is best-effort
 		}
 	}()
 	if e.err != nil && transientErr(e.err) {

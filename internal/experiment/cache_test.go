@@ -161,7 +161,7 @@ func TestCacheKeyGolden(t *testing.T) {
 	}
 	opt := Options{Instructions: 20000, Seed: 3}.withDefaults()
 	for sch, want := range golden {
-		k, err := cacheKey(prof, sch, opt)
+		k, err := cacheKey([]trace.Profile{prof}, sch, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,8 +173,8 @@ func TestCacheKeyGolden(t *testing.T) {
 	// subset matrix shares warm entries with the full sweep.
 	sub := opt
 	sub.Schemes = []Scheme{SchemeAdaptive}
-	k1, _ := cacheKey(prof, SchemeAdaptive, opt)
-	k2, _ := cacheKey(prof, SchemeAdaptive, sub)
+	k1, _ := cacheKey([]trace.Profile{prof}, SchemeAdaptive, opt)
+	k2, _ := cacheKey([]trace.Profile{prof}, SchemeAdaptive, sub)
 	if k1 != k2 {
 		t.Error("Options.Schemes leaked into the cache key")
 	}
@@ -195,7 +195,7 @@ func TestChipCacheKeyGolden(t *testing.T) {
 	}
 	opt := Options{Instructions: 20000, Seed: 3, Cores: 4, PowerCapW: 30, Governor: "integral-gain"}.withDefaults()
 	for sch, want := range golden {
-		k, err := cacheKey(prof, sch, opt)
+		k, err := cacheKey(chipProfiles(prof, opt), sch, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,6 +236,58 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 	if hits, misses := CacheStats(); misses != 1 {
 		t.Errorf("%d simulations for one key (hits %d), want 1", misses, hits)
+	}
+}
+
+// TestSingleCoreChipSharesRunProfile asserts a single-core run and a
+// governorless 1-core chip of the same spec are one run: one
+// simulation, and the chip's only core is the very Result RunProfile
+// returned.
+func TestSingleCoreChipSharesRunProfile(t *testing.T) {
+	defer func() { SetCaching(true); ResetCache() }()
+	SetCaching(true)
+	ResetCache()
+	prof, err := trace.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := smallOpt()
+	res, err := RunProfileContext(context.Background(), prof, SchemeAdaptive, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chipOpt := opt
+	chipOpt.Cores, chipOpt.Governor = 1, "none"
+	cr, err := RunChipContext(context.Background(), []string{"gzip"}, SchemeAdaptive, chipOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := CacheStats(); hits != 1 || misses != 1 {
+		t.Errorf("cache stats %d hits / %d misses, want 1 / 1 (one simulation)", hits, misses)
+	}
+	if len(cr.Cores) != 1 || cr.Cores[0] != res {
+		t.Error("1-core chip does not share RunProfile's cached Result")
+	}
+}
+
+// TestWideChipRecordsOneTrace asserts a multi-core run records at most
+// core 0's trace into the shared replay cache: cores ≥ 1 stream from
+// generators, so a wide chip allocates no per-core recordings before
+// its run (and its timeout) starts.
+func TestWideChipRecordsOneTrace(t *testing.T) {
+	defer func() { SetCaching(true); ResetCache() }()
+	SetCaching(false)
+	ResetCache()
+	opt := smallOpt()
+	opt.Cores, opt.PowerCapW = 8, 40
+	if _, err := RunChipContext(context.Background(), []string{"gzip", "swim"}, SchemeAdaptive, opt); err != nil {
+		t.Fatal(err)
+	}
+	sharedReplays.mu.Lock()
+	n := len(sharedReplays.entries)
+	sharedReplays.mu.Unlock()
+	if n != 1 {
+		t.Errorf("8-core chip left %d recordings in the replay cache, want 1 (core 0 only)", n)
 	}
 }
 

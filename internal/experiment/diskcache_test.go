@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"mcddvfs/internal/diskcache"
+	"mcddvfs/internal/mcd"
+	"mcddvfs/internal/trace"
 )
 
 // diskOpt is smallOpt with the persistent cache rooted in a fresh
@@ -35,42 +37,80 @@ func entryCount(t *testing.T, dir string) int {
 
 // TestDiskCacheServesAcrossReset asserts the persistence contract: a
 // result computed before ResetCache (which models process death for
-// the in-process level) is served from disk afterwards, identical to
-// the simulated one.
+// the in-process level) is served from disk afterwards, deeply equal
+// to a fresh simulation. A single core is stored as the legacy
+// mcd.Result entry that predates chip support; a chip as the whole
+// mcd.ChipResult.
 func TestDiskCacheServesAcrossReset(t *testing.T) {
 	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
-	opt := diskOpt(t)
-
-	before, _ := DiskCacheStats()
-	cold, err := RunOne("gzip", SchemeAdaptive, opt)
+	prof, err := trace.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := entryCount(t, opt.CacheDir); n != 1 {
-		t.Fatalf("cold run published %d entries, want 1", n)
+	cases := []struct {
+		name      string
+		cores     int
+		powerCapW float64
+	}{
+		{"1-core", 1, 0},
+		{"4-core-capped", 4, 30},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			SetCaching(true)
+			ResetCache()
+			opt := diskOpt(t)
+			opt.Cores, opt.PowerCapW = tc.cores, tc.powerCapW
 
-	ResetCache() // drop the in-process level; disk must carry the result
-	warm, err := RunOne("gzip", SchemeAdaptive, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, _ := DiskCacheStats()
-	if got := after.Hits - before.Hits; got != 1 {
-		t.Errorf("warm run hit disk %d times, want 1", got)
-	}
-	if !reflect.DeepEqual(cold.Metrics, warm.Metrics) {
-		t.Errorf("disk round trip changed metrics:\n cold %+v\n warm %+v", cold.Metrics, warm.Metrics)
-	}
-	if cold.IPC != warm.IPC || cold.L1DMissRate != warm.L1DMissRate {
-		t.Errorf("disk round trip changed rates: cold (%v, %v) warm (%v, %v)",
-			cold.IPC, cold.L1DMissRate, warm.IPC, warm.L1DMissRate)
-	}
-	if len(cold.QueueSamples) != len(warm.QueueSamples) {
-		t.Errorf("disk round trip changed sample count: %d vs %d",
-			len(cold.QueueSamples), len(warm.QueueSamples))
+			if _, err := RunChip([]string{"gzip"}, SchemeAdaptive, opt); err != nil {
+				t.Fatal(err)
+			}
+			if n := entryCount(t, opt.CacheDir); n != 1 {
+				t.Fatalf("cold run published %d entries, want 1", n)
+			}
+
+			ResetCache() // drop the in-process level; disk must carry the result
+			before, _ := DiskCacheStats()
+			warm, err := RunChip([]string{"gzip"}, SchemeAdaptive, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after, _ := DiskCacheStats()
+			if got := after.Hits - before.Hits; got != 1 {
+				t.Errorf("warm run hit disk %d times, want 1", got)
+			}
+
+			SetCaching(false)
+			fresh, err := RunChip([]string{"gzip"}, SchemeAdaptive, opt)
+			SetCaching(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(warm, fresh) {
+				t.Errorf("disk round trip changed the result:\n warm  %+v\n fresh %+v", warm, fresh)
+			}
+
+			// The entry's own type: a plain Result for one core.
+			store, err := DiskStore(opt.CacheDir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dopt := opt.withDefaults()
+			k, err := cacheKey(chipProfiles(prof, dopt), SchemeAdaptive, dopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stored, want interface{} = &mcd.ChipResult{}, fresh
+			if tc.cores == 1 {
+				stored, want = &mcd.Result{}, fresh.Cores[0]
+			}
+			if err := store.Get(k, stored); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(stored, want) {
+				t.Errorf("entry is not the expected %T", want)
+			}
+		})
 	}
 }
 
@@ -275,6 +315,38 @@ func TestDiskCacheUnusableDirDegrades(t *testing.T) {
 	}
 	if _, err := DiskCacheStats(); err == nil {
 		t.Error("DiskCacheStats does not surface the open failure")
+	}
+}
+
+// TestDiskStoreOpenErrorsPerDirectory asserts every unusable cache
+// directory keeps its own open error — reopening the first after a
+// second failed returns the first's error — and that DiskCacheStats
+// reports the first failure in open order.
+func TestDiskStoreOpenErrorsPerDirectory(t *testing.T) {
+	_, prior := DiskCacheStats()
+	var dirs [2]string
+	var errs [2]error
+	for i := range dirs {
+		// A regular file where the directory should go: MkdirAll fails.
+		dirs[i] = filepath.Join(t.TempDir(), "blocked")
+		if err := os.WriteFile(dirs[i], []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, errs[i] = DiskStore(dirs[i], 0); errs[i] == nil {
+			t.Fatalf("DiskStore(%s) opened a regular file", dirs[i])
+		}
+	}
+	for i, dir := range dirs {
+		if _, err := DiskStore(dir, 0); err != errs[i] {
+			t.Errorf("DiskStore(%s) = %v, want its own open error %v", dir, err, errs[i])
+		}
+	}
+	want := errs[0]
+	if prior != nil {
+		want = prior
+	}
+	if _, err := DiskCacheStats(); err != want {
+		t.Errorf("DiskCacheStats error = %v, want the first failure %v", err, want)
 	}
 }
 

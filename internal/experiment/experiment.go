@@ -127,11 +127,11 @@ type Options struct {
 	// receives copies and alters no result.
 	//lint:allow cachekey observation hook; receives results, never shapes them
 	RowFlush func(RowEvent)
-	// Cores lifts a run onto an N-core chip: every matrix cell (and
-	// RunProfile call) simulates Cores copies of the machine running
-	// the benchmark, coupled only by the chip governor, and reports the
-	// chip aggregate. 0 or 1 is the single-core path — exactly the
-	// pre-chip code, byte for byte.
+	// Cores sets the chip size: every matrix cell (and RunProfile
+	// call) simulates Cores copies of the machine running the
+	// benchmark, coupled only by the chip governor, and reports the
+	// chip aggregate. 0 or 1 is a single core, whose aggregate is that
+	// core's own Result.
 	Cores int
 	// PowerCapW is the chip-wide power budget in watts a capping
 	// governor holds the chip to (0 = unbudgeted). Setting it without
@@ -147,10 +147,10 @@ type Options struct {
 	GovernorGain float64
 }
 
-// chipMode reports whether the options ask for the N-core chip path.
-// The default — one core, no budget, no (or the "none") governor —
-// must take the legacy single-core path so every existing artifact
-// renders byte-identically.
+// chipMode reports whether the options ask for more than a plain
+// single core. Every run simulates a chip, but the default — one core,
+// no budget, no (or the "none") governor — keys the legacy single-core
+// cache entry (see cacheKey).
 func (o Options) chipMode() bool {
 	return o.Cores > 1 || o.PowerCapW > 0 ||
 		(o.Governor != "" && o.Governor != governor.DefaultName)
@@ -249,30 +249,23 @@ func RunProfileContext(ctx context.Context, prof trace.Profile, scheme Scheme, o
 	return runCell(ctx, prof, scheme, opt, nil)
 }
 
-// runCell is the shared run path. srcFn, when non-nil, supplies the
-// workload instruction stream instead of a fresh Generator — the hook
-// RunMatrix uses to fan one recorded trace out across schemes. The
-// provider is only invoked if the cell actually simulates; cache hits
-// (in-process or disk) never touch it.
+// runCell runs one benchmark as a cell: a homogeneous chip of
+// opt.Cores copies (one by default) through the shared cached path,
+// reported as the chip aggregate — for one core, that core's own
+// Result. srcFn, when non-nil, supplies core 0's instruction stream
+// instead of a fresh one — the hook RunMatrix uses to fan one recorded
+// trace out across schemes. The provider is only invoked if the cell
+// actually simulates; cache hits (in-process or disk) never touch it.
 func runCell(ctx context.Context, prof trace.Profile, scheme Scheme, opt Options, srcFn func() (trace.Source, error)) (*mcd.Result, error) {
 	opt = opt.withDefaults()
 	if err := validateRun(prof, scheme, opt); err != nil {
 		return nil, err
 	}
-	if opt.chipMode() {
-		// A chip-mode cell runs the benchmark on every core of an
-		// N-core chip and reports the chip aggregate. The trace-bank
-		// hook is single-stream and does not apply: each core
-		// generates its own per-seed stream.
-		cr, err := runChipCell(ctx, chipProfiles(prof, opt), scheme, opt)
-		if err != nil {
-			return nil, err
-		}
-		return cr.Aggregate(), nil
+	cr, err := cachedRun(ctx, chipProfiles(prof, opt), scheme, opt, srcFn)
+	if err != nil {
+		return nil, err
 	}
-	return cachedRun(ctx, prof, scheme, opt, func() (*mcd.Result, error) {
-		return runProfile(ctx, prof, scheme, opt, srcFn)
-	})
+	return cr.Aggregate(), nil
 }
 
 // validateRun front-loads every input check so bad specs surface as
@@ -364,51 +357,6 @@ func (o Options) schemeOptions() scheme.Options {
 		MutateAdaptive:   o.MutateAdaptive,
 		PIDIntervalTicks: o.PIDIntervalTicks,
 	}
-}
-
-// runProfile is the uncached simulation. opt must already have
-// defaults applied and been validated. srcFn, when non-nil, supplies
-// the instruction stream (a shared-trace replay cursor); nil generates
-// it fresh. A panic anywhere below — trace generation, construction,
-// the simulator hot loop — is recovered into ErrRunPanicked so one
-// bad run cannot kill a sweep.
-func runProfile(ctx context.Context, prof trace.Profile, scheme Scheme, opt Options, srcFn func() (trace.Source, error)) (res *mcd.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("%s/%s: %w: %v", prof.Name, scheme, ErrRunPanicked, r)
-		}
-	}()
-	if opt.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
-		defer cancel()
-	}
-	cfg := opt.machine()
-	var gen trace.Source
-	if srcFn != nil {
-		gen, err = srcFn()
-	} else {
-		gen, err = sharedReplays.source(prof, trace.StreamSeed(opt.Seed), opt.Instructions)
-		if err != nil {
-			err = invalidSpec(err)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	p, err := mcd.New(cfg)
-	if err != nil {
-		return nil, invalidSpec(err)
-	}
-	if err := attach(p, scheme, opt); err != nil {
-		return nil, err
-	}
-	res, err = p.RunContext(ctx, gen)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", prof.Name, scheme, wrapRunErr(err))
-	}
-	res.Scheme = string(scheme)
-	return res, nil
 }
 
 // AttachScheme wires the controllers for a scheme onto an existing

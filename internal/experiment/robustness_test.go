@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"mcddvfs/internal/control"
 	"mcddvfs/internal/faults"
+	"mcddvfs/internal/isa"
+	"mcddvfs/internal/trace"
 )
 
 // marshal renders a result for byte-level comparison.
@@ -238,5 +241,43 @@ func TestFaultSweepReport(t *testing.T) {
 
 	if _, err := FaultSweep(opt, []string{"gzip"}, []float64{2}); !errors.Is(err, ErrInvalidSpec) {
 		t.Errorf("out-of-range intensity accepted: %v", err)
+	}
+}
+
+// panicSource yields a short stream and then panics mid-run, inside
+// the simulator's hot loop rather than during construction.
+type panicSource struct {
+	trace.Source
+	left int
+}
+
+func (s *panicSource) Next() (isa.Inst, bool) {
+	if s.left--; s.left < 0 {
+		panic("rigged trace")
+	}
+	return s.Source.Next()
+}
+
+// TestHotLoopPanicIsRunPanicked asserts a panic raised while the
+// machine is running — not while it is built — still surfaces as
+// ErrRunPanicked, now that every run goes through the chip loop and
+// its worker pool.
+func TestHotLoopPanicIsRunPanicked(t *testing.T) {
+	defer func() { SetCaching(true); ResetCache() }()
+	SetCaching(false)
+	prof, err := trace.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Instructions: 20000, Seed: 3}
+	_, err = runCell(context.Background(), prof, SchemeAdaptive, opt, func() (trace.Source, error) {
+		gen, err := trace.NewGenerator(prof, trace.StreamSeed(opt.Seed), opt.Instructions)
+		return &panicSource{Source: gen, left: 5000}, err
+	})
+	if !errors.Is(err, ErrRunPanicked) {
+		t.Fatalf("hot-loop panic not classified ErrRunPanicked: %v", err)
+	}
+	if !strings.Contains(err.Error(), "rigged trace") {
+		t.Errorf("panic value lost: %v", err)
 	}
 }

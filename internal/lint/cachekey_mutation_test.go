@@ -19,14 +19,14 @@ import (
 //
 // Coverage is reachability-based, so a field mentioned on any path
 // from cacheKey stays covered: Instructions must be deleted from BOTH
-// the legacy struct (cache.go) and the chip struct (chip.go) to go
+// of cacheKey's hash structs, the legacy one and the chip one, to go
 // dark — dropping it from just one is the byte-stability tests' job
-// (TestCacheKeyGolden pins the legacy struct). Seed would survive even
-// the double deletion legitimately (cacheKey hashes the machine
-// config, which machine() derives from the seed) — exactly the
-// transitive coverage the call graph exists to see. GovernorGain is
-// the chip-era twin: it reaches cacheKey only through chipCacheKey's
-// hash struct, so a single chip-side deletion must fail.
+// (TestCacheKeyGolden and TestChipCacheKeyGolden pin the structs).
+// Seed would survive even the double deletion legitimately (cacheKey
+// hashes the machine config, which machine() derives from the seed) —
+// exactly the transitive coverage the call graph exists to see.
+// GovernorGain enters cacheKey only through the chip hash struct, so
+// that single deletion must fail.
 func TestCacheKeyCatchesDroppedHashField(t *testing.T) {
 	if testing.Short() {
 		t.Skip("copies and re-type-checks the module")
@@ -41,21 +41,20 @@ func TestCacheKeyCatchesDroppedHashField(t *testing.T) {
 
 	cases := []struct {
 		name      string
-		drops     map[string]string // file under the repo root -> literal line to delete
+		drops     map[string]string // file under the repo root -> literal line to delete (every occurrence)
 		wantField string
 	}{
 		{
 			name: "instructions-from-every-key",
 			drops: map[string]string{
 				"internal/experiment/cache.go": "Instructions:     opt.Instructions,",
-				"internal/experiment/chip.go":  "Instructions:     opt.Instructions,",
 			},
 			wantField: "Options.Instructions",
 		},
 		{
 			name: "governor-gain-from-chip-key",
 			drops: map[string]string{
-				"internal/experiment/chip.go": "GovernorGain:     opt.GovernorGain,",
+				"internal/experiment/cache.go": "GovernorGain:     opt.GovernorGain,",
 			},
 			wantField: "Options.GovernorGain",
 		},
@@ -77,7 +76,7 @@ func TestCacheKeyCatchesDroppedHashField(t *testing.T) {
 				if !strings.Contains(string(src), dropped) {
 					t.Fatalf("%s no longer contains %q; update this test alongside the key structs", path, dropped)
 				}
-				mutated := strings.Replace(string(src), dropped, "", 1)
+				mutated := strings.ReplaceAll(string(src), dropped, "")
 				if err := os.WriteFile(path, []byte(mutated), 0o644); err != nil {
 					t.Fatal(err)
 				}

@@ -54,16 +54,24 @@ type ChipConfig struct {
 // Validate checks the chip spec, including every per-core machine
 // configuration.
 func (c ChipConfig) Validate() error {
-	if len(c.Cores) == 0 {
-		return errors.New("mcd: ChipConfig.Cores is empty")
-	}
-	if len(c.Cores) > MaxChipCores {
-		return fmt.Errorf("mcd: ChipConfig.Cores has %d cores; max %d", len(c.Cores), MaxChipCores)
+	if err := c.validateChip(); err != nil {
+		return err
 	}
 	for i := range c.Cores {
 		if err := c.Cores[i].Validate(); err != nil {
 			return fmt.Errorf("mcd: chip core %d: %w", i, err)
 		}
+	}
+	return nil
+}
+
+// validateChip checks the chip-level fields alone.
+func (c ChipConfig) validateChip() error {
+	if len(c.Cores) == 0 {
+		return errors.New("mcd: ChipConfig.Cores is empty")
+	}
+	if len(c.Cores) > MaxChipCores {
+		return fmt.Errorf("mcd: ChipConfig.Cores has %d cores; max %d", len(c.Cores), MaxChipCores)
 	}
 	if c.PowerCapW < 0 {
 		return fmt.Errorf("mcd: ChipConfig.PowerCapW %v is negative", c.PowerCapW)
@@ -242,11 +250,12 @@ type Chip struct {
 
 // NewChip builds a chip from cfg, constructing every core.
 func NewChip(cfg ChipConfig) (*Chip, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validateChip(); err != nil {
 		return nil, err
 	}
 	c := &Chip{cfg: cfg, cores: make([]*Processor, len(cfg.Cores))}
 	for i := range cfg.Cores {
+		// New validates the core's configuration.
 		p, err := New(cfg.Cores[i])
 		if err != nil {
 			return nil, fmt.Errorf("mcd: chip core %d: %w", i, err)
@@ -297,6 +306,8 @@ func (c *Chip) Run(srcs []trace.Source) (*ChipResult, error) {
 // consumes an edge past the barrier. All cross-core reads and all
 // reductions happen between barriers in core-index order, so the
 // result is independent of worker count and completion order.
+// A core's panic is re-raised on the caller's goroutine once the pool
+// has drained, as Processor.RunContext would raise it.
 func (c *Chip) RunContext(ctx context.Context, srcs []trace.Source) (*ChipResult, error) {
 	if c.ran {
 		return nil, errors.New("mcd: Chip.Run called twice; create a new Chip per run")
@@ -308,7 +319,7 @@ func (c *Chip) RunContext(ctx context.Context, srcs []trace.Source) (*ChipResult
 	}
 	for i, p := range c.cores {
 		if err := p.beginEventRun(ctx, srcs[i]); err != nil {
-			return nil, fmt.Errorf("mcd: chip core %d: %w", i, err)
+			return nil, c.coreErr(i, err)
 		}
 	}
 
@@ -320,40 +331,54 @@ func (c *Chip) RunContext(ctx context.Context, srcs []trace.Source) (*ChipResult
 	if c.gov != nil {
 		deadline = epoch
 	}
-	done := make([]bool, n)
-	errs := make([]error, n)
-	caps := make([]float64, n)
-	powerW := make([]float64, n)
-	lastJ := make([]float64, n)
+	// Per-core run state. live holds the unfinished cores in index
+	// order; the power and cap slices exist only under a governor.
+	type coreRun struct {
+		err       error
+		recovered any // a panic value, re-raised below
+		done      bool
+	}
+	runs := make([]coreRun, n)
+	live := make([]int, n)
+	for i := range live {
+		live[i] = i
+	}
+	var caps, powerW, lastJ []float64
+	if c.gov != nil {
+		buf := make([]float64, 3*n)
+		caps, powerW, lastJ = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+	}
+	advance := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				runs[i].recovered = r
+				runs[i].done = true
+			}
+		}()
+		d, err := c.cores[i].advanceEvent(ctx, deadline)
+		runs[i].err = err
+		runs[i].done = d || err != nil
+	}
 	res := &ChipResult{Cores: make([]*Result, n), PowerCapW: c.cfg.PowerCapW}
-	for remaining := n; remaining > 0; {
-		c.forEachCore(done, func(i int) {
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("mcd: chip core %d panicked: %v", i, r)
-					done[i] = true
+	for len(live) > 0 {
+		c.forEachCore(live, advance)
+		next := live[:0]
+		for _, i := range live {
+			if r := runs[i].recovered; r != nil {
+				if n > 1 {
+					r = fmt.Sprintf("mcd: chip core %d: %v", i, r)
 				}
-			}()
-			d, err := c.cores[i].advanceEvent(ctx, deadline)
-			if err != nil {
-				errs[i] = err
+				panic(r)
 			}
-			if d || err != nil {
-				done[i] = true
+			if runs[i].err != nil {
+				return nil, c.coreErr(i, runs[i].err)
 			}
-		})
-		for i := 0; i < n; i++ {
-			if errs[i] != nil {
-				return nil, fmt.Errorf("mcd: chip core %d: %w", i, errs[i])
+			if !runs[i].done {
+				next = append(next, i)
 			}
 		}
-		remaining = 0
-		for i := 0; i < n; i++ {
-			if !done[i] {
-				remaining++
-			}
-		}
-		if c.gov == nil || remaining == 0 {
+		live = next
+		if c.gov == nil || len(live) == 0 {
 			break
 		}
 		// Epoch barrier: sense, apportion, actuate — single-threaded,
@@ -364,10 +389,8 @@ func (c *Chip) RunContext(ctx context.Context, srcs []trace.Source) (*ChipResult
 			lastJ[i] = j
 		}
 		c.gov.Apportion(deadline, powerW, caps)
-		for i := 0; i < n; i++ {
-			if !done[i] {
-				c.cores[i].SetFreqCap(deadline, caps[i])
-			}
+		for _, i := range live {
+			c.cores[i].SetFreqCap(deadline, caps[i])
 		}
 		if len(res.EpochTrace) < maxEpochTrace {
 			s := EpochSample{
@@ -398,18 +421,21 @@ func (c *Chip) RunContext(ctx context.Context, srcs []trace.Source) (*ChipResult
 	return res, nil
 }
 
-// forEachCore runs fn(i) for every core whose skip flag is unset,
-// fanning the indices out over the worker pool. Each invocation only
-// writes its own core's state and its own slots of the caller's
-// per-core slices, and the caller reads nothing until every worker has
-// drained, so the pool needs no ordering beyond the final barrier.
-func (c *Chip) forEachCore(skip []bool, fn func(i int)) {
-	live := make([]int, 0, len(c.cores))
-	for i := range c.cores {
-		if !skip[i] {
-			live = append(live, i)
-		}
+// coreErr attributes a run failure to core i. A 1-core chip reports it
+// bare, exactly as the single processor would.
+func (c *Chip) coreErr(i int, err error) error {
+	if len(c.cores) == 1 {
+		return err
 	}
+	return fmt.Errorf("mcd: chip core %d: %w", i, err)
+}
+
+// forEachCore runs fn(i) for every core index in live, fanning the
+// indices out over the worker pool. Each invocation only writes its
+// own core's state and its own slots of the caller's per-core slices,
+// and the caller reads nothing until every worker has drained, so the
+// pool needs no ordering beyond the final barrier.
+func (c *Chip) forEachCore(live []int, fn func(i int)) {
 	w := c.workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
