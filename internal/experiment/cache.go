@@ -9,6 +9,7 @@ import (
 
 	"mcddvfs/internal/control"
 	"mcddvfs/internal/diskcache"
+	"mcddvfs/internal/flight"
 	"mcddvfs/internal/isa"
 	"mcddvfs/internal/mcd"
 	"mcddvfs/internal/trace"
@@ -28,16 +29,16 @@ import (
 // (workload, scheme, options) triples; with the cache each distinct
 // triple is simulated exactly once per process.
 //
-// Caching is two-level. The first level is this in-process map;
-// entries use a done-channel so concurrent requests for the same key
-// run one simulation and share the result (single-flight). The second,
+// Caching is two-level. The first level is an in-process memo of
+// completed outcomes; concurrent requests for a key not yet memoized
+// share one resolution on a flight.Group (see cachedRun). The second,
 // optional level is a persistent content-addressed store on disk
-// (internal/diskcache, enabled by Options.CacheDir): an in-process
-// miss consults the store before simulating, and a successful
-// simulation is written back, so completed cells survive process death
-// and a warm re-render only decodes. Only clean results ever reach
-// disk — errors, and in particular transient CellErrors (timeout,
-// cancellation), are never persisted.
+// (internal/diskcache, enabled by Options.CacheDir): an in-process miss
+// consults the store before simulating, and a clean simulation is
+// written back, so completed cells survive process death and a warm
+// re-render only decodes. Errors never reach disk, and transient ones
+// (timeout, cancellation) are not memoized either: they describe an
+// attempt, not the simulation.
 //
 // Cached *mcd.ChipResult values, and the *mcd.Result values callers
 // reach through them, are shared between callers and MUST be treated
@@ -49,15 +50,17 @@ import (
 var resultCache = struct {
 	mu      sync.Mutex
 	enabled bool
-	entries map[[sha256.Size]byte]*cacheEntry
-	hits    uint64
-	misses  uint64
-}{enabled: true, entries: make(map[[sha256.Size]byte]*cacheEntry)}
+	gen     uint64 // bumped by ResetCache; a resolution memoizes only into its own generation
+	memo    map[[sha256.Size]byte]outcome
+	flights flight.Group[[sha256.Size]byte, outcome]
+	runs    uint64 // cached calls this generation; hits = runs - misses
+	misses  uint64 // resolutions that went to disk or simulated
+}{enabled: true, memo: make(map[[sha256.Size]byte]outcome)}
 
-type cacheEntry struct {
-	done chan struct{}
-	res  *mcd.ChipResult
-	err  error
+// outcome is one resolved run: a result or a non-transient error.
+type outcome struct {
+	res *mcd.ChipResult
+	err error
 }
 
 // SetCaching enables or disables result memoization (both the
@@ -75,8 +78,9 @@ func SetCaching(on bool) {
 // directory to force a cold run).
 func ResetCache() {
 	resultCache.mu.Lock()
-	resultCache.entries = make(map[[sha256.Size]byte]*cacheEntry)
-	resultCache.hits = 0
+	resultCache.gen++
+	resultCache.memo = make(map[[sha256.Size]byte]outcome)
+	resultCache.runs = 0
 	resultCache.misses = 0
 	resultCache.mu.Unlock()
 	sharedReplays.reset()
@@ -88,7 +92,7 @@ func ResetCache() {
 func CacheStats() (hits, misses uint64) {
 	resultCache.mu.Lock()
 	defer resultCache.mu.Unlock()
-	return resultCache.hits, resultCache.misses
+	return resultCache.runs - resultCache.misses, resultCache.misses
 }
 
 // diskStores holds one open store per cache directory, created
@@ -268,20 +272,18 @@ func cacheKey(profs []trace.Profile, scheme Scheme, opt Options) ([sha256.Size]b
 const keyFormat = 1
 
 // cachedRun returns the memoized chip result for (profs, scheme, opt)
-// or simulates it. Exactly one caller simulates a given key; any
-// concurrent callers block on its completion and share the outcome.
-// bankSrc is handed to simulate (core 0's stream) and is only invoked
-// if the run actually simulates. ctx gates only this attempt's disk
-// probe — a cancelled context falls straight through to simulate,
-// whose own machinery honors it. opt must already have defaults
-// applied and been validated.
-//
-// On disk, a legacy-key run stores its one core as a plain mcd.Result,
-// the entry type that predates chip support, so existing warm caches
-// still hit; the 1-core chip result is rebuilt from it exactly (the
-// chip rollup of one core is that core's metrics). Chip keys store the
-// whole mcd.ChipResult.
-func cachedRun(ctx context.Context, profs []trace.Profile, scheme Scheme, opt Options, bankSrc func() (trace.Source, error)) (*mcd.ChipResult, error) {
+// or resolves it. The resolution runs detached from every caller: each
+// caller waits only until its own context ends or opt.Timeout expires,
+// and the simulation is cancelled once its last waiter leaves. bankSrc
+// is handed to simulate (core 0's stream) and is only invoked if the
+// run actually simulates. opt must already have defaults applied and
+// been validated.
+func cachedRun(ctx context.Context, profs []trace.Profile, scheme Scheme, opt Options, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (*mcd.ChipResult, error) {
+	if opt.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
+		defer cancel()
+	}
 	resultCache.mu.Lock()
 	if !resultCache.enabled {
 		resultCache.mu.Unlock()
@@ -292,61 +294,84 @@ func cachedRun(ctx context.Context, profs []trace.Profile, scheme Scheme, opt Op
 		resultCache.mu.Unlock()
 		return nil, err
 	}
-	if e, ok := resultCache.entries[k]; ok {
-		resultCache.hits++
-		resultCache.mu.Unlock()
-		<-e.done
-		return e.res, e.err
-	}
-	e := &cacheEntry{done: make(chan struct{})}
-	resultCache.entries[k] = e
-	resultCache.misses++
+	resultCache.runs++
+	o, ok := resultCache.memo[k]
+	gen := resultCache.gen
 	resultCache.mu.Unlock()
+	if !ok {
+		o, err = await(ctx, k, gen, profs, scheme, opt, bankSrc)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return o.res, o.err
+}
 
+// await joins or starts the flight resolving key k and waits for it
+// as long as ctx allows. It is split from cachedRun so that a memo hit
+// does not pay for the flight closure's captures.
+func await(ctx context.Context, k [sha256.Size]byte, gen uint64, profs []trace.Profile, scheme Scheme, opt Options, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (outcome, error) {
+	o, _, err := resultCache.flights.Do(ctx, k, func(ctx context.Context) (outcome, error) {
+		return resolve(ctx, k, gen, profs, scheme, opt, bankSrc), nil
+	})
+	if err != nil {
+		return o, fmt.Errorf("%s/%s: %w", runLabel(profs, opt), scheme, wrapRunErr(err))
+	}
+	return o, nil
+}
+
+// resolve produces key k's outcome on a flight's context: from the
+// memo if a flight completed it since the caller looked, else from
+// disk, else by simulating. ctx gates the disk probe; a cancelled
+// flight falls straight through to simulate, which honors it. Any disk
+// failure falls back to simulation (Get already healed bad entries).
+// Misses and non-transient outcomes are recorded only in generation
+// gen, so a flight that outlives ResetCache cannot write into the
+// fresh memo.
+//
+// On disk, a legacy-key run stores its one core as a plain mcd.Result,
+// the entry type that predates chip support, so existing warm caches
+// still hit; the 1-core chip result is rebuilt from it exactly. Chip
+// keys store the whole mcd.ChipResult.
+func resolve(ctx context.Context, k [sha256.Size]byte, gen uint64, profs []trace.Profile, scheme Scheme, opt Options, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (o outcome) {
+	resultCache.mu.Lock()
+	o, ok := resultCache.memo[k]
+	if !ok && resultCache.gen == gen {
+		resultCache.misses++
+	}
+	resultCache.mu.Unlock()
+	if ok {
+		return o
+	}
+	defer func() {
+		resultCache.mu.Lock()
+		if resultCache.gen == gen && !transientErr(o.err) {
+			resultCache.memo[k] = o
+		}
+		resultCache.mu.Unlock()
+	}()
 	store := diskStore(opt)
 	legacy := !opt.chipMode()
-	func() {
-		// Close even if simulate panics so waiters are not stranded;
-		// the panic still propagates to this (first) caller.
-		defer close(e.done)
-		if store != nil && ctx.Err() == nil {
-			// Any disk failure — miss, corruption, version mismatch —
-			// falls back to simulation; Get already healed bad entries.
-			if legacy {
-				var res mcd.Result
-				if store.Get(k, &res) == nil {
-					e.res = &mcd.ChipResult{Cores: []*mcd.Result{&res}, Metrics: res.Metrics}
-					return
-				}
-			} else {
-				var res mcd.ChipResult
-				if store.Get(k, &res) == nil {
-					e.res = &res
-					return
-				}
+	if store != nil && ctx.Err() == nil {
+		if legacy {
+			var res mcd.Result
+			if store.Get(k, &res) == nil {
+				return outcome{res: &mcd.ChipResult{Cores: []*mcd.Result{&res}, Metrics: res.Metrics}}
+			}
+		} else {
+			var res mcd.ChipResult
+			if store.Get(k, &res) == nil {
+				return outcome{res: &res}
 			}
 		}
-		e.res, e.err = simulate(ctx, profs, scheme, opt, bankSrc)
-		if e.err == nil && store != nil {
-			// Persist only clean results. A write failure costs the
-			// persistence of this one cell, not the run.
-			var entry any = e.res
-			if legacy {
-				entry = e.res.Cores[0]
-			}
-			store.Put(k, entry) //nolint:errcheck // cache write is best-effort
-		}
-	}()
-	if e.err != nil && transientErr(e.err) {
-		// A timeout or cancellation says nothing about the simulation
-		// itself — evict so a later call with a fresh context re-runs
-		// instead of replaying the stale failure. Waiters already
-		// parked on e.done still see this attempt's error.
-		resultCache.mu.Lock()
-		if resultCache.entries[k] == e {
-			delete(resultCache.entries, k)
-		}
-		resultCache.mu.Unlock()
 	}
-	return e.res, e.err
+	o.res, o.err = simulate(ctx, profs, scheme, opt, bankSrc)
+	if o.err == nil && store != nil {
+		var entry any = o.res
+		if legacy {
+			entry = o.res.Cores[0]
+		}
+		store.Put(k, entry) //nolint:errcheck // best-effort: a failed write costs this cell's persistence
+	}
+	return o
 }

@@ -77,31 +77,33 @@ func chipProfiles(prof trace.Profile, opt Options) []trace.Profile {
 // machine), run it, and stamp the scheme on every core's Result. opt
 // must already have defaults applied and been validated. bankSrc, when
 // non-nil, supplies core 0's instruction stream (a matrix trace-bank
-// replay cursor). A panic anywhere below — trace generation,
-// construction, the simulator hot loop — is recovered into
-// ErrRunPanicked so one bad run cannot kill a sweep.
-func simulate(ctx context.Context, profs []trace.Profile, scheme Scheme, opt Options, bankSrc func() (trace.Source, error)) (res *mcd.ChipResult, err error) {
-	label := "chip"
-	if !opt.chipMode() {
-		label = profs[0].Name
-	}
+// replay cursor); otherwise core 0 streams from the shared replay of
+// its seed, bit-identical to generating it. ctx bounds the wait for
+// that stream as well as the run. A panic anywhere below — trace
+// generation, construction, the simulator hot loop — is recovered
+// into ErrRunPanicked so one bad run cannot kill a sweep.
+func simulate(ctx context.Context, profs []trace.Profile, scheme Scheme, opt Options, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (res *mcd.ChipResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("%s/%s: %w: %v", label, scheme, ErrRunPanicked, r)
+			res, err = nil, fmt.Errorf("%s/%s: %w: %v", runLabel(profs, opt), scheme, ErrRunPanicked, r)
 		}
 	}()
-	if opt.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
-		defer cancel()
+	var src0 trace.Source
+	if bankSrc != nil {
+		src0, err = bankSrc(ctx, profs[0])
+	} else {
+		src0, err = sharedReplays.source(ctx, profs[0], trace.StreamSeed(opt.Seed), opt.Instructions)
 	}
-	chip, srcs, err := buildChip(profs, scheme, opt, bankSrc)
+	if err != nil {
+		return nil, err
+	}
+	chip, srcs, err := buildChip(profs, scheme, opt, src0)
 	if err != nil {
 		return nil, err
 	}
 	res, err = chip.RunContext(ctx, srcs)
 	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", label, scheme, wrapRunErr(err))
+		return nil, fmt.Errorf("%s/%s: %w", runLabel(profs, opt), scheme, wrapRunErr(err))
 	}
 	for _, r := range res.Cores {
 		r.Scheme = string(scheme)
@@ -109,15 +111,23 @@ func simulate(ctx context.Context, profs []trace.Profile, scheme Scheme, opt Opt
 	return res, nil
 }
 
+// runLabel names a run in its errors: the benchmark outside chip mode,
+// "chip" otherwise.
+func runLabel(profs []trace.Profile, opt Options) string {
+	if opt.chipMode() {
+		return "chip"
+	}
+	return profs[0].Name
+}
+
 // buildChip constructs the chip — one machine per core, core i's clock
 // and trace seeds offset by i so cores decorrelate (core 0 is exactly
 // the single-core machine), the scheme's controllers attached to every
 // core, the resolved governor, and one trace source per core. Core 0
-// streams from bankSrc when one is supplied, else from the shared
-// replay of its seed (bit-identical to generating it); cores ≥ 1
-// stream from generators, so a wide chip records at most one trace up
-// front. Pure setup, kept out of the context-bearing run path.
-func buildChip(profs []trace.Profile, scheme Scheme, opt Options, bankSrc func() (trace.Source, error)) (*mcd.Chip, []trace.Source, error) {
+// streams from src0; cores ≥ 1 stream from generators, so a wide chip
+// records at most one trace up front. Pure setup, kept out of the
+// context-bearing run path.
+func buildChip(profs []trace.Profile, scheme Scheme, opt Options, src0 trace.Source) (*mcd.Chip, []trace.Source, error) {
 	gdesc, err := validateChip(opt)
 	if err != nil {
 		return nil, nil, err
@@ -147,13 +157,7 @@ func buildChip(profs []trace.Profile, scheme Scheme, opt Options, bankSrc func()
 	}
 	chip.SetGovernor(gov)
 	srcs := make([]trace.Source, len(profs))
-	if bankSrc != nil {
-		if srcs[0], err = bankSrc(); err != nil {
-			return nil, nil, err
-		}
-	} else if srcs[0], err = sharedReplays.source(profs[0], trace.StreamSeed(opt.Seed), opt.Instructions); err != nil {
-		return nil, nil, invalidSpec(err)
-	}
+	srcs[0] = src0
 	for i := 1; i < len(srcs); i++ {
 		if srcs[i], err = trace.NewGenerator(profs[i], trace.StreamSeed(opt.Seed+int64(i)), opt.Instructions); err != nil {
 			return nil, nil, invalidSpec(err)

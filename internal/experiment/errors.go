@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"mcddvfs/internal/flight"
 )
 
 // The harness error taxonomy. Every failure an experiment run can
@@ -40,6 +42,8 @@ func wrapRunErr(err error) error {
 		return fmt.Errorf("%w: %v", ErrRunTimeout, err)
 	case errors.Is(err, context.Canceled):
 		return fmt.Errorf("%w: %v", ErrCancelled, err)
+	case errors.Is(err, flight.ErrPanicked):
+		return fmt.Errorf("%w: %v", ErrRunPanicked, err)
 	default:
 		return err
 	}

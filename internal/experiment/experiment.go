@@ -86,8 +86,10 @@ type Options struct {
 	// faults into the control loop (overriding Machine.Faults). The
 	// zero value leaves every run bit-identical to a fault-free one.
 	Faults faults.Config
-	// Timeout bounds each individual simulation; a run that exceeds it
-	// fails with ErrRunTimeout (0 = unbounded).
+	// Timeout bounds how long each individual run waits for its
+	// result; a run that exceeds it fails with ErrRunTimeout
+	// (0 = unbounded). It bounds this caller only: a simulation shared
+	// with a concurrent caller keeps running for that caller.
 	//lint:allow cachekey bounds the attempt, not the result a successful run computes
 	Timeout time.Duration
 	// Context, when non-nil, cancels in-flight and pending runs for
@@ -256,7 +258,7 @@ func RunProfileContext(ctx context.Context, prof trace.Profile, scheme Scheme, o
 // instead of a fresh one — the hook RunMatrix uses to fan one recorded
 // trace out across schemes. The provider is only invoked if the cell
 // actually simulates; cache hits (in-process or disk) never touch it.
-func runCell(ctx context.Context, prof trace.Profile, scheme Scheme, opt Options, srcFn func() (trace.Source, error)) (*mcd.Result, error) {
+func runCell(ctx context.Context, prof trace.Profile, scheme Scheme, opt Options, srcFn func(context.Context, trace.Profile) (trace.Source, error)) (*mcd.Result, error) {
 	opt = opt.withDefaults()
 	if err := validateRun(prof, scheme, opt); err != nil {
 		return nil, err
@@ -486,8 +488,10 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 	// runs always go through the bank: it is what streams the member
 	// files.
 	var bank *traceBank
+	var bankSrc func(context.Context, trace.Profile) (trace.Source, error)
 	if corpus != nil || traceSharingEnabled() {
 		bank = newTraceBank(opt, corpus, len(schemes))
+		bankSrc = bank.source // one method value for every cell
 	}
 	lookup := trace.ByName
 	if corpus != nil {
@@ -526,9 +530,7 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 			if err != nil {
 				return invalidSpec(err)
 			}
-			res, err = runCell(ctx, prof, c.scheme, opt, func() (trace.Source, error) {
-				return bank.source(prof)
-			})
+			res, err = runCell(ctx, prof, c.scheme, opt, bankSrc)
 		} else {
 			res, err = RunOneContext(ctx, c.bench, c.scheme, opt)
 		}

@@ -1,0 +1,321 @@
+package experiment
+
+import (
+	"container/list"
+	"context"
+	"errors"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"mcddvfs/internal/mcd"
+	"mcddvfs/internal/trace"
+)
+
+// The result cache's single-flight contract, caller by caller: a run
+// shared by several callers belongs to the callers still waiting on it.
+// One caller's cancellation, deadline or departure is its own; it never
+// reaches another waiter, and a run nobody waits for is cancelled and
+// never memoized.
+
+// sharedOpt is a spec long enough that a second caller reliably joins
+// the first one's run while it is still simulating.
+func sharedOpt() Options {
+	return Options{Instructions: 150_000, Seed: 11}.withDefaults()
+}
+
+// runOutcome is what one RunProfileContext call returned.
+type runOutcome struct {
+	res *mcd.Result
+	err error
+}
+
+// runAsync starts RunProfileContext for gzip/adaptive and delivers its
+// outcome on the returned channel.
+func runAsync(ctx context.Context, opt Options) <-chan runOutcome {
+	out := make(chan runOutcome, 1)
+	go func() {
+		prof, err := trace.ByName("gzip")
+		if err != nil {
+			out <- runOutcome{nil, err}
+			return
+		}
+		res, err := RunProfileContext(ctx, prof, SchemeAdaptive, opt)
+		out <- runOutcome{res, err}
+	}()
+	return out
+}
+
+// waitUntil polls cond until it holds or fails the test after 30 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// inFlight reports how many result-cache keys are being resolved.
+func inFlight() int { return resultCache.flights.Len() }
+
+// entered reports how many cached calls have passed the memo check.
+func entered() uint64 {
+	resultCache.mu.Lock()
+	defer resultCache.mu.Unlock()
+	return resultCache.runs
+}
+
+// joinDelay covers the few statements between a caller passing the
+// memo check and attaching to the flight.
+const joinDelay = 5 * time.Millisecond
+
+// uncontended simulates opt's gzip/adaptive run alone, from a cold
+// cache.
+func uncontended(t *testing.T, opt Options) *mcd.Result {
+	t.Helper()
+	ResetCache()
+	r := <-runAsync(context.Background(), opt)
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return r.res
+}
+
+// TestLeaderCancelDoesNotReachFollower: the leader's context is
+// cancelled while a follower with a live context waits on the same
+// key. The leader gets its own ErrCancelled; the follower gets the
+// result of the one simulation.
+func TestLeaderCancelDoesNotReachFollower(t *testing.T) {
+	defer func() { SetCaching(true); ResetCache() }()
+	SetCaching(true)
+	ResetCache()
+	opt := sharedOpt()
+
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leader := runAsync(leaderCtx, opt)
+	waitUntil(t, "the leader's run", func() bool { return inFlight() == 1 })
+	follower := runAsync(context.Background(), opt)
+	waitUntil(t, "the follower", func() bool { return entered() == 2 })
+	time.Sleep(joinDelay)
+	cancel()
+
+	if r := <-leader; !errors.Is(r.err, ErrCancelled) {
+		t.Fatalf("leader got %v, want ErrCancelled", r.err)
+	}
+	f := <-follower
+	if f.err != nil {
+		t.Fatalf("follower inherited the leader's cancellation: %v", f.err)
+	}
+	if _, misses := CacheStats(); misses != 1 {
+		t.Errorf("%d simulations, want 1 (the follower shares the leader's)", misses)
+	}
+	if want := uncontended(t, opt); !reflect.DeepEqual(want.Metrics, f.res.Metrics) {
+		t.Error("follower's result differs from an uncontended run")
+	}
+}
+
+// TestLeaderTimeoutDoesNotReachFollower: Options.Timeout bounds the
+// caller that set it, not the simulation it shares. A follower with no
+// timeout gets the result after the leader's 30 ms deadline fires.
+func TestLeaderTimeoutDoesNotReachFollower(t *testing.T) {
+	defer func() { SetCaching(true); ResetCache() }()
+	SetCaching(true)
+	ResetCache()
+	opt := sharedOpt()
+	hurried := opt
+	hurried.Timeout = 30 * time.Millisecond
+
+	leader := runAsync(context.Background(), hurried)
+	waitUntil(t, "the leader's run", func() bool { return inFlight() == 1 })
+	follower := runAsync(context.Background(), opt)
+
+	if r := <-leader; !errors.Is(r.err, ErrRunTimeout) {
+		t.Fatalf("leader got %v, want ErrRunTimeout", r.err)
+	}
+	f := <-follower
+	if f.err != nil {
+		t.Fatalf("follower inherited the leader's deadline: %v", f.err)
+	}
+	if want := uncontended(t, opt); !reflect.DeepEqual(want.Metrics, f.res.Metrics) {
+		t.Error("follower's result differs from an uncontended run")
+	}
+}
+
+// TestCancelledFollowerReturnsPromptly: a follower whose own context
+// is cancelled returns its own ErrCancelled at once instead of waiting
+// for the leader's simulation to finish.
+func TestCancelledFollowerReturnsPromptly(t *testing.T) {
+	defer func() { SetCaching(true); ResetCache() }()
+	SetCaching(true)
+	ResetCache()
+	opt := sharedOpt()
+
+	leader := runAsync(context.Background(), opt)
+	waitUntil(t, "the leader's run", func() bool { return inFlight() == 1 })
+	followerCtx, cancel := context.WithCancel(context.Background())
+	follower := runAsync(followerCtx, opt)
+	waitUntil(t, "the follower", func() bool { return entered() == 2 })
+	time.Sleep(joinDelay)
+	cancel()
+
+	select {
+	case f := <-follower:
+		if !errors.Is(f.err, ErrCancelled) || f.res != nil {
+			t.Fatalf("cancelled follower got %v, %v; want its own ErrCancelled", f.res, f.err)
+		}
+	case r := <-leader:
+		t.Fatalf("the leader finished (%v) before the cancelled follower returned", r.err)
+	}
+	if r := <-leader; r.err != nil {
+		t.Fatalf("leader: %v", r.err)
+	}
+}
+
+// TestAbandonedRunIsCancelledAndNotMemoized: when every waiter leaves
+// a key, its simulation is cancelled, nothing is memoized, and a later
+// call simulates afresh.
+func TestAbandonedRunIsCancelledAndNotMemoized(t *testing.T) {
+	defer func() { SetCaching(true); ResetCache() }()
+	SetCaching(true)
+	ResetCache()
+	opt := sharedOpt()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	only := runAsync(ctx, opt)
+	waitUntil(t, "the run", func() bool { return inFlight() == 1 })
+	cancel()
+	if r := <-only; !errors.Is(r.err, ErrCancelled) {
+		t.Fatalf("abandoning caller got %v, want ErrCancelled", r.err)
+	}
+	waitUntil(t, "the abandoned run to stop", func() bool { return inFlight() == 0 })
+	// A completed simulation would have been memoized: an empty memo
+	// means the run ended on its cancelled context.
+	resultCache.mu.Lock()
+	memoized := len(resultCache.memo)
+	resultCache.mu.Unlock()
+	if memoized != 0 {
+		t.Fatalf("abandoned run memoized %d outcomes, want 0", memoized)
+	}
+	if r := <-runAsync(context.Background(), opt); r.err != nil {
+		t.Fatal(r.err)
+	}
+	if hits, misses := CacheStats(); hits != 0 || misses != 2 {
+		t.Errorf("cache stats %d hits / %d misses, want 0 / 2 (the later call re-simulates)", hits, misses)
+	}
+}
+
+// TestResetCacheFencesRunningFlight: a run that started before
+// ResetCache completes for its waiter but cannot write into the fresh
+// memo.
+func TestResetCacheFencesRunningFlight(t *testing.T) {
+	defer func() { SetCaching(true); ResetCache() }()
+	SetCaching(true)
+	ResetCache()
+	opt := sharedOpt()
+
+	run := runAsync(context.Background(), opt)
+	waitUntil(t, "the run", func() bool { return inFlight() == 1 })
+	ResetCache()
+	if r := <-run; r.err != nil {
+		t.Fatal(r.err)
+	}
+	resultCache.mu.Lock()
+	memoized := len(resultCache.memo)
+	resultCache.mu.Unlock()
+	if memoized != 0 {
+		t.Fatalf("a pre-reset run wrote %d outcomes into the fresh memo", memoized)
+	}
+}
+
+// TestReplayCacheRecordsConcurrentMissOnce: concurrent misses on one
+// stream share a single recording.
+func TestReplayCacheRecordsConcurrentMissOnce(t *testing.T) {
+	c := &replayCache{entries: make(map[replayKey]*list.Element), order: list.New(), maxBytes: replayCacheMaxBytes}
+	prof, err := trace.ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := c.source(context.Background(), prof, 5, 200_000); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if c.recordings != 1 {
+		t.Fatalf("%d concurrent misses recorded the stream %d times, want once", callers, c.recordings)
+	}
+}
+
+// TestCorpusAbandonedCellFollower: a corpus matrix's cells are
+// abandoned by their leader — whose matrix then returns and closes its
+// member files — while a second matrix still waits on the same keys.
+// The orphaned runs keep streaming: reads from the closed file fail
+// and healingSource regenerates the rest of the stream, so the
+// follower's results are bit-identical to an uncontended run.
+func TestCorpusAbandonedCellFollower(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs both matrix cells in flight at once")
+	}
+	defer func() { SetCaching(true); ResetCache() }()
+	SetCaching(true)
+	ResetCache()
+	const seed, insts = 13, 200_000
+	dir := buildCorpus(t, seed, insts, 1<<10, "gzip")
+	opt := Options{Instructions: insts, Seed: seed, CorpusDir: dir, Schemes: []Scheme{SchemeAdaptive}}
+
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type matrixOutcome struct {
+		m   *Matrix
+		err error
+	}
+	runMatrix := func(ctx context.Context) <-chan matrixOutcome {
+		out := make(chan matrixOutcome, 1)
+		go func() {
+			m, err := RunMatrixContext(ctx, opt)
+			out <- matrixOutcome{m, err}
+		}()
+		return out
+	}
+	leader := runMatrix(leaderCtx)
+	waitUntil(t, "both leader cells", func() bool { return inFlight() == 2 })
+	follower := runMatrix(context.Background())
+	waitUntil(t, "both follower cells", func() bool { return entered() == 4 })
+	time.Sleep(joinDelay)
+	cancel()
+	if r := <-leader; !errors.Is(r.err, ErrCancelled) {
+		t.Fatalf("leader matrix got %v, want ErrCancelled", r.err)
+	}
+	if n := inFlight(); n == 0 {
+		t.Fatal("the shared runs finished before the leader's matrix closed its corpus files; nothing was exercised")
+	}
+	f := <-follower
+	if f.err != nil || len(f.m.Failures) != 0 {
+		t.Fatalf("follower matrix: %v, failures %v", f.err, f.m.Failures)
+	}
+	if _, misses := CacheStats(); misses != 2 {
+		t.Errorf("%d simulations, want 2 (the follower joins both of the leader's runs)", misses)
+	}
+
+	ResetCache()
+	want, err := RunMatrix(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "contended", want, f.m)
+}

@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"context"
 	"sort"
 	"sync"
 
+	"mcddvfs/internal/flight"
 	"mcddvfs/internal/isa"
 	"mcddvfs/internal/trace"
 )
@@ -13,21 +15,29 @@ import (
 // spec layered on top — so the benchmark × scheme grid regenerates the
 // identical trace once per benchmark instead of once per cell. A
 // traceBank owns that sharing for one matrix run: the first cell to
-// actually need a benchmark's stream records it (trace.Recorded,
-// single-flight), every other cell replays the same immutable buffers
-// through its own zero-alloc cursor, and a per-benchmark countdown of
-// outstanding cells releases the recording as soon as its last cell
-// finishes, bounding resident traces to the benchmarks in flight.
+// actually need a benchmark's stream records it (trace.Recorded, one
+// flight per benchmark), every other cell replays the same immutable
+// buffers through its own zero-alloc cursor, and a per-benchmark
+// countdown of outstanding cells releases the recording as soon as its
+// last cell finishes, bounding resident traces to the benchmarks in
+// flight.
 //
 // In corpus mode (Options.CorpusDir) the bank resolves streams from
 // chunked trace files instead of recording them: one ChunkedFile per
-// benchmark, opened single-flight, with every scheme's cell streaming
-// through its own cursor over the shared bounded chunk window — peak
-// trace memory per benchmark is the window, independent of trace
-// length. A member that fails to open, or corrupts mid-stream, heals
-// the same way diskcache does: the stream is regenerated from the
-// member's embedded profile at the corpus seed (bit-identical to the
-// recorded bytes by the StreamSeed contract) and the sweep continues.
+// benchmark, opened once, with every scheme's cell streaming through
+// its own cursor over the shared bounded chunk window — peak trace
+// memory per benchmark is the window, independent of trace length. A
+// member that fails to open, or corrupts mid-stream, heals the same
+// way diskcache does: the stream is regenerated from the member's
+// embedded profile at the corpus seed (bit-identical to the recorded
+// bytes by the StreamSeed contract) and the sweep continues.
+//
+// A cell's simulation can outlive the cell, and the matrix, when
+// another caller still waits on its result-cache key. No ordering in
+// RunMatrixContext guards that: a stream asked for after its benchmark
+// retired comes from the shared replay cache, and a cursor whose
+// member file closes under it heals, so the result is bit-identical
+// (TestCorpusAbandonedCellFollower).
 //
 // Recording is lazy so a fully cache-served matrix (in-process or
 // disk) records and opens nothing at all.
@@ -35,6 +45,8 @@ type traceBank struct {
 	seed   int64 // stream seed (trace.StreamSeed of the harness seed)
 	insts  int64
 	corpus *trace.Corpus // nil outside corpus mode
+
+	flights flight.Group[string, struct{}] // one materialization per benchmark
 
 	mu      sync.Mutex
 	entries map[string]*bankEntry
@@ -44,11 +56,10 @@ type traceBank struct {
 }
 
 type bankEntry struct {
-	remaining int // cells (users or not) yet to call release
-	done      chan struct{} // closed when rec/cf/err are set
+	remaining int  // cells (users or not) yet to call release
+	ready     bool // materialized: rec or cf is set, unless recording failed
 	rec       *trace.Recorded
 	cf        *trace.ChunkedFile // corpus mode; nil after a heal
-	err       error
 }
 
 // CorpusStats summarizes streamed-trace behavior for one corpus-backed
@@ -115,59 +126,77 @@ func newTraceBank(opt Options, corpus *trace.Corpus, cellsPerBench int) *traceBa
 
 // source returns a fresh replay cursor over the benchmark's shared
 // stream, materializing it first (a recording, or an opened corpus
-// member) if this is the earliest cell to need it. Concurrent callers
-// for one benchmark run a single materialization and share the
-// outcome.
-func (b *traceBank) source(prof trace.Profile) (trace.Source, error) {
+// member) if this is the earliest cell to need it. Concurrent cells
+// share one materialization per benchmark; ctx bounds this cell's wait
+// for it, never the materialization, which every cell needs. A
+// benchmark the bank does not hold — unregistered, retired under a
+// flight that outlived its cell, or unrecordable — streams from the
+// shared replay cache instead: the same bytes, or the same error.
+func (b *traceBank) source(ctx context.Context, prof trace.Profile) (trace.Source, error) {
 	b.mu.Lock()
 	e := b.entries[prof.Name]
-	if e == nil {
-		// A cell the bank was not sized for (defensive; RunMatrix only
-		// asks for benchmarks it registered). Fall back to a private
-		// recording with no sharing.
-		b.mu.Unlock()
-		rec, err := trace.RecordProfile(prof, b.seed, b.insts)
-		if err != nil {
-			return nil, invalidSpec(err)
+	ready := e == nil || e.ready
+	b.mu.Unlock()
+	if !ready {
+		if _, _, err := b.flights.Do(ctx, prof.Name, func(context.Context) (struct{}, error) {
+			b.materialize(prof, e)
+			return struct{}{}, nil
+		}); err != nil {
+			return nil, wrapRunErr(err)
 		}
-		return rec.Replay(), nil
 	}
-	if e.done != nil {
-		done := e.done
-		b.mu.Unlock()
-		<-done
-	} else {
-		e.done = make(chan struct{})
-		b.mu.Unlock()
-		b.materialize(prof, e)
-		close(e.done)
+	var src trace.Source
+	b.mu.Lock()
+	switch {
+	case e == nil:
+	case e.cf != nil:
+		src = &healingSource{bank: b, prof: prof, cur: e.cf.Replay()}
+	case e.rec != nil:
+		src = e.rec.Replay()
 	}
-	if e.err != nil {
-		return nil, invalidSpec(e.err)
+	b.mu.Unlock()
+	if src != nil {
+		return src, nil
 	}
-	if e.cf != nil {
-		return &healingSource{bank: b, prof: prof, cur: e.cf.Replay()}, nil
-	}
-	return e.rec.Replay(), nil
+	return sharedReplays.source(ctx, prof, b.seed, b.insts)
 }
 
-// materialize fills the entry's shared stream: a corpus member in
-// corpus mode (healing to a recording if the member will not open),
-// otherwise a recording.
+// materialize fills e's shared stream unless an earlier flight did: a
+// corpus member in corpus mode (healing to a recording if the member
+// will not open), otherwise a recording. An entry that retired while
+// it materialized is retired again at once.
 func (b *traceBank) materialize(prof trace.Profile, e *bankEntry) {
-	if b.corpus != nil {
-		cf, err := b.corpus.Open(prof.Name, 0)
-		if err == nil {
-			e.cf = cf
-			return
-		}
-		// Unreadable member: regenerate the identical stream from the
-		// embedded profile, like diskcache discarding a corrupt entry.
-		b.mu.Lock()
-		b.stats.Heals++
-		b.mu.Unlock()
+	b.mu.Lock()
+	ready := e.ready
+	b.mu.Unlock()
+	if ready {
+		return
 	}
-	e.rec, e.err = trace.RecordProfile(prof, b.seed, b.insts)
+	var cf *trace.ChunkedFile
+	var rec *trace.Recorded
+	var err error
+	if b.corpus != nil {
+		if cf, err = b.corpus.Open(prof.Name, 0); err != nil {
+			// Unreadable member: regenerate the identical stream from
+			// the embedded profile, like diskcache discarding a corrupt
+			// entry.
+			cf = nil
+			b.mu.Lock()
+			b.stats.Heals++
+			b.mu.Unlock()
+		}
+	}
+	if cf == nil {
+		// On failure the entry stays empty and source asks the replay
+		// cache, which reports the error.
+		rec, _ = trace.RecordProfile(prof, b.seed, b.insts)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	e.ready, e.rec, e.cf = true, rec, cf
+	if b.entries[prof.Name] != e {
+		b.retireLocked(e)
+	}
 }
 
 // release retires one cell's claim on a benchmark's stream; the stream

@@ -65,9 +65,10 @@ var simPackages = []string{
 var renderPackages = append([]string{"internal/experiment"}, simPackages...)
 
 // harnessPackages are where the cancellation and error-taxonomy
-// contracts live: the experiment harness and the HTTP service that
-// fronts it.
-var harnessPackages = []string{"internal/experiment", "internal/serve"}
+// contracts live: the experiment harness, the HTTP service that fronts
+// it, and the single-flight primitive that starts both layers' shared
+// work on its own goroutines.
+var harnessPackages = []string{"internal/experiment", "internal/serve", "internal/flight"}
 
 // fsListPackages extends detsource's filesystem-enumeration ban to the
 // trace corpus and experiment harness: directory listing order is host

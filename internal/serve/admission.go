@@ -6,8 +6,8 @@ import (
 )
 
 // gate is the admission controller: a worker-slot semaphore fronted by
-// a bounded queue. A unit of work (one single-flight render; followers
-// share their leader's admission) first claims a queue token — an
+// a bounded queue. A unit of work (one shared render; every request
+// waiting on it shares its admission) first claims a queue token — an
 // immediate, non-blocking decision — and then waits for a worker slot.
 // A full queue is the load-shedding signal: acquire fails fast with
 // ErrOverloaded and the handler answers 429, so latency under overload

@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"time"
 
 	"mcddvfs/internal/experiment"
+	"mcddvfs/internal/flight"
 )
 
 // The service error taxonomy extends the harness sentinels
@@ -72,12 +72,11 @@ func httpStatus(code string) int {
 	return http.StatusInternalServerError
 }
 
-// classify maps an error from the render path onto its code. workCtx
-// is the context the work actually ran under (nil when it never
-// started): RunMatrixContext reports any context termination as
-// ErrCancelled, so an expired work deadline is re-classified here as
-// the timeout it really is.
-func classify(workCtx context.Context, err error) string {
+// classify maps an error from the render path onto its code. A render
+// runs detached from any one request and carries no deadline of its
+// own, so a context.DeadlineExceeded can only be this request's own
+// deadline expiring: a timeout, never a cancellation.
+func classify(err error) string {
 	switch {
 	case errors.Is(err, ErrDraining):
 		return CodeDraining
@@ -85,18 +84,11 @@ func classify(workCtx context.Context, err error) string {
 		return CodeOverloaded
 	case errors.Is(err, experiment.ErrInvalidSpec):
 		return CodeInvalidSpec
-	case errors.Is(err, experiment.ErrRunTimeout):
+	case errors.Is(err, experiment.ErrRunTimeout), errors.Is(err, context.DeadlineExceeded):
 		return CodeRunTimeout
-	case errors.Is(err, experiment.ErrRunPanicked):
+	case errors.Is(err, experiment.ErrRunPanicked), errors.Is(err, flight.ErrPanicked):
 		return CodeRunPanicked
-	case errors.Is(err, experiment.ErrCancelled),
-		errors.Is(err, context.Canceled),
-		errors.Is(err, context.DeadlineExceeded):
-		if workCtx != nil {
-			if d, ok := workCtx.Deadline(); ok && !time.Now().Before(d) {
-				return CodeRunTimeout
-			}
-		}
+	case errors.Is(err, experiment.ErrCancelled), errors.Is(err, context.Canceled):
 		return CodeCancelled
 	}
 	return CodeInternal
@@ -115,6 +107,6 @@ func writeErr(w http.ResponseWriter, code, message string) {
 }
 
 // writeClassified classifies err and emits it.
-func writeClassified(w http.ResponseWriter, workCtx context.Context, err error) {
-	writeErr(w, classify(workCtx, err), err.Error())
+func writeClassified(w http.ResponseWriter, err error) {
+	writeErr(w, classify(err), err.Error())
 }

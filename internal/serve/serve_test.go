@@ -5,10 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -219,113 +219,67 @@ func TestCatalogEndpoints(t *testing.T) {
 	}
 }
 
-// TestFlightGroupShares drives the single-flight machinery directly:
-// one leader runs, late arrivals attach, everyone shares the bytes.
-func TestFlightGroupShares(t *testing.T) {
-	var wg sync.WaitGroup
-	g := newFlightGroup(&wg)
-	release := make(chan struct{})
-	started := make(chan struct{})
-	run := func(ctx context.Context) ([]byte, string, error) {
-		close(started)
-		<-release
-		return []byte("shared"), "text/plain", nil
-	}
-	start := func() (context.Context, context.CancelFunc) {
-		return context.WithCancel(context.Background())
-	}
-	noGuard := func() error { return nil }
-
-	type out struct {
-		body   []byte
-		leader bool
-		err    error
-	}
-	results := make(chan out, 6)
-	go func() {
-		body, _, _, leader, err := g.do(context.Background(), "k", noGuard, start, run)
-		results <- out{body, leader, err}
-	}()
-	<-started
-	for i := 0; i < 5; i++ {
-		go func() {
-			body, _, _, leader, err := g.do(context.Background(), "k", noGuard, start, run)
-			results <- out{body, leader, err}
-		}()
-	}
-	// Followers are attached once the waiter count reaches 6.
-	deadline := time.After(10 * time.Second)
-	for {
-		g.mu.Lock()
-		n := 0
-		if f := g.flights["k"]; f != nil {
-			n = f.waiters
+// TestTimeoutIsPerRequest: two concurrent identical cold renders, one
+// with timeout_ms 1 and one with the server default. Whichever leads
+// the shared render, the 1 ms deadline ends only its own request; the
+// default request gets 200 and the bytes of a solo render.
+func TestTimeoutIsPerRequest(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	for i, hurriedFirst := range []bool{true, false, true, false} {
+		spec := tinySpec(int64(100+i), "txt")
+		spec.Instructions = 50_000 // long enough that the two overlap
+		hurried := spec
+		hurried.TimeoutMS = 1
+		type reply struct {
+			hurried bool
+			status  int
+			role    string
+			body    []byte
 		}
-		g.mu.Unlock()
-		if n == 6 {
-			break
+		replies := make(chan reply, 2)
+		fire := func(req RenderRequest) { // off the test goroutine: no t.Fatal
+			r := reply{hurried: req.TimeoutMS == 1}
+			blob, _ := json.Marshal(req)
+			resp, err := ts.Client().Post(ts.URL+"/api/v1/render", "application/json", bytes.NewReader(blob))
+			if err != nil {
+				t.Error(err)
+				replies <- r
+				return
+			}
+			defer resp.Body.Close()
+			if r.body, err = io.ReadAll(resp.Body); err != nil {
+				t.Error(err)
+			}
+			r.status, r.role = resp.StatusCode, resp.Header.Get("X-Mcdserve-Flight")
+			replies <- r
 		}
-		select {
-		case <-deadline:
-			t.Fatalf("waiters = %d, want 6", n)
-		case <-time.After(time.Millisecond):
+		if hurriedFirst {
+			go fire(hurried)
+			go fire(spec)
+		} else {
+			go fire(spec)
+			go fire(hurried)
 		}
-	}
-	close(release)
-	leaders := 0
-	for i := 0; i < 6; i++ {
-		r := <-results
-		if r.err != nil || string(r.body) != "shared" {
-			t.Fatalf("result = %q, %v", r.body, r.err)
+		var patient reply
+		for j := 0; j < 2; j++ {
+			switch r := <-replies; {
+			case !r.hurried:
+				patient = r
+			case r.status != http.StatusOK && r.status != http.StatusGatewayTimeout:
+				t.Fatalf("trial %d: the 1 ms request got %d %s", i, r.status, r.body)
+			}
 		}
-		if r.leader {
-			leaders++
+		if patient.status != http.StatusOK {
+			t.Fatalf("trial %d (hurried first: %v): the default-deadline request got %d %s", i, hurriedFirst, patient.status, patient.body)
 		}
-	}
-	if leaders != 1 {
-		t.Fatalf("leaders = %d, want 1", leaders)
-	}
-	if g.size() != 0 {
-		t.Fatalf("flight not unregistered after completion")
-	}
-}
-
-// TestFlightGroupAbandonment: when every waiter gives up, the work
-// context is cancelled so the render stops burning CPU.
-func TestFlightGroupAbandonment(t *testing.T) {
-	var wg sync.WaitGroup
-	g := newFlightGroup(&wg)
-	stopped := make(chan struct{})
-	run := func(ctx context.Context) ([]byte, string, error) {
-		<-ctx.Done()
-		close(stopped)
-		return nil, "", ctx.Err()
-	}
-	reqCtx, cancelReq := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, _, _, err := g.do(reqCtx, "k", func() error { return nil },
-			func() (context.Context, context.CancelFunc) { return context.WithCancel(context.Background()) },
-			run)
-		done <- err
-	}()
-	// Wait until the flight is registered, then abandon it.
-	for {
-		if g.size() == 1 {
-			break
+		experiment.ResetCache()
+		solo := postRender(t, ts, spec)
+		soloBody := readBody(t, solo)
+		if solo.StatusCode != http.StatusOK || !bytes.Equal(patient.body, soloBody) {
+			t.Fatalf("trial %d: shared render differs from a solo render (%d)", i, solo.StatusCode)
 		}
-		time.Sleep(time.Millisecond)
+		t.Logf("trial %d: hurried first %v, default request was the %s", i, hurriedFirst, patient.role)
 	}
-	cancelReq()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("abandoning waiter got %v, want context.Canceled", err)
-	}
-	select {
-	case <-stopped:
-	case <-time.After(10 * time.Second):
-		t.Fatal("work context not cancelled after the last waiter left")
-	}
-	wg.Wait()
 }
 
 // TestAdmissionShedding saturates the gate and asserts the next cold
@@ -564,16 +518,14 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		b, _, _, _, err := s.flights.do(context.Background(), "slow",
-			func() error { return nil },
-			func() (context.Context, context.CancelFunc) { return context.WithTimeout(s.baseCtx, time.Minute) },
-			func(ctx context.Context) ([]byte, string, error) {
+		b, _, err := s.do(context.Background(), "slow",
+			func(ctx context.Context) ([]byte, error) {
 				close(started)
 				select {
 				case <-release:
-					return []byte("finished"), "text/plain", nil
+					return []byte("finished"), nil
 				case <-ctx.Done():
-					return nil, "", ctx.Err()
+					return nil, ctx.Err()
 				}
 			})
 		body, gotErr = b, err
@@ -616,13 +568,11 @@ func TestShutdownForcesAfterGrace(t *testing.T) {
 	started := make(chan struct{})
 	errs := make(chan error, 1)
 	go func() {
-		_, _, _, _, err := s.flights.do(context.Background(), "stuck",
-			func() error { return nil },
-			func() (context.Context, context.CancelFunc) { return context.WithTimeout(s.baseCtx, time.Minute) },
-			func(ctx context.Context) ([]byte, string, error) {
+		_, _, err := s.do(context.Background(), "stuck",
+			func(ctx context.Context) ([]byte, error) {
 				close(started)
 				<-ctx.Done() // never finishes on its own
-				return nil, "", ctx.Err()
+				return nil, ctx.Err()
 			})
 		errs <- err
 	}()

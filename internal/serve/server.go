@@ -18,6 +18,7 @@ import (
 
 	"mcddvfs/internal/diskcache"
 	"mcddvfs/internal/experiment"
+	"mcddvfs/internal/flight"
 	"mcddvfs/internal/scheme"
 )
 
@@ -85,14 +86,15 @@ type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
 	gate     *gate
-	flights  *flightGroup
+	flights  flight.Group[string, []byte]
 	breaker  *breaker
 	store    *diskcache.Store // nil: disk tier off
 	storeErr error            // why the disk tier failed to open
 
-	baseCtx  context.Context // parent of every work context
+	baseCtx  context.Context // cancelled to force a drain
 	baseStop context.CancelFunc
-	wg       sync.WaitGroup // running flight goroutines
+	drainMu  sync.Mutex     // orders request admission against Shutdown
+	wg       sync.WaitGroup // admitted requests still in the render path
 	draining atomic.Bool
 
 	chaosMu sync.Mutex
@@ -113,7 +115,6 @@ func New(cfg Config) (*Server, error) {
 		gate:    newGate(cfg.Workers, cfg.QueueDepth),
 		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 	}
-	s.flights = newFlightGroup(&s.wg)
 	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
 	if cfg.CacheDir != "" {
 		store, err := experiment.DiskStore(cfg.CacheDir, cfg.CacheMaxBytes)
@@ -154,10 +155,12 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // The caller owns the listener (http.Server.Shutdown) — this drains
 // the work tier.
 func (s *Server) Shutdown(ctx context.Context) error {
-	// The barrier orders the draining flag against flight creation:
-	// after it, every new render observes draining and no new flight
-	// can register, so the WaitGroup below is monotonically draining.
-	s.flights.barrier(func() { s.draining.Store(true) })
+	// Setting the flag under drainMu orders it against admission:
+	// after it, every new request observes draining and no request
+	// can join the WaitGroup, so the wait below only drains.
+	s.drainMu.Lock()
+	s.draining.Store(true)
+	s.drainMu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -177,12 +180,35 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Draining reports whether the server has begun shutting down.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
+// do runs one request's share of the render for key: refused once the
+// server drains, otherwise counted by Shutdown and joined with every
+// concurrent request for the same key. The render runs detached from
+// any one request; it stops when its last request leaves, or when a
+// forced drain cancels it. leader reports whether this request started
+// it.
+func (s *Server) do(ctx context.Context, key string, run func(context.Context) ([]byte, error)) (body []byte, leader bool, err error) {
+	s.drainMu.Lock()
+	if s.draining.Load() {
+		s.drainMu.Unlock()
+		return nil, false, ErrDraining
+	}
+	s.wg.Add(1)
+	s.drainMu.Unlock()
+	defer s.wg.Done()
+	return s.flights.Do(ctx, key, func(ctx context.Context) ([]byte, error) {
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		defer context.AfterFunc(s.baseCtx, cancel)()
+		return run(ctx)
+	})
+}
+
 // render is the unit of admitted work: one artifact rendered under the
 // flight's work context, with the disk tier granted or withheld by the
 // breaker.
-func (s *Server) render(ctx context.Context, spec renderSpec) ([]byte, string, error) {
+func (s *Server) render(ctx context.Context, spec renderSpec) ([]byte, error) {
 	if err := s.gate.acquire(ctx); err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	defer s.gate.release()
 	dir := ""
@@ -190,7 +216,8 @@ func (s *Server) render(ctx context.Context, spec renderSpec) ([]byte, string, e
 		dir = s.cfg.CacheDir
 	}
 	opt := spec.options(dir, s.cfg.CacheMaxBytes)
-	return experiment.RenderArtifactContext(ctx, spec.req.Artifact, spec.format, opt)
+	body, _, err := experiment.RenderArtifactContext(ctx, spec.req.Artifact, spec.format, opt)
+	return body, err
 }
 
 func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
@@ -203,32 +230,26 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, err := validateSpec(req, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	if err != nil {
-		writeClassified(w, nil, err)
+		writeClassified(w, err)
 		return
 	}
 	key := spec.key()
-	body, ctype, workCtx, leader, err := s.flights.do(r.Context(), key,
-		func() error {
-			if s.draining.Load() {
-				return ErrDraining
-			}
-			return nil
-		},
-		func() (context.Context, context.CancelFunc) {
-			return context.WithTimeout(s.baseCtx, spec.timeout)
-		},
-		func(ctx context.Context) ([]byte, string, error) {
-			return s.render(ctx, spec)
-		})
+	// The deadline bounds this request's wait only; the shared render
+	// runs on for any other request still waiting on it.
+	ctx, cancel := context.WithTimeout(r.Context(), spec.timeout)
+	defer cancel()
+	body, leader, err := s.do(ctx, key, func(ctx context.Context) ([]byte, error) {
+		return s.render(ctx, spec)
+	})
 	if err != nil {
-		writeClassified(w, workCtx, err)
+		writeClassified(w, err)
 		return
 	}
 	role := "follower"
 	if leader {
 		role = "leader"
 	}
-	w.Header().Set("Content-Type", ctype)
+	w.Header().Set("Content-Type", spec.format.ContentType())
 	w.Header().Set("X-Mcdserve-Flight", role)
 	w.Header().Set("X-Mcdserve-Key", key)
 	w.Write(body) //nolint:errcheck // client gone
@@ -257,7 +278,7 @@ func (s *Server) readyState() (readyState, int) {
 		Breaker:  state,
 		Running:  running,
 		Waiting:  waiting,
-		Flights:  s.flights.size(),
+		Flights:  s.flights.Len(),
 		DiskTier: s.store != nil,
 	}
 	status := http.StatusOK

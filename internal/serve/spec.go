@@ -49,7 +49,8 @@ type RenderRequest struct {
 	FaultSeed int64 `json:"fault_seed,omitempty"`
 	// TimeoutMS is this request's deadline in milliseconds (0 = server
 	// default; clamped to the server maximum). Excluded from the cache
-	// identity: it bounds the attempt, not the result.
+	// identity: it bounds how long this request waits, never the render
+	// it may share with other requests.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Cores sizes the simulated chip (0 or 1 = the classic single-core
 	// processor; >1 = an N-core chip).
@@ -65,8 +66,8 @@ type RenderRequest struct {
 	GovernorGain float64 `json:"governor_gain,omitempty"`
 }
 
-// renderSpec is a validated, normalized request plus its effective
-// deadline.
+// renderSpec is a validated, normalized request plus the effective
+// deadline of the request's own wait.
 type renderSpec struct {
 	req     RenderRequest
 	format  experiment.ArtifactFormat
@@ -208,7 +209,6 @@ func (s renderSpec) options(cacheDir string, cacheMaxBytes int64) experiment.Opt
 		Seed:             s.req.Seed,
 		Benchmarks:       s.req.Benchmarks,
 		PIDIntervalTicks: s.req.PIDIntervalTicks,
-		Timeout:          s.timeout,
 		CacheDir:         cacheDir,
 		CacheMaxBytes:    cacheMaxBytes,
 		Cores:            s.req.Cores,
