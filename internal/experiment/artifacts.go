@@ -106,6 +106,7 @@ var robustnessBenchmarks = []string{"adpcm_encode", "gsm_decode", "gzip", "swim"
 // ErrRunPanicked). The bytes are identical to what cmd/experiments
 // -out writes for the same options.
 func RenderArtifactContext(ctx context.Context, id string, format ArtifactFormat, opt Options) ([]byte, string, error) {
+	ctx = orBackground(ctx)
 	info, err := lookupArtifact(id)
 	if err != nil {
 		return nil, "", err

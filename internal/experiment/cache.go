@@ -55,7 +55,12 @@ var resultCache = struct {
 	flights flight.Group[[sha256.Size]byte, outcome]
 	runs    uint64 // cached calls this generation; hits = runs - misses
 	misses  uint64 // resolutions that went to disk or simulated
-}{enabled: true, memo: make(map[[sha256.Size]byte]outcome)}
+
+	// ClassifyBenchmarks verdicts, keyed by the cache key of the
+	// SchemeNone run each derives from (see cachedClass).
+	classes map[[sha256.Size]byte]BenchClass
+	spectra uint64 // classifications computed this generation
+}{enabled: true, memo: make(map[[sha256.Size]byte]outcome), classes: make(map[[sha256.Size]byte]BenchClass)}
 
 // outcome is one resolved run: a result or a non-transient error.
 type outcome struct {
@@ -80,8 +85,10 @@ func ResetCache() {
 	resultCache.mu.Lock()
 	resultCache.gen++
 	resultCache.memo = make(map[[sha256.Size]byte]outcome)
+	resultCache.classes = make(map[[sha256.Size]byte]BenchClass)
 	resultCache.runs = 0
 	resultCache.misses = 0
+	resultCache.spectra = 0
 	resultCache.mu.Unlock()
 	sharedReplays.reset()
 }
@@ -374,4 +381,34 @@ func resolve(ctx context.Context, k [sha256.Size]byte, gen uint64, profs []trace
 		store.Put(k, entry) //nolint:errcheck // best-effort: a failed write costs this cell's persistence
 	}
 	return o
+}
+
+// cachedClass returns the Section 5.2 classification memoized under k,
+// the cache key of the benchmark's SchemeNone run it derives from, or
+// computes it with classify and memoizes it into the generation current
+// at lookup. The memo follows the result cache's rules: SetCaching(false)
+// bypasses it and ResetCache drops it. Concurrent first computations
+// are not merged; they are deterministic and store the same value.
+func cachedClass(k [sha256.Size]byte, classify func() (BenchClass, error)) (BenchClass, error) {
+	resultCache.mu.Lock()
+	bc, hit := resultCache.classes[k]
+	enabled, gen := resultCache.enabled, resultCache.gen
+	resultCache.mu.Unlock()
+	if !enabled {
+		return classify()
+	}
+	if hit {
+		return bc, nil
+	}
+	bc, err := classify()
+	if err != nil {
+		return bc, err
+	}
+	resultCache.mu.Lock()
+	if resultCache.gen == gen {
+		resultCache.classes[k] = bc
+		resultCache.spectra++
+	}
+	resultCache.mu.Unlock()
+	return bc, nil
 }

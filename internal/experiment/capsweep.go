@@ -188,7 +188,7 @@ func CapSweep(opt Options) (Report, error) {
 
 // CapSweepContext is CapSweep with explicit cancellation.
 func CapSweepContext(ctx context.Context, opt Options) (Report, error) {
-	g, err := runCapSweep(ctx, opt)
+	g, err := runCapSweep(orBackground(ctx), opt)
 	if err != nil {
 		return Report{}, err
 	}
@@ -262,7 +262,7 @@ func renderCapSweep(opt Options, g *capSweepGrid) Report {
 // governor plus the uncapped reference, EDP (µJ·s) against the chip
 // power budget (W).
 func CapSweepSVG(ctx context.Context, opt Options) (string, error) {
-	g, err := runCapSweep(ctx, opt)
+	g, err := runCapSweep(orBackground(ctx), opt)
 	if err != nil {
 		return "", err
 	}
@@ -324,6 +324,7 @@ func CapTransient(opt Options) (Report, error) {
 
 // CapTransientContext is CapTransient with explicit cancellation.
 func CapTransientContext(ctx context.Context, opt Options) (Report, error) {
+	ctx = orBackground(ctx)
 	cores := capSweepCores(opt)
 	budget := opt.PowerCapW
 	if budget <= 0 {

@@ -28,6 +28,7 @@ func RunChip(benchmarks []string, scheme Scheme, opt Options) (*mcd.ChipResult, 
 // benchmark, simulated once, and its Cores[0] is the very *mcd.Result
 // RunProfile returns. Results must be treated as read-only.
 func RunChipContext(ctx context.Context, benchmarks []string, sch Scheme, opt Options) (*mcd.ChipResult, error) {
+	ctx = orBackground(ctx)
 	opt = opt.withDefaults()
 	profs, err := chipBenchProfiles(benchmarks, opt)
 	if err != nil {

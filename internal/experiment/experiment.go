@@ -181,10 +181,7 @@ func (o Options) governorName() string {
 
 // ctx returns the options' cancellation context.
 func (o Options) ctx() context.Context {
-	if o.Context != nil {
-		return o.Context
-	}
-	return context.Background()
+	return orBackground(o.Context)
 }
 
 // DefaultOptions returns the harness defaults.
@@ -248,7 +245,7 @@ func RunProfile(prof trace.Profile, scheme Scheme, opt Options) (*mcd.Result, er
 // returns ErrRunTimeout; cancellation returns ErrCancelled; a panic in
 // the simulator is recovered into ErrRunPanicked.
 func RunProfileContext(ctx context.Context, prof trace.Profile, scheme Scheme, opt Options) (*mcd.Result, error) {
-	return runCell(ctx, prof, scheme, opt, nil)
+	return runCell(orBackground(ctx), prof, scheme, opt, nil)
 }
 
 // runCell runs one benchmark as a cell: a homogeneous chip of
@@ -420,6 +417,7 @@ func RunMatrix(opt Options) (*Matrix, error) {
 // cancellation the partial matrix is returned alongside an
 // ErrCancelled error so callers can flush what finished.
 func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
+	ctx = orBackground(ctx)
 	// Corpus resolution comes first: an unset benchmark list or
 	// instruction budget defaults from the manifest, and everything
 	// else about the options must agree with what the corpus was

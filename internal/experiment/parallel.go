@@ -32,9 +32,7 @@ func forEachParallel(ctx context.Context, n int, fn func(i int) error) []taskErr
 	if n <= 0 {
 		return nil
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	ctx = orBackground(ctx)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
@@ -90,6 +88,16 @@ func runTask(i int, fn func(i int) error) (err error) {
 		}
 	}()
 	return fn(i)
+}
+
+// orBackground returns ctx, or context.Background() for a nil ctx: the
+// exported *Context entry points accept a nil ctx as Options.Context
+// does.
+func orBackground(ctx context.Context) context.Context {
+	if ctx == nil {
+		return context.Background()
+	}
+	return ctx
 }
 
 // firstError adapts the failure list to the historical single-error

@@ -66,46 +66,61 @@ type BenchClass struct {
 // applies the Section-5.2 spectral classifier to its queue-occupancy
 // series (the maximum short-wavelength share across the three queues
 // decides, since fast variation in any domain defeats a fixed-interval
-// controller there).
+// controller there). Each verdict is memoized beside the baseline
+// result it derives from (see cachedClass); the returned slice is
+// always the caller's own.
 func ClassifyBenchmarks(opt Options) ([]BenchClass, error) {
 	opt = opt.withDefaults()
 	out := make([]BenchClass, len(opt.Benchmarks))
 	err := firstError(forEachParallel(opt.ctx(), len(opt.Benchmarks), func(i int) error {
-		b := opt.Benchmarks[i]
-		res, err := RunOne(b, SchemeNone, opt)
+		prof, err := trace.ByName(opt.Benchmarks[i])
+		if err != nil {
+			return invalidSpec(err)
+		}
+		if err := validateRun(prof, SchemeNone, opt); err != nil {
+			return err
+		}
+		k, err := cacheKey(chipProfiles(prof, opt), SchemeNone, opt)
 		if err != nil {
 			return err
 		}
-		prof, err := trace.ByName(b)
-		if err != nil {
-			return err
-		}
-		bc := BenchClass{Name: b, Suite: prof.Suite, IPC: res.IPC}
-		for _, dom := range []string{mcd.NameInt, mcd.NameFP, mcd.NameLS} {
-			samples := res.QueueSamples[dom]
-			if len(samples) < 64 {
-				continue
-			}
-			cl, err := spectrum.Classify(samples, spectrum.DefaultIntervalSamples, spectrum.DefaultFastShareThreshold)
-			if err != nil {
-				return err
-			}
-			// Queues that barely move carry no exploitable signal.
-			if cl.TotalVariance < 0.5 {
-				continue
-			}
-			if cl.ShortShare > bc.ShortShare {
-				bc.ShortShare = cl.ShortShare
-			}
-		}
-		bc.Fast = bc.ShortShare > spectrum.DefaultFastShareThreshold
-		out[i] = bc
-		return nil
+		out[i], err = cachedClass(k, func() (BenchClass, error) { return classify(prof, opt) })
+		return err
 	}))
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// classify runs prof's no-DVFS baseline and applies the spectral
+// classifier to its queue-occupancy series. opt must already have
+// defaults applied.
+func classify(prof trace.Profile, opt Options) (BenchClass, error) {
+	res, err := RunProfile(prof, SchemeNone, opt)
+	if err != nil {
+		return BenchClass{}, err
+	}
+	bc := BenchClass{Name: prof.Name, Suite: prof.Suite, IPC: res.IPC}
+	for _, dom := range []string{mcd.NameInt, mcd.NameFP, mcd.NameLS} {
+		samples := res.QueueSamples[dom]
+		if len(samples) < 64 {
+			continue
+		}
+		cl, err := spectrum.Classify(samples, spectrum.DefaultIntervalSamples, spectrum.DefaultFastShareThreshold)
+		if err != nil {
+			return BenchClass{}, err
+		}
+		// Queues that barely move carry no exploitable signal.
+		if cl.TotalVariance < 0.5 {
+			continue
+		}
+		if cl.ShortShare > bc.ShortShare {
+			bc.ShortShare = cl.ShortShare
+		}
+	}
+	bc.Fast = bc.ShortShare > spectrum.DefaultFastShareThreshold
+	return bc, nil
 }
 
 // FastGroup returns the benchmarks the classifier marks fast-varying.
@@ -329,9 +344,9 @@ func Table3(opt Options, fastGroup []string) (Report, error) {
 	if len(fastGroup) == 0 {
 		return Report{}, invalidSpec(fmt.Errorf("experiment: empty fast group"))
 	}
-	sort.Strings(fastGroup)
 	sub := opt
-	sub.Benchmarks = fastGroup
+	sub.Benchmarks = append([]string(nil), fastGroup...)
+	sort.Strings(sub.Benchmarks)
 
 	lines := []string{fmt.Sprintf("%-22s %12s %12s %12s", "scheme", "energy save", "perf degr.", "EDP impr.")}
 	addRow := func(label string, mean powerComparison) {
@@ -358,7 +373,7 @@ func Table3(opt Options, fastGroup []string) (Report, error) {
 		ID:    "table3",
 		Title: "Adaptive vs PID at shorter interval lengths (fast-variation group)",
 		Lines: lines,
-		Notes: []string{"fast group: " + strings.Join(fastGroup, ", ")},
+		Notes: []string{"fast group: " + strings.Join(sub.Benchmarks, ", ")},
 	}, nil
 }
 

@@ -31,6 +31,7 @@ func FaultSweep(opt Options, benchmarks []string, intensities []float64) (Report
 
 // FaultSweepContext is FaultSweep with explicit cancellation.
 func FaultSweepContext(ctx context.Context, opt Options, benchmarks []string, intensities []float64) (Report, error) {
+	ctx = orBackground(ctx)
 	opt = opt.withDefaults()
 	if len(benchmarks) > 0 {
 		opt.Benchmarks = benchmarks

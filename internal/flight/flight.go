@@ -39,13 +39,16 @@ type call[V any] struct {
 // Do returns fn's outcome for key, joining a live execution for key or
 // starting one; leader reports whether this caller started it.
 func (g *Group[K, V]) Do(ctx context.Context, key K, fn func(context.Context) (V, error)) (v V, leader bool, err error) {
+	// Built before taking g.mu: WithoutCancel panics on a nil ctx, and
+	// nothing that can panic may run while g.mu is held.
+	detached := context.WithoutCancel(ctx)
 	g.mu.Lock()
 	c, ok := g.calls[key]
 	if leader = !ok || c.waiters == 0; leader {
 		if g.calls == nil {
 			g.calls = make(map[K]*call[V])
 		}
-		work, cancel := context.WithCancel(context.WithoutCancel(ctx))
+		work, cancel := context.WithCancel(detached)
 		c = &call[V]{done: make(chan struct{}), cancel: cancel}
 		g.calls[key] = c
 		go g.run(work, key, c, fn)

@@ -206,3 +206,29 @@ func TestPanicReachesEveryWaiter(t *testing.T) {
 		t.Fatal("panicked flight still registered")
 	}
 }
+
+// TestNilContextLeavesGroupUsable: Do panics on a nil ctx before it
+// takes the group's lock, so later calls still run.
+func TestNilContextLeavesGroupUsable(t *testing.T) {
+	var g Group[string, int]
+	one := func(context.Context) (int, error) { return 1, nil }
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Do with a nil ctx did not panic")
+			}
+		}()
+		var nilCtx context.Context
+		g.Do(nilCtx, "a", one) //nolint:errcheck // panics
+	}()
+	done := make(chan struct{})
+	go func() {
+		g.Do(context.Background(), "b", one) //nolint:errcheck // only completion matters
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("group wedged after a nil-context Do")
+	}
+}
