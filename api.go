@@ -26,6 +26,7 @@
 package mcddvfs
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -424,13 +425,29 @@ func NewTraceGenerator(prof Profile, seed, instructions int64) (*trace.Generator
 }
 
 // WriteTrace serializes count instructions from src to w in the
-// repository's trace format (replayable with ReadTrace / cmd/tracegen).
+// repository's chunked trace format (replayable with ReadTrace or
+// cmd/tracegen) and returns the number of instructions written.
 func WriteTrace(w io.Writer, src TraceSource, count int64) (int64, error) {
-	return trace.Write(w, src, count)
+	if _, err := trace.WriteChunked(w, src, count, 0); err != nil {
+		return 0, err
+	}
+	return count, nil
 }
 
-// ReadTrace opens a serialized trace for replay.
-func ReadTrace(r io.Reader) (*trace.Reader, error) { return trace.NewReader(r) }
+// ReadTrace reads a whole serialized trace into memory and opens it
+// for replay. Anything but the chunked format, magic "MCDC", is an
+// error.
+func ReadTrace(r io.Reader) (*trace.ChunkedReplayer, error) {
+	blob, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	c, err := trace.OpenChunked(bytes.NewReader(blob), int64(len(blob)), 0)
+	if err != nil {
+		return nil, err
+	}
+	return c.Replay(), nil
+}
 
 // RunTrace simulates a pre-built instruction source (e.g. a replayed
 // trace) under the given spec. spec.Benchmark and spec.Instructions are

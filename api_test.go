@@ -191,6 +191,12 @@ func TestRunTraceErrors(t *testing.T) {
 	if err != nil && !strings.Contains(err.Error(), "registered:") {
 		t.Errorf("unknown-scheme error does not list registered schemes: %v", err)
 	}
+	// A trace in the retired fixed-record v1 format (magic "MCDT") is
+	// rejected with an error naming the format ReadTrace wants.
+	v1 := append([]byte("MCDT\x01\x00\x00\x00"), make([]byte, 64)...)
+	if _, err := ReadTrace(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "MCDC") {
+		t.Errorf("v1 trace: got %v, want an error naming MCDC", err)
+	}
 }
 
 func TestRunProfileValidation(t *testing.T) {

@@ -200,8 +200,8 @@ func BenchmarkTransitionStyles(b *testing.B) {
 }
 
 // BenchmarkRunMatrix measures the benchmark × scheme sweep that feeds
-// Figures 9-11 under five caching regimes: cold with the shared trace
-// bank (the default), cold with per-cell trace generation (the
+// Figures 9-11 under five caching regimes: cold with the shared replay
+// memo (the default), cold with per-cell trace generation (the
 // pre-sharing behavior), cold streaming traces from an on-disk corpus,
 // warm from the in-process cache, and warm from the on-disk cache
 // (models re-rendering after process death). Every regime reports

@@ -9,13 +9,13 @@
 //	tracegen -replay gsm.mcdc -scheme adaptive             # simulate it
 //	tracegen -corpus traces/ -insts 500000 -seed 1         # emit a corpus
 //
-// Traces are written in the chunked v2 format (compressed fixed-size
-// chunks, per-chunk CRC, seekable index) unless -format mcdt selects
-// the legacy monolithic stream; -stats and -replay sniff the magic and
-// stream either format from disk with bounded memory. A corpus
-// directory (see `internal/trace`) bundles one chunked trace per
-// benchmark plus a checksummed manifest, and is what the experiment
-// harness's -corpus flag consumes.
+// Every trace is a chunked v2 file (magic "MCDC": compressed
+// fixed-size chunks, per-chunk CRC, seekable index); -stats and
+// -replay stream it from disk with memory bounded by the chunk window
+// and reject any other format. A corpus directory (see
+// `internal/trace`) bundles one chunked trace per benchmark plus a
+// checksummed manifest, and is what the experiment harness's -corpus
+// flag consumes.
 package main
 
 import (
@@ -36,8 +36,7 @@ func main() {
 		insts  = flag.Int64("insts", 500000, "instructions to generate")
 		seed   = flag.Int64("seed", 1, "harness seed (streams are recorded at the harness's derived stream seed)")
 		out    = flag.String("o", "", "write one trace to this file")
-		format = flag.String("format", "chunked", "output format for -o: chunked (v2) or mcdt (legacy v1)")
-		chunk  = flag.Int("chunk", 0, "instructions per chunk for chunked output (0 = default)")
+		chunk  = flag.Int("chunk", 0, "instructions per chunk (0 = default)")
 		corpus = flag.String("corpus", "", "emit a trace corpus (one chunked trace per benchmark + manifest) into this directory")
 		stats  = flag.String("stats", "", "print statistics for a trace file and exit")
 		replay = flag.String("replay", "", "simulate a saved trace file")
@@ -59,7 +58,7 @@ func main() {
 			fail(err)
 		}
 	case *out != "":
-		if err := generate(*bench, *insts, *seed, *out, *format, *chunk); err != nil {
+		if err := generate(*bench, *insts, *seed, *out, *chunk); err != nil {
 			fail(err)
 		}
 	default:
@@ -73,7 +72,7 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-func generate(bench string, insts, seed int64, out, format string, chunk int) error {
+func generate(bench string, insts, seed int64, out string, chunk int) error {
 	if bench == "" {
 		bench = "epic_decode"
 	}
@@ -90,27 +89,15 @@ func generate(bench string, insts, seed int64, out, format string, chunk int) er
 		return err
 	}
 	defer f.Close()
-	var n int64
-	switch format {
-	case "chunked":
-		var bytes int64
-		bytes, err = trace.WriteChunked(f, gen, insts, chunk)
-		n = insts
-		if err == nil {
-			fmt.Printf("wrote %d instructions of %s to %s (chunked v2, %d bytes)\n", n, bench, out, bytes)
-		}
-	case "mcdt":
-		n, err = trace.Write(f, gen, insts)
-		if err == nil {
-			fmt.Printf("wrote %d instructions of %s to %s\n", n, bench, out)
-		}
-	default:
-		return fmt.Errorf("unknown -format %q (chunked or mcdt)", format)
-	}
+	size, err := trace.WriteChunked(f, gen, insts, chunk)
 	if err != nil {
 		return err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %d instructions of %s to %s (chunked v2, %d bytes)\n", insts, bench, out, size)
+	return nil
 }
 
 // emitCorpus records every selected benchmark at the harness seed into
@@ -148,85 +135,17 @@ func emitCorpus(dir, benchCSV string, insts, seed int64, chunk int) error {
 	return nil
 }
 
-// openedTrace is a disk-backed trace stream of either format, plus the
-// metadata the inspection commands print. Both formats stream with
-// bounded memory: v1 through a fixed read buffer, v2 through the
-// chunk window.
-type openedTrace struct {
-	src    trace.Source
-	name   string
-	count  int64
-	format string
-	// streamErr distinguishes mid-stream corruption from clean EOF.
-	streamErr func() error
-	// residency reports (peakBytes, boundBytes) after streaming; nil
-	// when the format has no per-chunk accounting (v1).
-	residency func() (int64, int64)
-	close     func() error
-}
-
-// openTraceStream sniffs the file magic and opens the right reader.
-func openTraceStream(path string) (*openedTrace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	var magic [4]byte
-	if _, err := f.ReadAt(magic[:], 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: reading magic: %w", path, err)
-	}
-	if string(magic[:]) == "MCDC" {
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		c, err := trace.OpenChunked(f, st.Size(), 0)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		cur := c.Replay()
-		return &openedTrace{
-			src:       cur,
-			name:      c.Name(),
-			count:     c.Count(),
-			format:    fmt.Sprintf("chunked v2 (%d chunks of %d insts, %d bytes on disk)", c.Chunks(), c.ChunkInstructions(), c.CompressedBytes()),
-			streamErr: cur.Err,
-			residency: func() (int64, int64) { return c.PeakResidentBytes(), c.WindowBytes() },
-			close:     f.Close,
-		}, nil
-	}
-	if _, err := f.Seek(0, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	r, err := trace.NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &openedTrace{
-		src:       r,
-		name:      r.Name(),
-		count:     r.Count(),
-		format:    "monolithic v1",
-		streamErr: r.Err,
-		close:     f.Close,
-	}, nil
-}
-
 func printStats(path string) error {
-	ot, err := openTraceStream(path)
+	cf, err := trace.OpenChunkedFile(path, 0)
 	if err != nil {
 		return err
 	}
-	defer ot.close()
+	defer cf.Close()
+	cur := cf.Replay()
 	var counts [isa.NumClasses]int64
 	var branches, taken int64
 	for {
-		in, ok := ot.src.Next()
+		in, ok := cur.Next()
 		if !ok {
 			break
 		}
@@ -238,33 +157,31 @@ func printStats(path string) error {
 			}
 		}
 	}
-	if err := ot.streamErr(); err != nil {
+	if err := cur.Err(); err != nil {
 		return err
 	}
-	fmt.Printf("trace %s: %q, %d instructions, %s\n", path, ot.name, ot.count, ot.format)
+	fmt.Printf("trace %s: %q, %d instructions, chunked v2 (%d chunks of %d insts, %d bytes on disk)\n",
+		path, cf.Name(), cf.Count(), cf.Chunks(), cf.ChunkInstructions(), cf.CompressedBytes())
 	for c := 0; c < isa.NumClasses; c++ {
 		if counts[c] == 0 {
 			continue
 		}
 		fmt.Printf("  %-7s %9d (%5.2f%%)\n", isa.Class(c), counts[c],
-			100*float64(counts[c])/float64(ot.count))
+			100*float64(counts[c])/float64(cf.Count()))
 	}
 	if branches > 0 {
 		fmt.Printf("  taken branch fraction: %.3f\n", float64(taken)/float64(branches))
 	}
-	if ot.residency != nil {
-		peak, bound := ot.residency()
-		fmt.Printf("  peak resident: %d bytes (window bound %d bytes)\n", peak, bound)
-	}
+	fmt.Printf("  peak resident: %d bytes (window bound %d bytes)\n", cf.PeakResidentBytes(), cf.WindowBytes())
 	return nil
 }
 
 func replayTrace(path, scheme string) error {
-	ot, err := openTraceStream(path)
+	cf, err := trace.OpenChunkedFile(path, 0)
 	if err != nil {
 		return err
 	}
-	defer ot.close()
+	defer cf.Close()
 	cfg := mcd.DefaultConfig()
 	p, err := mcd.New(cfg)
 	if err != nil {
@@ -273,19 +190,17 @@ func replayTrace(path, scheme string) error {
 	if err := experiment.AttachScheme(p, experiment.Scheme(scheme), experiment.DefaultOptions()); err != nil {
 		return err
 	}
-	res, err := p.Run(ot.src)
+	cur := cf.Replay()
+	res, err := p.Run(cur)
 	if err != nil {
 		return err
 	}
-	if err := ot.streamErr(); err != nil {
+	if err := cur.Err(); err != nil {
 		return err
 	}
 	fmt.Printf("replayed %q (%d insts): time=%v energy=%.4gJ IPC=%.3f\n",
 		res.Benchmark, res.Metrics.Instructions, res.Metrics.ExecTime,
 		res.Metrics.EnergyJ, res.IPC)
-	if ot.residency != nil {
-		peak, bound := ot.residency()
-		fmt.Printf("peak resident: %d bytes (window bound %d bytes)\n", peak, bound)
-	}
+	fmt.Printf("peak resident: %d bytes (window bound %d bytes)\n", cf.PeakResidentBytes(), cf.WindowBytes())
 	return nil
 }

@@ -1,8 +1,9 @@
 // Tracereplay demonstrates deterministic trace capture and replay:
-// generate a workload trace once, serialize it, then replay the *same*
-// dynamic instruction stream under different DVFS schemes — the
-// methodology cycle-accurate simulation studies use to guarantee every
-// scheme sees identical work.
+// generate a workload trace once, serialize it in the chunked trace
+// format (the one cmd/tracegen writes), then replay the *same* dynamic
+// instruction stream under different DVFS schemes — the methodology
+// cycle-accurate simulation studies use to guarantee every scheme sees
+// identical work.
 package main
 
 import (

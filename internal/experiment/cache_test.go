@@ -291,6 +291,29 @@ func TestWideChipRecordsOneTrace(t *testing.T) {
 	}
 }
 
+// TestMatrixRecordsEachBenchmarkOnce pins the matrix's memory
+// contract on the replay memo: every scheme's cell of a benchmark
+// replays one recording, and the benchmark's last cell drops it, so a
+// finished matrix leaves no recording resident.
+func TestMatrixRecordsEachBenchmarkOnce(t *testing.T) {
+	defer func() { SetCaching(true); ResetCache() }()
+	SetCaching(false)
+	ResetCache()
+	m, err := RunMatrix(smallOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharedReplays.mu.Lock()
+	recordings, resident := sharedReplays.recordings, len(sharedReplays.entries)
+	sharedReplays.mu.Unlock()
+	if recordings != len(m.Benchmarks) {
+		t.Errorf("%d recordings for %d benchmarks, want one each", recordings, len(m.Benchmarks))
+	}
+	if resident != 0 {
+		t.Errorf("finished matrix left %d recordings resident, want 0", resident)
+	}
+}
+
 // TestForEachParallelErrorIndex asserts the pool collects every
 // failure sorted by index, runs the healthy tasks to completion
 // anyway, and that firstError names the lowest failing index.

@@ -77,9 +77,9 @@ func chipProfiles(prof trace.Profile, opt Options) []trace.Profile {
 // is a 1-core governorless chip, bit for bit the single-processor
 // machine), run it, and stamp the scheme on every core's Result. opt
 // must already have defaults applied and been validated. bankSrc, when
-// non-nil, supplies core 0's instruction stream (a matrix trace-bank
-// replay cursor); otherwise core 0 streams from the shared replay of
-// its seed, bit-identical to generating it. ctx bounds the wait for
+// non-nil, supplies core 0's instruction stream (a matrix cell's
+// trace-bank cursor); otherwise core 0 streams from the shared replay
+// memo at its seed, bit-identical to generating it. ctx bounds the wait for
 // that stream as well as the run. A panic anywhere below — trace
 // generation, construction, the simulator hot loop — is recovered
 // into ErrRunPanicked so one bad run cannot kill a sweep.

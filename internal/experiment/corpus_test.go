@@ -212,6 +212,68 @@ func TestCorpusMatrixHeals(t *testing.T) {
 	}
 }
 
+// TestCorpusChipMatrixMatchesGenerated: a chip-mode matrix streams
+// core 0 from the corpus and cores ≥ 1 from generators, so it matches
+// the same matrix run without the corpus.
+func TestCorpusChipMatrixMatchesGenerated(t *testing.T) {
+	defer func() { SetCaching(true); ResetCache() }()
+	SetCaching(false)
+
+	const seed, insts = 17, 20000
+	benches := []string{"gzip", "swim"}
+	gen := Options{Instructions: insts, Seed: seed, Benchmarks: benches, Schemes: []Scheme{SchemeAdaptive},
+		Cores: 2, PowerCapW: 15, Governor: "integral-gain"}
+	corp := gen
+	corp.CorpusDir = buildCorpus(t, seed, insts, 1<<10, benches...)
+
+	mGen, err := RunMatrix(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mCorp, err := RunMatrix(corp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mGen.Failures) != 0 || len(mCorp.Failures) != 0 {
+		t.Fatalf("failures: gen=%v corpus=%v", mGen.Failures, mCorp.Failures)
+	}
+	sameResults(t, "chip", mGen, mCorp)
+	if mCorp.Corpus == nil || mCorp.Corpus.Loads == 0 || mCorp.Corpus.Heals != 0 {
+		t.Errorf("corpus stats %+v: want chunk loads and no heals", mCorp.Corpus)
+	}
+}
+
+// TestCorpusWarmMatrixDecodesNothing: when every cell is a result-cache
+// hit, no cell streams, so the member files are opened but no chunk is
+// decoded.
+func TestCorpusWarmMatrixDecodesNothing(t *testing.T) {
+	defer func() { SetCaching(true); ResetCache() }()
+	SetCaching(true)
+	ResetCache()
+
+	const seed, insts = 19, 20000
+	opt := Options{Instructions: insts, Seed: seed, Schemes: []Scheme{SchemeAdaptive},
+		CorpusDir: buildCorpus(t, seed, insts, 1<<10, "gzip", "swim")}
+	cold, err := RunMatrix(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Corpus == nil || cold.Corpus.Loads == 0 {
+		t.Fatalf("cold corpus stats %+v: want chunk loads", cold.Corpus)
+	}
+	_, coldMisses := CacheStats()
+	warm, err := RunMatrix(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := CacheStats(); misses != coldMisses {
+		t.Fatalf("warm matrix simulated %d cells, want every cell served from the cache", misses-coldMisses)
+	}
+	if warm.Corpus == nil || warm.Corpus.Loads != 0 {
+		t.Errorf("warm corpus stats %+v: want 0 chunk loads", warm.Corpus)
+	}
+}
+
 // TestCorpusOptionsMismatch: a corpus recorded at other coordinates
 // than the options must be rejected as an invalid spec, as must a
 // benchmark subset the corpus does not hold.

@@ -120,6 +120,8 @@ type Options struct {
 	// Instructions (checked against the manifest); a member's bytes
 	// are bit-identical to the stream the harness would generate, so
 	// where the stream comes from never changes what a run computes.
+	// In chip mode the corpus feeds core 0; cores ≥ 1 generate their
+	// streams at their own seeds, as they always do.
 	//lint:allow cachekey names the stream's storage, not its contents; corpus replay is bit-identical to generation (differential-tested)
 	CorpusDir string
 	// RowFlush, when non-nil, is called by RunMatrix as benchmark rows
@@ -424,11 +426,6 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 	// recorded at.
 	var corpus *trace.Corpus
 	if opt.CorpusDir != "" {
-		if opt.chipMode() {
-			// Corpus members are recorded at one stream seed; chip cores
-			// run per-core seeds, so a corpus cannot feed them.
-			return nil, invalidSpec(fmt.Errorf("experiment: chip-mode runs (Cores/PowerCapW/Governor) cannot stream from a trace corpus; drop CorpusDir or the chip options"))
-		}
 		var err error
 		corpus, err = trace.OpenCorpus(opt.CorpusDir)
 		if err != nil {
@@ -479,22 +476,12 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 		}
 	}
 
-	// With trace sharing on, the benchmark × scheme grid records each
-	// benchmark's instruction stream once and replays it into every
-	// scheme's cell; see tracebank.go. Off (or for callers outside the
-	// matrix) every cell generates its own stream as before. Corpus
-	// runs always go through the bank: it is what streams the member
-	// files.
-	var bank *traceBank
-	var bankSrc func(context.Context, trace.Profile) (trace.Source, error)
-	if corpus != nil || traceSharingEnabled() {
-		bank = newTraceBank(opt, corpus, len(schemes))
-		bankSrc = bank.source // one method value for every cell
-	}
-	lookup := trace.ByName
-	if corpus != nil {
-		lookup = corpus.Profile
-	}
+	// Every cell takes core 0's stream from the bank: its benchmark's
+	// corpus member in corpus mode, otherwise the shared replay memo,
+	// which records each benchmark once for every scheme's cell. Cores
+	// ≥ 1 of a chip-mode cell stream from generators; see tracebank.go.
+	bank := newTraceBank(opt, corpus, len(schemes))
+	bankSrc := bank.source // one method value for every cell
 
 	var mu sync.Mutex
 	var flush *rowFlusher
@@ -517,21 +504,14 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 			// the sweep instead.
 			defer flush.cellDone(c.bench)
 		}
-		var res *mcd.Result
-		var err error
-		if bank != nil {
-			// Every cell releases its claim exactly once, even on error
-			// or a cache hit, so recordings free as benchmarks drain.
-			defer bank.release(c.bench)
-			var prof trace.Profile
-			prof, err = lookup(c.bench)
-			if err != nil {
-				return invalidSpec(err)
-			}
-			res, err = runCell(ctx, prof, c.scheme, opt, bankSrc)
-		} else {
-			res, err = RunOneContext(ctx, c.bench, c.scheme, opt)
+		// Every cell releases its claim exactly once, even on error or a
+		// cache hit, so streams free as benchmarks drain.
+		defer bank.release(c.bench)
+		prof, err := bank.profile(c.bench)
+		if err != nil {
+			return invalidSpec(err)
 		}
+		res, err := runCell(ctx, prof, c.scheme, opt, bankSrc)
 		if err != nil {
 			return err
 		}
@@ -552,11 +532,8 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 		c := cells[te.index]
 		m.Failures = append(m.Failures, CellError{Bench: c.bench, Scheme: c.scheme, Err: te.err})
 	}
-	if bank != nil {
-		stats := bank.close()
-		if corpus != nil {
-			m.Corpus = &stats
-		}
+	if stats := bank.close(); corpus != nil {
+		m.Corpus = &stats
 	}
 	if flush != nil {
 		// Emit whatever rows the ordered frontier is still holding —

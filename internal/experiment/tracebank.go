@@ -5,48 +5,48 @@ import (
 	"sort"
 	"sync"
 
-	"mcddvfs/internal/flight"
 	"mcddvfs/internal/isa"
 	"mcddvfs/internal/trace"
 )
 
 // The workload stream a matrix cell simulates depends only on
 // (profile, seed, instructions) — never on the DVFS scheme or fault
-// spec layered on top — so the benchmark × scheme grid regenerates the
-// identical trace once per benchmark instead of once per cell. A
-// traceBank owns that sharing for one matrix run: the first cell to
-// actually need a benchmark's stream records it (trace.Recorded, one
-// flight per benchmark), every other cell replays the same immutable
-// buffers through its own zero-alloc cursor, and a per-benchmark
-// countdown of outstanding cells releases the recording as soon as its
-// last cell finishes, bounding resident traces to the benchmarks in
-// flight.
+// spec layered on top — so every scheme's cell of one benchmark
+// replays the identical stream. A traceBank tracks that sharing for
+// one matrix run. Outside corpus mode the stream itself lives in the
+// shared replay memo (tracecache.go): the first cell to simulate
+// records it, every other cell replays the same immutable buffers
+// through its own zero-alloc cursor. The bank keeps a per-benchmark
+// countdown of outstanding cells and drops the benchmark's recording
+// from the memo as soon as its last cell finishes, bounding resident
+// traces to the benchmarks in flight.
 //
-// In corpus mode (Options.CorpusDir) the bank resolves streams from
-// chunked trace files instead of recording them: one ChunkedFile per
-// benchmark, opened once, with every scheme's cell streaming through
-// its own cursor over the shared bounded chunk window — peak trace
-// memory per benchmark is the window, independent of trace length. A
-// member that fails to open, or corrupts mid-stream, heals the same
-// way diskcache does: the stream is regenerated from the member's
-// embedded profile at the corpus seed (bit-identical to the recorded
-// bytes by the StreamSeed contract) and the sweep continues.
+// In corpus mode (Options.CorpusDir) the bank instead holds one
+// chunked member file per benchmark, opened up front (reading only its
+// header, footer and index), with every scheme's cell streaming
+// through its own cursor over the shared bounded chunk window — peak
+// trace memory per benchmark is the window, independent of trace
+// length. The last cell's release closes the file. A member that fails
+// to open, or corrupts mid-stream, heals the same way diskcache does:
+// the stream comes from the replay memo, or a generator fast-forwarded
+// past what was already emitted, at the corpus seed (bit-identical to
+// the recorded bytes by the StreamSeed contract), and the sweep
+// continues.
 //
 // A cell's simulation can outlive the cell, and the matrix, when
 // another caller still waits on its result-cache key. No ordering in
 // RunMatrixContext guards that: a stream asked for after its benchmark
-// retired comes from the shared replay cache, and a cursor whose
-// member file closes under it heals, so the result is bit-identical
+// retired comes from the replay memo, and a cursor whose member file
+// closes under it heals, so the result is bit-identical
 // (TestCorpusAbandonedCellFollower).
 //
-// Recording is lazy so a fully cache-served matrix (in-process or
-// disk) records and opens nothing at all.
+// Streams are touched only by cells that simulate, so a fully
+// cache-served matrix (in-process or disk) records nothing and decodes
+// no chunk.
 type traceBank struct {
 	seed   int64 // stream seed (trace.StreamSeed of the harness seed)
 	insts  int64
 	corpus *trace.Corpus // nil outside corpus mode
-
-	flights flight.Group[string, struct{}] // one materialization per benchmark
 
 	mu      sync.Mutex
 	entries map[string]*bankEntry
@@ -56,10 +56,9 @@ type traceBank struct {
 }
 
 type bankEntry struct {
-	remaining int  // cells (users or not) yet to call release
-	ready     bool // materialized: rec or cf is set, unless recording failed
-	rec       *trace.Recorded
-	cf        *trace.ChunkedFile // corpus mode; nil after a heal
+	remaining int                // cells (users or not) yet to call release
+	cf        *trace.ChunkedFile // corpus member; nil outside corpus mode or when it would not open
+	memo      *replayKey         // the stream's replay-memo key, once a cell streams from the memo
 }
 
 // CorpusStats summarizes streamed-trace behavior for one corpus-backed
@@ -80,37 +79,11 @@ type CorpusStats struct {
 	Heals int
 }
 
-// traceSharing gates the bank globally, mirroring SetCaching: sharing
-// is semantics-free (a replayed stream is bit-identical to a generated
-// one), so the toggle exists for A/B benchmarks and for validating
-// that transparency. Corpus-backed matrices always stream through the
-// bank — the corpus is the stream source, not an optimization.
-var traceSharing = struct {
-	mu sync.Mutex
-	on bool
-}{on: true}
-
-// SetTraceSharing enables or disables shared-trace replay in
-// RunMatrix. It is enabled by default; disabling makes every cell
-// regenerate its workload stream from the profile (the pre-sharing
-// behavior), which must produce byte-identical artifacts.
-func SetTraceSharing(on bool) {
-	traceSharing.mu.Lock()
-	defer traceSharing.mu.Unlock()
-	traceSharing.on = on
-}
-
-// traceSharingEnabled reports the toggle.
-func traceSharingEnabled() bool {
-	traceSharing.mu.Lock()
-	defer traceSharing.mu.Unlock()
-	return traceSharing.on
-}
-
 // newTraceBank prepares a bank for one matrix sweep: every benchmark
-// starts with cellsPerBench outstanding release calls. corpus is nil
-// for the recording (generate-and-share) mode. opt must have defaults
-// applied.
+// starts with cellsPerBench outstanding release calls, and in corpus
+// mode (corpus non-nil) its member file is opened. A member that will
+// not open counts as a heal and streams from the replay memo. opt must
+// have defaults applied.
 func newTraceBank(opt Options, corpus *trace.Corpus, cellsPerBench int) *traceBank {
 	b := &traceBank{
 		seed:    trace.StreamSeed(opt.Seed),
@@ -119,91 +92,66 @@ func newTraceBank(opt Options, corpus *trace.Corpus, cellsPerBench int) *traceBa
 		entries: make(map[string]*bankEntry, len(opt.Benchmarks)),
 	}
 	for _, bench := range opt.Benchmarks {
-		b.entries[bench] = &bankEntry{remaining: cellsPerBench}
+		e := &bankEntry{remaining: cellsPerBench}
+		if corpus != nil {
+			cf, err := corpus.Open(bench, 0)
+			if err != nil {
+				// Unreadable member: regenerate the identical stream from
+				// the embedded profile, like diskcache discarding a corrupt
+				// entry.
+				b.stats.Heals++
+			} else {
+				e.cf = cf
+			}
+		}
+		b.entries[bench] = e
 	}
 	return b
 }
 
-// source returns a fresh replay cursor over the benchmark's shared
-// stream, materializing it first (a recording, or an opened corpus
-// member) if this is the earliest cell to need it. Concurrent cells
-// share one materialization per benchmark; ctx bounds this cell's wait
-// for it, never the materialization, which every cell needs. A
-// benchmark the bank does not hold — unregistered, retired under a
-// flight that outlived its cell, or unrecordable — streams from the
-// shared replay cache instead: the same bytes, or the same error.
-func (b *traceBank) source(ctx context.Context, prof trace.Profile) (trace.Source, error) {
-	b.mu.Lock()
-	e := b.entries[prof.Name]
-	ready := e == nil || e.ready
-	b.mu.Unlock()
-	if !ready {
-		if _, _, err := b.flights.Do(ctx, prof.Name, func(context.Context) (struct{}, error) {
-			b.materialize(prof, e)
-			return struct{}{}, nil
-		}); err != nil {
-			return nil, wrapRunErr(err)
-		}
+// profile resolves a benchmark name: the member's embedded profile in
+// corpus mode, the bundled registry otherwise.
+func (b *traceBank) profile(bench string) (trace.Profile, error) {
+	if b.corpus != nil {
+		return b.corpus.Profile(bench)
 	}
-	var src trace.Source
-	b.mu.Lock()
-	switch {
-	case e == nil:
-	case e.cf != nil:
-		src = &healingSource{bank: b, prof: prof, cur: e.cf.Replay()}
-	case e.rec != nil:
-		src = e.rec.Replay()
-	}
-	b.mu.Unlock()
-	if src != nil {
-		return src, nil
-	}
-	return sharedReplays.source(ctx, prof, b.seed, b.insts)
+	return trace.ByName(bench)
 }
 
-// materialize fills e's shared stream unless an earlier flight did: a
-// corpus member in corpus mode (healing to a recording if the member
-// will not open), otherwise a recording. An entry that retired while
-// it materialized is retired again at once.
-func (b *traceBank) materialize(prof trace.Profile, e *bankEntry) {
+// source returns a fresh cursor over the benchmark's stream: a healing
+// cursor over its corpus member when the bank holds one open, else a
+// replay from the shared memo (which records the stream on first use,
+// or reports why it cannot), or a generator when the stream bypasses
+// the memo. ctx bounds this cell's wait for a recording, never the
+// recording itself.
+func (b *traceBank) source(ctx context.Context, prof trace.Profile) (trace.Source, error) {
 	b.mu.Lock()
-	ready := e.ready
-	b.mu.Unlock()
-	if ready {
-		return
-	}
 	var cf *trace.ChunkedFile
-	var rec *trace.Recorded
-	var err error
-	if b.corpus != nil {
-		if cf, err = b.corpus.Open(prof.Name, 0); err != nil {
-			// Unreadable member: regenerate the identical stream from
-			// the embedded profile, like diskcache discarding a corrupt
-			// entry.
-			cf = nil
-			b.mu.Lock()
-			b.stats.Heals++
-			b.mu.Unlock()
+	var memo *replayKey
+	if e := b.entries[prof.Name]; e != nil {
+		if e.cf == nil && e.memo == nil {
+			// Fingerprint the profile once per benchmark, not per cell.
+			if k, ok := sharedReplays.key(prof, b.seed, b.insts); ok {
+				e.memo = &k
+			}
 		}
+		cf, memo = e.cf, e.memo
 	}
-	if cf == nil {
-		// On failure the entry stays empty and source asks the replay
-		// cache, which reports the error.
-		rec, _ = trace.RecordProfile(prof, b.seed, b.insts)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e.ready, e.rec, e.cf = true, rec, cf
-	if b.entries[prof.Name] != e {
-		b.retireLocked(e)
+	b.mu.Unlock()
+	switch {
+	case cf != nil:
+		return &healingSource{bank: b, prof: prof, cur: cf.Replay()}, nil
+	case memo != nil:
+		return sharedReplays.replay(ctx, *memo, prof)
+	default:
+		return sharedReplays.source(ctx, prof, b.seed, b.insts)
 	}
 }
 
 // release retires one cell's claim on a benchmark's stream; the stream
-// is dropped (and a corpus member's file closed, its residency stats
-// folded into the bank's) when the last claim retires. Every matrix
-// cell releases exactly once, whether or not it consumed the trace (a
-// result-cache hit never touches it).
+// is freed when the last claim retires. Every matrix cell releases
+// exactly once, whether or not it consumed the trace (a result-cache
+// hit never touches it).
 func (b *traceBank) release(bench string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -213,10 +161,9 @@ func (b *traceBank) release(bench string) {
 	}
 	e.remaining--
 	if e.remaining <= 0 {
-		// Last cell done: free the columnar buffers (or close the
-		// member file) now instead of at end of sweep, so peak memory
-		// tracks benchmarks in flight.
-		b.retireLocked(e)
+		// Last cell done: free the stream now instead of at end of
+		// sweep, so peak memory tracks benchmarks in flight.
+		b.retireLocked(bench, e)
 		delete(b.entries, bench)
 	}
 }
@@ -232,27 +179,30 @@ func (b *traceBank) close() CorpusStats {
 	}
 	sort.Strings(benches)
 	for _, bench := range benches {
-		b.retireLocked(b.entries[bench])
+		b.retireLocked(bench, b.entries[bench])
 		delete(b.entries, bench)
 	}
 	return b.stats
 }
 
-// retireLocked frees an entry's stream. Callers hold b.mu.
-func (b *traceBank) retireLocked(e *bankEntry) {
-	e.rec = nil
-	if e.cf == nil {
-		return
+// retireLocked frees a benchmark's stream: it drops the benchmark's
+// recording from the replay memo if a cell streamed from it (so a warm
+// matrix never fingerprints a profile), or closes the member file,
+// folding its residency stats into the bank's. Callers hold b.mu.
+func (b *traceBank) retireLocked(bench string, e *bankEntry) {
+	switch {
+	case e.memo != nil:
+		sharedReplays.drop(*e.memo)
+	case e.cf != nil:
+		if p := e.cf.PeakResidentBytes(); p > b.stats.PeakResidentBytes {
+			b.stats.PeakResidentBytes = p
+		}
+		if w := e.cf.WindowBytes(); w > b.stats.WindowBytes {
+			b.stats.WindowBytes = w
+		}
+		b.stats.Loads += e.cf.Loads()
+		e.cf.Close()
 	}
-	if p := e.cf.PeakResidentBytes(); p > b.stats.PeakResidentBytes {
-		b.stats.PeakResidentBytes = p
-	}
-	if w := e.cf.WindowBytes(); w > b.stats.WindowBytes {
-		b.stats.WindowBytes = w
-	}
-	b.stats.Loads += e.cf.Loads()
-	e.cf.Close()
-	e.cf = nil
 }
 
 // healingSource streams a corpus member and, if the stream dies

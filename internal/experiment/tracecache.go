@@ -11,19 +11,19 @@ import (
 	"mcddvfs/internal/trace"
 )
 
-// The single-run path (RunOne / RunProfile and every report built on
-// them) regenerates its workload stream from the profile on each
-// uncached simulation, even when the same (profile, seed, budget)
-// stream was generated moments ago — e.g. a benchmark loop or a report
-// that runs several schemes over one benchmark with result caching
-// off. Generation is a large fraction of an uncontrolled run (RNG
-// draws, branch-history map updates), so the harness keeps a small LRU
-// of recorded streams and hands each run a zero-alloc replay cursor;
-// concurrent misses on one stream join a single recording. A replayed
-// stream is bit-identical to a generated one (see
-// trace.RecordProfile), which keeps the cache semantics-free; the
-// SetTraceSharing toggle that governs the matrix trace bank disables
-// this cache too, preserving the pre-sharing behavior for A/B runs.
+// Every uncached simulation streams core 0's workload from a recorded
+// stream: a matrix cell, RunOne / RunProfile and every report built on
+// them. Generation is a large fraction of an uncontrolled run (RNG
+// draws, branch-history map updates), and the same (profile, seed,
+// budget) stream serves every scheme run over one benchmark, so the
+// harness keeps one LRU memo of recorded streams and hands each run a
+// zero-alloc replay cursor; concurrent misses on one stream join a
+// single recording. A matrix drops each benchmark's recording once its
+// last cell is done (see tracebank.go). A replayed stream is
+// bit-identical to a generated one (see trace.RecordProfile), which
+// keeps the memo semantics-free; SetTraceSharing(false) bypasses it,
+// preserving per-run generation for A/B runs. A stream too large for
+// the memo's byte budget is generated per run.
 type replayCache struct {
 	flights flight.Group[replayKey, *trace.Recorded]
 
@@ -59,11 +59,15 @@ var sharedReplays = &replayCache{
 	maxBytes: replayCacheMaxBytes,
 }
 
-// key fingerprints a profile. Profiles are tiny (a handful of phases),
-// so one JSON encode + digest per simulation is noise next to trace
-// generation, and it is exact: any field that changes the generated
-// stream changes the key.
+// key fingerprints a stream for the memo; ok is false when the stream
+// bypasses the memo because sharing is disabled or its recording would
+// not fit. Profiles are tiny (a handful of phases), so one JSON encode
+// + digest per stream is noise next to trace generation, and it is
+// exact: any field that changes the generated stream changes the key.
 func (c *replayCache) key(prof trace.Profile, seed, insts int64) (replayKey, bool) {
+	if !traceSharingEnabled() || insts <= 0 || insts*25 > c.maxBytes {
+		return replayKey{}, false
+	}
 	raw, err := json.Marshal(prof)
 	if err != nil {
 		return replayKey{}, false
@@ -71,25 +75,53 @@ func (c *replayCache) key(prof trace.Profile, seed, insts int64) (replayKey, boo
 	return replayKey{fingerprint: sha256.Sum256(raw), seed: seed, insts: insts}, true
 }
 
-// source returns a replay cursor over the memoized recording for
-// (prof, seed, insts), recording it on first use. It falls back to a
-// streaming Generator when sharing is disabled or the recording would
-// not fit the cache. Concurrent misses on one key share a single
-// recording; ctx bounds this caller's wait, never the recording, which
-// every caller needs.
+// traceSharing gates the replay memo globally, mirroring SetCaching:
+// sharing is semantics-free (a replayed stream is bit-identical to a
+// generated one), so the toggle exists for A/B benchmarks and for
+// validating that transparency. Corpus-backed matrices still stream
+// their member files: the corpus is the stream source, not an
+// optimization.
+var traceSharing = struct {
+	mu sync.Mutex
+	on bool
+}{on: true}
+
+// SetTraceSharing enables or disables shared-trace replay. It is
+// enabled by default; disabling makes every run, matrix cells
+// included, regenerate its workload stream from the profile (the
+// pre-sharing behavior), which must produce byte-identical artifacts.
+func SetTraceSharing(on bool) {
+	traceSharing.mu.Lock()
+	defer traceSharing.mu.Unlock()
+	traceSharing.on = on
+}
+
+// traceSharingEnabled reports the toggle.
+func traceSharingEnabled() bool {
+	traceSharing.mu.Lock()
+	defer traceSharing.mu.Unlock()
+	return traceSharing.on
+}
+
+// source returns a cursor over (prof, seed, insts): a replay of the
+// memoized recording, or a streaming Generator when the stream
+// bypasses the memo.
 func (c *replayCache) source(ctx context.Context, prof trace.Profile, seed, insts int64) (trace.Source, error) {
-	var k replayKey
-	shared := traceSharingEnabled() && insts > 0 && insts*25 <= c.maxBytes
-	if shared {
-		k, shared = c.key(prof, seed, insts)
+	if k, ok := c.key(prof, seed, insts); ok {
+		return c.replay(ctx, k, prof)
 	}
-	if !shared {
-		gen, err := trace.NewGenerator(prof, seed, insts)
-		if err != nil {
-			return nil, invalidSpec(err)
-		}
-		return gen, nil
+	gen, err := trace.NewGenerator(prof, seed, insts)
+	if err != nil {
+		return nil, invalidSpec(err)
 	}
+	return gen, nil
+}
+
+// replay returns a replay cursor over the memoized recording for k, the
+// key of prof's stream, recording it on first use. Concurrent misses on
+// one key share a single recording; ctx bounds this caller's wait,
+// never the recording, which every caller needs.
+func (c *replayCache) replay(ctx context.Context, k replayKey, prof trace.Profile) (trace.Source, error) {
 	if rec := c.lookup(k); rec != nil {
 		return rec.Replay(), nil
 	}
@@ -97,7 +129,7 @@ func (c *replayCache) source(ctx context.Context, prof trace.Profile, seed, inst
 		if rec := c.lookup(k); rec != nil {
 			return rec, nil // recorded by a flight that finished since our lookup
 		}
-		rec, err := trace.RecordProfile(prof, seed, insts)
+		rec, err := trace.RecordProfile(prof, k.seed, k.insts)
 		if err != nil {
 			return nil, invalidSpec(err)
 		}
@@ -132,12 +164,26 @@ func (c *replayCache) insert(k replayKey, rec *trace.Recorded) {
 	c.entries[k] = c.order.PushFront(&replayEntry{key: k, rec: rec})
 	c.bytes += rec.Bytes()
 	for c.bytes > c.maxBytes && c.order.Len() > 1 {
-		old := c.order.Back()
-		e := old.Value.(*replayEntry)
-		c.order.Remove(old)
-		delete(c.entries, e.key)
-		c.bytes -= e.rec.Bytes()
+		c.removeLocked(c.order.Back())
 	}
+}
+
+// drop forgets the recording for k, if resident. Cursors already
+// handed out keep replaying it.
+func (c *replayCache) drop(k replayKey) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, hit := c.entries[k]; hit {
+		c.removeLocked(el)
+	}
+}
+
+// removeLocked unlinks one memo entry. Callers hold c.mu.
+func (c *replayCache) removeLocked(el *list.Element) {
+	e := el.Value.(*replayEntry)
+	c.order.Remove(el)
+	delete(c.entries, e.key)
+	c.bytes -= e.rec.Bytes()
 }
 
 // reset drops every memoized recording (test hook; ResetCache calls

@@ -14,9 +14,10 @@ import (
 	"mcddvfs/internal/isa"
 )
 
-// Chunked trace format, version 2 — the corpus successor to the
-// monolithic v1 "MCDT" stream in serialize.go. A v2 file is replayable
-// with memory bounded by the chunk window regardless of trace length:
+// Chunked trace format, version 2 — the repository's one trace file
+// format, for single traces and corpus members alike. A file is
+// replayable with memory bounded by the chunk window regardless of
+// trace length:
 //
 //	header:  magic "MCDC" | version u32 | chunkInsts u32 |
 //	         nameLen u16 | name
@@ -76,9 +77,9 @@ func checksumChunk(b []byte) uint32 { return crc32.Checksum(b, chunkedCRC) }
 
 // WriteChunked serializes count instructions of src to w in the
 // chunked v2 format and returns the number of bytes written. A
-// chunkInsts of 0 selects DefaultChunkInstructions. Like Write, the
-// instruction count must be known up front; a source that runs dry
-// before count is an error.
+// chunkInsts of 0 selects DefaultChunkInstructions. The instruction
+// count must be known up front (a Generator knows its Remaining); a
+// source that runs dry before count is an error.
 func WriteChunked(w io.Writer, src Source, count int64, chunkInsts int) (int64, error) {
 	if count < 0 {
 		return 0, fmt.Errorf("trace: negative instruction count %d", count)
@@ -253,7 +254,7 @@ func OpenChunked(r io.ReaderAt, size int64, window int) (*Chunked, error) {
 		return nil, fmt.Errorf("trace: reading chunked header: %w", err)
 	}
 	if string(hdr[0:4]) != chunkedMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", hdr[0:4])
+		return nil, fmt.Errorf("trace: bad magic %q, want %q (the chunked v2 format)", hdr[0:4], chunkedMagic)
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:]); v != chunkedVersion {
 		return nil, fmt.Errorf("trace: unsupported chunked version %d", v)

@@ -202,6 +202,47 @@ func (s *badClassSource) Next() (isa.Inst, bool) {
 	return isa.Inst{PC: 64, Class: isa.Class(isa.NumClasses + 3)}, true
 }
 
+// TestWriteSourceRunsDry: the writer refuses a count its source cannot
+// supply.
+func TestWriteSourceRunsDry(t *testing.T) {
+	prof, _ := ByName("gzip")
+	gen, _ := NewGenerator(prof, 1, 100)
+	var buf bytes.Buffer
+	if _, err := WriteChunked(&buf, gen, 200, 0); err == nil {
+		t.Error("over-count accepted")
+	}
+}
+
+// TestReaderRejectsGarbage: anything but a chunked v2 file fails to
+// open with a clean error. A file in the retired fixed-record v1
+// format is rejected by an error that names the format it wants.
+func TestReaderRejectsGarbage(t *testing.T) {
+	v1 := []byte("MCDT")
+	v1 = binary.LittleEndian.AppendUint32(v1, 1) // version
+	v1 = binary.LittleEndian.AppendUint64(v1, 2) // instruction count
+	v1 = binary.LittleEndian.AppendUint16(v1, 4) // name length
+	v1 = append(v1, "gzip"...)                   // name
+	v1 = append(v1, make([]byte, 2*34)...)       // two fixed-width records
+	cases := [][]byte{nil, []byte("XXXX"), []byte("MCDTxxxx"), v1}
+	for i, b := range cases {
+		if _, err := OpenChunked(bytes.NewReader(b), int64(len(b)), 0); err == nil {
+			t.Errorf("case %d: accepted garbage", i)
+		}
+	}
+	_, err := OpenChunked(bytes.NewReader(v1), int64(len(v1)), 0)
+	if err == nil || !strings.Contains(err.Error(), chunkedMagic) {
+		t.Errorf("v1 file: error %v does not name %s", err, chunkedMagic)
+	}
+}
+
+// TestReaderImplementsSource: every stream the simulator can consume
+// is a Source.
+func TestReaderImplementsSource(t *testing.T) {
+	var _ Source = (*Generator)(nil)
+	var _ Source = (*Replayer)(nil)
+	var _ Source = (*ChunkedReplayer)(nil)
+}
+
 // TestCorpusDirRoundTrip exercises the directory layer: emit members,
 // write a manifest, reopen, verify, stream.
 func TestCorpusDirRoundTrip(t *testing.T) {

@@ -140,6 +140,16 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
+// Source is a stream of dynamic instructions. Generator produces them
+// synthetically; Replayer and ChunkedReplayer replay a recorded
+// stream. The simulator consumes any of them.
+type Source interface {
+	// Next returns the next instruction; ok is false at end of stream.
+	Next() (in isa.Inst, ok bool)
+	// Name identifies the workload for reports.
+	Name() string
+}
+
 // Generator streams the dynamic instructions of a profile. It is
 // deterministic for a given (profile, seed, total) triple.
 type Generator struct {
@@ -287,6 +297,11 @@ func (g *Generator) advancePhase() bool {
 	g.enterPhase(next)
 	return true
 }
+
+// Name implements Source.
+func (g *Generator) Name() string { return g.prof.Name }
+
+var _ Source = (*Generator)(nil)
 
 // Remaining returns how many instructions the generator will still emit.
 func (g *Generator) Remaining() int64 { return g.total - g.count }
