@@ -202,6 +202,126 @@ func (s *badClassSource) Next() (isa.Inst, bool) {
 	return isa.Inst{PC: 64, Class: isa.Class(isa.NumClasses + 3)}, true
 }
 
+// TestWriteReadRoundTrip: a trace written at the default chunk size
+// (one short chunk) reads back with its header and exactly the
+// generator's instructions, and nothing past the declared count.
+func TestWriteReadRoundTrip(t *testing.T) {
+	prof, _ := ByName("gsm_decode")
+	const n = 5000
+	gen, err := NewGenerator(prof, 21, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Capture a reference copy from an identical generator.
+	ref, _ := NewGenerator(prof, 21, n)
+	want := make([]isa.Inst, 0, n)
+	for {
+		in, ok := ref.Next()
+		if !ok {
+			break
+		}
+		want = append(want, in)
+	}
+
+	var buf bytes.Buffer
+	if _, err := WriteChunked(&buf, gen, n, 0); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenChunked(bytes.NewReader(buf.Bytes()), int64(buf.Len()), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Name() != "gsm_decode" || c.Count() != n || c.Chunks() != 1 {
+		t.Errorf("header = (%q,%d,%d chunks)", c.Name(), c.Count(), c.Chunks())
+	}
+	r := c.Replay()
+	for i := 0; i < n; i++ {
+		in, ok := r.Next()
+		if !ok {
+			t.Fatalf("reader dry at %d: %v", i, r.Err())
+		}
+		if in != want[i] {
+			t.Fatalf("instruction %d mismatch:\n got %+v\nwant %+v", i, in, want[i])
+		}
+	}
+	if _, ok := r.Next(); ok {
+		t.Error("reader returned an instruction past the declared count")
+	}
+	if r.Err() != nil {
+		t.Errorf("unexpected stream error: %v", r.Err())
+	}
+}
+
+// TestReaderDetectsTruncation cuts a trace at every length short of
+// whole: each cut must be refused at open or end its replay with an
+// error, never pass as a complete stream.
+func TestReaderDetectsTruncation(t *testing.T) {
+	const n = 50
+	data := chunkedBytes(t, "gzip", 1, n, 16)
+	for cut := 0; cut < len(data); cut++ {
+		b := data[:cut]
+		c, err := OpenChunked(bytes.NewReader(b), int64(len(b)), 1)
+		if err != nil {
+			continue
+		}
+		r := c.Replay()
+		got := 0
+		for {
+			if _, ok := r.Next(); !ok {
+				break
+			}
+			got++
+		}
+		if r.Err() == nil {
+			t.Errorf("cut at %d of %d bytes: truncation not reported", cut, len(data))
+		}
+		if got >= n {
+			t.Errorf("cut at %d of %d bytes: read %d instructions", cut, len(data), got)
+		}
+	}
+}
+
+// TestReaderDetectsBadClass writes a real stream whose first
+// instruction carries an out-of-range class (the chunk CRC covers it,
+// so only class validation can catch it): the reader must emit nothing
+// and report the error.
+func TestReaderDetectsBadClass(t *testing.T) {
+	prof, _ := ByName("gzip")
+	gen, _ := NewGenerator(prof, 1, 2)
+	var buf bytes.Buffer
+	if _, err := WriteChunked(&buf, &firstClassBad{src: gen}, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenChunked(bytes.NewReader(buf.Bytes()), int64(buf.Len()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := c.Replay()
+	if _, ok := r.Next(); ok {
+		t.Error("invalid class accepted")
+	}
+	if r.Err() == nil || !strings.Contains(r.Err().Error(), "invalid class") {
+		t.Errorf("want invalid-class error, got %v", r.Err())
+	}
+}
+
+// firstClassBad passes src through, giving its first instruction an
+// out-of-range class.
+type firstClassBad struct {
+	src  Source
+	done bool
+}
+
+func (s *firstClassBad) Name() string { return s.src.Name() }
+func (s *firstClassBad) Next() (isa.Inst, bool) {
+	in, ok := s.src.Next()
+	if ok && !s.done {
+		in.Class = isa.Class(isa.NumClasses + 1)
+		s.done = true
+	}
+	return in, ok
+}
+
 // TestWriteSourceRunsDry: the writer refuses a count its source cannot
 // supply.
 func TestWriteSourceRunsDry(t *testing.T) {
