@@ -1,18 +1,32 @@
 package mcd
 
 import (
+	"context"
 	"testing"
 
+	"mcddvfs/internal/clock"
 	"mcddvfs/internal/trace"
 )
 
 // TestSteadyStateZeroAllocs is the allocation regression test for the
 // hot path: after warm-up (occupancy samplers full, uop free list
-// populated, the generator's static-branch table sized), retiring
-// instructions must not allocate at all. The uop free list, the
-// domain-indexed meters, the open-addressed store counter, and the
-// ring-buffer queues exist to keep this at zero.
+// populated, the generator's static-branch table sized, the engine's
+// event queue grown), retiring instructions must not allocate at all.
+// The uop free list, the domain-indexed meters, the open-addressed
+// store counter, and the ring-buffer queues exist to keep this at
+// zero. It drives the event loop the simulator runs — sleep, wake and
+// scheduled-event pushes included — and the sleepless oracle.
 func TestSteadyStateZeroAllocs(t *testing.T) {
+	for _, sleepless := range []bool{false, true} {
+		name := "default"
+		if sleepless {
+			name = "sleepless"
+		}
+		t.Run(name, func(t *testing.T) { steadyStateZeroAllocs(t, sleepless) })
+	}
+}
+
+func steadyStateZeroAllocs(t *testing.T, sleepless bool) {
 	cfg := DefaultConfig()
 	cfg.Seed = 1
 	// Small cap so the samplers stop retaining during warm-up.
@@ -31,21 +45,26 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.sleepless = sleepless
 	// No controllers attached: domains stay pinned at f_max, so the
 	// frequency traces never grow. (Controller-driven runs append one
 	// FreqPoint per retarget by design; that is reported state, not
 	// hot-path churn.)
-	p.ran = true
-	p.src = gen
+	ctx := context.Background()
+	if err := p.beginEventRun(ctx, gen); err != nil {
+		t.Fatal(err)
+	}
 
-	// retire drives the clock until n more instructions commit.
+	// retire drives the event loop, 1 µs of simulated time per call,
+	// until n more instructions commit.
 	retire := func(n int64) {
 		target := p.retired + n
 		for p.retired < target {
-			if _, ok := p.step(); !ok {
-				t.Fatal("all clocks stopped before the retire target")
+			done, err := p.advanceEvent(ctx, p.eventNow+clock.Microsecond)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if p.traceDone && p.rob.empty() && p.feQueue.Empty() {
+			if done {
 				t.Fatal("trace exhausted before the retire target; raise the budget")
 			}
 		}

@@ -16,16 +16,18 @@ import (
 	"mcddvfs/internal/trace"
 )
 
-// diffRun executes one configuration through both simulation cores —
-// the event-driven engine (the default) and the cycle-stepped oracle
-// (SetCycleStepped) — and requires bit-identical Results. Equality is
-// checked twice: structurally (reflect.DeepEqual covers every field,
-// meter totals and the sampled meter/occupancy streams included) and on
-// the serialized artifact bytes, which is the form the experiment cache
-// and CI artifact diff actually compare.
+// diffRun executes one configuration twice — on the default event
+// core, which deschedules idle domains, and on a sleepless processor,
+// the oracle, whose every domain runs its full cycle work on every edge
+// — and requires bit-identical Results. Both runs go through the same
+// event loop; only the descheduling differs. Equality is checked twice:
+// structurally (reflect.DeepEqual covers every field, meter totals and
+// the sampled meter/occupancy streams included) and on the serialized
+// artifact bytes, which is the form the experiment cache and CI
+// artifact diff actually compare.
 func diffRun(t *testing.T, label string, cfg Config, profile string, insts int64, attach func(*Processor)) *Result {
 	t.Helper()
-	run := func(cycleStepped bool) *Result {
+	run := func(sleepless bool) (*Result, *Processor) {
 		t.Helper()
 		prof, err := trace.ByName(profile)
 		if err != nil {
@@ -39,32 +41,66 @@ func diffRun(t *testing.T, label string, cfg Config, profile string, insts int64
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.SetCycleStepped(cycleStepped)
+		p.sleepless = sleepless
 		if attach != nil {
 			attach(p)
 		}
 		res, err := p.Run(gen)
 		if err != nil {
-			t.Fatalf("%s: core(cycleStepped=%v): %v", label, cycleStepped, err)
+			t.Fatalf("%s: run(sleepless=%v): %v", label, sleepless, err)
 		}
-		return res
+		return res, p
 	}
-	event, oracle := run(false), run(true)
-	if !reflect.DeepEqual(event, oracle) {
-		t.Errorf("%s: event core diverged from cycle-stepped oracle:\nevent:  %+v\noracle: %+v", label, event, oracle)
-	}
-	ej, err := json.Marshal(event)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oj, err := json.Marshal(oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ej, oj) {
-		t.Errorf("%s: serialized artifacts differ between cores", label)
-	}
+	event, _ := run(false)
+	oracle, op := run(true)
+	requireNeverSlept(t, label, op)
+	requireSameResult(t, label+": event core vs sleepless oracle", event, oracle)
 	return event
+}
+
+// requireNeverSlept is the oracle's self-check: a sleepless processor
+// whose engine recorded a sleep or a skipped edge would compare the
+// descheduling core with itself.
+func requireNeverSlept(t *testing.T, label string, p *Processor) {
+	t.Helper()
+	for name, s := range p.EngineStats() {
+		if s.Sleeps != 0 || s.SkippedEdges != 0 {
+			t.Errorf("%s: sleepless oracle's %s domain slept %d times and skipped %d edges",
+				label, name, s.Sleeps, s.SkippedEdges)
+		}
+	}
+}
+
+// requireSameResult demands got == want structurally and on the
+// serialized artifact bytes.
+func requireSameResult(t *testing.T, label string, got, want any) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: results diverged:\ngot:  %+v\nwant: %+v", label, got, want)
+	}
+	gj, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wj, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gj, wj) {
+		t.Errorf("%s: serialized artifacts differ", label)
+	}
+}
+
+// oracleSchemes are the control schemes the differential tests draw
+// from, in draw order.
+var oracleSchemes = []struct {
+	name string
+	fn   func(*Processor)
+}{
+	{"none", nil},
+	{"adaptive", attachAdaptive},
+	{"attack-decay", attachAttackDecay},
+	{"pid", attachPID},
 }
 
 func attachAdaptive(p *Processor) {
@@ -90,8 +126,8 @@ func attachPID(p *Processor) {
 }
 
 // TestEventCoreMatchesOracle pins the headline claim on the default
-// machine: the event-driven core produces the byte-identical Result the
-// cycle-stepped core does, with and without DVFS control.
+// machine: the descheduling event core produces the byte-identical
+// Result the sleepless oracle does, with and without DVFS control.
 func TestEventCoreMatchesOracle(t *testing.T) {
 	res := diffRun(t, "uncontrolled", DefaultConfig(), "gcc", 20000, nil)
 	if res.Metrics.Instructions != 20000 {
@@ -102,29 +138,20 @@ func TestEventCoreMatchesOracle(t *testing.T) {
 
 // TestEventCoreMatchesOracleRandomized is the differential property
 // test: random configurations × trace profiles × fault seeds, each run
-// through both cores. Any divergence in any Result field — energy
-// accumulators, cycle counts, queue sample streams, frequency traces,
-// stall counters — fails the test.
+// with and without descheduling. Any divergence in any Result field —
+// energy accumulators, cycle counts, queue sample streams, frequency
+// traces, stall counters — fails the test.
 func TestEventCoreMatchesOracleRandomized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep is slow")
 	}
 	profiles := trace.Names()
-	attachers := []struct {
-		name string
-		fn   func(*Processor)
-	}{
-		{"none", nil},
-		{"adaptive", attachAdaptive},
-		{"attack-decay", attachAttackDecay},
-		{"pid", attachPID},
-	}
 	rng := rand.New(rand.NewSource(20260808))
 	for i := 0; i < 14; i++ {
 		cfg := DefaultConfig()
 		cfg.Seed = rng.Int63n(1 << 30)
 		profile := profiles[rng.Intn(len(profiles))]
-		att := attachers[rng.Intn(len(attachers))]
+		att := oracleSchemes[rng.Intn(len(oracleSchemes))]
 		cfg.DeepSleep = rng.Intn(2) == 0
 		cfg.StoreForwarding = rng.Intn(2) == 0
 		cfg.Prefetch = rng.Intn(2) == 0
@@ -148,6 +175,117 @@ func TestEventCoreMatchesOracleRandomized(t *testing.T) {
 			i, profile, att.name, cfg.Seed, cfg.DeepSleep, cfg.SplitFrontEnd, faultLevel)
 		t.Run(label, func(t *testing.T) {
 			diffRun(t, label, cfg, profile, insts, att.fn)
+		})
+	}
+}
+
+// FuzzEventCoreMatchesOracle is the differential property test with the
+// fuzzer choosing the point: the knobs TestEventCoreMatchesOracleRandomized
+// draws — seed, profile, scheme, DeepSleep, StoreForwarding, Prefetch,
+// split or controlled front end, Transmeta transitions, sync policy and
+// fault intensity — each run with and without descheduling.
+func FuzzEventCoreMatchesOracle(f *testing.F) {
+	f.Add(int64(20260808), uint8(0), uint8(1), uint8(0b0101001), uint8(0), uint16(0))
+	f.Add(int64(7), uint8(5), uint8(3), uint8(0b1111111), uint8(200), uint16(3000))
+	profiles := trace.Names()
+	f.Fuzz(func(t *testing.T, seed int64, profile, scheme, knobs, faultLevel uint8, insts uint16) {
+		cfg := DefaultConfig()
+		cfg.Seed = seed & (1<<30 - 1)
+		att := oracleSchemes[int(scheme)%len(oracleSchemes)]
+		cfg.DeepSleep = knobs&1 != 0
+		cfg.StoreForwarding = knobs&2 != 0
+		cfg.Prefetch = knobs&4 != 0
+		cfg.SplitFrontEnd = knobs&8 != 0
+		cfg.ControlFrontEnd = cfg.SplitFrontEnd && knobs&16 != 0
+		if knobs&32 != 0 {
+			cfg.Transitions.Style = clock.Transmeta
+		}
+		if knobs&64 != 0 {
+			cfg.SyncPolicy = 1 // token-ring
+		}
+		var level float64
+		if att.fn != nil && faultLevel > 0 {
+			level = 0.25 + 0.75*float64(faultLevel-1)/254
+			cfg.Faults = faults.Intensity(level, cfg.Seed+1)
+		}
+		name := profiles[int(profile)%len(profiles)]
+		label := fmt.Sprintf("(%s,%s,seed=%d,knobs=%07b,faults=%.2f)", name, att.name, cfg.Seed, knobs&127, level)
+		diffRun(t, label, cfg, name, 2000+int64(insts)%6001, att.fn)
+	})
+}
+
+// flipGovernor caps each core at 500 MHz and uncapped on alternate
+// epochs, staggered by core index, so every barrier retargets every
+// core's execution domains.
+type flipGovernor struct{ epochs int }
+
+func (g *flipGovernor) Apportion(_ clock.Time, _ []float64, caps []float64) {
+	g.epochs++
+	for i := range caps {
+		caps[i] = 0
+		if (g.epochs+i)%2 == 1 {
+			caps[i] = 500
+		}
+	}
+}
+
+// TestChipMatchesOracle runs a governed multi-core chip with every core
+// sleepless and again with every core descheduling, and requires
+// bit-identical ChipResults. It is the test of advanceEvent's pause: the
+// idle drain must not consume a sleeping domain's edges past an epoch
+// deadline, because the cap actuated there changes the voltage its idle
+// charge assumes. The epoch is deliberately off the 4 ns sampling grid.
+// On the grid (2 µs, DefaultEpoch) the never-sleeping 250 MHz sampling
+// clock has an edge exactly at every deadline, which bounds the drain by
+// itself, and a drain that ignores the deadline passes unnoticed. With
+// the off-grid epoch it fails, DeepSleep on or off; no other test in the
+// package catches it.
+func TestChipMatchesOracle(t *testing.T) {
+	profiles := []string{"adpcm_encode", "idle_burst", "gcc", "swim"}
+	const insts = 20000
+	for _, deep := range []bool{false, true} {
+		label := fmt.Sprintf("deep=%v", deep)
+		t.Run(label, func(t *testing.T) {
+			run := func(sleepless bool) (*ChipResult, *Chip) {
+				t.Helper()
+				cores := make([]Config, len(profiles))
+				srcs := make([]trace.Source, len(profiles))
+				for i, name := range profiles {
+					cores[i] = DefaultConfig()
+					cores[i].Seed += int64(i)
+					cores[i].DeepSleep = deep
+					prof, err := trace.ByName(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if srcs[i], err = trace.NewGenerator(prof, cores[i].Seed+100, insts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				chip, err := NewChip(ChipConfig{Cores: cores, Epoch: 2*clock.Microsecond + 1001*clock.Picosecond})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range cores {
+					attachAdaptive(chip.Core(i))
+					chip.Core(i).sleepless = sleepless
+				}
+				chip.SetGovernor(&flipGovernor{})
+				res, err := chip.Run(srcs)
+				if err != nil {
+					t.Fatalf("%s: chip(sleepless=%v): %v", label, sleepless, err)
+				}
+				return res, chip
+			}
+			event, _ := run(false)
+			oracle, chip := run(true)
+			for i := 0; i < chip.Cores(); i++ {
+				requireNeverSlept(t, fmt.Sprintf("%s core %d", label, i), chip.Core(i))
+			}
+			if len(event.EpochTrace) < 4 {
+				t.Fatalf("%s: only %d governor epochs; the test needs barriers", label, len(event.EpochTrace))
+			}
+			requireSameResult(t, label+": event chip vs sleepless chip", event, oracle)
 		})
 	}
 }
@@ -208,22 +346,7 @@ func chipDiffRun(t *testing.T, label string, cfg Config, profile string, insts i
 	if err != nil {
 		t.Fatalf("%s: chip(barriers=%v): %v", label, barriers, err)
 	}
-	got := cres.Cores[0]
-	if !reflect.DeepEqual(got, legacy) {
-		t.Errorf("%s: 1-core chip (barriers=%v) diverged from the single processor:\nchip:      %+v\nprocessor: %+v",
-			label, barriers, got, legacy)
-	}
-	gj, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lj, err := json.Marshal(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gj, lj) {
-		t.Errorf("%s: serialized artifacts differ between chip core and processor (barriers=%v)", label, barriers)
-	}
+	requireSameResult(t, fmt.Sprintf("%s: 1-core chip (barriers=%v) vs processor", label, barriers), cres.Cores[0], legacy)
 	if cres.Metrics != legacy.Metrics {
 		t.Errorf("%s: chip rollup %+v differs from the single core's metrics %+v", label, cres.Metrics, legacy.Metrics)
 	}
@@ -248,21 +371,12 @@ func TestChipSingleCoreMatchesProcessorRandomized(t *testing.T) {
 		t.Skip("differential sweep is slow")
 	}
 	profiles := trace.Names()
-	attachers := []struct {
-		name string
-		fn   func(*Processor)
-	}{
-		{"none", nil},
-		{"adaptive", attachAdaptive},
-		{"attack-decay", attachAttackDecay},
-		{"pid", attachPID},
-	}
 	rng := rand.New(rand.NewSource(20260809))
 	for i := 0; i < 12; i++ {
 		cfg := DefaultConfig()
 		cfg.Seed = rng.Int63n(1 << 30)
 		profile := profiles[rng.Intn(len(profiles))]
-		att := attachers[rng.Intn(len(attachers))]
+		att := oracleSchemes[rng.Intn(len(oracleSchemes))]
 		cfg.DeepSleep = rng.Intn(2) == 0
 		cfg.StoreForwarding = rng.Intn(2) == 0
 		cfg.Prefetch = rng.Intn(2) == 0

@@ -47,11 +47,10 @@ type Processor struct {
 	exec     [isa.NumExecDomains]*clock.Domain
 	sampling *clock.Domain
 
-	// cycleStepped selects the legacy per-cycle stepping loop; the
-	// default is the event-driven core. eventMode is its runtime
-	// complement, set once when Run starts.
-	cycleStepped bool
-	eventMode    bool
+	// sleepless turns descheduling off: every domain runs its full cycle
+	// work on every edge. That is the reference the differential tests
+	// hold the descheduling engine to; only sleep reads it.
+	sleepless bool
 	// idleCharge holds, per engine domain, the precomputed per-edge
 	// energy increments applied while that domain is descheduled. It is
 	// refreshed on every Sleep, so it always reflects the sleep-time
@@ -322,63 +321,18 @@ const ctxCheckInterval = 1 << 16
 // memory-bound code commits thousands of times per ms).
 const commitTimeout = 2 * clock.Millisecond
 
-// SetCycleStepped selects the legacy per-cycle stepping loop instead of
-// the event-driven core. The two cores produce bit-identical Results;
-// the cycle-stepped loop is retained as the oracle for differential
-// testing (and as a fallback while reading the event core's wake
-// conditions). Must be called before Run.
-func (p *Processor) SetCycleStepped(on bool) {
-	if p.ran {
-		panic("mcd: SetCycleStepped after Run")
-	}
-	p.cycleStepped = on
-}
-
 // RunContext is Run with cancellation: the simulation aborts with
 // ctx.Err() (context.Canceled or context.DeadlineExceeded) shortly
 // after the context ends. A cancelled Processor is spent, like any
 // other that has run.
 func (p *Processor) RunContext(ctx context.Context, src trace.Source) (*Result, error) {
-	if !p.cycleStepped {
-		if err := p.beginEventRun(ctx, src); err != nil {
-			return nil, err
-		}
-		if _, err := p.advanceEvent(ctx, clock.Forever); err != nil {
-			return nil, err
-		}
-		return p.collect(p.eventNow), nil
-	}
-	if p.ran {
-		return nil, errors.New("mcd: Processor.Run called twice; create a new Processor per run")
-	}
-	p.ran = true
-	p.src = src
-	if err := ctx.Err(); err != nil {
+	if err := p.beginEventRun(ctx, src); err != nil {
 		return nil, err
 	}
-
-	var now clock.Time
-	check := ctxCheckInterval
-	for {
-		t, ok := p.step()
-		if !ok {
-			return nil, errors.New("mcd: all clocks stopped")
-		}
-		now = t
-		if p.traceDone && p.rob.empty() && p.feQueue.Empty() {
-			break
-		}
-		if now-p.lastCommit > commitTimeout {
-			return nil, fmt.Errorf("mcd: no commit progress since %v (now %v): likely scheduling deadlock", p.lastCommit, now)
-		}
-		if check--; check <= 0 {
-			check = ctxCheckInterval
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
+	if _, err := p.advanceEvent(ctx, clock.Forever); err != nil {
+		return nil, err
 	}
-	return p.collect(now), nil
+	return p.collect(p.eventNow), nil
 }
 
 // beginEventRun claims the processor for an event-driven run and binds
@@ -388,12 +342,8 @@ func (p *Processor) beginEventRun(ctx context.Context, src trace.Source) error {
 	if p.ran {
 		return errors.New("mcd: Processor.Run called twice; create a new Processor per run")
 	}
-	if p.cycleStepped {
-		return errors.New("mcd: chip cores require the event engine (SetCycleStepped is single-core only)")
-	}
 	p.ran = true
 	p.src = src
-	p.eventMode = true
 	p.check = ctxCheckInterval
 	return ctx.Err()
 }
@@ -411,7 +361,8 @@ func (p *Processor) beginEventRun(ctx context.Context, src trace.Source) error {
 // consumes nothing — Next is a peek — so a later call resumes the
 // bit-exact edge stream where this one stopped; clock.Forever never
 // pauses. The last consumed edge time persists in p.eventNow for
-// collect.
+// collect. On a sleepless processor no domain ever sleeps, so every
+// edge takes the slow path: the same loop is its own reference.
 func (p *Processor) advanceEvent(ctx context.Context, deadline clock.Time) (bool, error) {
 	eng := p.eng
 	for {
@@ -502,17 +453,17 @@ func (p *Processor) drainIdle(h clock.Time) {
 	p.check -= n
 }
 
-// step advances the engine by one clock edge and runs that domain's
-// cycle work, returning the edge time: the legacy cycle-stepped loop.
-// It reports false when every clock has stopped.
-func (p *Processor) step() (clock.Time, bool) {
-	idx, _ := p.eng.Next()
-	if idx < 0 {
-		return 0, false
+// sleep deschedules engine domain idx until `until` (and, with
+// wakeOnIssue, the next issue broadcast), charging each skipped edge
+// with charge. It is the processor's only call of Engine.Sleep: on a
+// sleepless processor it does nothing, so every domain runs every edge
+// and every wake is a no-op on an awake domain.
+func (p *Processor) sleep(idx int, charge power.IdleCharge, until clock.Time, wakeOnIssue bool) {
+	if p.sleepless {
+		return
 	}
-	now := p.eng.Advance(idx)
-	p.runEdge(idx, now)
-	return now, true
+	p.idleCharge[idx] = charge
+	p.eng.Sleep(idx, until, wakeOnIssue)
 }
 
 // runEdge dispatches one consumed clock edge to its domain's cycle
@@ -572,7 +523,7 @@ func (p *Processor) frontEndCycle(now clock.Time) {
 	v := p.feVoltage(now)
 	m.Cycle(v, act)
 	m.Leak(now, v)
-	if p.eventMode && committed+fetchedN+dispatched == 0 {
+	if committed+fetchedN+dispatched == 0 {
 		p.maybeSleepFE(now, v)
 	}
 }
@@ -618,8 +569,7 @@ func (p *Processor) maybeSleepFE(now clock.Time, v float64) {
 	if bound <= now {
 		return
 	}
-	p.idleCharge[engFE] = p.feMeter.IdleCharge(v)
-	p.eng.Sleep(engFE, bound, issueWake)
+	p.sleep(engFE, p.feMeter.IdleCharge(v), bound, issueWake)
 }
 
 // fetchSleepBound returns the earliest time the fetch stage can make
@@ -689,9 +639,6 @@ func (p *Processor) fetchCycle(now clock.Time) {
 	// The fetch domain always runs at f_max / V_max.
 	m.Cycle(p.cfg.Range.MaxV, float64(n)/float64(p.cfg.FetchWidth))
 	m.Leak(now, p.cfg.Range.MaxV)
-	if !p.eventMode {
-		return
-	}
 	if n > 0 {
 		// New fetch-buffer entries: the dispatch domain may be sleeping
 		// on an empty buffer.
@@ -699,8 +646,7 @@ func (p *Processor) fetchCycle(now clock.Time) {
 		return
 	}
 	if fb, iw, ok := p.fetchSleepBound(now); ok && fb > now {
-		p.idleCharge[engFetch] = m.IdleCharge(p.cfg.Range.MaxV)
-		p.eng.Sleep(engFetch, fb, iw)
+		p.sleep(engFetch, m.IdleCharge(p.cfg.Range.MaxV), fb, iw)
 	}
 }
 
@@ -722,7 +668,7 @@ func (p *Processor) commit(now clock.Time) int {
 			}
 		}
 		p.inflight[u.domain]--
-		if p.eventMode && p.cfg.DeepSleep && p.inflight[u.domain] == 0 && p.queues[u.domain].Empty() {
+		if p.cfg.DeepSleep && p.inflight[u.domain] == 0 && p.queues[u.domain].Empty() {
 			// The domain just became deep-sleep eligible: its energy
 			// regime changes from idle-gated to deep-gated, so a sleeping
 			// domain must re-run one cycle to switch charge rates.
@@ -885,20 +831,18 @@ func (p *Processor) dispatch(now clock.Time) int {
 		p.win.insert(u)
 		p.rob.push(u)
 		p.queues[dom].Push(now, u)
-		if p.eventMode {
-			p.eng.Wake(engExecBase+int(dom), clock.EvQueuePush)
-		}
+		p.eng.Wake(engExecBase+int(dom), clock.EvQueuePush)
 		if u.mispredict {
 			p.blockingBranch = u
 			p.pendingMispredict = false
-			if p.eventMode && p.fetchDom != nil {
+			if p.fetchDom != nil {
 				// The fetch domain may be sleeping unboundedly on
 				// pendingMispredict; the gate is now the branch itself,
 				// which resolves at a knowable time.
 				p.eng.Wake(engFetch, clock.EvQueueDrain)
 			}
 		}
-		if p.eventMode && p.fetchDom != nil && p.feQueue.Full() {
+		if p.fetchDom != nil && p.feQueue.Full() {
 			// Removing the front entry reopens a full fetch buffer.
 			p.eng.Wake(engFetch, clock.EvQueueDrain)
 		}
@@ -1013,12 +957,11 @@ func (p *Processor) execCycle(now clock.Time, dom isa.ExecDomain) {
 		}
 		meter.CycleDeepGated(v, factor)
 		meter.Leak(now, v)
-		if p.eventMode && !d.InTransition(now) {
+		if !d.InTransition(now) {
 			// Descheduled until a dispatch pushes work (or a frequency
 			// command arrives): every skipped edge charges the deep-gated
 			// rate.
-			p.idleCharge[engExecBase+int(dom)] = meter.DeepIdleCharge(v, factor)
-			p.eng.Sleep(engExecBase+int(dom), clock.Forever, false)
+			p.sleep(engExecBase+int(dom), meter.DeepIdleCharge(v, factor), clock.Forever, false)
 		}
 		return
 	}
@@ -1111,9 +1054,8 @@ func (p *Processor) execCycle(now clock.Time, dom isa.ExecDomain) {
 	}
 	meter.Cycle(v, float64(issued)/float64(units))
 	meter.Leak(now, v)
-	if p.eventMode && issued == 0 && !noSleep && bound > now && !d.InTransition(now) {
-		p.idleCharge[engExecBase+int(dom)] = meter.IdleCharge(v)
-		p.eng.Sleep(engExecBase+int(dom), bound, issueWake)
+	if issued == 0 && !noSleep && bound > now && !d.InTransition(now) {
+		p.sleep(engExecBase+int(dom), meter.IdleCharge(v), bound, issueWake)
 	}
 }
 
@@ -1162,11 +1104,9 @@ func (p *Processor) tryIssue(u *uop, dom isa.ExecDomain, now clock.Time, period 
 	}
 	u.state = stateIssued
 	u.readyAt = completion
-	if p.eventMode {
-		// Sleepers gated on a not-yet-issued producer now have a bound:
-		// no operand of this uop can exist before its completion.
-		p.eng.BroadcastIssue(completion)
-	}
+	// Sleepers gated on a not-yet-issued producer now have a bound: no
+	// operand of this uop can exist before its completion.
+	p.eng.BroadcastIssue(completion)
 	return true
 }
 
@@ -1185,13 +1125,11 @@ func (p *Processor) sampleCycle(now clock.Time) {
 			target, change := c.Observe(now, seen, d.FreqMHz(now))
 			if a := p.actuators[dom]; a != nil {
 				target, change = a.Filter(now, target, change)
-				if p.eventMode {
-					if due, pending := a.PendingDue(); pending {
-						// Regulator latency as a single scheduled event:
-						// the domain need not be awake before the
-						// deferred command can land.
-						p.eng.Schedule(due, clock.EvActuation, engExecBase+dom)
-					}
+				if due, pending := a.PendingDue(); pending {
+					// Regulator latency as a single scheduled event: the
+					// domain need not be awake before the deferred
+					// command can land.
+					p.eng.Schedule(due, clock.EvActuation, engExecBase+dom)
 				}
 			}
 			if change {
@@ -1205,13 +1143,11 @@ func (p *Processor) sampleCycle(now clock.Time) {
 					// when the ablation enables it).
 					p.execMeters[dom].AddJ(cost)
 				}
-				if p.eventMode {
-					// A sleeping domain's precomputed idle charge assumes
-					// a fixed voltage; a frequency transition invalidates
-					// it, so the domain re-runs slow edges until the
-					// transition completes.
-					p.eng.Wake(engExecBase+dom, clock.EvFreqChange)
-				}
+				// A sleeping domain's precomputed idle charge assumes a
+				// fixed voltage; a frequency transition invalidates it,
+				// so the domain re-runs slow edges until the transition
+				// completes.
+				p.eng.Wake(engExecBase+dom, clock.EvFreqChange)
 			}
 		}
 		p.recordFreq(isa.ExecDomain(dom), now, d.FreqMHz(now))
@@ -1227,17 +1163,13 @@ func (p *Processor) sampleCycle(now clock.Time) {
 			target, change := p.feController.Observe(now, seen, p.fe.FreqMHz(now))
 			if a := p.feActuator; a != nil {
 				target, change = a.Filter(now, target, change)
-				if p.eventMode {
-					if due, pending := a.PendingDue(); pending {
-						p.eng.Schedule(due, clock.EvActuation, engFE)
-					}
+				if due, pending := a.PendingDue(); pending {
+					p.eng.Schedule(due, clock.EvActuation, engFE)
 				}
 			}
 			if change {
 				p.fe.SetTarget(now, p.cfg.Range.Quantize(target))
-				if p.eventMode {
-					p.eng.Wake(engFE, clock.EvFreqChange)
-				}
+				p.eng.Wake(engFE, clock.EvFreqChange)
 			}
 		}
 	}
@@ -1279,11 +1211,9 @@ func (p *Processor) SetFreqCap(now clock.Time, mhz float64) {
 		if cost := p.cfg.Transitions.EnergyPerTransitionJ; cost > 0 && d.Transitions() > before {
 			p.execMeters[dom].AddJ(cost)
 		}
-		if p.eventMode {
-			// Same invalidation as sampleCycle: a sleeping domain's
-			// precomputed idle charge assumes a fixed voltage.
-			p.eng.Wake(engExecBase+dom, clock.EvFreqChange)
-		}
+		// Same invalidation as sampleCycle: a sleeping domain's
+		// precomputed idle charge assumes a fixed voltage.
+		p.eng.Wake(engExecBase+dom, clock.EvFreqChange)
 	}
 }
 
