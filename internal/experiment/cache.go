@@ -191,85 +191,137 @@ func DiskCacheStats() (diskcache.Stats, error) {
 // hashed directly; it is canonicalized by its observable effect — the
 // controller configuration it produces from each domain's default.
 //
-// There are two hash structs, and both are part of the byte-stability
-// contract (TestCacheKeyGolden, TestChipCacheKeyGolden), so a refactor
-// must never reorder or retype their fields. A run outside chip mode —
-// one core, no budget, no governor — hashes the legacy single-core
-// struct, so warm entries written before chip support still hit. A
-// chip-mode run also hashes the chip shape — per-core profiles, core
-// count, budget, governor, gain — under a Kind tag that keeps it in a
-// keyspace disjoint from the legacy one (the two store different entry
-// types; see cachedRun). The Format field versions the key derivation
-// itself and stays at keyFormat; the entry encoding is versioned
-// separately in each entry's header (diskcache.FormatVersion), so an
-// encoding change retires old entries at the same keys without moving
-// them. opt must already have defaults applied.
-func cacheKey(profs []trace.Profile, scheme Scheme, opt Options) ([sha256.Size]byte, error) {
-	mutated := make([]control.Config, isa.NumExecDomains)
-	for d := 0; d < isa.NumExecDomains; d++ {
-		cfg := control.DefaultConfig(isa.ExecDomain(d))
-		if opt.MutateAdaptive != nil {
-			opt.MutateAdaptive(&cfg)
-		}
-		mutated[d] = cfg
+// The key is the SHA-256 of one JSON object in one of two shapes, and
+// both are part of the byte-stability contract (TestCacheKeyGolden,
+// TestChipCacheKeyGolden), so a refactor must never reorder, rename or
+// retype their fields. A run outside chip mode — one core, no budget,
+// no governor — hashes the legacy single-core shape
+//
+//	{"Format","Profile","Scheme","Instructions","Seed","PIDIntervalTicks","Machine","Adaptive"}
+//
+// so warm entries written before chip support still hit. A chip-mode
+// run hashes
+//
+//	{"Format","Kind":"chip","Profiles","Scheme",<the same five>,"Cores","PowerCapW","Governor","GovernorGain"}
+//
+// whose Kind tag keeps it in a keyspace disjoint from the legacy one
+// (the two store different entry types; see cachedRun). The Format
+// field versions the key derivation itself and stays at keyFormat; the
+// entry encoding is versioned separately in each entry's header
+// (diskcache.FormatVersion), so an encoding change retires old entries
+// at the same keys without moving them.
+//
+// Only the profiles and the scheme vary between the runs of one
+// Options, so the JSON before and after them is encoded once per
+// runSpec (keyParts) and each key streams the parts into one hash. src
+// is the runs' runSpec, or bare Options prepared for this one key.
+func cacheKey(profs []trace.Profile, scheme Scheme, src keySource) ([sha256.Size]byte, error) {
+	s := src.runSpec()
+	head, tail, err := s.keyParts()
+	if err != nil {
+		return [sha256.Size]byte{}, err
 	}
-	var key any
-	if !opt.chipMode() {
-		key = struct {
-			Format           int
-			Profile          trace.Profile
-			Scheme           Scheme
-			Instructions     int64
-			Seed             int64
-			PIDIntervalTicks int
-			Machine          mcd.Config
-			Adaptive         []control.Config
-		}{
-			Format:           keyFormat,
-			Profile:          profs[0],
-			Scheme:           scheme,
-			Instructions:     opt.Instructions,
-			Seed:             opt.Seed,
-			PIDIntervalTicks: opt.PIDIntervalTicks,
-			Machine:          opt.machine(),
-			Adaptive:         mutated,
-		}
+	var profJSON, schemeJSON []byte
+	if s.opt.chipMode() {
+		profJSON, err = json.Marshal(profs)
 	} else {
-		key = struct {
-			Format           int
-			Kind             string
-			Profiles         []trace.Profile
-			Scheme           Scheme
-			Instructions     int64
-			Seed             int64
-			PIDIntervalTicks int
-			Machine          mcd.Config
-			Adaptive         []control.Config
-			Cores            int
-			PowerCapW        float64
-			Governor         string
-			GovernorGain     float64
-		}{
-			Format:           keyFormat,
-			Kind:             "chip",
-			Profiles:         profs,
-			Scheme:           scheme,
-			Instructions:     opt.Instructions,
-			Seed:             opt.Seed,
-			PIDIntervalTicks: opt.PIDIntervalTicks,
-			Machine:          opt.machine(),
-			Adaptive:         mutated,
-			Cores:            opt.chipCores(),
-			PowerCapW:        opt.PowerCapW,
-			Governor:         opt.governorName(),
-			GovernorGain:     opt.GovernorGain,
-		}
+		profJSON, err = json.Marshal(&profs[0])
 	}
-	blob, err := json.Marshal(key)
+	if err == nil {
+		schemeJSON, err = json.Marshal(scheme)
+	}
 	if err != nil {
 		return [sha256.Size]byte{}, fmt.Errorf("experiment: cache key: %w", err)
 	}
-	return sha256.Sum256(blob), nil
+	h := sha256.New()
+	h.Write(head)
+	h.Write(profJSON)
+	h.Write([]byte(`,"Scheme":`))
+	h.Write(schemeJSON)
+	h.Write(tail)
+	var k [sha256.Size]byte
+	h.Sum(k[:0])
+	return k, nil
+}
+
+// keySource is what cacheKey derives from: a runSpec, or Options with
+// defaults applied, which key through a runSpec of their own. The
+// latter skips newRunSpec on purpose: the cachekey analyzer counts
+// every Options field cacheKey can reach as hashed, and the defaults
+// and checks read fields the key leaves out.
+type keySource interface{ runSpec() *runSpec }
+
+func (s *runSpec) runSpec() *runSpec { return s }
+
+func (o Options) runSpec() *runSpec { return &runSpec{opt: o} }
+
+// keyParts returns the per-Options half of every cache key of s's
+// runs, encoding it on first use: head is the key's JSON up to the
+// profile, tail everything after the scheme. A panic in MutateAdaptive
+// is recovered here into ErrRunPanicked, the error every key of s then
+// fails with.
+func (s *runSpec) keyParts() (head, tail []byte, err error) {
+	s.keyOnce.Do(func() {
+		defer func() {
+			if r := recover(); r != nil {
+				s.keyErr = fmt.Errorf("experiment: cache key: %w: MutateAdaptive: %v", ErrRunPanicked, r)
+			}
+		}()
+		opt := s.opt
+		mutated := make([]control.Config, isa.NumExecDomains)
+		for d := 0; d < isa.NumExecDomains; d++ {
+			cfg := control.DefaultConfig(isa.ExecDomain(d))
+			if opt.MutateAdaptive != nil {
+				opt.MutateAdaptive(&cfg)
+			}
+			mutated[d] = cfg
+		}
+		common := keyTail{
+			Instructions:     opt.Instructions,
+			Seed:             opt.Seed,
+			PIDIntervalTicks: opt.PIDIntervalTicks,
+			Machine:          opt.machine(),
+			Adaptive:         mutated,
+		}
+		var rest any = common
+		head := fmt.Sprintf(`{"Format":%d,"Profile":`, keyFormat)
+		if opt.chipMode() {
+			rest = struct {
+				keyTail
+				Cores        int
+				PowerCapW    float64
+				Governor     string
+				GovernorGain float64
+			}{
+				keyTail:      common,
+				Cores:        opt.chipCores(),
+				PowerCapW:    opt.PowerCapW,
+				Governor:     opt.governorName(),
+				GovernorGain: opt.GovernorGain,
+			}
+			head = fmt.Sprintf(`{"Format":%d,"Kind":"chip","Profiles":`, keyFormat)
+		}
+		blob, err := json.Marshal(rest)
+		if err != nil {
+			s.keyErr = fmt.Errorf("experiment: cache key: %w", err)
+			return
+		}
+		// blob is {"Instructions":…}: its fields continue the key
+		// object after the scheme.
+		s.head = []byte(head)
+		s.tail = append([]byte{','}, blob[1:]...)
+	})
+	return s.head, s.tail, s.keyErr
+}
+
+// keyTail is the fields both key shapes hash after the scheme, in key
+// order. The chip shape embeds it, so its own fields follow these.
+type keyTail struct {
+	Instructions     int64
+	Seed             int64
+	PIDIntervalTicks int
+	Machine          mcd.Config
+	Adaptive         []control.Config
 }
 
 // keyFormat is the Format field of every cache key. It versions the
@@ -278,36 +330,64 @@ func cacheKey(profs []trace.Profile, scheme Scheme, opt Options) ([sha256.Size]b
 // (TestCacheKeyGolden). Change it only when the derivation changes.
 const keyFormat = 1
 
-// cachedRun returns the memoized chip result for (profs, scheme, opt)
-// or resolves it. The resolution runs detached from every caller: each
-// caller waits only until its own context ends or opt.Timeout expires,
-// and the simulation is cancelled once its last waiter leaves. bankSrc
-// is handed to simulate (core 0's stream) and is only invoked if the
-// run actually simulates. opt must already have defaults applied and
-// been validated.
-func cachedRun(ctx context.Context, profs []trace.Profile, scheme Scheme, opt Options, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (*mcd.ChipResult, error) {
+// cachingOn reports whether result memoization is enabled.
+func cachingOn() bool {
+	resultCache.mu.Lock()
+	defer resultCache.mu.Unlock()
+	return resultCache.enabled
+}
+
+// memoized returns key k's memoized outcome, counted as a hit: the
+// one place a memo hit is served, for cachedRun and a matrix's inline
+// pass alike. ok is false, and nothing is counted, when k is not
+// memoized or caching is off.
+func memoized(k [sha256.Size]byte) (o outcome, ok bool) {
+	resultCache.mu.Lock()
+	defer resultCache.mu.Unlock()
+	if !resultCache.enabled {
+		return outcome{}, false
+	}
+	if o, ok = resultCache.memo[k]; ok {
+		resultCache.runs++
+	}
+	return o, ok
+}
+
+// cachedRun returns the memoized chip result for (profs, scheme) under
+// s's options or resolves it. k, when non-nil, is the run's key as
+// cacheKey already derived it. The resolution runs detached from every
+// caller: each caller waits only until its own context ends or
+// opt.Timeout expires, and the simulation is cancelled once its last
+// waiter leaves. bankSrc is handed to simulate (core 0's stream) and
+// is only invoked if the run actually simulates. The run must already
+// have passed s.validate.
+func cachedRun(ctx context.Context, s *runSpec, profs []trace.Profile, scheme Scheme, k *[sha256.Size]byte, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (*mcd.ChipResult, error) {
+	opt := s.opt
 	if opt.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
 		defer cancel()
 	}
-	resultCache.mu.Lock()
-	if !resultCache.enabled {
-		resultCache.mu.Unlock()
+	if !cachingOn() {
 		return simulate(ctx, profs, scheme, opt, bankSrc)
 	}
-	k, err := cacheKey(profs, scheme, opt)
-	if err != nil {
-		resultCache.mu.Unlock()
-		return nil, err
+	var key [sha256.Size]byte
+	if k != nil {
+		key = *k
+	} else {
+		var err error
+		if key, err = cacheKey(profs, scheme, s); err != nil {
+			return nil, err
+		}
 	}
+	if o, ok := memoized(key); ok {
+		return o.res, o.err
+	}
+	resultCache.mu.Lock()
 	resultCache.runs++
-	o, ok := resultCache.memo[k]
 	gen := resultCache.gen
 	resultCache.mu.Unlock()
-	if !ok {
-		o, err = await(ctx, k, gen, profs, scheme, opt, bankSrc)
-	}
+	o, err := await(ctx, key, gen, profs, scheme, opt, bankSrc)
 	if err != nil {
 		return nil, err
 	}
@@ -383,24 +463,29 @@ func resolve(ctx context.Context, k [sha256.Size]byte, gen uint64, profs []trace
 	return o
 }
 
-// cachedClass returns the Section 5.2 classification memoized under k,
-// the cache key of the benchmark's SchemeNone run it derives from, or
-// computes it with classify and memoizes it into the generation current
-// at lookup. The memo follows the result cache's rules: SetCaching(false)
-// bypasses it and ResetCache drops it. Concurrent first computations
-// are not merged; they are deterministic and store the same value.
-func cachedClass(k [sha256.Size]byte, classify func() (BenchClass, error)) (BenchClass, error) {
+// cachedClass returns the Section 5.2 classification of prof under
+// spec's options, memoized under the cache key of the benchmark's
+// SchemeNone run it derives from, or computes it with classify and
+// memoizes it into the generation current at lookup. The memo follows
+// the result cache's rules: SetCaching(false) bypasses it (deriving no
+// key) and ResetCache drops it. Concurrent first computations are not
+// merged; they are deterministic and store the same value.
+func cachedClass(spec *runSpec, prof trace.Profile) (BenchClass, error) {
+	if !cachingOn() {
+		return classify(spec, prof)
+	}
+	k, err := cacheKey(chipProfiles(prof, spec.opt), SchemeNone, spec)
+	if err != nil {
+		return BenchClass{}, err
+	}
 	resultCache.mu.Lock()
 	bc, hit := resultCache.classes[k]
-	enabled, gen := resultCache.enabled, resultCache.gen
+	gen := resultCache.gen
 	resultCache.mu.Unlock()
-	if !enabled {
-		return classify()
-	}
 	if hit {
 		return bc, nil
 	}
-	bc, err := classify()
+	bc, err = classify(spec, prof)
 	if err != nil {
 		return bc, err
 	}

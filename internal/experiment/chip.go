@@ -34,10 +34,11 @@ func RunChipContext(ctx context.Context, benchmarks []string, sch Scheme, opt Op
 	if err != nil {
 		return nil, err
 	}
-	if err := validateRun(profs[0], sch, opt); err != nil {
+	spec := newRunSpec(opt)
+	if err := spec.validate(profs[0], sch); err != nil {
 		return nil, err
 	}
-	return cachedRun(ctx, profs, sch, opt, nil)
+	return cachedRun(ctx, spec, profs, sch, nil, nil)
 }
 
 // chipBenchProfiles resolves the per-core workload assignment: one

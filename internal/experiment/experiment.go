@@ -6,6 +6,7 @@ package experiment
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"strings"
@@ -247,54 +248,77 @@ func RunProfile(prof trace.Profile, scheme Scheme, opt Options) (*mcd.Result, er
 // returns ErrRunTimeout; cancellation returns ErrCancelled; a panic in
 // the simulator is recovered into ErrRunPanicked.
 func RunProfileContext(ctx context.Context, prof trace.Profile, scheme Scheme, opt Options) (*mcd.Result, error) {
-	return runCell(orBackground(ctx), prof, scheme, opt, nil)
+	return runCell(orBackground(ctx), newRunSpec(opt), prof, scheme, nil, nil)
 }
 
 // runCell runs one benchmark as a cell: a homogeneous chip of
 // opt.Cores copies (one by default) through the shared cached path,
 // reported as the chip aggregate — for one core, that core's own
-// Result. srcFn, when non-nil, supplies core 0's instruction stream
-// instead of a fresh one — the hook RunMatrix uses to fan one recorded
-// trace out across schemes. The provider is only invoked if the cell
-// actually simulates; cache hits (in-process or disk) never touch it.
-func runCell(ctx context.Context, prof trace.Profile, scheme Scheme, opt Options, srcFn func(context.Context, trace.Profile) (trace.Source, error)) (*mcd.Result, error) {
-	opt = opt.withDefaults()
-	if err := validateRun(prof, scheme, opt); err != nil {
+// Result. k, when non-nil, is the cell's key as cacheKey already
+// derived it. srcFn, when non-nil, supplies core 0's instruction
+// stream instead of a fresh one — the hook RunMatrix uses to fan one
+// recorded trace out across schemes. The provider is only invoked if
+// the cell actually simulates; cache hits (in-process or disk) never
+// touch it.
+func runCell(ctx context.Context, s *runSpec, prof trace.Profile, scheme Scheme, k *[sha256.Size]byte, srcFn func(context.Context, trace.Profile) (trace.Source, error)) (*mcd.Result, error) {
+	if err := s.validate(prof, scheme); err != nil {
 		return nil, err
 	}
-	cr, err := cachedRun(ctx, chipProfiles(prof, opt), scheme, opt, srcFn)
+	cr, err := cachedRun(ctx, s, chipProfiles(prof, s.opt), scheme, k, srcFn)
 	if err != nil {
 		return nil, err
 	}
 	return cr.Aggregate(), nil
 }
 
-// validateRun front-loads every input check so bad specs surface as
+// runSpec is one Options prepared for every run that shares them — a
+// matrix, a classification pass, a single run. newRunSpec applies the
+// defaults and makes the options-level checks once; the per-Options
+// half of the cache key is encoded lazily, by the first key derived
+// (see cacheKey), so with caching off nothing is keyed and
+// MutateAdaptive runs only where a scheme attaches it.
+type runSpec struct {
+	opt                 Options // defaults applied
+	machineErr, chipErr error   // the options-level checks' verdicts
+
+	keyOnce    sync.Once
+	head, tail []byte // cacheKey's JSON before the profile and after the scheme
+	keyErr     error
+}
+
+// newRunSpec prepares opt for a batch of runs.
+func newRunSpec(opt Options) *runSpec {
+	s := &runSpec{opt: opt.withDefaults()}
+	cfg := s.opt.machine()
+	if err := cfg.Validate(); err != nil {
+		s.machineErr = invalidSpec(err)
+	}
+	_, s.chipErr = validateChip(s.opt)
+	return s
+}
+
+// validate front-loads every input check so bad specs surface as
 // ErrInvalidSpec at the API boundary instead of panics (or cryptic
-// construction errors) from deep inside the simulator. The scheme and
-// its per-scheme options validate against the registry. opt must
-// already have defaults applied.
-func validateRun(prof trace.Profile, sch Scheme, opt Options) error {
+// construction errors) from deep inside the simulator. The profile is
+// checked first, then the machine, then the scheme and its per-scheme
+// options against the registry, then the chip options.
+func (s *runSpec) validate(prof trace.Profile, sch Scheme) error {
 	if err := prof.Validate(); err != nil {
 		return invalidSpec(err)
 	}
-	cfg := opt.machine()
-	if err := cfg.Validate(); err != nil {
-		return invalidSpec(err)
+	if s.machineErr != nil {
+		return s.machineErr
 	}
 	desc, err := lookupScheme(sch)
 	if err != nil {
 		return err
 	}
 	if desc.Validate != nil {
-		if err := desc.Validate(opt.schemeOptions()); err != nil {
+		if err := desc.Validate(s.opt.schemeOptions()); err != nil {
 			return invalidSpec(err)
 		}
 	}
-	if _, err := validateChip(opt); err != nil {
-		return err
-	}
-	return nil
+	return s.chipErr
 }
 
 // validateChip checks the chip-level options against the governor
@@ -464,15 +488,11 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 		Results:    make(map[string]map[Scheme]*mcd.Result, len(opt.Benchmarks)),
 	}
 	schemes := append([]Scheme{SchemeNone}, controlled...)
-	type cell struct {
-		bench  string
-		scheme Scheme
-	}
-	var cells []cell
+	var cells []matrixCell
 	for _, b := range opt.Benchmarks {
 		m.Results[b] = make(map[Scheme]*mcd.Result, len(schemes))
 		for _, s := range schemes {
-			cells = append(cells, cell{b, s})
+			cells = append(cells, matrixCell{bench: b, scheme: s})
 		}
 	}
 
@@ -482,6 +502,7 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 	// ≥ 1 of a chip-mode cell stream from generators; see tracebank.go.
 	bank := newTraceBank(opt, corpus, len(schemes))
 	bankSrc := bank.source // one method value for every cell
+	spec := newRunSpec(opt)
 
 	var mu sync.Mutex
 	var flush *rowFlusher
@@ -496,22 +517,7 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 			return row, m.Complete(bench)
 		})
 	}
-	errs := forEachParallel(ctx, len(cells), func(i int) error {
-		c := cells[i]
-		if flush != nil {
-			// Success or failure, the cell is done for row-completion
-			// purposes; cells skipped by cancellation are drained after
-			// the sweep instead.
-			defer flush.cellDone(c.bench)
-		}
-		// Every cell releases its claim exactly once, even on error or a
-		// cache hit, so streams free as benchmarks drain.
-		defer bank.release(c.bench)
-		prof, err := bank.profile(c.bench)
-		if err != nil {
-			return invalidSpec(err)
-		}
-		res, err := runCell(ctx, prof, c.scheme, opt, bankSrc)
+	store := func(c *matrixCell, res *mcd.Result, err error) error {
 		if err != nil {
 			return err
 		}
@@ -527,10 +533,62 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 		m.Results[c.bench][c.scheme] = res
 		mu.Unlock()
 		return nil
+	}
+
+	// Memo hits are served here, on the calling goroutine: a warm cell
+	// costs one key and one map lookup, less than its hand-off to a
+	// worker. Every other cell goes to the pool — a miss carrying the
+	// key derived here, or a cell whose profile, checks or key failed,
+	// for the pool to report. Once ctx ends nothing more is served and
+	// the pool reports the rest as cancelled.
+	cellErrs := make([]error, len(cells))
+	var pool []int
+	caching := cachingOn()
+	for i := range cells {
+		c := &cells[i]
+		if caching && ctx.Err() == nil {
+			if res, hit, err := c.memoHit(spec, bank); hit {
+				cellErrs[i] = store(c, res, err)
+				// Every cell releases its claim and retires exactly once,
+				// served here or by the pool.
+				bank.release(c.bench)
+				if flush != nil {
+					flush.cellDone(c.bench)
+				}
+				continue
+			}
+		}
+		pool = append(pool, i)
+	}
+	errs := forEachParallel(ctx, len(pool), func(j int) error {
+		c := &cells[pool[j]]
+		if flush != nil {
+			// Success or failure, the cell is done for row-completion
+			// purposes; cells skipped by cancellation are drained after
+			// the sweep instead.
+			defer flush.cellDone(c.bench)
+		}
+		// Every cell releases its claim exactly once, even on error, so
+		// streams free as benchmarks drain.
+		defer bank.release(c.bench)
+		prof, err := bank.profile(c.bench)
+		if err != nil {
+			return invalidSpec(err)
+		}
+		var k *[sha256.Size]byte
+		if c.keyed {
+			k = &c.key
+		}
+		res, err := runCell(ctx, spec, prof, c.scheme, k, bankSrc)
+		return store(c, res, err)
 	})
 	for _, te := range errs {
-		c := cells[te.index]
-		m.Failures = append(m.Failures, CellError{Bench: c.bench, Scheme: c.scheme, Err: te.err})
+		cellErrs[pool[te.index]] = te.err
+	}
+	for i, err := range cellErrs {
+		if err != nil {
+			m.Failures = append(m.Failures, CellError{Bench: cells[i].bench, Scheme: cells[i].scheme, Err: err})
+		}
 	}
 	if stats := bank.close(); corpus != nil {
 		m.Corpus = &stats
@@ -549,6 +607,35 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 		return m, fmt.Errorf("matrix: every cell failed, first: %w", m.Failures[0].Err)
 	}
 	return m, nil
+}
+
+// matrixCell is one (benchmark, scheme) cell of a matrix sweep.
+type matrixCell struct {
+	bench  string
+	scheme Scheme
+	key    [sha256.Size]byte // the cell's cacheKey, once keyed
+	keyed  bool
+}
+
+// memoHit serves the cell from the result memo when its outcome is
+// already there, counted as a hit exactly as cachedRun counts one. It
+// derives the cell's key, and keeps it on the cell for the pool. hit
+// is false, and nothing is counted, for a miss or for a cell whose
+// profile, checks or key fail: the pool runs those, and reports them.
+func (c *matrixCell) memoHit(s *runSpec, bank *traceBank) (res *mcd.Result, hit bool, err error) {
+	prof, err := bank.profile(c.bench)
+	if err != nil || s.validate(prof, c.scheme) != nil {
+		return nil, false, nil
+	}
+	if c.key, err = cacheKey(chipProfiles(prof, s.opt), c.scheme, s); err != nil {
+		return nil, false, nil
+	}
+	c.keyed = true
+	o, hit := memoized(c.key)
+	if !hit || o.err != nil {
+		return nil, hit, o.err
+	}
+	return o.res.Aggregate(), true, nil
 }
 
 // matrixSchemes resolves Options.Schemes to the controlled-scheme

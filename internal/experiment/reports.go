@@ -70,21 +70,18 @@ type BenchClass struct {
 // result it derives from (see cachedClass); the returned slice is
 // always the caller's own.
 func ClassifyBenchmarks(opt Options) ([]BenchClass, error) {
-	opt = opt.withDefaults()
-	out := make([]BenchClass, len(opt.Benchmarks))
-	err := firstError(forEachParallel(opt.ctx(), len(opt.Benchmarks), func(i int) error {
-		prof, err := trace.ByName(opt.Benchmarks[i])
+	spec := newRunSpec(opt)
+	benches := spec.opt.Benchmarks
+	out := make([]BenchClass, len(benches))
+	err := firstError(forEachParallel(spec.opt.ctx(), len(benches), func(i int) error {
+		prof, err := trace.ByName(benches[i])
 		if err != nil {
 			return invalidSpec(err)
 		}
-		if err := validateRun(prof, SchemeNone, opt); err != nil {
+		if err := spec.validate(prof, SchemeNone); err != nil {
 			return err
 		}
-		k, err := cacheKey(chipProfiles(prof, opt), SchemeNone, opt)
-		if err != nil {
-			return err
-		}
-		out[i], err = cachedClass(k, func() (BenchClass, error) { return classify(prof, opt) })
+		out[i], err = cachedClass(spec, prof)
 		return err
 	}))
 	if err != nil {
@@ -94,10 +91,9 @@ func ClassifyBenchmarks(opt Options) ([]BenchClass, error) {
 }
 
 // classify runs prof's no-DVFS baseline and applies the spectral
-// classifier to its queue-occupancy series. opt must already have
-// defaults applied.
-func classify(prof trace.Profile, opt Options) (BenchClass, error) {
-	res, err := RunProfile(prof, SchemeNone, opt)
+// classifier to its queue-occupancy series.
+func classify(spec *runSpec, prof trace.Profile) (BenchClass, error) {
+	res, err := runCell(spec.opt.ctx(), spec, prof, SchemeNone, nil, nil)
 	if err != nil {
 		return BenchClass{}, err
 	}

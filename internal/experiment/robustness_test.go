@@ -270,7 +270,7 @@ func TestHotLoopPanicIsRunPanicked(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{Instructions: 20000, Seed: 3}
-	_, err = runCell(context.Background(), prof, SchemeAdaptive, opt, func(context.Context, trace.Profile) (trace.Source, error) {
+	_, err = runCell(context.Background(), newRunSpec(opt), prof, SchemeAdaptive, nil, func(context.Context, trace.Profile) (trace.Source, error) {
 		gen, err := trace.NewGenerator(prof, trace.StreamSeed(opt.Seed), opt.Instructions)
 		return &panicSource{Source: gen, left: 5000}, err
 	})

@@ -18,15 +18,16 @@ import (
 // deletion alone.
 //
 // Coverage is reachability-based, so a field mentioned on any path
-// from cacheKey stays covered: Instructions must be deleted from BOTH
-// of cacheKey's hash structs, the legacy one and the chip one, to go
-// dark — dropping it from just one is the byte-stability tests' job
-// (TestCacheKeyGolden and TestChipCacheKeyGolden pin the structs).
-// Seed would survive even the double deletion legitimately (cacheKey
-// hashes the machine config, which machine() derives from the seed) —
-// exactly the transitive coverage the call graph exists to see.
-// GovernorGain enters cacheKey only through the chip hash struct, so
-// that single deletion must fail.
+// from cacheKey stays covered. Both key shapes take Instructions from
+// the one keyTail literal that keyParts (reached from cacheKey)
+// encodes, so deleting that line removes it from every key and must
+// fail; which shape hashes what is the byte-stability tests' job
+// (TestCacheKeyGolden and TestChipCacheKeyGolden pin both). Seed would
+// survive the same deletion legitimately (the key hashes the machine
+// config, which machine() derives from the seed) — exactly the
+// transitive coverage the call graph exists to see. GovernorGain
+// enters the key only through the chip shape's literal, so that
+// single deletion must fail.
 func TestCacheKeyCatchesDroppedHashField(t *testing.T) {
 	if testing.Short() {
 		t.Skip("copies and re-type-checks the module")
@@ -41,7 +42,7 @@ func TestCacheKeyCatchesDroppedHashField(t *testing.T) {
 
 	cases := []struct {
 		name      string
-		drops     map[string]string // file under the repo root -> literal line to delete (every occurrence)
+		drops     map[string]string // file under the repo root -> literal line to delete (exactly one occurrence)
 		wantField string
 	}{
 		{
@@ -54,7 +55,7 @@ func TestCacheKeyCatchesDroppedHashField(t *testing.T) {
 		{
 			name: "governor-gain-from-chip-key",
 			drops: map[string]string{
-				"internal/experiment/cache.go": "GovernorGain:     opt.GovernorGain,",
+				"internal/experiment/cache.go": "GovernorGain: opt.GovernorGain,",
 			},
 			wantField: "Options.GovernorGain",
 		},
@@ -73,8 +74,8 @@ func TestCacheKeyCatchesDroppedHashField(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !strings.Contains(string(src), dropped) {
-					t.Fatalf("%s no longer contains %q; update this test alongside the key structs", path, dropped)
+				if n := strings.Count(string(src), dropped); n != 1 {
+					t.Fatalf("%s contains %q %d times, want once; update this test alongside the key structs", path, dropped, n)
 				}
 				mutated := strings.ReplaceAll(string(src), dropped, "")
 				if err := os.WriteFile(path, []byte(mutated), 0o644); err != nil {
