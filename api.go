@@ -239,16 +239,21 @@ type RunSpec struct {
 	Timeout time.Duration
 }
 
-// options converts the spec to harness options.
+// options copies the spec onto the harness defaults: a zero
+// Instructions or Seed keeps its experiment.DefaultOptions value.
 func (spec RunSpec) options() experiment.Options {
-	return experiment.Options{
-		Instructions:   spec.Instructions,
-		Seed:           spec.Seed,
-		Machine:        spec.Machine,
-		MutateAdaptive: spec.TuneAdaptive,
-		Faults:         spec.Faults,
-		Timeout:        spec.Timeout,
+	opt := experiment.DefaultOptions()
+	if spec.Instructions != 0 {
+		opt.Instructions = spec.Instructions
 	}
+	if spec.Seed != 0 {
+		opt.Seed = spec.Seed
+	}
+	opt.Machine = spec.Machine
+	opt.MutateAdaptive = spec.TuneAdaptive
+	opt.Faults = spec.Faults
+	opt.Timeout = spec.Timeout
+	return opt
 }
 
 // Run simulates one benchmark under one control scheme and returns the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -32,6 +33,22 @@ func TestRunDefaultsToAdaptive(t *testing.T) {
 	}
 	if res.Metrics.Instructions != 40000 {
 		t.Errorf("retired %d", res.Metrics.Instructions)
+	}
+}
+
+// TestRunSeedDefaultsToOne: an unset Seed is the documented default,
+// 1, not seed 0.
+func TestRunSeedDefaultsToOne(t *testing.T) {
+	unset, err := Run(RunSpec{Benchmark: "gzip", Instructions: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := Run(RunSpec{Benchmark: "gzip", Instructions: 5000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(unset.Metrics, one.Metrics) {
+		t.Errorf("unset seed simulates %+v, Seed 1 simulates %+v", unset.Metrics, one.Metrics)
 	}
 }
 

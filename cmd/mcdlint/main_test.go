@@ -61,8 +61,7 @@ func TestFixtureViolations(t *testing.T) {
 		"[dettaint] filesystem enumeration os.ReadDir reads host state",
 		"[dettaint] select with multiple communication cases",
 		"[cachekey] Options.Depth is read on the run path (harness.go:",
-		"[cachekey] key() strips RenderRequest.Rounds",
-		"[cachekey] RenderRequest.Width flows into Options.Width, which has a harness default",
+		"[cachekey] Options.GovernorGain is read on the run path (chipkey.go:",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q\n%s", want, out)

@@ -2,9 +2,13 @@ package experiment
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"strings"
+
+	"mcddvfs/internal/trace"
 )
 
 // The artifact registry: one stable catalog of renderable experiment
@@ -94,29 +98,115 @@ func lookupArtifact(id string) (ArtifactInfo, error) {
 	return ArtifactInfo{}, invalidSpec(fmt.Errorf("experiment: unknown artifact %q (available: %s)", id, artifactIDList()))
 }
 
-// robustnessDefaults mirrors cmd/experiments' -faults selection: the
+// robustnessBenchmarks mirrors cmd/experiments' -faults selection: the
 // benchmarks the sweep runs when the caller does not narrow them.
 var robustnessBenchmarks = []string{"adpcm_encode", "gsm_decode", "gzip", "swim"}
+
+// prepareRender makes every check a render can fail before it
+// simulates anything, and returns the format's content type and opt
+// prepared as a runSpec. It checks the artifact and format against the
+// catalog, then the options as given: the instruction budget, the PID
+// interval (whether or not the scheme subset runs PID), the benchmark
+// and scheme selections, and the machine and chip checks newRunSpec
+// records.
+func prepareRender(id string, format ArtifactFormat, opt Options) (string, *runSpec, error) {
+	info, err := lookupArtifact(id)
+	if err != nil {
+		return "", nil, err
+	}
+	ctype := format.ContentType()
+	if ctype == "" {
+		return "", nil, invalidSpec(fmt.Errorf("experiment: unknown artifact format %q (available: txt, json, svg)", format))
+	}
+	if format == FormatSVG && !info.SVG {
+		return "", nil, invalidSpec(fmt.Errorf("experiment: artifact %q has no SVG rendering", id))
+	}
+	if opt.Instructions < 0 {
+		return "", nil, invalidSpec(fmt.Errorf("experiment: negative instruction budget %d", opt.Instructions))
+	}
+	if opt.PIDIntervalTicks < 0 {
+		return "", nil, invalidSpec(fmt.Errorf("experiment: negative PID interval %d ticks", opt.PIDIntervalTicks))
+	}
+	for _, b := range opt.Benchmarks {
+		if _, err := trace.ByName(b); err != nil {
+			return "", nil, invalidSpec(err)
+		}
+	}
+	if _, err := matrixSchemes(opt); err != nil {
+		return "", nil, err
+	}
+	s := newRunSpec(opt)
+	if s.machineErr != nil {
+		return "", nil, s.machineErr
+	}
+	if s.chipErr != nil {
+		return "", nil, s.chipErr
+	}
+	return ctype, s, nil
+}
+
+// RenderKey returns the content address of one artifact render: two
+// requests share a key only if RenderArtifactContext renders them to
+// the same bytes. A request RenderArtifactContext would reject before
+// simulating fails here with the same ErrInvalidSpec.
+//
+// The key is the SHA-256 of the artifact, the format, what the
+// result-cache key leaves out and a render still reads, and the
+// per-Options half of the runs' cache key (keyParts), which holds
+// every default the harness applies. The left-out fields are the
+// Benchmarks and Schemes selections as given, an empty list counting
+// as omitted, and GovernorGain, which the cap artifacts read even
+// when the options' own runs key the single-core shape that omits it.
+// Where results are stored and how long a caller waits (CacheDir,
+// Timeout, Context, ...) never enter the key. Nor does CorpusDir: a
+// budget or benchmark list left for a corpus to fill in keys as the
+// harness default.
+func RenderKey(id string, format ArtifactFormat, opt Options) (string, error) {
+	_, s, err := prepareRender(id, format, opt)
+	if err != nil {
+		return "", err
+	}
+	head, tail, err := s.keyParts()
+	if err != nil {
+		return "", err
+	}
+	render := struct {
+		Artifact     string
+		Format       ArtifactFormat
+		Benchmarks   []string
+		Schemes      []Scheme
+		GovernorGain float64
+	}{Artifact: id, Format: format, GovernorGain: opt.GovernorGain}
+	if len(opt.Benchmarks) > 0 {
+		render.Benchmarks = opt.Benchmarks
+	}
+	if len(opt.Schemes) > 0 {
+		render.Schemes = opt.Schemes
+	}
+	blob, err := json.Marshal(render)
+	if err != nil {
+		return "", invalidSpec(fmt.Errorf("experiment: render key: %v", err))
+	}
+	// blob is one JSON object, so it ends where the key parts begin.
+	h := sha256.New()
+	h.Write(blob)
+	h.Write(head)
+	h.Write(tail)
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
 
 // RenderArtifactContext renders one catalog artifact in the requested
 // format, returning the encoded bytes and their content type. ctx
 // cancels the underlying simulations; every failure wraps a taxonomy
-// sentinel (unknown artifact or format → ErrInvalidSpec, deadline →
-// ErrRunTimeout, cancellation → ErrCancelled, simulator panic →
+// sentinel (a request prepareRender rejects → ErrInvalidSpec, deadline
+// → ErrRunTimeout, cancellation → ErrCancelled, simulator panic →
 // ErrRunPanicked). The bytes are identical to what cmd/experiments
 // -out writes for the same options.
 func RenderArtifactContext(ctx context.Context, id string, format ArtifactFormat, opt Options) ([]byte, string, error) {
 	ctx = orBackground(ctx)
-	info, err := lookupArtifact(id)
+	ctype, _, err := prepareRender(id, format, opt)
 	if err != nil {
 		return nil, "", err
-	}
-	ctype := format.ContentType()
-	if ctype == "" {
-		return nil, "", invalidSpec(fmt.Errorf("experiment: unknown artifact format %q (available: txt, json, svg)", format))
-	}
-	if format == FormatSVG && !info.SVG {
-		return nil, "", invalidSpec(fmt.Errorf("experiment: artifact %q has no SVG rendering", id))
 	}
 	opt.Context = ctx
 
@@ -189,7 +279,7 @@ func renderArtifactReport(ctx context.Context, id string, opt Options) (Report, 
 		return m.Figure10(), nil
 	case "robustness":
 		benchmarks := opt.Benchmarks
-		if benchmarks == nil {
+		if len(benchmarks) == 0 {
 			benchmarks = robustnessBenchmarks
 		}
 		return FaultSweepContext(ctx, opt, benchmarks, nil)

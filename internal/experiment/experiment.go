@@ -68,8 +68,8 @@ type Options struct {
 	// Schemes restricts the benchmark × scheme sweeps (RunMatrix, the
 	// fault sweep, and the figures they feed) to this subset of
 	// registered frequency-controlling schemes, validated against the
-	// scheme registry and normalized to registry display order (nil =
-	// the paper's core comparison, ControlledSchemes). The no-DVFS
+	// scheme registry and normalized to registry display order (empty
+	// = the paper's core comparison, ControlledSchemes). The no-DVFS
 	// baseline always runs regardless — every metric is measured
 	// against it. Like Benchmarks, this selects which runs happen, not
 	// what any run computes, so it never enters the result-cache key.
@@ -639,13 +639,13 @@ func (c *matrixCell) memoHit(s *runSpec, bank *traceBank) (res *mcd.Result, hit 
 }
 
 // matrixSchemes resolves Options.Schemes to the controlled-scheme
-// columns a matrix sweeps: nil means the paper's core comparison,
-// otherwise every requested name must be a registered
+// columns a matrix sweeps: an empty subset means the paper's core
+// comparison, otherwise every requested name must be a registered
 // frequency-controlling scheme. The subset is normalized to registry
 // display order, deduplicated, and the implicit "none" baseline is
 // dropped (it always runs).
 func matrixSchemes(opt Options) ([]Scheme, error) {
-	if opt.Schemes == nil {
+	if len(opt.Schemes) == 0 {
 		return ControlledSchemes(), nil
 	}
 	requested := make(map[string]bool, len(opt.Schemes))

@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"sort"
 
 	"mcddvfs/internal/lint/analysis"
 )
@@ -18,65 +17,35 @@ import (
 // from the hash is the stale-cache bug class — two different
 // computations sharing one cached result.
 //
-// The analyzer activates on two package shapes, matched by convention:
-//
-//   - An options package: declares `type Options struct` and a
-//     function `cacheKey`. The run path is every function reachable
-//     (via the whole-program call graph) from the package's exported
-//     Run* entry points; the hash covers every Options field read by
-//     cacheKey or anything cacheKey calls.
-//   - A serve package: declares `type RenderRequest struct` (the wire
-//     form of a spec). Its `key()` must content-address the request by
-//     hashing the struct itself — hand-built keys silently drop new
-//     fields — and may only strip fields that do not flow into a
-//     hash-covered Options field. And every request field that flows
-//     into a hash-covered Options field with a harness default must be
-//     normalized in `validateSpec`, so an omitted field and its
-//     explicit default are one spec: one flight key, one cache entry
-//     (the wire-default bug class PR 7 fixed by hand).
+// The analyzer activates on an options package, matched by
+// convention: one that declares `type Options struct` and a function
+// `cacheKey`. The run path is every function reachable (via the
+// whole-program call graph) from the package's exported Run* entry
+// points; the hash covers every Options field read by cacheKey or
+// anything cacheKey calls.
 var CacheKey = &analysis.Analyzer{
 	Name:       "cachekey",
-	Doc:        "proves every run-path Options field is hashed into the cache key, and the serve layer keys/normalizes the same set",
+	Doc:        "proves every run-path Options field is hashed into the cache key",
 	RunProgram: runCacheKey,
 }
 
 func runCacheKey(pass *analysis.ProgramPass) error {
 	g := buildGraph(pass.Targets, pass.Fset)
-	var harnesses []*harnessCoverage
 	for _, t := range pass.Targets {
-		if h := analyzeHarness(pass, g, t); h != nil {
-			harnesses = append(harnesses, h)
-		}
-	}
-	for _, t := range pass.Targets {
-		analyzeServe(pass, g, t, harnesses)
+		analyzeHarness(pass, g, t)
 	}
 	return nil
 }
 
-// harnessCoverage is what one options package proved about itself.
-type harnessCoverage struct {
-	pkgPath   string
-	covered   map[string]bool // Options fields the cacheKey hash reads
-	defaulted map[string]bool // Options fields given defaults on the run path
-}
-
-// structNamed returns the named struct type declared as `name` in
+// structNamed returns the struct type declared as `name` in pkg's
 // scope, or nil.
-func structNamed(pkg *types.Package, name string) (*types.Named, *types.Struct) {
+func structNamed(pkg *types.Package, name string) *types.Struct {
 	obj, ok := pkg.Scope().Lookup(name).(*types.TypeName)
 	if !ok {
-		return nil, nil
+		return nil
 	}
-	named, ok := obj.Type().(*types.Named)
-	if !ok {
-		return nil, nil
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return nil, nil
-	}
-	return named, st
+	st, _ := obj.Type().Underlying().(*types.Struct)
+	return st
 }
 
 // fieldOfStruct reports whether sel selects a field of the named
@@ -139,25 +108,24 @@ func reachedNodes(g *progGraph, parent map[*graphNode]parentEdge) []*graphNode {
 }
 
 // analyzeHarness checks one candidate options package and reports
-// run-path fields missing from the hash. Returns nil when t is not an
-// options package.
-func analyzeHarness(pass *analysis.ProgramPass, g *progGraph, t *analysis.Target) *harnessCoverage {
-	named, st := structNamed(t.Pkg, "Options")
-	if named == nil {
-		return nil
+// run-path fields missing from the hash. It does nothing when t is not
+// an options package.
+func analyzeHarness(pass *analysis.ProgramPass, g *progGraph, t *analysis.Target) {
+	st := structNamed(t.Pkg, "Options")
+	if st == nil {
+		return
 	}
 	keyFn, ok := t.Pkg.Scope().Lookup("cacheKey").(*types.Func)
 	if !ok {
-		return nil
+		return
 	}
 	keyNode, ok := g.nodes[symbolKey(keyFn)]
 	if !ok {
-		return nil
+		return
 	}
 	pkgPath := t.Pkg.Path()
 
 	var runRoots []*graphNode
-	var defaultNodes []*graphNode
 	for _, n := range g.order {
 		if n.target != t {
 			continue
@@ -166,33 +134,10 @@ func analyzeHarness(pass *analysis.ProgramPass, g *progGraph, t *analysis.Target
 		if n.fn.Exported() && len(name) >= 3 && name[:3] == "Run" {
 			runRoots = append(runRoots, n)
 		}
-		if name == "DefaultOptions" || name == "withDefaults" {
-			defaultNodes = append(defaultNodes, n)
-		}
 	}
 
-	coveredUse := fieldMentions(reachedNodes(g, reachableFrom([]*graphNode{keyNode})), "Options", pkgPath)
+	covered := fieldMentions(reachedNodes(g, reachableFrom([]*graphNode{keyNode})), "Options", pkgPath)
 	usedAt := fieldMentions(reachedNodes(g, reachableFrom(runRoots)), "Options", pkgPath)
-
-	h := &harnessCoverage{
-		pkgPath:   pkgPath,
-		covered:   make(map[string]bool, len(coveredUse)),
-		defaulted: make(map[string]bool),
-	}
-	for name := range coveredUse {
-		h.covered[name] = true
-	}
-	// Defaults: fields assigned in DefaultOptions/withDefaults, whether
-	// via selector assignment or an Options composite literal.
-	defMentions := fieldMentions(defaultNodes, "Options", pkgPath)
-	for name := range defMentions {
-		h.defaulted[name] = true
-	}
-	for _, n := range defaultNodes {
-		for name := range optionsLiteralKeys(n, named) {
-			h.defaulted[name] = true
-		}
-	}
 
 	// Report, in field-declaration order, every run-path field the hash
 	// misses. The //lint:allow cachekey escape hatch on the field's
@@ -201,7 +146,7 @@ func analyzeHarness(pass *analysis.ProgramPass, g *progGraph, t *analysis.Target
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
 		pos, used := usedAt[f.Name()]
-		if !used || h.covered[f.Name()] {
+		if _, hashed := covered[f.Name()]; !used || hashed {
 			continue
 		}
 		p := pass.Fset.Position(pos)
@@ -209,248 +154,4 @@ func analyzeHarness(pass *analysis.ProgramPass, g *progGraph, t *analysis.Target
 			"Options.%s is read on the run path (%s:%d) but never enters the cacheKey hash; hash it or exempt it with //lint:allow cachekey <reason>",
 			f.Name(), filepath.Base(p.Filename), p.Line)
 	}
-	return h
-}
-
-// optionsLiteralKeys returns the field names keyed in any composite
-// literal of the given Options type inside n's body.
-func optionsLiteralKeys(n *graphNode, named *types.Named) map[string]bool {
-	out := make(map[string]bool)
-	if n.decl.Body == nil {
-		return out
-	}
-	info := n.target.Info
-	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
-		lit, ok := node.(*ast.CompositeLit)
-		if !ok {
-			return true
-		}
-		t := info.TypeOf(lit)
-		if t == nil || !sameNamed(t, named.Obj().Name(), named.Obj().Pkg().Path()) {
-			return true
-		}
-		for _, elt := range lit.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				if id, ok := kv.Key.(*ast.Ident); ok {
-					out[id.Name] = true
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// sameNamed reports whether t (after deref) is the named type with the
-// given name and package path, across type-checking universes.
-func sameNamed(t types.Type, name, pkgPath string) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Name() == name && named.Obj().Pkg().Path() == pkgPath
-}
-
-// analyzeServe checks one candidate serve package against the options
-// packages' coverage results.
-func analyzeServe(pass *analysis.ProgramPass, g *progGraph, t *analysis.Target, harnesses []*harnessCoverage) {
-	reqNamed, reqSt := structNamed(t.Pkg, "RenderRequest")
-	if reqNamed == nil {
-		return
-	}
-	pkgPath := t.Pkg.Path()
-
-	var keyNode, optionsNode, validateNode *graphNode
-	for _, n := range g.order {
-		if n.target != t {
-			continue
-		}
-		switch n.fn.Name() {
-		case "key":
-			keyNode = n
-		case "options":
-			optionsNode = n
-		case "validateSpec":
-			validateNode = n
-		}
-	}
-	if keyNode == nil {
-		pass.Reportf(reqNamed.Obj().Pos(),
-			"RenderRequest has no key() method; the request cannot be content-addressed")
-		return
-	}
-
-	// key() must hash the request struct itself, and may strip fields
-	// only by assignment (recorded below and checked against coverage).
-	marshalsWhole := false
-	zeroed := make(map[string]token.Pos)
-	info := keyNode.target.Info
-	ast.Inspect(keyNode.decl.Body, func(node ast.Node) bool {
-		switch node := node.(type) {
-		case *ast.CallExpr:
-			if sel, ok := node.Fun.(*ast.SelectorExpr); ok {
-				if fn, ok := info.Uses[sel.Sel].(*types.Func); ok &&
-					fn.Pkg() != nil && fn.Pkg().Path() == "encoding/json" && fn.Name() == "Marshal" &&
-					len(node.Args) == 1 {
-					if at := info.TypeOf(node.Args[0]); at != nil && sameNamed(at, "RenderRequest", pkgPath) {
-						marshalsWhole = true
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for _, l := range node.Lhs {
-				if sel, ok := l.(*ast.SelectorExpr); ok {
-					if name, ok := fieldOfStruct(info, sel, "RenderRequest", pkgPath); ok {
-						zeroed[name] = sel.Sel.Pos()
-					}
-				}
-			}
-		}
-		return true
-	})
-	if !marshalsWhole {
-		pass.Reportf(keyNode.decl.Pos(),
-			"key() never hashes the RenderRequest struct itself (json.Marshal of a RenderRequest value); a hand-built key silently drops every field added later")
-	}
-
-	// Map request fields to the Options fields they flow into.
-	flows := requestFlows(optionsNode, pkgPath, harnesses)
-
-	// Fields normalized (assigned) in validateSpec.
-	normalized := make(map[string]bool)
-	if validateNode != nil {
-		vinfo := validateNode.target.Info
-		ast.Inspect(validateNode.decl.Body, func(node ast.Node) bool {
-			as, ok := node.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for _, l := range as.Lhs {
-				if sel, ok := l.(*ast.SelectorExpr); ok {
-					if name, ok := fieldOfStruct(vinfo, sel, "RenderRequest", pkgPath); ok {
-						normalized[name] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-
-	// Rule 1: a stripped field must not flow into a hash-covered
-	// Options field — otherwise requests that differ in it share one
-	// key for different results.
-	var zeroedNames []string
-	for name := range zeroed {
-		zeroedNames = append(zeroedNames, name)
-	}
-	sort.Strings(zeroedNames)
-	for _, name := range zeroedNames {
-		for _, fl := range flows[name] {
-			if fl.harness.covered[fl.optField] {
-				pass.Reportf(zeroed[name],
-					"key() strips RenderRequest.%s, but it flows into Options.%s, which the result hash covers; requests differing in %s would share one flight key for different results",
-					name, fl.optField, name)
-			}
-		}
-	}
-
-	// Rule 2: a field that flows into a hash-covered, harness-defaulted
-	// Options field must be normalized in validateSpec, so an omitted
-	// field and its explicit default are one key.
-	for i := 0; i < reqSt.NumFields(); i++ {
-		f := reqSt.Field(i)
-		if _, stripped := zeroed[f.Name()]; stripped || normalized[f.Name()] {
-			continue
-		}
-		for _, fl := range flows[f.Name()] {
-			if fl.harness.covered[fl.optField] && fl.harness.defaulted[fl.optField] {
-				pass.Reportf(f.Pos(),
-					"RenderRequest.%s flows into Options.%s, which has a harness default; normalize the default into the request in validateSpec so an omitted field and its explicit default share one key",
-					f.Name(), fl.optField)
-				break
-			}
-		}
-	}
-}
-
-// fieldFlow says one request field feeds one Options field of one
-// harness.
-type fieldFlow struct {
-	harness  *harnessCoverage
-	optField string
-}
-
-// requestFlows extracts, from the serve package's options() body, the
-// RenderRequest field → Options field dataflow: composite-literal
-// entries (`Instructions: s.req.Instructions`) and field assignments
-// (`opt.Faults = faults.Intensity(s.req.FaultIntensity, ...)`).
-func requestFlows(optionsNode *graphNode, reqPkgPath string, harnesses []*harnessCoverage) map[string][]fieldFlow {
-	flows := make(map[string][]fieldFlow)
-	if optionsNode == nil || optionsNode.decl.Body == nil {
-		return flows
-	}
-	info := optionsNode.target.Info
-	harnessFor := func(t types.Type) *harnessCoverage {
-		for _, h := range harnesses {
-			if sameNamed(t, "Options", h.pkgPath) {
-				return h
-			}
-		}
-		return nil
-	}
-	addFlows := func(h *harnessCoverage, optField string, rhs ast.Expr) {
-		ast.Inspect(rhs, func(node ast.Node) bool {
-			sel, ok := node.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if name, ok := fieldOfStruct(info, sel, "RenderRequest", reqPkgPath); ok {
-				flows[name] = append(flows[name], fieldFlow{harness: h, optField: optField})
-			}
-			return true
-		})
-	}
-	ast.Inspect(optionsNode.decl.Body, func(node ast.Node) bool {
-		switch node := node.(type) {
-		case *ast.CompositeLit:
-			t := info.TypeOf(node)
-			if t == nil {
-				return true
-			}
-			h := harnessFor(t)
-			if h == nil {
-				return true
-			}
-			for _, elt := range node.Elts {
-				kv, ok := elt.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				if id, ok := kv.Key.(*ast.Ident); ok {
-					addFlows(h, id.Name, kv.Value)
-				}
-			}
-		case *ast.AssignStmt:
-			for i, l := range node.Lhs {
-				sel, ok := l.(*ast.SelectorExpr)
-				if !ok || i >= len(node.Rhs) {
-					continue
-				}
-				s, ok := info.Selections[sel]
-				if !ok || s.Kind() != types.FieldVal {
-					continue
-				}
-				h := harnessFor(s.Recv())
-				if h == nil {
-					continue
-				}
-				addFlows(h, s.Obj().Name(), node.Rhs[i])
-			}
-		}
-		return true
-	})
-	return flows
 }

@@ -34,8 +34,7 @@
 //     analyzers never look at.
 //   - The content-addressed cache key is complete.
 //     cachekey proves every Options field the run path reads is hashed
-//     (or explicitly exempted), and that the serve layer's request key
-//     and wire-default normalization cover the same set.
+//     (or explicitly exempted).
 package lint
 
 import (

@@ -11,8 +11,7 @@ import (
 
 // Options configures a fixture run.
 type Options struct {
-	// Width is hashed directly by cacheKey: covered, and given a
-	// harness default below.
+	// Width is hashed directly by cacheKey: covered.
 	Width int
 	// Rounds is hashed through a helper the key calls: coverage is
 	// transitive over the call graph.
@@ -27,9 +26,6 @@ type Options struct {
 	// Spare is never read on the run path: no diagnostic.
 	Spare int
 }
-
-// DefaultOptions gives Width a harness default.
-func DefaultOptions() Options { return Options{Width: 4} }
 
 func cacheKey(opt Options) string {
 	h := sha256.New()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 
 	"mcddvfs/internal/diskcache"
 	"mcddvfs/internal/experiment"
+	"mcddvfs/internal/mcd"
 )
 
 // testInsts keeps simulations fast; specs in this file stay tiny.
@@ -134,6 +136,16 @@ func TestErrorSchema(t *testing.T) {
 		{"unknown scheme", `{"artifact":"fig9","format":"txt","schemes":["warp"]}`, CodeInvalidSpec, 400},
 		{"unknown benchmark", `{"artifact":"fig9","format":"txt","benchmarks":["quake3"]}`, CodeInvalidSpec, 400},
 		{"fault intensity range", `{"artifact":"fig9","format":"txt","fault_intensity":2}`, CodeInvalidSpec, 400},
+		{"negative instructions", `{"artifact":"fig9","format":"txt","instructions":-1}`, CodeInvalidSpec, 400},
+		{"negative pid interval", `{"artifact":"fig9","format":"txt","pid_interval_ticks":-1}`, CodeInvalidSpec, 400},
+		{"negative timeout", `{"artifact":"fig9","format":"txt","timeout_ms":-1}`, CodeInvalidSpec, 400},
+		{"negative cores", `{"artifact":"fig9","format":"txt","cores":-1}`, CodeInvalidSpec, 400},
+		{"cores above chip bound", fmt.Sprintf(`{"artifact":"fig9","format":"txt","cores":%d}`, mcd.MaxChipCores+1), CodeInvalidSpec, 400},
+		{"negative power cap", `{"artifact":"fig9","format":"txt","power_cap_w":-1}`, CodeInvalidSpec, 400},
+		{"negative governor gain", `{"artifact":"fig9","format":"txt","governor_gain":-1}`, CodeInvalidSpec, 400},
+		{"unknown governor", `{"artifact":"fig9","format":"txt","governor":"warp"}`, CodeInvalidSpec, 400},
+		{"cap without capping governor", `{"artifact":"fig9","format":"txt","governor":"none","power_cap_w":30}`, CodeInvalidSpec, 400},
+		{"baseline-only scheme subset", `{"artifact":"fig9","format":"txt","schemes":["none"]}`, CodeInvalidSpec, 400},
 		{"malformed json", `{"artifact":`, CodeBadRequest, 400},
 		{"unknown field", `{"artifact":"fig9","format":"txt","turbo":true}`, CodeBadRequest, 400},
 	}

@@ -215,8 +215,9 @@ func (s *Server) render(ctx context.Context, spec renderSpec) ([]byte, error) {
 	if s.store != nil && s.breaker.allow() {
 		dir = s.cfg.CacheDir
 	}
-	opt := spec.options(dir, s.cfg.CacheMaxBytes)
-	body, _, err := experiment.RenderArtifactContext(ctx, spec.req.Artifact, spec.format, opt)
+	opt := spec.opt
+	opt.CacheDir, opt.CacheMaxBytes = dir, s.cfg.CacheMaxBytes
+	body, _, err := experiment.RenderArtifactContext(ctx, spec.artifact, spec.format, opt)
 	return body, err
 }
 
@@ -228,17 +229,16 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, CodeBadRequest, "decoding render request: "+err.Error())
 		return
 	}
-	spec, err := validateSpec(req, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
+	spec, err := newRenderSpec(req, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	if err != nil {
 		writeClassified(w, err)
 		return
 	}
-	key := spec.key()
 	// The deadline bounds this request's wait only; the shared render
 	// runs on for any other request still waiting on it.
 	ctx, cancel := context.WithTimeout(r.Context(), spec.timeout)
 	defer cancel()
-	body, leader, err := s.do(ctx, key, func(ctx context.Context) ([]byte, error) {
+	body, leader, err := s.do(ctx, spec.key, func(ctx context.Context) ([]byte, error) {
 		return s.render(ctx, spec)
 	})
 	if err != nil {
@@ -251,7 +251,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", spec.format.ContentType())
 	w.Header().Set("X-Mcdserve-Flight", role)
-	w.Header().Set("X-Mcdserve-Key", key)
+	w.Header().Set("X-Mcdserve-Key", spec.key)
 	w.Write(body) //nolint:errcheck // client gone
 }
 
