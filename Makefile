@@ -38,8 +38,12 @@ lint-budget:
 		echo "mcdlint exceeded its 60s wall-time budget" >&2; exit 1; \
 	fi
 
+# BENCH_PATTERN selects the tracked benchmarks: the ones bench runs and
+# bench-compare gates against BENCH_baseline.json.
+BENCH_PATTERN = BenchmarkSimulatorThroughput|BenchmarkRunMatrix|BenchmarkChunkedReplay|BenchmarkChip|BenchmarkRenderArtifact
+
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkRunMatrix|BenchmarkChunkedReplay|BenchmarkChip' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem .
 
 # bench-compare re-runs the tracked benchmarks and gates against the
 # committed baseline; CI runs it as a blocking job. Two gates, each
@@ -63,12 +67,12 @@ bench:
 # After a deliberate performance change, refresh the baseline with
 # `make bench-baseline`.
 bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkRunMatrix|BenchmarkChunkedReplay|BenchmarkChip' -benchtime 1x -count=5 -benchmem . \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -count=5 -benchmem . \
 		| $(GO) run ./cmd/benchjson -out bench_new.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 40 -alloc-tolerance 10 BENCH_baseline.json bench_new.json
 
 # bench-baseline rewrites BENCH_baseline.json from a fresh best-of-5
 # run; commit the result alongside the change that moved the numbers.
 bench-baseline:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkRunMatrix|BenchmarkChunkedReplay|BenchmarkChip' -benchtime 1x -count=5 -benchmem . \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -count=5 -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_baseline.json

@@ -401,7 +401,9 @@ func Artifacts() []ArtifactInfo { return experiment.Artifacts() }
 // RenderArtifact renders one artifact by catalog ID into the given
 // format, returning the encoded bytes and their MIME content type.
 // The bytes are deterministic: byte-identical across runs, processes,
-// and cache states for the same id, format, and options.
+// and cache states for the same id, format, and options. A repeat of a
+// complete render is served from the in-process render memo; the
+// returned slice is always the caller's own.
 func RenderArtifact(id string, format ArtifactFormat, opt Options) ([]byte, string, error) {
 	return experiment.RenderArtifactContext(context.Background(), id, format, opt)
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"mcddvfs/internal/clock"
@@ -279,6 +280,57 @@ func BenchmarkRunMatrix(b *testing.B) {
 		reportCells(b, cells)
 		b.ReportMetric(entryBytes, "disk-B/cell")
 	})
+}
+
+// BenchmarkRenderArtifact measures warm artifact renders, the bulk of
+// mcdserve's traffic: each sub-benchmark renders its artifact once to
+// fill the caches, then times repeats, which the render memo serves as
+// one key derivation and one map lookup. fig9 walks the full 68-cell
+// matrix when it does render; fig8 computes a multitaper spectrum. One
+// op is a batch of rendersPerOp renders, so that a -benchtime 1x run
+// times milliseconds rather than one render's tens of microseconds;
+// ns/render reports the per-render figure.
+func BenchmarkRenderArtifact(b *testing.B) {
+	const rendersPerOp = 100
+	opt := benchOpt(10000)
+	for _, tc := range []struct {
+		id     string
+		format experiment.ArtifactFormat
+	}{
+		{"fig9", experiment.FormatText},
+		{"fig9", experiment.FormatSVG},
+		{"fig8", experiment.FormatText},
+	} {
+		b.Run(tc.id+"-"+string(tc.format), func(b *testing.B) {
+			experiment.ResetCache()
+			b.Cleanup(experiment.ResetCache)
+			want, _, err := RenderArtifact(tc.id, tc.format, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Collect the cold render's garbage, then refill the
+			// encoders' sync.Pools with one warm render, so no GC cycle
+			// lands in the timed loop and allocs/op counts one warm
+			// render exactly, even at -benchtime 1x.
+			runtime.GC()
+			if _, _, err := RenderArtifact(tc.id, tc.format, opt); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < rendersPerOp; j++ {
+					body, _, err := RenderArtifact(tc.id, tc.format, opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(body) != len(want) {
+						b.Fatalf("warm render is %d bytes, cold was %d", len(body), len(want))
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rendersPerOp), "ns/render")
+		})
+	}
 }
 
 // diskBytesPerEntry returns the mean size of the published cache

@@ -166,9 +166,20 @@ func RenderKey(id string, format ArtifactFormat, opt Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	head, tail, err := s.keyParts()
+	k, err := renderDigest(id, format, opt, s)
 	if err != nil {
 		return "", err
+	}
+	return hex.EncodeToString(k[:]), nil
+}
+
+// renderDigest is the digest behind RenderKey, derived from the
+// runSpec prepareRender returned for the same request. It also keys
+// the render memo (see cachedRender).
+func renderDigest(id string, format ArtifactFormat, opt Options, s *runSpec) ([sha256.Size]byte, error) {
+	head, tail, err := s.keyParts()
+	if err != nil {
+		return [sha256.Size]byte{}, err
 	}
 	render := struct {
 		Artifact     string
@@ -185,14 +196,16 @@ func RenderKey(id string, format ArtifactFormat, opt Options) (string, error) {
 	}
 	blob, err := json.Marshal(render)
 	if err != nil {
-		return "", invalidSpec(fmt.Errorf("experiment: render key: %v", err))
+		return [sha256.Size]byte{}, invalidSpec(fmt.Errorf("experiment: render key: %v", err))
 	}
 	// blob is one JSON object, so it ends where the key parts begin.
 	h := sha256.New()
 	h.Write(blob)
 	h.Write(head)
 	h.Write(tail)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	var k [sha256.Size]byte
+	h.Sum(k[:0])
+	return k, nil
 }
 
 // RenderArtifactContext renders one catalog artifact in the requested
@@ -202,127 +215,180 @@ func RenderKey(id string, format ArtifactFormat, opt Options) (string, error) {
 // → ErrRunTimeout, cancellation → ErrCancelled, simulator panic →
 // ErrRunPanicked). The bytes are identical to what cmd/experiments
 // -out writes for the same options.
+//
+// A complete render is memoized under its RenderKey digest, so a
+// repeat costs one key and one map lookup (see cachedRender). Options
+// the key cannot stand for render afresh every time: a CorpusDir (the
+// key treats a corpus-filled budget as the default), a RowFlush hook
+// (a memo hit would never call it), and options whose key fails.
 func RenderArtifactContext(ctx context.Context, id string, format ArtifactFormat, opt Options) ([]byte, string, error) {
 	ctx = orBackground(ctx)
-	ctype, _, err := prepareRender(id, format, opt)
+	ctype, s, err := prepareRender(id, format, opt)
 	if err != nil {
 		return nil, "", err
 	}
 	opt.Context = ctx
-
-	if format == FormatSVG {
-		svg, err := renderArtifactSVG(ctx, id, opt)
-		if err != nil {
-			return nil, "", err
+	render := func() ([]byte, bool, error) { return renderArtifact(ctx, id, format, opt) }
+	if opt.CorpusDir == "" && opt.RowFlush == nil && cachingOn() {
+		if k, err := renderDigest(id, format, opt, s); err == nil {
+			body, err := cachedRender(k, render)
+			if err != nil {
+				return nil, "", err
+			}
+			return body, ctype, nil
 		}
-		return []byte(svg), ctype, nil
 	}
-	rep, err := renderArtifactReport(ctx, id, opt)
+	body, _, err := render()
 	if err != nil {
 		return nil, "", err
+	}
+	return body, ctype, nil
+}
+
+// renderArtifact produces id's bytes in format. partial reports a
+// render that succeeded with failed runs behind it — a matrix or fault
+// sweep cell, noted in the artifact — which the render memo never
+// stores.
+func renderArtifact(ctx context.Context, id string, format ArtifactFormat, opt Options) (body []byte, partial bool, err error) {
+	if format == FormatSVG {
+		svg, partial, err := renderArtifactSVG(ctx, id, opt)
+		if err != nil {
+			return nil, false, err
+		}
+		return []byte(svg), partial, nil
+	}
+	rep, partial, err := renderArtifactReport(ctx, id, opt)
+	if err != nil {
+		return nil, false, err
 	}
 	if format == FormatJSON {
 		blob, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			return nil, "", invalidSpec(fmt.Errorf("experiment: encoding %s: %v", id, err))
+			return nil, false, invalidSpec(fmt.Errorf("experiment: encoding %s: %v", id, err))
 		}
-		return blob, ctype, nil
+		return blob, partial, nil
 	}
-	return []byte(rep.String()), ctype, nil
+	return []byte(rep.String()), partial, nil
 }
 
-// renderArtifactReport produces the textual Report for id. opt.Context
-// is already set, so the non-context entry points cancel correctly.
-func renderArtifactReport(ctx context.Context, id string, opt Options) (Report, error) {
+// renderMatrix runs the matrix a figure reads and reports whether any
+// of its cells failed.
+func renderMatrix(ctx context.Context, opt Options) (m *Matrix, partial bool, err error) {
+	m, err = RunMatrixContext(ctx, opt)
+	if err != nil {
+		return nil, false, err
+	}
+	return m, len(m.Failures) > 0, nil
+}
+
+// renderFastGroup classifies the benchmarks for fig11 and returns the
+// fast-varying group it plots.
+func renderFastGroup(opt Options) ([]string, error) {
+	_, classes, err := Table2(opt)
+	if err != nil {
+		return nil, err
+	}
+	fast := FastGroup(classes)
+	if len(fast) == 0 {
+		return nil, invalidSpec(fmt.Errorf("experiment: classifier found no fast benchmarks"))
+	}
+	return fast, nil
+}
+
+// renderArtifactReport produces the textual Report for id, and whether
+// it is partial. opt.Context is already set, so the non-context entry
+// points cancel correctly. Only the matrix figures and the fault sweep
+// can succeed partially; every other artifact fails on a failed run.
+func renderArtifactReport(ctx context.Context, id string, opt Options) (Report, bool, error) {
+	complete := func(rep Report, err error) (Report, bool, error) { return rep, false, err }
 	switch id {
 	case "table1":
-		return Table1(opt), nil
+		return Table1(opt), false, nil
 	case "table2":
 		rep, _, err := Table2(opt)
-		return rep, err
+		return rep, false, err
 	case "fig7":
-		return Figure7(opt)
+		return complete(Figure7(opt))
 	case "fig8":
-		return Figure8(opt)
+		return complete(Figure8(opt))
 	case "summary":
 		_, classes, err := Table2(opt)
 		if err != nil {
-			return Report{}, err
+			return Report{}, false, err
 		}
-		m, err := RunMatrixContext(ctx, opt)
+		m, partial, err := renderMatrix(ctx, opt)
 		if err != nil {
-			return Report{}, err
+			return Report{}, false, err
 		}
-		return Summary(m, classes), nil
+		return Summary(m, classes), partial, nil
 	case "fig11":
-		_, classes, err := Table2(opt)
+		fast, err := renderFastGroup(opt)
 		if err != nil {
-			return Report{}, err
+			return Report{}, false, err
 		}
-		fast := FastGroup(classes)
-		if len(fast) == 0 {
-			return Report{}, invalidSpec(fmt.Errorf("experiment: classifier found no fast benchmarks"))
-		}
-		m, err := RunMatrixContext(ctx, opt)
+		m, partial, err := renderMatrix(ctx, opt)
 		if err != nil {
-			return Report{}, err
+			return Report{}, false, err
 		}
-		return m.Figure11(fast), nil
+		return m.Figure11(fast), partial, nil
 	case "fig9", "fig10":
-		m, err := RunMatrixContext(ctx, opt)
+		m, partial, err := renderMatrix(ctx, opt)
 		if err != nil {
-			return Report{}, err
+			return Report{}, false, err
 		}
 		if id == "fig9" {
-			return m.Figure9(), nil
+			return m.Figure9(), partial, nil
 		}
-		return m.Figure10(), nil
+		return m.Figure10(), partial, nil
 	case "robustness":
 		benchmarks := opt.Benchmarks
 		if len(benchmarks) == 0 {
 			benchmarks = robustnessBenchmarks
 		}
-		return FaultSweepContext(ctx, opt, benchmarks, nil)
+		rep, failures, err := faultSweep(ctx, opt, benchmarks, nil)
+		return rep, len(failures) > 0, err
 	case "capsweep":
-		return CapSweepContext(ctx, opt)
+		return complete(CapSweepContext(ctx, opt))
 	case "captransient":
-		return CapTransientContext(ctx, opt)
+		return complete(CapTransientContext(ctx, opt))
 	}
-	return Report{}, invalidSpec(fmt.Errorf("experiment: artifact %q has no report rendering", id))
+	return Report{}, false, invalidSpec(fmt.Errorf("experiment: artifact %q has no report rendering", id))
 }
 
-// renderArtifactSVG produces the SVG figure for id.
-func renderArtifactSVG(ctx context.Context, id string, opt Options) (string, error) {
+// renderArtifactSVG produces the SVG figure for id, and whether it is
+// partial (see renderArtifactReport).
+func renderArtifactSVG(ctx context.Context, id string, opt Options) (string, bool, error) {
+	complete := func(svg string, err error) (string, bool, error) { return svg, false, err }
 	switch id {
 	case "fig7":
-		return Figure7SVG(opt)
+		return complete(Figure7SVG(opt))
 	case "fig8":
-		return Figure8SVG(opt)
+		return complete(Figure8SVG(opt))
 	case "fig11":
-		_, classes, err := Table2(opt)
+		fast, err := renderFastGroup(opt)
 		if err != nil {
-			return "", err
+			return "", false, err
 		}
-		fast := FastGroup(classes)
-		if len(fast) == 0 {
-			return "", invalidSpec(fmt.Errorf("experiment: classifier found no fast benchmarks"))
-		}
-		m, err := RunMatrixContext(ctx, opt)
+		m, partial, err := renderMatrix(ctx, opt)
 		if err != nil {
-			return "", err
+			return "", false, err
 		}
-		return m.Figure11SVG(fast)
+		svg, err := m.Figure11SVG(fast)
+		return svg, partial, err
 	case "fig9", "fig10":
-		m, err := RunMatrixContext(ctx, opt)
+		m, partial, err := renderMatrix(ctx, opt)
 		if err != nil {
-			return "", err
+			return "", false, err
 		}
+		var svg string
 		if id == "fig9" {
-			return m.Figure9SVG()
+			svg, err = m.Figure9SVG()
+		} else {
+			svg, err = m.Figure10SVG()
 		}
-		return m.Figure10SVG()
+		return svg, partial, err
 	case "capsweep":
-		return CapSweepSVG(ctx, opt)
+		return complete(CapSweepSVG(ctx, opt))
 	}
-	return "", invalidSpec(fmt.Errorf("experiment: artifact %q has no SVG rendering", id))
+	return "", false, invalidSpec(fmt.Errorf("experiment: artifact %q has no SVG rendering", id))
 }

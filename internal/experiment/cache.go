@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -60,7 +61,17 @@ var resultCache = struct {
 	// SchemeNone run each derives from (see cachedClass).
 	classes map[[sha256.Size]byte]BenchClass
 	spectra uint64 // classifications computed this generation
-}{enabled: true, memo: make(map[[sha256.Size]byte]outcome), classes: make(map[[sha256.Size]byte]BenchClass)}
+
+	// Complete artifact renders, keyed by their RenderKey digest (see
+	// cachedRender).
+	renders                  map[[sha256.Size]byte][]byte
+	renderHits, renderMisses uint64 // render lookups this generation
+}{
+	enabled: true,
+	memo:    make(map[[sha256.Size]byte]outcome),
+	classes: make(map[[sha256.Size]byte]BenchClass),
+	renders: make(map[[sha256.Size]byte][]byte),
+}
 
 // outcome is one resolved run: a result or a non-transient error.
 type outcome struct {
@@ -78,17 +89,20 @@ func SetCaching(on bool) {
 	resultCache.enabled = on
 }
 
-// ResetCache drops every memoized in-process result and zeroes the
-// hit/miss counters. On-disk entries are untouched (delete the cache
-// directory to force a cold run).
+// ResetCache drops every memoized in-process result and render and
+// zeroes the hit/miss counters. On-disk entries are untouched (delete
+// the cache directory to force a cold run).
 func ResetCache() {
 	resultCache.mu.Lock()
 	resultCache.gen++
 	resultCache.memo = make(map[[sha256.Size]byte]outcome)
 	resultCache.classes = make(map[[sha256.Size]byte]BenchClass)
+	resultCache.renders = make(map[[sha256.Size]byte][]byte)
 	resultCache.runs = 0
 	resultCache.misses = 0
 	resultCache.spectra = 0
+	resultCache.renderHits = 0
+	resultCache.renderMisses = 0
 	resultCache.mu.Unlock()
 	sharedReplays.reset()
 }
@@ -100,6 +114,15 @@ func CacheStats() (hits, misses uint64) {
 	resultCache.mu.Lock()
 	defer resultCache.mu.Unlock()
 	return resultCache.runs - resultCache.misses, resultCache.misses
+}
+
+// RenderCacheStats reports how many artifact renders were served from
+// the render memo versus rendered (see cachedRender). Renders that
+// bypass the memo count as neither.
+func RenderCacheStats() (hits, misses uint64) {
+	resultCache.mu.Lock()
+	defer resultCache.mu.Unlock()
+	return resultCache.renderHits, resultCache.renderMisses
 }
 
 // diskStores holds one open store per cache directory, created
@@ -496,4 +519,39 @@ func cachedClass(spec *runSpec, prof trace.Profile) (BenchClass, error) {
 	}
 	resultCache.mu.Unlock()
 	return bc, nil
+}
+
+// cachedRender returns the artifact bytes memoized under render digest
+// k, or renders them and memoizes a complete render into the
+// generation current at lookup. The memo follows the result cache's
+// rules: the caller bypasses it when caching is off, ResetCache drops
+// it, and a render that outlives a ResetCache (or a SetCaching(false))
+// stores nothing. render reports a partial render — one that succeeded
+// with failed runs behind it — and a partial or failed render is never
+// stored. The memo keeps its own copy and every hit returns a fresh
+// one, so no caller can alias it. Concurrent first renders are not
+// merged; they are deterministic and store the same bytes.
+func cachedRender(k [sha256.Size]byte, render func() (body []byte, partial bool, err error)) ([]byte, error) {
+	resultCache.mu.Lock()
+	body, hit := resultCache.renders[k]
+	gen := resultCache.gen
+	if hit {
+		resultCache.renderHits++
+	} else {
+		resultCache.renderMisses++
+	}
+	resultCache.mu.Unlock()
+	if hit {
+		return bytes.Clone(body), nil
+	}
+	body, partial, err := render()
+	if err != nil || partial {
+		return body, err
+	}
+	resultCache.mu.Lock()
+	if resultCache.gen == gen && resultCache.enabled {
+		resultCache.renders[k] = bytes.Clone(body)
+	}
+	resultCache.mu.Unlock()
+	return body, nil
 }

@@ -69,8 +69,10 @@ func TestMidMatrixCancellationLeavesDiskCacheConsistent(t *testing.T) {
 	}
 	cancel()
 
-	// The directory must verify clean right now: complete entries
-	// only, no temp litter from the cancelled writers.
+	// The directory must verify clean once the cancelled matrix's
+	// detached flights have drained: complete entries only, no temp
+	// litter from the cancelled writers.
+	awaitFlights(t)
 	if _, err := diskcache.Verify(dir, true); err != nil {
 		t.Fatalf("cancelled run damaged the cache: %v", err)
 	}
@@ -88,7 +90,23 @@ func TestMidMatrixCancellationLeavesDiskCacheConsistent(t *testing.T) {
 	if gotFig10 != wantFig10 {
 		t.Error("fig10 after cancelled-then-warm run differs from a cold run")
 	}
+	awaitFlights(t)
 	if _, err := diskcache.Verify(dir, true); err != nil {
 		t.Fatalf("warm re-run damaged the cache: %v", err)
+	}
+}
+
+// awaitFlights waits until no result-cache flight is in progress. A
+// cancelled matrix returns while the flights its cells started may
+// still be finishing a disk write; the directory is only settled once
+// they are gone.
+func awaitFlights(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for resultCache.flights.Len() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d result-cache flights still running after 30s", resultCache.flights.Len())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

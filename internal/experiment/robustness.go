@@ -31,6 +31,13 @@ func FaultSweep(opt Options, benchmarks []string, intensities []float64) (Report
 
 // FaultSweepContext is FaultSweep with explicit cancellation.
 func FaultSweepContext(ctx context.Context, opt Options, benchmarks []string, intensities []float64) (Report, error) {
+	rep, _, err := faultSweep(ctx, opt, benchmarks, intensities)
+	return rep, err
+}
+
+// faultSweep is FaultSweepContext, also returning the failed cells the
+// report notes.
+func faultSweep(ctx context.Context, opt Options, benchmarks []string, intensities []float64) (Report, []CellError, error) {
 	ctx = orBackground(ctx)
 	opt = opt.withDefaults()
 	if len(benchmarks) > 0 {
@@ -40,11 +47,11 @@ func FaultSweepContext(ctx context.Context, opt Options, benchmarks []string, in
 		intensities = DefaultFaultIntensities()
 	}
 	if err := validateIntensities(intensities); err != nil {
-		return Report{}, err
+		return Report{}, nil, err
 	}
 	schemes, err := matrixSchemes(opt)
 	if err != nil {
-		return Report{}, err
+		return Report{}, nil, err
 	}
 
 	// One task per (intensity, scheme, benchmark) triple plus the
@@ -85,10 +92,10 @@ func FaultSweepContext(ctx context.Context, opt Options, benchmarks []string, in
 		failures = append(failures, CellError{Bench: c.bench, Scheme: c.scheme, Err: te.err})
 	}
 	if err := ctx.Err(); err != nil {
-		return Report{}, fmt.Errorf("robustness: %w: %v", ErrCancelled, err)
+		return Report{}, nil, fmt.Errorf("robustness: %w: %v", ErrCancelled, err)
 	}
 	if len(failures) == len(cells) && len(cells) > 0 {
-		return Report{}, fmt.Errorf("robustness: every cell failed, first: %w", failures[0].Err)
+		return Report{}, nil, fmt.Errorf("robustness: every cell failed, first: %w", failures[0].Err)
 	}
 	// Aggregate: mean EDP improvement per (intensity, scheme) over the
 	// benchmarks whose cells completed.
@@ -116,7 +123,7 @@ func FaultSweepContext(ctx context.Context, opt Options, benchmarks []string, in
 		}
 	}
 
-	return renderFaultSweep(opt, schemes, intensities, mean, failures), nil
+	return renderFaultSweep(opt, schemes, intensities, mean, failures), failures, nil
 }
 
 // validateIntensities bounds-checks the sweep grid.

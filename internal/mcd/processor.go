@@ -886,28 +886,9 @@ func (p *Processor) producerSeq(dist uint32, consumer uint64) uint64 {
 	return 0
 }
 
-// srcReady reports whether the operand produced by seq is available to
-// a consumer in domain dom at time now, charging the synchronization
-// window for cross-domain result forwarding.
-func (p *Processor) srcReady(seq uint64, dom isa.ExecDomain, now clock.Time) bool {
-	if seq == 0 {
-		return true
-	}
-	u := p.win.lookup(seq)
-	if u == nil {
-		return true // committed
-	}
-	if u.state != stateIssued {
-		return false
-	}
-	ready := u.readyAt
-	if u.domain != dom {
-		ready += p.syncWin
-	}
-	return ready <= now
-}
-
-// srcReadyAt is srcReady plus a lower bound: when the operand is not
+// srcReadyAt reports whether the operand produced by seq is available
+// to a consumer in domain dom at time now, charging the synchronization
+// window for cross-domain result forwarding. When the operand is not
 // ready but its producer has issued, the returned time is the earliest
 // moment it can become ready (0 when unknowable, i.e. the producer has
 // not issued yet). The bound is the producer's readyAt, NOT readyAt

@@ -651,3 +651,49 @@ func TestStatusz(t *testing.T) {
 		}
 	}
 }
+
+// TestStatuszRenderMemo: a repeated request is one render memo miss,
+// then one hit, and statusz reports both beside the result memo.
+func TestStatuszRenderMemo(t *testing.T) {
+	experiment.ResetCache()
+	defer experiment.ResetCache()
+	_, ts := newTestServer(t, nil)
+	memCache := func() map[string]uint64 {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/api/v1/statusz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap struct {
+			MemCache map[string]uint64 `json:"mem_cache"`
+		}
+		if err := json.Unmarshal(readBody(t, resp), &snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap.MemCache
+	}
+	var bodies [][]byte
+	for i, want := range []map[string]uint64{
+		{"render_hits": 0, "render_misses": 1},
+		{"render_hits": 1, "render_misses": 1},
+	} {
+		resp := postRender(t, ts, tinySpec(7, "txt"))
+		body := readBody(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: %d %s", i, resp.StatusCode, body)
+		}
+		bodies = append(bodies, body)
+		got := memCache()
+		for k, v := range want {
+			if got[k] != v {
+				t.Errorf("after request %d: mem_cache %v, want %s = %d", i, got, k, v)
+			}
+		}
+		if _, ok := got["hits"]; !ok {
+			t.Errorf("mem_cache %v lost the result memo's counts", got)
+		}
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Error("a render memo hit differs from the miss it replays")
+	}
+}

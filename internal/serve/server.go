@@ -332,12 +332,16 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	rs, _ := s.readyState()
 	_, trips := s.breaker.snapshot()
 	memHits, memMisses := experiment.CacheStats()
+	renderHits, renderMisses := experiment.RenderCacheStats()
 	st := map[string]any{
 		"ready":         rs,
 		"breaker_trips": trips,
-		"mem_cache":     map[string]uint64{"hits": memHits, "misses": memMisses},
-		"workers":       s.cfg.Workers,
-		"queue_depth":   s.cfg.QueueDepth,
+		"mem_cache": map[string]uint64{
+			"hits": memHits, "misses": memMisses,
+			"render_hits": renderHits, "render_misses": renderMisses,
+		},
+		"workers":     s.cfg.Workers,
+		"queue_depth": s.cfg.QueueDepth,
 	}
 	if s.store != nil {
 		st["disk_cache"] = s.store.Stats()
