@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-budget bench bench-compare bench-baseline
+.PHONY: build test race lint lint-mcdbench lint-budget bench bench-compare bench-baseline
 
 build:
 	$(GO) build ./...
@@ -17,10 +17,15 @@ race:
 # lint = the standard toolchain vet plus the repo's own invariant
 # suite (docs/LINTING.md): determinism of the simulator and artifact
 # rendering (including the whole-program dettaint/cachekey analyzers),
-# cancellation flow, and the harness error taxonomy.
-lint:
+# cancellation flow, the harness error taxonomy and reachability. It
+# also builds and vets the mcdbench module, which no other target
+# compiles, so a change that breaks the benchmark harness fails here.
+lint: lint-mcdbench
 	$(GO) vet ./...
 	$(GO) run ./cmd/mcdlint ./...
+
+lint-mcdbench:
+	cd mcdbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 # lint-budget is what CI runs: the same checks, timed, with a 60s
 # ceiling on the mcdlint pass. The interprocedural analyzers build a

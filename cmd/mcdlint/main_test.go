@@ -38,8 +38,8 @@ func runLint(t *testing.T, bin, dir string, args ...string) (string, int) {
 }
 
 // TestFixtureViolations runs the multichecker end to end against the
-// fixture module, which seeds at least one violation per analyzer:
-// exit status 1 and a diagnostic from each of the four checkers.
+// fixture modules, which seed at least one violation per analyzer:
+// exit status 1 and a diagnostic from each checker.
 func TestFixtureViolations(t *testing.T) {
 	bin := buildLint(t)
 	out, code := runLint(t, bin, "../../internal/lint/testdata/src/fixture.example", "./...")
@@ -67,9 +67,28 @@ func TestFixtureViolations(t *testing.T) {
 			t.Errorf("output missing %q\n%s", want, out)
 		}
 	}
-	// The escape hatch must have silenced the waived loop.
-	if strings.Contains(out, "Fingerprint") || strings.Contains(out, "lintdirective") {
-		t.Errorf("suppressed or directive diagnostics leaked into output:\n%s", out)
+	// The escape hatch must have silenced the waived loop, and the
+	// reachability check stays silent on a module without a main.
+	if strings.Contains(out, "Fingerprint") || strings.Contains(out, "lintdirective") || strings.Contains(out, "[unreachable]") {
+		t.Errorf("suppressed, directive or unreachable diagnostics leaked into output:\n%s", out)
+	}
+
+	// The reachability fixture is a program: a dead function and a
+	// test-only one are reported, nothing the roots reach is.
+	out, code = runLint(t, bin, "../../internal/lint/testdata/src/unreachable.example", "./...")
+	if code != 1 {
+		t.Fatalf("unreachable fixture: exit code = %d, want 1\n%s", code, out)
+	}
+	for _, want := range []string{
+		"[unreachable] parts.Dead is unreachable",
+		"[unreachable] parts.OnlyTested is unreachable",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "\n"); n != 2 {
+		t.Errorf("unreachable fixture: got %d findings, want 2\n%s", n, out)
 	}
 }
 
@@ -88,9 +107,9 @@ func TestRepoIsClean(t *testing.T) {
 // report in the shipped tree.
 func TestWholeProgramAnalyzersCleanOnRepo(t *testing.T) {
 	bin := buildLint(t)
-	out, code := runLint(t, bin, "../..", "-run", "dettaint,cachekey", "./...")
+	out, code := runLint(t, bin, "../..", "-run", "dettaint,cachekey,unreachable", "./...")
 	if code != 0 || strings.TrimSpace(out) != "" {
-		t.Fatalf("mcdlint -run dettaint,cachekey on the repo: exit %d\n%s", code, out)
+		t.Fatalf("mcdlint -run dettaint,cachekey,unreachable on the repo: exit %d\n%s", code, out)
 	}
 }
 
@@ -168,7 +187,7 @@ func TestSelectAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exit code = %d\n%s", code, out)
 	}
-	for _, name := range []string{"detrange", "detsource", "ctxflow", "errtaxonomy", "schemeswitch", "dettaint", "cachekey"} {
+	for _, name := range []string{"detrange", "detsource", "ctxflow", "errtaxonomy", "schemeswitch", "dettaint", "cachekey", "unreachable"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
 		}

@@ -77,8 +77,6 @@ type AttackDecay struct {
 	sum     float64
 	prevAvg float64
 	have    bool
-
-	actions int
 }
 
 // NewAttackDecay builds the controller; invalid configs panic.
@@ -92,12 +90,9 @@ func NewAttackDecay(cfg AttackDecayConfig) *AttackDecay {
 // Name implements the Controller interface.
 func (a *AttackDecay) Name() string { return "attack-decay" }
 
-// Actions returns how many frequency changes the controller issued.
-func (a *AttackDecay) Actions() int { return a.actions }
-
 // Reset implements the Controller interface.
 func (a *AttackDecay) Reset() {
-	a.ticks, a.sum, a.prevAvg, a.have, a.actions = 0, 0, 0, false, 0
+	a.ticks, a.sum, a.prevAvg, a.have = 0, 0, 0, false
 }
 
 // Observe implements the Controller interface.
@@ -134,7 +129,6 @@ func (a *AttackDecay) Observe(_ clock.Time, occ int, cur float64) (float64, bool
 	if target == cur {
 		return 0, false
 	}
-	a.actions++
 	return target, true
 }
 

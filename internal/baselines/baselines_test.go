@@ -132,8 +132,8 @@ func TestAttackDecayReset(t *testing.T) {
 	a := NewAttackDecay(cfg)
 	driveN(a.Observe, 0, 25, 800)
 	a.Reset()
-	if a.Actions() != 0 {
-		t.Error("actions not reset")
+	if a.ticks != 0 || a.sum != 0 || a.have {
+		t.Error("interval state not reset")
 	}
 	// After reset, the first interval only establishes the average.
 	if _, changed := driveN(a.Observe, 0, 10, 800); changed {
@@ -229,7 +229,7 @@ func TestPIDReset(t *testing.T) {
 	p := NewPID(cfg)
 	driveN(p.Observe, 12, 100, 700)
 	p.Reset()
-	if p.Actions() != 0 || p.integral != 0 || p.have {
+	if p.ticks != 0 || p.integral != 0 || p.have {
 		t.Error("reset incomplete")
 	}
 }

@@ -75,8 +75,6 @@ type PID struct {
 	integral float64
 	have     bool
 	base     float64
-
-	actions int
 }
 
 // NewPID builds the controller; invalid configs panic.
@@ -90,14 +88,10 @@ func NewPID(cfg PIDConfig) *PID {
 // Name implements the Controller interface.
 func (p *PID) Name() string { return "pid" }
 
-// Actions returns how many frequency changes the controller issued.
-func (p *PID) Actions() int { return p.actions }
-
 // Reset implements the Controller interface.
 func (p *PID) Reset() {
 	p.ticks, p.sum = 0, 0
 	p.prevErr, p.integral, p.have, p.base = 0, 0, false, 0
-	p.actions = 0
 }
 
 // Observe implements the Controller interface.
@@ -129,7 +123,6 @@ func (p *PID) Observe(_ clock.Time, occ int, cur float64) (float64, bool) {
 	if target == cur {
 		return 0, false
 	}
-	p.actions++
 	return target, true
 }
 

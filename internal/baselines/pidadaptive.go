@@ -102,8 +102,6 @@ type AdaptivePID struct {
 	integral float64
 	have     bool
 	base     float64
-
-	actions int
 }
 
 // NewAdaptivePID builds the controller; invalid configs panic.
@@ -117,14 +115,10 @@ func NewAdaptivePID(cfg AdaptivePIDConfig) *AdaptivePID {
 // Name implements the Controller interface.
 func (p *AdaptivePID) Name() string { return "pid-adaptive" }
 
-// Actions returns how many frequency changes the controller issued.
-func (p *AdaptivePID) Actions() int { return p.actions }
-
 // Reset implements the Controller interface.
 func (p *AdaptivePID) Reset() {
 	p.ticks, p.sum, p.counter = 0, 0, 0
 	p.prevErr, p.integral, p.have, p.base = 0, 0, false, 0
-	p.actions = 0
 }
 
 // Observe implements the Controller interface.
@@ -170,6 +164,5 @@ func (p *AdaptivePID) Observe(_ clock.Time, occ int, cur float64) (float64, bool
 	if target == cur {
 		return 0, false
 	}
-	p.actions++
 	return target, true
 }

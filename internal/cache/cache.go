@@ -99,15 +99,6 @@ func (c *Cache) Name() string { return c.name }
 // Stats returns the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Sets and Ways expose the geometry.
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
-// LineSize returns the line size in bytes.
-func (c *Cache) LineSize() int { return 1 << c.lineBits }
-
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	// Sets are a power of two (New enforces it), so the modulo/divide
 	// pair reduces to mask/shift — this is the per-access hot path.
@@ -181,18 +172,6 @@ func (c *Cache) Fill(addr uint64) (wasResident bool) {
 	c.tags[base+victim] = tag
 	c.dirty[base+victim] = false
 	c.touch(base, victim)
-	return false
-}
-
-// Probe reports whether addr is resident without updating state.
-func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == tag {
-			return true
-		}
-	}
 	return false
 }
 
@@ -278,9 +257,6 @@ func NewHierarchy(cfg Config) *Hierarchy {
 		l2:  New("L2", cfg.L2Size, cfg.L2Ways, cfg.L2Line),
 	}
 }
-
-// Config returns the hierarchy's configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
 
 // L1I, L1D and L2 expose the component caches for statistics.
 func (h *Hierarchy) L1I() *Cache { return h.l1i }

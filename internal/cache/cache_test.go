@@ -6,6 +6,19 @@ import (
 	"testing/quick"
 )
 
+// Probe reports whether addr is resident without updating state: the
+// tests' window onto residency.
+func (c *Cache) Probe(addr uint64) bool {
+	set, tag := c.index(addr)
+	base := set * c.ways
+	for w := 0; w < c.ways; w++ {
+		if c.tags[base+w] == tag {
+			return true
+		}
+	}
+	return false
+}
+
 func TestAccessHitAfterMiss(t *testing.T) {
 	c := New("t", 1<<10, 2, 64)
 	if hit, _ := c.Access(0x1000, false); hit {
@@ -26,8 +39,8 @@ func TestAccessHitAfterMiss(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	// 2 ways, 1 set: three distinct lines must evict the least recent.
 	c := New("t", 128, 2, 64)
-	if c.Sets() != 1 {
-		t.Fatalf("sets = %d, want 1", c.Sets())
+	if c.sets != 1 {
+		t.Fatalf("sets = %d, want 1", c.sets)
 	}
 	c.Access(0x0000, false) // A
 	c.Access(0x4000, false) // B

@@ -34,18 +34,12 @@ const (
 	Second      Time = 1e15
 )
 
-// Forever is a sentinel time later than any event in a simulation. It is
-// used as the next-edge time of a stopped clock.
+// Forever is a sentinel time later than any event in a simulation: the
+// bound of a sleep that only an explicit wake ends.
 const Forever Time = math.MaxInt64
 
 // Seconds returns t expressed in seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Nanoseconds returns t expressed in nanoseconds.
-func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
-
-// Microseconds returns t expressed in microseconds.
-func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
 
 // String formats the time with an adaptive unit.
 func (t Time) String() string {
@@ -64,19 +58,10 @@ func (t Time) String() string {
 }
 
 // PeriodForMHz returns the clock period for a frequency given in MHz.
-// It panics if the frequency is not positive; a domain with no clock
-// should be stopped, not run at zero frequency.
+// It panics if the frequency is not positive.
 func PeriodForMHz(mhz float64) Time {
 	if mhz <= 0 {
 		panic(fmt.Sprintf("clock: non-positive frequency %g MHz", mhz))
 	}
 	return Time(math.Round(1e9 / mhz)) // 1 MHz -> 1e9 fs period
-}
-
-// FreqMHzForPeriod is the inverse of PeriodForMHz.
-func FreqMHzForPeriod(p Time) float64 {
-	if p <= 0 {
-		panic(fmt.Sprintf("clock: non-positive period %d", int64(p)))
-	}
-	return 1e9 / float64(p)
 }

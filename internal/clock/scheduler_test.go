@@ -2,10 +2,8 @@ package clock
 
 // Scheduler interleaves the clock edges of a set of domains in global
 // time order, implementing the classic MCD co-simulation loop: at every
-// step the domain with the earliest pending edge executes one cycle.
-//
-// The number of domains in an MCD processor is tiny (four in the paper's
-// configuration, plus a sampling clock), so a linear scan beats a heap.
+// step the domain with the earliest pending edge executes one cycle. It
+// is the plain reference the Engine's arbitration is tested against.
 type Scheduler struct {
 	domains []*Domain
 	now     Time
@@ -26,8 +24,8 @@ func (s *Scheduler) Domains() []*Domain { return s.domains }
 func (s *Scheduler) Now() Time { return s.now }
 
 // Next returns the domain with the earliest pending clock edge and that
-// edge's time, without consuming it. It returns (nil, Forever) when every
-// domain is stopped. Ties break by registration order, so a deterministic
+// edge's time, without consuming it. It returns (nil, Forever) when no
+// domain is registered. Ties break by registration order, so a deterministic
 // ordering of simultaneous edges is guaranteed.
 func (s *Scheduler) Next() (*Domain, Time) {
 	var best *Domain
@@ -41,7 +39,7 @@ func (s *Scheduler) Next() (*Domain, Time) {
 }
 
 // Step consumes the earliest pending edge and returns the domain and the
-// edge time. It returns (nil, Forever) when all domains are stopped.
+// edge time. It returns (nil, Forever) when no domain is registered.
 func (s *Scheduler) Step() (*Domain, Time) {
 	d, t := s.Next()
 	if d == nil {

@@ -246,12 +246,6 @@ func NewAdaptive(cfg Config) *Adaptive {
 // Name implements the Controller interface.
 func (a *Adaptive) Name() string { return "adaptive" }
 
-// Config returns the controller's configuration.
-func (a *Adaptive) Config() Config { return a.cfg }
-
-// Stats returns the event counters.
-func (a *Adaptive) Stats() Stats { return a.stats }
-
 // Reset implements the Controller interface.
 func (a *Adaptive) Reset() {
 	a.level.reset()

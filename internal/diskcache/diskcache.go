@@ -183,9 +183,6 @@ func OpenFS(dir string, maxBytes int64, fsys FS) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Stats returns a snapshot of the traffic counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
@@ -210,22 +207,6 @@ func (s *Store) SetFS(fsys FS) {
 	s.fsMu.Lock()
 	s.fsys = fsys
 	s.fsMu.Unlock()
-}
-
-// SetRetry adjusts Put's bounded retry policy: attempts is the total
-// number of tries (minimum 1), backoff the first inter-try sleep
-// (doubled each further try). Tests shrink it; servers can widen it.
-func (s *Store) SetRetry(attempts int, backoff time.Duration) {
-	if attempts < 1 {
-		attempts = 1
-	}
-	if backoff < 0 {
-		backoff = 0
-	}
-	s.mu.Lock()
-	s.retryAttempts = attempts
-	s.retryBackoff = backoff
-	s.mu.Unlock()
 }
 
 // SetObserver registers fn to be told the outcome of every disk-backed
@@ -372,8 +353,9 @@ func decodeEntry(blob []byte) ([]byte, error) {
 // renamed into place, so a concurrent Get sees either the old complete
 // entry or the new complete entry, never a torn one. Transient I/O
 // failures anywhere on that path (temp creation, writes, the rename)
-// are retried with exponential backoff per SetRetry before Put gives
-// up — a brief disk hiccup must not silently drop the entry.
+// are retried with exponential backoff (defaultRetryAttempts tries)
+// before Put gives up — a brief disk hiccup must not silently drop the
+// entry.
 func (s *Store) Put(key [sha256.Size]byte, v any) error {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
@@ -529,6 +511,8 @@ func (s *Store) GC() (evicted int, err error) {
 // and retry machinery let nothing torn or truncated reach an entry
 // slot. Temp files are reported as an error only alongside `strict`,
 // since a live writer legitimately owns one for a few milliseconds.
+//
+//lint:allow unreachable audit oracle the experiment and serve chaos tests share across packages
 func Verify(dir string, strict bool) (checked int, err error) {
 	dents, err := os.ReadDir(dir)
 	if err != nil {

@@ -176,17 +176,12 @@ func runCapSweep(ctx context.Context, opt Options) (*capSweepGrid, error) {
 	return g, nil
 }
 
-// CapSweep renders the chip power-cap sweep: for every capping governor
-// and every budget on the grid, the chip's mean and steady-state power,
-// budget adherence, EDP, and per-core throughput, against the uncapped
-// reference. The per-domain adaptive controllers stay active in every
-// cell — the sweep shows the chip-level cap loop composing with, not
-// replacing, the paper's per-domain control.
-func CapSweep(opt Options) (Report, error) {
-	return CapSweepContext(opt.ctx(), opt)
-}
-
-// CapSweepContext is CapSweep with explicit cancellation.
+// CapSweepContext renders the chip power-cap sweep: for every capping
+// governor and every budget on the grid, the chip's mean and
+// steady-state power, budget adherence, EDP, and per-core throughput,
+// against the uncapped reference. The per-domain adaptive controllers
+// stay active in every cell — the sweep shows the chip-level cap loop
+// composing with, not replacing, the paper's per-domain control.
 func CapSweepContext(ctx context.Context, opt Options) (Report, error) {
 	g, err := runCapSweep(orBackground(ctx), opt)
 	if err != nil {
@@ -312,17 +307,12 @@ func capGain(opt Options) float64 {
 	return governor.DefaultGainMHzPerW
 }
 
-// CapTransient renders the budget-reallocation transient: an N-core
-// chip under the integral-gain governor at a binding budget, traced
-// epoch by epoch. The interesting moments are the cold start (the
-// allowance integrates down from N·f_max until the chip meets the
-// budget) and each core's finish (the finisher's watts reflow to the
-// still-running cores within a few epochs).
-func CapTransient(opt Options) (Report, error) {
-	return CapTransientContext(opt.ctx(), opt)
-}
-
-// CapTransientContext is CapTransient with explicit cancellation.
+// CapTransientContext renders the budget-reallocation transient: an
+// N-core chip under the integral-gain governor at a binding budget,
+// traced epoch by epoch. The interesting moments are the cold start
+// (the allowance integrates down from N·f_max until the chip meets
+// the budget) and each core's finish (the finisher's watts reflow to
+// the still-running cores within a few epochs).
 func CapTransientContext(ctx context.Context, opt Options) (Report, error) {
 	ctx = orBackground(ctx)
 	cores := capSweepCores(opt)

@@ -234,15 +234,10 @@ func RunOneContext(ctx context.Context, bench string, scheme Scheme, opt Options
 	return RunProfileContext(ctx, prof, scheme, opt)
 }
 
-// RunProfile simulates an arbitrary workload profile under one scheme.
-// Results are memoized per process (see cache.go): two calls with
-// inputs that hash to the same simulation share one run and one
-// *mcd.Result, so callers must not mutate what they get back.
-func RunProfile(prof trace.Profile, scheme Scheme, opt Options) (*mcd.Result, error) {
-	return RunProfileContext(opt.ctx(), prof, scheme, opt)
-}
-
-// RunProfileContext is RunProfile with explicit cancellation. Every
+// RunProfileContext simulates an arbitrary workload profile under one
+// scheme. Results are memoized per process (see cache.go): two calls
+// with inputs that hash to the same simulation share one run and one
+// *mcd.Result, so callers must not mutate what they get back. Every
 // failure wraps one of the taxonomy sentinels: a request that could
 // never run returns ErrInvalidSpec; a run that exceeds opt.Timeout
 // returns ErrRunTimeout; cancellation returns ErrCancelled; a panic in

@@ -90,6 +90,8 @@ var traceSharing = struct {
 // enabled by default; disabling makes every run, matrix cells
 // included, regenerate its workload stream from the profile (the
 // pre-sharing behavior), which must produce byte-identical artifacts.
+//
+//lint:allow unreachable A/B toggle for the root benchmarks and transparency tests; leaves with the other harness toggles
 func SetTraceSharing(on bool) {
 	traceSharing.mu.Lock()
 	defer traceSharing.mu.Unlock()

@@ -256,10 +256,6 @@ type Actuator struct {
 	pending    bool
 	pendingMHz float64
 	dueAt      clock.Time
-
-	// Event counters for reports and tests.
-	missed  int
-	applied int
 }
 
 // Filter maps a controller decision to what reaches the clock domain
@@ -268,20 +264,15 @@ type Actuator struct {
 func (a *Actuator) Filter(now clock.Time, targetMHz float64, change bool) (float64, bool) {
 	if a.stuck {
 		a.pending = false
-		if change {
-			a.missed++
-		}
 		return 0, false
 	}
 	if change {
 		if a.cfg.StuckRate > 0 && a.rng.Float64() < a.cfg.StuckRate {
 			a.stuck = true
 			a.pending = false
-			a.missed++
 			return 0, false
 		}
 		if a.cfg.MissRate > 0 && a.rng.Float64() < a.cfg.MissRate {
-			a.missed++
 			return 0, false
 		}
 		delay := clock.Time(a.cfg.DelayTicks) * a.period
@@ -289,7 +280,6 @@ func (a *Actuator) Filter(now clock.Time, targetMHz float64, change bool) (float
 			delay += clock.Time(a.rng.Float64() * a.cfg.RelockJitterNS * float64(clock.Nanosecond))
 		}
 		if delay <= 0 {
-			a.applied++
 			return targetMHz, true
 		}
 		// Single-entry command latch: a newer command overwrites an
@@ -301,7 +291,6 @@ func (a *Actuator) Filter(now clock.Time, targetMHz float64, change bool) (float
 	}
 	if a.pending && now >= a.dueAt {
 		a.pending = false
-		a.applied++
 		return a.pendingMHz, true
 	}
 	return 0, false
@@ -312,11 +301,3 @@ func (a *Actuator) Filter(now clock.Time, targetMHz float64, change bool) (float
 // the controlled domain at that time; a newer deferred command
 // overwrites the latch and reschedules the wake.
 func (a *Actuator) PendingDue() (clock.Time, bool) { return a.dueAt, a.pending }
-
-// Stuck reports whether the regulator has latched.
-func (a *Actuator) Stuck() bool { return a.stuck }
-
-// Counts returns how many commands were applied and how many were lost
-// (missed, latched away, or superseded commands are not counted as
-// applied).
-func (a *Actuator) Counts() (applied, missed int) { return a.applied, a.missed }

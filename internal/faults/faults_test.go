@@ -151,8 +151,8 @@ func TestActuatorDelaysCommand(t *testing.T) {
 	if !ch || mhz != 1000 {
 		t.Fatalf("due command not released: (%g, %v)", mhz, ch)
 	}
-	if applied, missed := a.Counts(); applied != 1 || missed != 0 {
-		t.Errorf("counts = (%d, %d), want (1, 0)", applied, missed)
+	if _, ch := a.Filter(3*period, 0, false); ch {
+		t.Error("released command delivered twice")
 	}
 }
 
@@ -165,8 +165,8 @@ func TestActuatorLatchOverwrites(t *testing.T) {
 	if mhz, ch := a.Filter(2*period, 0, false); !ch || mhz != 1500 {
 		t.Fatalf("latch released (%g, %v), want the newer 1500", mhz, ch)
 	}
-	if applied, _ := a.Counts(); applied != 1 {
-		t.Errorf("applied = %d, want 1 (superseded command is not applied)", applied)
+	if mhz, ch := a.Filter(3*period, 0, false); ch {
+		t.Errorf("superseded command delivered later (%g)", mhz)
 	}
 }
 
@@ -177,9 +177,6 @@ func TestActuatorMissesEveryCommand(t *testing.T) {
 			t.Fatal("command got through a MissRate-1 actuator")
 		}
 	}
-	if applied, missed := a.Counts(); applied != 0 || missed != 10 {
-		t.Errorf("counts = (%d, %d), want (0, 10)", applied, missed)
-	}
 }
 
 func TestActuatorSticks(t *testing.T) {
@@ -187,15 +184,12 @@ func TestActuatorSticks(t *testing.T) {
 	if _, ch := a.Filter(0, 800, true); ch {
 		t.Fatal("command applied by a regulator that should latch")
 	}
-	if !a.Stuck() {
+	if !a.stuck {
 		t.Fatal("regulator did not latch")
 	}
 	for i := 1; i < 5; i++ {
 		if _, ch := a.Filter(clock.Time(i), 700, true); ch {
 			t.Fatal("stuck regulator applied a command")
 		}
-	}
-	if applied, missed := a.Counts(); applied != 0 || missed != 5 {
-		t.Errorf("counts = (%d, %d), want (0, 5)", applied, missed)
 	}
 }

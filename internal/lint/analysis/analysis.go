@@ -16,6 +16,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -91,6 +92,13 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
+// ErrNotApplicable is what a whole-program analyzer returns when it
+// does not apply to the loaded packages, such as a reachability check
+// given a library slice with no main package. The driver then leaves
+// that analyzer's //lint:allow directives unaudited instead of
+// reporting them as suppressing nothing.
+var ErrNotApplicable = errors.New("analysis: analyzer does not apply to these packages")
+
 // Diagnostic is one reported violation. A diagnostic silenced by a
 // //lint:allow directive is still returned — with Suppressed set and
 // the directive's reason attached — so machine consumers (mcdlint
@@ -122,6 +130,10 @@ type Target struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
+	// ModulePath and ModuleDir name the package's module; empty when
+	// the loader ran outside module mode.
+	ModulePath string
+	ModuleDir  string
 }
 
 // allowDirective is one parsed //lint:allow comment.
@@ -215,6 +227,7 @@ func Run(targets []*Target, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 	}
 
+	notApplicable := make(map[string]bool)
 	for _, a := range analyzers {
 		if a.RunProgram == nil {
 			continue
@@ -225,7 +238,9 @@ func Run(targets []*Target, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Targets:  targets,
 		}
 		pass.report = func(d Diagnostic) { report(d, pass.Fset) }
-		if err := a.RunProgram(pass); err != nil {
+		if err := a.RunProgram(pass); errors.Is(err, ErrNotApplicable) {
+			notApplicable[a.Name] = true
+		} else if err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
@@ -242,7 +257,7 @@ func Run(targets []*Target, analyzers []*Analyzer) ([]Diagnostic, error) {
 		case !known[a.analyzer]:
 			diags = append(diags, Diagnostic{Pos: a.pos, Analyzer: "lintdirective",
 				Message: fmt.Sprintf("//lint:allow names unknown analyzer %q", a.analyzer)})
-		case !a.used:
+		case !a.used && !notApplicable[a.analyzer]:
 			diags = append(diags, Diagnostic{Pos: a.pos, Analyzer: "lintdirective",
 				Message: fmt.Sprintf("//lint:allow %s suppresses nothing; remove it", a.analyzer)})
 		}

@@ -194,6 +194,23 @@ func f() {}
 	}
 }
 
+// TestAllowNotApplicable: an analyzer that does not apply to the load
+// leaves its directives unaudited rather than stale.
+func TestAllowNotApplicable(t *testing.T) {
+	skip := &Analyzer{
+		Name:       "needsmain",
+		Doc:        "applies only to programs",
+		RunProgram: func(*ProgramPass) error { return ErrNotApplicable },
+	}
+	diags := check(t, `package p
+//lint:allow needsmain kept for a program this load does not hold
+func f() {}
+`, skip)
+	if len(diags) != 0 {
+		t.Fatalf("want no diagnostics, got: %v", messages(diags))
+	}
+}
+
 func TestAllowUnused(t *testing.T) {
 	diags := check(t, `package p
 //lint:allow flagloops nothing here loops

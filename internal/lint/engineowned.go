@@ -7,8 +7,8 @@ import (
 	"mcddvfs/internal/lint/analysis"
 )
 
-// EngineOwned forbids advancing or stopping a clock.Domain directly
-// from simulator code outside internal/clock. The event engine owns
+// EngineOwned forbids advancing a clock.Domain directly from simulator
+// code outside internal/clock. The event engine owns
 // registered domains: it caches every domain's next-edge time in a
 // flat slice so edge arbitration is a scan instead of a pointer chase,
 // and that cache is only coherent because all clock mutation flows
@@ -18,18 +18,13 @@ import (
 // that bypass the engine are caught at lint time rather than as a
 // stale-cache heisenbug or a silent throughput regression.
 //
-// internal/clock itself is exempt (the engine and the plain scheduler
-// are the sanctioned callers), as is everything outside the simulator
-// scope.
+// internal/clock itself is exempt (the engine is the sanctioned
+// caller), as is everything outside the simulator scope.
 var EngineOwned = &analysis.Analyzer{
 	Name: "engineowned",
-	Doc:  "forbids direct clock.Domain.Advance/Stop (per-cycle polling) outside the engine package",
+	Doc:  "forbids direct clock.Domain.Advance (per-cycle polling) outside the engine package",
 	Run:  runEngineOwned,
 }
-
-// domainOwnedMethods are the clock-mutating Domain methods reserved to
-// the engine.
-var domainOwnedMethods = map[string]bool{"Advance": true, "Stop": true}
 
 func runEngineOwned(pass *analysis.Pass) error {
 	pkg := pass.Pkg.Path()
@@ -47,7 +42,7 @@ func runEngineOwned(pass *analysis.Pass) error {
 				return true
 			}
 			fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
-			if !ok || !domainOwnedMethods[fn.Name()] {
+			if !ok || fn.Name() != "Advance" {
 				return true
 			}
 			sig, ok := fn.Type().(*types.Signature)
@@ -66,8 +61,7 @@ func runEngineOwned(pass *analysis.Pass) error {
 				return true
 			}
 			pass.Reportf(sel.Sel.Pos(),
-				"clock.Domain.%s called outside the engine; engine-owned domains advance through clock.Engine (Advance/IdleAdvance) so cached edge times stay coherent",
-				fn.Name())
+				"clock.Domain.Advance called outside the engine; engine-owned domains advance through clock.Engine (Advance/IdleAdvance) so cached edge times stay coherent")
 			return true
 		})
 	}

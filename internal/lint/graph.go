@@ -12,8 +12,8 @@ import (
 )
 
 // This file is the interprocedural half of mcdlint: a whole-program
-// call graph over every loaded target package, shared by the dettaint
-// and cachekey analyzers.
+// call graph over every loaded target package, shared by the dettaint,
+// cachekey and unreachable analyzers.
 //
 // Targets are type-checked independently against compiled export data
 // (see internal/lint/load), so a *types.Func observed from a caller's
@@ -189,25 +189,7 @@ func (g *progGraph) scanBody(n *graphNode) {
 		switch node := node.(type) {
 		case *ast.Ident:
 			fn, ok := info.Uses[node].(*types.Func)
-			if !ok {
-				return true
-			}
-			if target, ok := g.nodes[symbolKey(fn)]; ok {
-				addEdge(target, "call")
-				return true
-			}
-			sig := fn.Type().(*types.Signature)
-			if recv := sig.Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				// Interface dispatch: fan out to every declared method
-				// with the same name and arity.
-				for _, cand := range g.order {
-					if cand.fn.Name() != fn.Name() || cand.fn.Type().(*types.Signature).Recv() == nil {
-						continue
-					}
-					if sameArity(sig, cand.fn.Type().(*types.Signature)) {
-						addEdge(cand, "iface")
-					}
-				}
+			if !ok || g.resolve(fn, addEdge) {
 				return true
 			}
 			// External function without a body: a nondeterminism
@@ -234,6 +216,31 @@ func (g *progGraph) scanBody(n *graphNode) {
 		return true
 	})
 
+}
+
+// resolve calls visit with every node a reference to fn may reach:
+// the declared function itself ("call"), or, for an interface method,
+// every declared method with the same name and arity ("iface"). It
+// reports false when fn is neither, i.e. a function outside the
+// loaded packages.
+func (g *progGraph) resolve(fn *types.Func, visit func(to *graphNode, via string)) bool {
+	if target, ok := g.nodes[symbolKey(fn)]; ok {
+		visit(target, "call")
+		return true
+	}
+	sig := fn.Type().(*types.Signature)
+	if recv := sig.Recv(); recv == nil || !types.IsInterface(recv.Type()) {
+		return false
+	}
+	for _, cand := range g.order {
+		if cand.fn.Name() != fn.Name() || cand.fn.Type().(*types.Signature).Recv() == nil {
+			continue
+		}
+		if sameArity(sig, cand.fn.Type().(*types.Signature)) {
+			visit(cand, "iface")
+		}
+	}
+	return true
 }
 
 // sameArity reports whether two signatures take and return the same
@@ -372,20 +379,4 @@ func shortFn(fn *types.Func) string {
 		return fmt.Sprintf("%s.(%s%s).%s", pkg, star, name, fn.Name())
 	}
 	return pkg + "." + fn.Name()
-}
-
-// dump renders the graph as sorted "caller -> [via] callee" lines plus
-// per-node source annotations — the format the golden call-graph test
-// pins.
-func (g *progGraph) dump() string {
-	var b strings.Builder
-	for _, n := range g.order {
-		for _, e := range n.edges {
-			fmt.Fprintf(&b, "%s -> [%s] %s\n", n.key, e.via, e.to.key)
-		}
-		for _, s := range n.sources {
-			fmt.Fprintf(&b, "%s !! %s: %s\n", n.key, s.kind, s.what)
-		}
-	}
-	return b.String()
 }

@@ -2,8 +2,10 @@ package lint
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mcddvfs/internal/lint/load"
@@ -45,4 +47,20 @@ func TestGraphGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("call-graph dump differs from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 	}
+}
+
+// dump renders the graph as sorted "caller -> [via] callee" lines plus
+// per-node source annotations — the format the golden call-graph test
+// pins.
+func (g *progGraph) dump() string {
+	var b strings.Builder
+	for _, n := range g.order {
+		for _, e := range n.edges {
+			fmt.Fprintf(&b, "%s -> [%s] %s\n", n.key, e.via, e.to.key)
+		}
+		for _, s := range n.sources {
+			fmt.Fprintf(&b, "%s !! %s: %s\n", n.key, s.kind, s.what)
+		}
+	}
+	return b.String()
 }

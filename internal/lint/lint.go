@@ -18,11 +18,11 @@
 //     but the scheme registry (internal/scheme), so per-scheme
 //     behavior cannot fragment back into call sites.
 //   - The event engine owns registered domains.
-//     engineowned forbids direct clock.Domain.Advance/Stop calls
-//     outside internal/clock, so the engine's cached edge times stay
+//     engineowned forbids direct clock.Domain.Advance calls outside
+//     internal/clock, so the engine's cached edge times stay
 //     coherent and per-cycle polling cannot creep back in.
 //
-// Two analyzers are whole-program rather than per-package, built on
+// Three analyzers are whole-program rather than per-package, built on
 // the call graph in graph.go:
 //
 //   - Nondeterminism cannot reach the simulator from anywhere.
@@ -35,6 +35,9 @@
 //   - The content-addressed cache key is complete.
 //     cachekey proves every Options field the run path reads is hashed
 //     (or explicitly exempted).
+//   - Every function has a caller outside the tests.
+//     unreachable reports functions that no command, init, root-package
+//     API, package var, external interface or companion module reaches.
 package lint
 
 import (
@@ -100,6 +103,7 @@ func Analyzers() []*analysis.Analyzer {
 		EngineOwned,
 		DetTaint,
 		CacheKey,
+		Unreachable,
 	}
 }
 
@@ -107,7 +111,8 @@ func Analyzers() []*analysis.Analyzer {
 func Targets(pkgs []*load.Package) []*analysis.Target {
 	out := make([]*analysis.Target, len(pkgs))
 	for i, p := range pkgs {
-		out[i] = &analysis.Target{Fset: p.Fset, Files: p.Files, Pkg: p.Pkg, Info: p.Info}
+		out[i] = &analysis.Target{Fset: p.Fset, Files: p.Files, Pkg: p.Pkg, Info: p.Info,
+			ModulePath: p.ModulePath, ModuleDir: p.ModuleDir}
 	}
 	return out
 }

@@ -1,5 +1,5 @@
 // Package linttest is a miniature analysistest: it runs the mcdlint
-// suite over the fixture module under internal/lint/testdata and
+// suite over a fixture module under internal/lint/testdata and
 // compares the diagnostics against expectations embedded in the
 // fixture sources.
 //
@@ -45,23 +45,38 @@ type diag struct {
 	message  string
 }
 
-var fixture struct {
-	once  sync.Once
+// fixture is one module's suite run, shared by every Run call on it.
+type fixture struct {
 	err   error
 	wants []*want
 	diags []diag
+}
+
+var fixtures struct {
+	mu    sync.Mutex
+	byDir map[string]*fixture
 }
 
 var wantRE = regexp.MustCompile("// want ([a-z]+)((?: `[^`]+`)+)")
 var patRE = regexp.MustCompile("`([^`]+)`")
 
 // loadFixture runs the full suite over dir once per test binary.
-func loadFixture(dir string) error {
-	fixture.once.Do(func() { fixture.err = runSuite(dir) })
-	return fixture.err
+func loadFixture(dir string) *fixture {
+	fixtures.mu.Lock()
+	defer fixtures.mu.Unlock()
+	if f, ok := fixtures.byDir[dir]; ok {
+		return f
+	}
+	if fixtures.byDir == nil {
+		fixtures.byDir = make(map[string]*fixture)
+	}
+	f := new(fixture)
+	f.err = f.runSuite(dir)
+	fixtures.byDir[dir] = f
+	return f
 }
 
-func runSuite(dir string) error {
+func (fx *fixture) runSuite(dir string) error {
 	pkgs, err := load.Load(dir, "./...")
 	if err != nil {
 		return fmt.Errorf("loading fixture module: %w", err)
@@ -76,7 +91,7 @@ func runSuite(dir string) error {
 	fset := pkgs[0].Fset
 	for _, d := range analysis.Active(ds) {
 		pos := fset.Position(d.Pos)
-		fixture.diags = append(fixture.diags, diag{
+		fx.diags = append(fx.diags, diag{
 			file:     pos.Filename,
 			line:     pos.Line,
 			analyzer: d.Analyzer,
@@ -86,7 +101,7 @@ func runSuite(dir string) error {
 	for _, p := range pkgs {
 		for _, f := range p.Files {
 			name := fset.Position(f.Pos()).Filename
-			if err := parseWants(name); err != nil {
+			if err := fx.parseWants(name); err != nil {
 				return err
 			}
 		}
@@ -94,7 +109,7 @@ func runSuite(dir string) error {
 	return nil
 }
 
-func parseWants(filename string) error {
+func (fx *fixture) parseWants(filename string) error {
 	src, err := os.ReadFile(filename)
 	if err != nil {
 		return err
@@ -108,7 +123,7 @@ func parseWants(filename string) error {
 				if err != nil {
 					return fmt.Errorf("%s:%d: bad want pattern %q: %w", filename, i+1, pm[1], err)
 				}
-				fixture.wants = append(fixture.wants, &want{
+				fx.wants = append(fx.wants, &want{
 					file:     filename,
 					line:     i + 1,
 					analyzer: m[1],
@@ -121,24 +136,28 @@ func parseWants(filename string) error {
 }
 
 // Run checks one analyzer's diagnostics against the fixture module at
-// dir (shared and evaluated once across all Run calls in a binary).
+// dir (each module is evaluated once and shared across all Run calls
+// in a binary).
+//
+//lint:allow unreachable test harness the lint packages' tests share; only _test.go files call it
 func Run(t *testing.T, dir string, analyzer string) {
 	t.Helper()
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := loadFixture(abs); err != nil {
-		t.Fatal(err)
+	fx := loadFixture(abs)
+	if fx.err != nil {
+		t.Fatal(fx.err)
 	}
 
 	matched := 0
-	for _, d := range fixture.diags {
+	for _, d := range fx.diags {
 		if d.analyzer != analyzer {
 			continue
 		}
 		ok := false
-		for _, w := range fixture.wants {
+		for _, w := range fx.wants {
 			if w.analyzer == analyzer && w.file == d.file && w.line == d.line && w.re.MatchString(d.message) {
 				w.matched = true
 				ok = true
@@ -151,7 +170,7 @@ func Run(t *testing.T, dir string, analyzer string) {
 		}
 		matched++
 	}
-	for _, w := range fixture.wants {
+	for _, w := range fx.wants {
 		if w.analyzer == analyzer && !w.matched {
 			t.Errorf("%s:%d: expected %s diagnostic matching %q, got none", rel(w.file), w.line, analyzer, w.re)
 		}

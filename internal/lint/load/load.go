@@ -30,6 +30,10 @@ import (
 type Package struct {
 	ImportPath string
 	Dir        string
+	// ModulePath and ModuleDir name the module the package belongs to
+	// (empty outside module mode).
+	ModulePath string
+	ModuleDir  string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Pkg        *types.Package
@@ -46,6 +50,7 @@ type listPackage struct {
 	Standard   bool
 	Incomplete bool
 	Error      *struct{ Err string }
+	Module     *struct{ Path, Dir string }
 }
 
 // Load resolves patterns (e.g. "./...") relative to dir, compiles their
@@ -145,12 +150,16 @@ func check(fset *token.FileSet, imp types.Importer, meta *listPackage) (*Package
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", meta.ImportPath, err)
 	}
-	return &Package{
+	p := &Package{
 		ImportPath: meta.ImportPath,
 		Dir:        meta.Dir,
 		Fset:       fset,
 		Files:      files,
 		Pkg:        pkg,
 		Info:       info,
-	}, nil
+	}
+	if meta.Module != nil {
+		p.ModulePath, p.ModuleDir = meta.Module.Path, meta.Module.Dir
+	}
+	return p, nil
 }

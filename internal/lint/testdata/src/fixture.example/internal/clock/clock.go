@@ -1,14 +1,13 @@
 // Package clock is a lint fixture. Its import path ends in
 // internal/clock, so it stands in for the real clock package: the
 // engineowned analyzer exempts it (the engine lives here and is the
-// sanctioned caller of Domain.Advance/Stop), and other packages that
-// call these methods directly get flagged.
+// sanctioned caller of Domain.Advance), and other packages that call
+// it directly get flagged.
 package clock
 
 // Domain is a minimal stand-in for the real clock.Domain.
 type Domain struct {
-	now     uint64
-	stopped bool
+	now uint64
 }
 
 // Advance moves the domain's clock to its next edge. Outside this
@@ -16,12 +15,6 @@ type Domain struct {
 func (d *Domain) Advance() uint64 {
 	d.now++
 	return d.now
-}
-
-// Stop halts the domain's clock. Outside this package only the engine
-// may call it.
-func (d *Domain) Stop() {
-	d.stopped = true
 }
 
 // Engine owns registered domains; advancing through it is the
@@ -40,12 +33,5 @@ func (e *Engine) Register(d *Domain) {
 func (e *Engine) Advance() {
 	for _, d := range e.domains {
 		d.Advance()
-	}
-}
-
-// Shutdown stops every registered domain: also legal here.
-func (e *Engine) Shutdown() {
-	for _, d := range e.domains {
-		d.Stop()
 	}
 }

@@ -8,12 +8,6 @@ func StepDirectly(d *clock.Domain) uint64 {
 	return d.Advance() // want engineowned `outside the engine`
 }
 
-// HaltDirectly stops a domain behind the engine's back, leaving the
-// engine's cached edge time pointing at a dead clock.
-func HaltDirectly(d *clock.Domain) {
-	d.Stop() // want engineowned `outside the engine`
-}
-
 // StepViaEngine is the sanctioned idiom: register the domain and let
 // the engine advance it. No diagnostic.
 func StepViaEngine(e *clock.Engine, d *clock.Domain) {
@@ -21,17 +15,15 @@ func StepViaEngine(e *clock.Engine, d *clock.Domain) {
 	e.Advance()
 }
 
-// Stop on an unrelated local type must not trip the analyzer: only
-// clock.Domain's methods are engine-owned.
-type watchdog struct{ armed bool }
+// Advance on an unrelated local type must not trip the analyzer: only
+// clock.Domain's Advance is engine-owned.
+type watchdog struct{ ticks int }
 
-func (w *watchdog) Stop()    { w.armed = false }
-func (w *watchdog) Advance() {}
+func (w *watchdog) Advance() { w.ticks++ }
 
-// DisarmWatchdog exercises the same method names on a non-Domain
+// KickWatchdog exercises the same method name on a non-Domain
 // receiver. No diagnostic.
-func DisarmWatchdog(w *watchdog) {
-	w.Stop()
+func KickWatchdog(w *watchdog) {
 	w.Advance()
 }
 

@@ -51,20 +51,6 @@ type ChipConfig struct {
 	Epoch clock.Time
 }
 
-// Validate checks the chip spec, including every per-core machine
-// configuration.
-func (c ChipConfig) Validate() error {
-	if err := c.validateChip(); err != nil {
-		return err
-	}
-	for i := range c.Cores {
-		if err := c.Cores[i].Validate(); err != nil {
-			return fmt.Errorf("mcd: chip core %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // validateChip checks the chip-level fields alone.
 func (c ChipConfig) validateChip() error {
 	if len(c.Cores) == 0 {

@@ -32,6 +32,20 @@ func runBench(t *testing.T, name string, insts int64, cfg Config, attach func(*P
 	return res
 }
 
+// meanSampled returns the average of r's recorded occupancy series for
+// a domain, or 0 when absent.
+func meanSampled(r *Result, domain string) float64 {
+	s := r.QueueSamples[domain]
+	if len(s) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, v := range s {
+		sum += v
+	}
+	return sum / float64(len(s))
+}
+
 func TestDefaultConfigValid(t *testing.T) {
 	cfg := DefaultConfig()
 	if err := cfg.Validate(); err != nil {
@@ -105,7 +119,7 @@ func TestQueueSamplesRecorded(t *testing.T) {
 		}
 	}
 	// INT queue must show real activity on an integer codec.
-	if res.MeanSampledOccupancy(NameInt) <= 0 {
+	if meanSampled(res, NameInt) <= 0 {
 		t.Error("INT queue never occupied")
 	}
 }
@@ -129,7 +143,7 @@ func TestLowFrequencySlowsAndSaves(t *testing.T) {
 	slow := runBench(t, "gzip", 15000, cfg, func(p *Processor) {
 		p.Attach(isa.DomainInt, &FixedController{MHz: 250})
 		// Kick the domain immediately so the whole run is slow.
-		p.Domain(isa.DomainInt).SetTarget(0, 250)
+		p.exec[isa.DomainInt].SetTarget(0, 250)
 	})
 	if slow.Metrics.ExecTime <= base.Metrics.ExecTime {
 		t.Errorf("INT at fmin not slower: %v vs %v", slow.Metrics.ExecTime, base.Metrics.ExecTime)
@@ -148,17 +162,17 @@ func TestSlowIntDomainBacksUpItsQueue(t *testing.T) {
 	cfg := DefaultConfig()
 	base := runBench(t, "gzip", 15000, cfg, nil)
 	slow := runBench(t, "gzip", 15000, cfg, func(p *Processor) {
-		p.Domain(isa.DomainInt).SetTarget(0, 250)
+		p.exec[isa.DomainInt].SetTarget(0, 250)
 	})
-	if slow.MeanSampledOccupancy(NameInt) <= base.MeanSampledOccupancy(NameInt) {
+	if meanSampled(slow, NameInt) <= meanSampled(base, NameInt) {
 		t.Errorf("slow INT domain should raise INT queue occupancy: %.2f vs %.2f",
-			slow.MeanSampledOccupancy(NameInt), base.MeanSampledOccupancy(NameInt))
+			meanSampled(slow, NameInt), meanSampled(base, NameInt))
 	}
 }
 
 func TestFPQueueQuietOnIntegerCode(t *testing.T) {
 	res := runBench(t, "adpcm_encode", 15000, DefaultConfig(), nil)
-	if occ := res.MeanSampledOccupancy(NameFP); occ > 0.1 {
+	if occ := meanSampled(res, NameFP); occ > 0.1 {
 		t.Errorf("FP queue occupancy %.3f on integer-only code, want ~0", occ)
 	}
 }
@@ -197,7 +211,7 @@ func TestRunTwiceFails(t *testing.T) {
 
 func TestFrequencyTraceRecordsRetargets(t *testing.T) {
 	res := runBench(t, "gzip", 10000, DefaultConfig(), func(p *Processor) {
-		p.Domain(isa.DomainInt).SetTarget(0, 500)
+		p.exec[isa.DomainInt].SetTarget(0, 500)
 	})
 	tr := res.FreqTrace[NameInt]
 	if len(tr) == 0 {

@@ -288,9 +288,6 @@ func (p *Processor) Attach(d isa.ExecDomain, c Controller) {
 	p.controllers[d] = c
 }
 
-// Domain exposes an execution domain's clock (for tests and tools).
-func (p *Processor) Domain(d isa.ExecDomain) *clock.Domain { return p.exec[d] }
-
 // EngineStats reports, per clock domain, how the event engine spent the
 // run: slow edges (full cycle work), skipped edges (descheduled,
 // idle-charged), sleeps, and wake causes. Deliberately not part of

@@ -68,17 +68,3 @@ type Result struct {
 	// class (only classes that actually retired appear).
 	RetiredByClass map[string]int64
 }
-
-// MeanSampledOccupancy returns the average of the recorded occupancy
-// series for a domain, or 0 when absent.
-func (r *Result) MeanSampledOccupancy(domain string) float64 {
-	s := r.QueueSamples[domain]
-	if len(s) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s {
-		sum += v
-	}
-	return sum / float64(len(s))
-}

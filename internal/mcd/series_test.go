@@ -202,7 +202,7 @@ func TestSeriesGobMatchesPlainSlices(t *testing.T) {
 // codec exactly.
 func TestSimulatedSeriesPack(t *testing.T) {
 	res := runBench(t, "gsm_decode", 20000, DefaultConfig(), func(p *Processor) {
-		p.Domain(isa.DomainInt).SetTarget(0, 500)
+		p.exec[isa.DomainInt].SetTarget(0, 500)
 	})
 	for name, s := range res.QueueSamples {
 		blob, err := s.GobEncode()

@@ -97,7 +97,6 @@ func newROB(size int) *rob { return &rob{entries: make([]*uop, size)} }
 
 func (r *rob) full() bool  { return r.count == len(r.entries) }
 func (r *rob) empty() bool { return r.count == 0 }
-func (r *rob) len() int    { return r.count }
 
 func (r *rob) push(u *uop) {
 	if r.full() {
@@ -153,17 +152,6 @@ func (p *unitPool) acquire(now, busyUntil clock.Time) bool {
 		}
 	}
 	return false
-}
-
-// available counts units free at time now.
-func (p *unitPool) available(now clock.Time) int {
-	n := 0
-	for i := range p.units {
-		if p.units[i].freeAt <= now {
-			n++
-		}
-	}
-	return n
 }
 
 func (p *unitPool) size() int { return len(p.units) }

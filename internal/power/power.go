@@ -88,9 +88,6 @@ func NewMeter(model DomainModel) *Meter {
 	return &Meter{model: model}
 }
 
-// Model returns the meter's domain model.
-func (m *Meter) Model() DomainModel { return m.model }
-
 // Cycle charges one clock cycle's dynamic energy at supply voltage v
 // with the given activity factor in [0,1] (fraction of the domain's
 // capacitance actually switched; idle capacitance still pays the gated
@@ -208,9 +205,6 @@ func (m *Meter) TotalJ() float64 { return m.dynamicJ + m.leakageJ }
 // AddJ charges an unstructured energy cost (e.g. regulator switching
 // energy per DVFS transition, when that ablation is enabled).
 func (m *Meter) AddJ(j float64) { m.dynamicJ += j }
-
-// Cycles returns the number of charged cycles.
-func (m *Meter) Cycles() uint64 { return m.cycles }
 
 // MeanActivity returns the average activity factor over charged cycles.
 func (m *Meter) MeanActivity() float64 {

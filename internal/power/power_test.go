@@ -103,8 +103,8 @@ func TestMeanActivityAndCycles(t *testing.T) {
 	m := NewMeter(DomainModel{Name: "x", SwitchedCapF: 1e-9})
 	m.Cycle(1, 0.2)
 	m.Cycle(1, 0.8)
-	if m.Cycles() != 2 {
-		t.Errorf("cycles = %d, want 2", m.Cycles())
+	if m.cycles != 2 {
+		t.Errorf("cycles = %d, want 2", m.cycles)
 	}
 	if math.Abs(m.MeanActivity()-0.5) > 1e-12 {
 		t.Errorf("mean activity = %g, want 0.5", m.MeanActivity())
@@ -193,8 +193,8 @@ func TestCycleDeepGated(t *testing.T) {
 	if m2.DynamicJ() != 1e-9 {
 		t.Errorf("over-unity factor not clamped: %g", m2.DynamicJ())
 	}
-	if m2.Cycles() != 2 {
-		t.Errorf("cycles = %d, want 2", m2.Cycles())
+	if m2.cycles != 2 {
+		t.Errorf("cycles = %d, want 2", m2.cycles)
 	}
 }
 
@@ -231,7 +231,7 @@ func TestIdleChargeBitIdenticalToSlowPath(t *testing.T) {
 		}
 		return math.Float64bits(slow.DynamicJ()) == math.Float64bits(fast.DynamicJ()) &&
 			math.Float64bits(slow.LeakageJ()) == math.Float64bits(fast.LeakageJ()) &&
-			slow.Cycles() == fast.Cycles() &&
+			slow.cycles == fast.cycles &&
 			math.Float64bits(slow.MeanActivity()) == math.Float64bits(fast.MeanActivity())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

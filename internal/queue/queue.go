@@ -66,18 +66,11 @@ type Queue[T any] struct {
 	pushes    uint64
 	pops      uint64
 	fullStall uint64
-	syncPaid  uint64
 }
 
-// New creates a queue with the given capacity and synchronization
-// window, using the arbitration interface. A zero window makes entries
-// visible immediately.
-func New[T any](name string, capacity int, syncWin clock.Time) *Queue[T] {
-	return NewWithPolicy[T](name, capacity, syncWin, SyncArbitration)
-}
-
-// NewWithPolicy creates a queue with an explicit synchronization
-// interface design.
+// NewWithPolicy creates a queue with the given capacity,
+// synchronization window and interface design. A zero window makes
+// entries visible immediately.
 func NewWithPolicy[T any](name string, capacity int, syncWin clock.Time, policy SyncPolicy) *Queue[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("queue %q: non-positive capacity %d", name, capacity))
@@ -102,9 +95,6 @@ func NewWithPolicy[T any](name string, capacity int, syncWin clock.Time, policy 
 
 // Name returns the queue's label.
 func (q *Queue[T]) Name() string { return q.name }
-
-// Cap returns the queue capacity.
-func (q *Queue[T]) Cap() int { return q.capacity }
 
 // Len returns the current occupancy, including entries not yet visible
 // to the consumer. This is the value the occupancy sampler reads: the
@@ -132,9 +122,6 @@ func (q *Queue[T]) Push(now clock.Time, v T) bool {
 	vis := now
 	if q.policy == SyncArbitration || q.count == 0 {
 		vis += q.syncWin
-		if q.syncWin > 0 {
-			q.syncPaid++
-		}
 	}
 	i := q.slot(q.count)
 	q.buf[i] = v
@@ -144,43 +131,9 @@ func (q *Queue[T]) Push(now clock.Time, v T) bool {
 	return true
 }
 
-// SyncPenaltiesPaid counts entries that paid the synchronization
-// window.
-func (q *Queue[T]) SyncPenaltiesPaid() uint64 { return q.syncPaid }
-
-// VisibleLen returns how many entries the consumer can see at time now.
-func (q *Queue[T]) VisibleLen(now clock.Time) int {
-	n := 0
-	for i := 0; i < q.count; i++ {
-		if q.visible[q.slot(i)] <= now {
-			n++
-		}
-	}
-	return n
-}
-
-// Scan calls fn for each visible entry in insertion order until fn
-// returns false. The index passed to fn is stable for the duration of
-// the scan and can be passed to RemoveAt afterwards (remove in
-// descending index order).
-func (q *Queue[T]) Scan(now clock.Time, fn func(i int, v T) bool) {
-	for i := 0; i < q.count; i++ {
-		s := q.slot(i)
-		if q.visible[s] > now {
-			continue
-		}
-		if !fn(i, q.buf[s]) {
-			return
-		}
-	}
-}
-
-// At returns the entry at index i.
-func (q *Queue[T]) At(i int) T { return q.buf[q.slot(i)] }
-
 // EntryAt returns the entry at index i and whether it is visible to the
 // consumer at time now. It is the allocation-free building block for
-// hot-path scans that would otherwise need a closure with Scan.
+// hot-path scans such as the issue window's.
 func (q *Queue[T]) EntryAt(i int, now clock.Time) (T, bool) {
 	s := q.slot(i)
 	if q.visible[s] > now {
@@ -222,62 +175,15 @@ func (q *Queue[T]) RemoveAt(i int) {
 	q.pops++
 }
 
-// RemoveIf deletes all entries matching pred, preserving order, and
-// returns how many were removed. Visibility is ignored: squashes (the
-// only bulk-removal user) flush wrong-path entries regardless of
-// synchronization state.
-func (q *Queue[T]) RemoveIf(pred func(v T) bool) int {
-	out := 0
-	w := 0
-	for i := 0; i < q.count; i++ {
-		s := q.slot(i)
-		if pred(q.buf[s]) {
-			out++
-			continue
-		}
-		if d := q.slot(w); d != s {
-			q.buf[d] = q.buf[s]
-			q.visible[d] = q.visible[s]
-		}
-		w++
-	}
-	var zero T
-	for i := w; i < q.count; i++ {
-		q.buf[q.slot(i)] = zero
-	}
-	q.count = w
-	q.pops += uint64(out)
-	return out
-}
-
-// PeekFront returns the oldest entry without removing it, if it is
-// visible at time now.
-func (q *Queue[T]) PeekFront(now clock.Time) (v T, ok bool) {
-	if q.count == 0 || q.visible[q.head] > now {
-		return v, false
-	}
-	return q.buf[q.head], true
-}
-
 // FrontPtr returns a pointer to the oldest entry when it is visible at
-// time now: the copy-free variant of PeekFront for hot paths with large
-// element types. The pointer aims into the ring and is invalidated by
-// any queue mutation; callers must finish reading before mutating.
+// time now, without copying the (possibly large) element. The pointer
+// aims into the ring and is invalidated by any queue mutation; callers
+// must finish reading before mutating.
 func (q *Queue[T]) FrontPtr(now clock.Time) (*T, bool) {
 	if q.count == 0 || q.visible[q.head] > now {
 		return nil, false
 	}
 	return &q.buf[q.head], true
-}
-
-// PopFront removes and returns the oldest visible entry, if any.
-func (q *Queue[T]) PopFront(now clock.Time) (v T, ok bool) {
-	if q.count == 0 || q.visible[q.head] > now {
-		return v, false
-	}
-	v = q.buf[q.head]
-	q.RemoveAt(0)
-	return v, true
 }
 
 // Stats returns cumulative pushes, pops, and full-queue stalls.

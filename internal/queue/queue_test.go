@@ -7,8 +7,39 @@ import (
 	"mcddvfs/internal/clock"
 )
 
+// newArb creates an arbitration-interface queue, the processor's
+// default.
+func newArb[T any](name string, capacity int, syncWin clock.Time) *Queue[T] {
+	return NewWithPolicy[T](name, capacity, syncWin, SyncArbitration)
+}
+
+// popFront removes and returns the oldest entry if it is visible at
+// now, the way dispatch drains a queue.
+func popFront[T any](q *Queue[T], now clock.Time) (T, bool) {
+	p, ok := q.FrontPtr(now)
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	v := *p
+	q.RemoveAt(0)
+	return v, true
+}
+
+// visibleEntries returns the entries the consumer can see at now, in
+// insertion order, the way the issue scan walks them.
+func visibleEntries[T any](q *Queue[T], now clock.Time) []T {
+	var out []T
+	for i := 0; i < q.Len(); i++ {
+		if v, ok := q.EntryAt(i, now); ok {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 func TestPushPopFIFO(t *testing.T) {
-	q := New[int]("iq", 4, 0)
+	q := newArb[int]("iq", 4, 0)
 	for i := 1; i <= 4; i++ {
 		if !q.Push(0, i) {
 			t.Fatalf("push %d failed", i)
@@ -21,9 +52,9 @@ func TestPushPopFIFO(t *testing.T) {
 		t.Error("push into full queue succeeded")
 	}
 	for i := 1; i <= 4; i++ {
-		v, ok := q.PopFront(0)
+		v, ok := popFront(q, 0)
 		if !ok || v != i {
-			t.Fatalf("PopFront = (%d,%v), want (%d,true)", v, ok, i)
+			t.Fatalf("popFront = (%d,%v), want (%d,true)", v, ok, i)
 		}
 	}
 	if !q.Empty() {
@@ -37,15 +68,15 @@ func TestPushPopFIFO(t *testing.T) {
 
 func TestSyncWindowDelaysVisibility(t *testing.T) {
 	win := 300 * clock.Picosecond
-	q := New[int]("iq", 4, win)
+	q := newArb[int]("iq", 4, win)
 	q.Push(1000, 7)
-	if q.VisibleLen(1000) != 0 {
+	if len(visibleEntries(q, 1000)) != 0 {
 		t.Error("entry visible before sync window elapsed")
 	}
-	if _, ok := q.PopFront(1000 + win - 1); ok {
-		t.Error("PopFront saw entry inside sync window")
+	if _, ok := popFront(q, 1000+win-1); ok {
+		t.Error("popFront saw entry inside sync window")
 	}
-	if v, ok := q.PopFront(1000 + win); !ok || v != 7 {
+	if v, ok := popFront(q, 1000+win); !ok || v != 7 {
 		t.Error("entry not visible after sync window")
 	}
 	// Len counts physical occupancy regardless of visibility.
@@ -56,38 +87,27 @@ func TestSyncWindowDelaysVisibility(t *testing.T) {
 }
 
 func TestScanVisitsOnlyVisibleInOrder(t *testing.T) {
-	q := New[int]("iq", 8, 100)
+	q := newArb[int]("iq", 8, 100)
 	q.Push(0, 1)   // visible at 100
 	q.Push(50, 2)  // visible at 150
 	q.Push(500, 3) // visible at 600
-	var seen []int
-	q.Scan(200, func(i, v int) bool {
-		seen = append(seen, v)
-		return true
-	})
-	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
-		t.Errorf("Scan saw %v, want [1 2]", seen)
+	if seen := visibleEntries(q, 200); len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
+		t.Errorf("scan at 200 saw %v, want [1 2]", seen)
 	}
-	// Early termination.
-	count := 0
-	q.Scan(1000, func(i, v int) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Errorf("Scan after false return visited %d entries, want 1", count)
+	// The entry still inside its window is the one a consumer sleeps on.
+	if _, ok := q.EntryAt(2, 200); ok || q.VisibleFrom(2) != 600 {
+		t.Errorf("entry 2: visible at 200 = %v, VisibleFrom = %d, want false and 600", ok, q.VisibleFrom(2))
 	}
 }
 
 func TestRemoveAtPreservesOrder(t *testing.T) {
-	q := New[int]("iq", 8, 0)
+	q := newArb[int]("iq", 8, 0)
 	for i := 1; i <= 5; i++ {
 		q.Push(0, i)
 	}
 	q.RemoveAt(1) // remove 2
 	q.RemoveAt(2) // remove 4 (indices shifted)
-	var rest []int
-	q.Scan(0, func(i, v int) bool { rest = append(rest, v); return true })
+	rest := visibleEntries(q, 0)
 	want := []int{1, 3, 5}
 	for i := range want {
 		if rest[i] != want[i] {
@@ -96,35 +116,21 @@ func TestRemoveAtPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestRemoveIfIgnoresVisibility(t *testing.T) {
-	q := New[int]("iq", 8, 1000)
-	q.Push(0, 1)
-	q.Push(0, 2)
-	q.Push(0, 3)
-	n := q.RemoveIf(func(v int) bool { return v%2 == 1 })
-	if n != 2 || q.Len() != 1 {
-		t.Errorf("RemoveIf removed %d (len %d), want 2 (len 1)", n, q.Len())
-	}
-	if q.At(0) != 2 {
-		t.Errorf("survivor = %d, want 2", q.At(0))
-	}
-}
-
 func TestOccupancyConservation(t *testing.T) {
 	// Property: Len == pushes - pops at all times.
-	q := New[uint16]("iq", 16, 10)
+	q := newArb[uint16]("iq", 16, 10)
 	f := func(ops []uint16) bool {
 		for _, op := range ops {
 			if op%3 == 0 {
 				q.Push(clock.Time(op), op)
 			} else {
-				q.PopFront(clock.Time(op) + 100)
+				popFront(q, clock.Time(op)+100)
 			}
 			pushes, pops, _ := q.Stats()
 			if int(pushes-pops) != q.Len() {
 				return false
 			}
-			if q.Len() > q.Cap() || q.Len() < 0 {
+			if q.Len() > 16 || q.Len() < 0 {
 				return false
 			}
 		}
@@ -136,9 +142,9 @@ func TestOccupancyConservation(t *testing.T) {
 }
 
 func TestVisibleNeverExceedsLen(t *testing.T) {
-	q := New[int]("iq", 8, 500)
+	q := newArb[int]("iq", 8, 500)
 	f := func(now uint32) bool {
-		return q.VisibleLen(clock.Time(now)) <= q.Len()
+		return len(visibleEntries(q, clock.Time(now))) <= q.Len()
 	}
 	q.Push(0, 1)
 	q.Push(100, 2)
@@ -149,8 +155,8 @@ func TestVisibleNeverExceedsLen(t *testing.T) {
 
 func TestNewPanicsOnBadArgs(t *testing.T) {
 	for i, fn := range []func(){
-		func() { New[int]("x", 0, 0) },
-		func() { New[int]("x", 4, -1) },
+		func() { newArb[int]("x", 0, 0) },
+		func() { newArb[int]("x", 4, -1) },
 	} {
 		func() {
 			defer func() {
@@ -168,11 +174,8 @@ func TestSampler(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Record(i)
 	}
-	if s.Len() != 3 {
-		t.Errorf("Len = %d, want 3", s.Len())
-	}
-	if s.Dropped() != 2 {
-		t.Errorf("Dropped = %d, want 2", s.Dropped())
+	if n := len(s.Samples()); n != 3 {
+		t.Errorf("retained %d samples, want 3", n)
 	}
 	want := []float64{0, 1, 2}
 	for i, v := range s.Samples() {
@@ -184,7 +187,7 @@ func TestSampler(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		unl.Record(i)
 	}
-	if unl.Len() != 100 || unl.Dropped() != 0 {
+	if len(unl.Samples()) != 100 {
 		t.Error("unlimited sampler dropped samples")
 	}
 }
@@ -193,22 +196,19 @@ func TestTokenRingPaysOnlyOnEmpty(t *testing.T) {
 	win := 300 * clock.Picosecond
 	q := NewWithPolicy[int]("iq", 4, win, SyncTokenRing)
 	q.Push(1000, 1) // into empty queue: pays the window
-	if q.VisibleLen(1000) != 0 {
+	if len(visibleEntries(q, 1000)) != 0 {
 		t.Error("first entry visible before window under token ring")
 	}
 	q.Push(1100, 2) // queue non-empty: free
-	if got := q.VisibleLen(1100); got != 1 {
-		t.Errorf("second entry should be visible immediately, visible=%d", got)
-	}
-	if q.SyncPenaltiesPaid() != 1 {
-		t.Errorf("penalties = %d, want 1", q.SyncPenaltiesPaid())
+	if got := q.VisibleFrom(1); got != 1100 {
+		t.Errorf("second entry visible from %d, want 1100 (no window)", got)
 	}
 	// Arbitration pays every time.
 	a := NewWithPolicy[int]("iq", 4, win, SyncArbitration)
 	a.Push(1000, 1)
 	a.Push(1100, 2)
-	if a.SyncPenaltiesPaid() != 2 {
-		t.Errorf("arbitration penalties = %d, want 2", a.SyncPenaltiesPaid())
+	if a.VisibleFrom(0) != 1000+win || a.VisibleFrom(1) != 1100+win {
+		t.Errorf("arbitration visible from %d, %d; want both past the window", a.VisibleFrom(0), a.VisibleFrom(1))
 	}
 }
 
@@ -224,7 +224,7 @@ func TestSyncPolicyString(t *testing.T) {
 func TestZeroWindowPaysNothing(t *testing.T) {
 	q := NewWithPolicy[int]("iq", 4, 0, SyncArbitration)
 	q.Push(0, 1)
-	if q.SyncPenaltiesPaid() != 0 {
-		t.Error("zero window counted a penalty")
+	if q.VisibleFrom(0) != 0 {
+		t.Error("zero window delayed visibility")
 	}
 }

@@ -6,12 +6,11 @@ package queue
 type Sampler struct {
 	samples []float64
 	limit   int
-	dropped uint64
 }
 
 // NewSampler creates a sampler that retains at most limit samples
-// (0 = unlimited). When the limit is hit, further samples are counted
-// but not stored, keeping long simulations bounded in memory while the
+// (0 = unlimited). When the limit is hit, further samples are
+// dropped, keeping long simulations bounded in memory while the
 // controllers still run off live values.
 func NewSampler(limit int) *Sampler {
 	// Pre-size the series so steady sampling does not pay repeated
@@ -27,7 +26,6 @@ func NewSampler(limit int) *Sampler {
 // Record appends one occupancy observation.
 func (s *Sampler) Record(occ int) {
 	if s.limit > 0 && len(s.samples) >= s.limit {
-		s.dropped++
 		return
 	}
 	s.samples = append(s.samples, float64(occ))
@@ -36,9 +34,3 @@ func (s *Sampler) Record(occ int) {
 // Samples returns the recorded series (not a copy; callers must not
 // mutate it while the simulation is running).
 func (s *Sampler) Samples() []float64 { return s.samples }
-
-// Dropped returns how many samples were discarded due to the limit.
-func (s *Sampler) Dropped() uint64 { return s.dropped }
-
-// Len returns the number of retained samples.
-func (s *Sampler) Len() int { return len(s.samples) }

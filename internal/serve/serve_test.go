@@ -551,7 +551,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		shutdownDone <- s.Shutdown(ctx)
 	}()
 	// Draining is observable before the in-flight work completes.
-	for !s.Draining() {
+	for !s.draining.Load() {
 		time.Sleep(time.Millisecond)
 	}
 	resp := postRender(t, ts, tinySpec(7, "txt"))

@@ -177,9 +177,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Draining reports whether the server has begun shutting down.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // do runs one request's share of the render for key: refused once the
 // server drains, otherwise counted by Shutdown and joined with every
 // concurrent request for the same key. The render runs detached from

@@ -1,6 +1,6 @@
 // Package spectrum implements the spectral analysis of Section 5.2: a
-// radix-2 FFT, periodogram and sine-taper multitaper spectral
-// estimators for queue-occupancy time series, variance-by-wavelength
+// radix-2 FFT and a sine-taper multitaper spectral estimator for
+// queue-occupancy time series, variance-by-wavelength
 // integration, and the paper's classifier that flags benchmarks with
 // fast workload variations (variance concentrated at wavelengths
 // shorter than the fixed DVFS interval).
@@ -16,16 +16,6 @@ import (
 // iterative radix-2 Cooley-Tukey algorithm. len(x) must be a power of
 // two. The input is not modified.
 func FFT(x []complex128) []complex128 { return fftDir(x, false) }
-
-// IFFT computes the inverse DFT (with 1/N normalization).
-func IFFT(x []complex128) []complex128 {
-	out := fftDir(x, true)
-	n := complex(float64(len(x)), 0)
-	for i := range out {
-		out[i] /= n
-	}
-	return out
-}
 
 func fftDir(x []complex128, inverse bool) []complex128 {
 	n := len(x)

@@ -17,9 +17,6 @@ type Spectrum struct {
 	NFFT  int       // transform length (power of two, >= N)
 }
 
-// Freq returns the frequency of bin j in cycles per sample.
-func (s *Spectrum) Freq(j int) float64 { return float64(j) / float64(s.NFFT) }
-
 // Wavelength returns the period of bin j in samples.
 func (s *Spectrum) Wavelength(j int) float64 {
 	if j == 0 {
@@ -75,13 +72,6 @@ func (s *Spectrum) FastShare(noiseWavelength, intervalWavelength float64) float6
 		return 0
 	}
 	return s.BandVariance(noiseWavelength, intervalWavelength) / tot
-}
-
-// Periodogram estimates the variance spectrum of x with a plain
-// (single-taper, boxcar) periodogram. The series is detrended and
-// zero-padded to a power of two.
-func Periodogram(x []float64) (*Spectrum, error) {
-	return estimate(x, 1, false)
 }
 
 // Multitaper estimates the variance spectrum with k sine tapers

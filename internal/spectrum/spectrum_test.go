@@ -9,6 +9,27 @@ import (
 	"mcddvfs/internal/stats"
 )
 
+// IFFT and Periodogram are reference transforms for the tests: the
+// inverse FFT checks FFT by round trip, and the plain periodogram is
+// the single-taper baseline Multitaper is compared against.
+
+// IFFT computes the inverse DFT (with 1/N normalization).
+func IFFT(x []complex128) []complex128 {
+	out := fftDir(x, true)
+	n := complex(float64(len(x)), 0)
+	for i := range out {
+		out[i] /= n
+	}
+	return out
+}
+
+// Periodogram estimates the variance spectrum of x with a plain
+// (single-taper, boxcar) periodogram. The series is detrended and
+// zero-padded to a power of two.
+func Periodogram(x []float64) (*Spectrum, error) {
+	return estimate(x, 1, false)
+}
+
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := 64
@@ -223,8 +244,8 @@ func TestEstimateErrors(t *testing.T) {
 
 func TestWavelengthAndFreq(t *testing.T) {
 	s := &Spectrum{Power: make([]float64, 9), N: 16, NFFT: 16}
-	if s.Freq(4) != 0.25 {
-		t.Errorf("Freq(4) = %g, want 0.25", s.Freq(4))
+	if f := 1 / s.Wavelength(4); f != 0.25 {
+		t.Errorf("bin 4 frequency = %g cycles/sample, want 0.25", f)
 	}
 	if s.Wavelength(4) != 4 {
 		t.Errorf("Wavelength(4) = %g, want 4", s.Wavelength(4))

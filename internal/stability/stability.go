@@ -130,9 +130,6 @@ func (s System) DampingRatio(f0 float64) float64 {
 	return s.Kl(f0) / (2 * math.Sqrt(s.Km(f0)))
 }
 
-// NaturalFreq returns ω_n = √K_m.
-func (s System) NaturalFreq(f0 float64) float64 { return math.Sqrt(s.Km(f0)) }
-
 // SettlingTime returns t_s = 8/K_l (2% criterion), in sampling periods.
 func (s System) SettlingTime(f0 float64) float64 { return 8 / s.Kl(f0) }
 

@@ -356,9 +356,6 @@ func (c *Chunked) ChunkInstructions() int { return c.chunkInsts }
 // CompressedBytes returns the on-disk size of the trace.
 func (c *Chunked) CompressedBytes() int64 { return c.size }
 
-// Window returns the resident-chunk cap this Chunked was opened with.
-func (c *Chunked) Window() int { return c.window }
-
 // WindowBytes returns the window's raw-payload memory bound:
 // window × chunk payload size. PeakResidentBytes never exceeds it.
 func (c *Chunked) WindowBytes() int64 {
@@ -475,9 +472,6 @@ type ChunkedReplayer struct {
 
 // Name implements Source.
 func (p *ChunkedReplayer) Name() string { return p.c.name }
-
-// Remaining returns how many instructions the cursor will still emit.
-func (p *ChunkedReplayer) Remaining() int64 { return p.c.count - p.i }
 
 // Err returns the first stream error encountered by Next.
 func (p *ChunkedReplayer) Err() error { return p.err }

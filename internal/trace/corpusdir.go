@@ -207,9 +207,6 @@ func OpenCorpus(dir string) (*Corpus, error) {
 	return c, nil
 }
 
-// Dir returns the corpus directory.
-func (c *Corpus) Dir() string { return c.dir }
-
 // Seed returns the harness seed the corpus was recorded at.
 func (c *Corpus) Seed() int64 { return c.man.Seed }
 

@@ -14,7 +14,7 @@ const (
 	SuiteSPECfp     = "SPECfp"
 	// SuiteSynthetic labels diagnostic workloads that are not part of
 	// the paper's suite. They resolve by name (ByName, -only on the
-	// CLIs) but are excluded from Names and Profiles, so the default
+	// CLIs) but are excluded from Names, so the default
 	// experiment matrix — and every artifact derived from it — is
 	// unchanged by their existence.
 	SuiteSynthetic = "synthetic"
@@ -311,22 +311,6 @@ var synthetic = []Profile{
 	},
 }
 
-// Synthetic returns the diagnostic side registry.
-func Synthetic() []Profile {
-	out := make([]Profile, len(synthetic))
-	copy(out, synthetic)
-	return out
-}
-
-// Profiles returns the full benchmark registry in suite order
-// (MediaBench, SPECint, SPECfp), copying the slice header so callers
-// cannot reorder the registry.
-func Profiles() []Profile {
-	out := make([]Profile, len(profiles))
-	copy(out, profiles)
-	return out
-}
-
 // Names returns the registered benchmark names in registry order.
 func Names() []string {
 	out := make([]string, len(profiles))
@@ -356,21 +340,4 @@ func ByName(name string) (Profile, error) {
 	}
 	sort.Strings(names)
 	return Profile{}, fmt.Errorf("trace: unknown benchmark %q (have %v)", name, names)
-}
-
-// BySuite returns the profiles belonging to one suite (including
-// SuiteSynthetic, which Profiles and Names omit).
-func BySuite(suite string) []Profile {
-	var out []Profile
-	for i := range profiles {
-		if profiles[i].Suite == suite {
-			out = append(out, profiles[i])
-		}
-	}
-	for i := range synthetic {
-		if synthetic[i].Suite == suite {
-			out = append(out, synthetic[i])
-		}
-	}
-	return out
 }

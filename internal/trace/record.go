@@ -95,25 +95,6 @@ func (r *Recorded) Bytes() int64 {
 	return int64(len(r.pc))*(8+8+4+4+1) + int64(len(r.name))
 }
 
-// At decodes the i-th recorded instruction.
-func (r *Recorded) At(i int64) isa.Inst {
-	m := r.meta[i]
-	in := isa.Inst{
-		PC:    r.pc[i],
-		Class: isa.Class(m &^ takenBit),
-		Dep1:  r.dep1[i],
-		Dep2:  r.dep2[i],
-	}
-	switch in.Class {
-	case isa.Branch:
-		in.Target = r.extra[i]
-		in.Taken = m&takenBit != 0
-	case isa.Load, isa.Store:
-		in.Addr = r.extra[i]
-	}
-	return in
-}
-
 // Replay returns a fresh read-only cursor over the recording. Cursors
 // are independent: any number may stream the same Recorded
 // concurrently (the underlying arrays are never written after Record
@@ -133,13 +114,9 @@ type Replayer struct {
 // Name implements Source.
 func (p *Replayer) Name() string { return p.rec.name }
 
-// Remaining returns how many instructions the cursor will still emit.
-func (p *Replayer) Remaining() int64 { return p.rec.Len() - p.i }
-
-// Next implements Source. The decode is At's, open-coded: Next runs
-// once per simulated instruction, and keeping the column loads in one
-// frame lets the compiler fold the five bounds checks into the single
-// length test.
+// Next implements Source. Next runs once per simulated instruction,
+// and keeping the column loads in one frame lets the compiler fold the
+// five bounds checks into the single length test.
 func (p *Replayer) Next() (isa.Inst, bool) {
 	rec := p.rec
 	i := p.i

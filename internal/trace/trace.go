@@ -303,15 +303,6 @@ func (g *Generator) Name() string { return g.prof.Name }
 
 var _ Source = (*Generator)(nil)
 
-// Remaining returns how many instructions the generator will still emit.
-func (g *Generator) Remaining() int64 { return g.total - g.count }
-
-// Phase returns the name of the currently active phase.
-func (g *Generator) Phase() string { return g.prof.Phases[g.phaseIdx].Name }
-
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.prof }
-
 // Next produces the next dynamic instruction. ok is false once the
 // instruction budget is exhausted.
 func (g *Generator) Next() (in isa.Inst, ok bool) {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestAllProfilesValidate(t *testing.T) {
-	for _, p := range Profiles() {
+	for _, p := range profiles {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", p.Name, err)
 		}
@@ -18,7 +18,7 @@ func TestAllProfilesValidate(t *testing.T) {
 
 func TestRegistryShape(t *testing.T) {
 	counts := map[string]int{}
-	for _, p := range Profiles() {
+	for _, p := range profiles {
 		counts[p.Suite]++
 	}
 	if counts[SuiteMediaBench] != 6 {
@@ -48,18 +48,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestBySuite(t *testing.T) {
-	fp := BySuite(SuiteSPECfp)
-	if len(fp) != 5 {
-		t.Fatalf("SPECfp suite size = %d, want 5", len(fp))
-	}
-	for _, p := range fp {
-		if p.Suite != SuiteSPECfp {
-			t.Errorf("%s has suite %s", p.Name, p.Suite)
-		}
-	}
-}
-
 func TestGeneratorProducesExactBudget(t *testing.T) {
 	for _, name := range []string{"epic_decode", "adpcm_encode", "mcf", "swim"} {
 		p, err := ByName(name)
@@ -81,8 +69,8 @@ func TestGeneratorProducesExactBudget(t *testing.T) {
 		if n != 10000 {
 			t.Errorf("%s: generated %d instructions, want 10000", name, n)
 		}
-		if g.Remaining() != 0 {
-			t.Errorf("%s: Remaining = %d after exhaustion", name, g.Remaining())
+		if _, ok := g.Next(); ok {
+			t.Errorf("%s: Next succeeded after exhaustion", name)
 		}
 	}
 }
@@ -365,15 +353,15 @@ func TestMixPanicsOnOverflow(t *testing.T) {
 func TestGeneratorAccessors(t *testing.T) {
 	p, _ := ByName("gzip")
 	g, _ := NewGenerator(p, 1, 100)
-	if g.Profile().Name != "gzip" || g.Name() != "gzip" {
-		t.Error("profile accessors broken")
+	if g.Name() != "gzip" {
+		t.Error("Name broken")
 	}
-	if g.Phase() == "" {
+	if g.prof.Phases[g.phaseIdx].Name == "" {
 		t.Error("empty phase name")
 	}
 	g.Next()
-	if g.Remaining() != 99 {
-		t.Errorf("Remaining = %d, want 99", g.Remaining())
+	if left := g.total - g.count; left != 99 {
+		t.Errorf("%d instructions left, want 99", left)
 	}
 }
 
@@ -406,14 +394,14 @@ func TestValidateMoreBranches(t *testing.T) {
 
 // TestSyntheticRegistryIsSideLoaded pins the side-registry contract:
 // synthetic diagnostics resolve by name and validate like any profile,
-// but never leak into Names/Profiles — the default experiment matrix
+// but never leak into Names — the default experiment matrix
 // (and its cached artifacts) must not change when a diagnostic
 // workload is added.
 func TestSyntheticRegistryIsSideLoaded(t *testing.T) {
-	if len(Synthetic()) == 0 {
+	if len(synthetic) == 0 {
 		t.Fatal("no synthetic profiles registered")
 	}
-	for _, p := range Synthetic() {
+	for _, p := range synthetic {
 		if p.Suite != SuiteSynthetic {
 			t.Errorf("synthetic profile %q carries suite %q", p.Name, p.Suite)
 		}
@@ -431,8 +419,5 @@ func TestSyntheticRegistryIsSideLoaded(t *testing.T) {
 				t.Errorf("synthetic profile %q leaked into Names()", p.Name)
 			}
 		}
-	}
-	if got := BySuite(SuiteSynthetic); len(got) != len(Synthetic()) {
-		t.Errorf("BySuite(synthetic) returned %d profiles, want %d", len(got), len(Synthetic()))
 	}
 }
