@@ -59,8 +59,6 @@ type (
 	MachineConfig = mcd.Config
 	// ControllerConfig parameterizes the adaptive controller.
 	ControllerConfig = control.Config
-	// ControllerStats counts adaptive-controller events.
-	ControllerStats = control.Stats
 	// Metrics is a run's headline energy/performance outcome.
 	Metrics = power.Metrics
 	// Comparison holds the paper's three metrics vs a baseline run.

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 
 	"mcddvfs/internal/clock"
@@ -28,13 +29,35 @@ func benchOpt(insts int64, benches ...string) experiment.Options {
 	return experiment.Options{Instructions: insts, Seed: 1, Benchmarks: benches}
 }
 
-// uncached disables the harness result cache for the duration of a
-// benchmark. Without this, every iteration after the first would be a
-// cache hit and ns/op would measure a map lookup, not a simulation.
-func uncached(b *testing.B) {
-	b.Helper()
-	experiment.SetCaching(false)
-	b.Cleanup(func() { experiment.SetCaching(true) })
+// benchTraces keeps the traces the benchmarks record, for the whole
+// process, as the default harness would.
+var benchTraces = experiment.NewHarness()
+
+// keyedWarmup runs one tiny keyed simulation per process.
+var keyedWarmup sync.Once
+
+// uncached returns a source of opt for one benchmark iteration each.
+// Every iteration runs on a harness of its own — on a shared one,
+// every iteration after the first would be a cache hit and ns/op would
+// measure a map lookup, not a simulation — forked from benchTraces, so
+// a stream recorded once replays in every later iteration and
+// benchmark instead of being recorded again. The first call pays, off
+// the clock, the process's one-time cost of deriving a cache key
+// (encoding/json's type caches), so allocs/op counts per-run work
+// whichever repeat of a benchmark is fastest.
+func uncached(b *testing.B, opt experiment.Options) func() experiment.Options {
+	b.StopTimer()
+	keyedWarmup.Do(func() {
+		warm := experiment.Options{Instructions: 1000, Seed: 1, Harness: experiment.NewHarness()}
+		if _, err := experiment.RunOne("gzip", experiment.SchemeNone, warm); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.StartTimer()
+	return func() experiment.Options {
+		opt.Harness = benchTraces.Fork()
+		return opt
+	}
 }
 
 // BenchmarkTable1Config regenerates the simulation-parameter table.
@@ -50,10 +73,9 @@ func BenchmarkTable1Config(b *testing.B) {
 // BenchmarkTable2Classification regenerates the benchmark
 // classification table (full suite, reduced budget).
 func BenchmarkTable2Classification(b *testing.B) {
-	uncached(b)
-	opt := benchOpt(100000)
+	next := uncached(b, benchOpt(100000))
 	for i := 0; i < b.N; i++ {
-		rep, classes, err := experiment.Table2(opt)
+		rep, classes, err := experiment.Table2(next())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,10 +87,9 @@ func BenchmarkTable2Classification(b *testing.B) {
 // BenchmarkFigure7FrequencyTrace regenerates the epic_decode FP-domain
 // frequency trajectory under the adaptive controller.
 func BenchmarkFigure7FrequencyTrace(b *testing.B) {
-	uncached(b)
-	opt := benchOpt(200000)
+	next := uncached(b, benchOpt(200000))
 	for i := 0; i < b.N; i++ {
-		rep, err := experiment.Figure7(opt)
+		rep, err := experiment.Figure7(next())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,10 +102,9 @@ func BenchmarkFigure7FrequencyTrace(b *testing.B) {
 // BenchmarkFigure8Spectrum regenerates the INT-queue variance spectrum
 // of epic_decode.
 func BenchmarkFigure8Spectrum(b *testing.B) {
-	uncached(b)
-	opt := benchOpt(150000)
+	next := uncached(b, benchOpt(150000))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Figure8(opt); err != nil {
+		if _, err := experiment.Figure8(next()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,9 +112,9 @@ func BenchmarkFigure8Spectrum(b *testing.B) {
 
 // figureMatrix runs the shared benchmark × scheme grid for the three
 // comparison figures.
-func figureMatrix(b *testing.B) *experiment.Matrix {
+func figureMatrix(b *testing.B, opt experiment.Options) *experiment.Matrix {
 	b.Helper()
-	m, err := experiment.RunMatrix(benchOpt(60000))
+	m, err := experiment.RunMatrix(opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -104,9 +124,9 @@ func figureMatrix(b *testing.B) *experiment.Matrix {
 // BenchmarkFigure9EnergySavings regenerates the per-benchmark energy
 // savings comparison and reports the adaptive scheme's suite average.
 func BenchmarkFigure9EnergySavings(b *testing.B) {
-	uncached(b)
+	next := uncached(b, benchOpt(60000))
 	for i := 0; i < b.N; i++ {
-		m := figureMatrix(b)
+		m := figureMatrix(b, next())
 		rep := m.Figure9()
 		if len(rep.Lines) < 18 {
 			b.Fatalf("figure 9 has %d lines", len(rep.Lines))
@@ -118,9 +138,9 @@ func BenchmarkFigure9EnergySavings(b *testing.B) {
 // BenchmarkFigure10PerfDegradation regenerates the performance
 // degradation comparison.
 func BenchmarkFigure10PerfDegradation(b *testing.B) {
-	uncached(b)
+	next := uncached(b, benchOpt(60000))
 	for i := 0; i < b.N; i++ {
-		m := figureMatrix(b)
+		m := figureMatrix(b, next())
 		_ = m.Figure10()
 		b.ReportMetric(100*m.MeanComparison(experiment.SchemeAdaptive, nil).PerfDegradation, "%perf-degr")
 	}
@@ -129,10 +149,10 @@ func BenchmarkFigure10PerfDegradation(b *testing.B) {
 // BenchmarkFigure11FastGroupEDP regenerates the fast-group EDP
 // comparison (adaptive vs the fixed-interval schemes).
 func BenchmarkFigure11FastGroupEDP(b *testing.B) {
-	uncached(b)
 	fast := []string{"adpcm_encode", "adpcm_decode", "g721_encode", "gsm_decode", "art"}
+	next := uncached(b, benchOpt(60000, fast...))
 	for i := 0; i < b.N; i++ {
-		m, err := experiment.RunMatrix(benchOpt(60000, fast...))
+		m, err := experiment.RunMatrix(next())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,10 +166,9 @@ func BenchmarkFigure11FastGroupEDP(b *testing.B) {
 
 // BenchmarkTable3PIDIntervals regenerates the PID interval-length sweep.
 func BenchmarkTable3PIDIntervals(b *testing.B) {
-	uncached(b)
-	opt := benchOpt(60000)
+	next := uncached(b, benchOpt(60000))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Table3(opt, []string{"adpcm_encode", "gsm_decode"}); err != nil {
+		if _, err := experiment.Table3(next(), []string{"adpcm_encode", "gsm_decode"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,10 +198,9 @@ func BenchmarkStabilityRemarks(b *testing.B) {
 // BenchmarkAblationControllerFeatures regenerates the controller
 // feature ablation on two representative benchmarks.
 func BenchmarkAblationControllerFeatures(b *testing.B) {
-	uncached(b)
-	opt := benchOpt(50000)
+	next := uncached(b, benchOpt(50000))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Ablation(opt, []string{"adpcm_encode", "gzip"}); err != nil {
+		if _, err := experiment.Ablation(next(), []string{"adpcm_encode", "gzip"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -191,19 +209,17 @@ func BenchmarkAblationControllerFeatures(b *testing.B) {
 // BenchmarkTransitionStyles regenerates the XScale-vs-Transmeta
 // transition-model comparison.
 func BenchmarkTransitionStyles(b *testing.B) {
-	uncached(b)
-	opt := benchOpt(50000)
+	next := uncached(b, benchOpt(50000))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.TransitionStyles(opt, []string{"adpcm_encode", "gzip"}); err != nil {
+		if _, err := experiment.TransitionStyles(next(), []string{"adpcm_encode", "gzip"}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkRunMatrix measures the benchmark × scheme sweep that feeds
-// Figures 9-11 under five caching regimes: cold with the shared replay
-// memo (the default), cold with per-cell trace generation (the
-// pre-sharing behavior), cold streaming traces from an on-disk corpus,
+// Figures 9-11 under four caching regimes: cold with the shared replay
+// memo (the default), cold streaming traces from an on-disk corpus,
 // warm from the in-process cache, and warm from the on-disk cache
 // (models re-rendering after process death). Every regime reports
 // cells/s — matrix cells retired per second, the throughput figure the
@@ -226,30 +242,20 @@ func BenchmarkRunMatrix(b *testing.B) {
 	}
 
 	b.Run("cold-shared-trace", func(b *testing.B) {
-		uncached(b)
+		next := uncached(b, opt)
 		cells := 0
 		for i := 0; i < b.N; i++ {
-			cells += check(experiment.RunMatrix(opt))
-		}
-		reportCells(b, cells)
-	})
-	b.Run("cold-per-cell-trace", func(b *testing.B) {
-		uncached(b)
-		experiment.SetTraceSharing(false)
-		b.Cleanup(func() { experiment.SetTraceSharing(true) })
-		cells := 0
-		for i := 0; i < b.N; i++ {
-			cells += check(experiment.RunMatrix(opt))
+			cells += check(experiment.RunMatrix(next()))
 		}
 		reportCells(b, cells)
 	})
 	b.Run("cold-corpus", func(b *testing.B) {
-		uncached(b)
 		copt := opt
 		copt.CorpusDir = buildBenchCorpus(b, opt)
+		next := uncached(b, copt)
 		cells := 0
 		for i := 0; i < b.N; i++ {
-			cells += check(experiment.RunMatrix(copt))
+			cells += check(experiment.RunMatrix(next()))
 		}
 		reportCells(b, cells)
 	})
@@ -384,10 +390,10 @@ func buildBenchCorpus(b *testing.B, opt experiment.Options) string {
 // BenchmarkSimulatorThroughput measures raw simulated instructions per
 // second of the MCD machine with no DVFS controller attached.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	uncached(b)
 	const insts = 100000
+	next := uncached(b, benchOpt(insts))
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunOne("gzip", experiment.SchemeNone, benchOpt(insts))
+		res, err := experiment.RunOne("gzip", experiment.SchemeNone, next())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -405,7 +411,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // the epoch-barrier worker pool exists to scale — so the 4-core rows
 // double as the parallel-speedup record next to the single-core ones.
 func BenchmarkChip(b *testing.B) {
-	uncached(b)
 	const instsPerCore = 30000
 	for _, cores := range []int{1, 4} {
 		for _, gov := range []string{"none", "static-split", "integral-gain"} {
@@ -416,9 +421,10 @@ func BenchmarkChip(b *testing.B) {
 				if gov != "none" {
 					opt.PowerCapW = 7.5 * float64(cores)
 				}
+				next := uncached(b, opt)
 				var total int64
 				for i := 0; i < b.N; i++ {
-					res, err := experiment.RunChip(nil, experiment.SchemeAdaptive, opt)
+					res, err := experiment.RunChip(nil, experiment.SchemeAdaptive, next())
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -518,10 +524,9 @@ func BenchmarkMultitaperSpectrum(b *testing.B) {
 // BenchmarkGlobalCoupling regenerates the per-domain vs globally
 // coupled scaling comparison (extension E1).
 func BenchmarkGlobalCoupling(b *testing.B) {
-	uncached(b)
-	opt := benchOpt(50000)
+	next := uncached(b, benchOpt(50000))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.GlobalComparison(opt, []string{"gzip", "swim"}); err != nil {
+		if _, err := experiment.GlobalComparison(next(), []string{"gzip", "swim"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -530,10 +535,9 @@ func BenchmarkGlobalCoupling(b *testing.B) {
 // BenchmarkQRefSweep regenerates the reference-occupancy sensitivity
 // sweep (extension E2).
 func BenchmarkQRefSweep(b *testing.B) {
-	uncached(b)
-	opt := benchOpt(50000)
+	next := uncached(b, benchOpt(50000))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.QRefSweep(opt, []string{"gsm_decode"}); err != nil {
+		if _, err := experiment.QRefSweep(next(), []string{"gsm_decode"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -542,10 +546,9 @@ func BenchmarkQRefSweep(b *testing.B) {
 // BenchmarkInterfaceStudy regenerates the synchronization-interface
 // comparison (extension E3).
 func BenchmarkInterfaceStudy(b *testing.B) {
-	uncached(b)
-	opt := benchOpt(40000)
+	next := uncached(b, benchOpt(40000))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.InterfaceStudy(opt, []string{"gsm_decode"}); err != nil {
+		if _, err := experiment.InterfaceStudy(next(), []string{"gsm_decode"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -554,10 +557,9 @@ func BenchmarkInterfaceStudy(b *testing.B) {
 // BenchmarkPartitionStudy regenerates the 4- vs 5-domain partition
 // comparison (extension E4).
 func BenchmarkPartitionStudy(b *testing.B) {
-	uncached(b)
-	opt := benchOpt(40000)
+	next := uncached(b, benchOpt(40000))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.PartitionStudy(opt, []string{"gzip"}); err != nil {
+		if _, err := experiment.PartitionStudy(next(), []string{"gzip"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -565,10 +567,9 @@ func BenchmarkPartitionStudy(b *testing.B) {
 
 // BenchmarkDelaySweep regenerates the time-delay sweep (extension E5).
 func BenchmarkDelaySweep(b *testing.B) {
-	uncached(b)
-	opt := benchOpt(30000)
+	next := uncached(b, benchOpt(30000))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.DelaySweep(opt, []string{"gsm_decode"}); err != nil {
+		if _, err := experiment.DelaySweep(next(), []string{"gsm_decode"}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -89,15 +89,18 @@ func main() {
 	ctx, stop := cliflags.GraceNotifyContext(context.Background(), *grace)
 	defer stop()
 
-	experiment.SetCaching(*useCache)
 	if !*useCache {
 		*cacheDir = ""
 	}
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+	// check ends the run on an error no artifact can recover from.
+	check := func(err error) {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(1)
+		}
 	}
+	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
+	check(err)
 	// Runs on the success path; error paths below os.Exit and lose the
 	// profile, which is fine — a failed run is not worth profiling.
 	defer func() {
@@ -148,6 +151,18 @@ func main() {
 			opt.Benchmarks = append(opt.Benchmarks, strings.TrimSpace(b))
 		}
 	}
+	// fresh returns the options one artifact runs under. With -cache=false
+	// each artifact gets a harness of its own, forked from one that only
+	// keeps recorded traces, so no result outlives the artifact that
+	// computed it and nothing touches disk.
+	traces := experiment.NewHarness()
+	fresh := func() experiment.Options {
+		o := opt
+		if !*useCache {
+			o.Harness = traces.Fork()
+		}
+		return o
+	}
 	emit := func(rep experiment.Report, err error) {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", rep.ID, err)
@@ -159,26 +174,12 @@ func main() {
 		}
 		rep.WriteTo(os.Stdout) //nolint:errcheck // stdout
 		if *out != "" {
-			if err := os.MkdirAll(*out, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			path := filepath.Join(*out, rep.ID+".txt")
-			if err := os.WriteFile(path, []byte(rep.String()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
+			check(os.MkdirAll(*out, 0o755))
+			check(os.WriteFile(filepath.Join(*out, rep.ID+".txt"), []byte(rep.String()), 0o644))
 			if *asJSON {
 				blob, err := json.MarshalIndent(rep, "", "  ")
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "experiments:", err)
-					os.Exit(1)
-				}
-				jpath := filepath.Join(*out, rep.ID+".json")
-				if err := os.WriteFile(jpath, blob, 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, "experiments:", err)
-					os.Exit(1)
-				}
+				check(err)
+				check(os.WriteFile(filepath.Join(*out, rep.ID+".json"), blob, 0o644))
 			}
 		}
 	}
@@ -196,7 +197,7 @@ func main() {
 
 	var classes []experiment.BenchClass
 	if sel("table2") || sel("fig11") || sel("table3") || sel("summary") {
-		rep, cl, err := experiment.Table2(opt)
+		rep, cl, err := experiment.Table2(fresh())
 		classes = cl
 		if sel("table2") {
 			emit(rep, err)
@@ -209,13 +210,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiments: %s.svg: %v\n", id, err)
 			os.Exit(1)
 		}
-		path := filepath.Join(*out, id+".svg")
-		if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
+		check(os.WriteFile(filepath.Join(*out, id+".svg"), []byte(svg), 0o644))
 	}
 	if sel("fig7") {
+		opt := fresh()
 		rep, err := experiment.Figure7(opt)
 		emit(rep, err)
 		if *asSVG && *out != "" {
@@ -224,6 +222,7 @@ func main() {
 		}
 	}
 	if sel("fig8") {
+		opt := fresh()
 		rep, err := experiment.Figure8(opt)
 		emit(rep, err)
 		if *asSVG && *out != "" {
@@ -238,7 +237,7 @@ func main() {
 		// an interrupt leaves the files current up to the last complete
 		// row. The batch render below rewrites the same bytes, so the
 		// streamed file is a head start, never a divergence.
-		mopt := opt
+		mopt := fresh()
 		type rowStream struct {
 			id string
 			f  *os.File
@@ -246,24 +245,15 @@ func main() {
 		}
 		var streams []rowStream
 		if *out != "" {
-			if err := os.MkdirAll(*out, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
+			check(os.MkdirAll(*out, 0o755))
 			for _, id := range []string{"fig9", "fig10"} {
 				if !sel(id) {
 					continue
 				}
 				f, err := os.Create(filepath.Join(*out, id+".txt"))
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "experiments:", err)
-					os.Exit(1)
-				}
+				check(err)
 				s, err := experiment.NewFigureStream(f, id, opt)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "experiments:", err)
-					os.Exit(1)
-				}
+				check(err)
 				streams = append(streams, rowStream{id: id, f: f, s: s})
 			}
 		}
@@ -338,43 +328,43 @@ func main() {
 	}
 	if sel("table3") {
 		fast := experiment.FastGroup(classes)
-		rep, err := experiment.Table3(opt, fast)
+		rep, err := experiment.Table3(fresh(), fast)
 		emit(rep, err)
 	}
 	if sel("ablation") {
-		rep, err := experiment.Ablation(opt, []string{"adpcm_encode", "gsm_decode", "gzip", "swim"})
+		rep, err := experiment.Ablation(fresh(), []string{"adpcm_encode", "gsm_decode", "gzip", "swim"})
 		emit(rep, err)
 	}
 	if sel("transitions") {
-		rep, err := experiment.TransitionStyles(opt, []string{"adpcm_encode", "gsm_decode", "gzip", "swim"})
+		rep, err := experiment.TransitionStyles(fresh(), []string{"adpcm_encode", "gsm_decode", "gzip", "swim"})
 		emit(rep, err)
 	}
 	if sel("global") {
-		rep, err := experiment.GlobalComparison(opt, []string{"adpcm_encode", "gzip", "swim", "epic_decode"})
+		rep, err := experiment.GlobalComparison(fresh(), []string{"adpcm_encode", "gzip", "swim", "epic_decode"})
 		emit(rep, err)
 	}
 	if sel("qref") {
-		rep, err := experiment.QRefSweep(opt, []string{"gsm_decode", "gzip", "swim"})
+		rep, err := experiment.QRefSweep(fresh(), []string{"gsm_decode", "gzip", "swim"})
 		emit(rep, err)
 	}
 	if sel("interfaces") {
-		rep, err := experiment.InterfaceStudy(opt, []string{"gsm_decode", "swim"})
+		rep, err := experiment.InterfaceStudy(fresh(), []string{"gsm_decode", "swim"})
 		emit(rep, err)
 	}
 	if sel("partitions") {
-		rep, err := experiment.PartitionStudy(opt, []string{"adpcm_encode", "gsm_decode", "gzip", "mcf", "swim"})
+		rep, err := experiment.PartitionStudy(fresh(), []string{"adpcm_encode", "gsm_decode", "gzip", "mcf", "swim"})
 		emit(rep, err)
 	}
 	if sel("delays") {
-		rep, err := experiment.DelaySweep(opt, []string{"adpcm_encode", "gsm_decode", "gzip"})
+		rep, err := experiment.DelaySweep(fresh(), []string{"adpcm_encode", "gsm_decode", "gzip"})
 		emit(rep, err)
 	}
 	if sel("seeds") {
-		rep, err := experiment.SeedStudy(opt, []string{"adpcm_encode", "gzip", "swim"}, 5)
+		rep, err := experiment.SeedStudy(fresh(), []string{"adpcm_encode", "gzip", "swim"}, 5)
 		emit(rep, err)
 	}
 	if *faultsSpec != "" || want["robustness"] {
-		rep, err := experiment.FaultSweepContext(ctx, opt,
+		rep, err := experiment.FaultSweepContext(ctx, fresh(),
 			[]string{"adpcm_encode", "gsm_decode", "gzip", "swim"}, intensities)
 		emit(rep, err)
 	}
@@ -382,6 +372,7 @@ func main() {
 	// explicitly — a multi-core governor sweep is not part of the
 	// paper's single-core reproduction that -all regenerates.
 	if want["capsweep"] {
+		opt := fresh()
 		rep, err := experiment.CapSweepContext(ctx, opt)
 		emit(rep, err)
 		if *asSVG && *out != "" {
@@ -390,7 +381,7 @@ func main() {
 		}
 	}
 	if want["captransient"] {
-		rep, err := experiment.CapTransientContext(ctx, opt)
+		rep, err := experiment.CapTransientContext(ctx, fresh())
 		emit(rep, err)
 	}
 

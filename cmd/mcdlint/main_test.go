@@ -73,8 +73,9 @@ func TestFixtureViolations(t *testing.T) {
 		t.Errorf("suppressed, directive or unreachable diagnostics leaked into output:\n%s", out)
 	}
 
-	// The reachability fixture is a program: a dead function and a
-	// test-only one are reported, nothing the roots reach is.
+	// The reachability fixture is a program: a dead function, a
+	// test-only one and a method that only shares a name with an
+	// interface are reported, nothing the roots reach is.
 	out, code = runLint(t, bin, "../../internal/lint/testdata/src/unreachable.example", "./...")
 	if code != 1 {
 		t.Fatalf("unreachable fixture: exit code = %d, want 1\n%s", code, out)
@@ -82,13 +83,14 @@ func TestFixtureViolations(t *testing.T) {
 	for _, want := range []string{
 		"[unreachable] parts.Dead is unreachable",
 		"[unreachable] parts.OnlyTested is unreachable",
+		"[unreachable] parts.(Book).Read is unreachable",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q\n%s", want, out)
 		}
 	}
-	if n := strings.Count(out, "\n"); n != 2 {
-		t.Errorf("unreachable fixture: got %d findings, want 2\n%s", n, out)
+	if n := strings.Count(out, "\n"); n != 3 {
+		t.Errorf("unreachable fixture: got %d findings, want 3\n%s", n, out)
 	}
 }
 

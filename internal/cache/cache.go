@@ -49,7 +49,6 @@ func (s Stats) MissRate() float64 {
 // Cache is one set-associative write-back, write-allocate cache with
 // true-LRU replacement.
 type Cache struct {
-	name     string
 	sets     int
 	ways     int
 	lineBits uint
@@ -87,14 +86,11 @@ func New(name string, size, ways, lineSize int) *Cache {
 	}
 	n := sets * ways
 	return &Cache{
-		name: name, sets: sets, ways: ways, lineBits: lineBits,
+		sets: sets, ways: ways, lineBits: lineBits,
 		setBits: setBits, setMask: uint64(sets - 1),
 		tags: make([]uint64, n), dirty: make([]bool, n), age: make([]uint32, n),
 	}
 }
-
-// Name returns the cache's label.
-func (c *Cache) Name() string { return c.name }
 
 // Stats returns the event counters.
 func (c *Cache) Stats() Stats { return c.stats }

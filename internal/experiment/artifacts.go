@@ -229,9 +229,9 @@ func RenderArtifactContext(ctx context.Context, id string, format ArtifactFormat
 	}
 	opt.Context = ctx
 	render := func() ([]byte, bool, error) { return renderArtifact(ctx, id, format, opt) }
-	if opt.CorpusDir == "" && opt.RowFlush == nil && cachingOn() {
+	if opt.CorpusDir == "" && opt.RowFlush == nil {
 		if k, err := renderDigest(id, format, opt, s); err == nil {
-			body, err := cachedRender(k, render)
+			body, err := s.h.cachedRender(k, render)
 			if err != nil {
 				return nil, "", err
 			}

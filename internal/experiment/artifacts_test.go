@@ -11,18 +11,18 @@ import (
 // selects the robustness sweep's own four benchmarks, exactly as an
 // omitted one does, not the whole suite.
 func TestRobustnessEmptyBenchmarksIsOmitted(t *testing.T) {
+	t.Parallel()
 	ctx := context.Background()
 	omitted := Options{Instructions: 2000, Seed: 1, Schemes: []Scheme{SchemeAdaptive}}
-	want, _, err := RenderArtifactContext(ctx, "robustness", FormatText, omitted)
+	want, _, err := RenderArtifactContext(ctx, "robustness", FormatText, uncached(omitted))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both spellings share a render key; dropping the memo makes the
+	// Both spellings share a render key; a harness of its own makes the
 	// second one render rather than replay the first.
-	ResetCache()
 	empty := omitted
 	empty.Benchmarks = []string{}
-	got, _, err := RenderArtifactContext(ctx, "robustness", FormatText, empty)
+	got, _, err := RenderArtifactContext(ctx, "robustness", FormatText, uncached(empty))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,6 +34,7 @@ func TestRobustnessEmptyBenchmarksIsOmitted(t *testing.T) {
 // TestRenderChecksUpFront: RenderKey and RenderArtifactContext reject
 // the same requests, before anything simulates, as ErrInvalidSpec.
 func TestRenderChecksUpFront(t *testing.T) {
+	t.Parallel()
 	def := DefaultOptions()
 	with := func(mut func(*Options)) Options {
 		opt := def

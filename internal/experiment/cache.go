@@ -16,8 +16,15 @@ import (
 	"mcddvfs/internal/trace"
 )
 
-// The result cache memoizes every harness run — RunProfile, matrix
-// cells and RunChip alike — keyed by a content hash of everything that
+// A Harness owns the harness's state: the result memo with its
+// flights, the classification and render memos, the replay memo of
+// recorded traces, and one open disk store per cache directory.
+// Options.Harness selects it per call; nil selects the process default,
+// which ResetCache, CacheStats, RenderCacheStats, DiskCacheStats and
+// DiskStore address. The zero value is not usable; call NewHarness.
+//
+// The result memo keeps every harness run — RunProfile, matrix cells
+// and RunChip alike — keyed by a content hash of everything that
 // determines a simulation: the per-core workload profiles, the scheme,
 // and the canonicalized options (instruction budget, seed, machine
 // configuration — including the fault spec — PID interval, the
@@ -27,8 +34,8 @@ import (
 // and single-core callers read that core back through
 // ChipResult.Aggregate. The harness regenerates Tables 2-4, Figures
 // 7-11, the E1-E5 extensions and the chip artifacts from overlapping
-// (workload, scheme, options) triples; with the cache each distinct
-// triple is simulated exactly once per process.
+// (workload, scheme, options) triples; with the memo each distinct
+// triple is simulated exactly once per harness.
 //
 // Caching is two-level. The first level is an in-process memo of
 // completed outcomes; concurrent requests for a key not yet memoized
@@ -46,12 +53,12 @@ import (
 // as read-only. The one historical mutation site — RunMatrix stripping
 // QueueSamples from non-baseline cells — copies the struct first.
 //
-// A simulation is deterministic, so caching never changes any value a
-// caller observes; it only removes duplicate work.
-var resultCache = struct {
+// A simulation is deterministic, so which harness a run goes through
+// never changes any value a caller observes; it only decides which
+// duplicate work is removed.
+type Harness struct {
 	mu      sync.Mutex
-	enabled bool
-	gen     uint64 // bumped by ResetCache; a resolution memoizes only into its own generation
+	gen     uint64 // bumped by reset; a resolution memoizes only into its own generation
 	memo    map[[sha256.Size]byte]outcome
 	flights flight.Group[[sha256.Size]byte, outcome]
 	runs    uint64 // cached calls this generation; hits = runs - misses
@@ -66,12 +73,44 @@ var resultCache = struct {
 	// cachedRender).
 	renders                  map[[sha256.Size]byte][]byte
 	renderHits, renderMisses uint64 // render lookups this generation
-}{
-	enabled: true,
-	memo:    make(map[[sha256.Size]byte]outcome),
-	classes: make(map[[sha256.Size]byte]BenchClass),
-	renders: make(map[[sha256.Size]byte][]byte),
+
+	replays *replayCache // shared with every Fork of this harness
+
+	// One open store per cache directory, created lazily. A store that
+	// fails to open is recorded as nil, with its own open error, so a
+	// misconfigured directory degrades to uncached operation once
+	// instead of erroring every run.
+	diskMu   sync.Mutex
+	stores   map[string]*diskcache.Store
+	openErrs map[string]error
+	firstErr error // the first open failure, in open order
 }
+
+// NewHarness returns an empty harness: nothing memoized, no trace
+// recorded and no disk store open.
+func NewHarness() *Harness {
+	return (&Harness{replays: newReplayCache()}).Fork()
+}
+
+// Fork returns an empty harness that shares h's recorded traces and
+// nothing else: no result, classification or render, and no disk
+// store. A replayed trace is bit-identical to generating it, so the
+// sharing never changes what a run computes; it spares a run of
+// fresh results from re-recording its stream (cmd/experiments
+// -cache=false forks one harness per artifact).
+func (h *Harness) Fork() *Harness {
+	return &Harness{
+		memo:     make(map[[sha256.Size]byte]outcome),
+		classes:  make(map[[sha256.Size]byte]BenchClass),
+		renders:  make(map[[sha256.Size]byte][]byte),
+		replays:  h.replays,
+		stores:   make(map[string]*diskcache.Store),
+		openErrs: make(map[string]error),
+	}
+}
+
+// defaultHarness serves every call whose Options.Harness is nil.
+var defaultHarness = NewHarness()
 
 // outcome is one resolved run: a result or a non-transient error.
 type outcome struct {
@@ -79,77 +118,48 @@ type outcome struct {
 	err error
 }
 
-// SetCaching enables or disables result memoization (both the
-// in-process level and the disk level). It is enabled by default;
-// disabling is useful for A/B-validating that the cache is transparent
-// (artifacts must be byte-identical either way).
-func SetCaching(on bool) {
-	resultCache.mu.Lock()
-	defer resultCache.mu.Unlock()
-	resultCache.enabled = on
+// ResetCache drops every memoized in-process result, classification,
+// render and recorded trace of the default harness and zeroes its
+// hit/miss counters. On-disk entries are untouched (delete the cache
+// directory to force a cold run).
+func ResetCache() { defaultHarness.reset() }
+
+func (h *Harness) reset() {
+	h.mu.Lock()
+	h.gen++
+	h.memo = make(map[[sha256.Size]byte]outcome)
+	h.classes = make(map[[sha256.Size]byte]BenchClass)
+	h.renders = make(map[[sha256.Size]byte][]byte)
+	h.runs, h.misses, h.spectra, h.renderHits, h.renderMisses = 0, 0, 0, 0, 0
+	h.mu.Unlock()
+	h.replays.reset()
 }
 
-// ResetCache drops every memoized in-process result and render and
-// zeroes the hit/miss counters. On-disk entries are untouched (delete
-// the cache directory to force a cold run).
-func ResetCache() {
-	resultCache.mu.Lock()
-	resultCache.gen++
-	resultCache.memo = make(map[[sha256.Size]byte]outcome)
-	resultCache.classes = make(map[[sha256.Size]byte]BenchClass)
-	resultCache.renders = make(map[[sha256.Size]byte][]byte)
-	resultCache.runs = 0
-	resultCache.misses = 0
-	resultCache.spectra = 0
-	resultCache.renderHits = 0
-	resultCache.renderMisses = 0
-	resultCache.mu.Unlock()
-	sharedReplays.reset()
+// CacheStats reports how many of the default harness's runs
+// (RunProfile, matrix cells, RunChip) were served from memory versus
+// not (disk hits count as misses here; see DiskCacheStats).
+func CacheStats() (hits, misses uint64) { return defaultHarness.cacheStats() }
+
+func (h *Harness) cacheStats() (hits, misses uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.runs - h.misses, h.misses
 }
 
-// CacheStats reports how many runs (RunProfile, matrix cells, RunChip)
-// were served from memory versus not (disk hits count as misses here;
-// see DiskCacheStats).
-func CacheStats() (hits, misses uint64) {
-	resultCache.mu.Lock()
-	defer resultCache.mu.Unlock()
-	return resultCache.runs - resultCache.misses, resultCache.misses
+// RenderCacheStats reports how many of the default harness's artifact
+// renders were served from the render memo versus rendered (see
+// cachedRender). Renders that bypass the memo count as neither.
+func RenderCacheStats() (hits, misses uint64) { return defaultHarness.renderCacheStats() }
+
+func (h *Harness) renderCacheStats() (hits, misses uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.renderHits, h.renderMisses
 }
 
-// RenderCacheStats reports how many artifact renders were served from
-// the render memo versus rendered (see cachedRender). Renders that
-// bypass the memo count as neither.
-func RenderCacheStats() (hits, misses uint64) {
-	resultCache.mu.Lock()
-	defer resultCache.mu.Unlock()
-	return resultCache.renderHits, resultCache.renderMisses
-}
-
-// diskStores holds one open store per cache directory, created
-// lazily. A store that fails to open is recorded as nil, with its own
-// open error, so a misconfigured directory degrades to uncached
-// operation once instead of erroring every run.
-var diskStores = struct {
-	mu       sync.Mutex
-	stores   map[string]*diskcache.Store
-	openErrs map[string]error
-	firstErr error // the first open failure, in open order
-}{stores: make(map[string]*diskcache.Store), openErrs: make(map[string]error)}
-
-// diskStore returns the store for opt.CacheDir, opening it on first
-// use, or nil when disk caching is off (empty CacheDir) or the
-// directory is unusable.
-func diskStore(opt Options) *diskcache.Store {
-	if opt.CacheDir == "" {
-		return nil
-	}
-	s, _ := DiskStore(opt.CacheDir, opt.CacheMaxBytes)
-	return s
-}
-
-// DiskStore returns the process-wide store for dir, opening it on
+// DiskStore returns the default harness's store for dir, opening it on
 // first use with the given size budget (later calls reuse the first
-// store regardless of maxBytes). Every harness run with
+// store regardless of maxBytes). Every default-harness run with
 // Options.CacheDir == dir goes through the returned store, so an
 // operator attaching an observer or swapping the FS (chaos injection,
 // circuit breaking in internal/serve) sees exactly the traffic the
@@ -157,34 +167,40 @@ func diskStore(opt Options) *diskcache.Store {
 // directory is cached as nil, later calls return the same error, and
 // runs against it silently degrade to uncached simulation.
 func DiskStore(dir string, maxBytes int64) (*diskcache.Store, error) {
+	return defaultHarness.diskStore(dir, maxBytes)
+}
+
+func (h *Harness) diskStore(dir string, maxBytes int64) (*diskcache.Store, error) {
 	if dir == "" {
 		return nil, invalidSpec(fmt.Errorf("experiment: DiskStore: empty cache directory"))
 	}
-	diskStores.mu.Lock()
-	defer diskStores.mu.Unlock()
-	if s, ok := diskStores.stores[dir]; ok {
-		return s, diskStores.openErrs[dir]
+	h.diskMu.Lock()
+	defer h.diskMu.Unlock()
+	if s, ok := h.stores[dir]; ok {
+		return s, h.openErrs[dir]
 	}
 	s, err := diskcache.Open(dir, maxBytes)
 	if err != nil {
 		s = nil
-		diskStores.openErrs[dir] = err
-		if diskStores.firstErr == nil {
-			diskStores.firstErr = err
+		h.openErrs[dir] = err
+		if h.firstErr == nil {
+			h.firstErr = err
 		}
 	}
-	diskStores.stores[dir] = s
+	h.stores[dir] = s
 	return s, err
 }
 
-// DiskCacheStats aggregates traffic over every store this process
-// opened, plus the first open error (nil when every directory was
-// usable). A non-nil error means runs fell back to simulation.
-func DiskCacheStats() (diskcache.Stats, error) {
-	diskStores.mu.Lock()
-	defer diskStores.mu.Unlock()
+// DiskCacheStats aggregates traffic over every store the default
+// harness opened, plus the first open error (nil when every directory
+// was usable). A non-nil error means runs fell back to simulation.
+func DiskCacheStats() (diskcache.Stats, error) { return defaultHarness.diskCacheStats() }
+
+func (h *Harness) diskCacheStats() (diskcache.Stats, error) {
+	h.diskMu.Lock()
+	defer h.diskMu.Unlock()
 	var total diskcache.Stats
-	for _, s := range diskStores.stores {
+	for _, s := range h.stores {
 		if s == nil {
 			continue
 		}
@@ -199,7 +215,7 @@ func DiskCacheStats() (diskcache.Stats, error) {
 		total.WriteErrors += st.WriteErrors
 		total.Retries += st.Retries
 	}
-	return total, diskStores.firstErr
+	return total, h.firstErr
 }
 
 // cacheKey hashes the complete simulation input: profs holds one
@@ -353,46 +369,32 @@ type keyTail struct {
 // (TestCacheKeyGolden). Change it only when the derivation changes.
 const keyFormat = 1
 
-// cachingOn reports whether result memoization is enabled.
-func cachingOn() bool {
-	resultCache.mu.Lock()
-	defer resultCache.mu.Unlock()
-	return resultCache.enabled
-}
-
 // memoized returns key k's memoized outcome, counted as a hit: the
 // one place a memo hit is served, for cachedRun and a matrix's inline
 // pass alike. ok is false, and nothing is counted, when k is not
-// memoized or caching is off.
-func memoized(k [sha256.Size]byte) (o outcome, ok bool) {
-	resultCache.mu.Lock()
-	defer resultCache.mu.Unlock()
-	if !resultCache.enabled {
-		return outcome{}, false
-	}
-	if o, ok = resultCache.memo[k]; ok {
-		resultCache.runs++
+// memoized.
+func (h *Harness) memoized(k [sha256.Size]byte) (o outcome, ok bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if o, ok = h.memo[k]; ok {
+		h.runs++
 	}
 	return o, ok
 }
 
 // cachedRun returns the memoized chip result for (profs, scheme) under
-// s's options or resolves it. k, when non-nil, is the run's key as
-// cacheKey already derived it. The resolution runs detached from every
-// caller: each caller waits only until its own context ends or
-// opt.Timeout expires, and the simulation is cancelled once its last
-// waiter leaves. bankSrc is handed to simulate (core 0's stream) and
-// is only invoked if the run actually simulates. The run must already
-// have passed s.validate.
+// s's options from s's harness, or resolves it. k, when non-nil, is
+// the run's key as cacheKey already derived it. The resolution runs
+// detached from every caller: each caller waits only until its own
+// context ends or opt.Timeout expires, and the simulation is cancelled
+// once its last waiter leaves. bankSrc is handed to simulate (core 0's
+// stream) and is only invoked if the run actually simulates. The run
+// must already have passed s.validate.
 func cachedRun(ctx context.Context, s *runSpec, profs []trace.Profile, scheme Scheme, k *[sha256.Size]byte, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (*mcd.ChipResult, error) {
-	opt := s.opt
-	if opt.Timeout > 0 {
+	if s.opt.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
+		ctx, cancel = context.WithTimeout(ctx, s.opt.Timeout)
 		defer cancel()
-	}
-	if !cachingOn() {
-		return simulate(ctx, profs, scheme, opt, bankSrc)
 	}
 	var key [sha256.Size]byte
 	if k != nil {
@@ -403,14 +405,15 @@ func cachedRun(ctx context.Context, s *runSpec, profs []trace.Profile, scheme Sc
 			return nil, err
 		}
 	}
-	if o, ok := memoized(key); ok {
+	h := s.h
+	if o, ok := h.memoized(key); ok {
 		return o.res, o.err
 	}
-	resultCache.mu.Lock()
-	resultCache.runs++
-	gen := resultCache.gen
-	resultCache.mu.Unlock()
-	o, err := await(ctx, key, gen, profs, scheme, opt, bankSrc)
+	h.mu.Lock()
+	h.runs++
+	gen := h.gen
+	h.mu.Unlock()
+	o, err := await(ctx, s, key, gen, profs, scheme, bankSrc)
 	if err != nil {
 		return nil, err
 	}
@@ -420,12 +423,12 @@ func cachedRun(ctx context.Context, s *runSpec, profs []trace.Profile, scheme Sc
 // await joins or starts the flight resolving key k and waits for it
 // as long as ctx allows. It is split from cachedRun so that a memo hit
 // does not pay for the flight closure's captures.
-func await(ctx context.Context, k [sha256.Size]byte, gen uint64, profs []trace.Profile, scheme Scheme, opt Options, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (outcome, error) {
-	o, _, err := resultCache.flights.Do(ctx, k, func(ctx context.Context) (outcome, error) {
-		return resolve(ctx, k, gen, profs, scheme, opt, bankSrc), nil
+func await(ctx context.Context, s *runSpec, k [sha256.Size]byte, gen uint64, profs []trace.Profile, scheme Scheme, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (outcome, error) {
+	o, _, err := s.h.flights.Do(ctx, k, func(ctx context.Context) (outcome, error) {
+		return resolve(ctx, s, k, gen, profs, scheme, bankSrc), nil
 	})
 	if err != nil {
-		return o, fmt.Errorf("%s/%s: %w", runLabel(profs, opt), scheme, wrapRunErr(err))
+		return o, fmt.Errorf("%s/%s: %w", runLabel(profs, s.opt), scheme, wrapRunErr(err))
 	}
 	return o, nil
 }
@@ -436,32 +439,36 @@ func await(ctx context.Context, k [sha256.Size]byte, gen uint64, profs []trace.P
 // flight falls straight through to simulate, which honors it. Any disk
 // failure falls back to simulation (Get already healed bad entries).
 // Misses and non-transient outcomes are recorded only in generation
-// gen, so a flight that outlives ResetCache cannot write into the
-// fresh memo.
+// gen, so a flight that outlives a reset cannot write into the fresh
+// memo.
 //
 // On disk, a legacy-key run stores its one core as a plain mcd.Result,
 // the entry type that predates chip support, so existing warm caches
 // still hit; the 1-core chip result is rebuilt from it exactly. Chip
 // keys store the whole mcd.ChipResult.
-func resolve(ctx context.Context, k [sha256.Size]byte, gen uint64, profs []trace.Profile, scheme Scheme, opt Options, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (o outcome) {
-	resultCache.mu.Lock()
-	o, ok := resultCache.memo[k]
-	if !ok && resultCache.gen == gen {
-		resultCache.misses++
+func resolve(ctx context.Context, s *runSpec, k [sha256.Size]byte, gen uint64, profs []trace.Profile, scheme Scheme, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (o outcome) {
+	h := s.h
+	h.mu.Lock()
+	o, ok := h.memo[k]
+	if !ok && h.gen == gen {
+		h.misses++
 	}
-	resultCache.mu.Unlock()
+	h.mu.Unlock()
 	if ok {
 		return o
 	}
 	defer func() {
-		resultCache.mu.Lock()
-		if resultCache.gen == gen && !transientErr(o.err) {
-			resultCache.memo[k] = o
+		h.mu.Lock()
+		if h.gen == gen && !transientErr(o.err) {
+			h.memo[k] = o
 		}
-		resultCache.mu.Unlock()
+		h.mu.Unlock()
 	}()
-	store := diskStore(opt)
-	legacy := !opt.chipMode()
+	var store *diskcache.Store
+	if s.opt.CacheDir != "" {
+		store, _ = h.diskStore(s.opt.CacheDir, s.opt.CacheMaxBytes)
+	}
+	legacy := !s.opt.chipMode()
 	if store != nil && ctx.Err() == nil {
 		if legacy {
 			var res mcd.Result
@@ -475,7 +482,7 @@ func resolve(ctx context.Context, k [sha256.Size]byte, gen uint64, profs []trace
 			}
 		}
 	}
-	o.res, o.err = simulate(ctx, profs, scheme, opt, bankSrc)
+	o.res, o.err = simulate(ctx, s, profs, scheme, bankSrc)
 	if o.err == nil && store != nil {
 		var entry any = o.res
 		if legacy {
@@ -487,24 +494,21 @@ func resolve(ctx context.Context, k [sha256.Size]byte, gen uint64, profs []trace
 }
 
 // cachedClass returns the Section 5.2 classification of prof under
-// spec's options, memoized under the cache key of the benchmark's
-// SchemeNone run it derives from, or computes it with classify and
-// memoizes it into the generation current at lookup. The memo follows
-// the result cache's rules: SetCaching(false) bypasses it (deriving no
-// key) and ResetCache drops it. Concurrent first computations are not
-// merged; they are deterministic and store the same value.
+// spec's options, memoized in spec's harness under the cache key of
+// the benchmark's SchemeNone run it derives from, or computes it with
+// classify and memoizes it into the generation current at lookup. A
+// reset drops it like the result memo. Concurrent first computations
+// are not merged; they are deterministic and store the same value.
 func cachedClass(spec *runSpec, prof trace.Profile) (BenchClass, error) {
-	if !cachingOn() {
-		return classify(spec, prof)
-	}
 	k, err := cacheKey(chipProfiles(prof, spec.opt), SchemeNone, spec)
 	if err != nil {
 		return BenchClass{}, err
 	}
-	resultCache.mu.Lock()
-	bc, hit := resultCache.classes[k]
-	gen := resultCache.gen
-	resultCache.mu.Unlock()
+	h := spec.h
+	h.mu.Lock()
+	bc, hit := h.classes[k]
+	gen := h.gen
+	h.mu.Unlock()
 	if hit {
 		return bc, nil
 	}
@@ -512,35 +516,34 @@ func cachedClass(spec *runSpec, prof trace.Profile) (BenchClass, error) {
 	if err != nil {
 		return bc, err
 	}
-	resultCache.mu.Lock()
-	if resultCache.gen == gen {
-		resultCache.classes[k] = bc
-		resultCache.spectra++
+	h.mu.Lock()
+	if h.gen == gen {
+		h.classes[k] = bc
+		h.spectra++
 	}
-	resultCache.mu.Unlock()
+	h.mu.Unlock()
 	return bc, nil
 }
 
 // cachedRender returns the artifact bytes memoized under render digest
 // k, or renders them and memoizes a complete render into the
-// generation current at lookup. The memo follows the result cache's
-// rules: the caller bypasses it when caching is off, ResetCache drops
-// it, and a render that outlives a ResetCache (or a SetCaching(false))
-// stores nothing. render reports a partial render — one that succeeded
-// with failed runs behind it — and a partial or failed render is never
-// stored. The memo keeps its own copy and every hit returns a fresh
-// one, so no caller can alias it. Concurrent first renders are not
-// merged; they are deterministic and store the same bytes.
-func cachedRender(k [sha256.Size]byte, render func() (body []byte, partial bool, err error)) ([]byte, error) {
-	resultCache.mu.Lock()
-	body, hit := resultCache.renders[k]
-	gen := resultCache.gen
+// generation current at lookup. A reset drops the memo, and a render
+// that outlives one stores nothing. render reports a partial render —
+// one that succeeded with failed runs behind it — and a partial or
+// failed render is never stored. The memo keeps its own copy and every
+// hit returns a fresh one, so no caller can alias it. Concurrent first
+// renders are not merged; they are deterministic and store the same
+// bytes.
+func (h *Harness) cachedRender(k [sha256.Size]byte, render func() (body []byte, partial bool, err error)) ([]byte, error) {
+	h.mu.Lock()
+	body, hit := h.renders[k]
+	gen := h.gen
 	if hit {
-		resultCache.renderHits++
+		h.renderHits++
 	} else {
-		resultCache.renderMisses++
+		h.renderMisses++
 	}
-	resultCache.mu.Unlock()
+	h.mu.Unlock()
 	if hit {
 		return bytes.Clone(body), nil
 	}
@@ -548,10 +551,10 @@ func cachedRender(k [sha256.Size]byte, render func() (body []byte, partial bool,
 	if err != nil || partial {
 		return body, err
 	}
-	resultCache.mu.Lock()
-	if resultCache.gen == gen && resultCache.enabled {
-		resultCache.renders[k] = bytes.Clone(body)
+	h.mu.Lock()
+	if h.gen == gen {
+		h.renders[k] = bytes.Clone(body)
 	}
-	resultCache.mu.Unlock()
+	h.mu.Unlock()
 	return body, nil
 }

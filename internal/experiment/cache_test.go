@@ -14,25 +14,36 @@ import (
 	"mcddvfs/internal/trace"
 )
 
-// smallOpt keeps cache tests fast: two benchmarks, short runs.
+// smallOpt keeps cache tests fast: two benchmarks, short runs, on a
+// harness of the test's own.
 func smallOpt() Options {
-	return Options{Instructions: 20000, Seed: 3, Benchmarks: []string{"gzip", "swim"}}
+	return Options{Instructions: 20000, Seed: 3, Benchmarks: []string{"gzip", "swim"}, Harness: NewHarness()}
 }
 
-// TestCacheTransparent asserts the determinism contract: a cached and
-// an uncached RunMatrix produce identical metrics, cell for cell.
-func TestCacheTransparent(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	opt := smallOpt()
+// uncached returns opt on an empty harness of its own, so a run through
+// it simulates and a test using it can run in parallel.
+func uncached(opt Options) Options {
+	opt.Harness = NewHarness()
+	return opt
+}
 
-	SetCaching(false)
-	cold, err := RunMatrix(opt)
+// TestCacheTransparent asserts the determinism contract: a matrix
+// served from a harness's memo and the same matrix simulated on
+// another, empty harness produce identical metrics, cell for cell.
+func TestCacheTransparent(t *testing.T) {
+	t.Parallel()
+	opt := smallOpt()
+	if _, err := RunMatrix(opt); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := RunMatrix(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetCaching(true)
-	ResetCache()
-	warm, err := RunMatrix(opt)
+	if hits, misses := opt.Harness.cacheStats(); hits != misses {
+		t.Fatalf("second matrix: %d hits for %d simulations, want every cell served from memory", hits, misses)
+	}
+	cold, err := RunMatrix(uncached(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,16 +69,14 @@ func TestCacheTransparent(t *testing.T) {
 // served entirely from memory, and the shared baseline results keep
 // their QueueSamples even though the matrix strips its own copies.
 func TestCacheDedupes(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
+	t.Parallel()
 	opt := smallOpt()
-	SetCaching(true)
-	ResetCache()
 
 	m1, err := RunMatrix(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, misses1 := CacheStats()
+	_, misses1 := opt.Harness.cacheStats()
 	cells := uint64(len(opt.Benchmarks) * (1 + len(ControlledSchemes())))
 	if misses1 != cells {
 		t.Fatalf("first matrix simulated %d cells, want %d", misses1, cells)
@@ -77,7 +86,7 @@ func TestCacheDedupes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses2 := CacheStats()
+	hits, misses2 := opt.Harness.cacheStats()
 	if misses2 != cells {
 		t.Fatalf("second matrix re-simulated: %d misses, want still %d", misses2, cells)
 	}
@@ -102,7 +111,7 @@ func TestCacheDedupes(t *testing.T) {
 	if _, err := RunOne("gzip", SchemeAdaptive, opt2); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := CacheStats(); misses != cells+1 {
+	if _, misses := opt.Harness.cacheStats(); misses != cells+1 {
 		t.Errorf("changed seed did not trigger a simulation")
 	}
 }
@@ -112,9 +121,7 @@ func TestCacheDedupes(t *testing.T) {
 // effect share one simulation, and an effectively different closure
 // does not.
 func TestCacheKeyCanonicalizesMutator(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
+	t.Parallel()
 	opt := smallOpt()
 
 	opt.MutateAdaptive = func(c *control.Config) { c.TM0 *= 2 }
@@ -125,7 +132,7 @@ func TestCacheKeyCanonicalizesMutator(t *testing.T) {
 	if _, err := RunOne("gzip", SchemeAdaptive, opt); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := CacheStats(); hits != 1 || misses != 1 {
+	if hits, misses := opt.Harness.cacheStats(); hits != 1 || misses != 1 {
 		t.Errorf("same-effect mutators: %d hits / %d misses, want 1/1", hits, misses)
 	}
 
@@ -133,7 +140,7 @@ func TestCacheKeyCanonicalizesMutator(t *testing.T) {
 	if _, err := RunOne("gzip", SchemeAdaptive, opt); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := CacheStats(); misses != 2 {
+	if _, misses := opt.Harness.cacheStats(); misses != 2 {
 		t.Errorf("different-effect mutator was served from cache")
 	}
 }
@@ -208,9 +215,7 @@ func TestChipCacheKeyGolden(t *testing.T) {
 // TestCacheSingleFlight asserts concurrent identical requests run one
 // simulation and share its result.
 func TestCacheSingleFlight(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
+	t.Parallel()
 	opt := smallOpt()
 
 	const callers = 8
@@ -234,7 +239,7 @@ func TestCacheSingleFlight(t *testing.T) {
 			t.Fatalf("caller %d got a different result pointer", i)
 		}
 	}
-	if hits, misses := CacheStats(); misses != 1 {
+	if hits, misses := opt.Harness.cacheStats(); misses != 1 {
 		t.Errorf("%d simulations for one key (hits %d), want 1", misses, hits)
 	}
 }
@@ -244,9 +249,7 @@ func TestCacheSingleFlight(t *testing.T) {
 // simulation, and the chip's only core is the very Result RunProfile
 // returned.
 func TestSingleCoreChipSharesRunProfile(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
+	t.Parallel()
 	prof, err := trace.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +265,7 @@ func TestSingleCoreChipSharesRunProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := CacheStats(); hits != 1 || misses != 1 {
+	if hits, misses := opt.Harness.cacheStats(); hits != 1 || misses != 1 {
 		t.Errorf("cache stats %d hits / %d misses, want 1 / 1 (one simulation)", hits, misses)
 	}
 	if len(cr.Cores) != 1 || cr.Cores[0] != res {
@@ -275,17 +278,16 @@ func TestSingleCoreChipSharesRunProfile(t *testing.T) {
 // generators, so a wide chip allocates no per-core recordings before
 // its run (and its timeout) starts.
 func TestWideChipRecordsOneTrace(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(false)
-	ResetCache()
+	t.Parallel()
 	opt := smallOpt()
 	opt.Cores, opt.PowerCapW = 8, 40
 	if _, err := RunChipContext(context.Background(), []string{"gzip", "swim"}, SchemeAdaptive, opt); err != nil {
 		t.Fatal(err)
 	}
-	sharedReplays.mu.Lock()
-	n := len(sharedReplays.entries)
-	sharedReplays.mu.Unlock()
+	replays := opt.Harness.replays
+	replays.mu.Lock()
+	n := len(replays.entries)
+	replays.mu.Unlock()
 	if n != 1 {
 		t.Errorf("8-core chip left %d recordings in the replay cache, want 1 (core 0 only)", n)
 	}
@@ -296,16 +298,16 @@ func TestWideChipRecordsOneTrace(t *testing.T) {
 // replays one recording, and the benchmark's last cell drops it, so a
 // finished matrix leaves no recording resident.
 func TestMatrixRecordsEachBenchmarkOnce(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(false)
-	ResetCache()
-	m, err := RunMatrix(smallOpt())
+	t.Parallel()
+	opt := smallOpt()
+	m, err := RunMatrix(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedReplays.mu.Lock()
-	recordings, resident := sharedReplays.recordings, len(sharedReplays.entries)
-	sharedReplays.mu.Unlock()
+	replays := opt.Harness.replays
+	replays.mu.Lock()
+	recordings, resident := replays.recordings, len(replays.entries)
+	replays.mu.Unlock()
 	if recordings != len(m.Benchmarks) {
 		t.Errorf("%d recordings for %d benchmarks, want one each", recordings, len(m.Benchmarks))
 	}
@@ -318,6 +320,7 @@ func TestMatrixRecordsEachBenchmarkOnce(t *testing.T) {
 // failure sorted by index, runs the healthy tasks to completion
 // anyway, and that firstError names the lowest failing index.
 func TestForEachParallelErrorIndex(t *testing.T) {
+	t.Parallel()
 	sentinel := errors.New("boom")
 	var ran atomic.Int64
 	errs := forEachParallel(context.Background(), 1000, func(i int) error {
@@ -357,6 +360,7 @@ func TestForEachParallelErrorIndex(t *testing.T) {
 // TestForEachParallelCompletes asserts every index runs exactly once on
 // the success path.
 func TestForEachParallelCompletes(t *testing.T) {
+	t.Parallel()
 	const n = 257
 	var seen [n]atomic.Int32
 	if errs := forEachParallel(context.Background(), n, func(i int) error {
@@ -376,6 +380,7 @@ func TestForEachParallelCompletes(t *testing.T) {
 // converted into an ErrRunPanicked failure for its own index while
 // every other task still runs.
 func TestForEachParallelRecoversPanic(t *testing.T) {
+	t.Parallel()
 	var ran atomic.Int64
 	errs := forEachParallel(context.Background(), 64, func(i int) error {
 		ran.Add(1)
@@ -405,6 +410,7 @@ func TestForEachParallelRecoversPanic(t *testing.T) {
 // the pool from starting new tasks and marks the unstarted ones with
 // ErrCancelled.
 func TestForEachParallelCancellation(t *testing.T) {
+	t.Parallel()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64

@@ -120,6 +120,7 @@ func randomKeyOptions(r *rand.Rand) Options {
 // and from bare Options — equals the SHA-256 of the reference struct's
 // JSON. The golden tests pin two points of the same function.
 func TestCacheKeyMatchesReference(t *testing.T) {
+	t.Parallel()
 	names := trace.Names()
 	schemes := append([]Scheme{SchemeNone, SchemeGlobal, `odd "name" <&>`}, ControlledSchemes()...)
 	r := rand.New(rand.NewSource(20))
@@ -163,11 +164,8 @@ func TestCacheKeyMatchesReference(t *testing.T) {
 // inside the pool instead of escaping, a cancelled sweep serves
 // nothing, and every hit counts exactly as a pool hit does.
 func TestMatrixHotPathContracts(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-
+	t.Parallel()
 	t.Run("key-panic-fails-every-cell", func(t *testing.T) {
-		ResetCache()
 		opt := smallOpt()
 		opt.MutateAdaptive = func(*control.Config) { panic("rigged controller") }
 		m, err := RunMatrix(opt)
@@ -190,7 +188,6 @@ func TestMatrixHotPathContracts(t *testing.T) {
 
 	opt := smallOpt()
 	cells := uint64(len(opt.Benchmarks) * (len(ControlledSchemes()) + 1))
-	ResetCache()
 	if _, err := RunMatrix(opt); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +195,7 @@ func TestMatrixHotPathContracts(t *testing.T) {
 	t.Run("cancelled-warm-matrix", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		hits, misses := CacheStats()
+		hits, misses := opt.Harness.cacheStats()
 		m, err := RunMatrixContext(ctx, opt)
 		if !errors.Is(err, ErrCancelled) {
 			t.Fatalf("err = %v, want ErrCancelled", err)
@@ -211,13 +208,13 @@ func TestMatrixHotPathContracts(t *testing.T) {
 				t.Errorf("%s/%s: %v, want ErrCancelled", f.Bench, f.Scheme, f.Err)
 			}
 		}
-		if h, mi := CacheStats(); h != hits || mi != misses {
+		if h, mi := opt.Harness.cacheStats(); h != hits || mi != misses {
 			t.Errorf("cancelled sweep moved CacheStats from %d/%d to %d/%d", hits, misses, h, mi)
 		}
 	})
 
 	t.Run("warm-hits-count-once", func(t *testing.T) {
-		hits, misses := CacheStats()
+		hits, misses := opt.Harness.cacheStats()
 		var rows []string
 		wopt := opt
 		wopt.RowFlush = func(ev RowEvent) {
@@ -230,7 +227,7 @@ func TestMatrixHotPathContracts(t *testing.T) {
 		if err != nil || len(m.Failures) != 0 {
 			t.Fatalf("warm matrix: %v %+v", err, m.Failures)
 		}
-		h, mi := CacheStats()
+		h, mi := opt.Harness.cacheStats()
 		if h-hits != cells || mi != misses {
 			t.Errorf("warm matrix added %d hits / %d misses, want %d / 0", h-hits, mi-misses, cells)
 		}

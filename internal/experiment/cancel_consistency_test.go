@@ -19,14 +19,15 @@ func TestMidMatrixCancellationLeavesDiskCacheConsistent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run consistency test is not -short")
 	}
-	defer ResetCache()
+	t.Parallel()
 
-	render := func(dir string, ctx context.Context) (fig9, fig10 string, err error) {
+	render := func(h *Harness, dir string, ctx context.Context) (fig9, fig10 string, err error) {
 		opt := Options{
 			Instructions: 20000,
 			Seed:         1,
 			Benchmarks:   []string{"epic_decode", "gzip"},
 			CacheDir:     dir,
+			Harness:      h,
 		}
 		m, err := RunMatrixContext(ctx, opt)
 		if err != nil {
@@ -38,8 +39,7 @@ func TestMidMatrixCancellationLeavesDiskCacheConsistent(t *testing.T) {
 
 	// Reference: a fully cold run in its own directory.
 	refDir := t.TempDir()
-	ResetCache()
-	wantFig9, wantFig10, err := render(refDir, context.Background())
+	wantFig9, wantFig10, err := render(NewHarness(), refDir, context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,11 @@ func TestMidMatrixCancellationLeavesDiskCacheConsistent(t *testing.T) {
 	// Interrupted run: cancel as soon as the store has persisted at
 	// least one cell but (likely) not all of them.
 	dir := t.TempDir()
-	store, err := DiskStore(dir, 0)
+	h := NewHarness()
+	store, err := h.diskStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetCache()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		deadline := time.Now().Add(30 * time.Second)
@@ -63,7 +63,7 @@ func TestMidMatrixCancellationLeavesDiskCacheConsistent(t *testing.T) {
 		}
 		cancel()
 	}()
-	_, _, err = render(dir, ctx)
+	_, _, err = render(h, dir, ctx)
 	if err != nil && !errors.Is(err, ErrCancelled) {
 		t.Fatalf("interrupted run: %v, want nil or ErrCancelled", err)
 	}
@@ -72,15 +72,15 @@ func TestMidMatrixCancellationLeavesDiskCacheConsistent(t *testing.T) {
 	// The directory must verify clean once the cancelled matrix's
 	// detached flights have drained: complete entries only, no temp
 	// litter from the cancelled writers.
-	awaitFlights(t)
+	awaitFlights(t, h)
 	if _, err := diskcache.Verify(dir, true); err != nil {
 		t.Fatalf("cancelled run damaged the cache: %v", err)
 	}
 
 	// Warm re-run over the partial cache: same bytes as the cold
 	// reference.
-	ResetCache()
-	gotFig9, gotFig10, err := render(dir, context.Background())
+	h = NewHarness()
+	gotFig9, gotFig10, err := render(h, dir, context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,22 +90,22 @@ func TestMidMatrixCancellationLeavesDiskCacheConsistent(t *testing.T) {
 	if gotFig10 != wantFig10 {
 		t.Error("fig10 after cancelled-then-warm run differs from a cold run")
 	}
-	awaitFlights(t)
+	awaitFlights(t, h)
 	if _, err := diskcache.Verify(dir, true); err != nil {
 		t.Fatalf("warm re-run damaged the cache: %v", err)
 	}
 }
 
-// awaitFlights waits until no result-cache flight is in progress. A
-// cancelled matrix returns while the flights its cells started may
+// awaitFlights waits until no result-cache flight of h is in progress.
+// A cancelled matrix returns while the flights its cells started may
 // still be finishing a disk write; the directory is only settled once
 // they are gone.
-func awaitFlights(t *testing.T) {
+func awaitFlights(t *testing.T, h *Harness) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	for resultCache.flights.Len() > 0 {
+	for h.flights.Len() > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d result-cache flights still running after 30s", resultCache.flights.Len())
+			t.Fatalf("%d result-cache flights still running after 30s", h.flights.Len())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -76,15 +76,16 @@ func chipProfiles(prof trace.Profile, opt Options) []trace.Profile {
 
 // simulate is the one uncached run: build the chip (a single-core run
 // is a 1-core governorless chip, bit for bit the single-processor
-// machine), run it, and stamp the scheme on every core's Result. opt
-// must already have defaults applied and been validated. bankSrc, when
-// non-nil, supplies core 0's instruction stream (a matrix cell's
-// trace-bank cursor); otherwise core 0 streams from the shared replay
-// memo at its seed, bit-identical to generating it. ctx bounds the wait for
-// that stream as well as the run. A panic anywhere below — trace
-// generation, construction, the simulator hot loop — is recovered
-// into ErrRunPanicked so one bad run cannot kill a sweep.
-func simulate(ctx context.Context, profs []trace.Profile, scheme Scheme, opt Options, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (res *mcd.ChipResult, err error) {
+// machine), run it under s's options, and stamp the scheme on every
+// core's Result. The run must already have been validated. bankSrc,
+// when non-nil, supplies core 0's instruction stream (a matrix cell's
+// trace-bank cursor); otherwise core 0 streams from the harness's
+// replay memo at its seed, bit-identical to generating it. ctx bounds
+// the wait for that stream as well as the run. A panic anywhere below
+// — trace generation, construction, the simulator hot loop — is
+// recovered into ErrRunPanicked so one bad run cannot kill a sweep.
+func simulate(ctx context.Context, s *runSpec, profs []trace.Profile, scheme Scheme, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (res *mcd.ChipResult, err error) {
+	opt := s.opt
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("%s/%s: %w: %v", runLabel(profs, opt), scheme, ErrRunPanicked, r)
@@ -94,7 +95,7 @@ func simulate(ctx context.Context, profs []trace.Profile, scheme Scheme, opt Opt
 	if bankSrc != nil {
 		src0, err = bankSrc(ctx, profs[0])
 	} else {
-		src0, err = sharedReplays.source(ctx, profs[0], trace.StreamSeed(opt.Seed), opt.Instructions)
+		src0, err = s.h.replays.source(ctx, profs[0], trace.StreamSeed(opt.Seed), opt.Instructions)
 	}
 	if err != nil {
 		return nil, err

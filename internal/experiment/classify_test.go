@@ -7,17 +7,18 @@ import (
 	"time"
 )
 
-// spectraComputed reports how many classifications this cache
+// spectraComputed reports how many classifications h's current
 // generation computed rather than served from the memo.
-func spectraComputed() uint64 {
-	resultCache.mu.Lock()
-	defer resultCache.mu.Unlock()
-	return resultCache.spectra
+func spectraComputed(h *Harness) uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.spectra
 }
 
-// classifyOpt is the full suite at a budget small enough for tests.
+// classifyOpt is the full suite at a budget small enough for tests,
+// on a harness of the test's own.
 func classifyOpt() Options {
-	return Options{Instructions: 10000, Seed: 5}.withDefaults()
+	return Options{Instructions: 10000, Seed: 5, Harness: NewHarness()}.withDefaults()
 }
 
 // mustClassify runs ClassifyBenchmarks and fails the test on error.
@@ -31,64 +32,60 @@ func mustClassify(t *testing.T, opt Options) []BenchClass {
 }
 
 // TestClassificationMemo pins the classification memo's contract: it
-// returns exactly what an uncached classification computes, computes
-// each benchmark once per cache generation, shares entries between a
-// suite and its subsets, and never lets a caller alias it.
+// returns exactly what a classification on an empty harness computes,
+// computes each benchmark once per cache generation, shares entries
+// between a suite and its subsets, and never lets a caller alias it.
 func TestClassificationMemo(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	full := classifyOpt()
-	n := uint64(len(full.Benchmarks))
-
-	SetCaching(false)
-	uncached := mustClassify(t, full)
-	SetCaching(true)
+	t.Parallel()
+	fresh := mustClassify(t, classifyOpt())
+	n := uint64(len(fresh))
 
 	cases := []struct {
 		name string
-		run  func(t *testing.T)
+		run  func(t *testing.T, full Options)
 	}{
-		{"equals an uncached run", func(t *testing.T) {
+		{"equals an uncached run", func(t *testing.T, full Options) {
 			for call := 1; call <= 2; call++ {
-				if got := mustClassify(t, full); !reflect.DeepEqual(got, uncached) {
-					t.Fatalf("call %d: memoized %+v, uncached %+v", call, got, uncached)
+				if got := mustClassify(t, full); !reflect.DeepEqual(got, fresh) {
+					t.Fatalf("call %d: memoized %+v, fresh %+v", call, got, fresh)
 				}
 			}
 		}},
-		{"second call computes no spectra", func(t *testing.T) {
+		{"second call computes no spectra", func(t *testing.T, full Options) {
 			mustClassify(t, full)
-			if got := spectraComputed(); got != n {
+			if got := spectraComputed(full.Harness); got != n {
 				t.Fatalf("first call computed %d classifications, want %d", got, n)
 			}
 			mustClassify(t, full)
-			if got := spectraComputed(); got != n {
+			if got := spectraComputed(full.Harness); got != n {
 				t.Fatalf("second call computed %d more classifications, want 0", got-n)
 			}
 		}},
-		{"subset reuses full-suite entries", func(t *testing.T) {
+		{"subset reuses full-suite entries", func(t *testing.T, full Options) {
 			mustClassify(t, full)
 			sub := full
 			sub.Benchmarks = []string{full.Benchmarks[3], full.Benchmarks[1]}
 			got := mustClassify(t, sub)
-			if spent := spectraComputed() - n; spent != 0 {
+			if spent := spectraComputed(full.Harness) - n; spent != 0 {
 				t.Fatalf("subset computed %d classifications, want 0", spent)
 			}
-			want := []BenchClass{uncached[3], uncached[1]}
+			want := []BenchClass{fresh[3], fresh[1]}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("subset = %+v, want %+v", got, want)
 			}
 		}},
-		{"ResetCache recomputes", func(t *testing.T) {
+		{"ResetCache recomputes", func(t *testing.T, full Options) {
 			mustClassify(t, full)
-			ResetCache()
+			full.Harness.reset() // what ResetCache does to the default harness
 			got := mustClassify(t, full)
-			if spent := spectraComputed(); spent != n {
+			if spent := spectraComputed(full.Harness); spent != n {
 				t.Fatalf("after ResetCache computed %d classifications, want %d", spent, n)
 			}
-			if !reflect.DeepEqual(got, uncached) {
-				t.Fatalf("recomputed %+v, want %+v", got, uncached)
+			if !reflect.DeepEqual(got, fresh) {
+				t.Fatalf("recomputed %+v, want %+v", got, fresh)
 			}
 		}},
-		{"concurrent first calls agree", func(t *testing.T) {
+		{"concurrent first calls agree", func(t *testing.T, full Options) {
 			type result struct {
 				classes []BenchClass
 				err     error
@@ -105,25 +102,25 @@ func TestClassificationMemo(t *testing.T) {
 				if r.err != nil {
 					t.Fatal(r.err)
 				}
-				if !reflect.DeepEqual(r.classes, uncached) {
-					t.Fatalf("concurrent call = %+v, want %+v", r.classes, uncached)
+				if !reflect.DeepEqual(r.classes, fresh) {
+					t.Fatalf("concurrent call = %+v, want %+v", r.classes, fresh)
 				}
 			}
 		}},
-		{"returned slice is the caller's own", func(t *testing.T) {
+		{"returned slice is the caller's own", func(t *testing.T, full Options) {
 			got := mustClassify(t, full)
 			for i := range got {
 				got[i] = BenchClass{Name: "mutated", Fast: !got[i].Fast}
 			}
-			if again := mustClassify(t, full); !reflect.DeepEqual(again, uncached) {
-				t.Fatalf("after mutating a returned slice: %+v, want %+v", again, uncached)
+			if again := mustClassify(t, full); !reflect.DeepEqual(again, fresh) {
+				t.Fatalf("after mutating a returned slice: %+v, want %+v", again, fresh)
 			}
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ResetCache()
-			tc.run(t)
+			t.Parallel()
+			tc.run(t, classifyOpt())
 		})
 	}
 }
@@ -131,6 +128,7 @@ func TestClassificationMemo(t *testing.T) {
 // TestTable3LeavesCallerSliceAlone: Table3 sorts its own copy of the
 // fast group, never the caller's slice.
 func TestTable3LeavesCallerSliceAlone(t *testing.T) {
+	t.Parallel()
 	fast := []string{"swim", "gzip"}
 	if _, err := Table3(Options{Instructions: 5000, Seed: 5}, fast); err != nil {
 		t.Fatal(err)
@@ -146,16 +144,16 @@ func TestTable3LeavesCallerSliceAlone(t *testing.T) {
 // flight group while it held its lock, wedging every later cached run
 // in the process.
 func TestNilContextDoesNotWedgeCache(t *testing.T) {
-	defer ResetCache()
-	ResetCache()
+	t.Parallel()
+	h := NewHarness()
 	done := make(chan error, 1)
 	go func() {
 		var nilCtx context.Context
-		if _, err := RunMatrixContext(nilCtx, Options{Instructions: 5000, Benchmarks: []string{"gzip", "swim"}}); err != nil {
+		if _, err := RunMatrixContext(nilCtx, Options{Instructions: 5000, Benchmarks: []string{"gzip", "swim"}, Harness: h}); err != nil {
 			done <- err
 			return
 		}
-		_, err := RunOne("gzip", SchemeAdaptive, Options{Instructions: 5000, Seed: 2})
+		_, err := RunOne("gzip", SchemeAdaptive, Options{Instructions: 5000, Seed: 2, Harness: h})
 		done <- err
 	}()
 	select {

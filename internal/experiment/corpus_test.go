@@ -64,8 +64,7 @@ func sameResults(t *testing.T, label string, want, got *Matrix) {
 // one whose streams are generated in memory, across a scheme subset
 // and with the fault layer on.
 func TestCorpusMatrixBitIdentical(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(false)
+	t.Parallel()
 
 	const seed, insts = 21, 30000
 	benches := []string{"adpcm_encode", "gzip", "swim"}
@@ -82,11 +81,11 @@ func TestCorpusMatrixBitIdentical(t *testing.T) {
 		corp := gen
 		corp.CorpusDir = dir
 
-		mGen, err := RunMatrix(gen)
+		mGen, err := RunMatrix(uncached(gen))
 		if err != nil {
 			t.Fatalf("%s: generated: %v", name, err)
 		}
-		mCorp, err := RunMatrix(corp)
+		mCorp, err := RunMatrix(uncached(corp))
 		if err != nil {
 			t.Fatalf("%s: corpus: %v", name, err)
 		}
@@ -104,12 +103,12 @@ func TestCorpusMatrixBitIdentical(t *testing.T) {
 	for _, id := range []string{"fig9", "fig10"} {
 		for _, format := range []ArtifactFormat{FormatText, FormatJSON, FormatSVG} {
 			gen := Options{Instructions: insts, Seed: seed, Benchmarks: benches}
-			wantB, _, err := RenderArtifactContext(context.Background(), id, format, gen)
+			wantB, _, err := RenderArtifactContext(context.Background(), id, format, uncached(gen))
 			if err != nil {
 				t.Fatal(err)
 			}
 			gen.CorpusDir = dir
-			gotB, _, err := RenderArtifactContext(context.Background(), id, format, gen)
+			gotB, _, err := RenderArtifactContext(context.Background(), id, format, uncached(gen))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,14 +123,13 @@ func TestCorpusMatrixBitIdentical(t *testing.T) {
 // matrix whose corpus members are far larger than the chunk window
 // completes with peak decoded-trace residency bounded by the window.
 func TestCorpusMatrixBoundedMemory(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(false)
+	t.Parallel()
 
 	const seed, insts = 33, 60000
 	const chunk = 1 << 11 // 2048 insts -> ~30 chunks per member
 	dir := buildCorpus(t, seed, insts, chunk, "gzip", "swim")
 
-	opt := Options{Instructions: insts, Seed: seed, CorpusDir: dir}
+	opt := uncached(Options{Instructions: insts, Seed: seed, CorpusDir: dir})
 	m, err := RunMatrix(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -162,13 +160,12 @@ func TestCorpusMatrixBoundedMemory(t *testing.T) {
 // corpus bytes never fail the sweep or change a result — the stream is
 // regenerated from the embedded profile, and the heal is counted.
 func TestCorpusMatrixHeals(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(false)
+	t.Parallel()
 
 	const seed, insts = 44, 20000
 	benches := []string{"gzip", "swim"}
 	opt := Options{Instructions: insts, Seed: seed, Benchmarks: benches}
-	clean, err := RunMatrix(opt)
+	clean, err := RunMatrix(uncached(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +193,7 @@ func TestCorpusMatrixHeals(t *testing.T) {
 		dir := buildCorpus(t, seed, insts, 1<<9, benches...)
 		damage(t, filepath.Join(dir, "gzip"+trace.CorpusMemberExt))
 
-		o := opt
+		o := uncached(opt)
 		o.CorpusDir = dir
 		m, err := RunMatrix(o)
 		if err != nil {
@@ -216,8 +213,7 @@ func TestCorpusMatrixHeals(t *testing.T) {
 // core 0 from the corpus and cores ≥ 1 from generators, so it matches
 // the same matrix run without the corpus.
 func TestCorpusChipMatrixMatchesGenerated(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(false)
+	t.Parallel()
 
 	const seed, insts = 17, 20000
 	benches := []string{"gzip", "swim"}
@@ -226,11 +222,11 @@ func TestCorpusChipMatrixMatchesGenerated(t *testing.T) {
 	corp := gen
 	corp.CorpusDir = buildCorpus(t, seed, insts, 1<<10, benches...)
 
-	mGen, err := RunMatrix(gen)
+	mGen, err := RunMatrix(uncached(gen))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mCorp, err := RunMatrix(corp)
+	mCorp, err := RunMatrix(uncached(corp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,13 +243,10 @@ func TestCorpusChipMatrixMatchesGenerated(t *testing.T) {
 // hit, no cell streams, so the member files are opened but no chunk is
 // decoded.
 func TestCorpusWarmMatrixDecodesNothing(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
-
+	t.Parallel()
 	const seed, insts = 19, 20000
-	opt := Options{Instructions: insts, Seed: seed, Schemes: []Scheme{SchemeAdaptive},
-		CorpusDir: buildCorpus(t, seed, insts, 1<<10, "gzip", "swim")}
+	opt := uncached(Options{Instructions: insts, Seed: seed, Schemes: []Scheme{SchemeAdaptive},
+		CorpusDir: buildCorpus(t, seed, insts, 1<<10, "gzip", "swim")})
 	cold, err := RunMatrix(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -261,12 +254,12 @@ func TestCorpusWarmMatrixDecodesNothing(t *testing.T) {
 	if cold.Corpus == nil || cold.Corpus.Loads == 0 {
 		t.Fatalf("cold corpus stats %+v: want chunk loads", cold.Corpus)
 	}
-	_, coldMisses := CacheStats()
+	_, coldMisses := opt.Harness.cacheStats()
 	warm, err := RunMatrix(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := CacheStats(); misses != coldMisses {
+	if _, misses := opt.Harness.cacheStats(); misses != coldMisses {
 		t.Fatalf("warm matrix simulated %d cells, want every cell served from the cache", misses-coldMisses)
 	}
 	if warm.Corpus == nil || warm.Corpus.Loads != 0 {
@@ -278,6 +271,7 @@ func TestCorpusWarmMatrixDecodesNothing(t *testing.T) {
 // than the options must be rejected as an invalid spec, as must a
 // benchmark subset the corpus does not hold.
 func TestCorpusOptionsMismatch(t *testing.T) {
+	t.Parallel()
 	const seed, insts = 5, 2000
 	dir := buildCorpus(t, seed, insts, 1<<8, "gzip")
 
@@ -304,6 +298,7 @@ func TestCorpusOptionsMismatch(t *testing.T) {
 // benchmark order, and a FigureStream fed those events produces bytes
 // identical to the batch renderer's Report.WriteTo.
 func TestRowFlushOrderedAndStreamIdentical(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt("adpcm_encode", "gzip", "swim")
 
 	var events []RowEvent
@@ -361,6 +356,7 @@ func TestRowFlushOrderedAndStreamIdentical(t *testing.T) {
 // benchmark (via the post-sweep drain), and the streamed figure equals
 // the batch render of the partial matrix.
 func TestRowFlushDrainsOnCancellation(t *testing.T) {
+	t.Parallel()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // every cell drains as skipped
 

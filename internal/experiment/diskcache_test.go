@@ -16,8 +16,8 @@ import (
 	"mcddvfs/internal/trace"
 )
 
-// diskOpt is smallOpt with the persistent cache rooted in a fresh
-// per-test directory.
+// diskOpt is smallOpt — on a harness of the test's own — with the
+// persistent cache rooted in a fresh per-test directory.
 func diskOpt(t *testing.T) Options {
 	t.Helper()
 	opt := smallOpt()
@@ -36,13 +36,13 @@ func entryCount(t *testing.T, dir string) int {
 }
 
 // TestDiskCacheServesAcrossReset asserts the persistence contract: a
-// result computed before ResetCache (which models process death for
-// the in-process level) is served from disk afterwards, deeply equal
-// to a fresh simulation. A single core is stored as the legacy
+// result computed before a harness reset (which models process death
+// for the in-process level) is served from disk afterwards, deeply
+// equal to a fresh simulation. A single core is stored as the legacy
 // mcd.Result entry that predates chip support; a chip as the whole
 // mcd.ChipResult.
 func TestDiskCacheServesAcrossReset(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
+	t.Parallel()
 	prof, err := trace.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
@@ -57,8 +57,7 @@ func TestDiskCacheServesAcrossReset(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			SetCaching(true)
-			ResetCache()
+			t.Parallel()
 			opt := diskOpt(t)
 			opt.Cores, opt.PowerCapW = tc.cores, tc.powerCapW
 
@@ -69,20 +68,20 @@ func TestDiskCacheServesAcrossReset(t *testing.T) {
 				t.Fatalf("cold run published %d entries, want 1", n)
 			}
 
-			ResetCache() // drop the in-process level; disk must carry the result
-			before, _ := DiskCacheStats()
+			opt.Harness.reset() // drop the in-process level; disk must carry the result
+			before, _ := opt.Harness.diskCacheStats()
 			warm, err := RunChip([]string{"gzip"}, SchemeAdaptive, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			after, _ := DiskCacheStats()
+			after, _ := opt.Harness.diskCacheStats()
 			if got := after.Hits - before.Hits; got != 1 {
 				t.Errorf("warm run hit disk %d times, want 1", got)
 			}
 
-			SetCaching(false)
-			fresh, err := RunChip([]string{"gzip"}, SchemeAdaptive, opt)
-			SetCaching(true)
+			fopt := opt
+			fopt.CacheDir, fopt.Harness = "", NewHarness()
+			fresh, err := RunChip([]string{"gzip"}, SchemeAdaptive, fopt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +90,7 @@ func TestDiskCacheServesAcrossReset(t *testing.T) {
 			}
 
 			// The entry's own type: a plain Result for one core.
-			store, err := DiskStore(opt.CacheDir, 0)
+			store, err := opt.Harness.diskStore(opt.CacheDir, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,9 +116,7 @@ func TestDiskCacheServesAcrossReset(t *testing.T) {
 // TestDiskCacheMatrixWarmRun asserts a full matrix re-rendered after a
 // simulated restart is served entirely from disk and metric-identical.
 func TestDiskCacheMatrixWarmRun(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
+	t.Parallel()
 	opt := diskOpt(t)
 
 	cold, err := RunMatrix(opt)
@@ -131,13 +128,13 @@ func TestDiskCacheMatrixWarmRun(t *testing.T) {
 		t.Fatalf("cold matrix published %d entries, want %d", n, cells)
 	}
 
-	ResetCache()
-	before, _ := DiskCacheStats()
+	opt.Harness.reset()
+	before, _ := opt.Harness.diskCacheStats()
 	warm, err := RunMatrix(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, _ := DiskCacheStats()
+	after, _ := opt.Harness.diskCacheStats()
 	if got := after.Hits - before.Hits; got != uint64(cells) {
 		t.Errorf("warm matrix hit disk %d times, want %d (every cell)", got, cells)
 	}
@@ -158,9 +155,7 @@ func TestDiskCacheMatrixWarmRun(t *testing.T) {
 // damaged entry as a miss: the cell re-simulates, produces the same
 // result, and heals the entry on disk.
 func TestDiskCacheCorruptEntryResimulates(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
+	t.Parallel()
 	opt := diskOpt(t)
 
 	cold, err := RunOne("gzip", SchemeAdaptive, opt)
@@ -180,7 +175,7 @@ func TestDiskCacheCorruptEntryResimulates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ResetCache()
+	opt.Harness.reset()
 	warm, err := RunOne("gzip", SchemeAdaptive, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -201,9 +196,7 @@ func TestDiskCacheCorruptEntryResimulates(t *testing.T) {
 // header version before it reads the payload, so restamping a current
 // entry's header is a faithful v1 entry for this purpose.
 func TestDiskCacheMigratesV1Entries(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
+	t.Parallel()
 	opt := diskOpt(t)
 	ctx := context.Background()
 
@@ -219,13 +212,13 @@ func TestDiskCacheMigratesV1Entries(t *testing.T) {
 		restampVersion(t, p, 1)
 	}
 
-	ResetCache()
-	before, _ := DiskCacheStats()
+	opt.Harness.reset()
+	before, _ := opt.Harness.diskCacheStats()
 	warm, _, err := RenderArtifactContext(ctx, "fig9", FormatText, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, _ := DiskCacheStats()
+	after, _ := opt.Harness.diskCacheStats()
 	n := uint64(len(paths))
 	if got := after.Stale - before.Stale; got != n {
 		t.Errorf("%d entries counted stale, want %d", got, n)
@@ -272,9 +265,7 @@ func restampVersion(t *testing.T, path string, version uint32) {
 // nothing: the next attempt with a saner deadline must actually
 // simulate, not replay the failure from disk.
 func TestDiskCacheSkipsTransientErrors(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
+	t.Parallel()
 	opt := diskOpt(t)
 	opt.Timeout = time.Nanosecond
 
@@ -299,9 +290,7 @@ func TestDiskCacheSkipsTransientErrors(t *testing.T) {
 // cannot be created costs persistence, never correctness: runs fall
 // back to simulation and succeed.
 func TestDiskCacheUnusableDirDegrades(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
+	t.Parallel()
 	opt := smallOpt()
 	// A regular file where the directory should go: MkdirAll fails.
 	block := filepath.Join(t.TempDir(), "blocked")
@@ -313,17 +302,18 @@ func TestDiskCacheUnusableDirDegrades(t *testing.T) {
 	if _, err := RunOne("gzip", SchemeAdaptive, opt); err != nil {
 		t.Fatalf("run with unusable cache dir failed: %v", err)
 	}
-	if _, err := DiskCacheStats(); err == nil {
-		t.Error("DiskCacheStats does not surface the open failure")
+	if _, err := opt.Harness.diskCacheStats(); err == nil {
+		t.Error("diskCacheStats does not surface the open failure")
 	}
 }
 
 // TestDiskStoreOpenErrorsPerDirectory asserts every unusable cache
 // directory keeps its own open error — reopening the first after a
-// second failed returns the first's error — and that DiskCacheStats
+// second failed returns the first's error — and that diskCacheStats
 // reports the first failure in open order.
 func TestDiskStoreOpenErrorsPerDirectory(t *testing.T) {
-	_, prior := DiskCacheStats()
+	t.Parallel()
+	h := NewHarness()
 	var dirs [2]string
 	var errs [2]error
 	for i := range dirs {
@@ -332,55 +322,48 @@ func TestDiskStoreOpenErrorsPerDirectory(t *testing.T) {
 		if err := os.WriteFile(dirs[i], []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, errs[i] = DiskStore(dirs[i], 0); errs[i] == nil {
+		if _, errs[i] = h.diskStore(dirs[i], 0); errs[i] == nil {
 			t.Fatalf("DiskStore(%s) opened a regular file", dirs[i])
 		}
 	}
 	for i, dir := range dirs {
-		if _, err := DiskStore(dir, 0); err != errs[i] {
+		if _, err := h.diskStore(dir, 0); err != errs[i] {
 			t.Errorf("DiskStore(%s) = %v, want its own open error %v", dir, err, errs[i])
 		}
 	}
-	want := errs[0]
-	if prior != nil {
-		want = prior
-	}
-	if _, err := DiskCacheStats(); err != want {
-		t.Errorf("DiskCacheStats error = %v, want the first failure %v", err, want)
+	if _, err := h.diskCacheStats(); err != errs[0] {
+		t.Errorf("diskCacheStats error = %v, want the first failure %v", err, errs[0])
 	}
 }
 
 // TestTraceSharingTransparent asserts shared-trace replay is
-// semantics-free: a matrix computed from per-cell generators and one
-// computed from shared recordings are metric-identical, cell for cell.
+// semantics-free: every cell of a matrix, whose streams replay one
+// recording per benchmark, is metric-identical to the same cell
+// simulated over a stream generated for it alone.
 func TestTraceSharingTransparent(t *testing.T) {
-	defer func() {
-		SetCaching(true)
-		SetTraceSharing(true)
-		ResetCache()
-	}()
+	t.Parallel()
 	opt := smallOpt()
-	SetCaching(false) // force every cell to simulate on both sides
-
-	SetTraceSharing(false)
-	perCell, err := RunMatrix(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetTraceSharing(true)
 	shared, err := RunMatrix(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-
+	spec := newRunSpec(opt)
+	generate := func(_ context.Context, prof trace.Profile) (trace.Source, error) {
+		return trace.NewGenerator(prof, trace.StreamSeed(spec.opt.Seed), spec.opt.Instructions)
+	}
 	for _, b := range opt.Benchmarks {
-		for s, want := range perCell.Results[b] {
-			got := shared.Results[b][s]
-			if got == nil {
-				t.Fatalf("%s/%s missing from shared-trace matrix", b, s)
+		prof, err := trace.ByName(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, got := range shared.Results[b] {
+			cr, err := simulate(context.Background(), spec, chipProfiles(prof, spec.opt), s, generate)
+			if err != nil {
+				t.Fatal(err)
 			}
+			want := cr.Aggregate()
 			if !reflect.DeepEqual(want.Metrics, got.Metrics) {
-				t.Errorf("%s/%s metrics differ under trace sharing:\n per-cell %+v\n shared   %+v",
+				t.Errorf("%s/%s metrics differ under trace sharing:\n generated %+v\n shared    %+v",
 					b, s, want.Metrics, got.Metrics)
 			}
 			if want.IPC != got.IPC {

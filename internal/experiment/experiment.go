@@ -150,6 +150,12 @@ type Options struct {
 	// frequency allowance per watt of budget error per epoch (0 = the
 	// governor's default).
 	GovernorGain float64
+	// Harness, when non-nil, holds the memos and disk stores the runs
+	// read and fill (nil = the process default; see NewHarness). Like
+	// CacheDir, it says where results are kept, never what a run
+	// computes.
+	//lint:allow cachekey says where results are kept, not what they are
+	Harness *Harness
 }
 
 // chipMode reports whether the options ask for more than a plain
@@ -235,7 +241,7 @@ func RunOneContext(ctx context.Context, bench string, scheme Scheme, opt Options
 }
 
 // RunProfileContext simulates an arbitrary workload profile under one
-// scheme. Results are memoized per process (see cache.go): two calls
+// scheme. Results are memoized per harness (see cache.go): two calls
 // with inputs that hash to the same simulation share one run and one
 // *mcd.Result, so callers must not mutate what they get back. Every
 // failure wraps one of the taxonomy sentinels: a request that could
@@ -268,13 +274,13 @@ func runCell(ctx context.Context, s *runSpec, prof trace.Profile, scheme Scheme,
 
 // runSpec is one Options prepared for every run that shares them — a
 // matrix, a classification pass, a single run. newRunSpec applies the
-// defaults and makes the options-level checks once; the per-Options
-// half of the cache key is encoded lazily, by the first key derived
-// (see cacheKey), so with caching off nothing is keyed and
-// MutateAdaptive runs only where a scheme attaches it.
+// defaults, resolves the harness and makes the options-level checks
+// once; the per-Options half of the cache key is encoded lazily, by
+// the first key derived (see cacheKey).
 type runSpec struct {
-	opt                 Options // defaults applied
-	machineErr, chipErr error   // the options-level checks' verdicts
+	opt                 Options  // defaults applied
+	h                   *Harness // opt.Harness, or the default
+	machineErr, chipErr error    // the options-level checks' verdicts
 
 	keyOnce    sync.Once
 	head, tail []byte // cacheKey's JSON before the profile and after the scheme
@@ -283,7 +289,10 @@ type runSpec struct {
 
 // newRunSpec prepares opt for a batch of runs.
 func newRunSpec(opt Options) *runSpec {
-	s := &runSpec{opt: opt.withDefaults()}
+	s := &runSpec{opt: opt.withDefaults(), h: opt.Harness}
+	if s.h == nil {
+		s.h = defaultHarness
+	}
 	cfg := s.opt.machine()
 	if err := cfg.Validate(); err != nil {
 		s.machineErr = invalidSpec(err)
@@ -492,12 +501,13 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 	}
 
 	// Every cell takes core 0's stream from the bank: its benchmark's
-	// corpus member in corpus mode, otherwise the shared replay memo,
-	// which records each benchmark once for every scheme's cell. Cores
-	// ≥ 1 of a chip-mode cell stream from generators; see tracebank.go.
-	bank := newTraceBank(opt, corpus, len(schemes))
-	bankSrc := bank.source // one method value for every cell
+	// corpus member in corpus mode, otherwise the harness's replay
+	// memo, which records each benchmark once for every scheme's cell.
+	// Cores ≥ 1 of a chip-mode cell stream from generators; see
+	// tracebank.go.
 	spec := newRunSpec(opt)
+	bank := newTraceBank(spec, corpus, len(schemes))
+	bankSrc := bank.source // one method value for every cell
 
 	var mu sync.Mutex
 	var flush *rowFlusher
@@ -538,10 +548,9 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 	// the pool reports the rest as cancelled.
 	cellErrs := make([]error, len(cells))
 	var pool []int
-	caching := cachingOn()
 	for i := range cells {
 		c := &cells[i]
-		if caching && ctx.Err() == nil {
+		if ctx.Err() == nil {
 			if res, hit, err := c.memoHit(spec, bank); hit {
 				cellErrs[i] = store(c, res, err)
 				// Every cell releases its claim and retires exactly once,
@@ -626,7 +635,7 @@ func (c *matrixCell) memoHit(s *runSpec, bank *traceBank) (res *mcd.Result, hit 
 		return nil, false, nil
 	}
 	c.keyed = true
-	o, hit := memoized(c.key)
+	o, hit := s.h.memoized(c.key)
 	if !hit || o.err != nil {
 		return nil, hit, o.err
 	}

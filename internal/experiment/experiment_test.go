@@ -17,6 +17,7 @@ func fastOpt(benches ...string) Options {
 }
 
 func TestRunOneAllSchemes(t *testing.T) {
+	t.Parallel()
 	for _, s := range append([]Scheme{SchemeNone}, ControlledSchemes()...) {
 		res, err := RunOne("gzip", s, fastOpt())
 		if err != nil {
@@ -32,6 +33,7 @@ func TestRunOneAllSchemes(t *testing.T) {
 }
 
 func TestRunOneUnknownInputs(t *testing.T) {
+	t.Parallel()
 	if _, err := RunOne("nope", SchemeNone, fastOpt()); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
@@ -41,6 +43,7 @@ func TestRunOneUnknownInputs(t *testing.T) {
 }
 
 func TestControlledSchemesSaveEnergy(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 150000
 	base, err := RunOne("swim", SchemeNone, opt)
@@ -65,6 +68,7 @@ func TestControlledSchemesSaveEnergy(t *testing.T) {
 // baseline like the seed schemes do. No dispatch site in this package
 // names it.
 func TestExtensionSchemeThroughRegistry(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 150000
 	base, err := RunOne("swim", SchemeNone, opt)
@@ -97,6 +101,7 @@ func TestExtensionSchemeThroughRegistry(t *testing.T) {
 }
 
 func TestMatrixAndFigures(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt("gzip", "adpcm_encode")
 	m, err := RunMatrix(opt)
 	if err != nil {
@@ -127,6 +132,7 @@ func TestMatrixAndFigures(t *testing.T) {
 }
 
 func TestTable1RendersConfig(t *testing.T) {
+	t.Parallel()
 	rep := Table1(DefaultOptions())
 	s := rep.String()
 	for _, want := range []string{"250", "1000", "0.65", "1.20", "Tl0 = 8, Tm0 = 50", "4/6/11", "20 INT, 16 FP, 16 LS", "80"} {
@@ -137,6 +143,7 @@ func TestTable1RendersConfig(t *testing.T) {
 }
 
 func TestTable2ClassifiesFastAndSlow(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt("adpcm_encode", "art", "gcc", "swim")
 	opt.Instructions = 150000
 	rep, classes, err := Table2(opt)
@@ -176,6 +183,7 @@ func TestTable2ClassifiesFastAndSlow(t *testing.T) {
 }
 
 func TestFigure7ShowsDescentAndRecovery(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 300000
 	rep, err := Figure7(opt)
@@ -188,6 +196,7 @@ func TestFigure7ShowsDescentAndRecovery(t *testing.T) {
 }
 
 func TestFigure8SpectrumReport(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 150000
 	rep, err := Figure8(opt)
@@ -200,6 +209,7 @@ func TestFigure8SpectrumReport(t *testing.T) {
 }
 
 func TestTable3PIDSweep(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 80000
 	rep, err := Table3(opt, []string{"adpcm_encode"})
@@ -215,6 +225,7 @@ func TestTable3PIDSweep(t *testing.T) {
 }
 
 func TestTable4HardwareOrdering(t *testing.T) {
+	t.Parallel()
 	rep := Table4()
 	if len(rep.Lines) != 4 {
 		t.Fatalf("table4 rows = %d", len(rep.Lines))
@@ -226,6 +237,7 @@ func TestTable4HardwareOrdering(t *testing.T) {
 }
 
 func TestRemarksReport(t *testing.T) {
+	t.Parallel()
 	rep, err := RemarksReport()
 	if err != nil {
 		t.Fatal(err)
@@ -239,6 +251,7 @@ func TestRemarksReport(t *testing.T) {
 }
 
 func TestAblationRuns(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 50000
 	rep, err := Ablation(opt, []string{"adpcm_encode"})
@@ -251,6 +264,7 @@ func TestAblationRuns(t *testing.T) {
 }
 
 func TestTransitionStylesRuns(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 50000
 	rep, err := TransitionStyles(opt, []string{"gzip"})
@@ -266,6 +280,7 @@ func TestTransitionStylesRuns(t *testing.T) {
 }
 
 func TestMeanComparisonSubset(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt("gzip", "adpcm_encode")
 	m, err := RunMatrix(opt)
 	if err != nil {
@@ -282,6 +297,7 @@ func TestMeanComparisonSubset(t *testing.T) {
 }
 
 func TestSampleLimitApplied(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt()
 	cfg := opt.machine()
 	if cfg.SampleLimit != 1<<17 {
@@ -294,6 +310,7 @@ func TestSampleLimitApplied(t *testing.T) {
 }
 
 func TestGlobalSchemeRuns(t *testing.T) {
+	t.Parallel()
 	res, err := RunOne("adpcm_encode", SchemeGlobal, fastOpt())
 	if err != nil {
 		t.Fatal(err)
@@ -332,6 +349,7 @@ func min3(a, b, c float64) float64 {
 }
 
 func TestPerDomainBeatsGlobalOnAsymmetricCode(t *testing.T) {
+	t.Parallel()
 	// Integer-only code with an idle FP unit: per-domain control slows
 	// FP to the floor, coupled control cannot.
 	opt := fastOpt()
@@ -361,6 +379,7 @@ func TestPerDomainBeatsGlobalOnAsymmetricCode(t *testing.T) {
 }
 
 func TestGlobalComparisonReport(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 50000
 	rep, err := GlobalComparison(opt, []string{"gzip"})
@@ -373,6 +392,7 @@ func TestGlobalComparisonReport(t *testing.T) {
 }
 
 func TestQRefSweepMonotoneEnergy(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 60000
 	rep, err := QRefSweep(opt, []string{"gsm_decode"})
@@ -385,6 +405,7 @@ func TestQRefSweepMonotoneEnergy(t *testing.T) {
 }
 
 func TestInterfaceStudy(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 40000
 	rep, err := InterfaceStudy(opt, []string{"gsm_decode"})
@@ -400,6 +421,7 @@ func TestInterfaceStudy(t *testing.T) {
 }
 
 func TestPartitionStudy(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 40000
 	rep, err := PartitionStudy(opt, []string{"gzip"})
@@ -415,6 +437,7 @@ func TestPartitionStudy(t *testing.T) {
 }
 
 func TestDelaySweep(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 30000
 	rep, err := DelaySweep(opt, []string{"gsm_decode"})
@@ -427,6 +450,7 @@ func TestDelaySweep(t *testing.T) {
 }
 
 func TestFullSuiteSmoke(t *testing.T) {
+	t.Parallel()
 	// Every bundled benchmark completes under the adaptive scheme.
 	opt := Options{Instructions: 15000, Seed: 7}
 	for _, b := range trace.Names() {
@@ -441,6 +465,7 @@ func TestFullSuiteSmoke(t *testing.T) {
 }
 
 func TestMatrixParallelMatchesSerialCell(t *testing.T) {
+	t.Parallel()
 	// A matrix cell must be identical to the same run done alone
 	// (parallelism cannot leak state between simulations).
 	opt := fastOpt("gzip", "swim")
@@ -460,6 +485,7 @@ func TestMatrixParallelMatchesSerialCell(t *testing.T) {
 }
 
 func TestSummaryReport(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt("gzip", "adpcm_encode")
 	opt.Instructions = 30000
 	m, err := RunMatrix(opt)
@@ -480,6 +506,7 @@ func TestSummaryReport(t *testing.T) {
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {
+	t.Parallel()
 	rep := Table4()
 	blob, err := json.Marshal(rep)
 	if err != nil {
@@ -495,6 +522,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 }
 
 func TestSVGFigures(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt("gzip", "adpcm_encode")
 	opt.Instructions = 40000
 	svg7, err := Figure7SVG(opt)
@@ -531,6 +559,7 @@ func TestSVGFigures(t *testing.T) {
 }
 
 func TestSeedStudy(t *testing.T) {
+	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 30000
 	rep, err := SeedStudy(opt, []string{"gzip"}, 3)

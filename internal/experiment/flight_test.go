@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"reflect"
@@ -21,9 +20,10 @@ import (
 // never memoized.
 
 // sharedOpt is a spec long enough that a second caller reliably joins
-// the first one's run while it is still simulating.
+// the first one's run while it is still simulating, on a harness of
+// the test's own.
 func sharedOpt() Options {
-	return Options{Instructions: 150_000, Seed: 11}.withDefaults()
+	return Options{Instructions: 150_000, Seed: 11, Harness: NewHarness()}.withDefaults()
 }
 
 // runOutcome is what one RunProfileContext call returned.
@@ -60,25 +60,27 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// inFlight reports how many result-cache keys are being resolved.
-func inFlight() int { return resultCache.flights.Len() }
+// inFlight reports how many of h's result-cache keys are being
+// resolved.
+func inFlight(h *Harness) int { return h.flights.Len() }
 
-// entered reports how many cached calls have passed the memo check.
-func entered() uint64 {
-	resultCache.mu.Lock()
-	defer resultCache.mu.Unlock()
-	return resultCache.runs
+// entered reports how many of h's cached calls have passed the memo
+// check.
+func entered(h *Harness) uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.runs
 }
 
 // joinDelay covers the few statements between a caller passing the
 // memo check and attaching to the flight.
 const joinDelay = 5 * time.Millisecond
 
-// uncontended simulates opt's gzip/adaptive run alone, from a cold
-// cache.
+// uncontended simulates opt's gzip/adaptive run alone, on an empty
+// harness.
 func uncontended(t *testing.T, opt Options) *mcd.Result {
 	t.Helper()
-	ResetCache()
+	opt.Harness = NewHarness()
 	r := <-runAsync(context.Background(), opt)
 	if r.err != nil {
 		t.Fatal(r.err)
@@ -91,17 +93,15 @@ func uncontended(t *testing.T, opt Options) *mcd.Result {
 // key. The leader gets its own ErrCancelled; the follower gets the
 // result of the one simulation.
 func TestLeaderCancelDoesNotReachFollower(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
+	t.Parallel()
 	opt := sharedOpt()
 
 	leaderCtx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	leader := runAsync(leaderCtx, opt)
-	waitUntil(t, "the leader's run", func() bool { return inFlight() == 1 })
+	waitUntil(t, "the leader's run", func() bool { return inFlight(opt.Harness) == 1 })
 	follower := runAsync(context.Background(), opt)
-	waitUntil(t, "the follower", func() bool { return entered() == 2 })
+	waitUntil(t, "the follower", func() bool { return entered(opt.Harness) == 2 })
 	time.Sleep(joinDelay)
 	cancel()
 
@@ -112,7 +112,7 @@ func TestLeaderCancelDoesNotReachFollower(t *testing.T) {
 	if f.err != nil {
 		t.Fatalf("follower inherited the leader's cancellation: %v", f.err)
 	}
-	if _, misses := CacheStats(); misses != 1 {
+	if _, misses := opt.Harness.cacheStats(); misses != 1 {
 		t.Errorf("%d simulations, want 1 (the follower shares the leader's)", misses)
 	}
 	if want := uncontended(t, opt); !reflect.DeepEqual(want.Metrics, f.res.Metrics) {
@@ -124,15 +124,13 @@ func TestLeaderCancelDoesNotReachFollower(t *testing.T) {
 // caller that set it, not the simulation it shares. A follower with no
 // timeout gets the result after the leader's 30 ms deadline fires.
 func TestLeaderTimeoutDoesNotReachFollower(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
+	t.Parallel()
 	opt := sharedOpt()
 	hurried := opt
 	hurried.Timeout = 30 * time.Millisecond
 
 	leader := runAsync(context.Background(), hurried)
-	waitUntil(t, "the leader's run", func() bool { return inFlight() == 1 })
+	waitUntil(t, "the leader's run", func() bool { return inFlight(opt.Harness) == 1 })
 	follower := runAsync(context.Background(), opt)
 
 	if r := <-leader; !errors.Is(r.err, ErrRunTimeout) {
@@ -151,16 +149,14 @@ func TestLeaderTimeoutDoesNotReachFollower(t *testing.T) {
 // is cancelled returns its own ErrCancelled at once instead of waiting
 // for the leader's simulation to finish.
 func TestCancelledFollowerReturnsPromptly(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
+	t.Parallel()
 	opt := sharedOpt()
 
 	leader := runAsync(context.Background(), opt)
-	waitUntil(t, "the leader's run", func() bool { return inFlight() == 1 })
+	waitUntil(t, "the leader's run", func() bool { return inFlight(opt.Harness) == 1 })
 	followerCtx, cancel := context.WithCancel(context.Background())
 	follower := runAsync(followerCtx, opt)
-	waitUntil(t, "the follower", func() bool { return entered() == 2 })
+	waitUntil(t, "the follower", func() bool { return entered(opt.Harness) == 2 })
 	time.Sleep(joinDelay)
 	cancel()
 
@@ -181,53 +177,49 @@ func TestCancelledFollowerReturnsPromptly(t *testing.T) {
 // a key, its simulation is cancelled, nothing is memoized, and a later
 // call simulates afresh.
 func TestAbandonedRunIsCancelledAndNotMemoized(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
+	t.Parallel()
 	opt := sharedOpt()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	only := runAsync(ctx, opt)
-	waitUntil(t, "the run", func() bool { return inFlight() == 1 })
+	waitUntil(t, "the run", func() bool { return inFlight(opt.Harness) == 1 })
 	cancel()
 	if r := <-only; !errors.Is(r.err, ErrCancelled) {
 		t.Fatalf("abandoning caller got %v, want ErrCancelled", r.err)
 	}
-	waitUntil(t, "the abandoned run to stop", func() bool { return inFlight() == 0 })
+	waitUntil(t, "the abandoned run to stop", func() bool { return inFlight(opt.Harness) == 0 })
 	// A completed simulation would have been memoized: an empty memo
 	// means the run ended on its cancelled context.
-	resultCache.mu.Lock()
-	memoized := len(resultCache.memo)
-	resultCache.mu.Unlock()
+	opt.Harness.mu.Lock()
+	memoized := len(opt.Harness.memo)
+	opt.Harness.mu.Unlock()
 	if memoized != 0 {
 		t.Fatalf("abandoned run memoized %d outcomes, want 0", memoized)
 	}
 	if r := <-runAsync(context.Background(), opt); r.err != nil {
 		t.Fatal(r.err)
 	}
-	if hits, misses := CacheStats(); hits != 0 || misses != 2 {
+	if hits, misses := opt.Harness.cacheStats(); hits != 0 || misses != 2 {
 		t.Errorf("cache stats %d hits / %d misses, want 0 / 2 (the later call re-simulates)", hits, misses)
 	}
 }
 
-// TestResetCacheFencesRunningFlight: a run that started before
-// ResetCache completes for its waiter but cannot write into the fresh
-// memo.
+// TestResetCacheFencesRunningFlight: a run that started before a
+// harness reset completes for its waiter but cannot write into the
+// fresh memo.
 func TestResetCacheFencesRunningFlight(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
+	t.Parallel()
 	opt := sharedOpt()
 
 	run := runAsync(context.Background(), opt)
-	waitUntil(t, "the run", func() bool { return inFlight() == 1 })
-	ResetCache()
+	waitUntil(t, "the run", func() bool { return inFlight(opt.Harness) == 1 })
+	opt.Harness.reset()
 	if r := <-run; r.err != nil {
 		t.Fatal(r.err)
 	}
-	resultCache.mu.Lock()
-	memoized := len(resultCache.memo)
-	resultCache.mu.Unlock()
+	opt.Harness.mu.Lock()
+	memoized := len(opt.Harness.memo)
+	opt.Harness.mu.Unlock()
 	if memoized != 0 {
 		t.Fatalf("a pre-reset run wrote %d outcomes into the fresh memo", memoized)
 	}
@@ -236,7 +228,8 @@ func TestResetCacheFencesRunningFlight(t *testing.T) {
 // TestReplayCacheRecordsConcurrentMissOnce: concurrent misses on one
 // stream share a single recording.
 func TestReplayCacheRecordsConcurrentMissOnce(t *testing.T) {
-	c := &replayCache{entries: make(map[replayKey]*list.Element), order: list.New(), maxBytes: replayCacheMaxBytes}
+	t.Parallel()
+	c := newReplayCache()
 	prof, err := trace.ByName("swim")
 	if err != nil {
 		t.Fatal(err)
@@ -271,12 +264,10 @@ func TestCorpusAbandonedCellFollower(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs both matrix cells in flight at once")
 	}
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
+	t.Parallel()
 	const seed, insts = 13, 200_000
 	dir := buildCorpus(t, seed, insts, 1<<10, "gzip")
-	opt := Options{Instructions: insts, Seed: seed, CorpusDir: dir, Schemes: []Scheme{SchemeAdaptive}}
+	opt := Options{Instructions: insts, Seed: seed, CorpusDir: dir, Schemes: []Scheme{SchemeAdaptive}, Harness: NewHarness()}
 
 	leaderCtx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -293,26 +284,26 @@ func TestCorpusAbandonedCellFollower(t *testing.T) {
 		return out
 	}
 	leader := runMatrix(leaderCtx)
-	waitUntil(t, "both leader cells", func() bool { return inFlight() == 2 })
+	waitUntil(t, "both leader cells", func() bool { return inFlight(opt.Harness) == 2 })
 	follower := runMatrix(context.Background())
-	waitUntil(t, "both follower cells", func() bool { return entered() == 4 })
+	waitUntil(t, "both follower cells", func() bool { return entered(opt.Harness) == 4 })
 	time.Sleep(joinDelay)
 	cancel()
 	if r := <-leader; !errors.Is(r.err, ErrCancelled) {
 		t.Fatalf("leader matrix got %v, want ErrCancelled", r.err)
 	}
-	if n := inFlight(); n == 0 {
+	if n := inFlight(opt.Harness); n == 0 {
 		t.Fatal("the shared runs finished before the leader's matrix closed its corpus files; nothing was exercised")
 	}
 	f := <-follower
 	if f.err != nil || len(f.m.Failures) != 0 {
 		t.Fatalf("follower matrix: %v, failures %v", f.err, f.m.Failures)
 	}
-	if _, misses := CacheStats(); misses != 2 {
+	if _, misses := opt.Harness.cacheStats(); misses != 2 {
 		t.Errorf("%d simulations, want 2 (the follower joins both of the leader's runs)", misses)
 	}
 
-	ResetCache()
+	opt.Harness = NewHarness()
 	want, err := RunMatrix(opt)
 	if err != nil {
 		t.Fatal(err)

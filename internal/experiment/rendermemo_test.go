@@ -11,11 +11,18 @@ import (
 	"mcddvfs/internal/trace"
 )
 
-// memoOpt is a small render every catalog artifact accepts: adpcm_encode
-// classifies fast (fig11 has a group to plot) and 5,000 instructions
-// give captransient its governor epochs.
+// memoOpt is a small render every catalog artifact accepts, on a
+// harness of the test's own: adpcm_encode classifies fast (fig11 has a
+// group to plot) and 5,000 instructions give captransient its governor
+// epochs.
 func memoOpt() Options {
-	return Options{Instructions: 5000, Seed: 1, Benchmarks: []string{"adpcm_encode", "gzip"}, Schemes: []Scheme{SchemeAdaptive}}
+	return Options{Instructions: 5000, Seed: 1, Benchmarks: []string{"adpcm_encode", "gzip"}, Schemes: []Scheme{SchemeAdaptive}, Harness: NewHarness()}
+}
+
+// uncachedRender renders id in format on an empty harness of its own.
+func uncachedRender(t *testing.T, id string, format ArtifactFormat, opt Options) []byte {
+	t.Helper()
+	return render(t, id, format, uncached(opt))
 }
 
 // catalogFormats lists every (artifact, format) pair the catalog
@@ -42,36 +49,30 @@ func render(t *testing.T, id string, format ArtifactFormat, opt Options) []byte 
 	return body
 }
 
-// wantRenderStats checks the render memo's counters.
-func wantRenderStats(t *testing.T, label string, hits, misses uint64) {
+// wantRenderStats checks the counters of opt's render memo.
+func wantRenderStats(t *testing.T, opt Options, label string, hits, misses uint64) {
 	t.Helper()
-	if h, m := RenderCacheStats(); h != hits || m != misses {
+	if h, m := opt.Harness.renderCacheStats(); h != hits || m != misses {
 		t.Fatalf("%s: render memo %d hits / %d misses, want %d / %d", label, h, m, hits, misses)
 	}
 }
 
 // TestRenderMemoHitMatchesUncached: for every catalog artifact and
-// format, a render memo hit is byte-identical to a render with caching
-// off, and neither a miss nor a hit hands out the memo's own bytes.
+// format, a render memo hit is byte-identical to a render on an empty
+// harness, and neither a miss nor a hit hands out the memo's own bytes.
 func TestRenderMemoHitMatchesUncached(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
+	t.Parallel()
 	opt := memoOpt()
 	ids, formats := catalogFormats()
 
-	ResetCache()
-	SetCaching(false)
 	want := make([][]byte, len(ids))
 	for i := range ids {
-		want[i] = render(t, ids[i], formats[i], opt)
+		want[i] = uncachedRender(t, ids[i], formats[i], opt)
 	}
-	wantRenderStats(t, "caching off", 0, 0)
-
-	SetCaching(true)
-	ResetCache()
 	for i := range ids {
 		clear(render(t, ids[i], formats[i], opt)) // a miss's bytes must not reach the memo
 	}
-	wantRenderStats(t, "cold", 0, uint64(len(ids)))
+	wantRenderStats(t, opt, "cold", 0, uint64(len(ids)))
 	for i := range ids {
 		got := render(t, ids[i], formats[i], opt)
 		if !bytes.Equal(got, want[i]) {
@@ -82,36 +83,36 @@ func TestRenderMemoHitMatchesUncached(t *testing.T) {
 			t.Errorf("%s.%s: mutating a returned render changed the next hit", ids[i], formats[i])
 		}
 	}
-	wantRenderStats(t, "warm", uint64(2*len(ids)), uint64(len(ids)))
+	wantRenderStats(t, opt, "warm", uint64(2*len(ids)), uint64(len(ids)))
 }
 
-// TestRenderMemoResetDrops: ResetCache drops the memo and its
-// counters, and a render that outlives a ResetCache stores nothing.
+// TestRenderMemoResetDrops: a harness reset drops the memo and its
+// counters, and a render that outlives a reset stores nothing.
 func TestRenderMemoResetDrops(t *testing.T) {
-	defer ResetCache()
-	ResetCache()
+	t.Parallel()
 	opt := memoOpt()
 	render(t, "fig9", FormatText, opt)
 	render(t, "fig9", FormatText, opt)
-	wantRenderStats(t, "before reset", 1, 1)
-	ResetCache()
-	wantRenderStats(t, "after reset", 0, 0)
+	wantRenderStats(t, opt, "before reset", 1, 1)
+	opt.Harness.reset()
+	wantRenderStats(t, opt, "after reset", 0, 0)
 	render(t, "fig9", FormatText, opt)
-	wantRenderStats(t, "first render after reset", 0, 1)
+	wantRenderStats(t, opt, "first render after reset", 0, 1)
 
 	var k [32]byte
 	k[0] = 1
-	if _, err := cachedRender(k, func() ([]byte, bool, error) {
-		ResetCache()
+	h := opt.Harness
+	if _, err := h.cachedRender(k, func() ([]byte, bool, error) {
+		h.reset()
 		return []byte("stale"), false, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	resultCache.mu.Lock()
-	_, stored := resultCache.renders[k]
-	resultCache.mu.Unlock()
+	h.mu.Lock()
+	_, stored := h.renders[k]
+	h.mu.Unlock()
 	if stored {
-		t.Error("a render that outlived ResetCache was stored into the new generation")
+		t.Error("a render that outlived a reset was stored into the new generation")
 	}
 }
 
@@ -119,26 +120,24 @@ func TestRenderMemoResetDrops(t *testing.T) {
 // key fails never consult the memo, and render exactly as they do
 // without it.
 func TestRenderMemoBypasses(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	opt := memoOpt()
-
+	t.Parallel()
 	t.Run("corpus", func(t *testing.T) {
-		ResetCache()
+		t.Parallel()
+		opt := memoOpt()
 		corp := opt
 		corp.CorpusDir = buildCorpus(t, opt.Seed, opt.Instructions, 1<<10, opt.Benchmarks...)
-		SetCaching(false)
-		want := render(t, "fig9", FormatText, corp)
-		SetCaching(true)
+		want := uncachedRender(t, "fig9", FormatText, corp)
 		for i := 0; i < 2; i++ {
 			if got := render(t, "fig9", FormatText, corp); !bytes.Equal(got, want) {
 				t.Errorf("corpus render %d differs from an uncached one", i)
 			}
 		}
-		wantRenderStats(t, "corpus", 0, 0)
+		wantRenderStats(t, opt, "corpus", 0, 0)
 	})
 
 	t.Run("rowflush", func(t *testing.T) {
-		ResetCache()
+		t.Parallel()
+		opt := memoOpt()
 		want := render(t, "fig9", FormatText, opt)
 		rows := 0
 		flushed := opt
@@ -151,11 +150,12 @@ func TestRenderMemoBypasses(t *testing.T) {
 		if rows != 2*len(opt.Benchmarks) {
 			t.Errorf("RowFlush saw %d rows over two renders, want %d", rows, 2*len(opt.Benchmarks))
 		}
-		wantRenderStats(t, "rowflush", 0, 1) // the plain render only
+		wantRenderStats(t, opt, "rowflush", 0, 1) // the plain render only
 	})
 
 	t.Run("key error", func(t *testing.T) {
-		ResetCache()
+		t.Parallel()
+		opt := memoOpt()
 		bad := opt
 		bad.MutateAdaptive = func(*control.Config) { panic("mutate") }
 		want := render(t, "table1", FormatText, opt)
@@ -167,7 +167,7 @@ func TestRenderMemoBypasses(t *testing.T) {
 				t.Errorf("fig9 render %d with a panicking MutateAdaptive = %v, want ErrRunPanicked", i, err)
 			}
 		}
-		wantRenderStats(t, "key error", 0, 1) // the plain table1 only
+		wantRenderStats(t, opt, "key error", 0, 1) // the plain table1 only
 	})
 }
 
@@ -175,12 +175,9 @@ func TestRenderMemoBypasses(t *testing.T) {
 // cell behind it is never stored; once the cell's outcome is gone the
 // next render is complete, matches an uncached render, and is stored.
 func TestRenderMemoSkipsPartial(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
+	t.Parallel()
 	opt := memoOpt()
-	SetCaching(false)
-	want := render(t, "fig9", FormatText, opt)
-	SetCaching(true)
-	ResetCache()
+	want := uncachedRender(t, "fig9", FormatText, opt)
 
 	prof, err := trace.ByName("gzip")
 	if err != nil {
@@ -191,9 +188,10 @@ func TestRenderMemoSkipsPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resultCache.mu.Lock()
-	resultCache.memo[k] = outcome{err: invalidSpec(errors.New("seeded cell failure"))}
-	resultCache.mu.Unlock()
+	h := opt.Harness
+	h.mu.Lock()
+	h.memo[k] = outcome{err: invalidSpec(errors.New("seeded cell failure"))}
+	h.mu.Unlock()
 
 	for i := 0; i < 2; i++ {
 		got := render(t, "fig9", FormatText, opt)
@@ -201,24 +199,23 @@ func TestRenderMemoSkipsPartial(t *testing.T) {
 			t.Fatalf("render %d with a failed cell is not partial:\n%s", i, got)
 		}
 	}
-	wantRenderStats(t, "partial renders", 0, 2)
+	wantRenderStats(t, opt, "partial renders", 0, 2)
 
-	resultCache.mu.Lock()
-	delete(resultCache.memo, k)
-	resultCache.mu.Unlock()
+	h.mu.Lock()
+	delete(h.memo, k)
+	h.mu.Unlock()
 	for i := 0; i < 2; i++ {
 		if got := render(t, "fig9", FormatText, opt); !bytes.Equal(got, want) {
 			t.Errorf("render %d after clearing the failed cell differs from an uncached one", i)
 		}
 	}
-	wantRenderStats(t, "complete renders", 1, 3)
+	wantRenderStats(t, opt, "complete renders", 1, 3)
 }
 
 // TestRenderMemoSkipsPartialFaultSweep: the fault sweep reports a
 // failed cell the same way a matrix does.
 func TestRenderMemoSkipsPartialFaultSweep(t *testing.T) {
-	defer ResetCache()
-	ResetCache()
+	t.Parallel()
 	opt := memoOpt()
 	prof, err := trace.ByName("gzip")
 	if err != nil {
@@ -229,13 +226,14 @@ func TestRenderMemoSkipsPartialFaultSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resultCache.mu.Lock()
-	resultCache.memo[k] = outcome{err: invalidSpec(errors.New("seeded cell failure"))}
-	resultCache.mu.Unlock()
+	h := opt.Harness
+	h.mu.Lock()
+	h.memo[k] = outcome{err: invalidSpec(errors.New("seeded cell failure"))}
+	h.mu.Unlock()
 	for i := 0; i < 2; i++ {
 		if got := render(t, "robustness", FormatText, opt); !strings.Contains(string(got), "failed cell:") {
 			t.Fatalf("robustness render %d with a failed baseline is not partial:\n%s", i, got)
 		}
 	}
-	wantRenderStats(t, "partial robustness", 0, 2)
+	wantRenderStats(t, opt, "partial robustness", 0, 2)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,16 +31,15 @@ func marshal(t *testing.T, v interface{}) []byte {
 // included) must leave the simulation on its pre-fault code paths and
 // produce byte-identical results.
 func TestZeroFaultConfigBitIdentical(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(false)
+	t.Parallel()
 	opt := Options{Instructions: 20000, Seed: 3}
 
-	clean, err := RunOne("gzip", SchemeAdaptive, opt)
+	clean, err := RunOne("gzip", SchemeAdaptive, uncached(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Faults = faults.Config{Seed: 99} // a seed alone enables nothing
-	zero, err := RunOne("gzip", SchemeAdaptive, opt)
+	zero, err := RunOne("gzip", SchemeAdaptive, uncached(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestZeroFaultConfigBitIdentical(t *testing.T) {
 	// Sanity check the other direction: enabled faults must actually
 	// perturb the run, or the sweep measures nothing.
 	opt.Faults = faults.Intensity(1, 3)
-	faulty, err := RunOne("gzip", SchemeAdaptive, opt)
+	faulty, err := RunOne("gzip", SchemeAdaptive, uncached(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,15 +64,14 @@ func TestZeroFaultConfigBitIdentical(t *testing.T) {
 // byte-identically, and a different seed draws a different fault
 // sequence.
 func TestFaultSeedDeterministicReplay(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(false)
+	t.Parallel()
 	opt := Options{Instructions: 20000, Seed: 3, Faults: faults.Intensity(0.75, 17)}
 
-	a, err := RunOne("gzip", SchemeAdaptive, opt)
+	a, err := RunOne("gzip", SchemeAdaptive, uncached(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOne("gzip", SchemeAdaptive, opt)
+	b, err := RunOne("gzip", SchemeAdaptive, uncached(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestFaultSeedDeterministicReplay(t *testing.T) {
 	}
 
 	opt.Faults = faults.Intensity(0.75, 18)
-	c, err := RunOne("gzip", SchemeAdaptive, opt)
+	c, err := RunOne("gzip", SchemeAdaptive, uncached(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +93,8 @@ func TestFaultSeedDeterministicReplay(t *testing.T) {
 // sweep: the unknown benchmark's cells land in Failures as
 // ErrInvalidSpec while every other cell completes.
 func TestMatrixPartialFailure(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
-	opt := Options{Instructions: 20000, Seed: 3, Benchmarks: []string{"gzip", "no_such_bench"}}
+	t.Parallel()
+	opt := uncached(Options{Instructions: 20000, Seed: 3, Benchmarks: []string{"gzip", "no_such_bench"}})
 
 	m, err := RunMatrix(opt)
 	if err != nil {
@@ -127,18 +124,23 @@ func TestMatrixPartialFailure(t *testing.T) {
 }
 
 // TestMatrixPanicIsolation asserts a panic inside one cell's simulation
-// is recovered into ErrRunPanicked for that cell only. Caching is off
-// so the panicking MutateAdaptive runs only where it is attached — the
-// adaptive cells — instead of in every cell's cache-key derivation.
+// is recovered into ErrRunPanicked for that cell only.
 func TestMatrixPanicIsolation(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(false)
-	opt := Options{
-		Instructions:   20000,
-		Seed:           3,
-		Benchmarks:     []string{"gzip"},
-		MutateAdaptive: func(c *control.Config) { panic("rigged controller") },
-	}
+	t.Parallel()
+	// The mutator lets the cache key's one canonicalizing pass (a call
+	// per exec domain) through and panics once the adaptive scheme
+	// attaches it, so the panic is the adaptive cell's alone.
+	var calls atomic.Int64
+	opt := uncached(Options{
+		Instructions: 20000,
+		Seed:         3,
+		Benchmarks:   []string{"gzip"},
+		MutateAdaptive: func(c *control.Config) {
+			if calls.Add(1) > int64(isa.NumExecDomains) {
+				panic("rigged controller")
+			}
+		},
+	})
 
 	m, err := RunMatrix(opt)
 	if err != nil {
@@ -164,9 +166,8 @@ func TestMatrixPanicIsolation(t *testing.T) {
 // TestRunTimeout asserts a deadline shorter than any simulation
 // surfaces as ErrRunTimeout.
 func TestRunTimeout(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(false)
-	opt := Options{Instructions: 20000, Seed: 3, Timeout: time.Nanosecond}
+	t.Parallel()
+	opt := uncached(Options{Instructions: 20000, Seed: 3, Timeout: time.Nanosecond})
 	_, err := RunOne("gzip", SchemeAdaptive, opt)
 	if !errors.Is(err, ErrRunTimeout) {
 		t.Fatalf("got %v, want ErrRunTimeout", err)
@@ -176,11 +177,10 @@ func TestRunTimeout(t *testing.T) {
 // TestRunCancelled asserts a cancelled context surfaces as
 // ErrCancelled.
 func TestRunCancelled(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(false)
+	t.Parallel()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := Options{Instructions: 20000, Seed: 3}
+	opt := uncached(Options{Instructions: 20000, Seed: 3})
 	_, err := RunOneContext(ctx, "gzip", SchemeAdaptive, opt)
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("got %v, want ErrCancelled", err)
@@ -191,10 +191,8 @@ func TestRunCancelled(t *testing.T) {
 // from the result cache: the same key re-simulates once the deadline
 // pressure is gone.
 func TestTransientErrorsNotMemoized(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
-	opt := Options{Instructions: 20000, Seed: 3, Timeout: time.Nanosecond}
+	t.Parallel()
+	opt := uncached(Options{Instructions: 20000, Seed: 3, Timeout: time.Nanosecond})
 	if _, err := RunOne("gzip", SchemeAdaptive, opt); !errors.Is(err, ErrRunTimeout) {
 		t.Fatalf("setup: got %v, want ErrRunTimeout", err)
 	}
@@ -212,10 +210,8 @@ func TestTransientErrorsNotMemoized(t *testing.T) {
 // shaped as expected, and deterministic under a fixed seed even when
 // every simulation is redone from scratch.
 func TestFaultSweepReport(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(true)
-	ResetCache()
-	opt := Options{Instructions: 20000, Seed: 3}
+	t.Parallel()
+	opt := uncached(Options{Instructions: 20000, Seed: 3})
 	intensities := []float64{0, 1}
 
 	rep, err := FaultSweep(opt, []string{"gzip"}, intensities)
@@ -230,8 +226,8 @@ func TestFaultSweepReport(t *testing.T) {
 		t.Errorf("report has %d lines, want %d:\n%s", len(rep.Lines), want, rep.String())
 	}
 
-	ResetCache() // force a full re-simulation of every cell
-	again, err := FaultSweep(opt, []string{"gzip"}, intensities)
+	// A fresh harness forces a full re-simulation of every cell.
+	again, err := FaultSweep(uncached(opt), []string{"gzip"}, intensities)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,13 +259,12 @@ func (s *panicSource) Next() (isa.Inst, bool) {
 // ErrRunPanicked, now that every run goes through the chip loop and
 // its worker pool.
 func TestHotLoopPanicIsRunPanicked(t *testing.T) {
-	defer func() { SetCaching(true); ResetCache() }()
-	SetCaching(false)
+	t.Parallel()
 	prof, err := trace.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Instructions: 20000, Seed: 3}
+	opt := uncached(Options{Instructions: 20000, Seed: 3})
 	_, err = runCell(context.Background(), newRunSpec(opt), prof, SchemeAdaptive, nil, func(context.Context, trace.Profile) (trace.Source, error) {
 		gen, err := trace.NewGenerator(prof, trace.StreamSeed(opt.Seed), opt.Instructions)
 		return &panicSource{Source: gen, left: 5000}, err

@@ -14,7 +14,7 @@ import (
 // spec layered on top — so every scheme's cell of one benchmark
 // replays the identical stream. A traceBank tracks that sharing for
 // one matrix run. Outside corpus mode the stream itself lives in the
-// shared replay memo (tracecache.go): the first cell to simulate
+// harness's replay memo (tracecache.go): the first cell to simulate
 // records it, every other cell replays the same immutable buffers
 // through its own zero-alloc cursor. The bank keeps a per-benchmark
 // countdown of outstanding cells and drops the benchmark's recording
@@ -44,9 +44,10 @@ import (
 // cache-served matrix (in-process or disk) records nothing and decodes
 // no chunk.
 type traceBank struct {
-	seed   int64 // stream seed (trace.StreamSeed of the harness seed)
-	insts  int64
-	corpus *trace.Corpus // nil outside corpus mode
+	seed    int64 // stream seed (trace.StreamSeed of the harness seed)
+	insts   int64
+	corpus  *trace.Corpus // nil outside corpus mode
+	replays *replayCache  // the harness's replay memo
 
 	mu      sync.Mutex
 	entries map[string]*bankEntry
@@ -82,16 +83,17 @@ type CorpusStats struct {
 // newTraceBank prepares a bank for one matrix sweep: every benchmark
 // starts with cellsPerBench outstanding release calls, and in corpus
 // mode (corpus non-nil) its member file is opened. A member that will
-// not open counts as a heal and streams from the replay memo. opt must
-// have defaults applied.
-func newTraceBank(opt Options, corpus *trace.Corpus, cellsPerBench int) *traceBank {
+// not open counts as a heal and streams from the replay memo of s's
+// harness.
+func newTraceBank(s *runSpec, corpus *trace.Corpus, cellsPerBench int) *traceBank {
 	b := &traceBank{
-		seed:    trace.StreamSeed(opt.Seed),
-		insts:   opt.Instructions,
+		seed:    trace.StreamSeed(s.opt.Seed),
+		insts:   s.opt.Instructions,
 		corpus:  corpus,
-		entries: make(map[string]*bankEntry, len(opt.Benchmarks)),
+		replays: s.h.replays,
+		entries: make(map[string]*bankEntry, len(s.opt.Benchmarks)),
 	}
-	for _, bench := range opt.Benchmarks {
+	for _, bench := range s.opt.Benchmarks {
 		e := &bankEntry{remaining: cellsPerBench}
 		if corpus != nil {
 			cf, err := corpus.Open(bench, 0)
@@ -120,7 +122,7 @@ func (b *traceBank) profile(bench string) (trace.Profile, error) {
 
 // source returns a fresh cursor over the benchmark's stream: a healing
 // cursor over its corpus member when the bank holds one open, else a
-// replay from the shared memo (which records the stream on first use,
+// replay from the replay memo (which records the stream on first use,
 // or reports why it cannot), or a generator when the stream bypasses
 // the memo. ctx bounds this cell's wait for a recording, never the
 // recording itself.
@@ -131,7 +133,7 @@ func (b *traceBank) source(ctx context.Context, prof trace.Profile) (trace.Sourc
 	if e := b.entries[prof.Name]; e != nil {
 		if e.cf == nil && e.memo == nil {
 			// Fingerprint the profile once per benchmark, not per cell.
-			if k, ok := sharedReplays.key(prof, b.seed, b.insts); ok {
+			if k, ok := b.replays.key(prof, b.seed, b.insts); ok {
 				e.memo = &k
 			}
 		}
@@ -142,9 +144,9 @@ func (b *traceBank) source(ctx context.Context, prof trace.Profile) (trace.Sourc
 	case cf != nil:
 		return &healingSource{bank: b, prof: prof, cur: cf.Replay()}, nil
 	case memo != nil:
-		return sharedReplays.replay(ctx, *memo, prof)
+		return b.replays.replay(ctx, *memo, prof)
 	default:
-		return sharedReplays.source(ctx, prof, b.seed, b.insts)
+		return b.replays.source(ctx, prof, b.seed, b.insts)
 	}
 }
 
@@ -192,7 +194,7 @@ func (b *traceBank) close() CorpusStats {
 func (b *traceBank) retireLocked(bench string, e *bankEntry) {
 	switch {
 	case e.memo != nil:
-		sharedReplays.drop(*e.memo)
+		b.replays.drop(*e.memo)
 	case e.cf != nil:
 		if p := e.cf.PeakResidentBytes(); p > b.stats.PeakResidentBytes {
 			b.stats.PeakResidentBytes = p

@@ -21,9 +21,8 @@ import (
 // single recording. A matrix drops each benchmark's recording once its
 // last cell is done (see tracebank.go). A replayed stream is
 // bit-identical to a generated one (see trace.RecordProfile), which
-// keeps the memo semantics-free; SetTraceSharing(false) bypasses it,
-// preserving per-run generation for A/B runs. A stream too large for
-// the memo's byte budget is generated per run.
+// keeps the memo semantics-free. A stream too large for the memo's
+// byte budget is generated per run.
 type replayCache struct {
 	flights flight.Group[replayKey, *trace.Recorded]
 
@@ -53,19 +52,21 @@ type replayEntry struct {
 // suite at benchmark budgets with room to spare.
 const replayCacheMaxBytes = 64 << 20
 
-var sharedReplays = &replayCache{
-	entries:  make(map[replayKey]*list.Element),
-	order:    list.New(),
-	maxBytes: replayCacheMaxBytes,
+func newReplayCache() *replayCache {
+	return &replayCache{
+		entries:  make(map[replayKey]*list.Element),
+		order:    list.New(),
+		maxBytes: replayCacheMaxBytes,
+	}
 }
 
 // key fingerprints a stream for the memo; ok is false when the stream
-// bypasses the memo because sharing is disabled or its recording would
-// not fit. Profiles are tiny (a handful of phases), so one JSON encode
-// + digest per stream is noise next to trace generation, and it is
-// exact: any field that changes the generated stream changes the key.
+// bypasses the memo because its recording would not fit. Profiles are
+// tiny (a handful of phases), so one JSON encode + digest per stream is
+// noise next to trace generation, and it is exact: any field that
+// changes the generated stream changes the key.
 func (c *replayCache) key(prof trace.Profile, seed, insts int64) (replayKey, bool) {
-	if !traceSharingEnabled() || insts <= 0 || insts*25 > c.maxBytes {
+	if insts <= 0 || insts*25 > c.maxBytes {
 		return replayKey{}, false
 	}
 	raw, err := json.Marshal(prof)
@@ -73,36 +74,6 @@ func (c *replayCache) key(prof trace.Profile, seed, insts int64) (replayKey, boo
 		return replayKey{}, false
 	}
 	return replayKey{fingerprint: sha256.Sum256(raw), seed: seed, insts: insts}, true
-}
-
-// traceSharing gates the replay memo globally, mirroring SetCaching:
-// sharing is semantics-free (a replayed stream is bit-identical to a
-// generated one), so the toggle exists for A/B benchmarks and for
-// validating that transparency. Corpus-backed matrices still stream
-// their member files: the corpus is the stream source, not an
-// optimization.
-var traceSharing = struct {
-	mu sync.Mutex
-	on bool
-}{on: true}
-
-// SetTraceSharing enables or disables shared-trace replay. It is
-// enabled by default; disabling makes every run, matrix cells
-// included, regenerate its workload stream from the profile (the
-// pre-sharing behavior), which must produce byte-identical artifacts.
-//
-//lint:allow unreachable A/B toggle for the root benchmarks and transparency tests; leaves with the other harness toggles
-func SetTraceSharing(on bool) {
-	traceSharing.mu.Lock()
-	defer traceSharing.mu.Unlock()
-	traceSharing.on = on
-}
-
-// traceSharingEnabled reports the toggle.
-func traceSharingEnabled() bool {
-	traceSharing.mu.Lock()
-	defer traceSharing.mu.Unlock()
-	return traceSharing.on
 }
 
 // source returns a cursor over (prof, seed, insts): a replay of the
@@ -188,8 +159,8 @@ func (c *replayCache) removeLocked(el *list.Element) {
 	c.bytes -= e.rec.Bytes()
 }
 
-// reset drops every memoized recording (test hook; ResetCache calls
-// it so "cold" benchmark regimes really are cold).
+// reset drops every memoized recording (ResetCache calls it so "cold"
+// benchmark regimes really are cold).
 func (c *replayCache) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -30,7 +30,7 @@ var CacheKey = &analysis.Analyzer{
 }
 
 func runCacheKey(pass *analysis.ProgramPass) error {
-	g := buildGraph(pass.Targets, pass.Fset)
+	g := buildGraph(pass.Targets, pass.Fset, false)
 	for _, t := range pass.Targets {
 		analyzeHarness(pass, g, t)
 	}

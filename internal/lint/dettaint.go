@@ -52,7 +52,7 @@ var taintRootPackages = []string{
 }
 
 func runDetTaint(pass *analysis.ProgramPass) error {
-	g := buildGraph(pass.Targets, pass.Fset)
+	g := buildGraph(pass.Targets, pass.Fset, false)
 
 	var roots []*graphNode
 	for _, n := range g.order {

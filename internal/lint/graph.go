@@ -34,7 +34,11 @@ import (
 //     impossible across independently checked packages (named types
 //     from source and from export data are distinct objects), so the
 //     graph taints all plausible implementers instead — exactly the
-//     conservative choice the determinism contract wants.
+//     conservative choice the determinism contract wants. A graph
+//     built with methodSets narrows the fan-out to methods a type
+//     implementing the interface by name and arity carries (see
+//     mayImplement): unreachable needs that, since an extra edge
+//     hides dead code.
 //   - Function literals belong to their enclosing declaration. A
 //     closure's body (calls, sources) is attributed to the function
 //     that lexically contains it, so a tainted closure taints the
@@ -73,6 +77,10 @@ type taintSource struct {
 type progGraph struct {
 	fset  *token.FileSet
 	nodes map[string]*graphNode
+	// named lists the package-level named types of the targets when
+	// the graph narrows interface fan-out (see mayImplement); nil
+	// keeps the name-and-arity fan-out.
+	named []*types.Named
 	// order lists every node sorted by declaration position, so all
 	// traversals (and thus all diagnostics and parent choices) are
 	// deterministic.
@@ -80,7 +88,8 @@ type progGraph struct {
 }
 
 // buildGraph constructs the call graph over all target packages.
-func buildGraph(targets []*analysis.Target, fset *token.FileSet) *progGraph {
+// methodSets selects the narrowed interface fan-out.
+func buildGraph(targets []*analysis.Target, fset *token.FileSet, methodSets bool) *progGraph {
 	g := &progGraph{fset: fset, nodes: make(map[string]*graphNode)}
 
 	// Pass 1: index every declared function and method.
@@ -102,6 +111,9 @@ func buildGraph(targets []*analysis.Target, fset *token.FileSet) *progGraph {
 		}
 	}
 	sort.Slice(g.order, func(i, j int) bool { return g.order[i].decl.Pos() < g.order[j].decl.Pos() })
+	if methodSets {
+		g.named = namedTypes(targets)
+	}
 
 	// Pass 2: edges and sources from each body (closures included —
 	// ast.Inspect descends into function literals, attributing their
@@ -220,9 +232,10 @@ func (g *progGraph) scanBody(n *graphNode) {
 
 // resolve calls visit with every node a reference to fn may reach:
 // the declared function itself ("call"), or, for an interface method,
-// every declared method with the same name and arity ("iface"). It
-// reports false when fn is neither, i.e. a function outside the
-// loaded packages.
+// every declared method with the same name and arity ("iface") — with
+// methodSets, only those a type implementing the interface carries. It
+// reports false when fn is neither, i.e. a function outside the loaded
+// packages.
 func (g *progGraph) resolve(fn *types.Func, visit func(to *graphNode, via string)) bool {
 	if target, ok := g.nodes[symbolKey(fn)]; ok {
 		visit(target, "call")
@@ -232,15 +245,70 @@ func (g *progGraph) resolve(fn *types.Func, visit func(to *graphNode, via string
 	if recv := sig.Recv(); recv == nil || !types.IsInterface(recv.Type()) {
 		return false
 	}
+	iface := sig.Recv().Type().Underlying().(*types.Interface)
 	for _, cand := range g.order {
 		if cand.fn.Name() != fn.Name() || cand.fn.Type().(*types.Signature).Recv() == nil {
 			continue
 		}
-		if sameArity(sig, cand.fn.Type().(*types.Signature)) {
+		if sameArity(sig, cand.fn.Type().(*types.Signature)) && g.mayImplement(cand, iface) {
 			visit(cand, "iface")
 		}
 	}
 	return true
+}
+
+// mayImplement reports whether a call through iface may dispatch to
+// method m: always for the conservative graph; with methodSets, when a
+// type holding m in its method set — m's receiver, or a type that
+// embeds it — has every method of iface with the same name and arity,
+// the stand-in for types.Implements across independently checked
+// packages.
+func (g *progGraph) mayImplement(m *graphNode, iface *types.Interface) bool {
+	if g.named == nil {
+		return true
+	}
+	for _, named := range g.named {
+		if fn := methodOf(named, m.fn.Name()); fn == nil || symbolKey(fn) != m.key {
+			continue
+		}
+		implements := true
+		for i := 0; i < iface.NumMethods() && implements; i++ {
+			want := iface.Method(i)
+			have := methodOf(named, want.Name())
+			implements = have != nil && sameArity(want.Type().(*types.Signature), have.Type().(*types.Signature))
+		}
+		if implements {
+			return true
+		}
+	}
+	return false
+}
+
+// methodOf returns the method called name in the method set of
+// *named, or nil.
+func methodOf(named *types.Named, name string) *types.Func {
+	obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), false, named.Obj().Pkg(), name)
+	fn, _ := obj.(*types.Func)
+	return fn
+}
+
+// namedTypes returns every package-level named type of the targets
+// that is neither an alias nor an interface.
+func namedTypes(targets []*analysis.Target) []*types.Named {
+	var out []*types.Named
+	for _, t := range targets {
+		scope := t.Pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok && !types.IsInterface(named) {
+				out = append(out, named)
+			}
+		}
+	}
+	return out
 }
 
 // sameArity reports whether two signatures take and return the same

@@ -31,7 +31,7 @@ func TestGraphGolden(t *testing.T) {
 	if len(pkgs) != 1 {
 		t.Fatalf("got %d packages, want 1", len(pkgs))
 	}
-	g := buildGraph(Targets(pkgs), pkgs[0].Fset)
+	g := buildGraph(Targets(pkgs), pkgs[0].Fset, false)
 	got := g.dump()
 
 	golden := filepath.Join("testdata", "graph_golden.txt")

@@ -19,6 +19,14 @@ func main() {
 		fmt.Println(s.Measure())
 	}
 
+	// Interface dispatch through a two-method interface reaches the
+	// methods of the types that implement it, promoted ones included,
+	// and not a method that only shares a name with it.
+	for _, g := range []parts.Gauge{&parts.Meter{}, &parts.Shelf{}} {
+		fmt.Println(g.Read())
+		g.Reset()
+	}
+
 	// A method value, called later.
 	c := parts.Counter{}
 	inc := c.Inc

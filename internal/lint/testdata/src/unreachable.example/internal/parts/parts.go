@@ -1,4 +1,4 @@
-// Package parts holds one case per unreachable root rule and two
+// Package parts holds one case per unreachable root rule and three
 // findings.
 package parts
 
@@ -39,6 +39,41 @@ type Circle struct{ R float64 }
 
 // Measure implements Shape.
 func (c Circle) Measure() float64 { return 3 * c.R * c.R }
+
+// Gauge is dispatched through in main, both of its methods.
+type Gauge interface {
+	Read() int
+	Reset()
+}
+
+// Meter implements Gauge.
+type Meter struct{ n int }
+
+// Read implements Gauge.
+func (m *Meter) Read() int { return m.n }
+
+// Reset implements Gauge.
+func (m *Meter) Reset() { m.n = 0 }
+
+// Pages has Read and no Reset; Shelf embeds it and adds Reset, so a
+// Gauge call still reaches Pages.Read, promoted into Shelf.
+type Pages struct{ n int }
+
+// Read is Shelf's Gauge.Read.
+func (p Pages) Read() int { return p.n }
+
+// Shelf implements Gauge through its embedded Pages.
+type Shelf struct{ Pages }
+
+// Reset implements Gauge.
+func (s *Shelf) Reset() { s.n = 0 }
+
+// Book shares the name Read with Gauge but has no Reset, and no type
+// embeds it: no Gauge call can reach its Read.
+type Book struct{ pages int }
+
+// Read only shares a name with Gauge.Read.
+func (b Book) Read() int { return b.pages } // want unreachable `parts\.\(Book\)\.Read is unreachable`
 
 // Counter's Inc is taken as a method value, never called by name.
 type Counter struct{ n int }

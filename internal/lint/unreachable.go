@@ -15,10 +15,11 @@ import (
 // Unreachable reports every function or method in the loaded packages
 // that no root of the program reaches over the call graph in graph.go.
 // Because the graph over-approximates (any reference is an edge, an
-// interface call reaches every method with its name and arity), the
-// analyzer can miss dead code but never calls live code dead. Tests
-// are not roots: a function only a _test.go file calls is reported,
-// and belongs in that test file.
+// interface call reaches every method that a type implementing the
+// interface by name and arity carries), the analyzer can miss dead
+// code but never calls live code dead. Tests are not roots: a
+// function only a _test.go file calls is reported, and belongs in that
+// test file.
 //
 // The roots are:
 //
@@ -59,7 +60,7 @@ func runUnreachable(pass *analysis.ProgramPass) error {
 	if mainPkg == nil {
 		return analysis.ErrNotApplicable
 	}
-	g := buildGraph(pass.Targets, pass.Fset)
+	g := buildGraph(pass.Targets, pass.Fset, true)
 
 	var roots []*graphNode
 	addRoot := func(n *graphNode, _ string) { roots = append(roots, n) }
@@ -192,28 +193,18 @@ func externalImpls(g *progGraph, targets []*analysis.Target, visit func(*graphNo
 			}
 		}
 	}
-	for _, t := range targets {
-		scope := t.Pkg.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
+	for _, named := range g.named {
+		if named.TypeParams().Len() > 0 {
+			continue
+		}
+		for _, it := range ifaces {
+			if !types.Implements(types.NewPointer(named), it) {
 				continue
 			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok || named.TypeParams().Len() > 0 || types.IsInterface(named) {
-				continue
-			}
-			ptr := types.NewPointer(named)
-			for _, it := range ifaces {
-				if !types.Implements(ptr, it) {
-					continue
-				}
-				for i := 0; i < it.NumMethods(); i++ {
-					obj, _, _ := types.LookupFieldOrMethod(ptr, false, t.Pkg, it.Method(i).Name())
-					if fn, ok := obj.(*types.Func); ok {
-						if n, ok := g.nodes[symbolKey(fn)]; ok {
-							visit(n, "iface")
-						}
+			for i := 0; i < it.NumMethods(); i++ {
+				if fn := methodOf(named, it.Method(i).Name()); fn != nil {
+					if n, ok := g.nodes[symbolKey(fn)]; ok {
+						visit(n, "iface")
 					}
 				}
 			}

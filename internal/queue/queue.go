@@ -51,7 +51,6 @@ func (p SyncPolicy) String() string {
 // every dispatch — is O(1) instead of a memmove of the whole buffer,
 // and no path allocates after construction.
 type Queue[T any] struct {
-	name     string
 	capacity int
 	syncWin  clock.Time
 	policy   SyncPolicy
@@ -83,7 +82,6 @@ func NewWithPolicy[T any](name string, capacity int, syncWin clock.Time, policy 
 		size <<= 1
 	}
 	return &Queue[T]{
-		name:     name,
 		capacity: capacity,
 		syncWin:  syncWin,
 		policy:   policy,
@@ -92,9 +90,6 @@ func NewWithPolicy[T any](name string, capacity int, syncWin clock.Time, policy 
 		mask:     size - 1,
 	}
 }
-
-// Name returns the queue's label.
-func (q *Queue[T]) Name() string { return q.name }
 
 // Len returns the current occupancy, including entries not yet visible
 // to the consumer. This is the value the occupancy sampler reads: the

@@ -15,9 +15,7 @@ import (
 // FFT computes the in-order discrete Fourier transform of x using an
 // iterative radix-2 Cooley-Tukey algorithm. len(x) must be a power of
 // two. The input is not modified.
-func FFT(x []complex128) []complex128 { return fftDir(x, false) }
-
-func fftDir(x []complex128, inverse bool) []complex128 {
+func FFT(x []complex128) []complex128 {
 	n := len(x)
 	if n == 0 {
 		return nil
@@ -31,13 +29,9 @@ func fftDir(x []complex128, inverse bool) []complex128 {
 	for i := range x {
 		out[bits.Reverse64(uint64(i))>>shift] = x[i]
 	}
-	sign := -2.0 // forward: e^{-i2πjk/N}
-	if inverse {
-		sign = 2.0
-	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size / 2
-		ang := sign * math.Pi / float64(size)
+		ang := -2 * math.Pi / float64(size) // e^{-i2πjk/N}
 		wStep := complex(math.Cos(ang), math.Sin(ang))
 		for start := 0; start < n; start += size {
 			w := complex(1, 0)

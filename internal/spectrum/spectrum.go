@@ -83,10 +83,6 @@ func Multitaper(x []float64, k int) (*Spectrum, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("spectrum: taper count %d < 1", k)
 	}
-	return estimate(x, k, true)
-}
-
-func estimate(x []float64, k int, taper bool) (*Spectrum, error) {
 	n := len(x)
 	if n < 8 {
 		return nil, fmt.Errorf("spectrum: series too short (%d samples)", n)
@@ -97,35 +93,22 @@ func estimate(x []float64, k int, taper bool) (*Spectrum, error) {
 	power := make([]float64, half+1)
 
 	buf := make([]complex128, nfft)
-	accumulate := func(w []float64, scale float64) {
+	for _, w := range SineTapers(n, k) {
 		for i := range buf {
 			buf[i] = 0
 		}
 		for t := 0; t < n; t++ {
-			v := d[t]
-			if w != nil {
-				v *= w[t]
-			}
-			buf[t] = complex(v, 0)
+			buf[t] = complex(d[t]*w[t], 0)
 		}
 		X := FFT(buf)
+		// Unit-energy taper: Σ_j |Y_j|²/nfft = Σ_t (w_t·x_t)² ≈ var·Σw².
+		scale := 1 / (float64(nfft) * float64(k))
 		for j := 1; j <= half; j++ {
 			p := real(X[j])*real(X[j]) + imag(X[j])*imag(X[j])
 			if j != half {
 				p *= 2 // fold the conjugate-symmetric half
 			}
 			power[j] += p * scale
-		}
-	}
-
-	if !taper {
-		// Periodogram normalization: Σ_j |X_j|²/(nfft·n) = variance.
-		accumulate(nil, 1/(float64(nfft)*float64(n)))
-	} else {
-		tapers := SineTapers(n, k)
-		for _, w := range tapers {
-			// Unit-energy taper: Σ_j |Y_j|²/nfft = Σ_t (w_t·x_t)² ≈ var·Σw².
-			accumulate(w, 1/(float64(nfft)*float64(k)))
 		}
 	}
 	return &Spectrum{Power: power, N: n, NFFT: nfft}, nil

@@ -1,7 +1,9 @@
 package spectrum
 
 import (
+	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,21 +15,47 @@ import (
 // inverse FFT checks FFT by round trip, and the plain periodogram is
 // the single-taper baseline Multitaper is compared against.
 
-// IFFT computes the inverse DFT (with 1/N normalization).
+// IFFT computes the inverse DFT (with 1/N normalization) through the
+// forward transform: IDFT(x) = conj(DFT(conj(x)))/N.
 func IFFT(x []complex128) []complex128 {
-	out := fftDir(x, true)
+	in := make([]complex128, len(x))
+	for i, v := range x {
+		in[i] = cmplx.Conj(v)
+	}
+	out := FFT(in)
 	n := complex(float64(len(x)), 0)
 	for i := range out {
-		out[i] /= n
+		out[i] = cmplx.Conj(out[i]) / n
 	}
 	return out
 }
 
 // Periodogram estimates the variance spectrum of x with a plain
 // (single-taper, boxcar) periodogram. The series is detrended and
-// zero-padded to a power of two.
+// zero-padded to a power of two, and normalized so that
+// Σ_j |X_j|²/(nfft·n) is the variance.
 func Periodogram(x []float64) (*Spectrum, error) {
-	return estimate(x, 1, false)
+	n := len(x)
+	if n < 8 {
+		return nil, fmt.Errorf("spectrum: series too short (%d samples)", n)
+	}
+	nfft := NextPow2(n)
+	half := nfft / 2
+	buf := make([]complex128, nfft)
+	for t, v := range stats.Detrend(x) {
+		buf[t] = complex(v, 0)
+	}
+	X := FFT(buf)
+	power := make([]float64, half+1)
+	scale := 1 / (float64(nfft) * float64(n))
+	for j := 1; j <= half; j++ {
+		p := real(X[j])*real(X[j]) + imag(X[j])*imag(X[j])
+		if j != half {
+			p *= 2 // fold the conjugate-symmetric half
+		}
+		power[j] = p * scale
+	}
+	return &Spectrum{Power: power, N: n, NFFT: nfft}, nil
 }
 
 func TestFFTMatchesNaiveDFT(t *testing.T) {

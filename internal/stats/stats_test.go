@@ -8,42 +8,6 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestRunningMatchesBatch(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		var r Running
-		for i, v := range raw {
-			xs[i] = float64(v)
-			r.Add(xs[i])
-		}
-		return almost(r.Mean(), Mean(xs), 1e-6*(1+math.Abs(Mean(xs)))) &&
-			almost(r.Variance(), Variance(xs), 1e-4*(1+Variance(xs)))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRunningMinMax(t *testing.T) {
-	var r Running
-	for _, x := range []float64{3, -1, 7, 2} {
-		r.Add(x)
-	}
-	if r.Min() != -1 || r.Max() != 7 || r.N() != 4 {
-		t.Errorf("min/max/n = %g/%g/%d, want -1/7/4", r.Min(), r.Max(), r.N())
-	}
-}
-
-func TestRunningEmpty(t *testing.T) {
-	var r Running
-	if r.Mean() != 0 || r.Variance() != 0 || r.N() != 0 {
-		t.Error("empty Running should report zeros")
-	}
-}
-
 func TestMeanVariance(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); got != 5 {
@@ -54,31 +18,6 @@ func TestMeanVariance(t *testing.T) {
 	}
 	if Mean(nil) != 0 || Variance(nil) != 0 || Variance([]float64{1}) != 0 {
 		t.Error("degenerate inputs should yield 0")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); !almost(got, 10, 1e-9) {
-		t.Errorf("GeoMean(1,100) = %g, want 10", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil) should be 0")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	tests := []struct{ p, want float64 }{
-		{0, 1}, {100, 5}, {50, 3}, {25, 2}, {75, 4},
-	}
-	for _, tt := range tests {
-		if got := Percentile(xs, tt.p); !almost(got, tt.want, 1e-9) {
-			t.Errorf("Percentile(%g) = %g, want %g", tt.p, got, tt.want)
-		}
-	}
-	// Must not mutate the input.
-	if xs[0] != 5 {
-		t.Error("Percentile mutated its input")
 	}
 }
 
@@ -96,70 +35,4 @@ func TestDetrendZeroMean(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestDownsample(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	got := Downsample(xs, 2)
-	want := []float64{1.5, 3.5, 5}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !almost(got[i], want[i], 1e-12) {
-			t.Errorf("got[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	if got := Downsample(xs, 1); &got[0] == &xs[0] {
-		t.Error("Downsample(k=1) must copy")
-	}
-}
-
-func TestDownsamplePreservesMean(t *testing.T) {
-	f := func(raw []int8, k uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		kk := int(k%7) + 1
-		if len(raw)%kk != 0 {
-			return true // only exact groupings preserve the mean exactly
-		}
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-		}
-		return almost(Mean(Downsample(xs, kk)), Mean(xs), 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for _, x := range []float64{-1, 0, 0.5, 5, 9.999, 10, 42} {
-		h.Add(x)
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Errorf("out of range = %d,%d, want 1,2", under, over)
-	}
-	if h.Counts[0] != 2 || h.Counts[5] != 1 || h.Counts[9] != 1 {
-		t.Errorf("bins = %v", h.Counts)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
-	}
-	if !almost(h.BinCenter(0), 0.5, 1e-12) || !almost(h.BinCenter(9), 9.5, 1e-12) {
-		t.Error("bad bin centers")
-	}
-}
-
-func TestHistogramPanicsOnBadSpec(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewHistogram(1, 1, 4)
 }

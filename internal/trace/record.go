@@ -84,9 +84,6 @@ func RecordProfile(p Profile, seed, total int64) (*Recorded, error) {
 	return Record(g, total), nil
 }
 
-// Name returns the recorded workload's name.
-func (r *Recorded) Name() string { return r.name }
-
 // Len returns the number of recorded instructions.
 func (r *Recorded) Len() int64 { return int64(len(r.pc)) }
 

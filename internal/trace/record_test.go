@@ -22,8 +22,8 @@ func TestRecordedReplaysGeneratorExactly(t *testing.T) {
 		if rec.Len() != total {
 			t.Fatalf("%s: recorded %d instructions, want %d", name, rec.Len(), total)
 		}
-		if rec.Name() != prof.Name {
-			t.Fatalf("recorded name %q, want %q", rec.Name(), prof.Name)
+		if got := rec.Replay().Name(); got != prof.Name {
+			t.Fatalf("recorded name %q, want %q", got, prof.Name)
 		}
 
 		g, err := NewGenerator(prof, seed, total)
