@@ -314,7 +314,9 @@ func DefaultStabilitySystem() StabilitySystem { return stability.Default() }
 // behind Figures 9–11). Expensive: ~70 full simulations. A failing
 // cell no longer aborts the sweep: it lands in Matrix.Failures as a
 // structured error while the rest of the matrix completes.
-func NewMatrix(opt Options) (*Matrix, error) { return experiment.RunMatrix(opt) }
+func NewMatrix(opt Options) (*Matrix, error) {
+	return experiment.RunMatrixContext(context.Background(), opt)
+}
 
 // NewMatrixContext is NewMatrix with cancellation; on cancellation the
 // partial matrix is returned alongside an ErrCancelled error.
@@ -368,7 +370,7 @@ func Governors() []GovernorInfo {
 // simulation as Run of that benchmark, whose Result is the chip's only
 // core.
 func RunChip(benchmarks []string, sch Scheme, opt Options) (*ChipResult, error) {
-	return experiment.RunChip(benchmarks, sch, opt)
+	return experiment.RunChipContext(context.Background(), benchmarks, sch, opt)
 }
 
 // RunChipContext is RunChip with cancellation.
@@ -413,10 +415,18 @@ func RenderArtifactContext(ctx context.Context, id string, format ArtifactFormat
 }
 
 // FaultSweep measures how gracefully each control scheme degrades as
-// control-loop faults intensify (see experiment.FaultSweep). Passing
-// nil benchmarks or intensities selects the defaults.
+// control-loop faults intensify: the robustness artifact's report (see
+// experiment.FaultSweepContext). Non-empty benchmarks or intensities
+// replace opt.Benchmarks or opt.FaultIntensities; left empty, those
+// select the sweep's defaults.
 func FaultSweep(opt Options, benchmarks []string, intensities []float64) (Report, error) {
-	return experiment.FaultSweep(opt, benchmarks, intensities)
+	if len(benchmarks) > 0 {
+		opt.Benchmarks = benchmarks
+	}
+	if len(intensities) > 0 {
+		opt.FaultIntensities = intensities
+	}
+	return experiment.FaultSweepContext(context.Background(), opt)
 }
 
 // TraceSource is a stream of dynamic instructions: a synthetic

@@ -10,6 +10,7 @@ package mcddvfs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -49,7 +50,7 @@ func uncached(b *testing.B, opt experiment.Options) func() experiment.Options {
 	b.StopTimer()
 	keyedWarmup.Do(func() {
 		warm := experiment.Options{Instructions: 1000, Seed: 1, Harness: experiment.NewHarness()}
-		if _, err := experiment.RunOne("gzip", experiment.SchemeNone, warm); err != nil {
+		if _, err := experiment.RunOneContext(context.Background(), "gzip", experiment.SchemeNone, warm); err != nil {
 			b.Fatal(err)
 		}
 	})
@@ -75,7 +76,7 @@ func BenchmarkTable1Config(b *testing.B) {
 func BenchmarkTable2Classification(b *testing.B) {
 	next := uncached(b, benchOpt(100000))
 	for i := 0; i < b.N; i++ {
-		rep, classes, err := experiment.Table2(next())
+		rep, classes, err := experiment.Table2(context.Background(), next())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func BenchmarkTable2Classification(b *testing.B) {
 func BenchmarkFigure7FrequencyTrace(b *testing.B) {
 	next := uncached(b, benchOpt(200000))
 	for i := 0; i < b.N; i++ {
-		rep, err := experiment.Figure7(next())
+		rep, err := experiment.Figure7(context.Background(), next())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func BenchmarkFigure7FrequencyTrace(b *testing.B) {
 func BenchmarkFigure8Spectrum(b *testing.B) {
 	next := uncached(b, benchOpt(150000))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Figure8(next()); err != nil {
+		if _, err := experiment.Figure8(context.Background(), next()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -114,7 +115,7 @@ func BenchmarkFigure8Spectrum(b *testing.B) {
 // comparison figures.
 func figureMatrix(b *testing.B, opt experiment.Options) *experiment.Matrix {
 	b.Helper()
-	m, err := experiment.RunMatrix(opt)
+	m, err := experiment.RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func BenchmarkFigure11FastGroupEDP(b *testing.B) {
 	fast := []string{"adpcm_encode", "adpcm_decode", "g721_encode", "gsm_decode", "art"}
 	next := uncached(b, benchOpt(60000, fast...))
 	for i := 0; i < b.N; i++ {
-		m, err := experiment.RunMatrix(next())
+		m, err := experiment.RunMatrixContext(context.Background(), next())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func BenchmarkFigure11FastGroupEDP(b *testing.B) {
 func BenchmarkTable3PIDIntervals(b *testing.B) {
 	next := uncached(b, benchOpt(60000))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Table3(next(), []string{"adpcm_encode", "gsm_decode"}); err != nil {
+		if _, err := experiment.Table3(context.Background(), next(), []string{"adpcm_encode", "gsm_decode"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,9 +199,9 @@ func BenchmarkStabilityRemarks(b *testing.B) {
 // BenchmarkAblationControllerFeatures regenerates the controller
 // feature ablation on two representative benchmarks.
 func BenchmarkAblationControllerFeatures(b *testing.B) {
-	next := uncached(b, benchOpt(50000))
+	next := uncached(b, benchOpt(50000, "adpcm_encode", "gzip"))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Ablation(next(), []string{"adpcm_encode", "gzip"}); err != nil {
+		if _, err := experiment.Ablation(context.Background(), next()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -209,9 +210,9 @@ func BenchmarkAblationControllerFeatures(b *testing.B) {
 // BenchmarkTransitionStyles regenerates the XScale-vs-Transmeta
 // transition-model comparison.
 func BenchmarkTransitionStyles(b *testing.B) {
-	next := uncached(b, benchOpt(50000))
+	next := uncached(b, benchOpt(50000, "adpcm_encode", "gzip"))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.TransitionStyles(next(), []string{"adpcm_encode", "gzip"}); err != nil {
+		if _, err := experiment.TransitionStyles(context.Background(), next()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -245,7 +246,7 @@ func BenchmarkRunMatrix(b *testing.B) {
 		next := uncached(b, opt)
 		cells := 0
 		for i := 0; i < b.N; i++ {
-			cells += check(experiment.RunMatrix(next()))
+			cells += check(experiment.RunMatrixContext(context.Background(), next()))
 		}
 		reportCells(b, cells)
 	})
@@ -255,18 +256,18 @@ func BenchmarkRunMatrix(b *testing.B) {
 		next := uncached(b, copt)
 		cells := 0
 		for i := 0; i < b.N; i++ {
-			cells += check(experiment.RunMatrix(next()))
+			cells += check(experiment.RunMatrixContext(context.Background(), next()))
 		}
 		reportCells(b, cells)
 	})
 	b.Run("warm-memory", func(b *testing.B) {
 		experiment.ResetCache()
 		b.Cleanup(experiment.ResetCache)
-		check(experiment.RunMatrix(opt)) // populate
+		check(experiment.RunMatrixContext(context.Background(), opt)) // populate
 		b.ResetTimer()
 		cells := 0
 		for i := 0; i < b.N; i++ {
-			cells += check(experiment.RunMatrix(opt))
+			cells += check(experiment.RunMatrixContext(context.Background(), opt))
 		}
 		reportCells(b, cells)
 	})
@@ -275,13 +276,13 @@ func BenchmarkRunMatrix(b *testing.B) {
 		dopt.CacheDir = b.TempDir()
 		experiment.ResetCache()
 		b.Cleanup(experiment.ResetCache)
-		check(experiment.RunMatrix(dopt)) // populate the store
+		check(experiment.RunMatrixContext(context.Background(), dopt)) // populate the store
 		entryBytes := diskBytesPerEntry(b, dopt.CacheDir)
 		b.ResetTimer()
 		cells := 0
 		for i := 0; i < b.N; i++ {
 			experiment.ResetCache() // drop memory: every cell decodes from disk
-			cells += check(experiment.RunMatrix(dopt))
+			cells += check(experiment.RunMatrixContext(context.Background(), dopt))
 		}
 		reportCells(b, cells)
 		b.ReportMetric(entryBytes, "disk-B/cell")
@@ -393,7 +394,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	const insts = 100000
 	next := uncached(b, benchOpt(insts))
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunOne("gzip", experiment.SchemeNone, next())
+		res, err := experiment.RunOneContext(context.Background(), "gzip", experiment.SchemeNone, next())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -424,7 +425,7 @@ func BenchmarkChip(b *testing.B) {
 				next := uncached(b, opt)
 				var total int64
 				for i := 0; i < b.N; i++ {
-					res, err := experiment.RunChip(nil, experiment.SchemeAdaptive, next())
+					res, err := experiment.RunChipContext(context.Background(), nil, experiment.SchemeAdaptive, next())
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -524,9 +525,9 @@ func BenchmarkMultitaperSpectrum(b *testing.B) {
 // BenchmarkGlobalCoupling regenerates the per-domain vs globally
 // coupled scaling comparison (extension E1).
 func BenchmarkGlobalCoupling(b *testing.B) {
-	next := uncached(b, benchOpt(50000))
+	next := uncached(b, benchOpt(50000, "gzip", "swim"))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.GlobalComparison(next(), []string{"gzip", "swim"}); err != nil {
+		if _, err := experiment.GlobalComparison(context.Background(), next()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -535,9 +536,9 @@ func BenchmarkGlobalCoupling(b *testing.B) {
 // BenchmarkQRefSweep regenerates the reference-occupancy sensitivity
 // sweep (extension E2).
 func BenchmarkQRefSweep(b *testing.B) {
-	next := uncached(b, benchOpt(50000))
+	next := uncached(b, benchOpt(50000, "gsm_decode"))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.QRefSweep(next(), []string{"gsm_decode"}); err != nil {
+		if _, err := experiment.QRefSweep(context.Background(), next()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -546,9 +547,9 @@ func BenchmarkQRefSweep(b *testing.B) {
 // BenchmarkInterfaceStudy regenerates the synchronization-interface
 // comparison (extension E3).
 func BenchmarkInterfaceStudy(b *testing.B) {
-	next := uncached(b, benchOpt(40000))
+	next := uncached(b, benchOpt(40000, "gsm_decode"))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.InterfaceStudy(next(), []string{"gsm_decode"}); err != nil {
+		if _, err := experiment.InterfaceStudy(context.Background(), next()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -557,9 +558,9 @@ func BenchmarkInterfaceStudy(b *testing.B) {
 // BenchmarkPartitionStudy regenerates the 4- vs 5-domain partition
 // comparison (extension E4).
 func BenchmarkPartitionStudy(b *testing.B) {
-	next := uncached(b, benchOpt(40000))
+	next := uncached(b, benchOpt(40000, "gzip"))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.PartitionStudy(next(), []string{"gzip"}); err != nil {
+		if _, err := experiment.PartitionStudy(context.Background(), next()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -567,9 +568,9 @@ func BenchmarkPartitionStudy(b *testing.B) {
 
 // BenchmarkDelaySweep regenerates the time-delay sweep (extension E5).
 func BenchmarkDelaySweep(b *testing.B) {
-	next := uncached(b, benchOpt(30000))
+	next := uncached(b, benchOpt(30000, "gsm_decode"))
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.DelaySweep(next(), []string{"gsm_decode"}); err != nil {
+		if _, err := experiment.DelaySweep(context.Background(), next()); err != nil {
 			b.Fatal(err)
 		}
 	}

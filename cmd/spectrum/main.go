@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -52,7 +53,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "spectrum:", err)
 		os.Exit(1)
 	}
-	res, err := experiment.RunOne(*bench, experiment.SchemeNone, opt)
+	res, err := experiment.RunOneContext(context.Background(), *bench, experiment.SchemeNone, opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spectrum:", err)
 		os.Exit(1)

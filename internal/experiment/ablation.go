@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"mcddvfs/internal/control"
@@ -32,13 +33,14 @@ func AblationVariants() []AblationVariant {
 	}
 }
 
-// Ablation evaluates the variants over the given benchmarks and reports
-// mean energy/performance/EDP against the no-DVFS baseline.
-func Ablation(opt Options, benchmarks []string) (Report, error) {
-	opt = opt.withDefaults()
-	if len(benchmarks) > 0 {
-		opt.Benchmarks = benchmarks
-	}
+// ablationBenchmarks is the default benchmark set of the ablation and
+// the transition-style study, used when Options.Benchmarks is empty.
+var ablationBenchmarks = []string{"adpcm_encode", "gsm_decode", "gzip", "swim"}
+
+// Ablation evaluates the variants over opt.Benchmarks and reports mean
+// energy/performance/EDP against the no-DVFS baseline.
+func Ablation(ctx context.Context, opt Options) (Report, error) {
+	opt = opt.withBenchmarks(ablationBenchmarks)
 	lines := []string{fmt.Sprintf("%-22s %12s %12s %12s %10s", "variant", "energy save", "perf degr.", "EDP impr.", "actions")}
 	for _, v := range AblationVariants() {
 		sub := opt
@@ -46,18 +48,11 @@ func Ablation(opt Options, benchmarks []string) (Report, error) {
 		var sum power.Comparison
 		actions := 0
 		for _, b := range sub.Benchmarks {
-			base, err := RunOne(b, SchemeNone, sub)
+			c, run, err := compareRun(ctx, b, SchemeAdaptive, sub)
 			if err != nil {
 				return Report{}, err
 			}
-			run, err := RunOne(b, SchemeAdaptive, sub)
-			if err != nil {
-				return Report{}, err
-			}
-			c := power.Compare(base.Metrics, run.Metrics)
-			sum.EnergySaving += c.EnergySaving
-			sum.PerfDegradation += c.PerfDegradation
-			sum.EDPImprovement += c.EDPImprovement
+			sum = addComparison(sum, c)
 			for _, name := range []string{mcd.NameInt, mcd.NameFP, mcd.NameLS} {
 				actions += run.Domains[name].Transitions
 			}
@@ -79,14 +74,11 @@ func Ablation(opt Options, benchmarks []string) (Report, error) {
 
 // TransitionStyles compares the XScale-style execute-through DVFS model
 // against a Transmeta-style idle-through model (Section 3's two DVFS
-// families). For the Transmeta style, the paper prescribes larger
-// steps and longer delays to amortize the costlier switches; the
-// variant scales both by 8x.
-func TransitionStyles(opt Options, benchmarks []string) (Report, error) {
-	opt = opt.withDefaults()
-	if len(benchmarks) > 0 {
-		opt.Benchmarks = benchmarks
-	}
+// families) over opt.Benchmarks. For the Transmeta style, the paper
+// prescribes larger steps and longer delays to amortize the costlier
+// switches; the variant scales both by 8x.
+func TransitionStyles(ctx context.Context, opt Options) (Report, error) {
+	opt = opt.withBenchmarks(ablationBenchmarks)
 	lines := []string{fmt.Sprintf("%-26s %12s %12s %12s", "model", "energy save", "perf degr.", "EDP impr.")}
 
 	type variant struct {
@@ -113,18 +105,11 @@ func TransitionStyles(opt Options, benchmarks []string) (Report, error) {
 		sub.MutateAdaptive = v.mutate
 		var sum power.Comparison
 		for _, b := range sub.Benchmarks {
-			base, err := RunOne(b, SchemeNone, sub)
+			c, _, err := compareRun(ctx, b, SchemeAdaptive, sub)
 			if err != nil {
 				return Report{}, err
 			}
-			run, err := RunOne(b, SchemeAdaptive, sub)
-			if err != nil {
-				return Report{}, err
-			}
-			c := power.Compare(base.Metrics, run.Metrics)
-			sum.EnergySaving += c.EnergySaving
-			sum.PerfDegradation += c.PerfDegradation
-			sum.EDPImprovement += c.EDPImprovement
+			sum = addComparison(sum, c)
 		}
 		n := float64(len(sub.Benchmarks))
 		lines = append(lines, fmt.Sprintf("%-26s %11.2f%% %11.2f%% %11.2f%%",

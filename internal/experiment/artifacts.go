@@ -12,12 +12,12 @@ import (
 )
 
 // The artifact registry: one stable catalog of renderable experiment
-// outputs shared by cmd/experiments' batch mode, the mcdserve HTTP
-// service, and the public API. Rendering here is byte-identical to the
-// CLI's -out files — txt is Report.String(), json is the two-space
-// MarshalIndent of the Report, svg is the figure's SVG — so an
-// artifact fetched over HTTP diffs clean against one written by a
-// batch run from the same options (the CI parity gate relies on it).
+// outputs, the only dispatcher cmd/experiments, the mcdserve HTTP
+// service and the public API render through. txt is Report.String(),
+// json is the two-space MarshalIndent of the Report, svg is the
+// figure's SVG — so an artifact fetched over HTTP diffs clean against
+// one a batch run writes from the same options (the CI parity gates
+// rely on it).
 
 // ArtifactFormat selects an artifact encoding.
 type ArtifactFormat string
@@ -53,12 +53,14 @@ type ArtifactInfo struct {
 	SVG bool
 }
 
-// artifactCatalog lists every registry artifact in display order. The
-// IDs match cmd/experiments -only; the sweep-style studies (ablation,
-// qref, seeds, ...) stay CLI-only for now — they take bespoke
-// benchmark lists rather than Options.
+// artifactCatalog lists every artifact in display order, the order
+// cmd/experiments renders a selection in. An artifact with a benchmark
+// list of its own (the studies from table3 on) runs it when
+// Options.Benchmarks is empty; a non-empty selection overrides it.
 var artifactCatalog = []ArtifactInfo{
 	{ID: "table1", Title: "Summary of all simulation parameters"},
+	{ID: "table4", Title: "Decision-logic hardware comparison (per clock domain)"},
+	{ID: "remarks", Title: "Stability analysis (Section 4, Remarks 1-3)"},
 	{ID: "table2", Title: "Benchmark classification (fast/slow-varying)"},
 	{ID: "fig7", Title: "Adaptive frequency settings, FP domain, epic_decode", SVG: true},
 	{ID: "fig8", Title: "INT-queue variance spectrum, epic_decode", SVG: true},
@@ -66,6 +68,15 @@ var artifactCatalog = []ArtifactInfo{
 	{ID: "fig10", Title: "Performance degradation vs no-DVFS baseline", SVG: true},
 	{ID: "fig11", Title: "EDP improvement, fast-varying group", SVG: true},
 	{ID: "summary", Title: "Headline means vs the paper's reported results"},
+	{ID: "table3", Title: "Adaptive vs PID at shorter interval lengths (fast-varying group)"},
+	{ID: "ablation", Title: "Adaptive-controller feature ablation"},
+	{ID: "transitions", Title: "XScale-style vs Transmeta-style DVFS transitions"},
+	{ID: "global", Title: "Per-domain MCD control vs globally coupled scaling"},
+	{ID: "qref", Title: "Reference-occupancy sensitivity (Section 3.1 tradeoff)"},
+	{ID: "interfaces", Title: "Synchronization interfaces: arbitration vs token-ring"},
+	{ID: "partitions", Title: "Clock partitioning: 4 vs 5 domains, with and without front-end DVFS"},
+	{ID: "delays", Title: "Basic time-delay sweep (Remarks 2-3 in the full simulator)"},
+	{ID: "seeds", Title: "Seed sensitivity of the adaptive scheme"},
 	{ID: "robustness", Title: "EDP degradation vs control-loop fault intensity"},
 	{ID: "capsweep", Title: "Chip EDP and per-core throughput vs power budget, per governor", SVG: true},
 	{ID: "captransient", Title: "Chip power-budget reallocation transient (integral-gain governor)"},
@@ -98,17 +109,13 @@ func lookupArtifact(id string) (ArtifactInfo, error) {
 	return ArtifactInfo{}, invalidSpec(fmt.Errorf("experiment: unknown artifact %q (available: %s)", id, artifactIDList()))
 }
 
-// robustnessBenchmarks mirrors cmd/experiments' -faults selection: the
-// benchmarks the sweep runs when the caller does not narrow them.
-var robustnessBenchmarks = []string{"adpcm_encode", "gsm_decode", "gzip", "swim"}
-
 // prepareRender makes every check a render can fail before it
 // simulates anything, and returns the format's content type and opt
 // prepared as a runSpec. It checks the artifact and format against the
 // catalog, then the options as given: the instruction budget, the PID
-// interval (whether or not the scheme subset runs PID), the benchmark
-// and scheme selections, and the machine and chip checks newRunSpec
-// records.
+// interval (whether or not the scheme subset runs PID), the benchmark,
+// scheme and fault-intensity selections, and the machine and chip
+// checks newRunSpec records.
 func prepareRender(id string, format ArtifactFormat, opt Options) (string, *runSpec, error) {
 	info, err := lookupArtifact(id)
 	if err != nil {
@@ -135,6 +142,9 @@ func prepareRender(id string, format ArtifactFormat, opt Options) (string, *runS
 	if _, err := matrixSchemes(opt); err != nil {
 		return "", nil, err
 	}
+	if err := validateIntensities(opt.FaultIntensities); err != nil {
+		return "", nil, err
+	}
 	s := newRunSpec(opt)
 	if s.machineErr != nil {
 		return "", nil, s.machineErr
@@ -154,13 +164,13 @@ func prepareRender(id string, format ArtifactFormat, opt Options) (string, *runS
 // result-cache key leaves out and a render still reads, and the
 // per-Options half of the runs' cache key (keyParts), which holds
 // every default the harness applies. The left-out fields are the
-// Benchmarks and Schemes selections as given, an empty list counting
-// as omitted, and GovernorGain, which the cap artifacts read even
-// when the options' own runs key the single-core shape that omits it.
-// Where results are stored and how long a caller waits (CacheDir,
-// Timeout, Context, ...) never enter the key. Nor does CorpusDir: a
-// budget or benchmark list left for a corpus to fill in keys as the
-// harness default.
+// Benchmarks, Schemes and FaultIntensities selections as given, an
+// empty list counting as omitted, and GovernorGain, which the cap
+// artifacts read even when the options' own runs key the single-core
+// shape that omits it. Where results are stored and how long a caller
+// waits (CacheDir, Timeout, ...) never enter the key. Nor does
+// CorpusDir: a budget or benchmark list left for a corpus to fill in
+// keys as the harness default.
 func RenderKey(id string, format ArtifactFormat, opt Options) (string, error) {
 	_, s, err := prepareRender(id, format, opt)
 	if err != nil {
@@ -182,12 +192,13 @@ func renderDigest(id string, format ArtifactFormat, opt Options, s *runSpec) ([s
 		return [sha256.Size]byte{}, err
 	}
 	render := struct {
-		Artifact     string
-		Format       ArtifactFormat
-		Benchmarks   []string
-		Schemes      []Scheme
-		GovernorGain float64
-	}{Artifact: id, Format: format, GovernorGain: opt.GovernorGain}
+		Artifact         string
+		Format           ArtifactFormat
+		Benchmarks       []string
+		Schemes          []Scheme
+		GovernorGain     float64
+		FaultIntensities []float64 `json:",omitempty"`
+	}{Artifact: id, Format: format, GovernorGain: opt.GovernorGain, FaultIntensities: opt.FaultIntensities}
 	if len(opt.Benchmarks) > 0 {
 		render.Benchmarks = opt.Benchmarks
 	}
@@ -227,7 +238,6 @@ func RenderArtifactContext(ctx context.Context, id string, format ArtifactFormat
 	if err != nil {
 		return nil, "", err
 	}
-	opt.Context = ctx
 	render := func() ([]byte, bool, error) { return renderArtifact(ctx, id, format, opt) }
 	if opt.CorpusDir == "" && opt.RowFlush == nil {
 		if k, err := renderDigest(id, format, opt, s); err == nil {
@@ -281,10 +291,10 @@ func renderMatrix(ctx context.Context, opt Options) (m *Matrix, partial bool, er
 	return m, len(m.Failures) > 0, nil
 }
 
-// renderFastGroup classifies the benchmarks for fig11 and returns the
-// fast-varying group it plots.
-func renderFastGroup(opt Options) ([]string, error) {
-	_, classes, err := Table2(opt)
+// renderFastGroup classifies the benchmarks for fig11 and table3 and
+// returns the fast-varying group they compare on.
+func renderFastGroup(ctx context.Context, opt Options) ([]string, error) {
+	classes, err := classifyBenchmarks(ctx, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -296,23 +306,26 @@ func renderFastGroup(opt Options) ([]string, error) {
 }
 
 // renderArtifactReport produces the textual Report for id, and whether
-// it is partial. opt.Context is already set, so the non-context entry
-// points cancel correctly. Only the matrix figures and the fault sweep
-// can succeed partially; every other artifact fails on a failed run.
+// it is partial. Only the matrix figures and the fault sweep can
+// succeed partially; every other artifact fails on a failed run.
 func renderArtifactReport(ctx context.Context, id string, opt Options) (Report, bool, error) {
 	complete := func(rep Report, err error) (Report, bool, error) { return rep, false, err }
 	switch id {
 	case "table1":
 		return Table1(opt), false, nil
+	case "table4":
+		return Table4(), false, nil
+	case "remarks":
+		return complete(RemarksReport())
 	case "table2":
-		rep, _, err := Table2(opt)
+		rep, _, err := Table2(ctx, opt)
 		return rep, false, err
 	case "fig7":
-		return complete(Figure7(opt))
+		return complete(Figure7(ctx, opt))
 	case "fig8":
-		return complete(Figure8(opt))
+		return complete(Figure8(ctx, opt))
 	case "summary":
-		_, classes, err := Table2(opt)
+		classes, err := classifyBenchmarks(ctx, opt)
 		if err != nil {
 			return Report{}, false, err
 		}
@@ -322,7 +335,7 @@ func renderArtifactReport(ctx context.Context, id string, opt Options) (Report, 
 		}
 		return Summary(m, classes), partial, nil
 	case "fig11":
-		fast, err := renderFastGroup(opt)
+		fast, err := renderFastGroup(ctx, opt)
 		if err != nil {
 			return Report{}, false, err
 		}
@@ -331,6 +344,28 @@ func renderArtifactReport(ctx context.Context, id string, opt Options) (Report, 
 			return Report{}, false, err
 		}
 		return m.Figure11(fast), partial, nil
+	case "table3":
+		fast, err := renderFastGroup(ctx, opt)
+		if err != nil {
+			return Report{}, false, err
+		}
+		return complete(Table3(ctx, opt, fast))
+	case "ablation":
+		return complete(Ablation(ctx, opt))
+	case "transitions":
+		return complete(TransitionStyles(ctx, opt))
+	case "global":
+		return complete(GlobalComparison(ctx, opt))
+	case "qref":
+		return complete(QRefSweep(ctx, opt))
+	case "interfaces":
+		return complete(InterfaceStudy(ctx, opt))
+	case "partitions":
+		return complete(PartitionStudy(ctx, opt))
+	case "delays":
+		return complete(DelaySweep(ctx, opt))
+	case "seeds":
+		return complete(SeedStudy(ctx, opt, studySeeds))
 	case "fig9", "fig10":
 		m, partial, err := renderMatrix(ctx, opt)
 		if err != nil {
@@ -341,11 +376,7 @@ func renderArtifactReport(ctx context.Context, id string, opt Options) (Report, 
 		}
 		return m.Figure10(), partial, nil
 	case "robustness":
-		benchmarks := opt.Benchmarks
-		if len(benchmarks) == 0 {
-			benchmarks = robustnessBenchmarks
-		}
-		rep, failures, err := faultSweep(ctx, opt, benchmarks, nil)
+		rep, failures, err := faultSweep(ctx, opt)
 		return rep, len(failures) > 0, err
 	case "capsweep":
 		return complete(CapSweepContext(ctx, opt))
@@ -361,11 +392,11 @@ func renderArtifactSVG(ctx context.Context, id string, opt Options) (string, boo
 	complete := func(svg string, err error) (string, bool, error) { return svg, false, err }
 	switch id {
 	case "fig7":
-		return complete(Figure7SVG(opt))
+		return complete(Figure7SVG(ctx, opt))
 	case "fig8":
-		return complete(Figure8SVG(opt))
+		return complete(Figure8SVG(ctx, opt))
 	case "fig11":
-		fast, err := renderFastGroup(opt)
+		fast, err := renderFastGroup(ctx, opt)
 		if err != nil {
 			return "", false, err
 		}

@@ -50,8 +50,9 @@ import (
 //
 // Cached *mcd.ChipResult values, and the *mcd.Result values callers
 // reach through them, are shared between callers and MUST be treated
-// as read-only. The one historical mutation site — RunMatrix stripping
-// QueueSamples from non-baseline cells — copies the struct first.
+// as read-only. The one historical mutation site — RunMatrixContext
+// stripping QueueSamples from non-baseline cells — copies the struct
+// first.
 //
 // A simulation is deterministic, so which harness a run goes through
 // never changes any value a caller observes; it only decides which
@@ -499,7 +500,7 @@ func resolve(ctx context.Context, s *runSpec, k [sha256.Size]byte, gen uint64, p
 // classify and memoizes it into the generation current at lookup. A
 // reset drops it like the result memo. Concurrent first computations
 // are not merged; they are deterministic and store the same value.
-func cachedClass(spec *runSpec, prof trace.Profile) (BenchClass, error) {
+func cachedClass(ctx context.Context, spec *runSpec, prof trace.Profile) (BenchClass, error) {
 	k, err := cacheKey(chipProfiles(prof, spec.opt), SchemeNone, spec)
 	if err != nil {
 		return BenchClass{}, err
@@ -512,7 +513,7 @@ func cachedClass(spec *runSpec, prof trace.Profile) (BenchClass, error) {
 	if hit {
 		return bc, nil
 	}
-	bc, err = classify(spec, prof)
+	bc, err = classify(ctx, spec, prof)
 	if err != nil {
 		return bc, err
 	}

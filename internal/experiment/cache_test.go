@@ -33,17 +33,17 @@ func uncached(opt Options) Options {
 func TestCacheTransparent(t *testing.T) {
 	t.Parallel()
 	opt := smallOpt()
-	if _, err := RunMatrix(opt); err != nil {
+	if _, err := RunMatrixContext(context.Background(), opt); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunMatrix(opt)
+	warm, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := opt.Harness.cacheStats(); hits != misses {
 		t.Fatalf("second matrix: %d hits for %d simulations, want every cell served from memory", hits, misses)
 	}
-	cold, err := RunMatrix(uncached(opt))
+	cold, err := RunMatrixContext(context.Background(), uncached(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCacheDedupes(t *testing.T) {
 	t.Parallel()
 	opt := smallOpt()
 
-	m1, err := RunMatrix(opt)
+	m1, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestCacheDedupes(t *testing.T) {
 		t.Fatalf("first matrix simulated %d cells, want %d", misses1, cells)
 	}
 
-	m2, err := RunMatrix(opt)
+	m2, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestCacheDedupes(t *testing.T) {
 	// A distinct seed is a different simulation, never a hit.
 	opt2 := opt
 	opt2.Seed = opt.Seed + 1
-	if _, err := RunOne("gzip", SchemeAdaptive, opt2); err != nil {
+	if _, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, opt2); err != nil {
 		t.Fatal(err)
 	}
 	if _, misses := opt.Harness.cacheStats(); misses != cells+1 {
@@ -125,11 +125,11 @@ func TestCacheKeyCanonicalizesMutator(t *testing.T) {
 	opt := smallOpt()
 
 	opt.MutateAdaptive = func(c *control.Config) { c.TM0 *= 2 }
-	if _, err := RunOne("gzip", SchemeAdaptive, opt); err != nil {
+	if _, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, opt); err != nil {
 		t.Fatal(err)
 	}
 	opt.MutateAdaptive = func(c *control.Config) { c.TM0 *= 2 } // same effect, new closure
-	if _, err := RunOne("gzip", SchemeAdaptive, opt); err != nil {
+	if _, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, opt); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := opt.Harness.cacheStats(); hits != 1 || misses != 1 {
@@ -137,7 +137,7 @@ func TestCacheKeyCanonicalizesMutator(t *testing.T) {
 	}
 
 	opt.MutateAdaptive = func(c *control.Config) { c.TM0 *= 3 }
-	if _, err := RunOne("gzip", SchemeAdaptive, opt); err != nil {
+	if _, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, opt); err != nil {
 		t.Fatal(err)
 	}
 	if _, misses := opt.Harness.cacheStats(); misses != 2 {
@@ -225,7 +225,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := RunOne("gzip", SchemeAdaptive, opt)
+			res, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, opt)
 			if err != nil {
 				results[i] = err
 				return
@@ -300,7 +300,7 @@ func TestWideChipRecordsOneTrace(t *testing.T) {
 func TestMatrixRecordsEachBenchmarkOnce(t *testing.T) {
 	t.Parallel()
 	opt := smallOpt()
-	m, err := RunMatrix(opt)
+	m, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

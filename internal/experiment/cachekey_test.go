@@ -168,7 +168,7 @@ func TestMatrixHotPathContracts(t *testing.T) {
 	t.Run("key-panic-fails-every-cell", func(t *testing.T) {
 		opt := smallOpt()
 		opt.MutateAdaptive = func(*control.Config) { panic("rigged controller") }
-		m, err := RunMatrix(opt)
+		m, err := RunMatrixContext(context.Background(), opt)
 		if err == nil {
 			t.Fatal("a matrix whose every key panics reported success")
 		}
@@ -181,14 +181,14 @@ func TestMatrixHotPathContracts(t *testing.T) {
 				t.Errorf("%s/%s: %v, want ErrRunPanicked", f.Bench, f.Scheme, f.Err)
 			}
 		}
-		if _, err := RunOne("gzip", SchemeNone, opt); !errors.Is(err, ErrRunPanicked) {
-			t.Errorf("RunOne: %v, want ErrRunPanicked", err)
+		if _, err := RunOneContext(context.Background(), "gzip", SchemeNone, opt); !errors.Is(err, ErrRunPanicked) {
+			t.Errorf("RunOneContext: %v, want ErrRunPanicked", err)
 		}
 	})
 
 	opt := smallOpt()
 	cells := uint64(len(opt.Benchmarks) * (len(ControlledSchemes()) + 1))
-	if _, err := RunMatrix(opt); err != nil {
+	if _, err := RunMatrixContext(context.Background(), opt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -223,7 +223,7 @@ func TestMatrixHotPathContracts(t *testing.T) {
 			}
 			rows = append(rows, ev.Bench)
 		}
-		m, err := RunMatrix(wopt)
+		m, err := RunMatrixContext(context.Background(), wopt)
 		if err != nil || len(m.Failures) != 0 {
 			t.Fatalf("warm matrix: %v %+v", err, m.Failures)
 		}

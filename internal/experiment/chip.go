@@ -15,14 +15,10 @@ import (
 // the budget-reallocation transient needs.
 var DefaultChipBenchmarks = []string{"epic_decode", "gzip", "swim", "adpcm_encode"}
 
-// RunChip simulates an N-core chip with per-core workloads assigned
-// round-robin from benchmarks (nil = DefaultChipBenchmarks), under one
-// scheme per domain controller and the configured chip governor.
-func RunChip(benchmarks []string, scheme Scheme, opt Options) (*mcd.ChipResult, error) {
-	return RunChipContext(opt.ctx(), benchmarks, scheme, opt)
-}
-
-// RunChipContext is RunChip with explicit cancellation. It shares
+// RunChipContext simulates an N-core chip with per-core workloads
+// assigned round-robin from benchmarks (nil = DefaultChipBenchmarks),
+// under one scheme per domain controller and the configured chip
+// governor; ctx cancels it. It shares
 // RunProfile's cache (in-process and, with Options.CacheDir, on disk):
 // a governorless 1-core chip is the same run as RunProfile of its
 // benchmark, simulated once, and its Cores[0] is the very *mcd.Result

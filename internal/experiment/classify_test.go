@@ -130,7 +130,7 @@ func TestClassificationMemo(t *testing.T) {
 func TestTable3LeavesCallerSliceAlone(t *testing.T) {
 	t.Parallel()
 	fast := []string{"swim", "gzip"}
-	if _, err := Table3(Options{Instructions: 5000, Seed: 5}, fast); err != nil {
+	if _, err := Table3(context.Background(), Options{Instructions: 5000, Seed: 5}, fast); err != nil {
 		t.Fatal(err)
 	}
 	if want := []string{"swim", "gzip"}; !reflect.DeepEqual(fast, want) {
@@ -153,7 +153,7 @@ func TestNilContextDoesNotWedgeCache(t *testing.T) {
 			done <- err
 			return
 		}
-		_, err := RunOne("gzip", SchemeAdaptive, Options{Instructions: 5000, Seed: 2, Harness: h})
+		_, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, Options{Instructions: 5000, Seed: 2, Harness: h})
 		done <- err
 	}()
 	select {

@@ -81,11 +81,11 @@ func TestCorpusMatrixBitIdentical(t *testing.T) {
 		corp := gen
 		corp.CorpusDir = dir
 
-		mGen, err := RunMatrix(uncached(gen))
+		mGen, err := RunMatrixContext(context.Background(), uncached(gen))
 		if err != nil {
 			t.Fatalf("%s: generated: %v", name, err)
 		}
-		mCorp, err := RunMatrix(uncached(corp))
+		mCorp, err := RunMatrixContext(context.Background(), uncached(corp))
 		if err != nil {
 			t.Fatalf("%s: corpus: %v", name, err)
 		}
@@ -130,7 +130,7 @@ func TestCorpusMatrixBoundedMemory(t *testing.T) {
 	dir := buildCorpus(t, seed, insts, chunk, "gzip", "swim")
 
 	opt := uncached(Options{Instructions: insts, Seed: seed, CorpusDir: dir})
-	m, err := RunMatrix(opt)
+	m, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestCorpusMatrixHeals(t *testing.T) {
 	const seed, insts = 44, 20000
 	benches := []string{"gzip", "swim"}
 	opt := Options{Instructions: insts, Seed: seed, Benchmarks: benches}
-	clean, err := RunMatrix(uncached(opt))
+	clean, err := RunMatrixContext(context.Background(), uncached(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestCorpusMatrixHeals(t *testing.T) {
 
 		o := uncached(opt)
 		o.CorpusDir = dir
-		m, err := RunMatrix(o)
+		m, err := RunMatrixContext(context.Background(), o)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -222,11 +222,11 @@ func TestCorpusChipMatrixMatchesGenerated(t *testing.T) {
 	corp := gen
 	corp.CorpusDir = buildCorpus(t, seed, insts, 1<<10, benches...)
 
-	mGen, err := RunMatrix(uncached(gen))
+	mGen, err := RunMatrixContext(context.Background(), uncached(gen))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mCorp, err := RunMatrix(uncached(corp))
+	mCorp, err := RunMatrixContext(context.Background(), uncached(corp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestCorpusWarmMatrixDecodesNothing(t *testing.T) {
 	const seed, insts = 19, 20000
 	opt := uncached(Options{Instructions: insts, Seed: seed, Schemes: []Scheme{SchemeAdaptive},
 		CorpusDir: buildCorpus(t, seed, insts, 1<<10, "gzip", "swim")})
-	cold, err := RunMatrix(opt)
+	cold, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestCorpusWarmMatrixDecodesNothing(t *testing.T) {
 		t.Fatalf("cold corpus stats %+v: want chunk loads", cold.Corpus)
 	}
 	_, coldMisses := opt.Harness.cacheStats()
-	warm, err := RunMatrix(opt)
+	warm, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,13 +282,13 @@ func TestCorpusOptionsMismatch(t *testing.T) {
 		{Instructions: insts, Seed: seed, CorpusDir: filepath.Join(dir, "nope")},
 	}
 	for i, o := range bad {
-		if _, err := RunMatrix(o); !errors.Is(err, ErrInvalidSpec) {
+		if _, err := RunMatrixContext(context.Background(), o); !errors.Is(err, ErrInvalidSpec) {
 			t.Errorf("case %d: err = %v, want ErrInvalidSpec", i, err)
 		}
 	}
 	// The happy path with everything explicit still runs.
 	good := Options{Instructions: insts, Seed: seed, CorpusDir: dir, Benchmarks: []string{"gzip"}}
-	if m, err := RunMatrix(good); err != nil || !m.Complete("gzip") {
+	if m, err := RunMatrixContext(context.Background(), good); err != nil || !m.Complete("gzip") {
 		t.Errorf("explicit match failed: %v", err)
 	}
 }
@@ -316,14 +316,14 @@ func TestRowFlushOrderedAndStreamIdentical(t *testing.T) {
 		s9.Row(ev)
 		s10.Row(ev)
 	}
-	m, err := RunMatrix(opt)
+	m, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s9.Finish(m); err != nil {
+	if err := s9.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s10.Finish(m); err != nil {
+	if err := s10.Finish(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -375,7 +375,7 @@ func TestRowFlushDrainsOnCancellation(t *testing.T) {
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
-	if err := stream.Finish(m); err != nil {
+	if err := stream.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 2 || events[0].Complete || events[1].Complete {

@@ -61,7 +61,7 @@ func TestDiskCacheServesAcrossReset(t *testing.T) {
 			opt := diskOpt(t)
 			opt.Cores, opt.PowerCapW = tc.cores, tc.powerCapW
 
-			if _, err := RunChip([]string{"gzip"}, SchemeAdaptive, opt); err != nil {
+			if _, err := RunChipContext(context.Background(), []string{"gzip"}, SchemeAdaptive, opt); err != nil {
 				t.Fatal(err)
 			}
 			if n := entryCount(t, opt.CacheDir); n != 1 {
@@ -70,7 +70,7 @@ func TestDiskCacheServesAcrossReset(t *testing.T) {
 
 			opt.Harness.reset() // drop the in-process level; disk must carry the result
 			before, _ := opt.Harness.diskCacheStats()
-			warm, err := RunChip([]string{"gzip"}, SchemeAdaptive, opt)
+			warm, err := RunChipContext(context.Background(), []string{"gzip"}, SchemeAdaptive, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +81,7 @@ func TestDiskCacheServesAcrossReset(t *testing.T) {
 
 			fopt := opt
 			fopt.CacheDir, fopt.Harness = "", NewHarness()
-			fresh, err := RunChip([]string{"gzip"}, SchemeAdaptive, fopt)
+			fresh, err := RunChipContext(context.Background(), []string{"gzip"}, SchemeAdaptive, fopt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestDiskCacheMatrixWarmRun(t *testing.T) {
 	t.Parallel()
 	opt := diskOpt(t)
 
-	cold, err := RunMatrix(opt)
+	cold, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestDiskCacheMatrixWarmRun(t *testing.T) {
 
 	opt.Harness.reset()
 	before, _ := opt.Harness.diskCacheStats()
-	warm, err := RunMatrix(opt)
+	warm, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestDiskCacheCorruptEntryResimulates(t *testing.T) {
 	t.Parallel()
 	opt := diskOpt(t)
 
-	cold, err := RunOne("gzip", SchemeAdaptive, opt)
+	cold, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestDiskCacheCorruptEntryResimulates(t *testing.T) {
 	}
 
 	opt.Harness.reset()
-	warm, err := RunOne("gzip", SchemeAdaptive, opt)
+	warm, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestDiskCacheSkipsTransientErrors(t *testing.T) {
 	opt := diskOpt(t)
 	opt.Timeout = time.Nanosecond
 
-	_, err := RunOne("gzip", SchemeAdaptive, opt)
+	_, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, opt)
 	if !errors.Is(err, ErrRunTimeout) {
 		t.Fatalf("nanosecond budget did not time out: %v", err)
 	}
@@ -278,7 +278,7 @@ func TestDiskCacheSkipsTransientErrors(t *testing.T) {
 	}
 
 	opt.Timeout = time.Minute
-	if _, err := RunOne("gzip", SchemeAdaptive, opt); err != nil {
+	if _, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, opt); err != nil {
 		t.Fatalf("run after transient failure: %v", err)
 	}
 	if n := entryCount(t, opt.CacheDir); n != 1 {
@@ -299,7 +299,7 @@ func TestDiskCacheUnusableDirDegrades(t *testing.T) {
 	}
 	opt.CacheDir = block
 
-	if _, err := RunOne("gzip", SchemeAdaptive, opt); err != nil {
+	if _, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, opt); err != nil {
 		t.Fatalf("run with unusable cache dir failed: %v", err)
 	}
 	if _, err := opt.Harness.diskCacheStats(); err == nil {
@@ -343,7 +343,7 @@ func TestDiskStoreOpenErrorsPerDirectory(t *testing.T) {
 func TestTraceSharingTransparent(t *testing.T) {
 	t.Parallel()
 	opt := smallOpt()
-	shared, err := RunMatrix(opt)
+	shared, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

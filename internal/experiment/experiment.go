@@ -62,11 +62,12 @@ type Options struct {
 	Instructions int64
 	// Seed for trace generation and clock jitter.
 	Seed int64
-	// Benchmarks restricts the suite (nil = all 17).
+	// Benchmarks restricts the suite (nil = all 17, or the default list
+	// of an artifact that has its own).
 	//lint:allow cachekey selects which runs happen, not what any run computes
 	Benchmarks []string
-	// Schemes restricts the benchmark × scheme sweeps (RunMatrix, the
-	// fault sweep, and the figures they feed) to this subset of
+	// Schemes restricts the benchmark × scheme sweeps (RunMatrixContext,
+	// the fault sweep, and the figures they feed) to this subset of
 	// registered frequency-controlling schemes, validated against the
 	// scheme registry and normalized to registry display order (empty
 	// = the paper's core comparison, ControlledSchemes). The no-DVFS
@@ -75,6 +76,11 @@ type Options struct {
 	// what any run computes, so it never enters the result-cache key.
 	//lint:allow cachekey selects which runs happen, not what any run computes
 	Schemes []Scheme
+	// FaultIntensities sets the robustness sweep's grid of fault
+	// intensities, each in [0,1] (empty = DefaultFaultIntensities).
+	// Like Schemes, it selects which runs happen: each run keys by the
+	// faults.Intensity profile its level derives, never by the grid.
+	FaultIntensities []float64
 	// PIDIntervalTicks overrides the PID decision interval (0 = the
 	// 2500-tick default) — used by the Table-3 sweep.
 	PIDIntervalTicks int
@@ -93,12 +99,6 @@ type Options struct {
 	// with a concurrent caller keeps running for that caller.
 	//lint:allow cachekey bounds the attempt, not the result a successful run computes
 	Timeout time.Duration
-	// Context, when non-nil, cancels in-flight and pending runs for
-	// every harness entry point that does not take an explicit context
-	// (the report and sweep generators). Explicit ...Context variants
-	// take precedence.
-	//lint:allow cachekey cancellation plumbing; a cancelled run caches nothing
-	Context context.Context
 	// CacheDir, when non-empty, enables the persistent on-disk result
 	// cache rooted at that directory (cmd/experiments defaults it to
 	// results/.cache): completed simulations survive process death and
@@ -112,11 +112,12 @@ type Options struct {
 	// diskcache default).
 	//lint:allow cachekey says where results are stored, not what they are
 	CacheMaxBytes int64
-	// CorpusDir, when non-empty, makes RunMatrix resolve benchmark
-	// streams from a recorded trace corpus (cmd/tracegen -corpus)
-	// instead of generating them: members stream from disk through a
-	// bounded chunk window, so peak trace memory is independent of
-	// Instructions and of how many benchmarks the corpus holds. The
+	// CorpusDir, when non-empty, makes RunMatrixContext resolve
+	// benchmark streams from a recorded trace corpus (cmd/tracegen
+	// -corpus) instead of generating them: members stream from disk
+	// through a bounded chunk window, so peak trace memory is
+	// independent of Instructions and of how many benchmarks the
+	// corpus holds. The
 	// corpus must have been recorded at this Options' Seed and
 	// Instructions (checked against the manifest); a member's bytes
 	// are bit-identical to the stream the harness would generate, so
@@ -125,11 +126,11 @@ type Options struct {
 	// streams at their own seeds, as they always do.
 	//lint:allow cachekey names the stream's storage, not its contents; corpus replay is bit-identical to generation (differential-tested)
 	CorpusDir string
-	// RowFlush, when non-nil, is called by RunMatrix as benchmark rows
-	// complete, in benchmark order — the hook incremental artifact
-	// rendering hangs off, so long sweeps emit figure rows as they
-	// finish instead of only at the end. Purely observational: it
-	// receives copies and alters no result.
+	// RowFlush, when non-nil, is called by RunMatrixContext as
+	// benchmark rows complete, in benchmark order — the hook
+	// incremental artifact rendering hangs off, so long sweeps emit
+	// figure rows as they finish instead of only at the end. Purely
+	// observational: it receives copies and alters no result.
 	//lint:allow cachekey observation hook; receives results, never shapes them
 	RowFlush func(RowEvent)
 	// Cores sets the chip size: every matrix cell (and RunProfile
@@ -188,11 +189,6 @@ func (o Options) governorName() string {
 	return governor.DefaultName
 }
 
-// ctx returns the options' cancellation context.
-func (o Options) ctx() context.Context {
-	return orBackground(o.Context)
-}
-
 // DefaultOptions returns the harness defaults.
 func DefaultOptions() Options {
 	return Options{Instructions: 500000, Seed: 1}
@@ -206,6 +202,15 @@ func (o Options) withDefaults() Options {
 		o.Benchmarks = trace.Names()
 	}
 	return o
+}
+
+// withBenchmarks is withDefaults for an artifact with a benchmark list
+// of its own: an empty selection takes defaults instead of the suite.
+func (o Options) withBenchmarks(defaults []string) Options {
+	if len(o.Benchmarks) == 0 {
+		o.Benchmarks = defaults
+	}
+	return o.withDefaults()
 }
 
 func (o Options) machine() mcd.Config {
@@ -226,12 +231,8 @@ func (o Options) machine() mcd.Config {
 	return cfg
 }
 
-// RunOne simulates a single bundled benchmark under one scheme.
-func RunOne(bench string, scheme Scheme, opt Options) (*mcd.Result, error) {
-	return RunOneContext(opt.ctx(), bench, scheme, opt)
-}
-
-// RunOneContext is RunOne with explicit cancellation.
+// RunOneContext simulates a single bundled benchmark under one scheme;
+// ctx cancels it.
 func RunOneContext(ctx context.Context, bench string, scheme Scheme, opt Options) (*mcd.Result, error) {
 	prof, err := trace.ByName(bench)
 	if err != nil {
@@ -257,10 +258,10 @@ func RunProfileContext(ctx context.Context, prof trace.Profile, scheme Scheme, o
 // reported as the chip aggregate — for one core, that core's own
 // Result. k, when non-nil, is the cell's key as cacheKey already
 // derived it. srcFn, when non-nil, supplies core 0's instruction
-// stream instead of a fresh one — the hook RunMatrix uses to fan one
-// recorded trace out across schemes. The provider is only invoked if
-// the cell actually simulates; cache hits (in-process or disk) never
-// touch it.
+// stream instead of a fresh one — the hook RunMatrixContext uses to
+// fan one recorded trace out across schemes. The provider is only
+// invoked if the cell actually simulates; cache hits (in-process or
+// disk) never touch it.
 func runCell(ctx context.Context, s *runSpec, prof trace.Profile, scheme Scheme, k *[sha256.Size]byte, srcFn func(context.Context, trace.Profile) (trace.Source, error)) (*mcd.Result, error) {
 	if err := s.validate(prof, scheme); err != nil {
 		return nil, err
@@ -430,22 +431,17 @@ type Matrix struct {
 	Corpus *CorpusStats
 }
 
-// RunMatrix simulates every benchmark under every scheme (including
-// the baseline). Cells run in parallel — every simulation is an
-// independent, internally deterministic single-threaded machine, so
-// the matrix contents are identical to a serial run.
+// RunMatrixContext simulates every benchmark under every scheme
+// (including the baseline). Cells run in parallel — every simulation
+// is an independent, internally deterministic single-threaded machine,
+// so the matrix contents are identical to a serial run.
 //
-// A failing cell no longer aborts the sweep: its structured error goes
+// A failing cell does not abort the sweep: its structured error goes
 // to Matrix.Failures and every other cell completes. The returned
-// error is non-nil only when the whole sweep is compromised — the
-// context was cancelled, or not a single cell succeeded.
-func RunMatrix(opt Options) (*Matrix, error) {
-	return RunMatrixContext(opt.ctx(), opt)
-}
-
-// RunMatrixContext is RunMatrix with explicit cancellation. On
-// cancellation the partial matrix is returned alongside an
-// ErrCancelled error so callers can flush what finished.
+// error is non-nil only when the whole sweep is compromised — ctx was
+// cancelled, or not a single cell succeeded. On cancellation the
+// partial matrix is returned alongside an ErrCancelled error so
+// callers can flush what finished.
 func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 	ctx = orBackground(ctx)
 	// Corpus resolution comes first: an unset benchmark list or

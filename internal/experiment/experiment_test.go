@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func fastOpt(benches ...string) Options {
 func TestRunOneAllSchemes(t *testing.T) {
 	t.Parallel()
 	for _, s := range append([]Scheme{SchemeNone}, ControlledSchemes()...) {
-		res, err := RunOne("gzip", s, fastOpt())
+		res, err := RunOneContext(context.Background(), "gzip", s, fastOpt())
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -34,10 +35,10 @@ func TestRunOneAllSchemes(t *testing.T) {
 
 func TestRunOneUnknownInputs(t *testing.T) {
 	t.Parallel()
-	if _, err := RunOne("nope", SchemeNone, fastOpt()); err == nil {
+	if _, err := RunOneContext(context.Background(), "nope", SchemeNone, fastOpt()); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if _, err := RunOne("gzip", Scheme("bogus"), fastOpt()); err == nil {
+	if _, err := RunOneContext(context.Background(), "gzip", Scheme("bogus"), fastOpt()); err == nil {
 		t.Error("unknown scheme accepted")
 	}
 }
@@ -46,12 +47,12 @@ func TestControlledSchemesSaveEnergy(t *testing.T) {
 	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 150000
-	base, err := RunOne("swim", SchemeNone, opt)
+	base, err := RunOneContext(context.Background(), "swim", SchemeNone, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range ControlledSchemes() {
-		run, err := RunOne("swim", s, opt)
+		run, err := RunOneContext(context.Background(), "swim", s, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,11 +72,11 @@ func TestExtensionSchemeThroughRegistry(t *testing.T) {
 	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 150000
-	base, err := RunOne("swim", SchemeNone, opt)
+	base, err := RunOneContext(context.Background(), "swim", SchemeNone, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := RunOne("swim", Scheme("pid-adaptive"), opt)
+	run, err := RunOneContext(context.Background(), "swim", Scheme("pid-adaptive"), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestExtensionSchemeThroughRegistry(t *testing.T) {
 	// The Table-3 knob maps onto the extension's decision floor, and
 	// its Validate hook rejects a negative one up front.
 	opt.PIDIntervalTicks = -5
-	if _, err := RunOne("swim", Scheme("pid-adaptive"), opt); err == nil {
+	if _, err := RunOneContext(context.Background(), "swim", Scheme("pid-adaptive"), opt); err == nil {
 		t.Error("negative PIDIntervalTicks accepted")
 	}
 }
@@ -103,7 +104,7 @@ func TestExtensionSchemeThroughRegistry(t *testing.T) {
 func TestMatrixAndFigures(t *testing.T) {
 	t.Parallel()
 	opt := fastOpt("gzip", "adpcm_encode")
-	m, err := RunMatrix(opt)
+	m, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestTable2ClassifiesFastAndSlow(t *testing.T) {
 	t.Parallel()
 	opt := fastOpt("adpcm_encode", "art", "gcc", "swim")
 	opt.Instructions = 150000
-	rep, classes, err := Table2(opt)
+	rep, classes, err := Table2(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestFigure7ShowsDescentAndRecovery(t *testing.T) {
 	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 300000
-	rep, err := Figure7(opt)
+	rep, err := Figure7(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestFigure8SpectrumReport(t *testing.T) {
 	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 150000
-	rep, err := Figure8(opt)
+	rep, err := Figure8(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +213,14 @@ func TestTable3PIDSweep(t *testing.T) {
 	t.Parallel()
 	opt := fastOpt()
 	opt.Instructions = 80000
-	rep, err := Table3(opt, []string{"adpcm_encode"})
+	rep, err := Table3(context.Background(), opt, []string{"adpcm_encode"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Lines) != 7 { // header + adaptive + 5 PID rows
 		t.Errorf("table3 rows = %d, want 7:\n%s", len(rep.Lines), rep.String())
 	}
-	if _, err := Table3(opt, nil); err == nil {
+	if _, err := Table3(context.Background(), opt, nil); err == nil {
 		t.Error("empty fast group accepted")
 	}
 }
@@ -252,9 +253,9 @@ func TestRemarksReport(t *testing.T) {
 
 func TestAblationRuns(t *testing.T) {
 	t.Parallel()
-	opt := fastOpt()
+	opt := fastOpt("adpcm_encode")
 	opt.Instructions = 50000
-	rep, err := Ablation(opt, []string{"adpcm_encode"})
+	rep, err := Ablation(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,9 +266,9 @@ func TestAblationRuns(t *testing.T) {
 
 func TestTransitionStylesRuns(t *testing.T) {
 	t.Parallel()
-	opt := fastOpt()
+	opt := fastOpt("gzip")
 	opt.Instructions = 50000
-	rep, err := TransitionStyles(opt, []string{"gzip"})
+	rep, err := TransitionStyles(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestTransitionStylesRuns(t *testing.T) {
 func TestMeanComparisonSubset(t *testing.T) {
 	t.Parallel()
 	opt := fastOpt("gzip", "adpcm_encode")
-	m, err := RunMatrix(opt)
+	m, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestSampleLimitApplied(t *testing.T) {
 
 func TestGlobalSchemeRuns(t *testing.T) {
 	t.Parallel()
-	res, err := RunOne("adpcm_encode", SchemeGlobal, fastOpt())
+	res, err := RunOneContext(context.Background(), "adpcm_encode", SchemeGlobal, fastOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,15 +355,15 @@ func TestPerDomainBeatsGlobalOnAsymmetricCode(t *testing.T) {
 	// FP to the floor, coupled control cannot.
 	opt := fastOpt()
 	opt.Instructions = 150000
-	base, err := RunOne("gzip", SchemeNone, opt)
+	base, err := RunOneContext(context.Background(), "gzip", SchemeNone, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad, err := RunOne("gzip", SchemeAdaptive, opt)
+	ad, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gl, err := RunOne("gzip", SchemeGlobal, opt)
+	gl, err := RunOneContext(context.Background(), "gzip", SchemeGlobal, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,9 +381,9 @@ func TestPerDomainBeatsGlobalOnAsymmetricCode(t *testing.T) {
 
 func TestGlobalComparisonReport(t *testing.T) {
 	t.Parallel()
-	opt := fastOpt()
+	opt := fastOpt("gzip")
 	opt.Instructions = 50000
-	rep, err := GlobalComparison(opt, []string{"gzip"})
+	rep, err := GlobalComparison(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,9 +394,9 @@ func TestGlobalComparisonReport(t *testing.T) {
 
 func TestQRefSweepMonotoneEnergy(t *testing.T) {
 	t.Parallel()
-	opt := fastOpt()
+	opt := fastOpt("gsm_decode")
 	opt.Instructions = 60000
-	rep, err := QRefSweep(opt, []string{"gsm_decode"})
+	rep, err := QRefSweep(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,9 +407,9 @@ func TestQRefSweepMonotoneEnergy(t *testing.T) {
 
 func TestInterfaceStudy(t *testing.T) {
 	t.Parallel()
-	opt := fastOpt()
+	opt := fastOpt("gsm_decode")
 	opt.Instructions = 40000
-	rep, err := InterfaceStudy(opt, []string{"gsm_decode"})
+	rep, err := InterfaceStudy(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,9 +423,9 @@ func TestInterfaceStudy(t *testing.T) {
 
 func TestPartitionStudy(t *testing.T) {
 	t.Parallel()
-	opt := fastOpt()
+	opt := fastOpt("gzip")
 	opt.Instructions = 40000
-	rep, err := PartitionStudy(opt, []string{"gzip"})
+	rep, err := PartitionStudy(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,9 +439,9 @@ func TestPartitionStudy(t *testing.T) {
 
 func TestDelaySweep(t *testing.T) {
 	t.Parallel()
-	opt := fastOpt()
+	opt := fastOpt("gsm_decode")
 	opt.Instructions = 30000
-	rep, err := DelaySweep(opt, []string{"gsm_decode"})
+	rep, err := DelaySweep(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +455,7 @@ func TestFullSuiteSmoke(t *testing.T) {
 	// Every bundled benchmark completes under the adaptive scheme.
 	opt := Options{Instructions: 15000, Seed: 7}
 	for _, b := range trace.Names() {
-		res, err := RunOne(b, SchemeAdaptive, opt)
+		res, err := RunOneContext(context.Background(), b, SchemeAdaptive, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
@@ -470,11 +471,11 @@ func TestMatrixParallelMatchesSerialCell(t *testing.T) {
 	// (parallelism cannot leak state between simulations).
 	opt := fastOpt("gzip", "swim")
 	opt.Instructions = 20000
-	m, err := RunMatrix(opt)
+	m, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := RunOne("swim", SchemeAdaptive, opt)
+	solo, err := RunOneContext(context.Background(), "swim", SchemeAdaptive, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +489,7 @@ func TestSummaryReport(t *testing.T) {
 	t.Parallel()
 	opt := fastOpt("gzip", "adpcm_encode")
 	opt.Instructions = 30000
-	m, err := RunMatrix(opt)
+	m, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,21 +526,21 @@ func TestSVGFigures(t *testing.T) {
 	t.Parallel()
 	opt := fastOpt("gzip", "adpcm_encode")
 	opt.Instructions = 40000
-	svg7, err := Figure7SVG(opt)
+	svg7, err := Figure7SVG(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(svg7, "<svg") || !strings.Contains(svg7, "epic_decode") {
 		t.Error("figure 7 SVG malformed")
 	}
-	svg8, err := Figure8SVG(opt)
+	svg8, err := Figure8SVG(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(svg8, "variance") {
 		t.Error("figure 8 SVG malformed")
 	}
-	m, err := RunMatrix(opt)
+	m, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,9 +561,9 @@ func TestSVGFigures(t *testing.T) {
 
 func TestSeedStudy(t *testing.T) {
 	t.Parallel()
-	opt := fastOpt()
+	opt := fastOpt("gzip")
 	opt.Instructions = 30000
-	rep, err := SeedStudy(opt, []string{"gzip"}, 3)
+	rep, err := SeedStudy(context.Background(), opt, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +573,7 @@ func TestSeedStudy(t *testing.T) {
 	if !strings.Contains(rep.String(), "±") {
 		t.Error("missing dispersion column")
 	}
-	if _, err := SeedStudy(opt, []string{"gzip"}, 1); err == nil {
+	if _, err := SeedStudy(context.Background(), opt, 1); err == nil {
 		t.Error("single-seed study accepted")
 	}
 }

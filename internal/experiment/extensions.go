@@ -6,6 +6,7 @@ package experiment
 // qualitatively in Section 3.1.
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -16,34 +17,29 @@ import (
 	"mcddvfs/internal/stats"
 )
 
+// globalBenchmarks is GlobalComparison's default benchmark set, used
+// when Options.Benchmarks is empty.
+var globalBenchmarks = []string{"adpcm_encode", "gzip", "swim", "epic_decode"}
+
 // GlobalComparison contrasts the paper's per-domain adaptive control
-// with chip-coupled scaling (SchemeGlobal) on the given benchmarks.
+// with chip-coupled scaling (SchemeGlobal) on opt.Benchmarks.
 // Workloads with asymmetric domain demand (e.g. integer-only code with
 // an idle FP unit) show the per-domain advantage most clearly.
-func GlobalComparison(opt Options, benchmarks []string) (Report, error) {
-	opt = opt.withDefaults()
-	if len(benchmarks) > 0 {
-		opt.Benchmarks = benchmarks
-	}
+func GlobalComparison(ctx context.Context, opt Options) (Report, error) {
+	opt = opt.withBenchmarks(globalBenchmarks)
 	lines := []string{fmt.Sprintf("%-14s %28s %28s", "benchmark", "per-domain adaptive", "globally coupled")}
 	lines = append(lines, fmt.Sprintf("%-14s %9s %9s %8s %9s %9s %8s", "",
 		"save", "perf", "EDP", "save", "perf", "EDP"))
 	var sumA, sumG power.Comparison
 	for _, b := range opt.Benchmarks {
-		base, err := RunOne(b, SchemeNone, opt)
+		ca, _, err := compareRun(ctx, b, SchemeAdaptive, opt)
 		if err != nil {
 			return Report{}, err
 		}
-		ad, err := RunOne(b, SchemeAdaptive, opt)
+		cg, _, err := compareRun(ctx, b, SchemeGlobal, opt)
 		if err != nil {
 			return Report{}, err
 		}
-		gl, err := RunOne(b, SchemeGlobal, opt)
-		if err != nil {
-			return Report{}, err
-		}
-		ca := power.Compare(base.Metrics, ad.Metrics)
-		cg := power.Compare(base.Metrics, gl.Metrics)
 		sumA = addComparison(sumA, ca)
 		sumG = addComparison(sumG, cg)
 		lines = append(lines, fmt.Sprintf("%-14s %8.2f%% %8.2f%% %7.2f%% %8.2f%% %8.2f%% %7.2f%%",
@@ -71,15 +67,16 @@ func addComparison(a, b power.Comparison) power.Comparison {
 	return a
 }
 
+// qrefBenchmarks is QRefSweep's default benchmark set, used when
+// Options.Benchmarks is empty.
+var qrefBenchmarks = []string{"gsm_decode", "gzip", "swim"}
+
 // QRefSweep quantifies Section 3.1's knob: "increase q_ref to make the
 // DVFS controller more aggressive in saving energy, or decrease q_ref
 // to preserve performance more." Each row adds delta to every domain's
-// reference occupancy.
-func QRefSweep(opt Options, benchmarks []string) (Report, error) {
-	opt = opt.withDefaults()
-	if len(benchmarks) > 0 {
-		opt.Benchmarks = benchmarks
-	}
+// reference occupancy, averaged over opt.Benchmarks.
+func QRefSweep(ctx context.Context, opt Options) (Report, error) {
+	opt = opt.withBenchmarks(qrefBenchmarks)
 	lines := []string{fmt.Sprintf("%-12s %12s %12s %12s", "qref shift", "energy save", "perf degr.", "EDP impr.")}
 	for _, delta := range []int{-3, -2, -1, 0, 2, 4, 8} {
 		sub := opt
@@ -90,7 +87,7 @@ func QRefSweep(opt Options, benchmarks []string) (Report, error) {
 				c.QRef = 1
 			}
 		}
-		mean, err := meanOver(sub, SchemeAdaptive, 0)
+		mean, err := meanOver(ctx, sub, SchemeAdaptive, 0)
 		if err != nil {
 			return Report{}, err
 		}
@@ -107,18 +104,19 @@ func QRefSweep(opt Options, benchmarks []string) (Report, error) {
 	}, nil
 }
 
+// interfaceBenchmarks is InterfaceStudy's default benchmark set, used
+// when Options.Benchmarks is empty.
+var interfaceBenchmarks = []string{"gsm_decode", "swim"}
+
 // InterfaceStudy compares the two MCD synchronization-interface
 // families the paper's Section 2 surveys — arbitration-based (always
 // pay the synchronization window) and token-ring FIFOs (pay only when
 // the queue is empty) — across window sizes, against an ideal
-// zero-window machine.
-func InterfaceStudy(opt Options, benchmarks []string) (Report, error) {
-	opt = opt.withDefaults()
-	if len(benchmarks) > 0 {
-		opt.Benchmarks = benchmarks
-	}
+// zero-window machine, averaged over opt.Benchmarks.
+func InterfaceStudy(ctx context.Context, opt Options) (Report, error) {
+	opt = opt.withBenchmarks(interfaceBenchmarks)
 
-	runMean := func(windowPS float64, policy queue.SyncPolicy) (power.Comparison, error) {
+	runMean := func(ctx context.Context, windowPS float64, policy queue.SyncPolicy) (power.Comparison, error) {
 		machine := opt.machine()
 		machine.SyncWindowPS = windowPS
 		machine.SyncPolicy = policy
@@ -128,13 +126,13 @@ func InterfaceStudy(opt Options, benchmarks []string) (Report, error) {
 		for _, b := range opt.Benchmarks {
 			subIdeal := opt
 			subIdeal.Machine = &ideal
-			base, err := RunOne(b, SchemeNone, subIdeal)
+			base, err := RunOneContext(ctx, b, SchemeNone, subIdeal)
 			if err != nil {
 				return sum, err
 			}
 			sub := opt
 			sub.Machine = &machine
-			run, err := RunOne(b, SchemeNone, sub)
+			run, err := RunOneContext(ctx, b, SchemeNone, sub)
 			if err != nil {
 				return sum, err
 			}
@@ -150,7 +148,7 @@ func InterfaceStudy(opt Options, benchmarks []string) (Report, error) {
 	lines := []string{fmt.Sprintf("%-24s %16s", "interface", "slowdown vs ideal")}
 	for _, windowPS := range []float64{300, 1000, 3000} {
 		for _, policy := range []queue.SyncPolicy{queue.SyncArbitration, queue.SyncTokenRing} {
-			c, err := runMean(windowPS, policy)
+			c, err := runMean(ctx, windowPS, policy)
 			if err != nil {
 				return Report{}, err
 			}
@@ -168,17 +166,18 @@ func InterfaceStudy(opt Options, benchmarks []string) (Report, error) {
 	}, nil
 }
 
+// partitionBenchmarks is PartitionStudy's default benchmark set, used
+// when Options.Benchmarks is empty.
+var partitionBenchmarks = []string{"adpcm_encode", "gsm_decode", "gzip", "mcf", "swim"}
+
 // PartitionStudy compares the paper's 4-domain partition (Semeraro et
 // al., Figure 1) against the 5-domain Iyer-Marculescu partition with
 // the front end split into fetch and dispatch domains — the "open
 // research question" of where to draw clock-domain boundaries that
 // Section 2 highlights. The extra boundary buys DVFS flexibility at the
 // cost of one more synchronization crossing on every instruction.
-func PartitionStudy(opt Options, benchmarks []string) (Report, error) {
-	opt = opt.withDefaults()
-	if len(benchmarks) > 0 {
-		opt.Benchmarks = benchmarks
-	}
+func PartitionStudy(ctx context.Context, opt Options) (Report, error) {
+	opt = opt.withBenchmarks(partitionBenchmarks)
 	lines := []string{
 		fmt.Sprintf("%-14s | %-19s | %-19s | %-19s", "", "4-domain (paper)", "5-domain, FE fixed", "5-domain, FE DVFS"),
 		fmt.Sprintf("%-14s | %8s %9s | %8s %9s | %8s %9s",
@@ -186,7 +185,7 @@ func PartitionStudy(opt Options, benchmarks []string) (Report, error) {
 	}
 	var sums [3]power.Comparison
 	for _, b := range opt.Benchmarks {
-		base, err := RunOne(b, SchemeNone, opt)
+		base, err := RunOneContext(ctx, b, SchemeNone, opt)
 		if err != nil {
 			return Report{}, err
 		}
@@ -202,7 +201,7 @@ func PartitionStudy(opt Options, benchmarks []string) (Report, error) {
 				mut(&machine)
 				sub.Machine = &machine
 			}
-			run, err := RunOne(b, SchemeAdaptive, sub)
+			run, err := RunOneContext(ctx, b, SchemeAdaptive, sub)
 			if err != nil {
 				return Report{}, err
 			}
@@ -232,17 +231,18 @@ func PartitionStudy(opt Options, benchmarks []string) (Report, error) {
 	}, nil
 }
 
+// delayBenchmarks is DelaySweep's default benchmark set, used when
+// Options.Benchmarks is empty.
+var delayBenchmarks = []string{"adpcm_encode", "gsm_decode", "gzip"}
+
 // DelaySweep validates the Section-4 guidance in the full simulator:
 // it sweeps the basic time delays T_m0 × T_l0 of the adaptive
 // controller and reports the resulting energy/performance/EDP and
 // action counts. Remark 2 predicts smaller delays act more but risk
 // noise-chasing; Remark 3 predicts the best transient behavior for
-// T_m0 ≈ 2–8 × T_l0.
-func DelaySweep(opt Options, benchmarks []string) (Report, error) {
-	opt = opt.withDefaults()
-	if len(benchmarks) > 0 {
-		opt.Benchmarks = benchmarks
-	}
+// T_m0 ≈ 2–8 × T_l0. Each cell is summed over opt.Benchmarks.
+func DelaySweep(ctx context.Context, opt Options) (Report, error) {
+	opt = opt.withBenchmarks(delayBenchmarks)
 	lines := []string{fmt.Sprintf("%6s %6s %7s %12s %12s %12s %9s",
 		"Tm0", "Tl0", "ratio", "energy save", "perf degr.", "EDP impr.", "actions")}
 	for _, tm0 := range []float64{12, 25, 50, 100, 200} {
@@ -256,15 +256,11 @@ func DelaySweep(opt Options, benchmarks []string) (Report, error) {
 			var sum power.Comparison
 			actions := 0
 			for _, b := range sub.Benchmarks {
-				base, err := RunOne(b, SchemeNone, sub)
+				c, run, err := compareRun(ctx, b, SchemeAdaptive, sub)
 				if err != nil {
 					return Report{}, err
 				}
-				run, err := RunOne(b, SchemeAdaptive, sub)
-				if err != nil {
-					return Report{}, err
-				}
-				sum = addComparison(sum, power.Compare(base.Metrics, run.Metrics))
+				sum = addComparison(sum, c)
 				for _, name := range []string{mcd.NameInt, mcd.NameFP, mcd.NameLS} {
 					actions += run.Domains[name].Transitions
 				}
@@ -286,16 +282,21 @@ func DelaySweep(opt Options, benchmarks []string) (Report, error) {
 	}, nil
 }
 
+// seedBenchmarks is SeedStudy's default benchmark set, used when
+// Options.Benchmarks is empty.
+var seedBenchmarks = []string{"adpcm_encode", "gzip", "swim"}
+
+// studySeeds is the number of seeds the seeds artifact runs.
+const studySeeds = 5
+
 // SeedStudy quantifies measurement robustness: it repeats the
 // baseline/adaptive comparison across independent seeds (different
 // trace randomness and clock jitter) and reports the mean and standard
 // deviation of the headline metrics. EXPERIMENTS.md cites this when it
 // claims run-to-run variation is a few tenths of a percentage point.
-func SeedStudy(opt Options, benchmarks []string, seeds int) (Report, error) {
-	opt = opt.withDefaults()
-	if len(benchmarks) > 0 {
-		opt.Benchmarks = benchmarks
-	}
+// The seeds artifact runs it at studySeeds seeds over opt.Benchmarks.
+func SeedStudy(ctx context.Context, opt Options, seeds int) (Report, error) {
+	opt = opt.withBenchmarks(seedBenchmarks)
 	if seeds < 2 {
 		return Report{}, invalidSpec(fmt.Errorf("experiment: seed study needs >= 2 seeds"))
 	}
@@ -303,19 +304,12 @@ func SeedStudy(opt Options, benchmarks []string, seeds int) (Report, error) {
 		"energy save (mean±sd)", "perf degr. (mean±sd)", "EDP impr. (mean±sd)")}
 	for _, b := range opt.Benchmarks {
 		comps := make([]power.Comparison, seeds)
-		err := firstError(forEachParallel(opt.ctx(), seeds, func(i int) error {
+		err := firstError(forEachParallel(ctx, seeds, func(i int) error {
 			sub := opt
 			sub.Seed = opt.Seed + int64(i)*1000
-			base, err := RunOne(b, SchemeNone, sub)
-			if err != nil {
-				return err
-			}
-			run, err := RunOne(b, SchemeAdaptive, sub)
-			if err != nil {
-				return err
-			}
-			comps[i] = power.Compare(base.Metrics, run.Metrics)
-			return nil
+			c, _, err := compareRun(ctx, b, SchemeAdaptive, sub)
+			comps[i] = c
+			return err
 		}))
 		if err != nil {
 			return Report{}, err

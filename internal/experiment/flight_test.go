@@ -304,7 +304,7 @@ func TestCorpusAbandonedCellFollower(t *testing.T) {
 	}
 
 	opt.Harness = NewHarness()
-	want, err := RunMatrix(opt)
+	want, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

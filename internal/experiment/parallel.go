@@ -91,8 +91,7 @@ func runTask(i int, fn func(i int) error) (err error) {
 }
 
 // orBackground returns ctx, or context.Background() for a nil ctx: the
-// exported *Context entry points accept a nil ctx as Options.Context
-// does.
+// exported *Context entry points accept a nil ctx.
 func orBackground(ctx context.Context) context.Context {
 	if ctx == nil {
 		return context.Background()

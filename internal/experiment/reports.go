@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -70,10 +71,15 @@ type BenchClass struct {
 // result it derives from (see cachedClass); the returned slice is
 // always the caller's own.
 func ClassifyBenchmarks(opt Options) ([]BenchClass, error) {
+	return classifyBenchmarks(context.Background(), opt)
+}
+
+// classifyBenchmarks is ClassifyBenchmarks under ctx.
+func classifyBenchmarks(ctx context.Context, opt Options) ([]BenchClass, error) {
 	spec := newRunSpec(opt)
 	benches := spec.opt.Benchmarks
 	out := make([]BenchClass, len(benches))
-	err := firstError(forEachParallel(spec.opt.ctx(), len(benches), func(i int) error {
+	err := firstError(forEachParallel(ctx, len(benches), func(i int) error {
 		prof, err := trace.ByName(benches[i])
 		if err != nil {
 			return invalidSpec(err)
@@ -81,7 +87,7 @@ func ClassifyBenchmarks(opt Options) ([]BenchClass, error) {
 		if err := spec.validate(prof, SchemeNone); err != nil {
 			return err
 		}
-		out[i], err = cachedClass(spec, prof)
+		out[i], err = cachedClass(ctx, spec, prof)
 		return err
 	}))
 	if err != nil {
@@ -92,11 +98,17 @@ func ClassifyBenchmarks(opt Options) ([]BenchClass, error) {
 
 // classify runs prof's no-DVFS baseline and applies the spectral
 // classifier to its queue-occupancy series.
-func classify(spec *runSpec, prof trace.Profile) (BenchClass, error) {
-	res, err := runCell(spec.opt.ctx(), spec, prof, SchemeNone, nil, nil)
+func classify(ctx context.Context, spec *runSpec, prof trace.Profile) (BenchClass, error) {
+	res, err := runCell(ctx, spec, prof, SchemeNone, nil, nil)
 	if err != nil {
 		return BenchClass{}, err
 	}
+	return classifyRun(prof, res)
+}
+
+// classifyRun applies the spectral classifier to the occupancy series
+// of prof's no-DVFS run.
+func classifyRun(prof trace.Profile, res *mcd.Result) (BenchClass, error) {
 	bc := BenchClass{Name: prof.Name, Suite: prof.Suite, IPC: res.IPC}
 	for _, dom := range []string{mcd.NameInt, mcd.NameFP, mcd.NameLS} {
 		samples := res.QueueSamples[dom]
@@ -133,11 +145,16 @@ func FastGroup(classes []BenchClass) []string {
 // Table2 renders the benchmark suite with the workload-variability
 // classification (paper Table 2, reconstructed; the classification
 // methodology is Section 5.2's).
-func Table2(opt Options) (Report, []BenchClass, error) {
-	classes, err := ClassifyBenchmarks(opt)
+func Table2(ctx context.Context, opt Options) (Report, []BenchClass, error) {
+	classes, err := classifyBenchmarks(ctx, opt)
 	if err != nil {
 		return Report{}, nil, err
 	}
+	return table2(classes), classes, nil
+}
+
+// table2 renders the classification.
+func table2(classes []BenchClass) Report {
 	lines := []string{fmt.Sprintf("%-14s %-11s %6s %12s %s", "benchmark", "suite", "IPC", "short-share", "class")}
 	for _, c := range classes {
 		class := "slow"
@@ -154,17 +171,22 @@ func Table2(opt Options) (Report, []BenchClass, error) {
 			"benchmark list reconstructed: 6 MediaBench + 6 SPECint + 5 SPECfp as in [4,9,23]",
 			"short-share = occupancy variance at wavelengths under the fixed interval (2500 sampling periods)",
 		},
-	}, classes, nil
+	}
 }
 
 // Figure7 renders the FP-domain frequency trajectory of epic_decode
 // under the adaptive controller.
-func Figure7(opt Options) (Report, error) {
+func Figure7(ctx context.Context, opt Options) (Report, error) {
 	opt = opt.withDefaults()
-	res, err := RunOne("epic_decode", SchemeAdaptive, opt)
+	res, err := RunOneContext(ctx, "epic_decode", SchemeAdaptive, opt)
 	if err != nil {
 		return Report{}, err
 	}
+	return figure7(opt, res), nil
+}
+
+// figure7 renders Figure 7 from the adaptive epic_decode run.
+func figure7(opt Options, res *mcd.Result) Report {
 	tr := res.FreqTrace[mcd.NameFP]
 	lines := []string{fmt.Sprintf("%12s %14s", "insts", "rel. freq")}
 	step := len(tr)/60 + 1
@@ -179,17 +201,22 @@ func Figure7(opt Options) (Report, error) {
 		Notes: []string{
 			"paper narrative: quick drop to f_min; modest recovery near 28% of the run; empty again; dramatic rise to f_max near 82%",
 		},
-	}, nil
+	}
 }
 
 // Figure8 renders the variance spectrum of the INT queue occupancy for
 // epic_decode (multitaper estimate, variance density per wavelength).
-func Figure8(opt Options) (Report, error) {
+func Figure8(ctx context.Context, opt Options) (Report, error) {
 	opt = opt.withDefaults()
-	res, err := RunOne("epic_decode", SchemeNone, opt)
+	res, err := RunOneContext(ctx, "epic_decode", SchemeNone, opt)
 	if err != nil {
 		return Report{}, err
 	}
+	return figure8(res)
+}
+
+// figure8 renders Figure 8 from the no-DVFS epic_decode run.
+func figure8(res *mcd.Result) (Report, error) {
 	samples := res.QueueSamples[mcd.NameInt]
 	sp, err := spectrum.Multitaper(samples, 5)
 	if err != nil {
@@ -335,7 +362,7 @@ func figureSkippedNote(skipped int) string {
 // Table3Report renders the PID-interval sweep against the adaptive
 // scheme on the fast-variation group (the paper's closing comparison
 // "to [23] with different and shorter interval lengths").
-func Table3(opt Options, fastGroup []string) (Report, error) {
+func Table3(ctx context.Context, opt Options, fastGroup []string) (Report, error) {
 	opt = opt.withDefaults()
 	if len(fastGroup) == 0 {
 		return Report{}, invalidSpec(fmt.Errorf("experiment: empty fast group"))
@@ -351,14 +378,14 @@ func Table3(opt Options, fastGroup []string) (Report, error) {
 	}
 
 	// Adaptive reference.
-	adMean, err := meanOver(sub, SchemeAdaptive, 0)
+	adMean, err := meanOver(ctx, sub, SchemeAdaptive, 0)
 	if err != nil {
 		return Report{}, err
 	}
 	addRow("adaptive", adMean)
 
 	for _, ticks := range []int{312, 625, 1250, 2500, 6250} {
-		mean, err := meanOver(sub, SchemePID, ticks)
+		mean, err := meanOver(ctx, sub, SchemePID, ticks)
 		if err != nil {
 			return Report{}, err
 		}
@@ -377,35 +404,48 @@ type powerComparison = power.Comparison
 
 // meanOver runs a scheme over the option's benchmarks (plus baseline)
 // and averages the comparison. Benchmark runs execute in parallel.
-func meanOver(opt Options, scheme Scheme, pidTicks int) (powerComparison, error) {
+func meanOver(ctx context.Context, opt Options, scheme Scheme, pidTicks int) (powerComparison, error) {
 	opt = opt.withDefaults()
 	opt.PIDIntervalTicks = pidTicks
 	comps := make([]powerComparison, len(opt.Benchmarks))
-	err := firstError(forEachParallel(opt.ctx(), len(opt.Benchmarks), func(i int) error {
-		b := opt.Benchmarks[i]
-		base, err := RunOne(b, SchemeNone, opt)
-		if err != nil {
-			return err
-		}
-		run, err := RunOne(b, scheme, opt)
-		if err != nil {
-			return err
-		}
-		comps[i] = power.Compare(base.Metrics, run.Metrics)
-		return nil
+	err := firstError(forEachParallel(ctx, len(opt.Benchmarks), func(i int) error {
+		c, _, err := compareRun(ctx, opt.Benchmarks[i], scheme, opt)
+		comps[i] = c
+		return err
 	}))
 	if err != nil {
 		return powerComparison{}, err
 	}
 	var sum powerComparison
 	for _, c := range comps {
-		sum = addComparison(sum, c)
+		sum.EnergySaving += c.EnergySaving
+		sum.PerfDegradation += c.PerfDegradation
+		sum.EDPImprovement += c.EDPImprovement
 	}
 	n := float64(len(opt.Benchmarks))
 	sum.EnergySaving /= n
 	sum.PerfDegradation /= n
 	sum.EDPImprovement /= n
 	return sum, nil
+}
+
+// compareRun runs bench under the no-DVFS baseline and under sch, and
+// compares the two. The baseline runs with the controller knobs
+// (MutateAdaptive, PIDIntervalTicks) cleared: a run without DVFS never
+// reads them, so every controller variant of a sweep shares one
+// baseline simulation.
+func compareRun(ctx context.Context, bench string, sch Scheme, opt Options) (powerComparison, *mcd.Result, error) {
+	baseOpt := opt
+	baseOpt.MutateAdaptive, baseOpt.PIDIntervalTicks = nil, 0
+	base, err := RunOneContext(ctx, bench, SchemeNone, baseOpt)
+	if err != nil {
+		return powerComparison{}, nil, err
+	}
+	run, err := RunOneContext(ctx, bench, sch, opt)
+	if err != nil {
+		return powerComparison{}, nil, err
+	}
+	return power.Compare(base.Metrics, run.Metrics), run, nil
 }
 
 // Table4 renders the hardware-cost comparison of Section 3.1.

@@ -13,11 +13,16 @@ func DefaultFaultIntensities() []float64 {
 	return []float64{0, 0.25, 0.5, 0.75, 1.0}
 }
 
-// FaultSweep measures how gracefully each control scheme degrades as
-// control-loop faults intensify: for every intensity level it injects
-// the canonical faults.Intensity profile (sensor noise, dropped and
-// corrupted samples, actuation delay, missed steps, relock jitter) and
-// reports the mean EDP improvement against the clean no-DVFS baseline,
+// robustnessBenchmarks is the fault sweep's default benchmark set,
+// used when Options.Benchmarks is empty.
+var robustnessBenchmarks = []string{"adpcm_encode", "gsm_decode", "gzip", "swim"}
+
+// FaultSweepContext measures how gracefully each control scheme
+// degrades as control-loop faults intensify: for every level of
+// opt.FaultIntensities it injects the canonical faults.Intensity
+// profile (sensor noise, dropped and corrupted samples, actuation
+// delay, missed steps, relock jitter) and reports the mean EDP
+// improvement over opt.Benchmarks against the clean no-DVFS baseline,
 // plus the drop from the scheme's own fault-free figure.
 //
 // The sweep tests the paper's robustness claim (Section 3: the
@@ -25,24 +30,17 @@ func DefaultFaultIntensities() []float64 {
 // fixed-interval baselines, whose window averaging filters sensor
 // noise by construction. The baseline runs are fault-free: faults
 // corrupt only the control loop, and SchemeNone has no control loop.
-func FaultSweep(opt Options, benchmarks []string, intensities []float64) (Report, error) {
-	return FaultSweepContext(opt.ctx(), opt, benchmarks, intensities)
-}
-
-// FaultSweepContext is FaultSweep with explicit cancellation.
-func FaultSweepContext(ctx context.Context, opt Options, benchmarks []string, intensities []float64) (Report, error) {
-	rep, _, err := faultSweep(ctx, opt, benchmarks, intensities)
+func FaultSweepContext(ctx context.Context, opt Options) (Report, error) {
+	rep, _, err := faultSweep(ctx, opt)
 	return rep, err
 }
 
 // faultSweep is FaultSweepContext, also returning the failed cells the
 // report notes.
-func faultSweep(ctx context.Context, opt Options, benchmarks []string, intensities []float64) (Report, []CellError, error) {
+func faultSweep(ctx context.Context, opt Options) (Report, []CellError, error) {
 	ctx = orBackground(ctx)
-	opt = opt.withDefaults()
-	if len(benchmarks) > 0 {
-		opt.Benchmarks = benchmarks
-	}
+	opt = opt.withBenchmarks(robustnessBenchmarks)
+	intensities := opt.FaultIntensities
 	if len(intensities) == 0 {
 		intensities = DefaultFaultIntensities()
 	}

@@ -34,12 +34,12 @@ func TestZeroFaultConfigBitIdentical(t *testing.T) {
 	t.Parallel()
 	opt := Options{Instructions: 20000, Seed: 3}
 
-	clean, err := RunOne("gzip", SchemeAdaptive, uncached(opt))
+	clean, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, uncached(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Faults = faults.Config{Seed: 99} // a seed alone enables nothing
-	zero, err := RunOne("gzip", SchemeAdaptive, uncached(opt))
+	zero, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, uncached(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestZeroFaultConfigBitIdentical(t *testing.T) {
 	// Sanity check the other direction: enabled faults must actually
 	// perturb the run, or the sweep measures nothing.
 	opt.Faults = faults.Intensity(1, 3)
-	faulty, err := RunOne("gzip", SchemeAdaptive, uncached(opt))
+	faulty, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, uncached(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestFaultSeedDeterministicReplay(t *testing.T) {
 	t.Parallel()
 	opt := Options{Instructions: 20000, Seed: 3, Faults: faults.Intensity(0.75, 17)}
 
-	a, err := RunOne("gzip", SchemeAdaptive, uncached(opt))
+	a, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, uncached(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOne("gzip", SchemeAdaptive, uncached(opt))
+	b, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, uncached(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFaultSeedDeterministicReplay(t *testing.T) {
 	}
 
 	opt.Faults = faults.Intensity(0.75, 18)
-	c, err := RunOne("gzip", SchemeAdaptive, uncached(opt))
+	c, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, uncached(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestMatrixPartialFailure(t *testing.T) {
 	t.Parallel()
 	opt := uncached(Options{Instructions: 20000, Seed: 3, Benchmarks: []string{"gzip", "no_such_bench"}})
 
-	m, err := RunMatrix(opt)
+	m, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatalf("partial failure escalated to a sweep error: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestMatrixPanicIsolation(t *testing.T) {
 		},
 	})
 
-	m, err := RunMatrix(opt)
+	m, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
 		t.Fatalf("one panicking scheme escalated to a sweep error: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestMatrixPanicIsolation(t *testing.T) {
 func TestRunTimeout(t *testing.T) {
 	t.Parallel()
 	opt := uncached(Options{Instructions: 20000, Seed: 3, Timeout: time.Nanosecond})
-	_, err := RunOne("gzip", SchemeAdaptive, opt)
+	_, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, opt)
 	if !errors.Is(err, ErrRunTimeout) {
 		t.Fatalf("got %v, want ErrRunTimeout", err)
 	}
@@ -193,11 +193,11 @@ func TestRunCancelled(t *testing.T) {
 func TestTransientErrorsNotMemoized(t *testing.T) {
 	t.Parallel()
 	opt := uncached(Options{Instructions: 20000, Seed: 3, Timeout: time.Nanosecond})
-	if _, err := RunOne("gzip", SchemeAdaptive, opt); !errors.Is(err, ErrRunTimeout) {
+	if _, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, opt); !errors.Is(err, ErrRunTimeout) {
 		t.Fatalf("setup: got %v, want ErrRunTimeout", err)
 	}
 	opt.Timeout = 0 // same cache key: Timeout is not part of the simulation input
-	res, err := RunOne("gzip", SchemeAdaptive, opt)
+	res, err := RunOneContext(context.Background(), "gzip", SchemeAdaptive, opt)
 	if err != nil {
 		t.Fatalf("timeout failure was replayed from the cache: %v", err)
 	}
@@ -211,10 +211,10 @@ func TestTransientErrorsNotMemoized(t *testing.T) {
 // every simulation is redone from scratch.
 func TestFaultSweepReport(t *testing.T) {
 	t.Parallel()
-	opt := uncached(Options{Instructions: 20000, Seed: 3})
 	intensities := []float64{0, 1}
+	opt := uncached(Options{Instructions: 20000, Seed: 3, Benchmarks: []string{"gzip"}, FaultIntensities: intensities})
 
-	rep, err := FaultSweep(opt, []string{"gzip"}, intensities)
+	rep, err := FaultSweepContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestFaultSweepReport(t *testing.T) {
 	}
 
 	// A fresh harness forces a full re-simulation of every cell.
-	again, err := FaultSweep(uncached(opt), []string{"gzip"}, intensities)
+	again, err := FaultSweepContext(context.Background(), uncached(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,8 @@ func TestFaultSweepReport(t *testing.T) {
 		t.Errorf("fault sweep is not deterministic for a fixed seed:\n%s\nvs\n%s", rep.String(), again.String())
 	}
 
-	if _, err := FaultSweep(opt, []string{"gzip"}, []float64{2}); !errors.Is(err, ErrInvalidSpec) {
+	opt.FaultIntensities = []float64{2}
+	if _, err := FaultSweepContext(context.Background(), opt); !errors.Is(err, ErrInvalidSpec) {
 		t.Errorf("out-of-range intensity accepted: %v", err)
 	}
 }

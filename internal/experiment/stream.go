@@ -3,27 +3,30 @@ package experiment
 import (
 	"fmt"
 	"io"
+
+	"mcddvfs/internal/mcd"
 )
 
 // FigureStream renders a benchmark × scheme figure incrementally: the
 // banner and column header go out at construction, each complete row
-// as RunMatrix's RowFlush delivers it, and the AVERAGE line plus notes
-// at Finish. Because it shares every formatting helper with
-// Matrix.figure and RowFlush delivers rows in benchmark order, the
-// streamed bytes are identical to rendering the finished matrix — the
-// differential test pins that. The interrupted path needs nothing
-// special: RunMatrix drains the row frontier even on cancellation, so
-// Finish on the partial matrix completes the same file the old
-// SIGINT-only renderer produced.
+// as RunMatrixContext's RowFlush delivers it, and the AVERAGE line
+// plus notes at Finish. Because it shares every formatting helper with
+// Matrix.figure and RowFlush delivers every row in benchmark order,
+// the streamed bytes are identical to rendering the finished matrix —
+// the differential test pins that. The interrupted path needs nothing
+// special: RunMatrixContext drains the row frontier even on
+// cancellation, so Finish completes the same file a render of the
+// partial matrix would.
 //
-// A FigureStream is not safe for concurrent use on its own; RunMatrix
-// serializes RowFlush calls, and Finish must come after RunMatrix
-// returns. Write errors stick: the first one stops output and comes
-// back from Finish.
+// A FigureStream is not safe for concurrent use on its own;
+// RunMatrixContext serializes RowFlush calls. Finish must follow the
+// last row: call it from the RowFlush call that delivers the row with
+// Index+1 == Total, or after RunMatrixContext returns. Write errors
+// stick: the first one stops output and comes back from Finish.
 type FigureStream struct {
 	w       io.Writer
 	sel     comparisonSelector
-	schemes []Scheme
+	rows    Matrix // every row delivered so far, for the AVERAGE line
 	skipped int
 	err     error
 }
@@ -45,7 +48,7 @@ var figureStreamSpecs = map[string]struct {
 // NewFigureStream starts streaming figure id (fig9 or fig10) for a
 // sweep configured by opt, writing the banner and header immediately.
 // Wire the returned stream's Row into Options.RowFlush and call Finish
-// with the matrix RunMatrix returns.
+// after the last row.
 func NewFigureStream(w io.Writer, id string, opt Options) (*FigureStream, error) {
 	spec, ok := figureStreamSpecs[id]
 	if !ok {
@@ -55,7 +58,7 @@ func NewFigureStream(w io.Writer, id string, opt Options) (*FigureStream, error)
 	if err != nil {
 		return nil, err
 	}
-	f := &FigureStream{w: w, sel: spec.sel, schemes: schemes}
+	f := &FigureStream{w: w, sel: spec.sel, rows: Matrix{Schemes: schemes, Results: map[string]map[Scheme]*mcd.Result{}}}
 	f.line("==== %s: %s ====", id, spec.title)
 	f.line("%s", figureHeader(schemes))
 	return f, nil
@@ -64,17 +67,19 @@ func NewFigureStream(w io.Writer, id string, opt Options) (*FigureStream, error)
 // Row consumes one RowEvent: a complete row is rendered, an incomplete
 // one counted for the omitted-rows note.
 func (f *FigureStream) Row(ev RowEvent) {
-	if !rowComplete(f.schemes, ev.Results) {
+	f.rows.Benchmarks = append(f.rows.Benchmarks, ev.Bench)
+	f.rows.Results[ev.Bench] = ev.Results
+	if !rowComplete(f.rows.Schemes, ev.Results) {
 		f.skipped++
 		return
 	}
-	f.line("%s", figureRow(ev.Bench, f.schemes, ev.Results, f.sel))
+	f.line("%s", figureRow(ev.Bench, f.rows.Schemes, ev.Results, f.sel))
 }
 
-// Finish writes the AVERAGE row and trailing notes from the finished
-// (possibly partial) matrix and returns the first write error.
-func (f *FigureStream) Finish(m *Matrix) error {
-	f.line("%s", m.figureAverage(f.schemes, f.sel))
+// Finish writes the AVERAGE row over the rows delivered and the
+// trailing notes, and returns the first write error.
+func (f *FigureStream) Finish() error {
+	f.line("%s", f.rows.figureAverage(f.rows.Schemes, f.sel))
 	if n := figureSkippedNote(f.skipped); n != "" {
 		f.line("note: %s", n)
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -11,12 +12,17 @@ import (
 
 // Figure7SVG renders the epic_decode FP-domain frequency trajectory as
 // an SVG line chart.
-func Figure7SVG(opt Options) (string, error) {
+func Figure7SVG(ctx context.Context, opt Options) (string, error) {
 	opt = opt.withDefaults()
-	res, err := RunOne("epic_decode", SchemeAdaptive, opt)
+	res, err := RunOneContext(ctx, "epic_decode", SchemeAdaptive, opt)
 	if err != nil {
 		return "", err
 	}
+	return figure7SVG(opt, res)
+}
+
+// figure7SVG charts Figure 7 from the adaptive epic_decode run.
+func figure7SVG(opt Options, res *mcd.Result) (string, error) {
 	tr := res.FreqTrace[mcd.NameFP]
 	if len(tr) < 2 {
 		// Too few retired instructions to trace: a property of the
@@ -41,12 +47,17 @@ func Figure7SVG(opt Options) (string, error) {
 
 // Figure8SVG renders the INT-queue variance spectrum of epic_decode as
 // an SVG bar chart over log-spaced wavelength buckets.
-func Figure8SVG(opt Options) (string, error) {
+func Figure8SVG(ctx context.Context, opt Options) (string, error) {
 	opt = opt.withDefaults()
-	res, err := RunOne("epic_decode", SchemeNone, opt)
+	res, err := RunOneContext(ctx, "epic_decode", SchemeNone, opt)
 	if err != nil {
 		return "", err
 	}
+	return figure8SVG(res)
+}
+
+// figure8SVG charts Figure 8 from the no-DVFS epic_decode run.
+func figure8SVG(res *mcd.Result) (string, error) {
 	sp, err := spectrum.Multitaper(res.QueueSamples[mcd.NameInt], 5)
 	if err != nil {
 		return "", err

@@ -12,8 +12,8 @@ import (
 )
 
 // Every uncached simulation streams core 0's workload from a recorded
-// stream: a matrix cell, RunOne / RunProfile and every report built on
-// them. Generation is a large fraction of an uncontrolled run (RNG
+// stream: a matrix cell, RunOneContext / RunProfileContext and every
+// report built on them. Generation is a large fraction of an uncontrolled run (RNG
 // draws, branch-history map updates), and the same (profile, seed,
 // budget) stream serves every scheme run over one benchmark, so the
 // harness keeps one LRU memo of recorded streams and hands each run a

@@ -83,3 +83,27 @@ func TestReadmeGovernorTable(t *testing.T) {
 		t.Errorf("README governor table is out of date; it must contain exactly these registry-derived rows in order:\n%s", table)
 	}
 }
+
+// TestReadmeArtifactList is the artifact catalog's twin of the table
+// checks: the README's "Experiment artifact IDs" paragraph must list
+// exactly the Artifacts() IDs, in catalog order, as one code span.
+func TestReadmeArtifactList(t *testing.T) {
+	src, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(src)
+	start := strings.Index(readme, "Experiment artifact IDs")
+	if start < 0 {
+		t.Fatal(`README has no "Experiment artifact IDs" paragraph`)
+	}
+	para, _, _ := strings.Cut(readme[start:], "\n\n")
+	var ids []string
+	for _, a := range Artifacts() {
+		ids = append(ids, a.ID)
+	}
+	list := "`" + strings.Join(ids, " ") + "`"
+	if !strings.Contains(strings.Join(strings.Fields(para), " "), list) {
+		t.Errorf("README artifact ID list is out of date; its paragraph must contain this catalog-derived code span:\n%s", list)
+	}
+}
