@@ -63,11 +63,12 @@ bench:
 #     tighter wall gate flaps red on quiet commits. 40% still trips on
 #     catastrophic slowdowns (reintroducing per-cycle polling, an
 #     accidental O(domains) scan per edge).
-#   * work counts at ±10% — allocs/op, and the warm-disk matrix's
-#     disk-B/cell (mean cache-entry size), repeat exactly between
-#     runs, so this gate is tight; it is the one that catches
-#     per-iteration garbage creeping back into the hot path, or a
-#     cache entry quietly growing.
+#   * work counts at ±10% — allocs/op, B/op and the warm-disk
+#     matrix's disk-B/cell (mean cache-entry size), each the minimum
+#     over the five repeats, repeat between runs, so this gate is
+#     tight; it is the one that catches per-iteration garbage creeping
+#     back into the hot path, a result holding more memory, or a cache
+#     entry quietly growing.
 #
 # After a deliberate performance change, refresh the baseline with
 # `make bench-baseline`.

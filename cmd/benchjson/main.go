@@ -10,6 +10,9 @@
 // Repeated runs of the same benchmark (from -count=N) are merged
 // best-of-N — the fastest ns/op line wins — because the minimum of a
 // few runs is far more stable on shared machines than any single run.
+// Each work count (see below) is merged as its own minimum over the
+// repeats: the first repeat in a process also pays one-time
+// allocations, so the fastest line need not carry the steady count.
 //
 // With -compare it instead diffs two such documents and exits 1 when
 // any benchmark present in both regressed beyond tolerance. Two gates
@@ -22,11 +25,12 @@
 //     gate is deliberately coarse — wall time on shared machines
 //     drifts ±20-30% between invocations, so it only trips on
 //     catastrophic slowdowns.
-//   - work counts, at -alloc-tolerance percent: allocs/op and the
-//     warm-disk matrix's disk-B/cell (mean cache-entry size) repeat
-//     exactly run to run, so this gate can be tight. It is the one
+//   - work counts, at -alloc-tolerance percent: allocs/op, B/op and
+//     the warm-disk matrix's disk-B/cell (mean cache-entry size)
+//     repeat run to run, so this gate can be tight. It is the one
 //     that catches per-iteration garbage creeping back into the hot
-//     path, or a cache entry quietly growing.
+//     path, a result quietly holding more memory, or a cache entry
+//     quietly growing.
 //
 // Speedups and allocation drops never fail:
 //
@@ -69,7 +73,7 @@ func main() {
 	out := flag.String("out", "", "write JSON here instead of stdout")
 	compare := flag.Bool("compare", false, "compare two baseline JSON files (old new) instead of parsing stdin")
 	tolerance := flag.Float64("tolerance", 25, "with -compare, max allowed wall-clock (ns/op or sim-insts/s) regression in percent")
-	allocTolerance := flag.Float64("alloc-tolerance", 10, "with -compare, max allowed regression in percent of allocs/op and disk-B/cell")
+	allocTolerance := flag.Float64("alloc-tolerance", 10, "with -compare, max allowed regression in percent of allocs/op, B/op and disk-B/cell")
 	flag.Parse()
 
 	if *compare {
@@ -127,15 +131,33 @@ func main() {
 // addBest records b in the baseline, merging -count=N repeats of the
 // same benchmark best-of-N: the fastest ns/op line wins, because the
 // minimum over a few runs is far more stable against scheduler and
-// frequency noise than any individual run.
+// frequency noise than any individual run. Each work count is then
+// the minimum over every repeat, whichever line was fastest: the
+// first repeat carries the process's one-time allocations.
 func addBest(base *Baseline, b Benchmark) {
 	for i := range base.Benchmarks {
-		if base.Benchmarks[i].Name == b.Name {
-			if b.NsPerOp < base.Benchmarks[i].NsPerOp {
-				base.Benchmarks[i] = b
-			}
-			return
+		best := &base.Benchmarks[i]
+		if best.Name != b.Name {
+			continue
 		}
+		other := b.Metrics
+		if b.NsPerOp < best.NsPerOp {
+			other = best.Metrics
+			*best = b
+		}
+		for _, unit := range workUnits {
+			v, ok := other[unit]
+			if !ok {
+				continue
+			}
+			if cur, has := best.Metrics[unit]; !has || v < cur {
+				if best.Metrics == nil {
+					best.Metrics = map[string]float64{}
+				}
+				best.Metrics[unit] = v
+			}
+		}
+		return
 	}
 	base.Benchmarks = append(base.Benchmarks, b)
 }
@@ -147,11 +169,12 @@ func addBest(base *Baseline, b Benchmark) {
 // figure, cells/s the matrix harness's.
 var throughputUnits = []string{"sim-insts/s", "cells/s"}
 
-// workUnits are the deterministic work counts: -benchmem's
-// allocation-count column and the cache-entry bytes per warm-disk cell.
-// Unlike wall time they repeat between runs, so they share their own,
+// workUnits are the deterministic work counts: -benchmem's allocation
+// count and bytes, and the cache-entry bytes per warm-disk cell.
+// Unlike wall time they repeat between runs (past a process's first
+// repeat, which addBest's minimum drops), so they share their own,
 // much tighter gate.
-var workUnits = []string{"allocs/op", "disk-B/cell"}
+var workUnits = []string{"allocs/op", "B/op", "disk-B/cell"}
 
 // compareBaselines diffs old vs new by benchmark name and returns the
 // process exit code: 0 when every shared benchmark's regression is
@@ -160,8 +183,8 @@ var workUnits = []string{"allocs/op", "disk-B/cell"}
 // sides report it, ns/op otherwise) and each work count in workUnits
 // at allocTolerance percent. Benchmarks present on only one side are
 // reported but never fail the comparison — adding or retiring a
-// benchmark is not a regression. Remaining metric deltas (B/op, ...)
-// are informational.
+// benchmark is not a regression. Remaining metric deltas (ns/render,
+// ...) are informational.
 func compareBaselines(oldPath, newPath string, tolerance, allocTolerance float64) int {
 	load := func(path string) (map[string]Benchmark, []string, bool) {
 		blob, err := os.ReadFile(path)

@@ -42,6 +42,36 @@ func TestAddBestMergesRepeats(t *testing.T) {
 	}
 }
 
+// TestAddBestTakesMinimumWorkCounts asserts each work count merges as
+// its minimum over the repeats, independently of the fastest line: the
+// first repeat carries one-time allocations, and the fastest line may
+// be a repeat before the counts settle.
+func TestAddBestTakesMinimumWorkCounts(t *testing.T) {
+	var base Baseline
+	rep := func(ns, bytes, allocs float64) Benchmark {
+		return Benchmark{Name: "BenchmarkX", NsPerOp: ns,
+			Metrics: map[string]float64{"sim-insts/s": 1e9 / ns, "B/op": bytes, "allocs/op": allocs}}
+	}
+	addBest(&base, rep(90, 6.6e6, 230)) // first repeat: fastest, one-time allocations
+	addBest(&base, rep(100, 4.1e6, 226))
+	addBest(&base, rep(95, 4.2e6, 224))
+	got := base.Benchmarks[0]
+	if got.NsPerOp != 90 || got.Metrics["sim-insts/s"] != 1e9/90 {
+		t.Errorf("wall figures not from the fastest line: %+v", got)
+	}
+	if got.Metrics["B/op"] != 4.1e6 || got.Metrics["allocs/op"] != 224 {
+		t.Errorf("work counts not the per-unit minimum: %+v", got.Metrics)
+	}
+
+	// A work count only some repeats report is kept from those.
+	base = Baseline{}
+	addBest(&base, Benchmark{Name: "BenchmarkY", NsPerOp: 50, Metrics: map[string]float64{"disk-B/cell": 700}})
+	addBest(&base, Benchmark{Name: "BenchmarkY", NsPerOp: 40})
+	if got := base.Benchmarks[0]; got.NsPerOp != 40 || got.Metrics["disk-B/cell"] != 700 {
+		t.Errorf("partial work count lost: %+v", got)
+	}
+}
+
 // writeBaseline marshals benches to a temp baseline file.
 func writeBaseline(t *testing.T, dir, name string, benches ...Benchmark) string {
 	t.Helper()
@@ -142,6 +172,36 @@ func TestCompareGatesOnDiskBytes(t *testing.T) {
 		{"entry size grows past tolerance", bench(100, 150000), 1},
 		{"entry size grows despite faster wall clock", bench(50, 150000), 1},
 		{"entry size shrinks", bench(100, 37000), 0},
+	}
+	for _, tc := range cases {
+		newPath := writeBaseline(t, dir, "new.json", tc.new)
+		if got := compareBaselines(old, newPath, 40, 10); got != tc.want {
+			t.Errorf("%s: exit %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// B/op, the bytes allocated per iteration, is a work count too: a
+// result holding more memory fails it even when allocs/op and wall
+// time do not move.
+func TestCompareGatesOnBytes(t *testing.T) {
+	dir := t.TempDir()
+	bench := func(ns, bytes float64) Benchmark {
+		return Benchmark{Name: "BenchmarkSimulatorThroughput", NsPerOp: ns,
+			Metrics: map[string]float64{"allocs/op": 224, "B/op": bytes, "sim-insts/s": 1e6}}
+	}
+	old := writeBaseline(t, dir, "old.json", bench(100, 1.06e6))
+
+	cases := []struct {
+		name string
+		new  Benchmark
+		want int
+	}{
+		{"bytes unchanged", bench(100, 1.06e6), 0},
+		{"bytes within tolerance", bench(100, 1.15e6), 0},
+		{"bytes regress past tolerance", bench(100, 4.1e6), 1},
+		{"bytes regress despite faster wall clock", bench(50, 4.1e6), 1},
+		{"bytes drop passes", bench(100, 0.5e6), 0},
 	}
 	for _, tc := range cases {
 		newPath := writeBaseline(t, dir, "new.json", tc.new)

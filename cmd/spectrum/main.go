@@ -63,7 +63,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "spectrum: unknown domain %q\n", *domain)
 		os.Exit(2)
 	}
-	samples := res.QueueSamples[name]
+	samples := res.QueueSamples[name].Floats()
 	sp, err := spectrum.Multitaper(samples, 5)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spectrum:", err)

@@ -84,7 +84,7 @@ func main() {
 	}
 
 	// The classifier agrees this is a fast-varying workload.
-	share, fast, err := mcddvfs.ClassifyWorkload(base.QueueSamples["FP"])
+	share, fast, err := mcddvfs.ClassifyWorkload(base.QueueSamples["FP"].Floats())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,8 +37,8 @@
 // several times faster than JSON at the sizes simulation results
 // reach. The harness's dominant payload — occupancy and frequency
 // series — carries its own compact gob form (mcd.Series,
-// mcd.FreqSeries), so an entry costs about a byte per occupancy sample
-// rather than a varint-encoded float.
+// mcd.FreqSeries), so an entry costs about a byte per occupancy sample,
+// half the two bytes a sample takes in memory.
 package diskcache
 
 import (

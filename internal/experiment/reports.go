@@ -115,7 +115,7 @@ func classifyRun(prof trace.Profile, res *mcd.Result) (BenchClass, error) {
 		if len(samples) < 64 {
 			continue
 		}
-		cl, err := spectrum.Classify(samples, spectrum.DefaultIntervalSamples, spectrum.DefaultFastShareThreshold)
+		cl, err := spectrum.Classify(samples.Floats(), spectrum.DefaultIntervalSamples, spectrum.DefaultFastShareThreshold)
 		if err != nil {
 			return BenchClass{}, err
 		}
@@ -217,8 +217,7 @@ func Figure8(ctx context.Context, opt Options) (Report, error) {
 
 // figure8 renders Figure 8 from the no-DVFS epic_decode run.
 func figure8(res *mcd.Result) (Report, error) {
-	samples := res.QueueSamples[mcd.NameInt]
-	sp, err := spectrum.Multitaper(samples, 5)
+	sp, err := spectrum.Multitaper(res.QueueSamples[mcd.NameInt].Floats(), 5)
 	if err != nil {
 		return Report{}, err
 	}
@@ -287,17 +286,17 @@ type comparisonSelector func(sav, perf, edp float64) float64
 func (m *Matrix) figure(id, title string, sel comparisonSelector) Report {
 	schemes := m.schemes()
 	lines := []string{figureHeader(schemes)}
-	skipped := 0
+	var omitted []string
 	for _, b := range m.Benchmarks {
-		if !rowComplete(schemes, m.Results[b]) {
-			skipped++
+		if o := omittedRow(b, schemes, m.Results[b]); o != "" {
+			omitted = append(omitted, o)
 			continue
 		}
 		lines = append(lines, figureRow(b, schemes, m.Results[b], sel))
 	}
 	lines = append(lines, m.figureAverage(schemes, sel))
 	rep := Report{ID: id, Title: title, Lines: lines}
-	if n := figureSkippedNote(skipped); n != "" {
+	if n := figureSkippedNote(omitted); n != "" {
 		rep.Notes = append(rep.Notes, n)
 	}
 	return rep
@@ -316,18 +315,21 @@ func figureHeader(schemes []Scheme) string {
 	return header
 }
 
-// rowComplete reports whether a row snapshot holds the baseline and
-// every scheme column (the per-row form of Matrix.Complete).
-func rowComplete(schemes []Scheme, row map[Scheme]*mcd.Result) bool {
-	if row[SchemeNone] == nil {
-		return false
-	}
-	for _, s := range schemes {
+// omittedRow names a row snapshot that lacks the baseline or a scheme
+// column (the per-row form of Matrix.Complete) together with its
+// missing cells, as "gzip (none, pid)"; it returns "" for a complete
+// row.
+func omittedRow(bench string, schemes []Scheme, row map[Scheme]*mcd.Result) string {
+	var missing []string
+	for _, s := range append([]Scheme{SchemeNone}, schemes...) {
 		if row[s] == nil {
-			return false
+			missing = append(missing, string(s))
 		}
 	}
-	return true
+	if missing == nil {
+		return ""
+	}
+	return fmt.Sprintf("%s (%s)", bench, strings.Join(missing, ", "))
 }
 
 // figureRow renders one complete benchmark row.
@@ -351,12 +353,13 @@ func (m *Matrix) figureAverage(schemes []Scheme, sel comparisonSelector) string 
 	return avg
 }
 
-// figureSkippedNote renders the omitted-rows note ("" when none).
-func figureSkippedNote(skipped int) string {
-	if skipped == 0 {
+// figureSkippedNote renders the omitted-rows note from omittedRow's
+// entries ("" when none).
+func figureSkippedNote(omitted []string) string {
+	if len(omitted) == 0 {
 		return ""
 	}
-	return fmt.Sprintf("%d benchmark(s) omitted: cells failed (see matrix failure list)", skipped)
+	return fmt.Sprintf("%d benchmark(s) omitted, cells failed or cancelled: %s", len(omitted), strings.Join(omitted, "; "))
 }
 
 // Table3Report renders the PID-interval sweep against the adaptive

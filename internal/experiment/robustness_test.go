@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -159,6 +160,64 @@ func TestMatrixPanicIsolation(t *testing.T) {
 	for _, s := range []Scheme{SchemeNone, SchemePID, SchemeAttackDecay} {
 		if m.Results["gzip"][s] == nil {
 			t.Errorf("%s cell missing although only adaptive panicked", s)
+		}
+	}
+}
+
+// TestFigureNoteNamesFailedCell asserts the omitted-rows note of the
+// matrix figures names the benchmark and the cell that failed, and
+// that the streamed figure files carry the same note as the batch
+// render.
+func TestFigureNoteNamesFailedCell(t *testing.T) {
+	t.Parallel()
+	// As in TestMatrixPanicIsolation, only the adaptive cell panics.
+	var calls atomic.Int64
+	opt := uncached(Options{
+		Instructions: 20000,
+		Seed:         3,
+		Benchmarks:   []string{"gzip"},
+		MutateAdaptive: func(c *control.Config) {
+			if calls.Add(1) > int64(isa.NumExecDomains) {
+				panic("rigged controller")
+			}
+		},
+	})
+	streamed := map[string]*bytes.Buffer{"fig9": {}, "fig10": {}}
+	var streams []*FigureStream
+	for _, id := range []string{"fig9", "fig10"} {
+		s, err := NewFigureStream(streamed[id], id, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, s)
+	}
+	opt.RowFlush = func(ev RowEvent) {
+		for _, s := range streams {
+			s.Row(ev)
+		}
+	}
+	m, err := RunMatrixContext(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range streams {
+		if err := s.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const note = "1 benchmark(s) omitted, cells failed or cancelled: gzip (adaptive)"
+	for id, rep := range map[string]Report{"fig9": m.Figure9(), "fig10": m.Figure10(), "fig11": m.Figure11([]string{"gzip"})} {
+		if len(rep.Notes) == 0 || rep.Notes[0] != note {
+			t.Errorf("%s notes %q, want first %q", id, rep.Notes, note)
+		}
+		got, ok := streamed[id]
+		if !ok {
+			continue // fig11 does not stream
+		}
+		var want bytes.Buffer
+		rep.WriteTo(&want) //nolint:errcheck // bytes.Buffer cannot fail
+		if got.String() != want.String() {
+			t.Errorf("streamed %s differs from batch:\n--- stream\n%s--- batch\n%s", id, got, want.String())
 		}
 	}
 }

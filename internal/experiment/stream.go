@@ -26,8 +26,8 @@ import (
 type FigureStream struct {
 	w       io.Writer
 	sel     comparisonSelector
-	rows    Matrix // every row delivered so far, for the AVERAGE line
-	skipped int
+	rows    Matrix   // every row delivered so far, for the AVERAGE line
+	omitted []string // omittedRow of each incomplete row
 	err     error
 }
 
@@ -65,12 +65,12 @@ func NewFigureStream(w io.Writer, id string, opt Options) (*FigureStream, error)
 }
 
 // Row consumes one RowEvent: a complete row is rendered, an incomplete
-// one counted for the omitted-rows note.
+// one named in the omitted-rows note.
 func (f *FigureStream) Row(ev RowEvent) {
 	f.rows.Benchmarks = append(f.rows.Benchmarks, ev.Bench)
 	f.rows.Results[ev.Bench] = ev.Results
-	if !rowComplete(f.rows.Schemes, ev.Results) {
-		f.skipped++
+	if o := omittedRow(ev.Bench, f.rows.Schemes, ev.Results); o != "" {
+		f.omitted = append(f.omitted, o)
 		return
 	}
 	f.line("%s", figureRow(ev.Bench, f.rows.Schemes, ev.Results, f.sel))
@@ -80,7 +80,7 @@ func (f *FigureStream) Row(ev RowEvent) {
 // trailing notes, and returns the first write error.
 func (f *FigureStream) Finish() error {
 	f.line("%s", f.rows.figureAverage(f.rows.Schemes, f.sel))
-	if n := figureSkippedNote(f.skipped); n != "" {
+	if n := figureSkippedNote(f.omitted); n != "" {
 		f.line("note: %s", n)
 	}
 	f.line("")

@@ -58,7 +58,7 @@ func Figure8SVG(ctx context.Context, opt Options) (string, error) {
 
 // figure8SVG charts Figure 8 from the no-DVFS epic_decode run.
 func figure8SVG(res *mcd.Result) (string, error) {
-	sp, err := spectrum.Multitaper(res.QueueSamples[mcd.NameInt], 5)
+	sp, err := spectrum.Multitaper(res.QueueSamples[mcd.NameInt].Floats(), 5)
 	if err != nil {
 		return "", err
 	}

@@ -9,6 +9,7 @@ package mcd
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mcddvfs/internal/cache"
@@ -184,6 +185,12 @@ func (c *Config) Validate() error {
 	for _, name := range names {
 		if v := pos[name]; v <= 0 {
 			return fmt.Errorf("mcd: %s must be positive, got %d", name, v)
+		}
+	}
+	// The sampled queues' occupancies are stored as uint16 (Series).
+	for _, name := range []string{"FPQSize", "FetchBuf", "IntQSize", "LSQueue"} {
+		if v := pos[name]; v > math.MaxUint16 {
+			return fmt.Errorf("mcd: %s must be at most %d, got %d", name, math.MaxUint16, v)
 		}
 	}
 	if c.SamplingMHz <= 0 {

@@ -122,15 +122,16 @@ func TestSmallerROBHurtsIPC(t *testing.T) {
 func TestQueueOccupancySampleBounds(t *testing.T) {
 	cfg := DefaultConfig()
 	res := runBench(t, "art", 60000, cfg, nil)
-	limits := map[string]float64{
-		NameInt: float64(cfg.IntQSize),
-		NameFP:  float64(cfg.FPQSize),
-		NameLS:  float64(cfg.LSQueue),
+	limits := map[string]int{
+		NameInt: cfg.IntQSize,
+		NameFP:  cfg.FPQSize,
+		NameLS:  cfg.LSQueue,
 	}
 	for name, lim := range limits {
+		// Samples are unsigned, so only the upper bound can fail.
 		for _, v := range res.QueueSamples[name] {
-			if v < 0 || v > lim {
-				t.Fatalf("%s occupancy %g outside [0,%g]", name, v, lim)
+			if int(v) > lim {
+				t.Fatalf("%s occupancy %d outside [0,%d]", name, v, lim)
 			}
 		}
 	}
@@ -237,8 +238,8 @@ func TestControllerSeesLiveOccupancy(t *testing.T) {
 		t.Fatalf("controller saw %d samples, sampler recorded %d", len(obs.seen), len(rec))
 	}
 	for i := range rec {
-		if float64(obs.seen[i]) != rec[i] {
-			t.Fatalf("sample %d: controller %d vs sampler %g", i, obs.seen[i], rec[i])
+		if obs.seen[i] != int(rec[i]) {
+			t.Fatalf("sample %d: controller %d vs sampler %d", i, obs.seen[i], rec[i])
 		}
 	}
 }

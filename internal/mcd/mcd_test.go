@@ -41,7 +41,7 @@ func meanSampled(r *Result, domain string) float64 {
 	}
 	sum := 0.0
 	for _, v := range s {
-		sum += v
+		sum += float64(v)
 	}
 	return sum / float64(len(s))
 }
@@ -74,6 +74,23 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 	delete(cfg.Power, NameFP)
 	if err := cfg.Validate(); err == nil {
 		t.Error("missing power model accepted")
+	}
+	// A sampled queue's occupancy must fit a Series sample.
+	for name, field := range map[string]func(*Config) *int{
+		"IntQSize": func(c *Config) *int { return &c.IntQSize },
+		"FPQSize":  func(c *Config) *int { return &c.FPQSize },
+		"LSQueue":  func(c *Config) *int { return &c.LSQueue },
+		"FetchBuf": func(c *Config) *int { return &c.FetchBuf },
+	} {
+		cfg = DefaultConfig()
+		*field(&cfg) = 65536
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s = 65536 accepted", name)
+		}
+		*field(&cfg) = 65535
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s = 65535 rejected: %v", name, err)
+		}
 	}
 }
 
@@ -113,8 +130,8 @@ func TestQueueSamplesRecorded(t *testing.T) {
 			t.Errorf("%s: no occupancy samples", name)
 		}
 		for _, v := range s {
-			if v < 0 || v > 20 {
-				t.Fatalf("%s: occupancy sample %g out of range", name, v)
+			if v > 20 { // unsigned: never below 0
+				t.Fatalf("%s: occupancy sample %d out of range", name, v)
 			}
 		}
 	}

@@ -125,7 +125,7 @@ type Processor struct {
 
 	// Dispatch-domain control (5-domain machines with ControlFrontEnd).
 	feController Controller
-	feSampler    *queue.Sampler
+	feSampler    *queue.Sampler // nil unless cfg.ControlFrontEnd
 	feSensor     *faults.Sensor
 	feActuator   *faults.Actuator
 
@@ -268,7 +268,9 @@ func New(cfg Config) (*Processor, error) {
 	for d := 0; d < isa.NumExecDomains; d++ {
 		p.samplers[d] = queue.NewSampler(cfg.SampleLimit)
 	}
-	p.feSampler = queue.NewSampler(cfg.SampleLimit)
+	if cfg.ControlFrontEnd {
+		p.feSampler = queue.NewSampler(cfg.SampleLimit)
+	}
 	return p, nil
 }
 
@@ -1299,7 +1301,7 @@ func (p *Processor) collect(end clock.Time) *Result {
 		if len(samples) > 0 {
 			sum := 0.0
 			for _, s := range samples {
-				sum += s
+				sum += float64(s)
 			}
 			ds.MeanOccupancy = sum / float64(len(samples))
 			res.Domains[name] = ds

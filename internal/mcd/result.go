@@ -46,7 +46,9 @@ type Result struct {
 	Domains map[string]DomainStats
 
 	// QueueSamples holds the 250 MHz occupancy series per controlled
-	// domain (INT, FP, LS), possibly truncated to the sample limit.
+	// domain (INT, FP, LS), possibly truncated to the sample limit, at
+	// two bytes a sample (one on disk). Series.Floats gives the
+	// []float64 the spectral analysis reads.
 	QueueSamples map[string]Series
 
 	// FreqTrace holds the frequency trajectory per controlled domain.

@@ -7,23 +7,26 @@ import (
 	"math"
 )
 
-// Series is a sampled occupancy series (Result.QueueSamples). It is a
-// plain []float64 in memory; the named type exists only to give the
-// series a compact gob form, since a cached Result is mostly these
-// samples and gob's own float encoding spends a varint per value.
+// Series is a sampled occupancy series (Result.QueueSamples). An
+// occupancy is a small non-negative integer, so a sample takes two
+// bytes in memory (Config.Validate caps every sampled queue at 65535
+// entries). Floats converts the series for the spectral analysis.
 //
-// The encoding is a form byte followed by the samples, with no length
+// The gob form is a form byte followed by the samples, with no length
 // prefix — the payload length fixes the count:
 //
-//   - packed: one byte per sample, chosen when every value is an
-//     integer in [0, 255] and none is −0. Every queue occupancy is one
-//     (Sampler.Record stores float64 of an int).
-//   - raw: the little-endian IEEE-754 bits of each sample, for
-//     anything else.
+//   - packed: one byte per sample, chosen when every sample is at
+//     most 255, as every default-sized queue's is.
+//   - raw: the little-endian IEEE-754 bits of each sample as a
+//     float64, for anything else. Decoding rejects a raw sample that
+//     is not an integer in [0, 65535].
 //
-// An empty or nil series encodes to zero bytes and decodes to nil, as
-// gob does for a plain empty slice. Both forms round-trip bit for bit.
-type Series []float64
+// Both forms are the ones the series had when it was a []float64, so
+// cache entries written then still decode. An empty or nil series
+// encodes to zero bytes and decodes to nil, as gob does for a plain
+// empty slice. On disk a series therefore costs about one byte per
+// sample.
+type Series []uint16
 
 // FreqSeries is a frequency trajectory (Result.FreqTrace). Its gob form
 // is uvarint(n), then n little-endian MHz bit patterns, then n
@@ -39,9 +42,17 @@ const (
 	seriesRaw    byte = 2
 )
 
-// packable reports whether v survives the one-byte form exactly.
-func packable(v float64) bool {
-	return v >= 0 && v <= 255 && v == math.Trunc(v) && (v != 0 || !math.Signbit(v))
+// Floats returns the series as float64 values, the form the spectral
+// analysis reads. It allocates; a nil series gives nil.
+func (s Series) Floats() []float64 {
+	if s == nil {
+		return nil
+	}
+	out := make([]float64, len(s))
+	for i, v := range s {
+		out[i] = float64(v)
+	}
+	return out
 }
 
 // GobEncode implements gob.GobEncoder.
@@ -51,7 +62,7 @@ func (s Series) GobEncode() ([]byte, error) {
 	}
 	packed := true
 	for _, v := range s {
-		if !packable(v) {
+		if v > math.MaxUint8 {
 			packed = false
 			break
 		}
@@ -67,7 +78,7 @@ func (s Series) GobEncode() ([]byte, error) {
 	buf := make([]byte, 1+8*len(s))
 	buf[0] = seriesRaw
 	for i, v := range s {
-		binary.LittleEndian.PutUint64(buf[1+8*i:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(buf[1+8*i:], math.Float64bits(float64(v)))
 	}
 	return buf, nil
 }
@@ -87,7 +98,7 @@ func (s *Series) GobDecode(data []byte) error {
 	case seriesPacked:
 		out := make(Series, len(body))
 		for i, b := range body {
-			out[i] = float64(b)
+			out[i] = uint16(b)
 		}
 		*s = out
 	case seriesRaw:
@@ -96,7 +107,11 @@ func (s *Series) GobDecode(data []byte) error {
 		}
 		out := make(Series, len(body)/8)
 		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+			v := math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+			if !(v >= 0 && v <= math.MaxUint16 && v == math.Trunc(v)) {
+				return fmt.Errorf("mcd: raw series sample %d is %g, not an occupancy", i, v)
+			}
+			out[i] = uint16(v)
 		}
 		*s = out
 	default:

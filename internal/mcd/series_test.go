@@ -2,26 +2,21 @@ package mcd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"mcddvfs/internal/isa"
 )
 
-// sameSeries compares two series bit for bit (NaN payloads and the
-// sign of zero included) and by nil-ness.
+// sameSeries compares two series sample for sample and by nil-ness.
 func sameSeries(a, b Series) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
+	return (a == nil) == (b == nil) && slices.Equal(a, b)
 }
 
 func sameFreq(a, b FreqSeries) bool {
@@ -40,11 +35,9 @@ func sameFreq(a, b FreqSeries) bool {
 // decodes to exactly what was encoded, in the form the packing rule
 // selects, and empty series come back nil.
 func TestSeriesRoundTrip(t *testing.T) {
-	nan1 := math.Float64frombits(0x7ff8_0000_0000_0001)
-	nan2 := math.Float64frombits(0xfff0_dead_beef_0001)
 	ramp := make(Series, 256)
 	for i := range ramp {
-		ramp[i] = float64(i)
+		ramp[i] = uint16(i)
 	}
 	cases := []struct {
 		name   string
@@ -55,13 +48,8 @@ func TestSeriesRoundTrip(t *testing.T) {
 		{"empty", Series{}, false},
 		{"occupancies", Series{0, 3, 17, 255, 1, 0}, true},
 		{"all bytes", ramp, true},
-		{"negative zero", Series{1, math.Copysign(0, -1), 2}, false},
-		{"NaN payloads", Series{nan1, 4, nan2}, false},
 		{"above 255", Series{0, 255, 256}, false},
-		{"negative", Series{-1, 2}, false},
-		{"fractional", Series{0.5, 2}, false},
-		{"infinities", Series{math.Inf(1), math.Inf(-1)}, false},
-		{"smallest subnormal", Series{math.SmallestNonzeroFloat64}, false},
+		{"uint16 extremes", Series{65535, 0, 1}, false},
 	}
 	for _, tc := range cases {
 		blob, err := tc.in.GobEncode()
@@ -93,6 +81,92 @@ func TestSeriesRoundTrip(t *testing.T) {
 		if !sameSeries(out, want) {
 			t.Errorf("%s: round trip %v -> %v", tc.name, tc.in, out)
 		}
+	}
+}
+
+// Gob bytes written when Series was a []float64, so that cache entries
+// from before the two-byte samples keep decoding. seriesPackedBytes and
+// seriesRawBytes are the codec's own output for {0, 3, 17, 255} and
+// {256, 65535, 0}; legacyStream is a gob stream of
+// struct{ Packed, Raw Series } holding the same two series.
+var (
+	seriesPackedBytes = []byte{0x1, 0x0, 0x3, 0x11, 0xff}
+	seriesRawBytes    = []byte{0x2,
+		0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x70, 0x40,
+		0x0, 0x0, 0x0, 0x0, 0xe0, 0xff, 0xef, 0x40,
+		0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0}
+	legacyStream = []byte{0x20, 0x7f, 0x3, 0x1, 0x2, 0xff, 0x80, 0x0, 0x1, 0x2, 0x1, 0x6, 0x50, 0x61, 0x63,
+		0x6b, 0x65, 0x64, 0x1, 0xff, 0x82, 0x0, 0x1, 0x3, 0x52, 0x61, 0x77, 0x1, 0xff, 0x82, 0x0, 0x0,
+		0x0, 0x12, 0xff, 0x81, 0x5, 0x1, 0x1, 0x6, 0x53, 0x65, 0x72, 0x69, 0x65, 0x73, 0x1, 0xff, 0x82,
+		0x0, 0x0, 0x0, 0x25, 0xff, 0x80, 0x1, 0x5, 0x1, 0x0, 0x3, 0x11, 0xff, 0x1, 0x19, 0x2, 0x0, 0x0,
+		0x0, 0x0, 0x0, 0x0, 0x70, 0x40, 0x0, 0x0, 0x0, 0x0, 0xe0, 0xff, 0xef, 0x40, 0x0, 0x0, 0x0, 0x0,
+		0x0, 0x0, 0x0, 0x0, 0x0}
+)
+
+// TestSeriesKeepsLegacyBytes asserts the codec's bytes did not change
+// with the sample type: the encoder writes the float64-era bytes, and
+// those bytes, alone or inside a gob stream, decode to the same
+// samples.
+func TestSeriesKeepsLegacyBytes(t *testing.T) {
+	packed, raw := Series{0, 3, 17, 255}, Series{256, 65535, 0}
+	for _, tc := range []struct {
+		in   Series
+		want []byte
+	}{{packed, seriesPackedBytes}, {raw, seriesRawBytes}} {
+		blob, err := tc.in.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, tc.want) {
+			t.Errorf("%v encoded to %#v, want %#v", tc.in, blob, tc.want)
+		}
+		var out Series
+		if err := out.GobDecode(tc.want); err != nil || !sameSeries(out, tc.in) {
+			t.Errorf("legacy bytes %#v decoded to %v (%v), want %v", tc.want, out, err, tc.in)
+		}
+	}
+	var v struct{ Packed, Raw Series }
+	if err := gob.NewDecoder(bytes.NewReader(legacyStream)).Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	if !sameSeries(v.Packed, packed) || !sameSeries(v.Raw, raw) {
+		t.Errorf("legacy gob stream decoded to %v and %v, want %v and %v", v.Packed, v.Raw, packed, raw)
+	}
+}
+
+// rawSeries builds the raw form of samples, as the float64-era
+// encoder wrote it for any value.
+func rawSeries(samples ...float64) []byte {
+	buf := []byte{seriesRaw}
+	for _, v := range samples {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return buf
+}
+
+// TestSeriesFloats asserts Floats is the exact float64 image of the
+// series, and keeps nil as nil.
+func TestSeriesFloats(t *testing.T) {
+	if got := Series(nil).Floats(); got != nil {
+		t.Errorf("nil series gave %v", got)
+	}
+	got := Series{0, 3, 255, 256, 65535}.Floats()
+	if want := []float64{0, 3, 255, 256, 65535}; !slices.Equal(got, want) {
+		t.Errorf("Floats = %v, want %v", got, want)
+	}
+}
+
+// TestSeriesJSON pins the JSON form of a Result's QueueSamples: an
+// array of numbers per domain, as a []float64 of occupancies gave, not
+// the base64 string encoding/json writes for a byte slice.
+func TestSeriesJSON(t *testing.T) {
+	blob, err := json.Marshal(Result{QueueSamples: map[string]Series{NameInt: {0, 3, 255, 256, 65535}, NameFP: nil}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `"QueueSamples":{"FP":null,"INT":[0,3,255,256,65535]}`
+	if !strings.Contains(string(blob), want) {
+		t.Errorf("JSON Result lacks %s:\n%s", want, blob)
 	}
 }
 
@@ -137,6 +211,11 @@ func TestSeriesRejectsMalformed(t *testing.T) {
 		"form byte only":  {seriesPacked},
 		"unknown form":    {0, 1, 2},
 		"ragged raw body": {seriesRaw, 1, 2, 3},
+		"fractional":      rawSeries(1, 0.25),
+		"negative":        rawSeries(-1, 2),
+		"NaN":             rawSeries(3, math.NaN()),
+		"above uint16":    rawSeries(65535, 65536),
+		"infinity":        rawSeries(math.Inf(1)),
 	} {
 		var s Series
 		if err := s.GobDecode(blob); err == nil {
@@ -165,7 +244,7 @@ func TestSeriesRejectsMalformed(t *testing.T) {
 func TestSeriesGobMatchesPlainSlices(t *testing.T) {
 	in := Result{
 		Benchmark:    "gzip",
-		QueueSamples: map[string]Series{NameInt: {1, 2, 3}, NameFP: {}, NameLS: nil, "FetchQ": {0.25}},
+		QueueSamples: map[string]Series{NameInt: {1, 2, 3}, NameFP: {}, NameLS: nil, "FetchQ": {256}},
 		FreqTrace:    map[string]FreqSeries{NameInt: {{Insts: 9, MHz: 1000}}, NameFP: {}},
 	}
 	var buf bytes.Buffer
@@ -177,7 +256,7 @@ func TestSeriesGobMatchesPlainSlices(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := in
-	want.QueueSamples = map[string]Series{NameInt: {1, 2, 3}, NameFP: nil, NameLS: nil, "FetchQ": {0.25}}
+	want.QueueSamples = map[string]Series{NameInt: {1, 2, 3}, NameFP: nil, NameLS: nil, "FetchQ": {256}}
 	want.FreqTrace = map[string]FreqSeries{NameInt: {{Insts: 9, MHz: 1000}}, NameFP: nil}
 	if !reflect.DeepEqual(out, want) {
 		t.Errorf("gob round trip:\n got %+v\nwant %+v", out, want)
@@ -240,7 +319,7 @@ func TestSimulatedSeriesPack(t *testing.T) {
 // anything they accept must re-encode to a form that decodes to the
 // same values.
 func FuzzSeriesCodec(f *testing.F) {
-	for _, s := range []Series{{0, 4, 255}, {0.5, math.NaN(), math.Copysign(0, -1)}} {
+	for _, s := range []Series{{0, 4, 255}, {256, 65535, 0}} {
 		blob, _ := s.GobEncode()
 		f.Add(blob)
 	}

@@ -177,10 +177,10 @@ func TestSampler(t *testing.T) {
 	if n := len(s.Samples()); n != 3 {
 		t.Errorf("retained %d samples, want 3", n)
 	}
-	want := []float64{0, 1, 2}
+	want := []uint16{0, 1, 2}
 	for i, v := range s.Samples() {
 		if v != want[i] {
-			t.Errorf("sample %d = %g, want %g", i, v, want[i])
+			t.Errorf("sample %d = %d, want %d", i, v, want[i])
 		}
 	}
 	unl := NewSampler(0)
@@ -189,6 +189,11 @@ func TestSampler(t *testing.T) {
 	}
 	if len(unl.Samples()) != 100 {
 		t.Error("unlimited sampler dropped samples")
+	}
+	// The largest occupancy a validated queue can reach is stored exactly.
+	unl.Record(65535)
+	if got := unl.Samples()[100]; got != 65535 {
+		t.Errorf("sample 65535 stored as %d", got)
 	}
 }
 
