@@ -45,7 +45,7 @@ lint-budget:
 
 # BENCH_PATTERN selects the tracked benchmarks: the ones bench runs and
 # bench-compare gates against BENCH_baseline.json.
-BENCH_PATTERN = BenchmarkSimulatorThroughput|BenchmarkRunMatrix|BenchmarkChunkedReplay|BenchmarkChip|BenchmarkRenderArtifact
+BENCH_PATTERN = BenchmarkSimulatorThroughput|BenchmarkRunMatrix|BenchmarkChunkedReplay|BenchmarkChip|BenchmarkRenderArtifact|BenchmarkRenderKey
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem .

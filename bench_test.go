@@ -295,10 +295,10 @@ func BenchmarkRunMatrix(b *testing.B) {
 // one key derivation and one map lookup. fig9 walks the full 68-cell
 // matrix when it does render; fig8 computes a multitaper spectrum. One
 // op is a batch of rendersPerOp renders, so that a -benchtime 1x run
-// times milliseconds rather than one render's tens of microseconds;
+// times milliseconds rather than one render's few microseconds;
 // ns/render reports the per-render figure.
 func BenchmarkRenderArtifact(b *testing.B) {
-	const rendersPerOp = 100
+	const rendersPerOp = 1000
 	opt := benchOpt(10000)
 	for _, tc := range []struct {
 		id     string
@@ -338,6 +338,39 @@ func BenchmarkRenderArtifact(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rendersPerOp), "ns/render")
 		})
 	}
+}
+
+// BenchmarkRenderKey measures the key mcdserve derives for a request
+// before it looks the render up: the option checks and the render
+// digest over the per-Options key half, which a warm harness has
+// memoized. One op is a batch of keysPerOp keys, for the reason
+// BenchmarkRenderArtifact batches renders; ns/key reports the per-key
+// figure.
+func BenchmarkRenderKey(b *testing.B) {
+	const keysPerOp = 1000
+	opt := benchOpt(10000)
+	opt.Harness = experiment.NewHarness()
+	want, err := experiment.RenderKey("fig9", experiment.FormatText, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	if _, err := experiment.RenderKey("fig9", experiment.FormatText, opt); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < keysPerOp; j++ {
+			k, err := experiment.RenderKey("fig9", experiment.FormatText, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if k != want {
+				b.Fatalf("warm key %s, cold was %s", k, want)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keysPerOp), "ns/key")
 }
 
 // diskBytesPerEntry returns the mean size of the published cache

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 
 	"mcddvfs/internal/control"
@@ -17,8 +18,8 @@ import (
 )
 
 // A Harness owns the harness's state: the result memo with its
-// flights, the classification and render memos, the replay memo of
-// recorded traces, and one open disk store per cache directory.
+// flights, the classification, render and key memos, the replay memo
+// of recorded traces, and one open disk store per cache directory.
 // Options.Harness selects it per call; nil selects the process default,
 // which ResetCache, CacheStats, RenderCacheStats, DiskCacheStats and
 // DiskStore address. The zero value is not usable; call NewHarness.
@@ -75,6 +76,10 @@ type Harness struct {
 	renders                  map[[sha256.Size]byte][]byte
 	renderHits, renderMisses uint64 // render lookups this generation
 
+	// The per-Options halves of plain specs' cache keys, keyed by
+	// what the encoding reads (see keyParts).
+	keys map[keyProjection]keyHalves
+
 	replays *replayCache // shared with every Fork of this harness
 
 	// One open store per cache directory, created lazily. A store that
@@ -104,6 +109,7 @@ func (h *Harness) Fork() *Harness {
 		memo:     make(map[[sha256.Size]byte]outcome),
 		classes:  make(map[[sha256.Size]byte]BenchClass),
 		renders:  make(map[[sha256.Size]byte][]byte),
+		keys:     make(map[keyProjection]keyHalves),
 		replays:  h.replays,
 		stores:   make(map[string]*diskcache.Store),
 		openErrs: make(map[string]error),
@@ -120,9 +126,9 @@ type outcome struct {
 }
 
 // ResetCache drops every memoized in-process result, classification,
-// render and recorded trace of the default harness and zeroes its
-// hit/miss counters. On-disk entries are untouched (delete the cache
-// directory to force a cold run).
+// render, key half and recorded trace of the default harness and
+// zeroes its hit/miss counters. On-disk entries are untouched (delete
+// the cache directory to force a cold run).
 func ResetCache() { defaultHarness.reset() }
 
 func (h *Harness) reset() {
@@ -131,6 +137,7 @@ func (h *Harness) reset() {
 	h.memo = make(map[[sha256.Size]byte]outcome)
 	h.classes = make(map[[sha256.Size]byte]BenchClass)
 	h.renders = make(map[[sha256.Size]byte][]byte)
+	h.keys = make(map[keyProjection]keyHalves)
 	h.runs, h.misses, h.spectra, h.renderHits, h.renderMisses = 0, 0, 0, 0, 0
 	h.mu.Unlock()
 	h.replays.reset()
@@ -253,8 +260,9 @@ func (h *Harness) diskCacheStats() (diskcache.Stats, error) {
 //
 // Only the profiles and the scheme vary between the runs of one
 // Options, so the JSON before and after them is encoded once per
-// runSpec (keyParts) and each key streams the parts into one hash. src
-// is the runs' runSpec, or bare Options prepared for this one key.
+// runSpec, and for a plain spec once per harness (keyParts), and each
+// key streams the parts into one hash. src is the runs' runSpec, or
+// bare Options prepared for this one key.
 func cacheKey(profs []trace.Profile, scheme Scheme, src keySource) ([sha256.Size]byte, error) {
 	s := src.runSpec()
 	head, tail, err := s.keyParts()
@@ -297,11 +305,19 @@ func (o Options) runSpec() *runSpec { return &runSpec{opt: o} }
 
 // keyParts returns the per-Options half of every cache key of s's
 // runs, encoding it on first use: head is the key's JSON up to the
-// profile, tail everything after the scheme. A panic in MutateAdaptive
-// is recovered here into ErrRunPanicked, the error every key of s then
-// fails with.
+// profile, tail everything after the scheme. A plain spec's halves are
+// memoized on its harness, so a request that rebuilds the same
+// options only looks them up (see keyProjection). A panic in
+// MutateAdaptive is recovered here into ErrRunPanicked, the error
+// every key of s then fails with.
 func (s *runSpec) keyParts() (head, tail []byte, err error) {
 	s.keyOnce.Do(func() {
+		if s.plainKey {
+			var ok bool
+			if s.head, s.tail, ok = s.h.memoizedKey(s.memoKey); ok {
+				return
+			}
+		}
 		defer func() {
 			if r := recover(); r != nil {
 				s.keyErr = fmt.Errorf("experiment: cache key: %w: MutateAdaptive: %v", ErrRunPanicked, r)
@@ -350,8 +366,63 @@ func (s *runSpec) keyParts() (head, tail []byte, err error) {
 		// object after the scheme.
 		s.head = []byte(head)
 		s.tail = append([]byte{','}, blob[1:]...)
+		if s.plainKey {
+			s.h.memoizeKey(s.memoKey, s.head, s.tail)
+		}
 	})
 	return s.head, s.tail, s.keyErr
+}
+
+// keyProjection is every option keyParts encodes from a plain
+// spec: one with no Machine, no MutateAdaptive and no enabled faults,
+// whose machine is the default configuration at Seed. The floats enter
+// as their bits: encoding/json writes −0 and +0 as different bytes,
+// but a map key compares them equal.
+type keyProjection struct {
+	instructions, seed      int64
+	pidIntervalTicks        int
+	cores                   int
+	governor                string
+	powerCapW, governorGain uint64
+}
+
+// keyHalves is one memoized keyParts result. Its slices are shared by
+// every spec that hits it and are never written.
+type keyHalves struct{ head, tail []byte }
+
+// projectKey returns the key-memo key of o, which has its defaults
+// applied, and false when o is not plain: its key halves are encoded
+// afresh for every spec. newRunSpec calls it, outside cacheKey's
+// reach, so that the cachekey analyzer counts only the encoding's
+// reads as hashed.
+func projectKey(o Options) (keyProjection, bool) {
+	if o.Machine != nil || o.MutateAdaptive != nil || o.Faults.Enabled() {
+		return keyProjection{}, false
+	}
+	return keyProjection{
+		instructions:     o.Instructions,
+		seed:             o.Seed,
+		pidIntervalTicks: o.PIDIntervalTicks,
+		cores:            o.Cores,
+		governor:         o.Governor,
+		powerCapW:        math.Float64bits(o.PowerCapW),
+		governorGain:     math.Float64bits(o.GovernorGain),
+	}, true
+}
+
+// memoizedKey returns the key halves memoized under p.
+func (h *Harness) memoizedKey(p keyProjection) (head, tail []byte, ok bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	kh, ok := h.keys[p]
+	return kh.head, kh.tail, ok
+}
+
+// memoizeKey records the key halves encoded for p.
+func (h *Harness) memoizeKey(p keyProjection, head, tail []byte) {
+	h.mu.Lock()
+	h.keys[p] = keyHalves{head, tail}
+	h.mu.Unlock()
 }
 
 // keyTail is the fields both key shapes hash after the scheme, in key

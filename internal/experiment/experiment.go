@@ -277,11 +277,15 @@ func runCell(ctx context.Context, s *runSpec, prof trace.Profile, scheme Scheme,
 // matrix, a classification pass, a single run. newRunSpec applies the
 // defaults, resolves the harness and makes the options-level checks
 // once; the per-Options half of the cache key is encoded lazily, by
-// the first key derived (see cacheKey).
+// the first key derived, or found in the harness's key memo (see
+// keyParts).
 type runSpec struct {
 	opt                 Options  // defaults applied
 	h                   *Harness // opt.Harness, or the default
 	machineErr, chipErr error    // the options-level checks' verdicts
+
+	memoKey  keyProjection // the key memo's key for s's key halves, if plainKey
+	plainKey bool
 
 	keyOnce    sync.Once
 	head, tail []byte // cacheKey's JSON before the profile and after the scheme
@@ -299,6 +303,7 @@ func newRunSpec(opt Options) *runSpec {
 		s.machineErr = invalidSpec(err)
 	}
 	_, s.chipErr = validateChip(s.opt)
+	s.memoKey, s.plainKey = projectKey(s.opt)
 	return s
 }
 

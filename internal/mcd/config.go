@@ -10,7 +10,6 @@ package mcd
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mcddvfs/internal/cache"
 	"mcddvfs/internal/clock"
@@ -166,31 +165,40 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration.
 func (c *Config) Validate() error {
-	pos := map[string]int{
-		"FetchWidth": c.FetchWidth, "DecodeWidth": c.DecodeWidth,
-		"IssueWidth": c.IssueWidth, "RetireWidth": c.RetireWidth,
-		"ROBSize": c.ROBSize, "LSQSize": c.LSQSize,
-		"IntQSize": c.IntQSize, "FPQSize": c.FPQSize, "LSQueue": c.LSQueue,
-		"FetchBuf": c.FetchBuf, "PhysInt": c.PhysInt, "PhysFP": c.PhysFP,
-		"IntALUs": c.IntALUs, "IntMultDiv": c.IntMultDiv,
-		"FPALUs": c.FPALUs, "FPMultDiv": c.FPMultDiv, "MemPorts": c.MemPorts,
+	// In name order, so the first failure reported is deterministic
+	// when several fields are invalid. The sampled queues' occupancies
+	// are stored as uint16 (Series), which bounds their capacity.
+	counts := [...]struct {
+		name    string
+		v       int
+		sampled bool
+	}{
+		{"DecodeWidth", c.DecodeWidth, false},
+		{"FPALUs", c.FPALUs, false},
+		{"FPMultDiv", c.FPMultDiv, false},
+		{"FPQSize", c.FPQSize, true},
+		{"FetchBuf", c.FetchBuf, true},
+		{"FetchWidth", c.FetchWidth, false},
+		{"IntALUs", c.IntALUs, false},
+		{"IntMultDiv", c.IntMultDiv, false},
+		{"IntQSize", c.IntQSize, true},
+		{"IssueWidth", c.IssueWidth, false},
+		{"LSQSize", c.LSQSize, false},
+		{"LSQueue", c.LSQueue, true},
+		{"MemPorts", c.MemPorts, false},
+		{"PhysFP", c.PhysFP, false},
+		{"PhysInt", c.PhysInt, false},
+		{"ROBSize", c.ROBSize, false},
+		{"RetireWidth", c.RetireWidth, false},
 	}
-	// Sorted so the first failure reported is deterministic when
-	// several fields are invalid.
-	names := make([]string, 0, len(pos))
-	for name := range pos {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if v := pos[name]; v <= 0 {
-			return fmt.Errorf("mcd: %s must be positive, got %d", name, v)
+	for _, f := range counts {
+		if f.v <= 0 {
+			return fmt.Errorf("mcd: %s must be positive, got %d", f.name, f.v)
 		}
 	}
-	// The sampled queues' occupancies are stored as uint16 (Series).
-	for _, name := range []string{"FPQSize", "FetchBuf", "IntQSize", "LSQueue"} {
-		if v := pos[name]; v > math.MaxUint16 {
-			return fmt.Errorf("mcd: %s must be at most %d, got %d", name, math.MaxUint16, v)
+	for _, f := range counts {
+		if f.sampled && f.v > math.MaxUint16 {
+			return fmt.Errorf("mcd: %s must be at most %d, got %d", f.name, math.MaxUint16, f.v)
 		}
 	}
 	if c.SamplingMHz <= 0 {

@@ -92,6 +92,23 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 			t.Errorf("%s = 65535 rejected: %v", name, err)
 		}
 	}
+	// With several bad fields, the first by name is reported, and a
+	// non-positive count before an oversized queue.
+	for _, tc := range []struct {
+		set  func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.ROBSize, c.DecodeWidth = 0, 0 }, "mcd: DecodeWidth must be positive, got 0"},
+		{func(c *Config) { c.RetireWidth, c.LSQSize = -1, 0 }, "mcd: LSQSize must be positive, got 0"},
+		{func(c *Config) { c.FPQSize, c.RetireWidth = 65536, 0 }, "mcd: RetireWidth must be positive, got 0"},
+		{func(c *Config) { c.LSQueue, c.FetchBuf = 65536, 70000 }, "mcd: FetchBuf must be at most 65535, got 70000"},
+	} {
+		cfg = DefaultConfig()
+		tc.set(&cfg)
+		if err := cfg.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("Validate() = %v, want %q", err, tc.want)
+		}
+	}
 }
 
 func TestRunCompletesAndRetiresEverything(t *testing.T) {

@@ -18,6 +18,7 @@ package scheme
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -84,8 +85,8 @@ type Descriptor struct {
 var registry = struct {
 	sync.Mutex
 	byName  map[string]Descriptor
-	byOrder map[int]string
-}{byName: make(map[string]Descriptor), byOrder: make(map[int]string)}
+	ordered []Descriptor // every descriptor in display order
+}{byName: make(map[string]Descriptor)}
 
 // Register adds a scheme to the registry. It panics on a nil Attach,
 // an empty or whitespace-carrying name, a duplicate name, or a
@@ -103,11 +104,12 @@ func Register(d Descriptor) {
 	if _, dup := registry.byName[d.Name]; dup {
 		panic(fmt.Sprintf("scheme: duplicate registration of %q", d.Name))
 	}
-	if prev, dup := registry.byOrder[d.Order]; dup {
-		panic(fmt.Sprintf("scheme: %q reuses order %d of %q", d.Name, d.Order, prev))
+	i := sort.Search(len(registry.ordered), func(i int) bool { return registry.ordered[i].Order >= d.Order })
+	if i < len(registry.ordered) && registry.ordered[i].Order == d.Order {
+		panic(fmt.Sprintf("scheme: %q reuses order %d of %q", d.Name, d.Order, registry.ordered[i].Name))
 	}
 	registry.byName[d.Name] = d
-	registry.byOrder[d.Order] = d.Name
+	registry.ordered = slices.Insert(registry.ordered, i, d)
 }
 
 // Lookup returns the descriptor registered under name.
@@ -122,13 +124,8 @@ func Lookup(name string) (Descriptor, bool) {
 // is freshly allocated; callers may keep or mutate it.
 func All() []Descriptor {
 	registry.Lock()
-	out := make([]Descriptor, 0, len(registry.byName))
-	for _, d := range registry.byName {
-		out = append(out, d)
-	}
-	registry.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Order < out[j].Order })
-	return out
+	defer registry.Unlock()
+	return slices.Clone(registry.ordered)
 }
 
 // Default returns the paper's core comparison set — the controlled,

@@ -32,6 +32,31 @@ func TestBuiltinOrdering(t *testing.T) {
 	}
 }
 
+// TestAllTracksRegistration: a scheme registered out of order lands in
+// its display slot, and All hands out a copy its caller may mutate.
+func TestAllTracksRegistration(t *testing.T) {
+	attach := func(p *mcd.Processor, opt Options) error { return nil }
+	Register(Descriptor{Name: "late-high", Order: 990020, Attach: attach})
+	Register(Descriptor{Name: "late-low", Order: 990010, Attach: attach})
+	all := All()
+	var got []string
+	for i, d := range all {
+		if i > 0 && all[i-1].Order >= d.Order {
+			t.Errorf("All() not strictly ordered: %q (%d) before %q (%d)", all[i-1].Name, all[i-1].Order, d.Name, d.Order)
+		}
+		if strings.HasPrefix(d.Name, "late-") {
+			got = append(got, d.Name)
+		}
+	}
+	if want := []string{"late-low", "late-high"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("late registrations enumerate as %v, want %v", got, want)
+	}
+	all[0].Name = "clobbered"
+	if All()[0].Name == "clobbered" {
+		t.Error("mutating All()'s result reached the registry")
+	}
+}
+
 // TestDefaultSet pins the paper's core comparison: the default set
 // must stay exactly adaptive/pid/attack-decay no matter how many
 // extensions register, or pre-refactor artifacts change bytes.
