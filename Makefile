@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-mcdbench lint-budget bench bench-compare bench-baseline
+.PHONY: build test race lint lint-mcdbench lint-budget bench bench-compare bench-baseline results
 
 build:
 	$(GO) build ./...
@@ -82,3 +82,10 @@ bench-compare:
 bench-baseline:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -count=5 -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_baseline.json
+
+# results regenerates results/ at full budget, every artifact -all and
+# -faults default select in every format, on a cold cache, and fails if
+# any committed file changed. It takes about 2 minutes on 2 vCPUs.
+results:
+	$(GO) run ./cmd/experiments -all -faults default -json -svg -out results -cache-dir "" > /dev/null
+	git diff --exit-code results/

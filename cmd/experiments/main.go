@@ -22,9 +22,13 @@
 // (-cache-dir); delete that directory or pass -cache-dir "" to force a
 // cold run. Artifacts are byte-identical either way.
 //
-// SIGINT/SIGTERM cancel in-flight simulations; artifacts already
-// produced are flushed before exit, and with -out the fig9/fig10 .txt
-// files of an interrupted matrix hold every row that finished.
+// With -out, the fig9/fig10 .txt files fill while the first matrix
+// runs: after each benchmark row finishes, each file holds the figure
+// rendered over the rows so far, AVERAGE included, so the file after
+// the last row is the figure's own render. SIGINT/SIGTERM cancel
+// in-flight simulations; artifacts already produced are flushed before
+// exit, and the fig9/fig10 files of an interrupted matrix hold the
+// figure over every row it delivered.
 package main
 
 import (
@@ -43,6 +47,7 @@ import (
 	"mcddvfs"
 	"mcddvfs/internal/cliflags"
 	"mcddvfs/internal/experiment"
+	"mcddvfs/internal/mcd"
 	"mcddvfs/internal/profiling"
 )
 
@@ -62,9 +67,12 @@ func controlledSchemeNames() []string {
 // when -only names them (or, for robustness, -faults asks for it).
 var explicitOnly = map[string]bool{"robustness": true, "capsweep": true, "captransient": true}
 
-// streamed lists the figures whose .txt files fill row by row while
-// the matrix runs.
-var streamed = []string{"fig9", "fig10"}
+// streamed maps the figures whose .txt files fill row by row while the
+// matrix runs to their renders.
+var streamed = map[string]func(*experiment.Matrix) experiment.Report{
+	"fig9":  (*experiment.Matrix).Figure9,
+	"fig10": (*experiment.Matrix).Figure10,
+}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -177,30 +185,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The first matrix the run computes reports each row on stderr as it
-	// finishes and, with -out, fills the selected fig9/fig10 .txt files
-	// row by row, so a long sweep shows progress and an interrupt leaves
-	// those files current up to the last complete row. Each figure's
-	// render later rewrites its file with the same bytes.
+	// finishes and, with -out, rewrites the selected fig9/fig10 .txt
+	// files with the figure over the rows delivered so far, before the
+	// row's progress line goes out. A long sweep thus shows progress, an
+	// interrupt leaves those files current up to the last row, and the
+	// files after the last row hold the figures' own renders, which
+	// later rewrite them with the same bytes.
 	var (
 		matrixDone bool
-		files      []*rowFile
 		start      time.Time // of the render in progress
 		cells      int       // results in the rows so far
 	)
+	prefix := experiment.Matrix{Results: map[string]map[experiment.Scheme]*mcd.Result{}} // the rows so far
 	rows := func(ev experiment.RowEvent) {
-		if ev.Index == 0 && *out != "" {
-			for _, id := range streamed {
-				if want[id] {
-					if f, err := newRowFile(filepath.Join(*out, id+".txt"), id, opt); err != nil {
-						fmt.Fprintf(stderr, "experiments: streaming %s.txt: %v\n", id, err)
-					} else {
-						files = append(files, f)
-					}
+		prefix.Schemes = ev.Schemes
+		prefix.Benchmarks = append(prefix.Benchmarks, ev.Bench)
+		prefix.Results[ev.Bench] = ev.Results
+		for _, a := range selected {
+			if figure := streamed[a.ID]; figure != nil && *out != "" {
+				rep := figure(&prefix)
+				if err := os.WriteFile(filepath.Join(*out, a.ID+".txt"), []byte(rep.String()), 0o644); err != nil {
+					fmt.Fprintf(stderr, "experiments: streaming %s.txt: %v\n", a.ID, err)
 				}
 			}
-		}
-		for _, f := range files {
-			f.s.Row(ev)
 		}
 		state := "done"
 		if !ev.Complete {
@@ -211,12 +218,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if ev.Index+1 == ev.Total {
 			d := time.Since(start).Seconds()
 			fmt.Fprintf(stderr, "experiments: matrix %d cells in %.1fs (%.1f cells/s)\n", cells, d, float64(cells)/d)
-			for _, f := range files {
-				if err := f.finish(); err != nil {
-					fmt.Fprintf(stderr, "experiments: streaming %s: %v\n", f.name, err)
-				}
-			}
-			files, matrixDone = nil, true
+			matrixDone = true
 		}
 	}
 
@@ -288,34 +290,4 @@ func csv(s string) []string {
 		}
 	}
 	return out
-}
-
-// rowFile is one figure's .txt file filling row by row.
-type rowFile struct {
-	name string
-	f    *os.File
-	s    *experiment.FigureStream
-}
-
-// newRowFile creates path and starts streaming figure id into it.
-func newRowFile(path, id string, opt experiment.Options) (*rowFile, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := experiment.NewFigureStream(f, id, opt)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &rowFile{name: filepath.Base(path), f: f, s: s}, nil
-}
-
-// finish writes the AVERAGE line and closes the file.
-func (r *rowFile) finish() error {
-	err := r.s.Finish()
-	if cerr := r.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"mcddvfs/internal/experiment"
 )
@@ -85,5 +87,105 @@ func TestOutputIsCatalogRender(t *testing.T) {
 	// it again from the memo, and must not reopen the .txt file.
 	if n := strings.Count(stderr.String(), " cells in "); n != 1 {
 		t.Errorf("%d matrix summaries on stderr, want 1:\n%s", n, stderr.String())
+	}
+}
+
+// rowSnapshots is a stderr that, at each matrix progress line, reads
+// the streamed figure files: the command rewrites them before the
+// row's line goes out.
+type rowSnapshots struct {
+	dir  string
+	ids  []string
+	log  bytes.Buffer
+	rows []map[string][]byte
+}
+
+func (w *rowSnapshots) Write(p []byte) (int, error) {
+	if bytes.HasPrefix(p, []byte("experiments: matrix row ")) {
+		snap := map[string][]byte{}
+		for _, id := range w.ids {
+			snap[id], _ = os.ReadFile(filepath.Join(w.dir, id+".txt"))
+		}
+		w.rows = append(w.rows, snap)
+	}
+	return w.log.Write(p)
+}
+
+// TestStreamedFiguresAreBatchRenders: while the matrix runs, the fig9
+// and fig10 .txt files hold, after each row, the catalog render over
+// the benchmarks delivered so far, and after the last row the final
+// artifact. One run lists its schemes out of registry order; in the
+// other a cell fails, so the figures carry the omitted-rows note.
+func TestStreamedFiguresAreBatchRenders(t *testing.T) {
+	ids := []string{"fig9", "fig10"}
+	schemes := []experiment.Scheme{experiment.SchemeAttackDecay, experiment.SchemeAdaptive}
+	for _, tc := range []struct {
+		name    string
+		benches []string
+		seed    int64
+		timeout time.Duration
+		harness *experiment.Harness // for the expected renders
+		omitted string              // in the final figures, if a cell fails
+	}{
+		{name: "schemes out of registry order", benches: []string{"adpcm_encode", "gzip", "swim"}, seed: 1,
+			harness: experiment.NewHarness()},
+		// The command renders on the default harness. gzip's cells are
+		// memoized there first, so they are served before the deadline
+		// applies; swim's cells, at a seed no other test runs, each
+		// outlive a nanosecond deadline.
+		{name: "failed cells", benches: []string{"gzip", "swim"}, seed: 2, timeout: time.Nanosecond,
+			omitted: "1 benchmark(s) omitted, cells failed or cancelled: swim (none, "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := experiment.Options{Instructions: 5000, Seed: tc.seed, Schemes: schemes, Timeout: tc.timeout, Harness: tc.harness}
+			render := func(id string, benches []string) []byte {
+				t.Helper()
+				o := opt
+				o.Benchmarks = benches
+				body, _, err := experiment.RenderArtifactContext(context.Background(), id, experiment.FormatText, o)
+				if err != nil {
+					t.Fatalf("%s over %v: %v", id, benches, err)
+				}
+				return body
+			}
+			if tc.omitted != "" {
+				warm := opt
+				warm.Benchmarks, warm.Timeout = tc.benches[:1], 0
+				if _, _, err := experiment.RenderArtifactContext(context.Background(), "fig9", experiment.FormatText, warm); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dir := t.TempDir()
+			stderr := &rowSnapshots{dir: dir, ids: ids}
+			args := []string{"-only", "fig10,fig9", "-insts", "5000", "-seed", fmt.Sprint(tc.seed), "-bench", strings.Join(tc.benches, ","),
+				"-schemes", "attack-decay,adaptive", "-timeout", tc.timeout.String(), "-cache-dir", "", "-out", dir}
+			var stdout bytes.Buffer
+			if code := run(args, &stdout, stderr); code != 0 {
+				t.Fatalf("exit %d; stderr:\n%s", code, stderr.log.String())
+			}
+			if len(stderr.rows) != len(tc.benches) {
+				t.Fatalf("%d matrix rows on stderr, want %d:\n%s", len(stderr.rows), len(tc.benches), stderr.log.String())
+			}
+			for k, snap := range stderr.rows {
+				for _, id := range ids {
+					if want := render(id, tc.benches[:k+1]); !bytes.Equal(snap[id], want) {
+						t.Errorf("%s.txt after row %d is not the render of the rows so far:\n%s\nwant:\n%s", id, k+1, snap[id], want)
+					}
+				}
+			}
+			last := stderr.rows[len(stderr.rows)-1]
+			for _, id := range ids {
+				final, err := os.ReadFile(filepath.Join(dir, id+".txt"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(last[id], final) {
+					t.Errorf("%s.txt after the last row differs from the final artifact:\n%s\nwant:\n%s", id, last[id], final)
+				}
+				if tc.omitted != "" && !bytes.Contains(final, []byte(tc.omitted)) {
+					t.Errorf("%s.txt lacks the omitted-rows note %q:\n%s", id, tc.omitted, final)
+				}
+			}
+		})
 	}
 }

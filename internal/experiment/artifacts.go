@@ -49,43 +49,126 @@ type ArtifactInfo struct {
 	ID string
 	// Title is a one-line description.
 	Title string
-	// SVG reports whether the artifact also renders as a figure.
+	// SVG reports whether the artifact also renders as a figure: it is
+	// set exactly for the catalog entries with an SVG renderer.
 	SVG bool
+}
+
+// artifact is one catalog entry: its description and the renderers
+// behind it. report renders the txt and json encodings; svg, set for
+// the figures only, renders the svg one. Each reports whether its
+// render is partial — a success with failed runs behind it, as a
+// matrix or fault-sweep cell, noted in the artifact — which the render
+// memo never stores.
+type artifact struct {
+	id, title string
+	report    func(ctx context.Context, opt Options) (rep Report, partial bool, err error)
+	svg       func(ctx context.Context, opt Options) (svg string, partial bool, err error)
 }
 
 // artifactCatalog lists every artifact in display order, the order
 // cmd/experiments renders a selection in. An artifact with a benchmark
 // list of its own (the studies from table3 on) runs it when
 // Options.Benchmarks is empty; a non-empty selection overrides it.
-var artifactCatalog = []ArtifactInfo{
-	{ID: "table1", Title: "Summary of all simulation parameters"},
-	{ID: "table4", Title: "Decision-logic hardware comparison (per clock domain)"},
-	{ID: "remarks", Title: "Stability analysis (Section 4, Remarks 1-3)"},
-	{ID: "table2", Title: "Benchmark classification (fast/slow-varying)"},
-	{ID: "fig7", Title: "Adaptive frequency settings, FP domain, epic_decode", SVG: true},
-	{ID: "fig8", Title: "INT-queue variance spectrum, epic_decode", SVG: true},
-	{ID: "fig9", Title: "Energy savings vs no-DVFS baseline", SVG: true},
-	{ID: "fig10", Title: "Performance degradation vs no-DVFS baseline", SVG: true},
-	{ID: "fig11", Title: "EDP improvement, fast-varying group", SVG: true},
-	{ID: "summary", Title: "Headline means vs the paper's reported results"},
-	{ID: "table3", Title: "Adaptive vs PID at shorter interval lengths (fast-varying group)"},
-	{ID: "ablation", Title: "Adaptive-controller feature ablation"},
-	{ID: "transitions", Title: "XScale-style vs Transmeta-style DVFS transitions"},
-	{ID: "global", Title: "Per-domain MCD control vs globally coupled scaling"},
-	{ID: "qref", Title: "Reference-occupancy sensitivity (Section 3.1 tradeoff)"},
-	{ID: "interfaces", Title: "Synchronization interfaces: arbitration vs token-ring"},
-	{ID: "partitions", Title: "Clock partitioning: 4 vs 5 domains, with and without front-end DVFS"},
-	{ID: "delays", Title: "Basic time-delay sweep (Remarks 2-3 in the full simulator)"},
-	{ID: "seeds", Title: "Seed sensitivity of the adaptive scheme"},
-	{ID: "robustness", Title: "EDP degradation vs control-loop fault intensity"},
-	{ID: "capsweep", Title: "Chip EDP and per-core throughput vs power budget, per governor", SVG: true},
-	{ID: "captransient", Title: "Chip power-budget reallocation transient (integral-gain governor)"},
+var artifactCatalog = []artifact{
+	{id: "table1", title: "Summary of all simulation parameters",
+		report: func(_ context.Context, opt Options) (Report, bool, error) { return Table1(opt), false, nil }},
+	{id: "table4", title: "Decision-logic hardware comparison (per clock domain)",
+		report: func(context.Context, Options) (Report, bool, error) { return Table4(), false, nil }},
+	{id: "remarks", title: "Stability analysis (Section 4, Remarks 1-3)",
+		report: func(context.Context, Options) (Report, bool, error) {
+			rep, err := RemarksReport()
+			return rep, false, err
+		}},
+	{id: "table2", title: "Benchmark classification (fast/slow-varying)",
+		report: func(ctx context.Context, opt Options) (Report, bool, error) {
+			rep, _, err := Table2(ctx, opt)
+			return rep, false, err
+		}},
+	{id: "fig7", title: "Adaptive frequency settings, FP domain, epic_decode",
+		report: whole(Figure7), svg: whole(Figure7SVG)},
+	{id: "fig8", title: "INT-queue variance spectrum, epic_decode",
+		report: whole(Figure8), svg: whole(Figure8SVG)},
+	{id: "fig9", title: "Energy savings vs no-DVFS baseline",
+		report: fromMatrix(nil, func(m *Matrix, _ struct{}) (Report, error) { return m.Figure9(), nil }),
+		svg:    fromMatrix(nil, func(m *Matrix, _ struct{}) (string, error) { return m.Figure9SVG() })},
+	{id: "fig10", title: "Performance degradation vs no-DVFS baseline",
+		report: fromMatrix(nil, func(m *Matrix, _ struct{}) (Report, error) { return m.Figure10(), nil }),
+		svg:    fromMatrix(nil, func(m *Matrix, _ struct{}) (string, error) { return m.Figure10SVG() })},
+	{id: "fig11", title: "EDP improvement, fast-varying group",
+		report: fromMatrix(renderFastGroup, func(m *Matrix, fast []string) (Report, error) { return m.Figure11(fast), nil }),
+		svg:    fromMatrix(renderFastGroup, (*Matrix).Figure11SVG)},
+	{id: "summary", title: "Headline means vs the paper's reported results",
+		report: fromMatrix(classifyBenchmarks, func(m *Matrix, classes []BenchClass) (Report, error) {
+			return Summary(m, classes), nil
+		})},
+	{id: "table3", title: "Adaptive vs PID at shorter interval lengths (fast-varying group)",
+		report: func(ctx context.Context, opt Options) (Report, bool, error) {
+			fast, err := renderFastGroup(ctx, opt)
+			if err != nil {
+				return Report{}, false, err
+			}
+			rep, err := Table3(ctx, opt, fast)
+			return rep, false, err
+		}},
+	{id: "ablation", title: "Adaptive-controller feature ablation", report: whole(Ablation)},
+	{id: "transitions", title: "XScale-style vs Transmeta-style DVFS transitions", report: whole(TransitionStyles)},
+	{id: "global", title: "Per-domain MCD control vs globally coupled scaling", report: whole(GlobalComparison)},
+	{id: "qref", title: "Reference-occupancy sensitivity (Section 3.1 tradeoff)", report: whole(QRefSweep)},
+	{id: "interfaces", title: "Synchronization interfaces: arbitration vs token-ring", report: whole(InterfaceStudy)},
+	{id: "partitions", title: "Clock partitioning: 4 vs 5 domains, with and without front-end DVFS", report: whole(PartitionStudy)},
+	{id: "delays", title: "Basic time-delay sweep (Remarks 2-3 in the full simulator)", report: whole(DelaySweep)},
+	{id: "seeds", title: "Seed sensitivity of the adaptive scheme",
+		report: whole(func(ctx context.Context, opt Options) (Report, error) { return SeedStudy(ctx, opt, studySeeds) })},
+	{id: "robustness", title: "EDP degradation vs control-loop fault intensity",
+		report: func(ctx context.Context, opt Options) (Report, bool, error) {
+			rep, failures, err := faultSweep(ctx, opt)
+			return rep, len(failures) > 0, err
+		}},
+	{id: "capsweep", title: "Chip EDP and per-core throughput vs power budget, per governor",
+		report: whole(CapSweepContext), svg: whole(CapSweepSVG)},
+	{id: "captransient", title: "Chip power-budget reallocation transient (integral-gain governor)",
+		report: whole(CapTransientContext)},
+}
+
+// whole adapts a renderer that fails on any failed run, so never
+// renders partially.
+func whole[T any](render func(context.Context, Options) (T, error)) func(context.Context, Options) (T, bool, error) {
+	return func(ctx context.Context, opt Options) (T, bool, error) {
+		v, err := render(ctx, opt)
+		return v, false, err
+	}
+}
+
+// fromMatrix adapts an artifact drawn from the options' matrix,
+// partial when any of its cells failed. prep, when set, computes what
+// the drawing needs besides the matrix (fig11's fast-varying group,
+// the summary's classes) before the matrix runs.
+func fromMatrix[P, T any](prep func(context.Context, Options) (P, error), draw func(*Matrix, P) (T, error)) func(context.Context, Options) (T, bool, error) {
+	return func(ctx context.Context, opt Options) (T, bool, error) {
+		var zero T
+		var p P
+		if prep != nil {
+			var err error
+			if p, err = prep(ctx, opt); err != nil {
+				return zero, false, err
+			}
+		}
+		m, err := RunMatrixContext(ctx, opt)
+		if err != nil {
+			return zero, false, err
+		}
+		v, err := draw(m, p)
+		return v, len(m.Failures) > 0, err
+	}
 }
 
 // Artifacts returns the artifact catalog in stable display order.
 func Artifacts() []ArtifactInfo {
 	out := make([]ArtifactInfo, len(artifactCatalog))
-	copy(out, artifactCatalog)
+	for i, a := range artifactCatalog {
+		out[i] = ArtifactInfo{ID: a.id, Title: a.title, SVG: a.svg != nil}
+	}
 	return out
 }
 
@@ -93,66 +176,65 @@ func Artifacts() []ArtifactInfo {
 func artifactIDList() string {
 	ids := make([]string, len(artifactCatalog))
 	for i, a := range artifactCatalog {
-		ids[i] = a.ID
+		ids[i] = a.id
 	}
 	return strings.Join(ids, ", ")
 }
 
 // lookupArtifact resolves id against the catalog; unknown IDs fail as
 // ErrInvalidSpec listing what is available.
-func lookupArtifact(id string) (ArtifactInfo, error) {
-	for _, a := range artifactCatalog {
-		if a.ID == id {
-			return a, nil
+func lookupArtifact(id string) (*artifact, error) {
+	for i := range artifactCatalog {
+		if artifactCatalog[i].id == id {
+			return &artifactCatalog[i], nil
 		}
 	}
-	return ArtifactInfo{}, invalidSpec(fmt.Errorf("experiment: unknown artifact %q (available: %s)", id, artifactIDList()))
+	return nil, invalidSpec(fmt.Errorf("experiment: unknown artifact %q (available: %s)", id, artifactIDList()))
 }
 
 // prepareRender makes every check a render can fail before it
-// simulates anything, and returns the format's content type and opt
-// prepared as a runSpec. It checks the artifact and format against the
+// simulates anything, and returns the catalog entry and opt prepared
+// as a runSpec. It checks the artifact and format against the
 // catalog, then the options as given: the instruction budget, the PID
 // interval (whether or not the scheme subset runs PID), the benchmark,
 // scheme and fault-intensity selections, and the machine and chip
 // checks newRunSpec records.
-func prepareRender(id string, format ArtifactFormat, opt Options) (string, *runSpec, error) {
-	info, err := lookupArtifact(id)
+func prepareRender(id string, format ArtifactFormat, opt Options) (*artifact, *runSpec, error) {
+	a, err := lookupArtifact(id)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
-	ctype := format.ContentType()
-	if ctype == "" {
-		return "", nil, invalidSpec(fmt.Errorf("experiment: unknown artifact format %q (available: txt, json, svg)", format))
+	if format.ContentType() == "" {
+		return nil, nil, invalidSpec(fmt.Errorf("experiment: unknown artifact format %q (available: txt, json, svg)", format))
 	}
-	if format == FormatSVG && !info.SVG {
-		return "", nil, invalidSpec(fmt.Errorf("experiment: artifact %q has no SVG rendering", id))
+	if format == FormatSVG && a.svg == nil {
+		return nil, nil, invalidSpec(fmt.Errorf("experiment: artifact %q has no SVG rendering", id))
 	}
 	if opt.Instructions < 0 {
-		return "", nil, invalidSpec(fmt.Errorf("experiment: negative instruction budget %d", opt.Instructions))
+		return nil, nil, invalidSpec(fmt.Errorf("experiment: negative instruction budget %d", opt.Instructions))
 	}
 	if opt.PIDIntervalTicks < 0 {
-		return "", nil, invalidSpec(fmt.Errorf("experiment: negative PID interval %d ticks", opt.PIDIntervalTicks))
+		return nil, nil, invalidSpec(fmt.Errorf("experiment: negative PID interval %d ticks", opt.PIDIntervalTicks))
 	}
 	for _, b := range opt.Benchmarks {
 		if _, err := trace.ByName(b); err != nil {
-			return "", nil, invalidSpec(err)
+			return nil, nil, invalidSpec(err)
 		}
 	}
 	if _, err := matrixSchemes(opt); err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	if err := validateIntensities(opt.FaultIntensities); err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	s := newRunSpec(opt)
 	if s.machineErr != nil {
-		return "", nil, s.machineErr
+		return nil, nil, s.machineErr
 	}
 	if s.chipErr != nil {
-		return "", nil, s.chipErr
+		return nil, nil, s.chipErr
 	}
-	return ctype, s, nil
+	return a, s, nil
 }
 
 // RenderKey returns the content address of one artifact render: two
@@ -234,61 +316,49 @@ func renderDigest(id string, format ArtifactFormat, opt Options, s *runSpec) ([s
 // (a memo hit would never call it), and options whose key fails.
 func RenderArtifactContext(ctx context.Context, id string, format ArtifactFormat, opt Options) ([]byte, string, error) {
 	ctx = orBackground(ctx)
-	ctype, s, err := prepareRender(id, format, opt)
+	a, s, err := prepareRender(id, format, opt)
 	if err != nil {
 		return nil, "", err
 	}
-	render := func() ([]byte, bool, error) { return renderArtifact(ctx, id, format, opt) }
+	render := func() ([]byte, bool, error) { return a.render(ctx, format, opt) }
 	if opt.CorpusDir == "" && opt.RowFlush == nil {
 		if k, err := renderDigest(id, format, opt, s); err == nil {
 			body, err := s.h.cachedRender(k, render)
 			if err != nil {
 				return nil, "", err
 			}
-			return body, ctype, nil
+			return body, format.ContentType(), nil
 		}
 	}
 	body, _, err := render()
 	if err != nil {
 		return nil, "", err
 	}
-	return body, ctype, nil
+	return body, format.ContentType(), nil
 }
 
-// renderArtifact produces id's bytes in format. partial reports a
-// render that succeeded with failed runs behind it — a matrix or fault
-// sweep cell, noted in the artifact — which the render memo never
-// stores.
-func renderArtifact(ctx context.Context, id string, format ArtifactFormat, opt Options) (body []byte, partial bool, err error) {
+// render produces the artifact's bytes in format, and whether the
+// render is partial.
+func (a *artifact) render(ctx context.Context, format ArtifactFormat, opt Options) (body []byte, partial bool, err error) {
 	if format == FormatSVG {
-		svg, partial, err := renderArtifactSVG(ctx, id, opt)
+		svg, partial, err := a.svg(ctx, opt)
 		if err != nil {
 			return nil, false, err
 		}
 		return []byte(svg), partial, nil
 	}
-	rep, partial, err := renderArtifactReport(ctx, id, opt)
+	rep, partial, err := a.report(ctx, opt)
 	if err != nil {
 		return nil, false, err
 	}
 	if format == FormatJSON {
 		blob, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			return nil, false, invalidSpec(fmt.Errorf("experiment: encoding %s: %v", id, err))
+			return nil, false, invalidSpec(fmt.Errorf("experiment: encoding %s: %v", a.id, err))
 		}
 		return blob, partial, nil
 	}
 	return []byte(rep.String()), partial, nil
-}
-
-// renderMatrix runs the matrix a figure reads and reports whether any
-// of its cells failed.
-func renderMatrix(ctx context.Context, opt Options) (m *Matrix, partial bool, err error) {
-	m, err = RunMatrixContext(ctx, opt)
-	if err != nil {
-		return nil, false, err
-	}
-	return m, len(m.Failures) > 0, nil
 }
 
 // renderFastGroup classifies the benchmarks for fig11 and table3 and
@@ -303,123 +373,4 @@ func renderFastGroup(ctx context.Context, opt Options) ([]string, error) {
 		return nil, invalidSpec(fmt.Errorf("experiment: classifier found no fast benchmarks"))
 	}
 	return fast, nil
-}
-
-// renderArtifactReport produces the textual Report for id, and whether
-// it is partial. Only the matrix figures and the fault sweep can
-// succeed partially; every other artifact fails on a failed run.
-func renderArtifactReport(ctx context.Context, id string, opt Options) (Report, bool, error) {
-	complete := func(rep Report, err error) (Report, bool, error) { return rep, false, err }
-	switch id {
-	case "table1":
-		return Table1(opt), false, nil
-	case "table4":
-		return Table4(), false, nil
-	case "remarks":
-		return complete(RemarksReport())
-	case "table2":
-		rep, _, err := Table2(ctx, opt)
-		return rep, false, err
-	case "fig7":
-		return complete(Figure7(ctx, opt))
-	case "fig8":
-		return complete(Figure8(ctx, opt))
-	case "summary":
-		classes, err := classifyBenchmarks(ctx, opt)
-		if err != nil {
-			return Report{}, false, err
-		}
-		m, partial, err := renderMatrix(ctx, opt)
-		if err != nil {
-			return Report{}, false, err
-		}
-		return Summary(m, classes), partial, nil
-	case "fig11":
-		fast, err := renderFastGroup(ctx, opt)
-		if err != nil {
-			return Report{}, false, err
-		}
-		m, partial, err := renderMatrix(ctx, opt)
-		if err != nil {
-			return Report{}, false, err
-		}
-		return m.Figure11(fast), partial, nil
-	case "table3":
-		fast, err := renderFastGroup(ctx, opt)
-		if err != nil {
-			return Report{}, false, err
-		}
-		return complete(Table3(ctx, opt, fast))
-	case "ablation":
-		return complete(Ablation(ctx, opt))
-	case "transitions":
-		return complete(TransitionStyles(ctx, opt))
-	case "global":
-		return complete(GlobalComparison(ctx, opt))
-	case "qref":
-		return complete(QRefSweep(ctx, opt))
-	case "interfaces":
-		return complete(InterfaceStudy(ctx, opt))
-	case "partitions":
-		return complete(PartitionStudy(ctx, opt))
-	case "delays":
-		return complete(DelaySweep(ctx, opt))
-	case "seeds":
-		return complete(SeedStudy(ctx, opt, studySeeds))
-	case "fig9", "fig10":
-		m, partial, err := renderMatrix(ctx, opt)
-		if err != nil {
-			return Report{}, false, err
-		}
-		if id == "fig9" {
-			return m.Figure9(), partial, nil
-		}
-		return m.Figure10(), partial, nil
-	case "robustness":
-		rep, failures, err := faultSweep(ctx, opt)
-		return rep, len(failures) > 0, err
-	case "capsweep":
-		return complete(CapSweepContext(ctx, opt))
-	case "captransient":
-		return complete(CapTransientContext(ctx, opt))
-	}
-	return Report{}, false, invalidSpec(fmt.Errorf("experiment: artifact %q has no report rendering", id))
-}
-
-// renderArtifactSVG produces the SVG figure for id, and whether it is
-// partial (see renderArtifactReport).
-func renderArtifactSVG(ctx context.Context, id string, opt Options) (string, bool, error) {
-	complete := func(svg string, err error) (string, bool, error) { return svg, false, err }
-	switch id {
-	case "fig7":
-		return complete(Figure7SVG(ctx, opt))
-	case "fig8":
-		return complete(Figure8SVG(ctx, opt))
-	case "fig11":
-		fast, err := renderFastGroup(ctx, opt)
-		if err != nil {
-			return "", false, err
-		}
-		m, partial, err := renderMatrix(ctx, opt)
-		if err != nil {
-			return "", false, err
-		}
-		svg, err := m.Figure11SVG(fast)
-		return svg, partial, err
-	case "fig9", "fig10":
-		m, partial, err := renderMatrix(ctx, opt)
-		if err != nil {
-			return "", false, err
-		}
-		var svg string
-		if id == "fig9" {
-			svg, err = m.Figure9SVG()
-		} else {
-			svg, err = m.Figure10SVG()
-		}
-		return svg, partial, err
-	case "capsweep":
-		return complete(CapSweepSVG(ctx, opt))
-	}
-	return "", false, invalidSpec(fmt.Errorf("experiment: artifact %q has no SVG rendering", id))
 }

@@ -121,3 +121,31 @@ func TestSweepVariantsShareBaseline(t *testing.T) {
 		}
 	}
 }
+
+// TestSVGFlagMatchesRenderers: over the whole catalog, ArtifactInfo.SVG
+// is set exactly for the artifacts whose svg render succeeds; every
+// other artifact's svg render fails as ErrInvalidSpec.
+func TestSVGFlagMatchesRenderers(t *testing.T) {
+	t.Parallel()
+	opt := uncached(Options{Instructions: 5000, Seed: 1, Benchmarks: []string{"adpcm_encode", "gzip"}})
+	infos := Artifacts()
+	if len(infos) != 22 {
+		t.Fatalf("catalog lists %d artifacts, want 22", len(infos))
+	}
+	figures := 0
+	for _, a := range infos {
+		_, _, err := RenderArtifactContext(context.Background(), a.ID, FormatSVG, opt)
+		switch {
+		case a.SVG && err != nil:
+			t.Errorf("%s: flagged SVG, but its svg render failed: %v", a.ID, err)
+		case !a.SVG && !errors.Is(err, ErrInvalidSpec):
+			t.Errorf("%s: not flagged SVG, but its svg render returned %v, want ErrInvalidSpec", a.ID, err)
+		}
+		if a.SVG {
+			figures++
+		}
+	}
+	if figures != 6 {
+		t.Errorf("%d artifacts flagged SVG, want 6 (fig7 fig8 fig9 fig10 fig11 capsweep)", figures)
+	}
+}

@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"mcddvfs/internal/faults"
+	"mcddvfs/internal/mcd"
 	"mcddvfs/internal/trace"
 )
 
@@ -293,37 +295,33 @@ func TestCorpusOptionsMismatch(t *testing.T) {
 	}
 }
 
+// rowsMatrix is the matrix of the rows events delivered, in delivery
+// order, with the events' scheme columns: what a streaming reader of
+// RowFlush holds after the last of them.
+func rowsMatrix(events []RowEvent) *Matrix {
+	m := &Matrix{Results: map[string]map[Scheme]*mcd.Result{}}
+	for _, ev := range events {
+		m.Schemes = ev.Schemes
+		m.Benchmarks = append(m.Benchmarks, ev.Bench)
+		m.Results[ev.Bench] = ev.Results
+	}
+	return m
+}
+
 // TestRowFlushOrderedAndStreamIdentical pins the incremental-render
 // contract: RowFlush delivers every benchmark exactly once in
-// benchmark order, and a FigureStream fed those events produces bytes
-// identical to the batch renderer's Report.WriteTo.
+// benchmark order, with the sweep's scheme columns, and the figures
+// rendered over the delivered rows are the batch renders of the
+// returned matrix.
 func TestRowFlushOrderedAndStreamIdentical(t *testing.T) {
 	t.Parallel()
 	opt := fastOpt("adpcm_encode", "gzip", "swim")
+	opt.Schemes = []Scheme{SchemeAttackDecay, SchemeAdaptive}
 
 	var events []RowEvent
-	var f9, f10 bytes.Buffer
-	s9, err := NewFigureStream(&f9, "fig9", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s10, err := NewFigureStream(&f10, "fig10", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.RowFlush = func(ev RowEvent) {
-		events = append(events, ev)
-		s9.Row(ev)
-		s10.Row(ev)
-	}
+	opt.RowFlush = func(ev RowEvent) { events = append(events, ev) }
 	m, err := RunMatrixContext(context.Background(), opt)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s9.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s10.Finish(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -337,24 +335,23 @@ func TestRowFlushOrderedAndStreamIdentical(t *testing.T) {
 		if !ev.Complete {
 			t.Errorf("event %d incomplete: %+v", i, ev)
 		}
+		if !slices.Equal(ev.Schemes, m.Schemes) {
+			t.Errorf("event %d schemes %v, matrix %v", i, ev.Schemes, m.Schemes)
+		}
 	}
-
-	var want9, want10 bytes.Buffer
-	rep9, rep10 := m.Figure9(), m.Figure10()
-	rep9.WriteTo(&want9)   //nolint:errcheck // bytes.Buffer cannot fail
-	rep10.WriteTo(&want10) //nolint:errcheck // bytes.Buffer cannot fail
-	if f9.String() != want9.String() {
-		t.Errorf("streamed fig9 differs from batch:\n--- stream\n%s--- batch\n%s", f9.String(), want9.String())
-	}
-	if f10.String() != want10.String() {
-		t.Errorf("streamed fig10 differs from batch:\n--- stream\n%s--- batch\n%s", f10.String(), want10.String())
+	streamed := rowsMatrix(events)
+	for _, fig := range []func(*Matrix) Report{(*Matrix).Figure9, (*Matrix).Figure10} {
+		got, want := fig(streamed), fig(m)
+		if got.String() != want.String() {
+			t.Errorf("figure over the delivered rows differs from batch:\n--- rows\n%s--- batch\n%s", got.String(), want.String())
+		}
 	}
 }
 
 // TestRowFlushDrainsOnCancellation: the interrupted path shares the
 // flush path — a cancelled sweep still delivers one event per
-// benchmark (via the post-sweep drain), and the streamed figure equals
-// the batch render of the partial matrix.
+// benchmark (via the post-sweep drain), and the figure over the
+// delivered rows equals the batch render of the partial matrix.
 func TestRowFlushDrainsOnCancellation(t *testing.T) {
 	t.Parallel()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -362,32 +359,19 @@ func TestRowFlushDrainsOnCancellation(t *testing.T) {
 
 	opt := fastOpt("gzip", "swim")
 	var events []RowEvent
-	var out bytes.Buffer
-	stream, err := NewFigureStream(&out, "fig9", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.RowFlush = func(ev RowEvent) {
-		events = append(events, ev)
-		stream.Row(ev)
-	}
+	opt.RowFlush = func(ev RowEvent) { events = append(events, ev) }
 	m, err := RunMatrixContext(ctx, opt)
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
-	if err := stream.Finish(); err != nil {
-		t.Fatal(err)
-	}
 	if len(events) != 2 || events[0].Complete || events[1].Complete {
 		t.Fatalf("cancelled sweep events: %+v", events)
 	}
-	rep := m.Figure9()
-	var want bytes.Buffer
-	rep.WriteTo(&want) //nolint:errcheck // bytes.Buffer cannot fail
-	if out.String() != want.String() {
-		t.Errorf("cancelled stream differs from batch:\n--- stream\n%s--- batch\n%s", out.String(), want.String())
+	got, want := rowsMatrix(events).Figure9(), m.Figure9()
+	if got.String() != want.String() {
+		t.Errorf("cancelled rows differ from batch:\n--- rows\n%s--- batch\n%s", got.String(), want.String())
 	}
-	if !strings.Contains(out.String(), "omitted") {
-		t.Errorf("omitted-rows note missing:\n%s", out.String())
+	if !strings.Contains(got.String(), "omitted") {
+		t.Errorf("omitted-rows note missing:\n%s", got.String())
 	}
 }

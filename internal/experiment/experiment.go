@@ -513,7 +513,7 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 	var mu sync.Mutex
 	var flush *rowFlusher
 	if opt.RowFlush != nil {
-		flush = newRowFlusher(opt.Benchmarks, len(schemes), opt.RowFlush, func(bench string) (map[Scheme]*mcd.Result, bool) {
+		flush = newRowFlusher(opt.Benchmarks, controlled, opt.RowFlush, func(bench string) (map[Scheme]*mcd.Result, bool) {
 			mu.Lock()
 			defer mu.Unlock()
 			row := make(map[Scheme]*mcd.Result, len(m.Results[bench]))

@@ -283,83 +283,46 @@ func (m *Matrix) Figure11(fastGroup []string) Report {
 // comparisonSelector picks one of the three metrics for a figure.
 type comparisonSelector func(sav, perf, edp float64) float64
 
+// figure renders one benchmark × scheme figure: a row per complete
+// benchmark, the AVERAGE row, and a note naming each omitted benchmark
+// with its missing cells, as "gzip (none, pid)".
 func (m *Matrix) figure(id, title string, sel comparisonSelector) Report {
 	schemes := m.schemes()
-	lines := []string{figureHeader(schemes)}
-	var omitted []string
-	for _, b := range m.Benchmarks {
-		if o := omittedRow(b, schemes, m.Results[b]); o != "" {
-			omitted = append(omitted, o)
-			continue
-		}
-		lines = append(lines, figureRow(b, schemes, m.Results[b], sel))
+	cell := func(c power.Comparison) string {
+		return fmt.Sprintf(" %11.2f%%", 100*sel(c.EnergySaving, c.PerfDegradation, c.EDPImprovement))
 	}
-	lines = append(lines, m.figureAverage(schemes, sel))
-	rep := Report{ID: id, Title: title, Lines: lines}
-	if n := figureSkippedNote(omitted); n != "" {
-		rep.Notes = append(rep.Notes, n)
-	}
-	return rep
-}
-
-// The helpers below are shared between the batch renderer above and
-// the incremental FigureStream (stream.go), which is what keeps a
-// row-by-row render byte-identical to an end-of-sweep one.
-
-// figureHeader renders a figure's column header line.
-func figureHeader(schemes []Scheme) string {
 	header := fmt.Sprintf("%-14s", "benchmark")
 	for _, s := range schemes {
 		header += fmt.Sprintf(" %12s", s)
 	}
-	return header
-}
-
-// omittedRow names a row snapshot that lacks the baseline or a scheme
-// column (the per-row form of Matrix.Complete) together with its
-// missing cells, as "gzip (none, pid)"; it returns "" for a complete
-// row.
-func omittedRow(bench string, schemes []Scheme, row map[Scheme]*mcd.Result) string {
-	var missing []string
-	for _, s := range append([]Scheme{SchemeNone}, schemes...) {
-		if row[s] == nil {
-			missing = append(missing, string(s))
+	lines := []string{header}
+	var omitted []string
+	for _, b := range m.Benchmarks {
+		if !m.Complete(b) {
+			var missing []string
+			for _, s := range append([]Scheme{SchemeNone}, schemes...) {
+				if m.Results[b][s] == nil {
+					missing = append(missing, string(s))
+				}
+			}
+			omitted = append(omitted, fmt.Sprintf("%s (%s)", b, strings.Join(missing, ", ")))
+			continue
 		}
+		row := fmt.Sprintf("%-14s", b)
+		for _, s := range schemes {
+			row += cell(m.Compare(b, s))
+		}
+		lines = append(lines, row)
 	}
-	if missing == nil {
-		return ""
-	}
-	return fmt.Sprintf("%s (%s)", bench, strings.Join(missing, ", "))
-}
-
-// figureRow renders one complete benchmark row.
-func figureRow(bench string, schemes []Scheme, row map[Scheme]*mcd.Result, sel comparisonSelector) string {
-	base := row[SchemeNone]
-	line := fmt.Sprintf("%-14s", bench)
-	for _, s := range schemes {
-		c := power.Compare(base.Metrics, row[s].Metrics)
-		line += fmt.Sprintf(" %11.2f%%", 100*sel(c.EnergySaving, c.PerfDegradation, c.EDPImprovement))
-	}
-	return line
-}
-
-// figureAverage renders the AVERAGE row.
-func (m *Matrix) figureAverage(schemes []Scheme, sel comparisonSelector) string {
 	avg := fmt.Sprintf("%-14s", "AVERAGE")
 	for _, s := range schemes {
-		c := m.MeanComparison(s, nil)
-		avg += fmt.Sprintf(" %11.2f%%", 100*sel(c.EnergySaving, c.PerfDegradation, c.EDPImprovement))
+		avg += cell(m.MeanComparison(s, nil))
 	}
-	return avg
-}
-
-// figureSkippedNote renders the omitted-rows note from omittedRow's
-// entries ("" when none).
-func figureSkippedNote(omitted []string) string {
-	if len(omitted) == 0 {
-		return ""
+	rep := Report{ID: id, Title: title, Lines: append(lines, avg)}
+	if len(omitted) > 0 {
+		rep.Notes = append(rep.Notes, fmt.Sprintf("%d benchmark(s) omitted, cells failed or cancelled: %s", len(omitted), strings.Join(omitted, "; ")))
 	}
-	return fmt.Sprintf("%d benchmark(s) omitted, cells failed or cancelled: %s", len(omitted), strings.Join(omitted, "; "))
+	return rep
 }
 
 // Table3Report renders the PID-interval sweep against the adaptive

@@ -12,7 +12,9 @@ import (
 // have finished their cells), so a streaming renderer writes rows in
 // exactly the order the batch renderer would. Results holds a snapshot
 // copy of the row — failed cells are absent, and Complete mirrors
-// Matrix.Complete for it.
+// Matrix.Complete for it. A Matrix of the rows delivered so far, with
+// the event's Schemes as its columns, renders as the batch render of
+// those rows.
 type RowEvent struct {
 	// Bench is the benchmark whose row completed.
 	Bench string
@@ -20,6 +22,9 @@ type RowEvent struct {
 	Index int
 	// Total is the number of benchmark rows in the sweep.
 	Total int
+	// Schemes is the sweep's controlled-scheme columns, resolved as
+	// Matrix.Schemes is. Shared with every event — do not mutate.
+	Schemes []Scheme
 	// Complete reports whether the baseline and every controlled
 	// scheme produced a result for this benchmark.
 	Complete bool
@@ -37,6 +42,7 @@ type rowFlusher struct {
 	emit     func(RowEvent)
 	snapshot func(bench string) (map[Scheme]*mcd.Result, bool)
 	benches  []string
+	schemes  []Scheme
 	index    map[string]int
 
 	mu   sync.Mutex
@@ -44,17 +50,18 @@ type rowFlusher struct {
 	next int   // first row not yet emitted
 }
 
-func newRowFlusher(benches []string, cellsPerBench int, emit func(RowEvent), snapshot func(bench string) (map[Scheme]*mcd.Result, bool)) *rowFlusher {
+func newRowFlusher(benches []string, schemes []Scheme, emit func(RowEvent), snapshot func(bench string) (map[Scheme]*mcd.Result, bool)) *rowFlusher {
 	f := &rowFlusher{
 		emit:     emit,
 		snapshot: snapshot,
 		benches:  benches,
+		schemes:  schemes,
 		index:    make(map[string]int, len(benches)),
 		left:     make([]int, len(benches)),
 	}
 	for i, b := range benches {
 		f.index[b] = i
-		f.left[i] = cellsPerBench
+		f.left[i] = len(schemes) + 1 // the baseline and each controlled scheme
 	}
 	return f
 }
@@ -95,6 +102,7 @@ func (f *rowFlusher) emitRow(i int) {
 		Bench:    f.benches[i],
 		Index:    i,
 		Total:    len(f.benches),
+		Schemes:  f.schemes,
 		Complete: complete,
 		Results:  row,
 	})

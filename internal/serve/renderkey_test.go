@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -297,4 +298,20 @@ func TestRenderKeyProperties(t *testing.T) {
 		}
 	}
 	t.Logf("%d keys over 24 draws and their respellings; %d renders compared against an earlier one", len(rendered), compared)
+}
+
+// TestTimeoutClampsWithoutOverflow: a client asking for a deadline
+// longer than the server allows gets the server's maximum, however
+// many milliseconds it asks for.
+func TestTimeoutClampsWithoutOverflow(t *testing.T) {
+	const maxTimeout = 2 * time.Minute
+	for _, ms := range []int64{3 * 60 * 1000, 10_000_000_000_000, math.MaxInt64} {
+		spec, err := newRenderSpec(RenderRequest{Artifact: "table1", Format: "txt", TimeoutMS: ms}, time.Minute, maxTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.timeout != maxTimeout {
+			t.Errorf("timeout_ms %d: deadline %v, want %v", ms, spec.timeout, maxTimeout)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"mcddvfs/internal/experiment"
@@ -101,7 +102,9 @@ func newRenderSpec(req RenderRequest, defaultTimeout, maxTimeout time.Duration) 
 		return renderSpec{}, err
 	}
 	if req.TimeoutMS > 0 {
-		spec.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		// Bound the milliseconds before converting: past about 292
+		// years the nanosecond count wraps negative.
+		spec.timeout = time.Duration(min(req.TimeoutMS, int64(math.MaxInt64/time.Millisecond))) * time.Millisecond
 	}
 	if maxTimeout > 0 && spec.timeout > maxTimeout {
 		spec.timeout = maxTimeout
