@@ -375,8 +375,8 @@ func BenchmarkRenderKey(b *testing.B) {
 
 // diskBytesPerEntry returns the mean size of the published cache
 // entries in dir: the bytes a warm-disk cell reads and checksums. It is
-// a deterministic work count (gob's map order permutes an entry's
-// bytes, never its length), so benchjson gates it like allocs/op.
+// a deterministic work count (an entry's bytes are a function of its
+// result), so benchjson gates it like allocs/op.
 func diskBytesPerEntry(b *testing.B, dir string) float64 {
 	b.Helper()
 	paths, err := filepath.Glob(filepath.Join(dir, "*.res"))

@@ -33,19 +33,20 @@
 //     are counted in Stats and reported to an optional observer — the
 //     hook a circuit breaker latches onto (see internal/serve).
 //
-// Values are encoded with encoding/gob: binary-exact for float64 and
-// several times faster than JSON at the sizes simulation results
-// reach. The harness's dominant payload — occupancy and frequency
-// series — carries its own compact gob form (mcd.Series,
-// mcd.FreqSeries), so an entry costs about a byte per occupancy sample,
-// half the two bytes a sample takes in memory.
+// Values bring their own encoding: Put takes an
+// encoding.BinaryMarshaler and Get an encoding.BinaryUnmarshaler, and
+// the store frames, checksums and publishes the bytes without looking
+// inside them. The harness stores mcd.Result and mcd.ChipResult, whose
+// hand-written entry codec (internal/mcd/codec.go) is binary-exact for
+// float64, byte-deterministic, and decodes a hit in one pass with one
+// copy of each series; an entry costs about a byte per occupancy
+// sample, half the two bytes a sample takes in memory.
 package diskcache
 
 import (
-	"bytes"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -63,9 +64,11 @@ import (
 // changes shape: every entry written by an older version then misses
 // with ErrVersionMismatch and is deleted and lazily rewritten at the
 // same key, instead of being misdecoded. Version 2 introduced the
-// packed occupancy and frequency series (mcd.Series, mcd.FreqSeries).
-// Cache keys do not include this number, so a bump keeps every key.
-const FormatVersion = 2
+// packed occupancy and frequency series (mcd.Series, mcd.FreqSeries);
+// version 3 replaced the gob container with the values' own binary
+// codec. Cache keys do not include this number, so a bump keeps every
+// key.
+const FormatVersion = 3
 
 // Store error taxonomy. Callers dispatch with errors.Is; every Get
 // failure wraps exactly one of these.
@@ -81,7 +84,7 @@ var (
 )
 
 // entry layout: magic(4) | version(u32 LE) | payload sha256(32) |
-// payload length(u64 LE) | gob payload.
+// payload length(u64 LE) | payload (the value's MarshalBinary bytes).
 const (
 	entryMagic  = "MCDR"
 	headerSize  = 4 + 4 + sha256.Size + 8
@@ -244,9 +247,10 @@ func (s *Store) count(f func(*Stats)) {
 // matrix replayed from disk reads one multi-megabyte entry per cell;
 // without reuse every hit allocates (and promptly garbage-collects) a
 // fresh blob, which dominated the warm-disk hit path's allocation
-// profile. Buffers are returned to the pool only after gob has copied
-// the payload into the caller's value, so no decoded data aliases a
-// pooled buffer.
+// profile. Buffers are returned to the pool only after UnmarshalBinary
+// has returned, and (as encoding.BinaryUnmarshaler requires) a value
+// copies whatever it keeps, so no decoded data aliases a pooled
+// buffer.
 var blobPool = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
 
 // readEntry reads the file into a pooled buffer. The returned release
@@ -275,12 +279,12 @@ func readEntry(fsys FS, path string) (blob []byte, release func(), err error) {
 	return blob, release, nil
 }
 
-// Get decodes the entry for key into v (a pointer, as for
-// gob.Decoder.Decode). A missing entry returns ErrMiss; a damaged or
-// stale one is deleted and returns ErrCorrupt or ErrVersionMismatch.
+// Get decodes the entry for key into v with v.UnmarshalBinary. A
+// missing entry returns ErrMiss; a damaged or stale one, or one v
+// rejects, is deleted and returns ErrCorrupt or ErrVersionMismatch.
 // On success the entry's mtime is refreshed so LRU eviction sees the
 // use.
-func (s *Store) Get(key [sha256.Size]byte, v any) error {
+func (s *Store) Get(key [sha256.Size]byte, v encoding.BinaryUnmarshaler) error {
 	fsys := s.fs()
 	path := s.path(key)
 	blob, release, err := readEntry(fsys, path)
@@ -310,7 +314,7 @@ func (s *Store) Get(key [sha256.Size]byte, v any) error {
 		s.observe(OpGet, nil)
 		return err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+	if err := v.UnmarshalBinary(payload); err != nil {
 		fsys.Remove(path) //nolint:errcheck // best-effort self-heal
 		s.count(func(st *Stats) { st.Corrupt++; st.Misses++ })
 		s.observe(OpGet, nil)
@@ -348,7 +352,8 @@ func decodeEntry(blob []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// Put encodes v and atomically publishes it as the entry for key:
+// Put encodes v with v.MarshalBinary and atomically publishes it as
+// the entry for key:
 // the payload goes to a unique temp file in the store directory and is
 // renamed into place, so a concurrent Get sees either the old complete
 // entry or the new complete entry, never a torn one. Transient I/O
@@ -356,9 +361,9 @@ func decodeEntry(blob []byte) ([]byte, error) {
 // are retried with exponential backoff (defaultRetryAttempts tries)
 // before Put gives up — a brief disk hiccup must not silently drop the
 // entry.
-func (s *Store) Put(key [sha256.Size]byte, v any) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+func (s *Store) Put(key [sha256.Size]byte, v encoding.BinaryMarshaler) error {
+	payload, err := v.MarshalBinary()
+	if err != nil {
 		// An unencodable value is the caller's bug, not disk weather:
 		// no retry, no observer signal.
 		return fmt.Errorf("diskcache: encoding entry: %w", err)
@@ -366,21 +371,20 @@ func (s *Store) Put(key [sha256.Size]byte, v any) error {
 	var header [headerSize]byte
 	copy(header[:4], entryMagic)
 	binary.LittleEndian.PutUint32(header[4:8], FormatVersion)
-	sum := sha256.Sum256(payload.Bytes())
+	sum := sha256.Sum256(payload)
 	copy(header[8:8+sha256.Size], sum[:])
-	binary.LittleEndian.PutUint64(header[8+sha256.Size:], uint64(payload.Len()))
+	binary.LittleEndian.PutUint64(header[8+sha256.Size:], uint64(len(payload)))
 
 	s.mu.Lock()
 	attempts, backoff := s.retryAttempts, s.retryBackoff
 	s.mu.Unlock()
 
-	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			s.count(func(st *Stats) { st.Retries++ })
 			time.Sleep(backoff << (attempt - 1))
 		}
-		if err = s.writeEntry(key, header[:], payload.Bytes()); err == nil {
+		if err = s.writeEntry(key, header[:], payload); err == nil {
 			break
 		}
 	}

@@ -33,15 +33,15 @@ func TestPutRetriesTransientWriteFaults(t *testing.T) {
 			s, ffs, dir := openFlaky(t)
 			ffs.FailNext(2, op) // first two attempts fail, third succeeds
 			want := samplePayload(512)
-			if err := s.Put(key(1), &want); err != nil {
+			if err := s.Put(key(1), want); err != nil {
 				t.Fatalf("Put did not survive 2 transient %s faults: %v", op, err)
 			}
 			var got payload
 			if err := s.Get(key(1), &got); err != nil {
 				t.Fatalf("Get after faulted Put: %v", err)
 			}
-			if len(got.Series) != len(want.Series) {
-				t.Fatalf("entry truncated: %d samples, want %d", len(got.Series), len(want.Series))
+			if n := len(got.QueueSamples[sampleQueue]); n != len(want.QueueSamples[sampleQueue]) {
+				t.Fatalf("entry truncated: %d samples, want %d", n, len(want.QueueSamples[sampleQueue]))
 			}
 			st := s.Stats()
 			if st.Retries < 2 || st.WriteErrors != 0 {

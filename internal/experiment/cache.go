@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -556,7 +557,7 @@ func resolve(ctx context.Context, s *runSpec, k [sha256.Size]byte, gen uint64, p
 	}
 	o.res, o.err = simulate(ctx, s, profs, scheme, bankSrc)
 	if o.err == nil && store != nil {
-		var entry any = o.res
+		var entry encoding.BinaryMarshaler = o.res
 		if legacy {
 			entry = o.res.Cores[0]
 		}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -99,7 +100,8 @@ func TestDiskCacheServesAcrossReset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var stored, want interface{} = &mcd.ChipResult{}, fresh
+			var stored encoding.BinaryUnmarshaler = &mcd.ChipResult{}
+			var want any = fresh
 			if tc.cores == 1 {
 				stored, want = &mcd.Result{}, fresh.Cores[0]
 			}
@@ -147,6 +149,41 @@ func TestDiskCacheMatrixWarmRun(t *testing.T) {
 			if !reflect.DeepEqual(want.Metrics, got.Metrics) {
 				t.Errorf("%s/%s metrics differ after disk round trip", b, s)
 			}
+		}
+	}
+}
+
+// TestDiskCacheEntriesDeterministic asserts entries are a function of
+// their results alone: two fresh harnesses that write the same matrix
+// into directories of their own publish the same files, byte for byte.
+func TestDiskCacheEntriesDeterministic(t *testing.T) {
+	t.Parallel()
+	var dirs [2]string
+	for i := range dirs {
+		opt := diskOpt(t)
+		if _, err := RunMatrixContext(context.Background(), opt); err != nil {
+			t.Fatal(err)
+		}
+		dirs[i] = opt.CacheDir
+	}
+	paths, err := filepath.Glob(filepath.Join(dirs[0], "*.res"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("first matrix published no entries (err %v)", err)
+	}
+	if n := entryCount(t, dirs[1]); n != len(paths) {
+		t.Fatalf("matrices published %d and %d entries", len(paths), n)
+	}
+	for _, p := range paths {
+		want, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dirs[1], filepath.Base(p)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: entries of the same result differ (%d and %d bytes)", filepath.Base(p), len(want), len(got))
 		}
 	}
 }

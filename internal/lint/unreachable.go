@@ -30,7 +30,7 @@ import (
 //     (analyzer values, registries, dispatch tables);
 //   - every method that implements an interface declared outside the
 //     loaded packages, such as fmt.Stringer, error or
-//     gob.GobEncoder, checked with types.Implements;
+//     encoding.BinaryMarshaler, checked with types.Implements;
 //   - every declaration waived with //lint:allow unreachable <reason>,
 //     and so everything it reaches;
 //   - every function referenced from a companion module: a Go module
@@ -156,8 +156,8 @@ var errorsProtocol = []string{
 // that implements part of an interface declared outside them: the
 // universe's error and every exported interface of a package a target
 // imports, plus the errors package's anonymous protocol. Those methods
-// are called from code the graph cannot see (fmt calling String, gob
-// calling GobEncode, errors.Is calling Unwrap).
+// are called from code the graph cannot see (fmt calling String,
+// encoding/json calling MarshalJSON, errors.Is calling Unwrap).
 func externalImpls(g *progGraph, targets []*analysis.Target, visit func(*graphNode, string)) {
 	loaded := make(map[string]bool, len(targets))
 	for _, t := range targets {

@@ -19,12 +19,22 @@ import (
 	"mcddvfs/internal/trace"
 )
 
-// chipRunBytes runs the canonical determinism workload — a 4-core chip
-// with heterogeneous per-core benchmarks, adaptive per-domain
-// controllers, and the integral-gain governor holding a 30 W budget —
-// on a worker pool of the given size and returns the serialized
-// ChipResult.
+// chipRunBytes runs the canonical determinism workload on a worker
+// pool of the given size and returns the serialized ChipResult.
 func chipRunBytes(t *testing.T, workers int) []byte {
+	t.Helper()
+	blob, err := json.Marshal(governedChipRun(t, workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// governedChipRun runs the canonical determinism workload — a 4-core
+// chip with heterogeneous per-core benchmarks, adaptive per-domain
+// controllers, and the integral-gain governor holding a 30 W budget —
+// on a worker pool of the given size.
+func governedChipRun(t *testing.T, workers int) *mcd.ChipResult {
 	t.Helper()
 	benches := []string{"epic_decode", "gzip", "swim", "adpcm_encode"}
 	cfg := mcd.ChipConfig{Cores: make([]mcd.Config, len(benches)), PowerCapW: 30}
@@ -77,11 +87,7 @@ func chipRunBytes(t *testing.T, workers int) []byte {
 	if len(res.EpochTrace) == 0 {
 		t.Fatal("governed chip run recorded no control epochs")
 	}
-	blob, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
+	return res
 }
 
 // timedChipRun measures the wall-clock of one governorless 4-core chip

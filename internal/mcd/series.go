@@ -12,27 +12,28 @@ import (
 // bytes in memory (Config.Validate caps every sampled queue at 65535
 // entries). Floats converts the series for the spectral analysis.
 //
-// The gob form is a form byte followed by the samples, with no length
-// prefix — the payload length fixes the count:
+// Its section in the entry codec (codec.go) is a form byte followed by
+// the samples, with no count — the section length fixes it:
 //
-//   - packed: one byte per sample, chosen when every sample is at
-//     most 255, as every default-sized queue's is.
+//   - packed: one byte per sample, chosen exactly when every sample
+//     is at most 255, as every default-sized queue's is.
 //   - raw: the little-endian IEEE-754 bits of each sample as a
 //     float64, for anything else. Decoding rejects a raw sample that
-//     is not an integer in [0, 65535].
+//     is not an integer in [0, 65535] (or is −0), and a raw section
+//     whose samples would all have packed.
 //
-// Both forms are the ones the series had when it was a []float64, so
-// cache entries written then still decode. An empty or nil series
-// encodes to zero bytes and decodes to nil, as gob does for a plain
-// empty slice. On disk a series therefore costs about one byte per
-// sample.
+// Both forms are the ones the series had when it was a []float64. An
+// empty or nil series is an empty section and decodes to nil, as gob
+// does for a plain empty slice. On disk a series therefore costs
+// about one byte per sample.
 type Series []uint16
 
-// FreqSeries is a frequency trajectory (Result.FreqTrace). Its gob form
-// is uvarint(n), then n little-endian MHz bit patterns, then n
-// zigzag-varint deltas of Insts (the first from zero). Retired counts
-// grow slowly between retargets, so a delta usually takes two or three
-// bytes. Empty encodes to zero bytes and decodes to nil.
+// FreqSeries is a frequency trajectory (Result.FreqTrace). Its section
+// in the entry codec is uvarint(n), then n little-endian MHz bit
+// patterns, then n zigzag-varint deltas of Insts (the first from
+// zero). Retired counts grow slowly between retargets, so a delta
+// usually takes two or three bytes. Empty is an empty section and
+// decodes to nil.
 type FreqSeries []FreqPoint
 
 // Series encoding forms. Zero is reserved so a zeroed byte never
@@ -55,37 +56,51 @@ func (s Series) Floats() []float64 {
 	return out
 }
 
-// GobEncode implements gob.GobEncoder.
-func (s Series) GobEncode() ([]byte, error) {
-	if len(s) == 0 {
-		return nil, nil
-	}
-	packed := true
+// packed reports whether every sample fits the one-byte form.
+func (s Series) packed() bool {
 	for _, v := range s {
 		if v > math.MaxUint8 {
-			packed = false
-			break
+			return false
 		}
 	}
-	if packed {
-		buf := make([]byte, 1+len(s))
-		buf[0] = seriesPacked
-		for i, v := range s {
-			buf[1+i] = byte(v)
-		}
-		return buf, nil
-	}
-	buf := make([]byte, 1+8*len(s))
-	buf[0] = seriesRaw
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(buf[1+8*i:], math.Float64bits(float64(v)))
-	}
-	return buf, nil
+	return true
 }
 
-// GobDecode implements gob.GobDecoder. The sample count follows from
-// the payload length, so the allocation is bounded by the input.
-func (s *Series) GobDecode(data []byte) error {
+// sectionLen is the length of the series' section.
+func (s Series) sectionLen() int {
+	switch {
+	case len(s) == 0:
+		return 0
+	case s.packed():
+		return 1 + len(s)
+	default:
+		return 1 + 8*len(s)
+	}
+}
+
+// appendSection appends the series' section to b.
+func (s Series) appendSection(b []byte) []byte {
+	if len(s) == 0 {
+		return b
+	}
+	if s.packed() {
+		b = append(b, seriesPacked)
+		for _, v := range s {
+			b = append(b, byte(v))
+		}
+		return b
+	}
+	b = append(b, seriesRaw)
+	for _, v := range s {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(float64(v)))
+	}
+	return b
+}
+
+// decodeSection sets s from a section appendSection wrote. The sample
+// count follows from the section length, so the allocation is bounded
+// by the input, and the samples are copied out of data.
+func (s *Series) decodeSection(data []byte) error {
 	if len(data) == 0 {
 		*s = nil
 		return nil
@@ -108,10 +123,13 @@ func (s *Series) GobDecode(data []byte) error {
 		out := make(Series, len(body)/8)
 		for i := range out {
 			v := math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-			if !(v >= 0 && v <= math.MaxUint16 && v == math.Trunc(v)) {
+			if !(v >= 0 && v <= math.MaxUint16 && v == math.Trunc(v)) || math.Signbit(v) {
 				return fmt.Errorf("mcd: raw series sample %d is %g, not an occupancy", i, v)
 			}
 			out[i] = uint16(v)
+		}
+		if out.packed() {
+			return errors.New("mcd: raw series whose samples all fit the packed form")
 		}
 		*s = out
 	default:
@@ -120,54 +138,68 @@ func (s *Series) GobDecode(data []byte) error {
 	return nil
 }
 
-// GobEncode implements gob.GobEncoder.
-func (f FreqSeries) GobEncode() ([]byte, error) {
+// sectionLen is the length of the trajectory's section.
+func (f FreqSeries) sectionLen() int {
 	if len(f) == 0 {
-		return nil, nil
+		return 0
 	}
-	buf := make([]byte, 0, binary.MaxVarintLen64+11*len(f))
-	buf = binary.AppendUvarint(buf, uint64(len(f)))
+	n := uvarintLen(uint64(len(f))) + 8*len(f)
+	var prev int64
 	for _, p := range f {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.MHz))
+		n += uvarintLen(zigzag(p.Insts - prev))
+		prev = p.Insts
+	}
+	return n
+}
+
+// appendSection appends the trajectory's section to b.
+func (f FreqSeries) appendSection(b []byte) []byte {
+	if len(f) == 0 {
+		return b
+	}
+	b = binary.AppendUvarint(b, uint64(len(f)))
+	for _, p := range f {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.MHz))
 	}
 	var prev int64
 	for _, p := range f {
-		buf = binary.AppendVarint(buf, p.Insts-prev)
+		b = binary.AppendVarint(b, p.Insts-prev)
 		prev = p.Insts
 	}
-	return buf, nil
+	return b
 }
 
-// GobDecode implements gob.GobDecoder. The point count is checked
-// against the payload (each point needs its 8 MHz bytes and at least
-// one delta byte) before anything is allocated.
-func (f *FreqSeries) GobDecode(data []byte) error {
+// decodeSection sets f from a section appendSection wrote. The point
+// count is checked against the section (each point needs its 8 MHz
+// bytes and at least one delta byte) before anything is allocated.
+func (f *FreqSeries) decodeSection(data []byte) error {
 	if len(data) == 0 {
 		*f = nil
 		return nil
 	}
-	n, k := binary.Uvarint(data)
-	if k <= 0 {
+	d := decoder{b: data}
+	n := d.uvarint()
+	if d.err != nil {
 		return errors.New("mcd: bad frequency-series length")
 	}
-	body := data[k:]
+	body := d.b
 	if n == 0 || n > uint64(len(body))/9 {
 		return fmt.Errorf("mcd: frequency series of %d points in %d bytes", n, len(body))
 	}
-	mhz, deltas := body[:8*n], body[8*n:]
+	mhz := body[:8*n]
+	d.b = body[8*n:]
 	out := make(FreqSeries, n)
 	var insts int64
 	for i := range out {
-		d, dk := binary.Varint(deltas)
-		if dk <= 0 {
+		delta := d.varint()
+		if d.err != nil {
 			return fmt.Errorf("mcd: bad Insts delta at point %d", i)
 		}
-		deltas = deltas[dk:]
-		insts += d
+		insts += delta
 		out[i] = FreqPoint{Insts: insts, MHz: math.Float64frombits(binary.LittleEndian.Uint64(mhz[8*i:]))}
 	}
-	if len(deltas) != 0 {
-		return fmt.Errorf("mcd: %d trailing bytes after frequency series", len(deltas))
+	if len(d.b) != 0 {
+		return fmt.Errorf("mcd: %d trailing bytes after frequency series", len(d.b))
 	}
 	*f = out
 	return nil

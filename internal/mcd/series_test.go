@@ -52,9 +52,9 @@ func TestSeriesRoundTrip(t *testing.T) {
 		{"uint16 extremes", Series{65535, 0, 1}, false},
 	}
 	for _, tc := range cases {
-		blob, err := tc.in.GobEncode()
-		if err != nil {
-			t.Fatalf("%s: encode: %v", tc.name, err)
+		blob := tc.in.appendSection(nil)
+		if len(blob) != tc.in.sectionLen() {
+			t.Errorf("%s: section of %d bytes, sectionLen %d", tc.name, len(blob), tc.in.sectionLen())
 		}
 		switch {
 		case len(tc.in) == 0:
@@ -71,7 +71,7 @@ func TestSeriesRoundTrip(t *testing.T) {
 			}
 		}
 		var out Series
-		if err := out.GobDecode(blob); err != nil {
+		if err := out.decodeSection(blob); err != nil {
 			t.Fatalf("%s: decode: %v", tc.name, err)
 		}
 		want := tc.in
@@ -84,53 +84,33 @@ func TestSeriesRoundTrip(t *testing.T) {
 	}
 }
 
-// Gob bytes written when Series was a []float64, so that cache entries
-// from before the two-byte samples keep decoding. seriesPackedBytes and
-// seriesRawBytes are the codec's own output for {0, 3, 17, 255} and
-// {256, 65535, 0}; legacyStream is a gob stream of
-// struct{ Packed, Raw Series } holding the same two series.
+// The section bytes the series had when it was a []float64:
+// seriesPackedBytes and seriesRawBytes are the codec's own output for
+// {0, 3, 17, 255} and {256, 65535, 0}.
 var (
 	seriesPackedBytes = []byte{0x1, 0x0, 0x3, 0x11, 0xff}
 	seriesRawBytes    = []byte{0x2,
 		0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x70, 0x40,
 		0x0, 0x0, 0x0, 0x0, 0xe0, 0xff, 0xef, 0x40,
 		0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0}
-	legacyStream = []byte{0x20, 0x7f, 0x3, 0x1, 0x2, 0xff, 0x80, 0x0, 0x1, 0x2, 0x1, 0x6, 0x50, 0x61, 0x63,
-		0x6b, 0x65, 0x64, 0x1, 0xff, 0x82, 0x0, 0x1, 0x3, 0x52, 0x61, 0x77, 0x1, 0xff, 0x82, 0x0, 0x0,
-		0x0, 0x12, 0xff, 0x81, 0x5, 0x1, 0x1, 0x6, 0x53, 0x65, 0x72, 0x69, 0x65, 0x73, 0x1, 0xff, 0x82,
-		0x0, 0x0, 0x0, 0x25, 0xff, 0x80, 0x1, 0x5, 0x1, 0x0, 0x3, 0x11, 0xff, 0x1, 0x19, 0x2, 0x0, 0x0,
-		0x0, 0x0, 0x0, 0x0, 0x70, 0x40, 0x0, 0x0, 0x0, 0x0, 0xe0, 0xff, 0xef, 0x40, 0x0, 0x0, 0x0, 0x0,
-		0x0, 0x0, 0x0, 0x0, 0x0}
 )
 
-// TestSeriesKeepsLegacyBytes asserts the codec's bytes did not change
-// with the sample type: the encoder writes the float64-era bytes, and
-// those bytes, alone or inside a gob stream, decode to the same
-// samples.
+// TestSeriesKeepsLegacyBytes asserts the section bytes did not change
+// with the sample type or the container: the encoder writes the
+// float64-era bytes, and those bytes decode to the same samples.
 func TestSeriesKeepsLegacyBytes(t *testing.T) {
 	packed, raw := Series{0, 3, 17, 255}, Series{256, 65535, 0}
 	for _, tc := range []struct {
 		in   Series
 		want []byte
 	}{{packed, seriesPackedBytes}, {raw, seriesRawBytes}} {
-		blob, err := tc.in.GobEncode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(blob, tc.want) {
+		if blob := tc.in.appendSection(nil); !bytes.Equal(blob, tc.want) {
 			t.Errorf("%v encoded to %#v, want %#v", tc.in, blob, tc.want)
 		}
 		var out Series
-		if err := out.GobDecode(tc.want); err != nil || !sameSeries(out, tc.in) {
+		if err := out.decodeSection(tc.want); err != nil || !sameSeries(out, tc.in) {
 			t.Errorf("legacy bytes %#v decoded to %v (%v), want %v", tc.want, out, err, tc.in)
 		}
-	}
-	var v struct{ Packed, Raw Series }
-	if err := gob.NewDecoder(bytes.NewReader(legacyStream)).Decode(&v); err != nil {
-		t.Fatal(err)
-	}
-	if !sameSeries(v.Packed, packed) || !sameSeries(v.Raw, raw) {
-		t.Errorf("legacy gob stream decoded to %v and %v, want %v and %v", v.Packed, v.Raw, packed, raw)
 	}
 }
 
@@ -186,12 +166,12 @@ func TestFreqSeriesRoundTrip(t *testing.T) {
 		},
 	}
 	for name, in := range cases {
-		blob, err := in.GobEncode()
-		if err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
+		blob := in.appendSection(nil)
+		if len(blob) != in.sectionLen() {
+			t.Errorf("%s: section of %d bytes, sectionLen %d", name, len(blob), in.sectionLen())
 		}
 		var out FreqSeries
-		if err := out.GobDecode(blob); err != nil {
+		if err := out.decodeSection(blob); err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
 		want := in
@@ -216,9 +196,11 @@ func TestSeriesRejectsMalformed(t *testing.T) {
 		"NaN":             rawSeries(3, math.NaN()),
 		"above uint16":    rawSeries(65535, 65536),
 		"infinity":        rawSeries(math.Inf(1)),
+		"raw that packs":  rawSeries(0, 255, 3),
+		"negative zero":   rawSeries(math.Copysign(0, -1), 256),
 	} {
 		var s Series
-		if err := s.GobDecode(blob); err == nil {
+		if err := s.decodeSection(blob); err == nil {
 			t.Errorf("Series %s: decoded %v, want error", name, s)
 		}
 	}
@@ -230,49 +212,56 @@ func TestSeriesRejectsMalformed(t *testing.T) {
 		"missing delta":     append([]byte{1}, make([]byte, 8)...),
 		"trailing bytes":    append(append([]byte{1}, make([]byte, 8)...), 0, 0),
 		"bad delta varint":  append(append([]byte{1}, make([]byte, 8)...), 0x80),
+		"overlong length":   append(append([]byte{0x81, 0}, make([]byte, 8)...), 0),
+		"overlong delta":    append(append([]byte{1}, make([]byte, 8)...), 0x80, 0),
 	} {
 		var f FreqSeries
-		if err := f.GobDecode(blob); err == nil {
+		if err := f.decodeSection(blob); err == nil {
 			t.Errorf("FreqSeries %s: decoded %v, want error", name, f)
 		}
 	}
 }
 
-// TestSeriesGobMatchesPlainSlices asserts the codec is invisible
-// through gob: a Result's series maps decode to what they held, and a
-// zero-length value decodes to nil exactly as a plain slice does.
+// plainResult is Result without its entry codec: gob encodes it field
+// by field, series as plain slices, the way gob stored a Result before
+// the entry codec replaced it.
+type plainResult Result
+
+// TestSeriesGobMatchesPlainSlices asserts the entry codec decodes a
+// Result's series maps to what gob gives for plain slices: what they
+// held, with a zero-length value as nil, and a plain gob round trip
+// does the same.
 func TestSeriesGobMatchesPlainSlices(t *testing.T) {
 	in := Result{
 		Benchmark:    "gzip",
 		QueueSamples: map[string]Series{NameInt: {1, 2, 3}, NameFP: {}, NameLS: nil, "FetchQ": {256}},
 		FreqTrace:    map[string]FreqSeries{NameInt: {{Insts: 9, MHz: 1000}}, NameFP: {}},
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
+	blob, err := in.MarshalBinary()
+	if err != nil {
 		t.Fatal(err)
 	}
 	var out Result
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+	if err := out.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
 	want := in
 	want.QueueSamples = map[string]Series{NameInt: {1, 2, 3}, NameFP: nil, NameLS: nil, "FetchQ": {256}}
 	want.FreqTrace = map[string]FreqSeries{NameInt: {{Insts: 9, MHz: 1000}}, NameFP: nil}
 	if !reflect.DeepEqual(out, want) {
-		t.Errorf("gob round trip:\n got %+v\nwant %+v", out, want)
+		t.Errorf("entry codec round trip:\n got %+v\nwant %+v", out, want)
 	}
 
-	plain := map[string][]float64{"a": {}}
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(plain); err != nil {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode((*plainResult)(&in)); err != nil {
 		t.Fatal(err)
 	}
-	var plainOut map[string][]float64
-	if err := gob.NewDecoder(&buf).Decode(&plainOut); err != nil {
+	var gobOut plainResult
+	if err := gob.NewDecoder(&buf).Decode(&gobOut); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := plainOut["a"]; !ok || v != nil {
-		t.Errorf("plain gob decoded an empty slice to %#v; the Series codec assumes nil", v)
+	if !reflect.DeepEqual(Result(gobOut), want) {
+		t.Errorf("plain gob round trip:\n got %+v\nwant %+v", gobOut, want)
 	}
 }
 
@@ -284,10 +273,7 @@ func TestSimulatedSeriesPack(t *testing.T) {
 		p.exec[isa.DomainInt].SetTarget(0, 500)
 	})
 	for name, s := range res.QueueSamples {
-		blob, err := s.GobEncode()
-		if err != nil {
-			t.Fatal(err)
-		}
+		blob := s.appendSection(nil)
 		if len(s) > 0 && (blob[0] != seriesPacked || len(blob) != 1+len(s)) {
 			t.Errorf("%s: %d samples took %d bytes, want the packed form", name, len(s), len(blob))
 		}
@@ -296,12 +282,8 @@ func TestSimulatedSeriesPack(t *testing.T) {
 		t.Fatal("no frequency trace recorded")
 	}
 	for name, f := range res.FreqTrace {
-		blob, err := f.GobEncode()
-		if err != nil {
-			t.Fatal(err)
-		}
 		var out FreqSeries
-		if err := out.GobDecode(blob); err != nil {
+		if err := out.decodeSection(f.appendSection(nil)); err != nil {
 			t.Fatal(err)
 		}
 		want := f
@@ -312,51 +294,4 @@ func TestSimulatedSeriesPack(t *testing.T) {
 			t.Errorf("%s: frequency trace changed through the codec", name)
 		}
 	}
-}
-
-// FuzzSeriesCodec feeds arbitrary bytes to both decoders. Neither may
-// panic or allocate more points than the payload can hold, and
-// anything they accept must re-encode to a form that decodes to the
-// same values.
-func FuzzSeriesCodec(f *testing.F) {
-	for _, s := range []Series{{0, 4, 255}, {256, 65535, 0}} {
-		blob, _ := s.GobEncode()
-		f.Add(blob)
-	}
-	for _, fs := range []FreqSeries{{{Insts: 10, MHz: 1000}, {Insts: 4, MHz: 250}}} {
-		blob, _ := fs.GobEncode()
-		f.Add(blob)
-	}
-	f.Add([]byte{})
-	f.Add([]byte{seriesRaw, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var s Series
-		if err := s.GobDecode(data); err == nil {
-			if len(s) > len(data) {
-				t.Fatalf("Series: %d samples from %d bytes", len(s), len(data))
-			}
-			blob, err := s.GobEncode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var again Series
-			if err := again.GobDecode(blob); err != nil || !sameSeries(s, again) {
-				t.Fatalf("Series re-encode: %v, %v -> %v", err, s, again)
-			}
-		}
-		var fs FreqSeries
-		if err := fs.GobDecode(data); err == nil {
-			if len(fs) > len(data)/9 {
-				t.Fatalf("FreqSeries: %d points from %d bytes", len(fs), len(data))
-			}
-			blob, err := fs.GobEncode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var again FreqSeries
-			if err := again.GobDecode(blob); err != nil || !sameFreq(fs, again) {
-				t.Fatalf("FreqSeries re-encode: %v, %v -> %v", err, fs, again)
-			}
-		}
-	})
 }
