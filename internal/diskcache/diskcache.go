@@ -66,9 +66,11 @@ import (
 // same key, instead of being misdecoded. Version 2 introduced the
 // packed occupancy and frequency series (mcd.Series, mcd.FreqSeries);
 // version 3 replaced the gob container with the values' own binary
-// codec. Cache keys do not include this number, so a bump keeps every
-// key.
-const FormatVersion = 3
+// codec; version 4 added the run-length occupancy form and replaced
+// the float64 form with two-byte samples, so no series takes more
+// than two bytes a sample. Cache keys do not include this number, so a
+// bump keeps every key.
+const FormatVersion = 4
 
 // Store error taxonomy. Callers dispatch with errors.Is; every Get
 // failure wraps exactly one of these.

@@ -1,10 +1,9 @@
 package diskcache
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -26,13 +25,19 @@ type payload = mcd.Result
 const sampleQueue = mcd.NameInt
 
 // samplePayload is a Result whose occupancy series holds n samples,
-// some above 255 so the series takes its raw form: 8 bytes a sample
-// on disk, 2 in memory.
+// some above 255 once n passes 256 so the series takes its wide form:
+// 2 bytes a sample, on disk and in memory.
 func samplePayload(n int) *payload {
-	series := make(mcd.Series, n)
-	for i := range series {
-		series[i] = uint16(i % 300)
+	return seriesPayload(n, func(i int) uint16 { return uint16(i % 300) })
+}
+
+// seriesPayload is samplePayload with the i'th sample sample(i).
+func seriesPayload(n int, sample func(int) uint16) *payload {
+	samples := make([]uint16, n)
+	for i := range samples {
+		samples[i] = sample(i)
 	}
+	series := mcd.NewSeries(samples)
 	return &payload{
 		Benchmark:      "gzip",
 		Scheme:         "adaptive",
@@ -156,9 +161,12 @@ func TestTruncatedEntryFallsBack(t *testing.T) {
 	}
 }
 
-// gobResult is a Result without its entry codec, for writing the gob
-// payload of a version-2 entry.
-type gobResult mcd.Result
+// v3Payload is the payload entry format 3 wrote for a Result
+// {Benchmark: "gzip", Scheme: "adaptive"} whose INT series is
+// {256, 0, 3}, in the float64 series form format 4 retired.
+const v3Payload = "04677a697008616461707469766500000000000000000000000203494e5419020000000000007040" +
+	"00000000000000000000000000000840000000000000000000000000000000000000000000000000" +
+	"0000000000000000000000000000000000000000"
 
 // entryBytes frames payload as an entry of the given format version.
 func entryBytes(version uint32, payload []byte) []byte {
@@ -172,14 +180,14 @@ func entryBytes(version uint32, payload []byte) []byte {
 }
 
 // TestVersionMismatchFallsBack asserts an entry of another
-// FormatVersion — a gob-encoded version-2 entry, as the store wrote
-// before the entry codec, or one from a future version — misses with
+// FormatVersion — a version-3 entry, as the store wrote before the
+// run-length series form, or one from a future version — misses with
 // ErrVersionMismatch and is deleted, and the next Put rewrites the slot
 // at the same path in the current version.
 func TestVersionMismatchFallsBack(t *testing.T) {
 	want := samplePayload(16)
-	var v2 bytes.Buffer
-	if err := gob.NewEncoder(&v2).Encode((*gobResult)(want)); err != nil {
+	v3, err := hex.DecodeString(v3Payload)
+	if err != nil {
 		t.Fatal(err)
 	}
 	current, err := want.MarshalBinary()
@@ -189,7 +197,7 @@ func TestVersionMismatchFallsBack(t *testing.T) {
 	for _, tc := range []struct {
 		version uint32
 		payload []byte
-	}{{2, v2.Bytes()}, {FormatVersion + 1, current}} {
+	}{{3, v3}, {FormatVersion + 1, current}} {
 		dir := t.TempDir()
 		s, err := Open(dir, 0)
 		if err != nil {
@@ -274,7 +282,7 @@ func TestGCEvictsOldestFirst(t *testing.T) {
 	// Four ~280 KB entries against a 1 MiB cap: at most 3 fit.
 	base := time.Now().Add(-time.Hour)
 	for i := byte(0); i < 4; i++ {
-		if err := s.Put(key(i), samplePayload(35_000)); err != nil {
+		if err := s.Put(key(i), samplePayload(140_000)); err != nil {
 			t.Fatal(err)
 		}
 		// Spread mtimes a minute apart, oldest = key(0).
@@ -340,7 +348,7 @@ func TestOpenRunsInitialGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := byte(0); i < 6; i++ {
-		if err := s.Put(key(i), samplePayload(35_000)); err != nil {
+		if err := s.Put(key(i), samplePayload(140_000)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -365,7 +373,7 @@ func TestOpenRunsInitialGC(t *testing.T) {
 
 // TestGetReusesReadBuffers is the allocation regression test for the
 // warm hit path: once the blob pool is warm, repeated Gets of a
-// 1.6 MB entry must not re-allocate the read buffer. The decoded
+// 400 KB entry must not re-allocate the read buffer. The decoded
 // value's own storage (the series, the maps) is a real cost of
 // returning data and is excluded by measuring total heap bytes against
 // a budget of about the decoded size: the entry codec copies each
@@ -376,7 +384,7 @@ func TestGetReusesReadBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 200_000 // 1.6 MB of raw series data per entry, 400 KB decoded
+	const n = 200_000 // 400 KB of wide series data per entry, on disk and decoded
 	if err := s.Put(key(1), samplePayload(n)); err != nil {
 		t.Fatal(err)
 	}
@@ -401,18 +409,17 @@ func TestGetReusesReadBuffers(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		perGets[i] = int64(after.TotalAlloc - before.TotalAlloc)
-		if len(v.QueueSamples[sampleQueue]) != n {
-			t.Fatalf("decoded %d samples, want %d", len(v.QueueSamples[sampleQueue]), n)
+		if got := v.QueueSamples[sampleQueue].Len(); got != n {
+			t.Fatalf("decoded %d samples, want %d", got, n)
 		}
 	}
 	perGet := slices.Min(perGets)
 	decoded := int64(n * 2)
-	// A warm Get pays for the decoded value itself: the series, plus a
-	// few kilobytes of maps, strings and the entry path. Hold the line
-	// at the decoded size with 1/8 slack: the gob container's internal
-	// copy of the payload (once budgeted as a second decoded size) is
-	// gone, and a fresh read buffer would cost four times the decoded
-	// size.
+	// A warm Get pays for the decoded value itself: the series' copy of
+	// its section, plus a few kilobytes of maps, strings and the entry
+	// path. Hold the line at the decoded size with 1/8 slack: a fresh
+	// read buffer, or any second copy of the series, would cost as much
+	// again as the decoded size.
 	budget := decoded + decoded/8
 	if perGet > budget {
 		t.Errorf("warm Get allocates %d B/op, budget %d (decoded payload is %d)",
@@ -429,11 +436,8 @@ func TestGetDoesNotAliasReadBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, other := samplePayload(4096), samplePayload(4096)
+	want, other := samplePayload(4096), seriesPayload(4096, func(i int) uint16 { return uint16(299 + i%2) })
 	other.Benchmark, other.Scheme = "swim", "pid"
-	for i := range other.QueueSamples[sampleQueue] {
-		other.QueueSamples[sampleQueue][i] = 299
-	}
 	if err := s.Put(key(1), want); err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func classifyRun(prof trace.Profile, res *mcd.Result) (BenchClass, error) {
 	bc := BenchClass{Name: prof.Name, Suite: prof.Suite, IPC: res.IPC}
 	for _, dom := range []string{mcd.NameInt, mcd.NameFP, mcd.NameLS} {
 		samples := res.QueueSamples[dom]
-		if len(samples) < 64 {
+		if samples.Len() < 64 {
 			continue
 		}
 		cl, err := spectrum.Classify(samples.Floats(), spectrum.DefaultIntervalSamples, spectrum.DefaultFastShareThreshold)

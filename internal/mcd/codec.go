@@ -15,9 +15,10 @@ import (
 // The entry codec is the disk-cache form of Result and ChipResult
 // (their MarshalBinary and UnmarshalBinary). It is written by hand for
 // the warm-disk hit path: a decode is one pass over the bytes with no
-// per-entry type description to compile, and a series is copied once,
-// straight out of the read buffer. The layout follows the struct
-// fields in declaration order:
+// per-entry type description to compile, and an occupancy series,
+// which holds its section as it is stored, is checked and copied once
+// out of the read buffer. The layout follows the struct fields in
+// declaration order:
 //
 //   - float64: its 8 little-endian IEEE-754 bits, so every value
 //     round-trips exactly (NaN payloads and −0 included);
@@ -28,12 +29,15 @@ import (
 //     and value per entry in ascending key order;
 //   - slice: uvarint element count, then the elements;
 //   - Series and FreqSeries: uvarint section length, then the section
-//     (series.go).
+//     (series.go): a form byte and the occupancy samples in their runs,
+//     packed or wide form; the frequency points as MHz bits and Insts
+//     deltas.
 //
 // Entries are byte-deterministic: map keys are sorted and every
 // length and varint has one encoding. The decoder accepts only that
 // canonical form — minimal varints, strictly ascending keys, the form
-// a series' samples select, no trailing bytes — so whatever it accepts
+// a series' samples select and its one encoding in that form, no
+// trailing bytes — so whatever it accepts
 // re-encodes to the same bytes. It checks every count against the
 // bytes left before allocating, and copies everything it keeps, so a
 // decoded value never aliases the input. A decoded value is the one a

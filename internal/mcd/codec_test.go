@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding"
 	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -22,6 +23,8 @@ type entry interface {
 	encoding.BinaryUnmarshaler
 }
 
+var seriesType = reflect.TypeOf(mcd.Series{})
+
 // filler sets every field reflection can reach to a distinct non-zero
 // value: each map and slice gets entries, each pointer a target.
 type filler struct {
@@ -39,11 +42,15 @@ func (f *filler) fill(v reflect.Value) {
 		v.SetFloat(float64(k) + 0.25)
 	case reflect.Int, reflect.Int64:
 		v.SetInt(-int64(k) * 1_000_003)
-	case reflect.Uint16:
-		v.SetUint(uint64(k))
 	case reflect.Uint64:
 		v.SetUint(uint64(k) << 40)
 	case reflect.Struct:
+		if v.Type() == seriesType {
+			// An opaque series: distinct samples, one above 255 so the
+			// wide form is covered too.
+			v.Set(reflect.ValueOf(mcd.NewSeries([]uint16{uint16(k), uint16(k + 1), uint16(k + 300)})))
+			return
+		}
 		for i := 0; i < v.NumField(); i++ {
 			if !v.Field(i).CanSet() {
 				f.tb.Fatalf("%s.%s is unexported: the entry codec cannot carry it", v.Type(), v.Type().Field(i).Name)
@@ -123,59 +130,133 @@ func TestEntryCodecCoversEveryField(t *testing.T) {
 	}
 }
 
-// gobResult and gobChip are Result and ChipResult without the entry
+// plainResult is Result with each occupancy series held as its
+// samples, the shape gob and encoding/json saw before Series held its
+// own section; plainChip is ChipResult over it. Neither has the entry
 // codec, so gob encodes them field by field as it stored them before
 // the codec: the oracle the codec's decoded values must match.
-type gobResult mcd.Result
+type plainResult struct {
+	Benchmark            string
+	Scheme               string
+	Metrics              power.Metrics
+	Domains              map[string]mcd.DomainStats
+	QueueSamples         map[string][]uint16
+	FreqTrace            map[string]mcd.FreqSeries
+	IPC                  float64
+	BranchMispredictRate float64
+	L1DMissRate          float64
+	L2MissRate           float64
+	L1IMissRate          float64
+	QueueFullStalls      map[string]uint64
+	ForwardedLoads       uint64
+	RetiredByClass       map[string]int64
+}
 
-type gobChip struct {
-	Cores      []*gobResult
+type plainChip struct {
+	Cores      []*plainResult
 	Metrics    power.Metrics
 	PowerCapW  float64
 	EpochTrace []mcd.EpochSample
+}
+
+// sameShape fails unless plain has a's fields, by name and in order,
+// with the same types except where a holds a Series.
+func sameShape(t testing.TB, a, plain reflect.Type) {
+	t.Helper()
+	if a.NumField() != plain.NumField() {
+		t.Fatalf("%s has %d fields, its plain mirror %d", a, a.NumField(), plain.NumField())
+	}
+	for i := 0; i < a.NumField(); i++ {
+		fa, fp := a.Field(i), plain.Field(i)
+		if fa.Name != fp.Name {
+			t.Fatalf("%s field %d is %s, the plain mirror's %s", a, i, fa.Name, fp.Name)
+		}
+		if fa.Type != fp.Type && fa.Type != reflect.TypeOf(map[string]mcd.Series(nil)) && fa.Type != reflect.TypeOf([]*mcd.Result(nil)) {
+			t.Fatalf("%s.%s is %s, the plain mirror's %s", a, fa.Name, fa.Type, fp.Type)
+		}
+	}
+}
+
+// copyOther sets each field of dst but the one named skip to src's
+// field of the same index.
+func copyOther(dst, src reflect.Value, skip string) {
+	for i := 0; i < src.NumField(); i++ {
+		if src.Type().Field(i).Name != skip {
+			dst.Field(i).Set(src.Field(i))
+		}
+	}
+}
+
+// toPlain returns r with each series as its samples.
+func toPlain(t testing.TB, r *mcd.Result) *plainResult {
+	t.Helper()
+	sameShape(t, reflect.TypeOf(*r), reflect.TypeOf(plainResult{}))
+	p := new(plainResult)
+	copyOther(reflect.ValueOf(p).Elem(), reflect.ValueOf(r).Elem(), "QueueSamples")
+	if r.QueueSamples != nil {
+		p.QueueSamples = make(map[string][]uint16, len(r.QueueSamples))
+		for k, s := range r.QueueSamples {
+			p.QueueSamples[k] = mcd.SeriesSamples(s)
+		}
+	}
+	return p
+}
+
+// fromPlain is toPlain's inverse.
+func fromPlain(p *plainResult) *mcd.Result {
+	r := new(mcd.Result)
+	copyOther(reflect.ValueOf(r).Elem(), reflect.ValueOf(p).Elem(), "QueueSamples")
+	if p.QueueSamples != nil {
+		r.QueueSamples = make(map[string]mcd.Series, len(p.QueueSamples))
+		for k, v := range p.QueueSamples {
+			r.QueueSamples[k] = mcd.NewSeries(v)
+		}
+	}
+	return r
+}
+
+// TestPlainMirrorRoundTrip asserts toPlain and fromPlain lose nothing,
+// so the gob and JSON oracles compare every field.
+func TestPlainMirrorRoundTrip(t *testing.T) {
+	r := filled[mcd.Result](t)
+	if got := fromPlain(toPlain(t, r)); !reflect.DeepEqual(got, r) {
+		t.Errorf("plain mirror round trip:\n got %+v\nwant %+v", *got, *r)
+	}
 }
 
 // gobOracle round-trips r through gob.
 func gobOracle(t *testing.T, r *mcd.Result) *mcd.Result {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode((*gobResult)(r)); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(toPlain(t, r)); err != nil {
 		t.Fatal(err)
 	}
-	var out gobResult
+	var out plainResult
 	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	return (*mcd.Result)(&out)
+	return fromPlain(&out)
 }
 
 // gobChipOracle round-trips c through gob.
 func gobChipOracle(t *testing.T, c *mcd.ChipResult) *mcd.ChipResult {
 	t.Helper()
-	chipT, gobT := reflect.TypeOf(mcd.ChipResult{}), reflect.TypeOf(gobChip{})
-	if chipT.NumField() != gobT.NumField() {
-		t.Fatalf("ChipResult has %d fields, the gob oracle %d", chipT.NumField(), gobT.NumField())
-	}
-	for i := 0; i < chipT.NumField(); i++ {
-		if chipT.Field(i).Name != gobT.Field(i).Name {
-			t.Fatalf("ChipResult field %d is %s, the gob oracle's %s", i, chipT.Field(i).Name, gobT.Field(i).Name)
-		}
-	}
-	in := gobChip{Metrics: c.Metrics, PowerCapW: c.PowerCapW, EpochTrace: c.EpochTrace}
+	sameShape(t, reflect.TypeOf(*c), reflect.TypeOf(plainChip{}))
+	in := plainChip{Metrics: c.Metrics, PowerCapW: c.PowerCapW, EpochTrace: c.EpochTrace}
 	for _, core := range c.Cores {
-		in.Cores = append(in.Cores, (*gobResult)(core))
+		in.Cores = append(in.Cores, toPlain(t, core))
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
 		t.Fatal(err)
 	}
-	var out gobChip
+	var out plainChip
 	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
 	res := &mcd.ChipResult{Metrics: out.Metrics, PowerCapW: out.PowerCapW, EpochTrace: out.EpochTrace}
 	for _, core := range out.Cores {
-		res.Cores = append(res.Cores, (*mcd.Result)(core))
+		res.Cores = append(res.Cores, fromPlain(core))
 	}
 	return res
 }
@@ -219,7 +300,7 @@ func TestEntryCodecMatchesGob(t *testing.T) {
 	}
 	empty := &mcd.Result{
 		Domains:         map[string]mcd.DomainStats{},
-		QueueSamples:    map[string]mcd.Series{mcd.NameInt: {}, mcd.NameFP: nil},
+		QueueSamples:    map[string]mcd.Series{mcd.NameInt: mcd.NewSeries([]uint16{}), mcd.NameFP: {}},
 		FreqTrace:       map[string]mcd.FreqSeries{mcd.NameLS: {}},
 		QueueFullStalls: map[string]uint64{},
 		RetiredByClass:  map[string]int64{"ialu": 0},
@@ -288,13 +369,44 @@ func elements(v reflect.Value) int {
 	return 0
 }
 
+// heldSeries returns the occupancy series v holds.
+func heldSeries(v entry) []mcd.Series {
+	var cores []*mcd.Result
+	switch v := v.(type) {
+	case *mcd.Result:
+		cores = []*mcd.Result{v}
+	case *mcd.ChipResult:
+		cores = v.Cores
+	}
+	var out []mcd.Series
+	for _, r := range cores {
+		for _, s := range r.QueueSamples {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// seriesResult is a Result holding one series of samples.
+func seriesResult(samples []uint16) *mcd.Result {
+	return &mcd.Result{Benchmark: "gzip", QueueSamples: map[string]mcd.Series{mcd.NameFP: mcd.NewSeries(samples)}}
+}
+
 // FuzzEntryCodec feeds arbitrary bytes to the Result and ChipResult
-// decoders. Neither may panic or hold more elements than the input has
-// bytes (every element costs at least one), and anything they accept
-// must be the canonical encoding of what they decoded: it re-encodes to
-// the same bytes.
+// decoders. Neither may panic or hold more bytes than the input has
+// (every element costs at least one; a series holds its section), a
+// runs section of k bytes may not claim more than 128·k samples, and
+// anything they accept must be the canonical encoding of what they
+// decoded: it re-encodes to the same bytes.
 func FuzzEntryCodec(f *testing.F) {
-	for _, v := range []entry{&mcd.Result{}, filled[mcd.Result](f), &mcd.ChipResult{}, filled[mcd.ChipResult](f)} {
+	runs := make([]uint16, 700)
+	for i := range runs {
+		runs[i] = uint16(i / 300)
+	}
+	for _, v := range []entry{
+		&mcd.Result{}, filled[mcd.Result](f), &mcd.ChipResult{}, filled[mcd.ChipResult](f),
+		seriesResult(runs), seriesResult([]uint16{0, 256, 65535}),
+	} {
 		blob, err := v.MarshalBinary()
 		if err != nil {
 			f.Fatal(err)
@@ -310,6 +422,11 @@ func FuzzEntryCodec(f *testing.F) {
 			if n := elements(reflect.ValueOf(v)); n > len(data) {
 				t.Fatalf("%T: %d elements from %d bytes", v, n, len(data))
 			}
+			for _, s := range heldSeries(v) {
+				if k := mcd.SeriesSectionLen(s); s.Len() > 128*k {
+					t.Fatalf("%T: series of %d samples in a %d-byte section", v, s.Len(), k)
+				}
+			}
 			blob, err := v.MarshalBinary()
 			if err != nil {
 				t.Fatalf("%T: re-encode: %v", v, err)
@@ -319,4 +436,37 @@ func FuzzEntryCodec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestResultJSONMatchesSamples asserts json.Marshal of a Result whose
+// series take each form (runs, packed, wide, empty, nil) writes the
+// bytes the same samples give as []uint16, as they were before Series
+// held its section: JSON digests of results do not move.
+func TestResultJSONMatchesSamples(t *testing.T) {
+	r := adaptiveRun(t, "gzip", 20000)
+	r.QueueSamples["runs"] = mcd.NewSeries(append(make([]uint16, 600), 3, 3, 3))
+	r.QueueSamples["packed"] = mcd.NewSeries([]uint16{0, 1, 9, 10, 99, 100, 255})
+	var ramp, triples []uint16
+	for v := uint16(0); v < 256; v++ {
+		ramp = append(ramp, v)
+		triples = append(triples, v, v, v)
+	}
+	r.QueueSamples["every byte packed"] = mcd.NewSeries(ramp)
+	r.QueueSamples["every byte in runs"] = mcd.NewSeries(triples)
+	r.QueueSamples["wide"] = mcd.NewSeries([]uint16{0, 256, 999, 1000, 65535})
+	r.QueueSamples["empty"] = mcd.NewSeries([]uint16{})
+	r.QueueSamples["nil"] = mcd.Series{}
+	for _, c := range []*mcd.Result{r, {}} {
+		got, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(toPlain(t, c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("JSON of the series differs from JSON of their samples:\n got %.400s\nwant %.400s", got, want)
+		}
+	}
 }

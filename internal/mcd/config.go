@@ -167,7 +167,8 @@ func DefaultConfig() Config {
 func (c *Config) Validate() error {
 	// In name order, so the first failure reported is deterministic
 	// when several fields are invalid. The sampled queues' occupancies
-	// are stored as uint16 (Series), which bounds their capacity.
+	// are recorded as uint16 (queue.Sampler, Series), which bounds
+	// their capacity.
 	counts := [...]struct {
 		name    string
 		v       int

@@ -129,7 +129,7 @@ func TestQueueOccupancySampleBounds(t *testing.T) {
 	}
 	for name, lim := range limits {
 		// Samples are unsigned, so only the upper bound can fail.
-		for _, v := range res.QueueSamples[name] {
+		for _, v := range res.QueueSamples[name].samples() {
 			if int(v) > lim {
 				t.Fatalf("%s occupancy %d outside [0,%d]", name, v, lim)
 			}
@@ -233,7 +233,7 @@ func TestControllerSeesLiveOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := res.QueueSamples[NameInt]
+	rec := res.QueueSamples[NameInt].samples()
 	if len(obs.seen) != len(rec) {
 		t.Fatalf("controller saw %d samples, sampler recorded %d", len(obs.seen), len(rec))
 	}
@@ -437,7 +437,7 @@ func TestControlledDispatchDomain(t *testing.T) {
 	if slow := float64(b.Metrics.ExecTime)/float64(a.Metrics.ExecTime) - 1; slow > 0.25 {
 		t.Errorf("dispatch control cost %.1f%% performance", 100*slow)
 	}
-	if len(b.QueueSamples["FetchQ"]) == 0 {
+	if b.QueueSamples["FetchQ"].Len() == 0 {
 		t.Error("fetch-queue occupancy not sampled")
 	}
 }

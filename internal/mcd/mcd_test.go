@@ -35,7 +35,7 @@ func runBench(t *testing.T, name string, insts int64, cfg Config, attach func(*P
 // meanSampled returns the average of r's recorded occupancy series for
 // a domain, or 0 when absent.
 func meanSampled(r *Result, domain string) float64 {
-	s := r.QueueSamples[domain]
+	s := r.QueueSamples[domain].samples()
 	if len(s) == 0 {
 		return 0
 	}
@@ -142,7 +142,7 @@ func TestRunCompletesAndRetiresEverything(t *testing.T) {
 func TestQueueSamplesRecorded(t *testing.T) {
 	res := runBench(t, "gsm_decode", 10000, DefaultConfig(), nil)
 	for _, name := range []string{NameInt, NameFP, NameLS} {
-		s := res.QueueSamples[name]
+		s := res.QueueSamples[name].samples()
 		if len(s) == 0 {
 			t.Errorf("%s: no occupancy samples", name)
 		}

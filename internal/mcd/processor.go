@@ -1293,7 +1293,7 @@ func (p *Processor) collect(end clock.Time) *Result {
 	for dom := 0; dom < isa.NumExecDomains; dom++ {
 		name := p.exec[dom].Name()
 		samples := p.samplers[dom].Samples()
-		res.QueueSamples[name] = samples
+		res.QueueSamples[name] = NewSeries(samples)
 		res.FreqTrace[name] = p.freqTrace[dom]
 		_, _, stalls := p.queues[dom].Stats()
 		res.QueueFullStalls[name] = stalls
@@ -1319,7 +1319,7 @@ func (p *Processor) collect(end clock.Time) *Result {
 		res.BranchMispredictRate = float64(p.mispredicts) / float64(p.branches)
 	}
 	if p.cfg.ControlFrontEnd {
-		res.QueueSamples["FetchQ"] = p.feSampler.Samples()
+		res.QueueSamples["FetchQ"] = NewSeries(p.feSampler.Samples())
 	}
 	res.RetiredByClass = make(map[string]int64, isa.NumClasses)
 	for c := 0; c < isa.NumClasses; c++ {

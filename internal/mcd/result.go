@@ -46,9 +46,12 @@ type Result struct {
 	Domains map[string]DomainStats
 
 	// QueueSamples holds the 250 MHz occupancy series per controlled
-	// domain (INT, FP, LS), possibly truncated to the sample limit, at
-	// two bytes a sample (one on disk). Series.Floats gives the
-	// []float64 the spectral analysis reads.
+	// domain (INT, FP, LS), possibly truncated to the sample limit,
+	// each held as it is stored on disk: at most one byte a sample when
+	// every sample is at most 255, as every default-sized queue's is,
+	// and less when the queue rarely moves. Series.Len counts the
+	// samples and Series.Floats gives the []float64 the spectral
+	// analysis reads.
 	QueueSamples map[string]Series
 
 	// FreqTrace holds the frequency trajectory per controlled domain.

@@ -5,28 +5,37 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"strconv"
 )
 
-// Series is a sampled occupancy series (Result.QueueSamples). An
-// occupancy is a small non-negative integer, so a sample takes two
-// bytes in memory (Config.Validate caps every sampled queue at 65535
-// entries). Floats converts the series for the spectral analysis.
+// Series is a sampled occupancy series (Result.QueueSamples). It holds
+// the series in the form the entry codec stores it (codec.go), so a
+// disk-cache hit checks that section and copies it once, and never
+// widens it. NewSeries builds one from a sampler's samples; Len,
+// Floats and MarshalJSON read it. The zero Series is a nil series.
 //
-// Its section in the entry codec (codec.go) is a form byte followed by
-// the samples, with no count — the section length fixes it:
+// The section is a form byte followed by the samples, with no count:
 //
-//   - packed: one byte per sample, chosen exactly when every sample
-//     is at most 255, as every default-sized queue's is.
-//   - raw: the little-endian IEEE-754 bits of each sample as a
-//     float64, for anything else. Decoding rejects a raw sample that
-//     is not an integer in [0, 65535] (or is −0), and a raw section
-//     whose samples would all have packed.
+//   - runs: pairs of (value, run length − 1) bytes, chosen exactly
+//     when every sample is at most 255 and the pairs are strictly
+//     shorter than the packed form, as a queue that rarely moves
+//     gives. A run continues into the next pair only after a full
+//     pair (256 samples), so every series has one runs encoding.
+//   - packed: one byte per sample, for any other series whose samples
+//     are all at most 255, as every default-sized queue's are.
+//   - wide: two little-endian bytes per sample, for anything else
+//     (Config.Validate caps every sampled queue at 65535 entries).
 //
-// Both forms are the ones the series had when it was a []float64. An
-// empty or nil series is an empty section and decodes to nil, as gob
-// does for a plain empty slice. On disk a series therefore costs
-// about one byte per sample.
-type Series []uint16
+// Decoding accepts only the form the samples select. No form holds
+// more than two bytes a sample. An empty or nil series is an empty
+// section and decodes to nil, as gob did for a plain empty slice.
+type Series struct {
+	// sec is the section; nil for a nil series, empty for an empty one.
+	sec []byte
+	// n is the sample count.
+	n int
+}
 
 // FreqSeries is a frequency trajectory (Result.FreqTrace). Its section
 // in the entry codec is uvarint(n), then n little-endian MHz bit
@@ -37,104 +46,253 @@ type Series []uint16
 type FreqSeries []FreqPoint
 
 // Series encoding forms. Zero is reserved so a zeroed byte never
-// passes for a valid form.
+// passes for a valid form; 2 was the float64 form of entry format 3.
 const (
 	seriesPacked byte = 1
-	seriesRaw    byte = 2
+	seriesWide   byte = 3
+	seriesRuns   byte = 4
 )
+
+// maxRun is the most samples one runs pair holds.
+const maxRun = math.MaxUint8 + 1
+
+// NewSeries returns the series of samples; nil gives a nil series and
+// an empty slice an empty one. It does not keep samples.
+func NewSeries(samples []uint16) Series {
+	if samples == nil {
+		return Series{}
+	}
+	n := len(samples)
+	if n == 0 {
+		return Series{sec: []byte{}}
+	}
+	for _, v := range samples {
+		if v > math.MaxUint8 {
+			sec := make([]byte, 1, 1+2*n)
+			sec[0] = seriesWide
+			for _, v := range samples {
+				sec = binary.LittleEndian.AppendUint16(sec, v)
+			}
+			return Series{sec: sec, n: n}
+		}
+	}
+	if pairs := runPairs(samples); 2*pairs < n {
+		sec := make([]byte, 1, 1+2*pairs)
+		sec[0] = seriesRuns
+		for i := 0; i < n; {
+			j := i + 1
+			for j < n && j-i < maxRun && samples[j] == samples[i] {
+				j++
+			}
+			sec = append(sec, byte(samples[i]), byte(j-i-1))
+			i = j
+		}
+		return Series{sec: sec, n: n}
+	}
+	sec := make([]byte, 1+n)
+	sec[0] = seriesPacked
+	for i, v := range samples {
+		sec[1+i] = byte(v)
+	}
+	return Series{sec: sec, n: n}
+}
+
+// runPairs is the number of pairs the runs form of s takes.
+func runPairs[T uint16 | byte](s []T) int {
+	pairs := 0
+	for i := 0; i < len(s); {
+		j := i + 1
+		for j < len(s) && j-i < maxRun && s[j] == s[i] {
+			j++
+		}
+		pairs++
+		i = j
+	}
+	return pairs
+}
+
+// changes counts the i in [1, len(b)) where b[i] != b[i-1], eight
+// bytes a step: the runs form of b takes at least changes(b)+1 pairs.
+func changes(b []byte) int {
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	n, i := 0, 0
+	for ; i+9 <= len(b); i += 8 {
+		x := binary.LittleEndian.Uint64(b[i:]) ^ binary.LittleEndian.Uint64(b[i+1:])
+		// Bit 7 of a byte of x is set here exactly when the byte is
+		// nonzero; no sum carries into the next byte.
+		n += bits.OnesCount64(((x & low7) + low7 | x) &^ low7)
+	}
+	for i++; i < len(b); i++ {
+		if b[i] != b[i-1] {
+			n++
+		}
+	}
+	return n
+}
+
+// Len returns the number of samples.
+func (s Series) Len() int { return s.n }
 
 // Floats returns the series as float64 values, the form the spectral
 // analysis reads. It allocates; a nil series gives nil.
 func (s Series) Floats() []float64 {
-	if s == nil {
+	if s.sec == nil {
 		return nil
 	}
-	out := make([]float64, len(s))
-	for i, v := range s {
-		out[i] = float64(v)
+	out := make([]float64, 0, s.n)
+	if s.n == 0 {
+		return out
+	}
+	body := s.sec[1:]
+	switch s.sec[0] {
+	case seriesPacked:
+		for _, b := range body {
+			out = append(out, float64(b))
+		}
+	case seriesRuns:
+		for i := 0; i < len(body); i += 2 {
+			v := float64(body[i])
+			for k := 0; k <= int(body[i+1]); k++ {
+				out = append(out, v)
+			}
+		}
+	case seriesWide:
+		for i := 0; i < len(body); i += 2 {
+			out = append(out, float64(binary.LittleEndian.Uint16(body[i:])))
+		}
 	}
 	return out
 }
 
-// packed reports whether every sample fits the one-byte form.
-func (s Series) packed() bool {
-	for _, v := range s {
-		if v > math.MaxUint8 {
-			return false
+// MarshalJSON writes the series as the JSON number array its samples
+// give as a []uint16: null for a nil series, [] for an empty one. The
+// one-byte forms size the array exactly and write each sample from a
+// table, with no branch on its digits.
+func (s Series) MarshalJSON() ([]byte, error) {
+	if s.sec == nil {
+		return []byte("null"), nil
+	}
+	if s.n == 0 {
+		return []byte("[]"), nil
+	}
+	body := s.sec[1:]
+	var b []byte
+	switch s.sec[0] {
+	case seriesPacked:
+		size := 1
+		for _, v := range body {
+			size += int(decimals[v] >> 32)
+		}
+		// Each write stores four bytes; the slack takes the last one's.
+		b = make([]byte, size+3)
+		j := 1
+		for _, v := range body {
+			d := decimals[v]
+			binary.LittleEndian.PutUint32(b[j:], uint32(d))
+			j += int(d >> 32)
+		}
+		b = b[:size]
+	case seriesRuns:
+		size := 1
+		for i := 0; i < len(body); i += 2 {
+			size += (int(body[i+1]) + 1) * int(decimals[body[i]]>>32)
+		}
+		b = make([]byte, size+3)
+		j := 1
+		for i := 0; i < len(body); i += 2 {
+			d := decimals[body[i]]
+			for k := 0; k <= int(body[i+1]); k++ {
+				binary.LittleEndian.PutUint32(b[j:], uint32(d))
+				j += int(d >> 32)
+			}
+		}
+		b = b[:size]
+	case seriesWide:
+		b = make([]byte, 1, 1+6*s.n)
+		for i := 0; i < len(body); i += 2 {
+			b = strconv.AppendUint(b, uint64(binary.LittleEndian.Uint16(body[i:])), 10)
+			b = append(b, ',')
 		}
 	}
-	return true
+	b[0], b[len(b)-1] = '[', ']'
+	return b, nil
 }
+
+// decimals holds, for each byte value v, v in decimal followed by a
+// comma in its low four bytes, first character lowest, and the length
+// of that text in its upper half.
+var decimals = func() (t [256]uint64) {
+	for v := range t {
+		text := strconv.AppendUint(nil, uint64(v), 10)
+		text = append(text, ',')
+		for i, c := range text {
+			t[v] |= uint64(c) << (8 * i)
+		}
+		t[v] |= uint64(len(text)) << 32
+	}
+	return t
+}()
 
 // sectionLen is the length of the series' section.
-func (s Series) sectionLen() int {
-	switch {
-	case len(s) == 0:
-		return 0
-	case s.packed():
-		return 1 + len(s)
-	default:
-		return 1 + 8*len(s)
-	}
-}
+func (s Series) sectionLen() int { return len(s.sec) }
 
 // appendSection appends the series' section to b.
-func (s Series) appendSection(b []byte) []byte {
-	if len(s) == 0 {
-		return b
-	}
-	if s.packed() {
-		b = append(b, seriesPacked)
-		for _, v := range s {
-			b = append(b, byte(v))
-		}
-		return b
-	}
-	b = append(b, seriesRaw)
-	for _, v := range s {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(float64(v)))
-	}
-	return b
-}
+func (s Series) appendSection(b []byte) []byte { return append(b, s.sec...) }
 
-// decodeSection sets s from a section appendSection wrote. The sample
-// count follows from the section length, so the allocation is bounded
-// by the input, and the samples are copied out of data.
+// decodeSection sets s from a section appendSection wrote, after
+// checking it is the canonical section of its samples. The section is
+// copied out of data, so s never aliases it; the copy is the only
+// allocation, and a runs section of k bytes holds at most 128·k
+// samples.
 func (s *Series) decodeSection(data []byte) error {
 	if len(data) == 0 {
-		*s = nil
+		*s = Series{}
 		return nil
 	}
 	body := data[1:]
 	if len(body) == 0 {
 		return errors.New("mcd: series form byte with no samples")
 	}
+	var n int
 	switch data[0] {
 	case seriesPacked:
-		out := make(Series, len(body))
-		for i, b := range body {
-			out[i] = uint16(b)
-		}
-		*s = out
-	case seriesRaw:
-		if len(body)%8 != 0 {
-			return fmt.Errorf("mcd: raw series body of %d bytes is not whole samples", len(body))
-		}
-		out := make(Series, len(body)/8)
-		for i := range out {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-			if !(v >= 0 && v <= math.MaxUint16 && v == math.Trunc(v)) || math.Signbit(v) {
-				return fmt.Errorf("mcd: raw series sample %d is %g, not an occupancy", i, v)
+		// Most packed sections change value often enough that the
+		// lower bound settles it without counting pairs.
+		n = len(body)
+		if 2*(changes(body)+1) < n {
+			if pairs := runPairs(body); 2*pairs < n {
+				return fmt.Errorf("mcd: packed series of %d samples whose runs form takes %d pairs", n, pairs)
 			}
-			out[i] = uint16(v)
 		}
-		if out.packed() {
-			return errors.New("mcd: raw series whose samples all fit the packed form")
+	case seriesRuns:
+		if len(body)%2 != 0 {
+			return fmt.Errorf("mcd: runs series body of %d bytes is not whole pairs", len(body))
 		}
-		*s = out
+		for i := 0; i < len(body); i += 2 {
+			if i > 0 && body[i] == body[i-2] && body[i-1] != math.MaxUint8 {
+				return fmt.Errorf("mcd: runs series splits a run of %d before a full pair at pair %d", body[i], i/2)
+			}
+			n += int(body[i+1]) + 1
+		}
+		if len(body) >= n {
+			return fmt.Errorf("mcd: runs series of %d samples in %d bytes is no shorter than packed", n, len(body))
+		}
+	case seriesWide:
+		if len(body)%2 != 0 {
+			return fmt.Errorf("mcd: wide series body of %d bytes is not whole samples", len(body))
+		}
+		n = len(body) / 2
+		fits := true
+		for i := 0; i < len(body) && fits; i += 2 {
+			fits = binary.LittleEndian.Uint16(body[i:]) <= math.MaxUint8
+		}
+		if fits {
+			return errors.New("mcd: wide series whose samples all fit one byte")
+		}
 	default:
 		return fmt.Errorf("mcd: unknown series form %d", data[0])
 	}
+	*s = Series{sec: append([]byte(nil), data...), n: n}
 	return nil
 }
 

@@ -4,9 +4,10 @@ package queue
 // The paper's controllers sample queue occupancy at 250 MHz; the same
 // series feeds the spectral analysis of Section 5.2.
 //
-// An occupancy is a small non-negative integer, so each sample is held
-// in two bytes. mcd.Config.Validate caps every sampled queue at 65535
-// entries, which keeps the conversion in Record exact.
+// An occupancy is a small non-negative integer, so each sample is
+// recorded in two bytes. mcd.Config.Validate caps every sampled queue
+// at 65535 entries, which keeps the conversion in Record exact. The
+// run's Result keeps a compact copy (mcd.NewSeries), not this buffer.
 type Sampler struct {
 	samples []uint16
 	limit   int
