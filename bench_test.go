@@ -12,6 +12,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -21,6 +23,7 @@ import (
 	"mcddvfs/internal/clock"
 	"mcddvfs/internal/control"
 	"mcddvfs/internal/experiment"
+	"mcddvfs/internal/serve"
 	"mcddvfs/internal/spectrum"
 	"mcddvfs/internal/trace"
 )
@@ -371,6 +374,76 @@ func BenchmarkRenderKey(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keysPerOp), "ns/key")
+}
+
+// BenchmarkServeWarmRequest measures a warm mcdserve request through
+// the service's handler, without a network: decoding the spec,
+// checking and keying it, the render memo lookup and the reply. The
+// spec is fig9 over every benchmark, the bulk of the service's warm
+// traffic. One op is a batch of requestsPerOp requests, for the reason
+// BenchmarkRenderArtifact batches renders; ns/request reports the
+// per-request figure.
+func BenchmarkServeWarmRequest(b *testing.B) {
+	const requestsPerOp = 1000
+	srv, err := serve.New(serve.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck // nothing is in flight
+	experiment.ResetCache()
+	b.Cleanup(experiment.ResetCache)
+	h := srv.Handler()
+	spec := []byte(`{"artifact":"fig9","format":"txt","instructions":10000,"seed":1}`)
+	request := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/render", bytes.NewReader(spec)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("render request: %d %s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+	want := request().Body.Bytes()
+	// As BenchmarkRenderArtifact does: collect the cold render's
+	// garbage, then warm the pools with one warm request.
+	runtime.GC()
+	request()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < requestsPerOp; j++ {
+			if got := request().Body.Bytes(); len(got) != len(want) {
+				b.Fatalf("warm reply is %d bytes, cold was %d", len(got), len(want))
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*requestsPerOp), "ns/request")
+}
+
+// BenchmarkClassify measures one benchmark's Section 5.2
+// classification as the harness runs it: the INT, FP and LS occupancy
+// series of one no-DVFS run, 30,000 samples each, classified through
+// one spectrum plan.
+func BenchmarkClassify(b *testing.B) {
+	const n = 30000
+	series := make([][]float64, 3)
+	for d := range series {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = float64(i%(17+d)) + float64(i%(257+64*d))/10
+		}
+		series[d] = x
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan, err := spectrum.NewPlan(n, spectrum.ClassifyTapers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, x := range series {
+			if _, err := plan.Classify(x, spectrum.DefaultIntervalSamples, spectrum.DefaultFastShareThreshold); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // diskBytesPerEntry returns the mean size of the published cache

@@ -221,8 +221,11 @@ func prepareRender(id string, format ArtifactFormat, opt Options) (*artifact, *r
 			return nil, nil, invalidSpec(err)
 		}
 	}
-	if _, err := matrixSchemes(opt); err != nil {
-		return nil, nil, err
+	// An empty subset is the core comparison, which always resolves.
+	if len(opt.Schemes) > 0 {
+		if _, err := matrixSchemes(opt); err != nil {
+			return nil, nil, err
+		}
 	}
 	if err := validateIntensities(opt.FaultIntensities); err != nil {
 		return nil, nil, err
@@ -235,6 +238,79 @@ func prepareRender(id string, format ArtifactFormat, opt Options) (*artifact, *r
 		return nil, nil, s.chipErr
 	}
 	return a, s, nil
+}
+
+// PreparedRender is one artifact render checked and keyed, ready to
+// look up in the render memo or to render: PrepareRender makes every
+// check and derives the render digest once, and the memo lookup, the
+// render and the key all read that one derivation. It is immutable,
+// so one may serve any number of lookups and renders, concurrently.
+type PreparedRender struct {
+	a      *artifact
+	format ArtifactFormat
+	opt    Options  // as given; each renderer applies its own defaults
+	h      *Harness // the harness whose render memo serves it
+	digest [sha256.Size]byte
+	keyErr error // why the render has no key; it then renders unmemoized
+}
+
+// PrepareRender checks one render of artifact id in format under opt
+// and derives its key. A request RenderArtifactContext would reject
+// before simulating fails here with the same ErrInvalidSpec. Options
+// whose key fails to encode (a panicking MutateAdaptive, say) still
+// prepare: Key reports the failure, and Render renders them afresh
+// every time.
+func PrepareRender(id string, format ArtifactFormat, opt Options) (*PreparedRender, error) {
+	a, s, err := prepareRender(id, format, opt)
+	if err != nil {
+		return nil, err
+	}
+	p := &PreparedRender{a: a, format: format, opt: opt, h: s.h}
+	p.digest, p.keyErr = renderDigest(id, format, opt, s)
+	return p, nil
+}
+
+// Key returns the render's content address (see RenderKey).
+func (p *PreparedRender) Key() (string, error) {
+	if p.keyErr != nil {
+		return "", p.keyErr
+	}
+	return hex.EncodeToString(p.digest[:]), nil
+}
+
+// memoizable reports whether the render memo may stand for p. Options
+// the key cannot stand for render afresh every time: a CorpusDir (the
+// key treats a corpus-filled budget as the default), a RowFlush hook
+// (a memo hit would never call it), and options whose key fails.
+func (p *PreparedRender) memoizable() bool {
+	return p.keyErr == nil && p.opt.CorpusDir == "" && p.opt.RowFlush == nil
+}
+
+// Memoized returns a copy of the render's memoized bytes, counted as a
+// render memo hit, and false when the memo does not hold them or may
+// not stand for this render. A miss counts nothing: the Render that
+// follows it counts it, so a request is one hit or one miss whichever
+// path serves it.
+func (p *PreparedRender) Memoized() ([]byte, bool) {
+	if !p.memoizable() {
+		return nil, false
+	}
+	return p.h.memoizedRender(p.digest)
+}
+
+// Render renders the artifact, or serves it from the render memo when
+// the memo may stand for it (see Memoized); a complete render is
+// memoized for the next request. ctx cancels the underlying
+// simulations. Every failure wraps a taxonomy sentinel, as
+// RenderArtifactContext documents.
+func (p *PreparedRender) Render(ctx context.Context) ([]byte, error) {
+	ctx = orBackground(ctx)
+	render := func() ([]byte, bool, error) { return p.a.render(ctx, p.format, p.opt) }
+	if p.memoizable() {
+		return p.h.cachedRender(p.digest, render)
+	}
+	body, _, err := render()
+	return body, err
 }
 
 // RenderKey returns the content address of one artifact render: two
@@ -253,16 +329,14 @@ func prepareRender(id string, format ArtifactFormat, opt Options) (*artifact, *r
 // waits (CacheDir, Timeout, ...) never enter the key. Nor does
 // CorpusDir: a budget or benchmark list left for a corpus to fill in
 // keys as the harness default.
+//
+//lint:allow unreachable the key without a render, which the serve and experiment tests pin and BenchmarkRenderKey times across packages
 func RenderKey(id string, format ArtifactFormat, opt Options) (string, error) {
-	_, s, err := prepareRender(id, format, opt)
+	p, err := PrepareRender(id, format, opt)
 	if err != nil {
 		return "", err
 	}
-	k, err := renderDigest(id, format, opt, s)
-	if err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(k[:]), nil
+	return p.Key()
 }
 
 // renderDigest is the digest behind RenderKey, derived from the
@@ -310,27 +384,13 @@ func renderDigest(id string, format ArtifactFormat, opt Options, s *runSpec) ([s
 // -out writes for the same options.
 //
 // A complete render is memoized under its RenderKey digest, so a
-// repeat costs one key and one map lookup (see cachedRender). Options
-// the key cannot stand for render afresh every time: a CorpusDir (the
-// key treats a corpus-filled budget as the default), a RowFlush hook
-// (a memo hit would never call it), and options whose key fails.
+// repeat costs one key and one map lookup (see PreparedRender.Render).
 func RenderArtifactContext(ctx context.Context, id string, format ArtifactFormat, opt Options) ([]byte, string, error) {
-	ctx = orBackground(ctx)
-	a, s, err := prepareRender(id, format, opt)
+	p, err := PrepareRender(id, format, opt)
 	if err != nil {
 		return nil, "", err
 	}
-	render := func() ([]byte, bool, error) { return a.render(ctx, format, opt) }
-	if opt.CorpusDir == "" && opt.RowFlush == nil {
-		if k, err := renderDigest(id, format, opt, s); err == nil {
-			body, err := s.h.cachedRender(k, render)
-			if err != nil {
-				return nil, "", err
-			}
-			return body, format.ContentType(), nil
-		}
-	}
-	body, _, err := render()
+	body, err := p.Render(ctx)
 	if err != nil {
 		return nil, "", err
 	}

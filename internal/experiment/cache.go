@@ -313,11 +313,8 @@ func (o Options) runSpec() *runSpec { return &runSpec{opt: o} }
 // every key of s then fails with.
 func (s *runSpec) keyParts() (head, tail []byte, err error) {
 	s.keyOnce.Do(func() {
-		if s.plainKey {
-			var ok bool
-			if s.head, s.tail, ok = s.h.memoizedKey(s.memoKey); ok {
-				return
-			}
+		if s.memoHit {
+			return // newRunSpec found the halves in the key memo
 		}
 		defer func() {
 			if r := recover(); r != nil {
@@ -368,7 +365,7 @@ func (s *runSpec) keyParts() (head, tail []byte, err error) {
 		s.head = []byte(head)
 		s.tail = append([]byte{','}, blob[1:]...)
 		if s.plainKey {
-			s.h.memoizeKey(s.memoKey, s.head, s.tail)
+			s.h.memoizeKey(s.memoKey, keyHalves{s.head, s.tail, s.machineErr})
 		}
 	})
 	return s.head, s.tail, s.keyErr
@@ -387,9 +384,16 @@ type keyProjection struct {
 	powerCapW, governorGain uint64
 }
 
-// keyHalves is one memoized keyParts result. Its slices are shared by
-// every spec that hits it and are never written.
-type keyHalves struct{ head, tail []byte }
+// keyHalves is one memoized keyParts result, with the machine
+// configuration's Validate verdict beside it: a plain spec's machine
+// is the default configuration at Seed, which the projection holds, so
+// the verdict is as much a function of the projection as the halves.
+// Its slices are shared by every spec that hits it and are never
+// written.
+type keyHalves struct {
+	head, tail []byte
+	machineErr error
+}
 
 // projectKey returns the key-memo key of o, which has its defaults
 // applied, and false when o is not plain: its key halves are encoded
@@ -412,17 +416,17 @@ func projectKey(o Options) (keyProjection, bool) {
 }
 
 // memoizedKey returns the key halves memoized under p.
-func (h *Harness) memoizedKey(p keyProjection) (head, tail []byte, ok bool) {
+func (h *Harness) memoizedKey(p keyProjection) (kh keyHalves, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	kh, ok := h.keys[p]
-	return kh.head, kh.tail, ok
+	kh, ok = h.keys[p]
+	return kh, ok
 }
 
 // memoizeKey records the key halves encoded for p.
-func (h *Harness) memoizeKey(p keyProjection, head, tail []byte) {
+func (h *Harness) memoizeKey(p keyProjection, kh keyHalves) {
 	h.mu.Lock()
-	h.keys[p] = keyHalves{head, tail}
+	h.keys[p] = kh
 	h.mu.Unlock()
 }
 
@@ -596,6 +600,22 @@ func cachedClass(ctx context.Context, spec *runSpec, prof trace.Profile) (BenchC
 	}
 	h.mu.Unlock()
 	return bc, nil
+}
+
+// memoizedRender returns a copy of the artifact bytes memoized under
+// render digest k, counted as a hit. A miss counts nothing; the
+// cachedRender that follows it counts the miss.
+func (h *Harness) memoizedRender(k [sha256.Size]byte) ([]byte, bool) {
+	h.mu.Lock()
+	body, hit := h.renders[k]
+	if hit {
+		h.renderHits++
+	}
+	h.mu.Unlock()
+	if !hit {
+		return nil, false
+	}
+	return bytes.Clone(body), true
 }
 
 // cachedRender returns the artifact bytes memoized under render digest

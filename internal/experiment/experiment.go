@@ -276,9 +276,9 @@ func runCell(ctx context.Context, s *runSpec, prof trace.Profile, scheme Scheme,
 // runSpec is one Options prepared for every run that shares them — a
 // matrix, a classification pass, a single run. newRunSpec applies the
 // defaults, resolves the harness and makes the options-level checks
-// once; the per-Options half of the cache key is encoded lazily, by
-// the first key derived, or found in the harness's key memo (see
-// keyParts).
+// once; the per-Options half of the cache key is found in the
+// harness's key memo, with the machine check's verdict, or encoded
+// lazily by the first key derived (see keyParts).
 type runSpec struct {
 	opt                 Options  // defaults applied
 	h                   *Harness // opt.Harness, or the default
@@ -286,24 +286,35 @@ type runSpec struct {
 
 	memoKey  keyProjection // the key memo's key for s's key halves, if plainKey
 	plainKey bool
+	memoHit  bool // head and tail came from the key memo
 
 	keyOnce    sync.Once
 	head, tail []byte // cacheKey's JSON before the profile and after the scheme
 	keyErr     error
 }
 
-// newRunSpec prepares opt for a batch of runs.
+// newRunSpec prepares opt for a batch of runs. A plain spec whose key
+// halves its harness has memoized takes the machine check's verdict
+// from the memo too, and builds no machine configuration.
 func newRunSpec(opt Options) *runSpec {
 	s := &runSpec{opt: opt.withDefaults(), h: opt.Harness}
 	if s.h == nil {
 		s.h = defaultHarness
 	}
-	cfg := s.opt.machine()
-	if err := cfg.Validate(); err != nil {
-		s.machineErr = invalidSpec(err)
+	s.memoKey, s.plainKey = projectKey(s.opt)
+	if s.plainKey {
+		var kh keyHalves
+		if kh, s.memoHit = s.h.memoizedKey(s.memoKey); s.memoHit {
+			s.head, s.tail, s.machineErr = kh.head, kh.tail, kh.machineErr
+		}
+	}
+	if !s.memoHit {
+		cfg := s.opt.machine()
+		if err := cfg.Validate(); err != nil {
+			s.machineErr = invalidSpec(err)
+		}
 	}
 	_, s.chipErr = validateChip(s.opt)
-	s.memoKey, s.plainKey = projectKey(s.opt)
 	return s
 }
 

@@ -220,3 +220,36 @@ func TestKeyMemoConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestKeyMemoCarriesMachineVerdict: a spec that finds its key halves
+// in the memo takes the machine check's verdict from it, and that
+// verdict is the one a fresh spec computes. A plain spec's machine is
+// the default configuration at Seed, and Validate reads no Seed, so
+// the verdict is the same at every seed.
+func TestKeyMemoCarriesMachineVerdict(t *testing.T) {
+	t.Parallel()
+	for _, seed := range []int64{0, 1, -1, 7, math.MinInt64, math.MaxInt64} {
+		cfg := Options{Seed: seed}.machine()
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("seed %d: the default machine fails validation: %v", seed, err)
+		}
+	}
+	h := NewHarness()
+	for i, opt := range keyMemoOptions() {
+		opt.Harness = h
+		fresh := newRunSpec(opt)
+		if fresh.memoHit {
+			t.Fatalf("options %d: a first spec hit the key memo", i)
+		}
+		if _, _, err := fresh.keyParts(); err != nil {
+			t.Fatal(err)
+		}
+		warm := newRunSpec(opt)
+		if !warm.memoHit {
+			t.Fatalf("options %d: the second spec missed the key memo", i)
+		}
+		if warm.machineErr != fresh.machineErr {
+			t.Errorf("options %d: memoized machine verdict %v, fresh %v", i, warm.machineErr, fresh.machineErr)
+		}
+	}
+}

@@ -237,3 +237,51 @@ func TestRenderMemoSkipsPartialFaultSweep(t *testing.T) {
 	}
 	wantRenderStats(t, opt, "partial robustness", 0, 2)
 }
+
+// TestPreparedRenderMemoized: the lookup a server makes before
+// admission counts a hit and nothing else, serves a copy, and never
+// stands for a render the memo may not serve, even when the memo holds
+// its digest.
+func TestPreparedRenderMemoized(t *testing.T) {
+	t.Parallel()
+	opt := memoOpt()
+	p, err := PrepareRender("fig9", FormatText, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.Memoized(); ok {
+		t.Fatal("an empty memo holds fig9")
+	}
+	wantRenderStats(t, opt, "lookup before the render", 0, 0)
+	want, err := p.Render(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRenderStats(t, opt, "the render", 0, 1)
+	for i := 0; i < 2; i++ {
+		got, ok := p.Memoized()
+		if !ok || !bytes.Equal(got, want) {
+			t.Fatalf("lookup %d after the render: %v, %d bytes, want the rendered %d", i, ok, len(got), len(want))
+		}
+		clear(got) // must not reach the memo
+	}
+	wantRenderStats(t, opt, "two lookups", 2, 1)
+
+	flushed := opt
+	flushed.RowFlush = func(RowEvent) {}
+	bad := opt
+	bad.MutateAdaptive = func(*control.Config) { panic("mutate") }
+	for name, o := range map[string]Options{"RowFlush": flushed, "key error": bad} {
+		q, err := PrepareRender("fig9", FormatText, o)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, ok := q.Memoized(); ok {
+			t.Errorf("%s: the memo stood for a render it may not serve", name)
+		}
+	}
+	if _, err := RenderKey("fig9", FormatText, bad); !errors.Is(err, ErrRunPanicked) {
+		t.Errorf("RenderKey with a panicking MutateAdaptive = %v, want ErrRunPanicked", err)
+	}
+	wantRenderStats(t, opt, "bypassed lookups", 2, 1)
+}

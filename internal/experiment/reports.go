@@ -107,15 +107,24 @@ func classify(ctx context.Context, spec *runSpec, prof trace.Profile) (BenchClas
 }
 
 // classifyRun applies the spectral classifier to the occupancy series
-// of prof's no-DVFS run.
+// of prof's no-DVFS run. The series are recorded on every tick of one
+// sampling clock, so they share a length and one spectrum plan, which
+// refuses a series of any other length.
 func classifyRun(prof trace.Profile, res *mcd.Result) (BenchClass, error) {
 	bc := BenchClass{Name: prof.Name, Suite: prof.Suite, IPC: res.IPC}
+	var plan *spectrum.Plan
 	for _, dom := range []string{mcd.NameInt, mcd.NameFP, mcd.NameLS} {
 		samples := res.QueueSamples[dom]
 		if samples.Len() < 64 {
 			continue
 		}
-		cl, err := spectrum.Classify(samples.Floats(), spectrum.DefaultIntervalSamples, spectrum.DefaultFastShareThreshold)
+		if plan == nil {
+			var err error
+			if plan, err = spectrum.NewPlan(samples.Len(), spectrum.ClassifyTapers); err != nil {
+				return BenchClass{}, err
+			}
+		}
+		cl, err := plan.Classify(samples.Floats(), spectrum.DefaultIntervalSamples, spectrum.DefaultFastShareThreshold)
 		if err != nil {
 			return BenchClass{}, err
 		}

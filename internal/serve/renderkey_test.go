@@ -17,10 +17,20 @@ import (
 // renderKeySeed seeds TestRenderKeyProperties' request generator.
 const renderKeySeed = 20
 
+// keyServer prepares the requests of the key tests, with a minute's
+// default and maximum deadline and no disk tier.
+var keyServer = func() *Server {
+	s, err := New(Config{DefaultTimeout: time.Minute, MaxTimeout: time.Minute})
+	if err != nil {
+		panic(err)
+	}
+	return s
+}()
+
 // flightKey is the key a request's render shares a flight under.
 func flightKey(t *testing.T, req RenderRequest) string {
 	t.Helper()
-	spec, err := newRenderSpec(req, time.Minute, time.Minute)
+	spec, err := keyServer.newRenderSpec(req)
 	if err != nil {
 		t.Fatalf("%s: %v", reqString(req), err)
 	}
@@ -276,7 +286,7 @@ func TestRenderKeyProperties(t *testing.T) {
 			t.Errorf("%s and its respelling %s key apart", reqString(draw), reqString(twin))
 		}
 		for _, req := range []RenderRequest{draw, twin} {
-			spec, err := newRenderSpec(req, time.Minute, time.Minute)
+			spec, err := keyServer.newRenderSpec(req)
 			if err != nil {
 				t.Fatalf("%s: %v", reqString(req), err)
 			}
@@ -305,8 +315,12 @@ func TestRenderKeyProperties(t *testing.T) {
 // many milliseconds it asks for.
 func TestTimeoutClampsWithoutOverflow(t *testing.T) {
 	const maxTimeout = 2 * time.Minute
+	s, err := New(Config{DefaultTimeout: time.Minute, MaxTimeout: maxTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, ms := range []int64{3 * 60 * 1000, 10_000_000_000_000, math.MaxInt64} {
-		spec, err := newRenderSpec(RenderRequest{Artifact: "table1", Format: "txt", TimeoutMS: ms}, time.Minute, maxTimeout)
+		spec, err := s.newRenderSpec(RenderRequest{Artifact: "table1", Format: "txt", TimeoutMS: ms})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -200,24 +200,32 @@ func (s *Server) do(ctx context.Context, key string, run func(context.Context) (
 	})
 }
 
-// render is the unit of admitted work: one artifact rendered under the
-// flight's work context, with the disk tier granted or withheld by the
-// breaker.
+// render is the unit of admitted work: one prepared artifact rendered
+// under the flight's work context. The spec's options name the disk
+// tier whenever the server has one; when the breaker withholds it, the
+// render is prepared again without it.
 func (s *Server) render(ctx context.Context, spec renderSpec) ([]byte, error) {
 	if err := s.gate.acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer s.gate.release()
-	dir := ""
-	if s.store != nil && s.breaker.allow() {
-		dir = s.cfg.CacheDir
+	p := spec.render
+	if s.store != nil && !s.breaker.allow() {
+		opt := spec.opt
+		opt.CacheDir = ""
+		var err error
+		if p, err = experiment.PrepareRender(spec.artifact, spec.format, opt); err != nil {
+			return nil, err
+		}
 	}
-	opt := spec.opt
-	opt.CacheDir, opt.CacheMaxBytes = dir, s.cfg.CacheMaxBytes
-	body, _, err := experiment.RenderArtifactContext(ctx, spec.artifact, spec.format, opt)
-	return body, err
+	return p.Render(ctx)
 }
 
+// handleRender answers a render request. A render the memo holds is
+// written at once, as the leader of a flight of its own: it takes no
+// worker slot, so it is neither admitted nor shed, and only a draining
+// server refuses it. Everything else joins the request's flight, whose
+// leader is admitted through the gate and renders.
 func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	var req RenderRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
@@ -226,10 +234,16 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, CodeBadRequest, "decoding render request: "+err.Error())
 		return
 	}
-	spec, err := newRenderSpec(req, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
+	spec, err := s.newRenderSpec(req)
 	if err != nil {
 		writeClassified(w, err)
 		return
+	}
+	if !s.draining.Load() {
+		if body, ok := spec.render.Memoized(); ok {
+			writeRender(w, spec, body, true)
+			return
+		}
 	}
 	// The deadline bounds this request's wait only; the shared render
 	// runs on for any other request still waiting on it.
@@ -242,13 +256,19 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		writeClassified(w, err)
 		return
 	}
+	writeRender(w, spec, body, leader)
+}
+
+// writeRender writes a rendered artifact with its flight role and key.
+func writeRender(w http.ResponseWriter, spec renderSpec, body []byte, leader bool) {
 	role := "follower"
 	if leader {
 		role = "leader"
 	}
-	w.Header().Set("Content-Type", spec.format.ContentType())
-	w.Header().Set("X-Mcdserve-Flight", role)
-	w.Header().Set("X-Mcdserve-Key", spec.key)
+	h := w.Header()
+	h.Set("Content-Type", spec.format.ContentType())
+	h.Set("X-Mcdserve-Flight", role)
+	h.Set("X-Mcdserve-Key", spec.key)
 	w.Write(body) //nolint:errcheck // client gone
 }
 

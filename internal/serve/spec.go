@@ -14,7 +14,7 @@ import (
 // fields take the harness defaults, so {"artifact":"fig9",
 // "format":"txt"} is a complete request. Before the request is
 // admitted, the harness checks it and derives its flight key
-// (experiment.RenderKey) from the options it copies onto: an
+// (experiment.PrepareRender) from the options it copies onto: an
 // unrunnable spec is rejected as invalid_spec without consuming a
 // worker slot, and an omitted field shares a key with its explicit
 // default.
@@ -62,13 +62,14 @@ type RenderRequest struct {
 	GovernorGain float64 `json:"governor_gain,omitempty"`
 }
 
-// renderSpec is one admitted request: its artifact and format, the
-// harness options it asks for, the flight key they hash to, and the
-// deadline of the request's own wait.
+// renderSpec is one request checked and keyed: its artifact and
+// format, the harness options it asks for, the render they prepare
+// and its flight key, and the deadline of the request's own wait.
 type renderSpec struct {
 	artifact string
 	format   experiment.ArtifactFormat
 	opt      experiment.Options
+	render   *experiment.PreparedRender
 	key      string
 	timeout  time.Duration
 }
@@ -80,9 +81,12 @@ func invalid(format string, args ...any) error {
 }
 
 // newRenderSpec checks the fields only the wire has, applies the
-// server's deadline policy, and keys the request through the harness,
-// which rejects every option it could not render.
-func newRenderSpec(req RenderRequest, defaultTimeout, maxTimeout time.Duration) (renderSpec, error) {
+// server's deadline policy, and prepares the render through the
+// harness, which rejects every option it could not render and derives
+// the flight key. The options name the disk tier whenever the server
+// has one, so a render the breaker lets through needs no second
+// preparation.
+func (s *Server) newRenderSpec(req RenderRequest) (renderSpec, error) {
 	if req.TimeoutMS < 0 {
 		return renderSpec{}, invalid("negative timeout_ms %d", req.TimeoutMS)
 	}
@@ -95,10 +99,17 @@ func newRenderSpec(req RenderRequest, defaultTimeout, maxTimeout time.Duration) 
 		artifact: req.Artifact,
 		format:   experiment.ArtifactFormat(req.Format),
 		opt:      req.options(),
-		timeout:  defaultTimeout,
+		timeout:  s.cfg.DefaultTimeout,
 	}
+	if s.store != nil {
+		spec.opt.CacheDir = s.cfg.CacheDir
+	}
+	spec.opt.CacheMaxBytes = s.cfg.CacheMaxBytes
 	var err error
-	if spec.key, err = experiment.RenderKey(spec.artifact, spec.format, spec.opt); err != nil {
+	if spec.render, err = experiment.PrepareRender(spec.artifact, spec.format, spec.opt); err != nil {
+		return renderSpec{}, err
+	}
+	if spec.key, err = spec.render.Key(); err != nil {
 		return renderSpec{}, err
 	}
 	if req.TimeoutMS > 0 {
@@ -106,8 +117,8 @@ func newRenderSpec(req RenderRequest, defaultTimeout, maxTimeout time.Duration) 
 		// years the nanosecond count wraps negative.
 		spec.timeout = time.Duration(min(req.TimeoutMS, int64(math.MaxInt64/time.Millisecond))) * time.Millisecond
 	}
-	if maxTimeout > 0 && spec.timeout > maxTimeout {
-		spec.timeout = maxTimeout
+	if spec.timeout > s.cfg.MaxTimeout {
+		spec.timeout = s.cfg.MaxTimeout
 	}
 	return spec, nil
 }

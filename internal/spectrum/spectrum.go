@@ -3,6 +3,7 @@ package spectrum
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mcddvfs/internal/stats"
 )
@@ -78,40 +79,82 @@ func (s *Spectrum) FastShare(noiseWavelength, intervalWavelength float64) float6
 // (Riedel & Sidorenko), the closed-form approximation to the Thomson
 // DPSS tapers the paper's Multi-taper method uses. Averaging the k
 // orthogonal eigenspectra trades a small bias for a k-fold variance
-// reduction of the estimate.
+// reduction of the estimate. It builds a Plan for x's length; a caller
+// with several series of one length builds the Plan once instead.
 func Multitaper(x []float64, k int) (*Spectrum, error) {
+	p, err := NewPlan(len(x), k)
+	if err != nil {
+		return nil, err
+	}
+	return p.Multitaper(x)
+}
+
+// Plan is the scratch of k-taper multitaper estimates over series of
+// length n: the sine tapers, one transform buffer and each FFT stage's
+// twiddle factors, built once and reused by every estimate. An
+// estimate through a Plan is bit for bit Multitaper's. A Plan is not
+// safe for concurrent use.
+type Plan struct {
+	n, k   int
+	tapers [][]float64
+	buf    []complex128 // the transform, in place
+	tw     []complex128 // twiddles(len(buf))
+	shift  uint         // bit-reversal shift for len(buf)
+}
+
+// NewPlan builds the scratch of k-taper estimates over n samples.
+func NewPlan(n, k int) (*Plan, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("spectrum: taper count %d < 1", k)
 	}
-	n := len(x)
 	if n < 8 {
 		return nil, fmt.Errorf("spectrum: series too short (%d samples)", n)
 	}
-	d := stats.Detrend(x)
 	nfft := NextPow2(n)
+	return &Plan{
+		n:      n,
+		k:      k,
+		tapers: SineTapers(n, k),
+		buf:    make([]complex128, nfft),
+		tw:     twiddles(nfft),
+		shift:  64 - uint(bits.TrailingZeros(uint(nfft))),
+	}, nil
+}
+
+// Multitaper estimates the variance spectrum of x, which must be as
+// long as the series p was built for (see the package function
+// Multitaper).
+func (p *Plan) Multitaper(x []float64) (*Spectrum, error) {
+	if len(x) != p.n {
+		return nil, fmt.Errorf("spectrum: %d-sample series through a %d-sample plan", len(x), p.n)
+	}
+	d := stats.Detrend(x)
+	nfft := len(p.buf)
 	half := nfft / 2
 	power := make([]float64, half+1)
-
-	buf := make([]complex128, nfft)
-	for _, w := range SineTapers(n, k) {
-		for i := range buf {
-			buf[i] = 0
-		}
-		for t := 0; t < n; t++ {
-			buf[t] = complex(d[t]*w[t], 0)
-		}
-		X := FFT(buf)
-		// Unit-energy taper: Σ_j |Y_j|²/nfft = Σ_t (w_t·x_t)² ≈ var·Σw².
-		scale := 1 / (float64(nfft) * float64(k))
-		for j := 1; j <= half; j++ {
-			p := real(X[j])*real(X[j]) + imag(X[j])*imag(X[j])
-			if j != half {
-				p *= 2 // fold the conjugate-symmetric half
+	// Unit-energy taper: Σ_j |Y_j|²/nfft = Σ_t (w_t·x_t)² ≈ var·Σw².
+	scale := 1 / (float64(nfft) * float64(p.k))
+	for _, w := range p.tapers {
+		// Load the tapered, zero-padded series in bit-reversed order,
+		// as FFT's permutation would, then transform in place.
+		for t := range p.buf {
+			v := complex(0, 0)
+			if t < p.n {
+				v = complex(d[t]*w[t], 0)
 			}
-			power[j] += p * scale
+			p.buf[bits.Reverse64(uint64(t))>>p.shift] = v
+		}
+		butterflies(p.buf, p.tw)
+		X := p.buf
+		for j := 1; j <= half; j++ {
+			pw := real(X[j])*real(X[j]) + imag(X[j])*imag(X[j])
+			if j != half {
+				pw *= 2 // fold the conjugate-symmetric half
+			}
+			power[j] += pw * scale
 		}
 	}
-	return &Spectrum{Power: power, N: n, NFFT: nfft}, nil
+	return &Spectrum{Power: power, N: p.n, NFFT: nfft}, nil
 }
 
 // SineTapers returns the first k sine tapers of length n, normalized to
@@ -155,10 +198,28 @@ const DefaultNoiseSamples = 250
 // fixed-interval controller can react.
 const DefaultFastShareThreshold = 0.75
 
+// ClassifyTapers is the taper count of the classifier's multitaper
+// estimate.
+const ClassifyTapers = 5
+
 // Classify runs the paper's fast-workload-variation test on an
-// occupancy series using the multitaper estimator with 5 tapers.
+// occupancy series using the multitaper estimator with ClassifyTapers
+// tapers.
 func Classify(x []float64, intervalSamples float64, threshold float64) (Classification, error) {
-	s, err := Multitaper(x, 5)
+	p, err := NewPlan(len(x), ClassifyTapers)
+	if err != nil {
+		return Classification{}, err
+	}
+	return p.Classify(x, intervalSamples, threshold)
+}
+
+// Classify runs Classify's test on x through p, which must have been
+// built with ClassifyTapers tapers.
+func (p *Plan) Classify(x []float64, intervalSamples float64, threshold float64) (Classification, error) {
+	if p.k != ClassifyTapers {
+		return Classification{}, fmt.Errorf("spectrum: classifying through a %d-taper plan, want %d", p.k, ClassifyTapers)
+	}
+	s, err := p.Multitaper(x)
 	if err != nil {
 		return Classification{}, err
 	}

@@ -316,3 +316,93 @@ func TestShortWavelengthShareZeroTotal(t *testing.T) {
 		t.Error("zero-power FastShare must be 0")
 	}
 }
+
+// referenceMultitaper is the estimator before Plan: fresh tapers, a
+// fresh transform buffer per series and one FFT per taper. A Plan's
+// estimate must match it bit for bit.
+func referenceMultitaper(x []float64, k int) *Spectrum {
+	n := len(x)
+	d := stats.Detrend(x)
+	nfft := NextPow2(n)
+	half := nfft / 2
+	power := make([]float64, half+1)
+	buf := make([]complex128, nfft)
+	for _, w := range SineTapers(n, k) {
+		for i := range buf {
+			buf[i] = 0
+		}
+		for t := 0; t < n; t++ {
+			buf[t] = complex(d[t]*w[t], 0)
+		}
+		X := FFT(buf)
+		scale := 1 / (float64(nfft) * float64(k))
+		for j := 1; j <= half; j++ {
+			p := real(X[j])*real(X[j]) + imag(X[j])*imag(X[j])
+			if j != half {
+				p *= 2
+			}
+			power[j] += p * scale
+		}
+	}
+	return &Spectrum{Power: power, N: n, NFFT: nfft}
+}
+
+// randomWalk is an occupancy-like series: a bounded random walk with
+// white sampling noise on top.
+func randomWalk(rng *rand.Rand, n int) []float64 {
+	x := make([]float64, n)
+	level := 8.0
+	for i := range x {
+		level = math.Max(0, math.Min(32, level+rng.NormFloat64()))
+		x[i] = math.Round(level + rng.Float64()*2)
+	}
+	return x
+}
+
+// TestPlanMatchesReferenceBitForBit: a Plan's spectrum equals the
+// reference kernel's in every bin's bits, for power-of-two lengths and
+// others, and a Plan reused over several series of its length matches
+// on each of them.
+func TestPlanMatchesReferenceBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{64, 100, 1000, 4097, 30000, 125000} {
+		plan, err := NewPlan(n, ClassifyTapers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for series := 0; series < 3; series++ {
+			x := randomWalk(rng, n)
+			want := referenceMultitaper(x, ClassifyTapers)
+			got, err := plan.Multitaper(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.N != want.N || got.NFFT != want.NFFT || len(got.Power) != len(want.Power) {
+				t.Fatalf("n=%d: shape N %d NFFT %d bins %d, want %d %d %d", n, got.N, got.NFFT, len(got.Power), want.N, want.NFFT, len(want.Power))
+			}
+			for j := range want.Power {
+				if math.Float64bits(got.Power[j]) != math.Float64bits(want.Power[j]) {
+					t.Fatalf("n=%d series %d bin %d: %v, reference %v", n, series, j, got.Power[j], want.Power[j])
+				}
+			}
+		}
+	}
+}
+
+// TestPlanChecks: a Plan refuses a series of another length and, to
+// classify, a taper count other than the classifier's.
+func TestPlanChecks(t *testing.T) {
+	plan, err := NewPlan(100, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Multitaper(make([]float64, 101)); err == nil {
+		t.Error("a 101-sample series through a 100-sample plan estimated")
+	}
+	if _, err := plan.Classify(make([]float64, 100), DefaultIntervalSamples, DefaultFastShareThreshold); err == nil {
+		t.Error("a 3-taper plan classified")
+	}
+	if _, err := NewPlan(7, 1); err == nil {
+		t.Error("a 7-sample plan built")
+	}
+}
