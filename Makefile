@@ -45,7 +45,7 @@ lint-budget:
 
 # BENCH_PATTERN selects the tracked benchmarks: the ones bench runs and
 # bench-compare gates against BENCH_baseline.json.
-BENCH_PATTERN = BenchmarkSimulatorThroughput|BenchmarkRunMatrix|BenchmarkChunkedReplay|BenchmarkChip|BenchmarkRenderArtifact|BenchmarkRenderKey|BenchmarkServeWarmRequest|BenchmarkClassify
+BENCH_PATTERN = BenchmarkSimulatorThroughput|BenchmarkRunMatrix|BenchmarkChunkedReplay|BenchmarkChip|BenchmarkRenderArtifact|BenchmarkRenderKey|BenchmarkServeWarmRequest|BenchmarkClassify|BenchmarkDiskHit
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem .
@@ -63,12 +63,13 @@ bench:
 #     tighter wall gate flaps red on quiet commits. 40% still trips on
 #     catastrophic slowdowns (reintroducing per-cycle polling, an
 #     accidental O(domains) scan per edge).
-#   * work counts at ±10% — allocs/op, B/op and the warm-disk
-#     matrix's disk-B/cell (mean cache-entry size), each the minimum
-#     over the five repeats, repeat between runs, so this gate is
-#     tight; it is the one that catches per-iteration garbage creeping
-#     back into the hot path, a result holding more memory, or a cache
-#     entry quietly growing.
+#   * work counts at ±10% — allocs/op, B/op, the warm-disk matrix's
+#     disk-B/cell (mean cache-entry size) and the disk-hit benchmark's
+#     entry-B/op (entry bytes read per op), each the minimum over the
+#     five repeats, repeat between runs, so this gate is tight; it is
+#     the one that catches per-iteration garbage creeping back into the
+#     hot path, a result holding more memory, or a cache entry quietly
+#     growing.
 #
 # After a deliberate performance change, refresh the baseline with
 # `make bench-baseline`.

@@ -11,18 +11,24 @@ package mcddvfs
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"mcddvfs/internal/clock"
 	"mcddvfs/internal/control"
+	"mcddvfs/internal/diskcache"
 	"mcddvfs/internal/experiment"
+	"mcddvfs/internal/mcd"
 	"mcddvfs/internal/serve"
 	"mcddvfs/internal/spectrum"
 	"mcddvfs/internal/trace"
@@ -290,6 +296,91 @@ func BenchmarkRunMatrix(b *testing.B) {
 		reportCells(b, cells)
 		b.ReportMetric(entryBytes, "disk-B/cell")
 	})
+}
+
+// diskHitEntries returns the cache entries of a sweep-shaped matrix,
+// the one mcdbench's sweep workload reads back from disk: six
+// benchmarks, two from each suite, under every scheme at 100,000
+// instructions. It maps each entry's file name to its bytes, and
+// simulates the matrix once per process.
+var diskHitEntries = sync.OnceValues(func() (map[string][]byte, error) {
+	dir, err := os.MkdirTemp("", "diskhit")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	opt := benchOpt(100_000, "gsm_decode", "g721_encode", "mcf", "parser", "art", "mesa")
+	opt.CacheDir, opt.Harness = dir, benchTraces.Fork()
+	m, err := experiment.RunMatrixContext(context.Background(), opt)
+	if err != nil {
+		return nil, err
+	}
+	if len(m.Failures) != 0 {
+		return nil, &m.Failures[0]
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*.res"))
+	if err != nil {
+		return nil, err
+	}
+	entries := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		if entries[filepath.Base(p)], err = os.ReadFile(p); err != nil {
+			return nil, err
+		}
+	}
+	return entries, nil
+})
+
+// BenchmarkDiskHit measures the disk tier's warm read alone:
+// diskcache.Store.Get of every entry of a sweep-shaped matrix
+// (diskHitEntries) into an mcd.Result — the read, the checksum, and
+// the entry codec's decode and checks. One op is passesPerOp passes
+// over the entries; entry-B/op counts the entry bytes an op reads, a
+// work count like allocs/op.
+func BenchmarkDiskHit(b *testing.B) {
+	const passesPerOp = 10
+	entries, err := diskHitEntries()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	names := make([]string, 0, len(entries))
+	for name := range entries {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	keys := make([][sha256.Size]byte, len(names))
+	entryBytes := 0
+	for i, name := range names {
+		if err := os.WriteFile(filepath.Join(dir, name), entries[name], 0o644); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := hex.Decode(keys[i][:], []byte(strings.TrimSuffix(name, ".res"))); err != nil {
+			b.Fatal(err)
+		}
+		entryBytes += len(entries[name])
+	}
+	store, err := diskcache.Open(dir, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pass := func() {
+		for _, k := range keys {
+			var res mcd.Result
+			if err := store.Get(k, &res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass() // fill the store's read-buffer pool
+	runtime.GC()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for p := 0; p < passesPerOp; p++ {
+			pass()
+		}
+	}
+	b.ReportMetric(float64(passesPerOp*entryBytes), "entry-B/op")
 }
 
 // BenchmarkRenderArtifact measures warm artifact renders, the bulk of

@@ -25,9 +25,10 @@
 //     gate is deliberately coarse — wall time on shared machines
 //     drifts ±20-30% between invocations, so it only trips on
 //     catastrophic slowdowns.
-//   - work counts, at -alloc-tolerance percent: allocs/op, B/op and
-//     the warm-disk matrix's disk-B/cell (mean cache-entry size)
-//     repeat run to run, so this gate can be tight. It is the one
+//   - work counts, at -alloc-tolerance percent: allocs/op, B/op, the
+//     warm-disk matrix's disk-B/cell (mean cache-entry size) and the
+//     disk-hit benchmark's entry-B/op (entry bytes read) repeat run to
+//     run, so this gate can be tight. It is the one
 //     that catches per-iteration garbage creeping back into the hot
 //     path, a result quietly holding more memory, or a cache entry
 //     quietly growing.
@@ -73,7 +74,7 @@ func main() {
 	out := flag.String("out", "", "write JSON here instead of stdout")
 	compare := flag.Bool("compare", false, "compare two baseline JSON files (old new) instead of parsing stdin")
 	tolerance := flag.Float64("tolerance", 25, "with -compare, max allowed wall-clock (ns/op or sim-insts/s) regression in percent")
-	allocTolerance := flag.Float64("alloc-tolerance", 10, "with -compare, max allowed regression in percent of allocs/op, B/op and disk-B/cell")
+	allocTolerance := flag.Float64("alloc-tolerance", 10, "with -compare, max allowed regression in percent of allocs/op, B/op, disk-B/cell and entry-B/op")
 	flag.Parse()
 
 	if *compare {
@@ -170,11 +171,12 @@ func addBest(base *Baseline, b Benchmark) {
 var throughputUnits = []string{"sim-insts/s", "cells/s"}
 
 // workUnits are the deterministic work counts: -benchmem's allocation
-// count and bytes, and the cache-entry bytes per warm-disk cell.
+// count and bytes, the cache-entry bytes per warm-disk cell, and the
+// entry bytes a disk-hit op reads.
 // Unlike wall time they repeat between runs (past a process's first
 // repeat, which addBest's minimum drops), so they share their own,
 // much tighter gate.
-var workUnits = []string{"allocs/op", "B/op", "disk-B/cell"}
+var workUnits = []string{"allocs/op", "B/op", "disk-B/cell", "entry-B/op"}
 
 // compareBaselines diffs old vs new by benchmark name and returns the
 // process exit code: 0 when every shared benchmark's regression is

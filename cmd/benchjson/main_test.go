@@ -152,13 +152,20 @@ func TestCompareGatesOnAllocs(t *testing.T) {
 	}
 }
 
-// disk-B/cell, the warm-disk matrix's mean cache-entry size, is a work
-// count that repeats exactly, so it shares the allocs/op gate.
+// disk-B/cell, the warm-disk matrix's mean cache-entry size, and
+// entry-B/op, the entry bytes a disk-hit op reads, are work counts that
+// repeat exactly, so they share the allocs/op gate.
 func TestCompareGatesOnDiskBytes(t *testing.T) {
+	for _, unit := range []string{"disk-B/cell", "entry-B/op"} {
+		compareGatesOnDiskBytes(t, unit)
+	}
+}
+
+func compareGatesOnDiskBytes(t *testing.T, unit string) {
 	dir := t.TempDir()
 	bench := func(ns, diskB float64) Benchmark {
 		return Benchmark{Name: "BenchmarkRunMatrix/warm-disk", NsPerOp: ns,
-			Metrics: map[string]float64{"allocs/op": 7000, "disk-B/cell": diskB}}
+			Metrics: map[string]float64{"allocs/op": 7000, unit: diskB}}
 	}
 	old := writeBaseline(t, dir, "old.json", bench(100, 74000))
 
@@ -176,7 +183,7 @@ func TestCompareGatesOnDiskBytes(t *testing.T) {
 	for _, tc := range cases {
 		newPath := writeBaseline(t, dir, "new.json", tc.new)
 		if got := compareBaselines(old, newPath, 40, 10); got != tc.want {
-			t.Errorf("%s: exit %d, want %d", tc.name, got, tc.want)
+			t.Errorf("%s: %s: exit %d, want %d", unit, tc.name, got, tc.want)
 		}
 	}
 }

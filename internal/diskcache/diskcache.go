@@ -38,9 +38,13 @@
 // the store frames, checksums and publishes the bytes without looking
 // inside them. The harness stores mcd.Result and mcd.ChipResult, whose
 // hand-written entry codec (internal/mcd/codec.go) is binary-exact for
-// float64, byte-deterministic, and decodes a hit in one pass with one
-// copy of each series; an entry costs about a byte per occupancy
-// sample, half the two bytes a sample takes in memory.
+// float64, byte-deterministic, and decodes a hit in one pass: each
+// occupancy series is checked canonical (a run-length section four
+// pairs to a word) and copied once, and each frequency trajectory is
+// rebuilt from its MHz bits and Insts deltas, the short deltas read
+// inline. An entry costs about a byte per occupancy sample, half the
+// two bytes a sample takes in memory; past the decode, a hit costs the
+// file read and the SHA-256 of the payload.
 package diskcache
 
 import (

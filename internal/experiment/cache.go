@@ -262,23 +262,48 @@ func (h *Harness) diskCacheStats() (diskcache.Stats, error) {
 // Only the profiles and the scheme vary between the runs of one
 // Options, so the JSON before and after them is encoded once per
 // runSpec, and for a plain spec once per harness (keyParts), and each
-// key streams the parts into one hash. src is the runs' runSpec, or
-// bare Options prepared for this one key.
+// key streams the parts into one hash. A matrix encodes each
+// benchmark's profile JSON once for all its schemes (profileJSON,
+// keyWithProfile). src is the runs' runSpec, or bare Options prepared
+// for this one key.
 func cacheKey(profs []trace.Profile, scheme Scheme, src keySource) ([sha256.Size]byte, error) {
 	s := src.runSpec()
+	// The options' error, if any, comes before the profiles'.
+	if _, _, err := s.keyParts(); err != nil {
+		return [sha256.Size]byte{}, err
+	}
+	profJSON, err := s.profileJSON(profs)
+	if err != nil {
+		return [sha256.Size]byte{}, err
+	}
+	return s.keyWithProfile(profJSON, scheme)
+}
+
+// profileJSON is the JSON cacheKey hashes for profs, one workload
+// profile per core: the legacy shape's one profile, or the chip
+// shape's list.
+func (s *runSpec) profileJSON(profs []trace.Profile) ([]byte, error) {
+	var blob []byte
+	var err error
+	if s.opt.chipMode() {
+		blob, err = json.Marshal(profs)
+	} else {
+		blob, err = json.Marshal(&profs[0])
+	}
+	if err != nil {
+		return nil, fmt.Errorf("experiment: cache key: %w", err)
+	}
+	return blob, nil
+}
+
+// keyWithProfile is cacheKey for a scheme's run of profiles whose
+// JSON profileJSON already encoded.
+func (s *runSpec) keyWithProfile(profJSON []byte, scheme Scheme) ([sha256.Size]byte, error) {
 	head, tail, err := s.keyParts()
 	if err != nil {
 		return [sha256.Size]byte{}, err
 	}
-	var profJSON, schemeJSON []byte
-	if s.opt.chipMode() {
-		profJSON, err = json.Marshal(profs)
-	} else {
-		profJSON, err = json.Marshal(&profs[0])
-	}
-	if err == nil {
-		schemeJSON, err = json.Marshal(scheme)
-	}
+	schemeJSON, err := json.Marshal(scheme)
 	if err != nil {
 		return [sha256.Size]byte{}, fmt.Errorf("experiment: cache key: %w", err)
 	}

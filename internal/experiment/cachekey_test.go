@@ -236,3 +236,36 @@ func TestMatrixHotPathContracts(t *testing.T) {
 		}
 	})
 }
+
+// TestMatrixKeysMatchReference asserts a matrix keys each cell, with
+// its benchmark's profile JSON encoded once for all its schemes,
+// exactly as the reference key does, in both key shapes: every cell's
+// outcome is memoized under the reference key of its benchmark and
+// scheme.
+func TestMatrixKeysMatchReference(t *testing.T) {
+	t.Parallel()
+	for _, cores := range []int{1, 2} {
+		opt := smallOpt()
+		opt.Instructions, opt.Cores = 5000, cores
+		m, err := RunMatrixContext(context.Background(), opt)
+		if err != nil || len(m.Failures) != 0 {
+			t.Fatalf("%d cores: %v %+v", cores, err, m.Failures)
+		}
+		opt = opt.withDefaults()
+		for _, bench := range opt.Benchmarks {
+			prof, err := trace.ByName(bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sch := range append([]Scheme{SchemeNone}, m.Schemes...) {
+				k := referenceKey(t, chipProfiles(prof, opt), sch, opt)
+				opt.Harness.mu.Lock()
+				_, ok := opt.Harness.memo[k]
+				opt.Harness.mu.Unlock()
+				if !ok {
+					t.Errorf("%d cores: %s/%s is not memoized under its reference key", cores, bench, sch)
+				}
+			}
+		}
+	}
+}

@@ -199,10 +199,16 @@ func (o Options) withDefaults() Options {
 		o.Instructions = 500000
 	}
 	if len(o.Benchmarks) == 0 {
-		o.Benchmarks = trace.Names()
+		o.Benchmarks = suiteNames
 	}
 	return o
 }
+
+// suiteNames is the default benchmark list, shared read-only by every
+// Options that takes it: the harness never writes into
+// Options.Benchmarks, and RunMatrixContext gives the Matrix it returns
+// a list of its own.
+var suiteNames = trace.Names()
 
 // withBenchmarks is withDefaults for an artifact with a benchmark list
 // of its own: an empty selection takes defaults instead of the suite.
@@ -478,6 +484,11 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 			opt.Instructions = corpus.Instructions()
 		}
 	}
+	if len(opt.Benchmarks) == 0 {
+		// The matrix hands its list to the caller: a copy, not
+		// suiteNames.
+		opt.Benchmarks = trace.Names()
+	}
 	opt = opt.withDefaults()
 	if corpus != nil {
 		if corpus.Seed() != opt.Seed || corpus.Instructions() != opt.Instructions {
@@ -560,10 +571,11 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 	// the pool reports the rest as cancelled.
 	cellErrs := make([]error, len(cells))
 	var pool []int
+	var prof benchProfile
 	for i := range cells {
 		c := &cells[i]
 		if ctx.Err() == nil {
-			if res, hit, err := c.memoHit(spec, bank); hit {
+			if res, hit, err := c.memoHit(spec, bank, &prof); hit {
 				cellErrs[i] = store(c, res, err)
 				// Every cell releases its claim and retires exactly once,
 				// served here or by the pool.
@@ -633,17 +645,33 @@ type matrixCell struct {
 	keyed  bool
 }
 
+// benchProfile is the profile JSON of the benchmark whose cells a
+// matrix is keying. Cells come benchmark by benchmark, so each
+// benchmark's profiles are encoded once for all its schemes.
+type benchProfile struct {
+	bench string
+	json  []byte // nil until encoded, or when encoding failed
+}
+
 // memoHit serves the cell from the result memo when its outcome is
 // already there, counted as a hit exactly as cachedRun counts one. It
-// derives the cell's key, and keeps it on the cell for the pool. hit
-// is false, and nothing is counted, for a miss or for a cell whose
+// derives the cell's key, with the profile JSON in bp when bp holds
+// the cell's benchmark, and keeps it on the cell for the pool. hit is
+// false, and nothing is counted, for a miss or for a cell whose
 // profile, checks or key fail: the pool runs those, and reports them.
-func (c *matrixCell) memoHit(s *runSpec, bank *traceBank) (res *mcd.Result, hit bool, err error) {
+func (c *matrixCell) memoHit(s *runSpec, bank *traceBank, bp *benchProfile) (res *mcd.Result, hit bool, err error) {
 	prof, err := bank.profile(c.bench)
 	if err != nil || s.validate(prof, c.scheme) != nil {
 		return nil, false, nil
 	}
-	if c.key, err = cacheKey(chipProfiles(prof, s.opt), c.scheme, s); err != nil {
+	if bp.bench != c.bench || bp.json == nil {
+		bp.bench = c.bench
+		bp.json, _ = s.profileJSON(chipProfiles(prof, s.opt))
+	}
+	if bp.json == nil {
+		return nil, false, nil
+	}
+	if c.key, err = s.keyWithProfile(bp.json, c.scheme); err != nil {
 		return nil, false, nil
 	}
 	c.keyed = true

@@ -27,9 +27,15 @@ import (
 //   - wide: two little-endian bytes per sample, for anything else
 //     (Config.Validate caps every sampled queue at 65535 entries).
 //
-// Decoding accepts only the form the samples select. No form holds
-// more than two bytes a sample. An empty or nil series is an empty
-// section and decodes to nil, as gob did for a plain empty slice.
+// Decoding accepts only the form the samples select, in its one
+// encoding, and checks it in one pass over the section: a runs body
+// four pairs per 8-byte word for splits of a run before a full pair,
+// summing the samples as it goes; a packed body eight bytes a step
+// for value changes, counting its pairs exactly only when the changes
+// leave the runs form possibly shorter; a wide body until one sample
+// needs two bytes. No form holds more than two bytes a sample. An
+// empty or nil series is an empty section and decodes to nil, as gob
+// did for a plain empty slice.
 type Series struct {
 	// sec is the section; nil for a nil series, empty for an empty one.
 	sec []byte
@@ -41,8 +47,12 @@ type Series struct {
 // in the entry codec is uvarint(n), then n little-endian MHz bit
 // patterns, then n zigzag-varint deltas of Insts (the first from
 // zero). Retired counts grow slowly between retargets, so a delta
-// usually takes two or three bytes. Empty is an empty section and
-// decodes to nil.
+// takes one byte or two nearly always (85% and 15% of a sweep's
+// points). Decoding checks the point count against the section before
+// it allocates, each delta's varint minimal, and that no byte trails;
+// it reads deltas of up to three bytes inline and hands longer ones
+// to the codec's varint reader. Empty is an empty section and decodes
+// to nil.
 type FreqSeries []FreqPoint
 
 // Series encoding forms. Zero is reserved so a zeroed byte never
@@ -128,6 +138,59 @@ func changes(b []byte) int {
 		}
 	}
 	return n
+}
+
+// checkRuns reads a runs body of at least one whole pair. It returns
+// the number of samples the body holds, and the first pair that splits
+// a run (−1 if none): one whose value equals the previous pair's while
+// that pair's run is not full. It checks four pairs per 8-byte word:
+// lane j of the word at pair i is pair i+j, and the word one pair
+// earlier holds pair i+j−1 in the same lane. The run bytes are summed
+// lane by lane, a block of words at a time, and the last pairs one by
+// one.
+func checkRuns(body []byte) (n, split int) {
+	const (
+		low7   = 0x7f7f7f7f7f7f7f7f
+		values = 0x00ff00ff00ff00ff // each lane's value byte
+		runs   = 0xff00ff00ff00ff00 // each lane's run byte
+		splits = values &^ low7     // bit 7 of each lane's value byte
+		block  = 256                // words whose run bytes a 16-bit lane can sum
+	)
+	n = int(body[1]) + 1
+	i := 1
+	for 2*i+8 <= len(body) {
+		// p starts one pair before the word it checks.
+		p := body[2*i-2:]
+		var sums uint64
+		k := 0
+		for ; k < block && len(p) >= 10; k++ {
+			w, prev := binary.LittleEndian.Uint64(p[2:]), binary.LittleEndian.Uint64(p)
+			// A lane of u is zero in its value byte exactly when the
+			// pair's value equals the previous pair's, and nonzero in
+			// its run byte exactly when the previous pair's run is not
+			// full. As in changes, bit 7 of each byte of nz is set
+			// exactly when that byte of u is nonzero.
+			u := w&values ^ prev ^ runs
+			nz := (u&low7 + low7) | u
+			if bad := nz >> 8 &^ nz & splits; bad != 0 {
+				return 0, i + 4*k + bits.TrailingZeros64(bad)/16
+			}
+			sums += w >> 8 & values
+			p = p[8:]
+		}
+		// Fold the lanes' sums into one: each pair holds its run byte
+		// plus one samples.
+		sums = sums&0x0000ffff0000ffff + sums>>16&0x0000ffff0000ffff
+		n += int(sums&0xffffffff+sums>>32) + 4*k
+		i += 4 * k
+	}
+	for ; 2*i < len(body); i++ {
+		if body[2*i] == body[2*i-2] && body[2*i-1] != math.MaxUint8 {
+			return 0, i
+		}
+		n += int(body[2*i+1]) + 1
+	}
+	return n, -1
 }
 
 // Len returns the number of samples.
@@ -240,10 +303,10 @@ func (s Series) sectionLen() int { return len(s.sec) }
 func (s Series) appendSection(b []byte) []byte { return append(b, s.sec...) }
 
 // decodeSection sets s from a section appendSection wrote, after
-// checking it is the canonical section of its samples. The section is
-// copied out of data, so s never aliases it; the copy is the only
-// allocation, and a runs section of k bytes holds at most 128·k
-// samples.
+// checking it is the canonical section of its samples (see Series for
+// what each form's pass checks). The section is copied out of data,
+// so s never aliases it; the copy is the only allocation, and a runs
+// section of k bytes holds at most 128·k samples.
 func (s *Series) decodeSection(data []byte) error {
 	if len(data) == 0 {
 		*s = Series{}
@@ -268,11 +331,9 @@ func (s *Series) decodeSection(data []byte) error {
 		if len(body)%2 != 0 {
 			return fmt.Errorf("mcd: runs series body of %d bytes is not whole pairs", len(body))
 		}
-		for i := 0; i < len(body); i += 2 {
-			if i > 0 && body[i] == body[i-2] && body[i-1] != math.MaxUint8 {
-				return fmt.Errorf("mcd: runs series splits a run of %d before a full pair at pair %d", body[i], i/2)
-			}
-			n += int(body[i+1]) + 1
+		var split int
+		if n, split = checkRuns(body); split >= 0 {
+			return fmt.Errorf("mcd: runs series splits a run of %d before a full pair at pair %d", body[2*split], split)
 		}
 		if len(body) >= n {
 			return fmt.Errorf("mcd: runs series of %d samples in %d bytes is no shorter than packed", n, len(body))
@@ -329,7 +390,9 @@ func (f FreqSeries) appendSection(b []byte) []byte {
 
 // decodeSection sets f from a section appendSection wrote. The point
 // count is checked against the section (each point needs its 8 MHz
-// bytes and at least one delta byte) before anything is allocated.
+// bytes and at least one delta byte) before anything is allocated;
+// then one pass reads each point's MHz bits and delta, checking the
+// delta's varint is minimal, and a last check finds no trailing byte.
 func (f *FreqSeries) decodeSection(data []byte) error {
 	if len(data) == 0 {
 		*f = nil
@@ -344,20 +407,33 @@ func (f *FreqSeries) decodeSection(data []byte) error {
 	if n == 0 || n > uint64(len(body))/9 {
 		return fmt.Errorf("mcd: frequency series of %d points in %d bytes", n, len(body))
 	}
-	mhz := body[:8*n]
-	d.b = body[8*n:]
+	mhz, deltas := body[:8*n], body[8*n:]
 	out := make(FreqSeries, n)
 	var insts int64
 	for i := range out {
-		delta := d.varint()
-		if d.err != nil {
-			return fmt.Errorf("mcd: bad Insts delta at point %d", i)
+		// A delta of one to three bytes is read here: minimal exactly
+		// when its last byte is nonzero or it is one byte long. Any
+		// other goes to uvarint, which reads or rejects it.
+		var u uint64
+		switch b := deltas; {
+		case len(b) > 0 && b[0] < 0x80:
+			u, deltas = uint64(b[0]), b[1:]
+		case len(b) > 1 && b[1] < 0x80 && b[1] != 0:
+			u, deltas = uint64(b[0]&0x7f)|uint64(b[1])<<7, b[2:]
+		case len(b) > 2 && b[1] >= 0x80 && b[2] < 0x80 && b[2] != 0:
+			u, deltas = uint64(b[0]&0x7f)|uint64(b[1]&0x7f)<<7|uint64(b[2])<<14, b[3:]
+		default:
+			d.b = deltas
+			if u = d.uvarint(); d.err != nil {
+				return fmt.Errorf("mcd: bad Insts delta at point %d", i)
+			}
+			deltas = d.b
 		}
-		insts += delta
+		insts += int64(u>>1) ^ -int64(u&1) // the zigzag varint's value
 		out[i] = FreqPoint{Insts: insts, MHz: math.Float64frombits(binary.LittleEndian.Uint64(mhz[8*i:]))}
 	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("mcd: %d trailing bytes after frequency series", len(d.b))
+	if len(deltas) != 0 {
+		return fmt.Errorf("mcd: %d trailing bytes after frequency series", len(deltas))
 	}
 	*f = out
 	return nil
