@@ -333,10 +333,11 @@ var diskHitEntries = sync.OnceValues(func() (map[string][]byte, error) {
 
 // BenchmarkDiskHit measures the disk tier's warm read alone:
 // diskcache.Store.Get of every entry of a sweep-shaped matrix
-// (diskHitEntries) into an mcd.Result — the read, the checksum, and
-// the entry codec's decode and checks. One op is passesPerOp passes
-// over the entries; entry-B/op counts the entry bytes an op reads, a
-// work count like allocs/op.
+// (diskHitEntries) into an mcd.ChipResult, the entry type the harness
+// stores for every run — the read, the checksum, and the entry codec's
+// decode and checks. One op is passesPerOp passes over the entries;
+// entry-B/op counts the entry bytes an op reads, a work count like
+// allocs/op.
 func BenchmarkDiskHit(b *testing.B) {
 	const passesPerOp = 10
 	entries, err := diskHitEntries()
@@ -366,7 +367,7 @@ func BenchmarkDiskHit(b *testing.B) {
 	}
 	pass := func() {
 		for _, k := range keys {
-			var res mcd.Result
+			var res mcd.ChipResult
 			if err := store.Get(k, &res); err != nil {
 				b.Fatal(err)
 			}

@@ -17,16 +17,18 @@ import (
 	"mcddvfs/internal/mcd"
 )
 
-// payload is the value type the store holds in practice; its entry
-// codec is the store's encoding.BinaryMarshaler contract at work.
-type payload = mcd.Result
+// payload is the value type the store holds in practice: the harness
+// stores every run as a chip result, a single core as a one-core chip.
+// Its entry codec is the store's encoding.BinaryMarshaler contract at
+// work.
+type payload = mcd.ChipResult
 
 // sampleQueue names the one occupancy series samplePayload fills.
 const sampleQueue = mcd.NameInt
 
-// samplePayload is a Result whose occupancy series holds n samples,
-// some above 255 once n passes 256 so the series takes its wide form:
-// 2 bytes a sample, on disk and in memory.
+// samplePayload is a one-core chip result whose core's occupancy
+// series holds n samples, some above 255 once n passes 256 so the
+// series takes its wide form: 2 bytes a sample, on disk and in memory.
 func samplePayload(n int) *payload {
 	return seriesPayload(n, func(i int) uint16 { return uint16(i % 300) })
 }
@@ -38,7 +40,7 @@ func seriesPayload(n int, sample func(int) uint16) *payload {
 		samples[i] = sample(i)
 	}
 	series := mcd.NewSeries(samples)
-	return &payload{
+	core := &mcd.Result{
 		Benchmark:      "gzip",
 		Scheme:         "adaptive",
 		Domains:        map[string]mcd.DomainStats{mcd.NameInt: {EnergyJ: 1.5, Cycles: 7}},
@@ -46,6 +48,8 @@ func seriesPayload(n int, sample func(int) uint16) *payload {
 		IPC:            -2.25,
 		RetiredByClass: map[string]int64{"ialu": 123, "load": 456},
 	}
+	core.Metrics.EnergyJ = 1.5
+	return &payload{Cores: []*mcd.Result{core}, Metrics: core.Metrics}
 }
 
 func key(b byte) [sha256.Size]byte {
@@ -163,7 +167,9 @@ func TestTruncatedEntryFallsBack(t *testing.T) {
 
 // v3Payload is the payload entry format 3 wrote for a Result
 // {Benchmark: "gzip", Scheme: "adaptive"} whose INT series is
-// {256, 0, 3}, in the float64 series form format 4 retired.
+// {256, 0, 3}, in the float64 series form format 4 retired. Get checks
+// the version before it decodes anything, so the payload's type does
+// not matter.
 const v3Payload = "04677a697008616461707469766500000000000000000000000203494e5419020000000000007040" +
 	"00000000000000000000000000000840000000000000000000000000000000000000000000000000" +
 	"0000000000000000000000000000000000000000"
@@ -409,7 +415,7 @@ func TestGetReusesReadBuffers(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		perGets[i] = int64(after.TotalAlloc - before.TotalAlloc)
-		if got := v.QueueSamples[sampleQueue].Len(); got != n {
+		if got := v.Cores[0].QueueSamples[sampleQueue].Len(); got != n {
 			t.Fatalf("decoded %d samples, want %d", got, n)
 		}
 	}
@@ -437,7 +443,7 @@ func TestGetDoesNotAliasReadBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, other := samplePayload(4096), seriesPayload(4096, func(i int) uint16 { return uint16(299 + i%2) })
-	other.Benchmark, other.Scheme = "swim", "pid"
+	other.Cores[0].Benchmark, other.Cores[0].Scheme = "swim", "pid"
 	if err := s.Put(key(1), want); err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,8 @@ func TestPutRetriesTransientWriteFaults(t *testing.T) {
 			if err := s.Get(key(1), &got); err != nil {
 				t.Fatalf("Get after faulted Put: %v", err)
 			}
-			if n := got.QueueSamples[sampleQueue].Len(); n != want.QueueSamples[sampleQueue].Len() {
-				t.Fatalf("entry truncated: %d samples, want %d", n, want.QueueSamples[sampleQueue].Len())
+			if n := got.Cores[0].QueueSamples[sampleQueue].Len(); n != want.Cores[0].QueueSamples[sampleQueue].Len() {
+				t.Fatalf("entry truncated: %d samples, want %d", n, want.Cores[0].QueueSamples[sampleQueue].Len())
 			}
 			st := s.Stats()
 			if st.Retries < 2 || st.WriteErrors != 0 {

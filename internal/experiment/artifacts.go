@@ -320,15 +320,15 @@ func (p *PreparedRender) Render(ctx context.Context) ([]byte, error) {
 //
 // The key is the SHA-256 of the artifact, the format, what the
 // result-cache key leaves out and a render still reads, and the
-// per-Options half of the runs' cache key (keyParts), which holds
-// every default the harness applies. The left-out fields are the
-// Benchmarks, Schemes and FaultIntensities selections as given, an
-// empty list counting as omitted, and GovernorGain, which the cap
-// artifacts read even when the options' own runs key the single-core
-// shape that omits it. Where results are stored and how long a caller
-// waits (CacheDir, Timeout, ...) never enter the key. Nor does
-// CorpusDir: a budget or benchmark list left for a corpus to fill in
-// keys as the harness default.
+// per-Options parts of the runs' cache key (keyHead and keyParts),
+// which hold every default the harness applies. The left-out fields
+// are the Benchmarks, Schemes and FaultIntensities selections as
+// given, an empty list counting as omitted. GovernorGain, which the
+// key tail also holds, is hashed again so that render keys keep their
+// bytes. Where results are stored and how long a caller waits
+// (CacheDir, Timeout, ...) never enter the key. Nor does CorpusDir: a
+// budget or benchmark list left for a corpus to fill in keys as the
+// harness default.
 //
 //lint:allow unreachable the key without a render, which the serve and experiment tests pin and BenchmarkRenderKey times across packages
 func RenderKey(id string, format ArtifactFormat, opt Options) (string, error) {
@@ -343,7 +343,7 @@ func RenderKey(id string, format ArtifactFormat, opt Options) (string, error) {
 // runSpec prepareRender returned for the same request. It also keys
 // the render memo (see cachedRender).
 func renderDigest(id string, format ArtifactFormat, opt Options, s *runSpec) ([sha256.Size]byte, error) {
-	head, tail, err := s.keyParts()
+	tail, err := s.keyParts()
 	if err != nil {
 		return [sha256.Size]byte{}, err
 	}
@@ -368,7 +368,7 @@ func renderDigest(id string, format ArtifactFormat, opt Options, s *runSpec) ([s
 	// blob is one JSON object, so it ends where the key parts begin.
 	h := sha256.New()
 	h.Write(blob)
-	h.Write(head)
+	h.Write(keyHead)
 	h.Write(tail)
 	var k [sha256.Size]byte
 	h.Sum(k[:0])

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -30,7 +29,7 @@ import (
 // determines a simulation: the per-core workload profiles, the scheme,
 // and the canonicalized options (instruction budget, seed, machine
 // configuration — including the fault spec — PID interval, the
-// *effect* of MutateAdaptive, and in chip mode the chip shape). Every
+// *effect* of MutateAdaptive, and the chip shape). Every
 // run is an N-core chip: a single-core run is a 1-core governorless
 // chip, whose only core is bit for bit the single-processor machine,
 // and single-core callers read that core back through
@@ -77,9 +76,9 @@ type Harness struct {
 	renders                  map[[sha256.Size]byte][]byte
 	renderHits, renderMisses uint64 // render lookups this generation
 
-	// The per-Options halves of plain specs' cache keys, keyed by
+	// The per-Options tails of plain specs' cache keys, keyed by
 	// what the encoding reads (see keyParts).
-	keys map[keyProjection]keyHalves
+	keys map[keyProjection]keyMemoEntry
 
 	replays *replayCache // shared with every Fork of this harness
 
@@ -110,7 +109,7 @@ func (h *Harness) Fork() *Harness {
 		memo:     make(map[[sha256.Size]byte]outcome),
 		classes:  make(map[[sha256.Size]byte]BenchClass),
 		renders:  make(map[[sha256.Size]byte][]byte),
-		keys:     make(map[keyProjection]keyHalves),
+		keys:     make(map[keyProjection]keyMemoEntry),
 		replays:  h.replays,
 		stores:   make(map[string]*diskcache.Store),
 		openErrs: make(map[string]error),
@@ -127,7 +126,7 @@ type outcome struct {
 }
 
 // ResetCache drops every memoized in-process result, classification,
-// render, key half and recorded trace of the default harness and
+// render, key tail and recorded trace of the default harness and
 // zeroes its hit/miss counters. On-disk entries are untouched (delete
 // the cache directory to force a cold run).
 func ResetCache() { defaultHarness.reset() }
@@ -138,7 +137,7 @@ func (h *Harness) reset() {
 	h.memo = make(map[[sha256.Size]byte]outcome)
 	h.classes = make(map[[sha256.Size]byte]BenchClass)
 	h.renders = make(map[[sha256.Size]byte][]byte)
-	h.keys = make(map[keyProjection]keyHalves)
+	h.keys = make(map[keyProjection]keyMemoEntry)
 	h.runs, h.misses, h.spectra, h.renderHits, h.renderMisses = 0, 0, 0, 0, 0
 	h.mu.Unlock()
 	h.replays.reset()
@@ -239,57 +238,44 @@ func (h *Harness) diskCacheStats() (diskcache.Stats, error) {
 // hashed directly; it is canonicalized by its observable effect — the
 // controller configuration it produces from each domain's default.
 //
-// The key is the SHA-256 of one JSON object in one of two shapes, and
-// both are part of the byte-stability contract (TestCacheKeyGolden,
-// TestChipCacheKeyGolden), so a refactor must never reorder, rename or
-// retype their fields. A run outside chip mode — one core, no budget,
-// no governor — hashes the legacy single-core shape
+// The key is the SHA-256 of one JSON object,
 //
-//	{"Format","Profile","Scheme","Instructions","Seed","PIDIntervalTicks","Machine","Adaptive"}
+//	{"Format","Kind":"chip","Profiles","Scheme","Instructions","Seed","PIDIntervalTicks","Machine","Adaptive","Cores","PowerCapW","Governor","GovernorGain"}
 //
-// so warm entries written before chip support still hit. A chip-mode
-// run hashes
-//
-//	{"Format","Kind":"chip","Profiles","Scheme",<the same five>,"Cores","PowerCapW","Governor","GovernorGain"}
-//
-// whose Kind tag keeps it in a keyspace disjoint from the legacy one
-// (the two store different entry types; see cachedRun). The Format
-// field versions the key derivation itself and stays at keyFormat; the
+// with the defaults spelled out: a single-core run hashes Cores 1,
+// PowerCapW 0 and Governor "none", like the 1-core chip it simulates.
+// The shape is part of the byte-stability contract
+// (TestCacheKeyGolden, TestChipCacheKeyGolden), so a refactor must
+// never reorder, rename or retype its fields. The Format field
+// versions the key derivation itself and stays at keyFormat; the
 // entry encoding is versioned separately in each entry's header
 // (diskcache.FormatVersion), so an encoding change retires old entries
 // at the same keys without moving them.
 //
 // Only the profiles and the scheme vary between the runs of one
-// Options, so the JSON before and after them is encoded once per
-// runSpec, and for a plain spec once per harness (keyParts), and each
-// key streams the parts into one hash. A matrix encodes each
-// benchmark's profile JSON once for all its schemes (profileJSON,
-// keyWithProfile). src is the runs' runSpec, or bare Options prepared
-// for this one key.
+// Options, so the JSON before them is one constant (keyHead), the JSON
+// after them is encoded once per runSpec, and for a plain spec once
+// per harness (keyParts), and each key streams the parts into one
+// hash. A matrix encodes each benchmark's profile JSON once for all
+// its schemes (profileJSON, keyWithProfile). src is the runs' runSpec,
+// or bare Options prepared for this one key.
 func cacheKey(profs []trace.Profile, scheme Scheme, src keySource) ([sha256.Size]byte, error) {
 	s := src.runSpec()
 	// The options' error, if any, comes before the profiles'.
-	if _, _, err := s.keyParts(); err != nil {
+	if _, err := s.keyParts(); err != nil {
 		return [sha256.Size]byte{}, err
 	}
-	profJSON, err := s.profileJSON(profs)
+	profJSON, err := profileJSON(profs)
 	if err != nil {
 		return [sha256.Size]byte{}, err
 	}
 	return s.keyWithProfile(profJSON, scheme)
 }
 
-// profileJSON is the JSON cacheKey hashes for profs, one workload
-// profile per core: the legacy shape's one profile, or the chip
-// shape's list.
-func (s *runSpec) profileJSON(profs []trace.Profile) ([]byte, error) {
-	var blob []byte
-	var err error
-	if s.opt.chipMode() {
-		blob, err = json.Marshal(profs)
-	} else {
-		blob, err = json.Marshal(&profs[0])
-	}
+// profileJSON is the JSON cacheKey hashes for profs, the list of
+// one workload profile per core.
+func profileJSON(profs []trace.Profile) ([]byte, error) {
+	blob, err := json.Marshal(profs)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: cache key: %w", err)
 	}
@@ -299,7 +285,7 @@ func (s *runSpec) profileJSON(profs []trace.Profile) ([]byte, error) {
 // keyWithProfile is cacheKey for a scheme's run of profiles whose
 // JSON profileJSON already encoded.
 func (s *runSpec) keyWithProfile(profJSON []byte, scheme Scheme) ([sha256.Size]byte, error) {
-	head, tail, err := s.keyParts()
+	tail, err := s.keyParts()
 	if err != nil {
 		return [sha256.Size]byte{}, err
 	}
@@ -308,7 +294,7 @@ func (s *runSpec) keyWithProfile(profJSON []byte, scheme Scheme) ([sha256.Size]b
 		return [sha256.Size]byte{}, fmt.Errorf("experiment: cache key: %w", err)
 	}
 	h := sha256.New()
-	h.Write(head)
+	h.Write(keyHead)
 	h.Write(profJSON)
 	h.Write([]byte(`,"Scheme":`))
 	h.Write(schemeJSON)
@@ -329,17 +315,16 @@ func (s *runSpec) runSpec() *runSpec { return s }
 
 func (o Options) runSpec() *runSpec { return &runSpec{opt: o} }
 
-// keyParts returns the per-Options half of every cache key of s's
-// runs, encoding it on first use: head is the key's JSON up to the
-// profile, tail everything after the scheme. A plain spec's halves are
-// memoized on its harness, so a request that rebuilds the same
-// options only looks them up (see keyProjection). A panic in
+// keyParts returns the per-Options tail of every cache key of s's
+// runs, encoding it on first use: everything after the scheme. A plain
+// spec's tail is memoized on its harness, so a request that rebuilds
+// the same options only looks it up (see keyProjection). A panic in
 // MutateAdaptive is recovered here into ErrRunPanicked, the error
 // every key of s then fails with.
-func (s *runSpec) keyParts() (head, tail []byte, err error) {
+func (s *runSpec) keyParts() (tail []byte, err error) {
 	s.keyOnce.Do(func() {
 		if s.memoHit {
-			return // newRunSpec found the halves in the key memo
+			return // newRunSpec found the tail in the key memo
 		}
 		defer func() {
 			if r := recover(); r != nil {
@@ -355,45 +340,29 @@ func (s *runSpec) keyParts() (head, tail []byte, err error) {
 			}
 			mutated[d] = cfg
 		}
-		common := keyTail{
+		blob, err := json.Marshal(keyTail{
 			Instructions:     opt.Instructions,
 			Seed:             opt.Seed,
 			PIDIntervalTicks: opt.PIDIntervalTicks,
 			Machine:          opt.machine(),
 			Adaptive:         mutated,
-		}
-		var rest any = common
-		head := fmt.Sprintf(`{"Format":%d,"Profile":`, keyFormat)
-		if opt.chipMode() {
-			rest = struct {
-				keyTail
-				Cores        int
-				PowerCapW    float64
-				Governor     string
-				GovernorGain float64
-			}{
-				keyTail:      common,
-				Cores:        opt.chipCores(),
-				PowerCapW:    opt.PowerCapW,
-				Governor:     opt.governorName(),
-				GovernorGain: opt.GovernorGain,
-			}
-			head = fmt.Sprintf(`{"Format":%d,"Kind":"chip","Profiles":`, keyFormat)
-		}
-		blob, err := json.Marshal(rest)
+			Cores:            opt.chipCores(),
+			PowerCapW:        opt.PowerCapW,
+			Governor:         opt.governorName(),
+			GovernorGain:     opt.GovernorGain,
+		})
 		if err != nil {
 			s.keyErr = fmt.Errorf("experiment: cache key: %w", err)
 			return
 		}
 		// blob is {"Instructions":…}: its fields continue the key
 		// object after the scheme.
-		s.head = []byte(head)
 		s.tail = append([]byte{','}, blob[1:]...)
 		if s.plainKey {
-			s.h.memoizeKey(s.memoKey, keyHalves{s.head, s.tail, s.machineErr})
+			s.h.memoizeKey(s.memoKey, keyMemoEntry{s.tail, s.machineErr})
 		}
 	})
-	return s.head, s.tail, s.keyErr
+	return s.tail, s.keyErr
 }
 
 // keyProjection is every option keyParts encodes from a plain
@@ -409,19 +378,18 @@ type keyProjection struct {
 	powerCapW, governorGain uint64
 }
 
-// keyHalves is one memoized keyParts result, with the machine
+// keyMemoEntry is one memoized keyParts result, with the machine
 // configuration's Validate verdict beside it: a plain spec's machine
 // is the default configuration at Seed, which the projection holds, so
-// the verdict is as much a function of the projection as the halves.
-// Its slices are shared by every spec that hits it and are never
-// written.
-type keyHalves struct {
-	head, tail []byte
+// the verdict is as much a function of the projection as the tail.
+// Its slice is shared by every spec that hits it and is never written.
+type keyMemoEntry struct {
+	tail       []byte
 	machineErr error
 }
 
 // projectKey returns the key-memo key of o, which has its defaults
-// applied, and false when o is not plain: its key halves are encoded
+// applied, and false when o is not plain: its key tail is encoded
 // afresh for every spec. newRunSpec calls it, outside cacheKey's
 // reach, so that the cachekey analyzer counts only the encoding's
 // reads as hashed.
@@ -440,29 +408,33 @@ func projectKey(o Options) (keyProjection, bool) {
 	}, true
 }
 
-// memoizedKey returns the key halves memoized under p.
-func (h *Harness) memoizedKey(p keyProjection) (kh keyHalves, ok bool) {
+// memoizedKey returns the key tail memoized under p.
+func (h *Harness) memoizedKey(p keyProjection) (kh keyMemoEntry, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	kh, ok = h.keys[p]
 	return kh, ok
 }
 
-// memoizeKey records the key halves encoded for p.
-func (h *Harness) memoizeKey(p keyProjection, kh keyHalves) {
+// memoizeKey records the key tail encoded for p.
+func (h *Harness) memoizeKey(p keyProjection, kh keyMemoEntry) {
 	h.mu.Lock()
 	h.keys[p] = kh
 	h.mu.Unlock()
 }
 
-// keyTail is the fields both key shapes hash after the scheme, in key
-// order. The chip shape embeds it, so its own fields follow these.
+// keyTail is the fields every key hashes after the scheme, in key
+// order.
 type keyTail struct {
 	Instructions     int64
 	Seed             int64
 	PIDIntervalTicks int
 	Machine          mcd.Config
 	Adaptive         []control.Config
+	Cores            int
+	PowerCapW        float64
+	Governor         string
+	GovernorGain     float64
 }
 
 // keyFormat is the Format field of every cache key. It versions the
@@ -470,6 +442,9 @@ type keyTail struct {
 // header by diskcache.FormatVersion — so encoding bumps keep every key
 // (TestCacheKeyGolden). Change it only when the derivation changes.
 const keyFormat = 1
+
+// keyHead is every cache key's JSON up to the profiles.
+var keyHead = fmt.Appendf(nil, `{"Format":%d,"Kind":"chip","Profiles":`, keyFormat)
 
 // memoized returns key k's memoized outcome, counted as a hit: the
 // one place a memo hit is served, for cachedRun and a matrix's inline
@@ -544,10 +519,7 @@ func await(ctx context.Context, s *runSpec, k [sha256.Size]byte, gen uint64, pro
 // gen, so a flight that outlives a reset cannot write into the fresh
 // memo.
 //
-// On disk, a legacy-key run stores its one core as a plain mcd.Result,
-// the entry type that predates chip support, so existing warm caches
-// still hit; the 1-core chip result is rebuilt from it exactly. Chip
-// keys store the whole mcd.ChipResult.
+// On disk, every run stores its whole mcd.ChipResult.
 func resolve(ctx context.Context, s *runSpec, k [sha256.Size]byte, gen uint64, profs []trace.Profile, scheme Scheme, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (o outcome) {
 	h := s.h
 	h.mu.Lock()
@@ -570,27 +542,15 @@ func resolve(ctx context.Context, s *runSpec, k [sha256.Size]byte, gen uint64, p
 	if s.opt.CacheDir != "" {
 		store, _ = h.diskStore(s.opt.CacheDir, s.opt.CacheMaxBytes)
 	}
-	legacy := !s.opt.chipMode()
 	if store != nil && ctx.Err() == nil {
-		if legacy {
-			var res mcd.Result
-			if store.Get(k, &res) == nil {
-				return outcome{res: &mcd.ChipResult{Cores: []*mcd.Result{&res}, Metrics: res.Metrics}}
-			}
-		} else {
-			var res mcd.ChipResult
-			if store.Get(k, &res) == nil {
-				return outcome{res: &res}
-			}
+		var res mcd.ChipResult
+		if store.Get(k, &res) == nil {
+			return outcome{res: &res}
 		}
 	}
 	o.res, o.err = simulate(ctx, s, profs, scheme, bankSrc)
 	if o.err == nil && store != nil {
-		var entry encoding.BinaryMarshaler = o.res
-		if legacy {
-			entry = o.res.Cores[0]
-		}
-		store.Put(k, entry) //nolint:errcheck // best-effort: a failed write costs this cell's persistence
+		store.Put(k, o.res) //nolint:errcheck // best-effort: a failed write costs this cell's persistence
 	}
 	return o
 }

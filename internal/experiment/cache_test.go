@@ -145,39 +145,48 @@ func TestCacheKeyCanonicalizesMutator(t *testing.T) {
 	}
 }
 
-// TestCacheKeyGolden pins the result-cache key for the four seed
-// schemes to the exact SHA-256 values the pre-registry code produced
-// (gzip, Instructions 20000, Seed 3, defaults applied). These keys
+// TestCacheKeyGolden pins the result-cache key of a plain single core
+// for the four seed schemes (gzip, Instructions 20000, Seed 3,
+// defaults applied): a 1-core, unbudgeted, ungoverned chip. These keys
 // address warm on-disk cache entries, so ANY drift — field order,
 // type, the scheme's representation in the key — silently invalidates
 // every cache a user has built. If this test fails, the fix is to
 // restore the key derivation, not to update the constants. Keys no
 // longer follow the entry encoding: a diskcache.FormatVersion bump
 // retires old entries through their headers and leaves these keys
-// alone; only a deliberate keyFormat change may move them.
+// alone; only a deliberate keyFormat change may move them. The
+// defaults spelled out — one core, the "none" governor — key the
+// same entries as the defaults left zero.
 func TestCacheKeyGolden(t *testing.T) {
 	golden := map[Scheme]string{
-		SchemeNone:        "a1b6fc3e404c1a72c3f8771a2f99491b02a8f6fbb05df6abbdd7b74b79a08d83",
-		SchemeAdaptive:    "558dff26263e5f7001492502462f9eb9515f369c79a7d5c2943a0d26be5b1e68",
-		SchemePID:         "71dd02a967ff412b8f5b26060a8f4dfa6542dfa56cf02e838dcbb71de17f3a7d",
-		SchemeAttackDecay: "2a445b1ba516bc01748a1d07cfea21e1fcc23abc2261b5637faca300c36057d0",
+		SchemeNone:        "1e07e209dadd9ba138e881973794f03f4221f26592085f66bbad15afd016aaf8",
+		SchemeAdaptive:    "8b598b315394a17f4fab320368626ce433a6930d2fa641762a37dda196ce9d67",
+		SchemePID:         "aebc7618647c985fb63e60483d5a767613996492d7365737114eaca33b2ef260",
+		SchemeAttackDecay: "bdc6b4013bf1482e7ebcdb0f43c0c55901a44f56284cd9c9106174c8b9d6f7f8",
 	}
 	prof, err := trace.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Instructions: 20000, Seed: 3}.withDefaults()
-	for sch, want := range golden {
-		k, err := cacheKey([]trace.Profile{prof}, sch, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := hex.EncodeToString(k[:]); got != want {
-			t.Errorf("%s: cache key %s, want %s — existing disk caches no longer hit", sch, got, want)
+	for _, opt := range []Options{
+		{Instructions: 20000, Seed: 3},
+		{Instructions: 20000, Seed: 3, Cores: 1, Governor: "none"},
+		{Instructions: 20000, Seed: 3, Cores: 0, Governor: "none"},
+	} {
+		opt = opt.withDefaults()
+		for sch, want := range golden {
+			k, err := cacheKey([]trace.Profile{prof}, sch, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(k[:]); got != want {
+				t.Errorf("Cores %d, Governor %q, %s: cache key %s, want %s — existing disk caches no longer hit", opt.Cores, opt.Governor, sch, got, want)
+			}
 		}
 	}
 	// Options.Schemes must never enter the key: a cell simulated for a
 	// subset matrix shares warm entries with the full sweep.
+	opt := Options{Instructions: 20000, Seed: 3}.withDefaults()
 	sub := opt
 	sub.Schemes = []Scheme{SchemeAdaptive}
 	k1, _ := cacheKey([]trace.Profile{prof}, SchemeAdaptive, opt)
@@ -187,9 +196,9 @@ func TestCacheKeyGolden(t *testing.T) {
 	}
 }
 
-// TestChipCacheKeyGolden pins the chip-mode key (gzip on 4 cores under
-// a 30 W integral-gain cap, Instructions 20000, Seed 3) the same way
-// TestCacheKeyGolden pins the single-core one: warm chip entries must
+// TestChipCacheKeyGolden pins the key of a wider chip (gzip on 4 cores
+// under a 30 W integral-gain cap, Instructions 20000, Seed 3) the same
+// way TestCacheKeyGolden pins the single-core one: warm chip entries must
 // keep their addresses across encoding bumps.
 func TestChipCacheKeyGolden(t *testing.T) {
 	golden := map[Scheme]string{

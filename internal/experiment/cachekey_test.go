@@ -10,12 +10,13 @@ import (
 
 	"mcddvfs/internal/control"
 	"mcddvfs/internal/faults"
+	"mcddvfs/internal/governor"
 	"mcddvfs/internal/isa"
 	"mcddvfs/internal/mcd"
 	"mcddvfs/internal/trace"
 )
 
-// referenceKey is the cache key spelled out as the two structs it
+// referenceKey is the cache key spelled out as the one struct it
 // hashes: one json.Marshal of the whole key, then SHA-256. cacheKey
 // streams the same bytes in parts; TestCacheKeyMatchesReference holds
 // the two equal.
@@ -29,45 +30,30 @@ func referenceKey(t *testing.T, profs []trace.Profile, scheme Scheme, opt Option
 		}
 		mutated[d] = cfg
 	}
-	var key any
-	if !opt.chipMode() {
-		key = struct {
-			Format           int
-			Profile          trace.Profile
-			Scheme           Scheme
-			Instructions     int64
-			Seed             int64
-			PIDIntervalTicks int
-			Machine          mcd.Config
-			Adaptive         []control.Config
-		}{keyFormat, profs[0], scheme, opt.Instructions, opt.Seed, opt.PIDIntervalTicks, opt.machine(), mutated}
-	} else {
-		key = struct {
-			Format           int
-			Kind             string
-			Profiles         []trace.Profile
-			Scheme           Scheme
-			Instructions     int64
-			Seed             int64
-			PIDIntervalTicks int
-			Machine          mcd.Config
-			Adaptive         []control.Config
-			Cores            int
-			PowerCapW        float64
-			Governor         string
-			GovernorGain     float64
-		}{keyFormat, "chip", profs, scheme, opt.Instructions, opt.Seed, opt.PIDIntervalTicks, opt.machine(), mutated,
-			opt.chipCores(), opt.PowerCapW, opt.governorName(), opt.GovernorGain}
-	}
-	blob, err := json.Marshal(key)
+	blob, err := json.Marshal(struct {
+		Format           int
+		Kind             string
+		Profiles         []trace.Profile
+		Scheme           Scheme
+		Instructions     int64
+		Seed             int64
+		PIDIntervalTicks int
+		Machine          mcd.Config
+		Adaptive         []control.Config
+		Cores            int
+		PowerCapW        float64
+		Governor         string
+		GovernorGain     float64
+	}{keyFormat, "chip", profs, scheme, opt.Instructions, opt.Seed, opt.PIDIntervalTicks, opt.machine(), mutated,
+		opt.chipCores(), opt.PowerCapW, opt.governorName(), opt.GovernorGain})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sha256.Sum256(blob)
 }
 
-// randomKeyOptions draws Options covering every input of both key
-// shapes: chip or not, faults on or off, a custom Machine, a
+// randomKeyOptions draws Options covering every input of the key:
+// one core or many, faults on or off, a custom Machine, a
 // MutateAdaptive, and the governor, gain and cap.
 func randomKeyOptions(r *rand.Rand) Options {
 	opt := Options{
@@ -115,7 +101,8 @@ func randomKeyOptions(r *rand.Rand) Options {
 }
 
 // TestCacheKeyMatchesReference is the property behind streaming the
-// key: over randomized Options, on both key shapes, the streamed key —
+// key: over randomized Options, plain single cores and chips alike,
+// the streamed key —
 // derived from a shared runSpec, as a matrix derives its cells' keys,
 // and from bare Options — equals the SHA-256 of the reference struct's
 // JSON. The golden tests pin two points of the same function.
@@ -124,11 +111,13 @@ func TestCacheKeyMatchesReference(t *testing.T) {
 	names := trace.Names()
 	schemes := append([]Scheme{SchemeNone, SchemeGlobal, `odd "name" <&>`}, ControlledSchemes()...)
 	r := rand.New(rand.NewSource(20))
-	chips := 0
+	plain, multi := 0, 0
 	for i := 0; i < 300; i++ {
 		opt := randomKeyOptions(r)
-		if opt.chipMode() {
-			chips++
+		if opt.chipCores() > 1 {
+			multi++
+		} else if opt.PowerCapW == 0 && opt.governorName() == governor.DefaultName {
+			plain++
 		}
 		spec := newRunSpec(opt)
 		for cell := 0; cell < 3; cell++ {
@@ -147,15 +136,15 @@ func TestCacheKeyMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Fatalf("case %d cell %d (%s, chip=%v): streamed key %x, reference %x", i, cell, sch, opt.chipMode(), got, want)
+				t.Fatalf("case %d cell %d (%s, %d cores): streamed key %x, reference %x", i, cell, sch, opt.chipCores(), got, want)
 			}
 			if got, err = cacheKey(profs, sch, opt); err != nil || got != want {
 				t.Fatalf("case %d cell %d: key from bare Options %x (%v), reference %x", i, cell, got, err, want)
 			}
 		}
 	}
-	if chips < 50 || chips > 250 {
-		t.Fatalf("%d of 300 cases in chip mode; the draw no longer covers both key shapes", chips)
+	if plain < 50 || multi < 50 {
+		t.Fatalf("%d plain one-core and %d multi-core cases of 300; the draw no longer covers both", plain, multi)
 	}
 }
 
@@ -239,7 +228,7 @@ func TestMatrixHotPathContracts(t *testing.T) {
 
 // TestMatrixKeysMatchReference asserts a matrix keys each cell, with
 // its benchmark's profile JSON encoded once for all its schemes,
-// exactly as the reference key does, in both key shapes: every cell's
+// exactly as the reference key does, on one core and on two: every cell's
 // outcome is memoized under the reference key of its benchmark and
 // scheme.
 func TestMatrixKeysMatchReference(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"mcddvfs/internal/governor"
 	"mcddvfs/internal/mcd"
 	"mcddvfs/internal/trace"
 )
@@ -61,7 +62,7 @@ func chipBenchProfiles(benchmarks []string, opt Options) ([]trace.Profile, error
 
 // chipProfiles expands a single benchmark across every core — the
 // homogeneous chip a matrix cell or RunProfile call simulates (one
-// core outside chip mode).
+// core by default).
 func chipProfiles(prof trace.Profile, opt Options) []trace.Profile {
 	out := make([]trace.Profile, opt.chipCores())
 	for i := range out {
@@ -110,10 +111,11 @@ func simulate(ctx context.Context, s *runSpec, profs []trace.Profile, scheme Sch
 	return res, nil
 }
 
-// runLabel names a run in its errors: the benchmark outside chip mode,
+// runLabel names a run in its errors: the benchmark for a plain single
+// core — one core, no budget, no (or the "none") governor — and
 // "chip" otherwise.
 func runLabel(profs []trace.Profile, opt Options) string {
-	if opt.chipMode() {
+	if opt.Cores > 1 || opt.PowerCapW > 0 || (opt.Governor != "" && opt.Governor != governor.DefaultName) {
 		return "chip"
 	}
 	return profs[0].Name

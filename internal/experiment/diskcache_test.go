@@ -3,7 +3,6 @@ package experiment
 import (
 	"bytes"
 	"context"
-	"encoding"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -39,9 +38,8 @@ func entryCount(t *testing.T, dir string) int {
 // TestDiskCacheServesAcrossReset asserts the persistence contract: a
 // result computed before a harness reset (which models process death
 // for the in-process level) is served from disk afterwards, deeply
-// equal to a fresh simulation. A single core is stored as the legacy
-// mcd.Result entry that predates chip support; a chip as the whole
-// mcd.ChipResult.
+// equal to a fresh simulation. A single core and a wider chip alike
+// are stored as the whole mcd.ChipResult.
 func TestDiskCacheServesAcrossReset(t *testing.T) {
 	t.Parallel()
 	prof, err := trace.ByName("gzip")
@@ -90,7 +88,7 @@ func TestDiskCacheServesAcrossReset(t *testing.T) {
 				t.Errorf("disk round trip changed the result:\n warm  %+v\n fresh %+v", warm, fresh)
 			}
 
-			// The entry's own type: a plain Result for one core.
+			// The entry's own type: the whole chip result, one core or four.
 			store, err := opt.Harness.diskStore(opt.CacheDir, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -100,16 +98,12 @@ func TestDiskCacheServesAcrossReset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var stored encoding.BinaryUnmarshaler = &mcd.ChipResult{}
-			var want any = fresh
-			if tc.cores == 1 {
-				stored, want = &mcd.Result{}, fresh.Cores[0]
-			}
-			if err := store.Get(k, stored); err != nil {
+			var stored mcd.ChipResult
+			if err := store.Get(k, &stored); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(stored, want) {
-				t.Errorf("entry is not the expected %T", want)
+			if !reflect.DeepEqual(&stored, fresh) {
+				t.Errorf("entry is not the %d-core chip result", tc.cores)
 			}
 		})
 	}

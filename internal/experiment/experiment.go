@@ -122,7 +122,7 @@ type Options struct {
 	// Instructions (checked against the manifest); a member's bytes
 	// are bit-identical to the stream the harness would generate, so
 	// where the stream comes from never changes what a run computes.
-	// In chip mode the corpus feeds core 0; cores ≥ 1 generate their
+	// On a wider chip the corpus feeds core 0; cores ≥ 1 generate their
 	// streams at their own seeds, as they always do.
 	//lint:allow cachekey names the stream's storage, not its contents; corpus replay is bit-identical to generation (differential-tested)
 	CorpusDir string
@@ -157,15 +157,6 @@ type Options struct {
 	// computes.
 	//lint:allow cachekey says where results are kept, not what they are
 	Harness *Harness
-}
-
-// chipMode reports whether the options ask for more than a plain
-// single core. Every run simulates a chip, but the default — one core,
-// no budget, no (or the "none") governor — keys the legacy single-core
-// cache entry (see cacheKey).
-func (o Options) chipMode() bool {
-	return o.Cores > 1 || o.PowerCapW > 0 ||
-		(o.Governor != "" && o.Governor != governor.DefaultName)
 }
 
 // chipCores is the normalized core count (at least one).
@@ -282,7 +273,7 @@ func runCell(ctx context.Context, s *runSpec, prof trace.Profile, scheme Scheme,
 // runSpec is one Options prepared for every run that shares them — a
 // matrix, a classification pass, a single run. newRunSpec applies the
 // defaults, resolves the harness and makes the options-level checks
-// once; the per-Options half of the cache key is found in the
+// once; the per-Options part of the cache key is found in the
 // harness's key memo, with the machine check's verdict, or encoded
 // lazily by the first key derived (see keyParts).
 type runSpec struct {
@@ -290,17 +281,17 @@ type runSpec struct {
 	h                   *Harness // opt.Harness, or the default
 	machineErr, chipErr error    // the options-level checks' verdicts
 
-	memoKey  keyProjection // the key memo's key for s's key halves, if plainKey
+	memoKey  keyProjection // the key memo's key for s's key tail, if plainKey
 	plainKey bool
-	memoHit  bool // head and tail came from the key memo
+	memoHit  bool // tail came from the key memo
 
-	keyOnce    sync.Once
-	head, tail []byte // cacheKey's JSON before the profile and after the scheme
-	keyErr     error
+	keyOnce sync.Once
+	tail    []byte // cacheKey's JSON after the scheme
+	keyErr  error
 }
 
 // newRunSpec prepares opt for a batch of runs. A plain spec whose key
-// halves its harness has memoized takes the machine check's verdict
+// tail its harness has memoized takes the machine check's verdict
 // from the memo too, and builds no machine configuration.
 func newRunSpec(opt Options) *runSpec {
 	s := &runSpec{opt: opt.withDefaults(), h: opt.Harness}
@@ -309,9 +300,9 @@ func newRunSpec(opt Options) *runSpec {
 	}
 	s.memoKey, s.plainKey = projectKey(s.opt)
 	if s.plainKey {
-		var kh keyHalves
-		if kh, s.memoHit = s.h.memoizedKey(s.memoKey); s.memoHit {
-			s.head, s.tail, s.machineErr = kh.head, kh.tail, kh.machineErr
+		var kt keyMemoEntry
+		if kt, s.memoHit = s.h.memoizedKey(s.memoKey); s.memoHit {
+			s.tail, s.machineErr = kt.tail, kt.machineErr
 		}
 	}
 	if !s.memoHit {
@@ -666,7 +657,7 @@ func (c *matrixCell) memoHit(s *runSpec, bank *traceBank, bp *benchProfile) (res
 	}
 	if bp.bench != c.bench || bp.json == nil {
 		bp.bench = c.bench
-		bp.json, _ = s.profileJSON(chipProfiles(prof, s.opt))
+		bp.json, _ = profileJSON(chipProfiles(prof, s.opt))
 	}
 	if bp.json == nil {
 		return nil, false, nil

@@ -8,7 +8,7 @@ import (
 )
 
 // TestWarmRenderAllocs pins the work of a render memo hit: checking the
-// options, deriving the render key from memoized key halves, and
+// options, deriving the render key from a memoized key tail, and
 // copying the memoized bytes out. Before the key memo, every hit
 // re-encoded the machine configuration: 36 allocations. The race
 // detector makes sync.Pool drop entries at random, which would make the

@@ -13,8 +13,8 @@ import (
 
 // keyMemoOptions are plain options in pairs that differ in one
 // key-bearing field, so a key memo that leaves a field out of its
-// projection serves one of each pair the other's key halves. The −0
-// cases run in chip mode, whose key writes the cap and gain as given.
+// projection serves one of each pair the other's key tail. The key
+// writes the cap and gain as given, −0 included.
 func keyMemoOptions() []Options {
 	negZero := math.Copysign(0, -1)
 	base := Options{Instructions: 5000, Seed: 1}
@@ -32,6 +32,8 @@ func keyMemoOptions() []Options {
 		func(o *Options) { o.Cores, o.GovernorGain = 2, 5 },
 		func(o *Options) { o.Cores, o.PowerCapW = 2, negZero },
 		func(o *Options) { o.Cores, o.GovernorGain = 2, negZero },
+		func(o *Options) { o.GovernorGain = 5 },
+		func(o *Options) { o.PowerCapW = negZero },
 	}
 	out := make([]Options, len(vary))
 	for i, v := range vary {
@@ -57,7 +59,7 @@ func keyOn(t *testing.T, h *Harness, opt Options) [32]byte {
 	return k
 }
 
-// memoizedKeys is how many key halves h holds.
+// memoizedKeys is how many key tails h holds.
 func memoizedKeys(h *Harness) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -93,7 +95,7 @@ func TestKeyMemoMatchesFreshHarness(t *testing.T) {
 	}
 	// Each option set is a projection of its own.
 	if n, want := memoizedKeys(warm), len(opts); n != want {
-		t.Errorf("warm harness memoizes %d key halves, want %d", n, want)
+		t.Errorf("warm harness memoizes %d key tails, want %d", n, want)
 	}
 }
 
@@ -135,7 +137,7 @@ func TestKeyMemoBypass(t *testing.T) {
 			t.Errorf("%s: the plain base after it keys %x, want %x", name, got, plain)
 		}
 		if n := memoizedKeys(warm) + memoizedKeys(cold); n != 2 {
-			t.Errorf("%s: %d key halves memoized, want the base's 2", name, n)
+			t.Errorf("%s: %d key tails memoized, want the base's 2", name, n)
 		}
 	}
 
@@ -153,7 +155,7 @@ func TestKeyMemoBypass(t *testing.T) {
 		}
 	}
 	if n := memoizedKeys(h); n != 0 {
-		t.Errorf("a failed key left %d key halves memoized", n)
+		t.Errorf("a failed key left %d key tails memoized", n)
 	}
 }
 
@@ -165,15 +167,15 @@ func TestKeyMemoResetAndFork(t *testing.T) {
 	h := NewHarness()
 	want := keyOn(t, h, opt)
 	if memoizedKeys(h) != 1 {
-		t.Fatalf("%d key halves memoized, want 1", memoizedKeys(h))
+		t.Fatalf("%d key tails memoized, want 1", memoizedKeys(h))
 	}
 	f := h.Fork()
 	if n := memoizedKeys(f); n != 0 {
-		t.Errorf("a fork starts with %d key halves, want 0", n)
+		t.Errorf("a fork starts with %d key tails, want 0", n)
 	}
 	h.reset()
 	if n := memoizedKeys(h); n != 0 {
-		t.Errorf("reset left %d key halves", n)
+		t.Errorf("reset left %d key tails", n)
 	}
 	for name, hh := range map[string]*Harness{"reset": h, "fork": f} {
 		if got := keyOn(t, hh, opt); got != want {
@@ -221,7 +223,7 @@ func TestKeyMemoConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestKeyMemoCarriesMachineVerdict: a spec that finds its key halves
+// TestKeyMemoCarriesMachineVerdict: a spec that finds its key tail
 // in the memo takes the machine check's verdict from it, and that
 // verdict is the one a fresh spec computes. A plain spec's machine is
 // the default configuration at Seed, and Validate reads no Seed, so
@@ -241,7 +243,7 @@ func TestKeyMemoCarriesMachineVerdict(t *testing.T) {
 		if fresh.memoHit {
 			t.Fatalf("options %d: a first spec hit the key memo", i)
 		}
-		if _, _, err := fresh.keyParts(); err != nil {
+		if _, err := fresh.keyParts(); err != nil {
 			t.Fatal(err)
 		}
 		warm := newRunSpec(opt)

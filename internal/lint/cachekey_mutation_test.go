@@ -18,16 +18,15 @@ import (
 // deletion alone.
 //
 // Coverage is reachability-based, so a field mentioned on any path
-// from cacheKey stays covered. Both key shapes take Instructions from
-// the one keyTail literal that keyParts (reached from cacheKey)
-// encodes, so deleting that line removes it from every key and must
-// fail; which shape hashes what is the byte-stability tests' job
-// (TestCacheKeyGolden and TestChipCacheKeyGolden pin both). Seed would
-// survive the same deletion legitimately (the key hashes the machine
-// config, which machine() derives from the seed) — exactly the
-// transitive coverage the call graph exists to see. GovernorGain
-// enters the key only through the chip shape's literal, so that
-// single deletion must fail.
+// from cacheKey stays covered. Every key takes Instructions and
+// GovernorGain from the one keyTail literal that keyParts (reached
+// from cacheKey) encodes, and from nowhere else, so deleting either
+// line removes the field from every key and must fail; the bytes the
+// literal hashes are the byte-stability tests' job (TestCacheKeyGolden
+// and TestChipCacheKeyGolden). Seed would survive the same deletion
+// legitimately (the key hashes the machine config, which machine()
+// derives from the seed) — exactly the transitive coverage the call
+// graph exists to see.
 func TestCacheKeyCatchesDroppedHashField(t *testing.T) {
 	if testing.Short() {
 		t.Skip("copies and re-type-checks the module")
@@ -53,9 +52,9 @@ func TestCacheKeyCatchesDroppedHashField(t *testing.T) {
 			wantField: "Options.Instructions",
 		},
 		{
-			name: "governor-gain-from-chip-key",
+			name: "governor-gain-from-every-key",
 			drops: map[string]string{
-				"internal/experiment/cache.go": "GovernorGain: opt.GovernorGain,",
+				"internal/experiment/cache.go": "GovernorGain:     opt.GovernorGain,",
 			},
 			wantField: "Options.GovernorGain",
 		},

@@ -12,13 +12,13 @@ import (
 	"mcddvfs/internal/power"
 )
 
-// The entry codec is the disk-cache form of Result and ChipResult
-// (their MarshalBinary and UnmarshalBinary). It is written by hand for
-// the warm-disk hit path: a decode is one pass over the bytes with no
-// per-entry type description to compile, and an occupancy series,
-// which holds its section as it is stored, is checked and copied once
-// out of the read buffer. The layout follows the struct fields in
-// declaration order:
+// The entry codec is the disk-cache form of ChipResult (its
+// MarshalBinary and UnmarshalBinary), each core's Result encoded in
+// turn. It is written by hand for the warm-disk hit path: a decode is
+// one pass over the bytes with no per-entry type description to
+// compile, and an occupancy series, which holds its section as it is
+// stored, is checked and copied once out of the read buffer. The
+// layout follows the struct fields in declaration order:
 //
 //   - float64: its 8 little-endian IEEE-754 bits, so every value
 //     round-trips exactly (NaN payloads and −0 included);
@@ -56,25 +56,6 @@ const (
 	minResultLen      = 1 + 1 + minMetricsLen + 3 + 5*8 + 3
 	minEpochLen       = 1 + 3
 )
-
-// MarshalBinary implements encoding.BinaryMarshaler with the entry
-// codec.
-func (r *Result) MarshalBinary() ([]byte, error) {
-	return r.appendBinary(make([]byte, 0, r.encodedLenHint())), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. It replaces
-// all of *r, and leaves *r unchanged on error.
-func (r *Result) UnmarshalBinary(data []byte) error {
-	d := decoder{b: data}
-	var out Result
-	out.decode(&d)
-	if err := d.finish(); err != nil {
-		return err
-	}
-	*r = out
-	return nil
-}
 
 // MarshalBinary implements encoding.BinaryMarshaler with the entry
 // codec. A nil core is an error: it has no encoding.
