@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-mcdbench lint-budget bench bench-compare bench-baseline results
+.PHONY: build test race lint lint-mcdbench lint-budget loc bench bench-compare bench-baseline results
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,11 @@ lint-budget:
 	if [ $$elapsed -ge 60 ]; then \
 		echo "mcdlint exceeded its 60s wall-time budget" >&2; exit 1; \
 	fi
+
+# loc prints the non-test Go line count ROADMAP.md tracks: every .go
+# file outside tests, test fixtures and the separate mcdbench module.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './mcdbench/*' | xargs cat | wc -l
 
 # BENCH_PATTERN selects the tracked benchmarks: the ones bench runs and
 # bench-compare gates against BENCH_baseline.json.

@@ -445,21 +445,24 @@ func BenchmarkRenderKey(b *testing.B) {
 	const keysPerOp = 1000
 	opt := benchOpt(10000)
 	opt.Harness = experiment.NewHarness()
-	want, err := experiment.RenderKey("fig9", experiment.FormatText, opt)
-	if err != nil {
-		b.Fatal(err)
+	key := func() string {
+		p, err := experiment.PrepareRender("fig9", experiment.FormatText, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		k, err := p.Key()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return k
 	}
+	want := key()
 	runtime.GC()
-	if _, err := experiment.RenderKey("fig9", experiment.FormatText, opt); err != nil {
-		b.Fatal(err)
-	}
+	key()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < keysPerOp; j++ {
-			k, err := experiment.RenderKey("fig9", experiment.FormatText, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
+			k := key()
 			if k != want {
 				b.Fatalf("warm key %s, cold was %s", k, want)
 			}

@@ -8,19 +8,22 @@ import (
 	"mcddvfs/internal/dvfs"
 )
 
-// PIDConfig parameterizes the fixed-interval PID controller of Wu et
-// al. [23] ("Formal Online Methods for Voltage/Frequency Control in
-// Multiple Clock Domain Microprocessors").
-type PIDConfig struct {
-	// IntervalTicks is the fixed decision interval in sampling ticks.
-	// The paper's closing comparison sweeps this down to short
-	// intervals; the default matches the attack/decay interval
-	// (2500 ticks = 10 µs ≈ 10K instructions).
-	IntervalTicks int
+// PIDLaw is the control law of Wu et al. [23] ("Formal Online Methods
+// for Voltage/Frequency Control in Multiple Clock Domain
+// Microprocessors"), shared by the fixed-interval PID and its
+// adaptive-trigger variant: at each decision it takes the average
+// occupancy since the previous one, e = avg − q_ref, and sets
+//
+//	f = f_base + Kp·e + Ki·Σe + Kd·(e − e_prev)
+//
+// relative to the frequency at the first decision, with the integral
+// term clamped for anti-windup. Both controllers' configs embed it;
+// only their triggers differ.
+type PIDLaw struct {
 	// QRef is the reference queue occupancy the loop regulates to.
 	QRef float64
 	// Kp, Ki, Kd are the PID gains in MHz per entry of occupancy
-	// error (per interval).
+	// error (per decision).
 	Kp, Ki, Kd float64
 	// IntegralClampMHz bounds the integral term (anti-windup).
 	IntegralClampMHz float64
@@ -28,12 +31,11 @@ type PIDConfig struct {
 	Range dvfs.Range
 }
 
-// DefaultPID returns the evaluation configuration. Gains follow the
+// defaultPIDLaw is the evaluation's law. Gains follow the
 // deadbeat-style tuning of [23]: dominated by the proportional and
 // integral terms, conservative derivative.
-func DefaultPID() PIDConfig {
-	return PIDConfig{
-		IntervalTicks:    2500,
+func defaultPIDLaw() PIDLaw {
+	return PIDLaw{
 		QRef:             4,
 		Kp:               25,
 		Ki:               12,
@@ -43,38 +45,89 @@ func DefaultPID() PIDConfig {
 	}
 }
 
+// validate checks the gains and the clamp; each config checks its
+// Range last, after its trigger's own fields.
+func (l PIDLaw) validate() error {
+	if l.Kp < 0 || l.Ki < 0 || l.Kd < 0 || (l.Kp == 0 && l.Ki == 0) {
+		return fmt.Errorf("baselines: degenerate PID gains (%g,%g,%g)", l.Kp, l.Ki, l.Kd)
+	}
+	if l.IntegralClampMHz <= 0 {
+		return fmt.Errorf("baselines: non-positive integral clamp")
+	}
+	return nil
+}
+
+// pidState is the law's memory from one decision to the next.
+type pidState struct {
+	prevErr  float64
+	integral float64
+	have     bool
+	base     float64
+}
+
+// decide applies l to one decision: avg is the occupancy averaged since
+// the previous decision, cur the domain's frequency. It returns the new
+// target and whether it differs from cur.
+func (s *pidState) decide(l *PIDLaw, avg, cur float64) (float64, bool) {
+	e := avg - l.QRef
+	if !s.have {
+		s.have = true
+		s.base = cur
+		s.prevErr = e
+	}
+	s.integral += l.Ki * e
+	if s.integral > l.IntegralClampMHz {
+		s.integral = l.IntegralClampMHz
+	} else if s.integral < -l.IntegralClampMHz {
+		s.integral = -l.IntegralClampMHz
+	}
+	d := e - s.prevErr
+	s.prevErr = e
+
+	target := l.Range.Clamp(s.base + l.Kp*e + s.integral + l.Kd*d)
+	if target == cur {
+		return 0, false
+	}
+	return target, true
+}
+
+// PIDConfig parameterizes the fixed-interval PID controller of [23]:
+// the PID law decided every IntervalTicks.
+type PIDConfig struct {
+	// IntervalTicks is the fixed decision interval in sampling ticks.
+	// The paper's closing comparison sweeps this down to short
+	// intervals; the default matches the attack/decay interval
+	// (2500 ticks = 10 µs ≈ 10K instructions).
+	IntervalTicks int
+	PIDLaw
+}
+
+// DefaultPID returns the evaluation configuration.
+func DefaultPID() PIDConfig {
+	return PIDConfig{IntervalTicks: 2500, PIDLaw: defaultPIDLaw()}
+}
+
 // Validate checks the configuration.
 func (c PIDConfig) Validate() error {
 	if c.IntervalTicks <= 0 {
 		return fmt.Errorf("baselines: non-positive PID interval")
 	}
-	if c.Kp < 0 || c.Ki < 0 || c.Kd < 0 || (c.Kp == 0 && c.Ki == 0) {
-		return fmt.Errorf("baselines: degenerate PID gains (%g,%g,%g)", c.Kp, c.Ki, c.Kd)
-	}
-	if c.IntegralClampMHz <= 0 {
-		return fmt.Errorf("baselines: non-positive integral clamp")
+	if err := c.validate(); err != nil {
+		return err
 	}
 	return c.Range.Validate()
 }
 
 // PID is the fixed-interval PID controller: at each interval boundary
-// it computes the average occupancy error e = avg − q_ref and sets
-//
-//	f = f_base + Kp·e + Ki·Σe + Kd·(e − e_prev)
-//
-// relative to the frequency at the first interval, with the integral
-// term clamped for anti-windup. Between boundaries it does nothing —
-// which is precisely the limitation the adaptive scheme addresses.
+// it applies the PID law to the interval's average occupancy. Between
+// boundaries it does nothing — which is precisely the limitation the
+// adaptive scheme addresses.
 type PID struct {
 	cfg PIDConfig
 
 	ticks int
 	sum   float64
-
-	prevErr  float64
-	integral float64
-	have     bool
-	base     float64
+	pidState
 }
 
 // NewPID builds the controller; invalid configs panic.
@@ -91,7 +144,7 @@ func (p *PID) Name() string { return "pid" }
 // Reset implements the Controller interface.
 func (p *PID) Reset() {
 	p.ticks, p.sum = 0, 0
-	p.prevErr, p.integral, p.have, p.base = 0, 0, false, 0
+	p.pidState = pidState{}
 }
 
 // Observe implements the Controller interface.
@@ -103,27 +156,7 @@ func (p *PID) Observe(_ clock.Time, occ int, cur float64) (float64, bool) {
 	}
 	avg := p.sum / float64(p.ticks)
 	p.ticks, p.sum = 0, 0
-
-	e := avg - p.cfg.QRef
-	if !p.have {
-		p.have = true
-		p.base = cur
-		p.prevErr = e
-	}
-	p.integral += p.cfg.Ki * e
-	if p.integral > p.cfg.IntegralClampMHz {
-		p.integral = p.cfg.IntegralClampMHz
-	} else if p.integral < -p.cfg.IntegralClampMHz {
-		p.integral = -p.cfg.IntegralClampMHz
-	}
-	d := e - p.prevErr
-	p.prevErr = e
-
-	target := p.cfg.Range.Clamp(p.base + p.cfg.Kp*e + p.integral + p.cfg.Kd*d)
-	if target == cur {
-		return 0, false
-	}
-	return target, true
+	return p.decide(&p.cfg.PIDLaw, avg, cur)
 }
 
 // PIDHardware models the decision-logic cost of [23]: three gain

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"math/rand"
 	"testing"
 
 	"mcddvfs/internal/clock"
@@ -119,6 +120,53 @@ func TestAdaptivePIDIntegralAntiWindup(t *testing.T) {
 	driveN(p.Observe, 30, 20000, 250)
 	if p.integral > cfg.IntegralClampMHz || p.integral < -cfg.IntegralClampMHz {
 		t.Errorf("integral %.0f escaped clamp ±%.0f", p.integral, cfg.IntegralClampMHz)
+	}
+}
+
+// TestPIDLawShared: PID and AdaptivePID decide with one law. With no
+// deviation window, a delay below one sample's credit and a floor of
+// N ticks, the adaptive trigger fires exactly at the fixed interval's
+// boundaries as long as occupancy never equals QRef, so the two
+// controllers must make identical decisions tick for tick, across a
+// Reset too.
+func TestPIDLawShared(t *testing.T) {
+	r := rand.New(rand.NewSource(34))
+	for _, n := range []int{1, 7, 50} {
+		for _, qref := range []float64{4, 7} {
+			pcfg := DefaultPID()
+			pcfg.IntervalTicks, pcfg.QRef = n, qref
+			acfg := DefaultAdaptivePID()
+			acfg.MinIntervalTicks, acfg.DW, acfg.TM0, acfg.GainM = n, 0, 0.5, 1
+			acfg.QRef = qref
+			p, a := NewPID(pcfg), NewAdaptivePID(acfg)
+			now, cur, decisions := clock.Time(0), 600.0, 0
+			for i := 0; i < 4000; i++ {
+				if i == 2000 {
+					p.Reset()
+					a.Reset()
+				}
+				// Phases of light and heavy load, 300 ticks each,
+				// neither of which holds QRef.
+				occ := r.Intn(4)
+				if (i/300)%2 == 1 {
+					occ = 8 + r.Intn(8)
+				}
+				now += 4 * clock.Nanosecond
+				pt, pok := p.Observe(now, occ, cur)
+				at, aok := a.Observe(now, occ, cur)
+				if pt != at || pok != aok {
+					t.Fatalf("N %d, QRef %g, tick %d (occupancy %d at %g MHz): PID (%g, %v), AdaptivePID (%g, %v)",
+						n, qref, i, occ, cur, pt, pok, at, aok)
+				}
+				if pok {
+					cur = pt
+					decisions++
+				}
+			}
+			if decisions < 10 {
+				t.Errorf("N %d, QRef %g: %d frequency changes in 4000 ticks; the draw no longer exercises the law", n, qref, decisions)
+			}
+		}
 	}
 }
 

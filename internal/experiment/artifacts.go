@@ -270,7 +270,20 @@ func PrepareRender(id string, format ArtifactFormat, opt Options) (*PreparedRend
 	return p, nil
 }
 
-// Key returns the render's content address (see RenderKey).
+// Key returns the render's content address: two requests share a key
+// only if RenderArtifactContext renders them to the same bytes.
+//
+// The key is the SHA-256 of the artifact, the format, what the
+// result-cache key leaves out and a render still reads, and the
+// per-Options parts of the runs' cache key (keyHead and keyParts),
+// which hold every default the harness applies. The left-out fields
+// are the Benchmarks, Schemes and FaultIntensities selections as
+// given, an empty list counting as omitted. GovernorGain, which the
+// key tail also holds, is hashed again so that render keys keep their
+// bytes. Where results are stored and how long a caller waits
+// (CacheDir, Timeout, ...) never enter the key. Nor does CorpusDir: a
+// budget or benchmark list left for a corpus to fill in keys as the
+// harness default.
 func (p *PreparedRender) Key() (string, error) {
 	if p.keyErr != nil {
 		return "", p.keyErr
@@ -313,33 +326,7 @@ func (p *PreparedRender) Render(ctx context.Context) ([]byte, error) {
 	return body, err
 }
 
-// RenderKey returns the content address of one artifact render: two
-// requests share a key only if RenderArtifactContext renders them to
-// the same bytes. A request RenderArtifactContext would reject before
-// simulating fails here with the same ErrInvalidSpec.
-//
-// The key is the SHA-256 of the artifact, the format, what the
-// result-cache key leaves out and a render still reads, and the
-// per-Options parts of the runs' cache key (keyHead and keyParts),
-// which hold every default the harness applies. The left-out fields
-// are the Benchmarks, Schemes and FaultIntensities selections as
-// given, an empty list counting as omitted. GovernorGain, which the
-// key tail also holds, is hashed again so that render keys keep their
-// bytes. Where results are stored and how long a caller waits
-// (CacheDir, Timeout, ...) never enter the key. Nor does CorpusDir: a
-// budget or benchmark list left for a corpus to fill in keys as the
-// harness default.
-//
-//lint:allow unreachable the key without a render, which the serve and experiment tests pin and BenchmarkRenderKey times across packages
-func RenderKey(id string, format ArtifactFormat, opt Options) (string, error) {
-	p, err := PrepareRender(id, format, opt)
-	if err != nil {
-		return "", err
-	}
-	return p.Key()
-}
-
-// renderDigest is the digest behind RenderKey, derived from the
+// renderDigest is the digest behind PreparedRender.Key, derived from the
 // runSpec prepareRender returned for the same request. It also keys
 // the render memo (see cachedRender).
 func renderDigest(id string, format ArtifactFormat, opt Options, s *runSpec) ([sha256.Size]byte, error) {
@@ -383,7 +370,7 @@ func renderDigest(id string, format ArtifactFormat, opt Options, s *runSpec) ([s
 // ErrRunPanicked). The bytes are identical to what cmd/experiments
 // -out writes for the same options.
 //
-// A complete render is memoized under its RenderKey digest, so a
+// A complete render is memoized under its key digest, so a
 // repeat costs one key and one map lookup (see PreparedRender.Render).
 func RenderArtifactContext(ctx context.Context, id string, format ArtifactFormat, opt Options) ([]byte, string, error) {
 	p, err := PrepareRender(id, format, opt)

@@ -31,7 +31,7 @@ func TestRobustnessEmptyBenchmarksIsOmitted(t *testing.T) {
 	}
 }
 
-// TestRenderChecksUpFront: RenderKey and RenderArtifactContext reject
+// TestRenderChecksUpFront: PrepareRender and RenderArtifactContext reject
 // the same requests, before anything simulates, as ErrInvalidSpec.
 func TestRenderChecksUpFront(t *testing.T) {
 	t.Parallel()
@@ -61,8 +61,8 @@ func TestRenderChecksUpFront(t *testing.T) {
 		{"fault intensity outside [0,1]", "robustness", FormatText, with(func(o *Options) { o.FaultIntensities = []float64{0, 2} })},
 	}
 	for _, tc := range cases {
-		if _, err := RenderKey(tc.id, tc.format, tc.opt); !errors.Is(err, ErrInvalidSpec) {
-			t.Errorf("%s: RenderKey = %v, want ErrInvalidSpec", tc.name, err)
+		if _, err := PrepareRender(tc.id, tc.format, tc.opt); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("%s: PrepareRender = %v, want ErrInvalidSpec", tc.name, err)
 		}
 		if _, _, err := RenderArtifactContext(context.Background(), tc.id, tc.format, tc.opt); !errors.Is(err, ErrInvalidSpec) {
 			t.Errorf("%s: RenderArtifactContext = %v, want ErrInvalidSpec", tc.name, err)
@@ -79,11 +79,7 @@ func TestFaultIntensitiesKey(t *testing.T) {
 		t.Helper()
 		opt := DefaultOptions()
 		opt.FaultIntensities = levels
-		k, err := RenderKey("robustness", FormatText, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
+		return renderKeyOf(t, "robustness", FormatText, opt)
 	}
 	omitted := key(nil)
 	if key([]float64{}) != omitted {

@@ -71,7 +71,7 @@ type Harness struct {
 	classes map[[sha256.Size]byte]BenchClass
 	spectra uint64 // classifications computed this generation
 
-	// Complete artifact renders, keyed by their RenderKey digest (see
+	// Complete artifact renders, keyed by their render digest (see
 	// cachedRender).
 	renders                  map[[sha256.Size]byte][]byte
 	renderHits, renderMisses uint64 // render lookups this generation
@@ -257,10 +257,8 @@ func (h *Harness) diskCacheStats() (diskcache.Stats, error) {
 // after them is encoded once per runSpec, and for a plain spec once
 // per harness (keyParts), and each key streams the parts into one
 // hash. A matrix encodes each benchmark's profile JSON once for all
-// its schemes (profileJSON, keyWithProfile). src is the runs' runSpec,
-// or bare Options prepared for this one key.
-func cacheKey(profs []trace.Profile, scheme Scheme, src keySource) ([sha256.Size]byte, error) {
-	s := src.runSpec()
+// its schemes (profileJSON, keyWithProfile).
+func cacheKey(profs []trace.Profile, scheme Scheme, s *runSpec) ([sha256.Size]byte, error) {
 	// The options' error, if any, comes before the profiles'.
 	if _, err := s.keyParts(); err != nil {
 		return [sha256.Size]byte{}, err
@@ -303,17 +301,6 @@ func (s *runSpec) keyWithProfile(profJSON []byte, scheme Scheme) ([sha256.Size]b
 	h.Sum(k[:0])
 	return k, nil
 }
-
-// keySource is what cacheKey derives from: a runSpec, or Options with
-// defaults applied, which key through a runSpec of their own. The
-// latter skips newRunSpec on purpose: the cachekey analyzer counts
-// every Options field cacheKey can reach as hashed, and the defaults
-// and checks read fields the key leaves out.
-type keySource interface{ runSpec() *runSpec }
-
-func (s *runSpec) runSpec() *runSpec { return s }
-
-func (o Options) runSpec() *runSpec { return &runSpec{opt: o} }
 
 // keyParts returns the per-Options tail of every cache key of s's
 // runs, encoding it on first use: everything after the scheme. A plain

@@ -175,7 +175,7 @@ func TestCacheKeyGolden(t *testing.T) {
 	} {
 		opt = opt.withDefaults()
 		for sch, want := range golden {
-			k, err := cacheKey([]trace.Profile{prof}, sch, opt)
+			k, err := cacheKey([]trace.Profile{prof}, sch, &runSpec{opt: opt})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,8 +189,8 @@ func TestCacheKeyGolden(t *testing.T) {
 	opt := Options{Instructions: 20000, Seed: 3}.withDefaults()
 	sub := opt
 	sub.Schemes = []Scheme{SchemeAdaptive}
-	k1, _ := cacheKey([]trace.Profile{prof}, SchemeAdaptive, opt)
-	k2, _ := cacheKey([]trace.Profile{prof}, SchemeAdaptive, sub)
+	k1, _ := cacheKey([]trace.Profile{prof}, SchemeAdaptive, &runSpec{opt: opt})
+	k2, _ := cacheKey([]trace.Profile{prof}, SchemeAdaptive, &runSpec{opt: sub})
 	if k1 != k2 {
 		t.Error("Options.Schemes leaked into the cache key")
 	}
@@ -211,7 +211,7 @@ func TestChipCacheKeyGolden(t *testing.T) {
 	}
 	opt := Options{Instructions: 20000, Seed: 3, Cores: 4, PowerCapW: 30, Governor: "integral-gain"}.withDefaults()
 	for sch, want := range golden {
-		k, err := cacheKey(chipProfiles(prof, opt), sch, opt)
+		k, err := cacheKey(chipProfiles(prof, opt), sch, &runSpec{opt: opt})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,7 +104,8 @@ func randomKeyOptions(r *rand.Rand) Options {
 // key: over randomized Options, plain single cores and chips alike,
 // the streamed key —
 // derived from a shared runSpec, as a matrix derives its cells' keys,
-// and from bare Options — equals the SHA-256 of the reference struct's
+// and from a runSpec of the bare Options with no harness — equals the
+// SHA-256 of the reference struct's
 // JSON. The golden tests pin two points of the same function.
 func TestCacheKeyMatchesReference(t *testing.T) {
 	t.Parallel()
@@ -138,8 +139,8 @@ func TestCacheKeyMatchesReference(t *testing.T) {
 			if got != want {
 				t.Fatalf("case %d cell %d (%s, %d cores): streamed key %x, reference %x", i, cell, sch, opt.chipCores(), got, want)
 			}
-			if got, err = cacheKey(profs, sch, opt); err != nil || got != want {
-				t.Fatalf("case %d cell %d: key from bare Options %x (%v), reference %x", i, cell, got, err, want)
+			if got, err = cacheKey(profs, sch, &runSpec{opt: opt}); err != nil || got != want {
+				t.Fatalf("case %d cell %d: key from a harnessless runSpec %x (%v), reference %x", i, cell, got, err, want)
 			}
 		}
 	}

@@ -94,7 +94,7 @@ func TestDiskCacheServesAcrossReset(t *testing.T) {
 				t.Fatal(err)
 			}
 			dopt := opt.withDefaults()
-			k, err := cacheKey(chipProfiles(prof, dopt), SchemeAdaptive, dopt)
+			k, err := cacheKey(chipProfiles(prof, dopt), SchemeAdaptive, &runSpec{opt: dopt})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,7 +24,7 @@ import (
 
 // Scheme names a DVFS control scheme. Valid values are the names in
 // the scheme registry (internal/scheme); the constants below cover the
-// paper's evaluation, and scheme.Names() lists everything registered.
+// paper's evaluation, and scheme.NamesList() lists everything registered.
 type Scheme string
 
 // The four evaluated schemes: the no-DVFS baseline (all domains at
@@ -144,7 +144,7 @@ type Options struct {
 	// naming a Governor selects "integral-gain".
 	PowerCapW float64
 	// Governor names the chip-level power-cap policy from the governor
-	// registry ("" = "none"; governor.Names() lists everything
+	// registry ("" = "none"; governor.NamesList() lists everything
 	// registered).
 	Governor string
 	// GovernorGain overrides the governor's integral gain in MHz of

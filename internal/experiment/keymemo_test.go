@@ -59,6 +59,20 @@ func keyOn(t *testing.T, h *Harness, opt Options) [32]byte {
 	return k
 }
 
+// renderKeyOf is the key PrepareRender derives for one render.
+func renderKeyOf(t *testing.T, id string, format ArtifactFormat, opt Options) string {
+	t.Helper()
+	p, err := PrepareRender(id, format, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := p.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
 // memoizedKeys is how many key tails h holds.
 func memoizedKeys(h *Harness) int {
 	h.mu.Lock()
@@ -79,16 +93,9 @@ func TestKeyMemoMatchesFreshHarness(t *testing.T) {
 				t.Errorf("pass %d, options %d: warm cell key %x, fresh %x", pass, i, got, want)
 			}
 			opt.Harness = warm
-			got, err := RenderKey("fig9", FormatText, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := renderKeyOf(t, "fig9", FormatText, opt)
 			opt.Harness = NewHarness()
-			want, err := RenderKey("fig9", FormatText, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
+			if want := renderKeyOf(t, "fig9", FormatText, opt); got != want {
 				t.Errorf("pass %d, options %d: warm render key %s, fresh %s", pass, i, got, want)
 			}
 		}

@@ -279,9 +279,9 @@ func TestPreparedRenderMemoized(t *testing.T) {
 		if _, ok := q.Memoized(); ok {
 			t.Errorf("%s: the memo stood for a render it may not serve", name)
 		}
-	}
-	if _, err := RenderKey("fig9", FormatText, bad); !errors.Is(err, ErrRunPanicked) {
-		t.Errorf("RenderKey with a panicking MutateAdaptive = %v, want ErrRunPanicked", err)
+		if _, err := q.Key(); name == "key error" && !errors.Is(err, ErrRunPanicked) {
+			t.Errorf("Key with a panicking MutateAdaptive = %v, want ErrRunPanicked", err)
+		}
 	}
 	wantRenderStats(t, opt, "bypassed lookups", 2, 1)
 }

@@ -4,8 +4,9 @@
 // regulator — self-registers a Descriptor at init time; every dispatch
 // site in the repository (chip construction, validation, CLI parsing
 // and -h listings, mcdserve spec validation) derives its behavior from
-// the registry instead of switching on a governor name, mirroring
-// internal/scheme exactly.
+// the registry instead of switching on a governor name. The registry
+// is an internal/registry.Registry, the store internal/scheme is built
+// on too, so both enforce one set of name and order rules.
 //
 // Adding a governor is one new file in this package: write an
 // mcd.Governor implementation and a Descriptor, call Register from the
@@ -16,12 +17,10 @@ package governor
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"mcddvfs/internal/dvfs"
 	"mcddvfs/internal/mcd"
+	"mcddvfs/internal/registry"
 )
 
 // Options carries the per-run knobs a governor's Validate and New
@@ -75,90 +74,30 @@ type Descriptor struct {
 // the no-op baseline, so plain single-core runs never see a barrier.
 const DefaultName = "none"
 
-// registry holds every registered descriptor. Registration happens in
-// package init functions (single-goroutine by the language spec), but
-// the mutex also makes test-time registration race-safe.
-var registry = struct {
-	sync.Mutex
-	byName  map[string]Descriptor
-	byOrder map[int]string
-}{byName: make(map[string]Descriptor), byOrder: make(map[int]string)}
+// governors holds every registered descriptor.
+var governors = registry.New[Descriptor]("governor")
 
 // Register adds a governor to the registry. It panics on a nil New
-// hook, an empty or whitespace-carrying name, a duplicate name, or a
-// duplicate order: every one of these is a programming error that must
-// surface at init time, not as a silently shadowed governor at run
-// time.
+// hook, and as registry.Registry.Add documents on a bad name or order:
+// every one of these is a programming error that must surface at init
+// time, not as a silently shadowed governor at run time.
 func Register(d Descriptor) {
-	if d.Name == "" || strings.TrimSpace(d.Name) != d.Name {
-		panic(fmt.Sprintf("governor: invalid name %q", d.Name))
-	}
 	if d.New == nil {
 		panic(fmt.Sprintf("governor: %q registered without a New hook", d.Name))
 	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.byName[d.Name]; dup {
-		panic(fmt.Sprintf("governor: duplicate registration of %q", d.Name))
-	}
-	if prev, dup := registry.byOrder[d.Order]; dup {
-		panic(fmt.Sprintf("governor: %q reuses order %d of %q", d.Name, d.Order, prev))
-	}
-	registry.byName[d.Name] = d
-	registry.byOrder[d.Order] = d.Name
+	governors.Add(d.Name, d.Order, d)
 }
 
 // Lookup returns the descriptor registered under name.
-func Lookup(name string) (Descriptor, bool) {
-	registry.Lock()
-	defer registry.Unlock()
-	d, ok := registry.byName[name]
-	return d, ok
-}
+func Lookup(name string) (Descriptor, bool) { return governors.Lookup(name) }
 
 // All returns every registered descriptor in display order. The slice
 // is freshly allocated; callers may keep or mutate it.
-func All() []Descriptor {
-	registry.Lock()
-	out := make([]Descriptor, 0, len(registry.byName))
-	for _, d := range registry.byName {
-		out = append(out, d)
-	}
-	registry.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Order < out[j].Order })
-	return out
-}
+func All() []Descriptor { return governors.All() }
 
-// Names returns every registered governor name in display order — the
-// list CLI errors and -h texts print.
-func Names() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, d := range all {
-		out[i] = d.Name
-	}
-	return out
-}
-
-// NamesList renders the registered names as one comma-separated string
-// for error messages and flag usage texts.
-func NamesList() string {
-	return strings.Join(Names(), ", ")
-}
-
-// clampCap bounds one core's frequency cap to the DVFS range: a
-// governor may never starve a core below f_min (the range has no lower
-// operating point) nor allocate above f_max (meaningless headroom that
-// would slow the integral loop's recovery).
-func clampCap(rng dvfs.Range, mhz float64) float64 {
-	if mhz < rng.MinMHz {
-		return rng.MinMHz
-	}
-	if mhz > rng.MaxMHz {
-		return rng.MaxMHz
-	}
-	return mhz
-}
+// NamesList renders the registered names in display order as one
+// comma-separated string for error messages and flag usage texts.
+func NamesList() string { return governors.NamesList() }
 
 // validateBudget is the shared Validate hook of every capping
 // governor: a power budget is mandatory and must be positive.

@@ -26,11 +26,8 @@ func build(t *testing.T, name string, opt Options) mcd.Governor {
 }
 
 func TestRegistry(t *testing.T) {
-	if got, want := Names(), []string{"none", "static-split", "integral-gain"}; !slices.Equal(got, want) {
-		t.Fatalf("Names() = %v, want %v", got, want)
-	}
 	if got, want := NamesList(), "none, static-split, integral-gain"; got != want {
-		t.Errorf("NamesList() = %q, want %q", got, want)
+		t.Fatalf("NamesList() = %q, want %q", got, want)
 	}
 	for i, d := range All() {
 		if d.Order != i {
@@ -50,6 +47,32 @@ func TestRegistry(t *testing.T) {
 	}
 	if g := build(t, DefaultName, Options{Cores: 4, Range: testRange}); g != nil {
 		t.Errorf("the %s governor is %T, want nil (cores run free)", DefaultName, g)
+	}
+}
+
+// TestRegisterPanics: a missing New hook panics in Register, and the
+// registry's checks (internal/registry tests each) reach governors
+// with their texts; a failed registration inserts nothing.
+func TestRegisterPanics(t *testing.T) {
+	newNone := func(Options) (mcd.Governor, error) { return nil, nil }
+	for _, tc := range []struct {
+		d    Descriptor
+		want string
+	}{
+		{Descriptor{Name: "no-new", Order: 990001}, `governor: "no-new" registered without a New hook`},
+		{Descriptor{Name: "usurper", Order: 0, New: newNone}, `governor: "usurper" reuses order 0 of "none"`},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("Register(%q) panicked with %v, want %q", tc.d.Name, got, tc.want)
+				}
+			}()
+			Register(tc.d)
+		}()
+	}
+	if got, want := NamesList(), "none, static-split, integral-gain"; got != want {
+		t.Errorf("NamesList() = %q after failed registrations, want %q", got, want)
 	}
 }
 

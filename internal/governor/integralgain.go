@@ -86,6 +86,6 @@ func (g *integralGain) Apportion(_ clock.Time, powerW, capMHz []float64) {
 		if total > 0 {
 			share = 0.5/n + 0.5*powerW[i]/total
 		}
-		capMHz[i] = clampCap(g.rng, g.allocMHz*share)
+		capMHz[i] = g.rng.Clamp(g.allocMHz * share)
 	}
 }

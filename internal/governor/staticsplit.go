@@ -51,7 +51,7 @@ type staticSplit struct {
 // independently of every other core.
 func (g *staticSplit) Apportion(_ clock.Time, powerW, capMHz []float64) {
 	for i := range capMHz {
-		g.capMHz[i] = clampCap(g.rng, g.capMHz[i]+g.gain*(g.shareW-powerW[i]))
+		g.capMHz[i] = g.rng.Clamp(g.capMHz[i] + g.gain*(g.shareW-powerW[i]))
 		capMHz[i] = g.capMHz[i]
 	}
 }

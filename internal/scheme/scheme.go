@@ -12,19 +12,18 @@
 // CLIs, and the public API pick it up with zero edits elsewhere. The
 // mcdlint schemeswitch analyzer enforces the other direction: a
 // switch-on-Scheme outside this package fails `make lint`, so dispatch
-// cannot silently re-fragment. See docs/ARCHITECTURE.md, "Scheme
-// registry", for the walkthrough.
+// cannot silently re-fragment. The registry is an
+// internal/registry.Registry, the store internal/governor is built on
+// too. See docs/ARCHITECTURE.md, "Scheme registry", for the
+// walkthrough.
 package scheme
 
 import (
 	"fmt"
-	"slices"
-	"sort"
-	"strings"
-	"sync"
 
 	"mcddvfs/internal/control"
 	"mcddvfs/internal/mcd"
+	"mcddvfs/internal/registry"
 )
 
 // Options carries the per-run knobs a scheme's Validate and Attach
@@ -79,54 +78,26 @@ type Descriptor struct {
 	Attach func(p *mcd.Processor, opt Options) error
 }
 
-// registry holds every registered descriptor. Registration happens in
-// package init functions (single-goroutine by the language spec), but
-// the mutex also makes test-time registration race-safe.
-var registry = struct {
-	sync.Mutex
-	byName  map[string]Descriptor
-	ordered []Descriptor // every descriptor in display order
-}{byName: make(map[string]Descriptor)}
+// schemes holds every registered descriptor.
+var schemes = registry.New[Descriptor]("scheme")
 
-// Register adds a scheme to the registry. It panics on a nil Attach,
-// an empty or whitespace-carrying name, a duplicate name, or a
-// duplicate order: every one of these is a programming error that must
-// surface at init time, not as a silently shadowed scheme at run time.
+// Register adds a scheme to the registry. It panics on a nil Attach
+// hook, and as registry.Registry.Add documents on a bad name or order:
+// every one of these is a programming error that must surface at init
+// time, not as a silently shadowed scheme at run time.
 func Register(d Descriptor) {
-	if d.Name == "" || strings.TrimSpace(d.Name) != d.Name {
-		panic(fmt.Sprintf("scheme: invalid name %q", d.Name))
-	}
 	if d.Attach == nil {
 		panic(fmt.Sprintf("scheme: %q registered without an Attach hook", d.Name))
 	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.byName[d.Name]; dup {
-		panic(fmt.Sprintf("scheme: duplicate registration of %q", d.Name))
-	}
-	i := sort.Search(len(registry.ordered), func(i int) bool { return registry.ordered[i].Order >= d.Order })
-	if i < len(registry.ordered) && registry.ordered[i].Order == d.Order {
-		panic(fmt.Sprintf("scheme: %q reuses order %d of %q", d.Name, d.Order, registry.ordered[i].Name))
-	}
-	registry.byName[d.Name] = d
-	registry.ordered = slices.Insert(registry.ordered, i, d)
+	schemes.Add(d.Name, d.Order, d)
 }
 
 // Lookup returns the descriptor registered under name.
-func Lookup(name string) (Descriptor, bool) {
-	registry.Lock()
-	defer registry.Unlock()
-	d, ok := registry.byName[name]
-	return d, ok
-}
+func Lookup(name string) (Descriptor, bool) { return schemes.Lookup(name) }
 
 // All returns every registered descriptor in display order. The slice
 // is freshly allocated; callers may keep or mutate it.
-func All() []Descriptor {
-	registry.Lock()
-	defer registry.Unlock()
-	return slices.Clone(registry.ordered)
-}
+func All() []Descriptor { return schemes.All() }
 
 // Default returns the paper's core comparison set — the controlled,
 // non-extension schemes — in display order. This is the column set of
@@ -142,19 +113,6 @@ func Default() []Descriptor {
 	return out
 }
 
-// Names returns every registered scheme name in display order — the
-// list CLI errors and -h texts print.
-func Names() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, d := range all {
-		out[i] = d.Name
-	}
-	return out
-}
-
-// NamesList renders the registered names as one comma-separated string
-// for error messages and flag usage texts.
-func NamesList() string {
-	return strings.Join(Names(), ", ")
-}
+// NamesList renders the registered names in display order as one
+// comma-separated string for error messages and flag usage texts.
+func NamesList() string { return schemes.NamesList() }

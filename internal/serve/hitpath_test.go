@@ -121,7 +121,7 @@ func TestMemoHitRefusedWhileDraining(t *testing.T) {
 
 // catalogKeys pins, for every catalog artifact and format, the flight
 // key of a request left at every default and of one that sets every
-// option a key reads: the keys RenderKey derived before requests were
+// option a key reads: the keys the server derived before requests were
 // prepared once for both the memo lookup and the render. The plain
 // column hashes a single core's key tail, with its defaults (one core,
 // no cap, the "none" governor) spelled out as in every cache key.
@@ -183,7 +183,8 @@ var catalogKeys = []struct {
 
 // TestCatalogKeysUnchanged: every artifact and format keys as
 // catalogKeys pins, through the server's prepared render and through
-// experiment.RenderKey alike, and the pinned table covers the catalog.
+// experiment.PrepareRender alike, and the pinned table covers the
+// catalog.
 func TestCatalogKeysUnchanged(t *testing.T) {
 	formats := 0
 	for _, a := range experiment.Artifacts() {
@@ -212,8 +213,12 @@ func TestCatalogKeysUnchanged(t *testing.T) {
 			if spec.key != tc.want {
 				t.Errorf("%s: prepared key %s, want %s", reqString(tc.req), spec.key, tc.want)
 			}
-			if k, err := experiment.RenderKey(spec.artifact, spec.format, spec.opt); err != nil || k != tc.want {
-				t.Errorf("%s: RenderKey %s, %v, want %s", reqString(tc.req), k, err, tc.want)
+			p, err := experiment.PrepareRender(spec.artifact, spec.format, spec.opt)
+			if err != nil {
+				t.Fatalf("%s: PrepareRender: %v", reqString(tc.req), err)
+			}
+			if k, err := p.Key(); err != nil || k != tc.want {
+				t.Errorf("%s: PrepareRender key %s, %v, want %s", reqString(tc.req), k, err, tc.want)
 			}
 		}
 	}
