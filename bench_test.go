@@ -567,7 +567,7 @@ func diskBytesPerEntry(b *testing.B, dir string) float64 {
 func buildBenchCorpus(b *testing.B, opt experiment.Options) string {
 	b.Helper()
 	dir := b.TempDir()
-	man := trace.CorpusManifest{FormatVersion: 2, Seed: opt.Seed, Instructions: opt.Instructions}
+	man := trace.CorpusManifest{FormatVersion: trace.ChunkedVersion, Seed: opt.Seed, Instructions: opt.Instructions}
 	for _, name := range opt.Benchmarks {
 		prof, err := trace.ByName(name)
 		if err != nil {
@@ -706,6 +706,41 @@ func BenchmarkChunkedReplay(b *testing.B) {
 		}
 		_ = in
 	}
+}
+
+// BenchmarkRecordedReplay measures the replay memo's instruction feed:
+// one op replays a recorded 100k-instruction gzip stream end to end
+// through a fresh Replayer. ns/inst is the decode cost of one
+// instruction; trace-B/inst is the recording's resident size per
+// instruction (Bytes/Len), a work count that repeats exactly, so the
+// baseline gates the codec's density tightly.
+func BenchmarkRecordedReplay(b *testing.B) {
+	prof, err := trace.ByName("gzip")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const insts = 100_000
+	rec, err := trace.RecordProfile(prof, trace.StreamSeed(1), insts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var n int64
+	for i := 0; i < b.N; i++ {
+		cur := rec.Replay()
+		for {
+			if _, ok := cur.Next(); !ok {
+				break
+			}
+			n++
+		}
+	}
+	if n != int64(b.N)*insts {
+		b.Fatalf("replayed %d instructions, want %d", n, int64(b.N)*insts)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/inst")
+	b.ReportMetric(float64(rec.Bytes())/float64(rec.Len()), "trace-B/inst")
 }
 
 // BenchmarkMultitaperSpectrum measures the Figure-8 estimator on a

@@ -171,12 +171,13 @@ func addBest(base *Baseline, b Benchmark) {
 var throughputUnits = []string{"sim-insts/s", "cells/s"}
 
 // workUnits are the deterministic work counts: -benchmem's allocation
-// count and bytes, the cache-entry bytes per warm-disk cell, and the
-// entry bytes a disk-hit op reads.
+// count and bytes, the cache-entry bytes per warm-disk cell, the entry
+// bytes a disk-hit op reads, and a recorded trace's resident bytes per
+// instruction.
 // Unlike wall time they repeat between runs (past a process's first
 // repeat, which addBest's minimum drops), so they share their own,
 // much tighter gate.
-var workUnits = []string{"allocs/op", "B/op", "disk-B/cell", "entry-B/op"}
+var workUnits = []string{"allocs/op", "B/op", "disk-B/cell", "entry-B/op", "trace-B/inst"}
 
 // compareBaselines diffs old vs new by benchmark name and returns the
 // process exit code: 0 when every shared benchmark's regression is

@@ -152,11 +152,12 @@ func TestCompareGatesOnAllocs(t *testing.T) {
 	}
 }
 
-// disk-B/cell, the warm-disk matrix's mean cache-entry size, and
-// entry-B/op, the entry bytes a disk-hit op reads, are work counts that
+// disk-B/cell, the warm-disk matrix's mean cache-entry size,
+// entry-B/op, the entry bytes a disk-hit op reads, and trace-B/inst, a
+// recorded trace's resident bytes per instruction, are work counts that
 // repeat exactly, so they share the allocs/op gate.
 func TestCompareGatesOnDiskBytes(t *testing.T) {
-	for _, unit := range []string{"disk-B/cell", "entry-B/op"} {
+	for _, unit := range []string{"disk-B/cell", "entry-B/op", "trace-B/inst"} {
 		compareGatesOnDiskBytes(t, unit)
 	}
 }

@@ -9,7 +9,7 @@
 //	tracegen -replay gsm.mcdc -scheme adaptive             # simulate it
 //	tracegen -corpus traces/ -insts 500000 -seed 1         # emit a corpus
 //
-// Every trace is a chunked v2 file (magic "MCDC": compressed
+// Every trace is a chunked file (magic "MCDC": compressed
 // fixed-size chunks, per-chunk CRC, seekable index); -stats and
 // -replay stream it from disk with memory bounded by the chunk window
 // and reject any other format. A corpus directory (see
@@ -96,7 +96,7 @@ func generate(bench string, insts, seed int64, out string, chunk int) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d instructions of %s to %s (chunked v2, %d bytes)\n", insts, bench, out, size)
+	fmt.Printf("wrote %d instructions of %s to %s (chunked v%d, %d bytes)\n", insts, bench, out, trace.ChunkedVersion, size)
 	return nil
 }
 
@@ -111,7 +111,7 @@ func emitCorpus(dir, benchCSV string, insts, seed int64, chunk int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	man := trace.CorpusManifest{FormatVersion: 2, Seed: seed, Instructions: insts}
+	man := trace.CorpusManifest{FormatVersion: trace.ChunkedVersion, Seed: seed, Instructions: insts}
 	for _, bench := range benches {
 		prof, err := trace.ByName(strings.TrimSpace(bench))
 		if err != nil {
@@ -160,8 +160,8 @@ func printStats(path string) error {
 	if err := cur.Err(); err != nil {
 		return err
 	}
-	fmt.Printf("trace %s: %q, %d instructions, chunked v2 (%d chunks of %d insts, %d bytes on disk)\n",
-		path, cf.Name(), cf.Count(), cf.Chunks(), cf.ChunkInstructions(), cf.CompressedBytes())
+	fmt.Printf("trace %s: %q, %d instructions, chunked v%d (%d chunks of %d insts, %d bytes on disk)\n",
+		path, cf.Name(), cf.Count(), trace.ChunkedVersion, cf.Chunks(), cf.ChunkInstructions(), cf.CompressedBytes())
 	for c := 0; c < isa.NumClasses; c++ {
 		if counts[c] == 0 {
 			continue

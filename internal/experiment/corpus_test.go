@@ -22,7 +22,7 @@ import (
 func buildCorpus(t *testing.T, seed, insts int64, chunkInsts int, benches ...string) string {
 	t.Helper()
 	dir := t.TempDir()
-	man := trace.CorpusManifest{FormatVersion: 2, Seed: seed, Instructions: insts}
+	man := trace.CorpusManifest{FormatVersion: trace.ChunkedVersion, Seed: seed, Instructions: insts}
 	for _, bench := range benches {
 		prof, err := trace.ByName(bench)
 		if err != nil {

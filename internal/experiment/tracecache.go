@@ -47,9 +47,11 @@ type replayEntry struct {
 	rec *trace.Recorded
 }
 
-// replayCacheMaxBytes bounds resident recordings. A 100k-instruction
-// trace is ~2.5 MB (25 B/inst), so the default holds the whole bundled
-// suite at benchmark budgets with room to spare.
+// replayCacheMaxBytes bounds resident recordings, charged at each
+// recording's Bytes. The bundled profiles record at 3.1–4.1 B/inst, so
+// the default holds all 17 bundled streams at once both at 100k
+// instructions (5.9 MB together) and at the 500k default budget
+// (29.4 MB together).
 const replayCacheMaxBytes = 64 << 20
 
 func newReplayCache() *replayCache {
@@ -61,12 +63,13 @@ func newReplayCache() *replayCache {
 }
 
 // key fingerprints a stream for the memo; ok is false when the stream
-// bypasses the memo because its recording would not fit. Profiles are
-// tiny (a handful of phases), so one JSON encode + digest per stream is
-// noise next to trace generation, and it is exact: any field that
-// changes the generated stream changes the key.
+// bypasses the memo because its recording, at trace.AdmitBytesPerInst,
+// would not fit. Profiles are tiny (a handful of phases), so one JSON
+// encode + digest per stream is noise next to trace generation, and it
+// is exact: any field that changes the generated stream changes the
+// key.
 func (c *replayCache) key(prof trace.Profile, seed, insts int64) (replayKey, bool) {
-	if insts <= 0 || insts*25 > c.maxBytes {
+	if insts <= 0 || insts*trace.AdmitBytesPerInst > c.maxBytes {
 		return replayKey{}, false
 	}
 	raw, err := json.Marshal(prof)

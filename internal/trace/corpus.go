@@ -14,57 +14,62 @@ import (
 	"mcddvfs/internal/isa"
 )
 
-// Chunked trace format, version 2 — the repository's one trace file
+// Chunked trace format, version 3 — the repository's one trace file
 // format, for single traces and corpus members alike. A file is
 // replayable with memory bounded by the chunk window regardless of
 // trace length:
 //
 //	header:  magic "MCDC" | version u32 | chunkInsts u32 |
 //	         nameLen u16 | name
-//	chunks:  flate-compressed columnar payloads, one per chunkInsts
-//	         instructions (the last chunk may be short)
+//	chunks:  flate-compressed instruction-codec payloads, one per
+//	         chunkInsts instructions (the last chunk may be short)
 //	index:   count i64 | numChunks u32 |
-//	         numChunks × { off u64 | clen u32 | n u32 | crc u32 } |
+//	         numChunks × { off u64 | clen u32 | n u32 | rawLen u32 |
+//	         crc u32 } |
 //	         crc u32 over the preceding index bytes
 //	footer:  indexOff u64 | indexLen u32 | magic "XDCM"
 //
-// Every integer is little-endian. A chunk's raw payload is the
-// Recorded column layout packed back to back — pc[8n] | extra[8n] |
-// dep1[4n] | dep2[4n] | meta[n], 25 bytes per instruction, taken flag
-// in meta's high bit — so decoding a chunk is the same column walk
-// Replayer.Next performs, and replay is bit-identical to an in-memory
-// Recorded replay by construction. Each chunk's CRC-32C is computed
-// over the raw (decompressed) payload: it proves end-to-end integrity
-// through the compressor, not just media integrity of the stored
-// bytes. The index at the tail makes the file seekable: a reader maps
-// any instruction position to chunk position/chunkInsts without
-// touching the payloads before it.
+// Every integer is little-endian. A chunk's raw payload is its n
+// instructions in the instruction codec (codec.go), the layout a
+// Recorded holds in memory, encoded from the chunk's own first
+// instruction, so a chunk decodes without the chunks before it and
+// replay decodes through the same instRun a Recorded replay does. The
+// index carries each chunk's decoded length (rawLen), so OpenChunked
+// bounds every chunk's allocation before anything is inflated. Each
+// chunk's CRC-32C is computed over the raw (decompressed) payload: it
+// proves end-to-end integrity through the compressor, not just media
+// integrity of the stored bytes. The index at the tail makes the file
+// seekable: a reader maps any instruction position to chunk
+// position/chunkInsts without touching the payloads before it.
+// Version 2 files, whose payloads were 25-byte-per-instruction
+// columns, are refused.
 const (
 	chunkedMagic       = "MCDC"
 	chunkedFooterMagic = "XDCM"
-	chunkedVersion     = 2
+
+	// ChunkedVersion is the chunked format version WriteChunked writes
+	// and the only one OpenChunked and corpus manifests accept.
+	ChunkedVersion = 3
 
 	// DefaultChunkInstructions is the writer's default chunk size:
-	// 64Ki instructions, 1.6 MiB raw per chunk.
+	// 64Ki instructions, 200–270 KiB raw per chunk for the bundled
+	// profiles.
 	DefaultChunkInstructions = 1 << 16
 
-	// maxChunkInstructions bounds the decoded size of one chunk
-	// (25 B/inst, 32 MiB) so a corrupt or hostile index cannot demand
-	// an absurd allocation before validation can reject it.
+	// maxChunkInstructions bounds the instructions in one chunk, and
+	// with maxInstBytes its decoded size (31 MiB), so a corrupt or
+	// hostile index cannot demand an absurd allocation before
+	// validation can reject it.
 	maxChunkInstructions = 1 << 20
 
 	// DefaultChunkWindow is how many decoded chunks a Chunked keeps
 	// resident at once when the caller does not choose.
 	DefaultChunkWindow = 4
 
-	// instBytes is the packed size of one instruction, shared with the
-	// Recorded column layout.
-	instBytes = 25
-
-	chunkedHeaderMin = 4 + 4 + 4 + 2 // magic + version + chunkInsts + nameLen
-	chunkedFooterLen = 8 + 4 + 4     // indexOff + indexLen + magic
-	chunkedIndexMin  = 8 + 4 + 4     // count + numChunks + index crc
-	chunkEntryLen    = 8 + 4 + 4 + 4 // off + clen + n + crc
+	chunkedHeaderMin = 4 + 4 + 4 + 2     // magic + version + chunkInsts + nameLen
+	chunkedFooterLen = 8 + 4 + 4         // indexOff + indexLen + magic
+	chunkedIndexMin  = 8 + 4 + 4         // count + numChunks + index crc
+	chunkEntryLen    = 8 + 4 + 4 + 4 + 4 // off + clen + n + rawLen + crc
 )
 
 // chunkedCRC is the table every chunk and index checksum uses
@@ -76,7 +81,7 @@ var chunkedCRC = crc32.MakeTable(crc32.Castagnoli)
 func checksumChunk(b []byte) uint32 { return crc32.Checksum(b, chunkedCRC) }
 
 // WriteChunked serializes count instructions of src to w in the
-// chunked v2 format and returns the number of bytes written. A
+// chunked format and returns the number of bytes written. A
 // chunkInsts of 0 selects DefaultChunkInstructions. The instruction
 // count must be known up front (a Generator knows its Remaining); a
 // source that runs dry before count is an error.
@@ -98,7 +103,7 @@ func WriteChunked(w io.Writer, src Source, count int64, chunkInsts int) (int64, 
 	bw := bufio.NewWriterSize(w, 1<<20)
 	var hdr [chunkedHeaderMin]byte
 	copy(hdr[0:], chunkedMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], chunkedVersion)
+	binary.LittleEndian.PutUint32(hdr[4:], ChunkedVersion)
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(chunkInsts))
 	binary.LittleEndian.PutUint16(hdr[12:], uint16(len(name)))
 	if _, err := bw.Write(hdr[:]); err != nil {
@@ -109,7 +114,7 @@ func WriteChunked(w io.Writer, src Source, count int64, chunkInsts int) (int64, 
 	}
 	written := int64(chunkedHeaderMin + len(name))
 
-	raw := make([]byte, 0, chunkInsts*instBytes)
+	var raw []byte
 	var comp bytes.Buffer
 	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
 	if err != nil {
@@ -121,8 +126,7 @@ func WriteChunked(w io.Writer, src Source, count int64, chunkInsts int) (int64, 
 		if n > int64(chunkInsts) {
 			n = int64(chunkInsts)
 		}
-		raw = raw[:n*instBytes]
-		if err := packChunk(raw, src, n); err != nil {
+		if raw, err = encodeChunk(raw[:0], src, n); err != nil {
 			return written, fmt.Errorf("trace: at instruction %d of %d: %w", start, count, err)
 		}
 		comp.Reset()
@@ -137,10 +141,11 @@ func WriteChunked(w io.Writer, src Source, count int64, chunkInsts int) (int64, 
 			return written, err
 		}
 		idx = append(idx, chunkInfo{
-			off:  written,
-			clen: uint32(comp.Len()),
-			n:    uint32(n),
-			crc:  checksumChunk(raw),
+			off:    written,
+			clen:   uint32(comp.Len()),
+			n:      uint32(n),
+			rawLen: uint32(len(raw)),
+			crc:    checksumChunk(raw),
 		})
 		written += int64(comp.Len())
 	}
@@ -152,6 +157,7 @@ func WriteChunked(w io.Writer, src Source, count int64, chunkInsts int) (int64, 
 		index = binary.LittleEndian.AppendUint64(index, uint64(e.off))
 		index = binary.LittleEndian.AppendUint32(index, e.clen)
 		index = binary.LittleEndian.AppendUint32(index, e.n)
+		index = binary.LittleEndian.AppendUint32(index, e.rawLen)
 		index = binary.LittleEndian.AppendUint32(index, e.crc)
 	}
 	index = binary.LittleEndian.AppendUint32(index, checksumChunk(index))
@@ -170,44 +176,29 @@ func WriteChunked(w io.Writer, src Source, count int64, chunkInsts int) (int64, 
 	return written, bw.Flush()
 }
 
-// packChunk encodes n instructions of src into raw (already sized to
-// n*instBytes) in the columnar chunk layout.
-func packChunk(raw []byte, src Source, n int64) error {
-	pc, extra := raw[0:], raw[8*n:]
-	dep1, dep2 := raw[16*n:], raw[20*n:]
-	meta := raw[24*n:]
+// encodeChunk appends n instructions of src to raw in the instruction
+// codec, starting from a fresh encoder so the chunk decodes on its own.
+func encodeChunk(raw []byte, src Source, n int64) ([]byte, error) {
+	var enc instEncoder
 	for j := int64(0); j < n; j++ {
 		in, ok := src.Next()
 		if !ok {
-			return fmt.Errorf("source ran dry")
+			return raw, fmt.Errorf("source ran dry")
 		}
-		m := uint8(in.Class)
-		var ex uint64
-		switch in.Class {
-		case isa.Branch:
-			ex = in.Target
-			if in.Taken {
-				m |= takenBit
-			}
-		case isa.Load, isa.Store:
-			ex = in.Addr
-		}
-		binary.LittleEndian.PutUint64(pc[8*j:], in.PC)
-		binary.LittleEndian.PutUint64(extra[8*j:], ex)
-		binary.LittleEndian.PutUint32(dep1[4*j:], in.Dep1)
-		binary.LittleEndian.PutUint32(dep2[4*j:], in.Dep2)
-		meta[j] = m
+		raw = enc.append(raw, in)
 	}
-	return nil
+	return raw, nil
 }
 
 // chunkInfo is one index entry: where a chunk's compressed bytes live,
-// how many instructions it packs, and the CRC of its raw payload.
+// how many instructions it packs, its decoded length, and the CRC of
+// its raw payload.
 type chunkInfo struct {
-	off  int64
-	clen uint32
-	n    uint32
-	crc  uint32
+	off    int64
+	clen   uint32
+	n      uint32
+	rawLen uint32
+	crc    uint32
 }
 
 // Chunked is an open chunked-format trace. It owns a bounded window
@@ -222,6 +213,7 @@ type Chunked struct {
 	size       int64
 	idx        []chunkInfo
 	window     int
+	maxRaw     int64 // largest decoded chunk
 
 	mu       sync.Mutex
 	chunks   map[int][]byte // decoded raw payloads by chunk number
@@ -254,10 +246,10 @@ func OpenChunked(r io.ReaderAt, size int64, window int) (*Chunked, error) {
 		return nil, fmt.Errorf("trace: reading chunked header: %w", err)
 	}
 	if string(hdr[0:4]) != chunkedMagic {
-		return nil, fmt.Errorf("trace: bad magic %q, want %q (the chunked v2 format)", hdr[0:4], chunkedMagic)
+		return nil, fmt.Errorf("trace: bad magic %q, want %q (the chunked v%d format)", hdr[0:4], chunkedMagic, ChunkedVersion)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != chunkedVersion {
-		return nil, fmt.Errorf("trace: unsupported chunked version %d", v)
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != ChunkedVersion {
+		return nil, fmt.Errorf("trace: chunked version %d, want %d (re-emit the trace with this build)", v, ChunkedVersion)
 	}
 	chunkInsts := int(binary.LittleEndian.Uint32(hdr[8:]))
 	if chunkInsts < 1 || chunkInsts > maxChunkInstructions {
@@ -317,10 +309,11 @@ func OpenChunked(r io.ReaderAt, size int64, window int) (*Chunked, error) {
 	for k := range c.idx {
 		ent := body[12+k*chunkEntryLen:]
 		e := chunkInfo{
-			off:  int64(binary.LittleEndian.Uint64(ent[0:])),
-			clen: binary.LittleEndian.Uint32(ent[8:]),
-			n:    binary.LittleEndian.Uint32(ent[12:]),
-			crc:  binary.LittleEndian.Uint32(ent[16:]),
+			off:    int64(binary.LittleEndian.Uint64(ent[0:])),
+			clen:   binary.LittleEndian.Uint32(ent[8:]),
+			n:      binary.LittleEndian.Uint32(ent[12:]),
+			rawLen: binary.LittleEndian.Uint32(ent[16:]),
+			crc:    binary.LittleEndian.Uint32(ent[20:]),
 		}
 		if e.n < 1 || int(e.n) > chunkInsts {
 			return nil, fmt.Errorf("trace: chunk %d declares %d instructions (chunk size %d)", k, e.n, chunkInsts)
@@ -328,11 +321,15 @@ func OpenChunked(r io.ReaderAt, size int64, window int) (*Chunked, error) {
 		if k < len(c.idx)-1 && int(e.n) != chunkInsts {
 			return nil, fmt.Errorf("trace: non-final chunk %d is short (%d of %d instructions)", k, e.n, chunkInsts)
 		}
+		if raw := int64(e.rawLen); raw < int64(e.n)*minInstBytes || raw > int64(e.n)*maxInstBytes {
+			return nil, fmt.Errorf("trace: chunk %d declares %d decoded bytes for %d instructions", k, e.rawLen, e.n)
+		}
 		if e.clen < 1 || e.off < prevEnd || e.off+int64(e.clen) > indexOff {
 			return nil, fmt.Errorf("trace: chunk %d bytes [%d, +%d] out of bounds", k, e.off, e.clen)
 		}
 		prevEnd = e.off + int64(e.clen)
 		total += int64(e.n)
+		c.maxRaw = max(c.maxRaw, int64(e.rawLen))
 		c.idx[k] = e
 	}
 	if total != count {
@@ -357,9 +354,10 @@ func (c *Chunked) ChunkInstructions() int { return c.chunkInsts }
 func (c *Chunked) CompressedBytes() int64 { return c.size }
 
 // WindowBytes returns the window's raw-payload memory bound:
-// window × chunk payload size. PeakResidentBytes never exceeds it.
+// window × the largest decoded chunk. PeakResidentBytes never exceeds
+// it.
 func (c *Chunked) WindowBytes() int64 {
-	return int64(c.window) * int64(c.chunkInsts) * instBytes
+	return int64(c.window) * c.maxRaw
 }
 
 // PeakResidentBytes reports the largest total of decoded chunk
@@ -392,7 +390,7 @@ func (c *Chunked) chunk(k int) ([]byte, error) {
 		return raw, nil
 	}
 	e := c.idx[k]
-	rawLen := int(e.n) * instBytes
+	rawLen := int(e.rawLen)
 	// Evicted buffers are never recycled: a cursor may still be
 	// decoding out of one after it leaves the window, so the buffer's
 	// lifetime ends when the last cursor moves on, not here.
@@ -457,17 +455,16 @@ func (c *Chunked) Replay() *ChunkedReplayer {
 }
 
 // ChunkedReplayer streams a chunked trace as a Source. Next decodes
-// straight out of the pinned chunk's columns — no per-instruction
-// allocation — and crosses chunk boundaries through the shared window.
-// A payload error (truncation, CRC mismatch) ends the stream; Err
+// straight out of the pinned chunk through the same instRun a Recorded
+// replay uses — no per-instruction allocation — and crosses chunk
+// boundaries through the shared window. A payload error (truncation,
+// CRC mismatch, an undecodable instruction) ends the stream; Err
 // distinguishes it from clean end-of-trace.
 type ChunkedReplayer struct {
-	c    *Chunked
-	i    int64
-	raw  []byte // pinned current chunk payload
-	base int64  // absolute index of the pinned chunk's first instruction
-	n    int64  // instructions in the pinned chunk
-	err  error
+	c   *Chunked
+	i   int64   // absolute index of the next instruction
+	run instRun // decoder over the pinned chunk's payload
+	err error
 }
 
 // Name implements Source.
@@ -481,43 +478,21 @@ func (p *ChunkedReplayer) Next() (isa.Inst, bool) {
 	if p.err != nil || p.i >= p.c.count {
 		return isa.Inst{}, false
 	}
-	j := p.i - p.base
-	if p.raw == nil || j >= p.n {
+	if p.run.left == 0 {
 		k := int(p.i / int64(p.c.chunkInsts))
 		raw, err := p.c.chunk(k)
 		if err != nil {
 			p.err = err
 			return isa.Inst{}, false
 		}
-		p.raw = raw
-		p.base = int64(k) * int64(p.c.chunkInsts)
-		p.n = int64(p.c.idx[k].n)
-		j = p.i - p.base
+		p.run = instRun{buf: raw, left: int64(p.c.idx[k].n)}
 	}
-	raw, n := p.raw, p.n
-	m := raw[24*n+j]
-	in := isa.Inst{
-		PC:    binary.LittleEndian.Uint64(raw[8*j:]),
-		Class: isa.Class(m &^ takenBit),
-		Dep1:  binary.LittleEndian.Uint32(raw[16*n+4*j:]),
-		Dep2:  binary.LittleEndian.Uint32(raw[20*n+4*j:]),
-	}
-	if !in.Class.Valid() {
-		// The CRC covers whatever bytes were written, so a hand-built
-		// (or fuzzed) file can carry a valid checksum over an invalid
-		// class; it must surface as a stream error, not a downstream
-		// panic.
-		p.err = fmt.Errorf("trace: %q: invalid class %d at instruction %d", p.c.name, uint8(in.Class), p.i)
+	in, ok := p.run.next()
+	if !ok {
+		p.err = fmt.Errorf("trace: %q chunk %d: %w at instruction %d", p.c.name, p.i/int64(p.c.chunkInsts), p.run.err, p.i)
 		return isa.Inst{}, false
 	}
 	p.i++
-	switch in.Class {
-	case isa.Branch:
-		in.Target = binary.LittleEndian.Uint64(raw[8*n+8*j:])
-		in.Taken = m&takenBit != 0
-	case isa.Load, isa.Store:
-		in.Addr = binary.LittleEndian.Uint64(raw[8*n+8*j:])
-	}
 	return in, true
 }
 

@@ -11,7 +11,7 @@ import (
 	"mcddvfs/internal/isa"
 )
 
-// chunkedBytes serializes a profile's stream in the chunked v2 format.
+// chunkedBytes serializes a profile's stream in the chunked format.
 func chunkedBytes(t *testing.T, bench string, seed, insts int64, chunkInsts int) []byte {
 	t.Helper()
 	prof, err := ByName(bench)
@@ -98,7 +98,11 @@ func TestChunkedWindowBoundsMemory(t *testing.T) {
 			}
 		}
 	}
-	if raw := int64(insts) * instBytes; c.WindowBytes() >= raw {
+	var raw int64 // the whole trace's decoded size
+	for _, e := range c.idx {
+		raw += int64(e.rawLen)
+	}
+	if c.WindowBytes() >= raw {
 		t.Fatalf("test is vacuous: window %d B not smaller than whole trace %d B", c.WindowBytes(), raw)
 	}
 	if peak := c.PeakResidentBytes(); peak > c.WindowBytes() {
@@ -106,6 +110,22 @@ func TestChunkedWindowBoundsMemory(t *testing.T) {
 	}
 	if c.Loads() < int64(c.Chunks()) {
 		t.Fatalf("only %d loads for %d chunks?", c.Loads(), c.Chunks())
+	}
+}
+
+// TestChunkedWindowQuarterOfColumns: a gzip member at default chunking
+// keeps a window at most a quarter of what v2's 25-byte columns needed
+// (DefaultChunkWindow full chunks of 25 bytes an instruction).
+func TestChunkedWindowQuarterOfColumns(t *testing.T) {
+	const insts = 3 * DefaultChunkInstructions / 2
+	data := chunkedBytes(t, "gzip", 1, insts, 0)
+	c, err := OpenChunked(bytes.NewReader(data), int64(len(data)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const v2 = DefaultChunkWindow * DefaultChunkInstructions * 25
+	if w := c.WindowBytes(); w > v2/4 {
+		t.Fatalf("window %d B, want at most a quarter of v2's %d B", w, v2)
 	}
 }
 
@@ -333,8 +353,8 @@ func TestWriteSourceRunsDry(t *testing.T) {
 	}
 }
 
-// TestReaderRejectsGarbage: anything but a chunked v2 file fails to
-// open with a clean error. A file in the retired fixed-record v1
+// TestReaderRejectsGarbage: anything but a current chunked file fails
+// to open with a clean error. A file in the retired fixed-record v1
 // format is rejected by an error that names the format it wants.
 func TestReaderRejectsGarbage(t *testing.T) {
 	v1 := []byte("MCDT")
@@ -368,7 +388,7 @@ func TestReaderImplementsSource(t *testing.T) {
 func TestCorpusDirRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	const seed, insts = 4, 3000
-	man := CorpusManifest{FormatVersion: 2, Seed: seed, Instructions: insts}
+	man := CorpusManifest{FormatVersion: ChunkedVersion, Seed: seed, Instructions: insts}
 	for _, bench := range []string{"swim", "gzip", "adpcm_encode"} {
 		prof, err := ByName(bench)
 		if err != nil {
@@ -432,7 +452,7 @@ func TestCorpusVerifyCatchesDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	man := CorpusManifest{FormatVersion: 2, Seed: seed, Instructions: insts, Members: []CorpusMember{m}}
+	man := CorpusManifest{FormatVersion: ChunkedVersion, Seed: seed, Instructions: insts, Members: []CorpusMember{m}}
 	if err := WriteCorpusManifest(dir, man); err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +494,7 @@ func TestCorpusManifestValidation(t *testing.T) {
 		p.Name = bench
 		return CorpusMember{Benchmark: bench, File: bench + CorpusMemberExt, Profile: p}
 	}
-	base := CorpusManifest{FormatVersion: 2, Seed: 1, Instructions: 100,
+	base := CorpusManifest{FormatVersion: ChunkedVersion, Seed: 1, Instructions: 100,
 		Members: []CorpusMember{member("a"), member("b")}}
 
 	cases := map[string]func(*CorpusManifest){

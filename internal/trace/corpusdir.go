@@ -14,7 +14,7 @@ import (
 	"mcddvfs/internal/detfs"
 )
 
-// A corpus directory is a set of chunked v2 trace files plus a
+// A corpus directory is a set of chunked trace files plus a
 // manifest that pins everything a matrix run needs to resolve
 // benchmarks without generating traces: which benchmarks exist, which
 // file holds each stream, the harness seed and instruction count the
@@ -147,8 +147,8 @@ func checkMemberName(name string) error {
 // validateManifest checks the structural invariants OpenCorpus relies
 // on.
 func validateManifest(man *CorpusManifest) error {
-	if man.FormatVersion != chunkedVersion {
-		return fmt.Errorf("trace: corpus format version %d, want %d", man.FormatVersion, chunkedVersion)
+	if man.FormatVersion != ChunkedVersion {
+		return fmt.Errorf("trace: corpus format version %d, want %d", man.FormatVersion, ChunkedVersion)
 	}
 	if man.Instructions <= 0 {
 		return fmt.Errorf("trace: corpus declares non-positive instruction count %d", man.Instructions)

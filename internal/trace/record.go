@@ -7,69 +7,54 @@ import (
 )
 
 // Recorded is a workload's full dynamic instruction stream captured
-// into compact append-only columnar buffers. The stream a Generator
-// produces depends only on (profile, seed, total) — never on the DVFS
-// scheme simulated on top of it — so one Recorded can be built once
-// and fanned out to every scheme × fault cell of an experiment matrix:
+// in the instruction codec (codec.go). The stream a Generator produces
+// depends only on (profile, seed, total) — never on the DVFS scheme
+// simulated on top of it — so one Recorded can be built once and
+// fanned out to every scheme × fault cell of an experiment matrix:
 // each consumer gets its own Replayer cursor over the same immutable
-// arrays, paying neither the generation work (RNG draws, branch-count
-// map updates) nor any per-instruction allocation.
-//
-// Layout is struct-of-arrays, following the simulator's zero-alloc
-// conventions: one contiguous slab per field, 25 bytes per
-// instruction. Target and Addr are mutually exclusive by construction
-// (branches carry a target, memory ops an address, everything else
-// neither), so they share the one `extra` column; the taken flag rides
-// in the class byte's high bit.
+// bytes, paying neither the generation work (RNG draws, branch-count
+// map updates) nor any per-instruction allocation. The bundled
+// profiles record at 3.1–4.1 bytes per instruction.
 type Recorded struct {
 	name string
-
-	pc    []uint64
-	extra []uint64 // Target for branches, Addr for loads/stores
-	dep1  []uint32
-	dep2  []uint32
-	meta  []uint8 // bits 0..6 = isa.Class, bit 7 = branch taken
+	n    int64
+	code []byte
 }
 
-const takenBit = 0x80
+const (
+	// recordHintBytes sizes Record's buffer per hinted instruction:
+	// about the bundled profiles' typical density.
+	recordHintBytes = 4
+	// recordSlack is how much spare capacity Record leaves in a
+	// finished recording before it copies the bytes into an exact-size
+	// buffer, so that Bytes, what the replay memo charges, stays close
+	// to the encoded size.
+	recordSlack = 1 << 12
+)
 
 // Record drains src into a Recorded stream named name. It stops at end
-// of stream; the capacity hint sizes the buffers up front (pass the
+// of stream; the capacity hint sizes the buffer up front (pass the
 // known instruction budget, or 0 when unknown).
 func Record(src Source, capacity int64) *Recorded {
 	if capacity < 0 {
 		capacity = 0
 	}
-	r := &Recorded{
-		name:  src.Name(),
-		pc:    make([]uint64, 0, capacity),
-		extra: make([]uint64, 0, capacity),
-		dep1:  make([]uint32, 0, capacity),
-		dep2:  make([]uint32, 0, capacity),
-		meta:  make([]uint8, 0, capacity),
-	}
+	r := &Recorded{name: src.Name()}
+	code := make([]byte, 0, capacity*recordHintBytes)
+	var enc instEncoder
 	for {
 		in, ok := src.Next()
 		if !ok {
-			return r
+			break
 		}
-		m := uint8(in.Class)
-		var extra uint64
-		switch in.Class {
-		case isa.Branch:
-			extra = in.Target
-			if in.Taken {
-				m |= takenBit
-			}
-		case isa.Load, isa.Store:
-			extra = in.Addr
-		}
-		r.pc = append(r.pc, in.PC)
-		r.extra = append(r.extra, extra)
-		r.dep1 = append(r.dep1, in.Dep1)
-		r.dep2 = append(r.dep2, in.Dep2)
-		r.meta = append(r.meta, m)
+		code = enc.append(code, in)
+		r.n++
 	}
+	if cap(code)-len(code) > recordSlack {
+		code = append([]byte(nil), code...)
+	}
+	r.code = code
+	return r
 }
 
 // RecordProfile generates and captures a profile's stream exactly as
@@ -85,57 +70,36 @@ func RecordProfile(p Profile, seed, total int64) (*Recorded, error) {
 }
 
 // Len returns the number of recorded instructions.
-func (r *Recorded) Len() int64 { return int64(len(r.pc)) }
+func (r *Recorded) Len() int64 { return r.n }
 
-// Bytes returns the approximate resident size of the recording.
+// Bytes returns the resident size of the recording: its encoded
+// buffer, spare capacity included, and its name.
 func (r *Recorded) Bytes() int64 {
-	return int64(len(r.pc))*(8+8+4+4+1) + int64(len(r.name))
+	return int64(cap(r.code)) + int64(len(r.name))
 }
 
 // Replay returns a fresh read-only cursor over the recording. Cursors
 // are independent: any number may stream the same Recorded
-// concurrently (the underlying arrays are never written after Record
+// concurrently (the underlying bytes are never written after Record
 // returns), but a single Replayer is not safe for concurrent use —
 // give each consumer its own.
 func (r *Recorded) Replay() *Replayer {
-	return &Replayer{rec: r}
+	return &Replayer{name: r.name, run: instRun{buf: r.code, left: r.n}}
 }
 
 // Replayer streams a Recorded trace as a Source. Next performs no
-// allocation and no RNG work — it only decodes the shared columns.
+// allocation and no RNG work — it only decodes the shared bytes.
 type Replayer struct {
-	rec *Recorded
-	i   int64
+	name string
+	run  instRun
 }
 
 // Name implements Source.
-func (p *Replayer) Name() string { return p.rec.name }
+func (p *Replayer) Name() string { return p.name }
 
-// Next implements Source. Next runs once per simulated instruction,
-// and keeping the column loads in one frame lets the compiler fold the
-// five bounds checks into the single length test.
-func (p *Replayer) Next() (isa.Inst, bool) {
-	rec := p.rec
-	i := p.i
-	if i >= int64(len(rec.meta)) {
-		return isa.Inst{}, false
-	}
-	p.i = i + 1
-	m := rec.meta[i]
-	in := isa.Inst{
-		PC:    rec.pc[i],
-		Class: isa.Class(m &^ takenBit),
-		Dep1:  rec.dep1[i],
-		Dep2:  rec.dep2[i],
-	}
-	switch in.Class {
-	case isa.Branch:
-		in.Target = rec.extra[i]
-		in.Taken = m&takenBit != 0
-	case isa.Load, isa.Store:
-		in.Addr = rec.extra[i]
-	}
-	return in, true
-}
+// Next implements Source. Record writes only what the decoder reads
+// back, so a recording replays to its end; the one exception is an
+// instruction with an invalid class, where the stream ends.
+func (p *Replayer) Next() (isa.Inst, bool) { return p.run.next() }
 
 var _ Source = (*Replayer)(nil)

@@ -130,3 +130,27 @@ func TestRecordStopsAtSourceEnd(t *testing.T) {
 		t.Error("Bytes() reported a non-positive size")
 	}
 }
+
+// TestRecordedDensity holds the codec's density: every bundled profile
+// records at no more than 6 resident bytes per instruction at 5k, 100k
+// and 500k instructions (the retired column layout took 25).
+func TestRecordedDensity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("records every bundled profile at 500k instructions")
+	}
+	for _, name := range Names() {
+		prof, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int64{5_000, 100_000, 500_000} {
+			rec, err := RecordProfile(prof, StreamSeed(1), n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := float64(rec.Bytes()) / float64(rec.Len()); d > 6 {
+				t.Errorf("%s at %d instructions: %.2f B/inst, want at most 6", name, n, d)
+			}
+		}
+	}
+}
