@@ -50,7 +50,7 @@ loc:
 
 # BENCH_PATTERN selects the tracked benchmarks: the ones bench runs and
 # bench-compare gates against BENCH_baseline.json.
-BENCH_PATTERN = BenchmarkSimulatorThroughput|BenchmarkRunMatrix|BenchmarkChunkedReplay|BenchmarkRecordedReplay|BenchmarkChip|BenchmarkRenderArtifact|BenchmarkRenderKey|BenchmarkServeWarmRequest|BenchmarkClassify|BenchmarkDiskHit
+BENCH_PATTERN = BenchmarkSimulatorThroughput|BenchmarkRunMatrix|BenchmarkChunkedReplay|BenchmarkRecordedReplay|BenchmarkRecordTrace|BenchmarkChip|BenchmarkRenderArtifact|BenchmarkRenderKey|BenchmarkServeWarmRequest|BenchmarkClassify|BenchmarkDiskHit
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem .
@@ -69,14 +69,15 @@ bench:
 #     catastrophic slowdowns (reintroducing per-cycle polling, an
 #     accidental O(domains) scan per edge).
 #   * work counts at ±10% — allocs/op, B/op, the warm-disk matrix's
-#     disk-B/cell (mean cache-entry size), the disk-hit benchmark's
-#     entry-B/op (entry bytes read per op) and the recorded-replay
-#     benchmark's trace-B/inst (resident bytes per recorded
-#     instruction), each the minimum over the five repeats, repeat
-#     between runs, so this gate is tight; it is the one that catches
-#     per-iteration garbage creeping back into the hot path, a result
-#     holding more memory, or a cache entry or trace encoding quietly
-#     growing.
+#     disk-B/cell (mean cache-entry size), the disk-hit benchmarks'
+#     entry-B/op (entry bytes read and checksummed per op), the
+#     recorded-replay benchmark's trace-B/inst (resident bytes per
+#     recorded instruction) and the chunked-replay benchmark's
+#     loads/pass (chunk decodes per pass), each the minimum over the
+#     five repeats, repeat between runs, so this gate is tight; it is
+#     the one that catches per-iteration garbage creeping back into
+#     the hot path, a result holding more memory, a cache entry or
+#     trace encoding quietly growing, or a replay re-reading chunks.
 #
 # After a deliberate performance change, refresh the baseline with
 # `make bench-baseline`.

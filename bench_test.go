@@ -28,6 +28,7 @@ import (
 	"mcddvfs/internal/control"
 	"mcddvfs/internal/diskcache"
 	"mcddvfs/internal/experiment"
+	"mcddvfs/internal/isa"
 	"mcddvfs/internal/mcd"
 	"mcddvfs/internal/serve"
 	"mcddvfs/internal/spectrum"
@@ -331,14 +332,22 @@ var diskHitEntries = sync.OnceValues(func() (map[string][]byte, error) {
 	return entries, nil
 })
 
-// BenchmarkDiskHit measures the disk tier's warm read alone:
-// diskcache.Store.Get of every entry of a sweep-shaped matrix
-// (diskHitEntries) into an mcd.ChipResult, the entry type the harness
-// stores for every run — the read, the checksum, and the entry codec's
-// decode and checks. One op is passesPerOp passes over the entries;
-// entry-B/op counts the entry bytes an op reads, a work count like
+// BenchmarkDiskHit measures the disk tier's warm read alone: a read of
+// every entry of a sweep-shaped matrix (diskHitEntries) into an
+// mcd.ChipResult, the entry type the harness stores for every run —
+// the read, the checksums, and the entry codec's decode and checks.
+// full reads each entry whole (diskcache.Store.Get), as the matrix
+// reads its no-DVFS cells; head reads each without its occupancy
+// series (GetHead), as it reads its controlled cells. One op is
+// passesPerOp passes over the entries; entry-B/op counts the entry
+// bytes an op reads and checksums (Stats.ReadBytes), a work count like
 // allocs/op.
 func BenchmarkDiskHit(b *testing.B) {
+	b.Run("full", func(b *testing.B) { benchDiskHit(b, (*diskcache.Store).Get) })
+	b.Run("head", func(b *testing.B) { benchDiskHit(b, (*diskcache.Store).GetHead) })
+}
+
+func benchDiskHit(b *testing.B, get func(*diskcache.Store, [sha256.Size]byte, diskcache.Unmarshaler) error) {
 	const passesPerOp = 10
 	entries, err := diskHitEntries()
 	if err != nil {
@@ -351,7 +360,6 @@ func BenchmarkDiskHit(b *testing.B) {
 	}
 	slices.Sort(names)
 	keys := make([][sha256.Size]byte, len(names))
-	entryBytes := 0
 	for i, name := range names {
 		if err := os.WriteFile(filepath.Join(dir, name), entries[name], 0o644); err != nil {
 			b.Fatal(err)
@@ -359,7 +367,6 @@ func BenchmarkDiskHit(b *testing.B) {
 		if _, err := hex.Decode(keys[i][:], []byte(strings.TrimSuffix(name, ".res"))); err != nil {
 			b.Fatal(err)
 		}
-		entryBytes += len(entries[name])
 	}
 	store, err := diskcache.Open(dir, 0)
 	if err != nil {
@@ -368,20 +375,22 @@ func BenchmarkDiskHit(b *testing.B) {
 	pass := func() {
 		for _, k := range keys {
 			var res mcd.ChipResult
-			if err := store.Get(k, &res); err != nil {
+			if err := get(store, k, &res); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	pass() // fill the store's read-buffer pool
 	runtime.GC()
+	read := store.Stats().ReadBytes
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for p := 0; p < passesPerOp; p++ {
 			pass()
 		}
 	}
-	b.ReportMetric(float64(passesPerOp*entryBytes), "entry-B/op")
+	b.StopTimer()
+	b.ReportMetric(float64(store.Stats().ReadBytes-read)/float64(b.N), "entry-B/op")
 }
 
 // BenchmarkRenderArtifact measures warm artifact renders, the bulk of
@@ -669,43 +678,106 @@ func BenchmarkTraceGeneration(b *testing.B) {
 
 // BenchmarkChunkedReplay measures streamed replay from the chunked
 // on-disk trace format through a two-chunk window: the steady-state
-// cost of a corpus-backed matrix cell's instruction feed. allocs/op is
-// the gated figure — per-instruction decode must stay allocation-free,
-// with only the per-chunk load amortized across its instructions.
+// cost of a corpus-backed matrix cell's instruction feed. One op is a
+// full pass over an 8-chunk file through a fresh cursor; ns/inst is the
+// per-instruction cost, chunk loads included, and loads/pass the chunk
+// decodes a pass makes (Chunked.Loads), a work count: a sequential pass
+// through a window smaller than the file loads each chunk once.
+// allocs/op is gated too — per-instruction decode must stay
+// allocation-free, with only the per-chunk loads allocating.
 func BenchmarkChunkedReplay(b *testing.B) {
 	prof, err := trace.ByName("gzip")
 	if err != nil {
 		b.Fatal(err)
 	}
-	const insts = 1 << 15
+	const insts, chunkInsts = 1 << 15, 4096
 	gen, err := trace.NewGenerator(prof, 1, insts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := trace.WriteChunked(&buf, gen, insts, 4096); err != nil {
+	if _, err := trace.WriteChunked(&buf, gen, insts, chunkInsts); err != nil {
 		b.Fatal(err)
 	}
 	c, err := trace.OpenChunked(bytes.NewReader(buf.Bytes()), int64(buf.Len()), 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cur := c.Replay()
+	if c.Chunks() != insts/chunkInsts {
+		b.Fatalf("%d chunks, want %d", c.Chunks(), insts/chunkInsts)
+	}
+	loads := c.Loads()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var n int64
+	for i := 0; i < b.N; i++ {
+		cur := c.Replay()
+		for {
+			if _, ok := cur.Next(); !ok {
+				break
+			}
+			n++
+		}
+		if err := cur.Err(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if n != int64(b.N)*insts {
+		b.Fatalf("replayed %d instructions, want %d", n, int64(b.N)*insts)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/inst")
+	b.ReportMetric(float64(c.Loads()-loads)/float64(b.N), "loads/pass")
+}
+
+// BenchmarkRecordTrace measures the instruction encoder: one op
+// records a 100k-instruction gzip stream, held in memory as
+// instructions so that generating it is off the clock, into a
+// Recorded. ns/inst is the encode cost of one instruction.
+func BenchmarkRecordTrace(b *testing.B) {
+	prof, err := trace.ByName("gzip")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const insts = 100_000
+	gen, err := trace.NewGenerator(prof, trace.StreamSeed(1), insts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := &instSlice{name: prof.Name}
+	for {
+		in, ok := gen.Next()
+		if !ok {
+			break
+		}
+		src.insts = append(src.insts, in)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in, ok := cur.Next()
-		if !ok {
-			if err := cur.Err(); err != nil {
-				b.Fatal(err)
-			}
-			cur = c.Replay()
-			if in, ok = cur.Next(); !ok {
-				b.Fatal("empty trace")
-			}
+		src.next = 0
+		if rec := trace.Record(src, insts); rec.Len() != insts {
+			b.Fatalf("recorded %d instructions, want %d", rec.Len(), insts)
 		}
-		_ = in
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*insts), "ns/inst")
+}
+
+// instSlice is a trace.Source over instructions held in memory.
+type instSlice struct {
+	name  string
+	insts []isa.Inst
+	next  int
+}
+
+func (s *instSlice) Name() string { return s.name }
+
+func (s *instSlice) Next() (isa.Inst, bool) {
+	if s.next == len(s.insts) {
+		return isa.Inst{}, false
+	}
+	s.next++
+	return s.insts[s.next-1], true
 }
 
 // BenchmarkRecordedReplay measures the replay memo's instruction feed:

@@ -26,9 +26,10 @@
 //     drifts ±20-30% between invocations, so it only trips on
 //     catastrophic slowdowns.
 //   - work counts, at -alloc-tolerance percent: allocs/op, B/op, the
-//     warm-disk matrix's disk-B/cell (mean cache-entry size) and the
-//     disk-hit benchmark's entry-B/op (entry bytes read) repeat run to
-//     run, so this gate can be tight. It is the one
+//     warm-disk matrix's disk-B/cell (mean cache-entry size), the
+//     disk-hit benchmarks' entry-B/op (entry bytes read), a recorded
+//     trace's trace-B/inst and a chunked replay's loads/pass repeat
+//     run to run, so this gate can be tight. It is the one
 //     that catches per-iteration garbage creeping back into the hot
 //     path, a result quietly holding more memory, or a cache entry
 //     quietly growing.
@@ -74,7 +75,7 @@ func main() {
 	out := flag.String("out", "", "write JSON here instead of stdout")
 	compare := flag.Bool("compare", false, "compare two baseline JSON files (old new) instead of parsing stdin")
 	tolerance := flag.Float64("tolerance", 25, "with -compare, max allowed wall-clock (ns/op or sim-insts/s) regression in percent")
-	allocTolerance := flag.Float64("alloc-tolerance", 10, "with -compare, max allowed regression in percent of allocs/op, B/op, disk-B/cell and entry-B/op")
+	allocTolerance := flag.Float64("alloc-tolerance", 10, "with -compare, max allowed regression in percent of allocs/op, B/op, disk-B/cell, entry-B/op, trace-B/inst and loads/pass")
 	flag.Parse()
 
 	if *compare {
@@ -172,12 +173,12 @@ var throughputUnits = []string{"sim-insts/s", "cells/s"}
 
 // workUnits are the deterministic work counts: -benchmem's allocation
 // count and bytes, the cache-entry bytes per warm-disk cell, the entry
-// bytes a disk-hit op reads, and a recorded trace's resident bytes per
-// instruction.
+// bytes a disk-hit op reads, a recorded trace's resident bytes per
+// instruction, and the chunk loads of one chunked-replay pass.
 // Unlike wall time they repeat between runs (past a process's first
 // repeat, which addBest's minimum drops), so they share their own,
 // much tighter gate.
-var workUnits = []string{"allocs/op", "B/op", "disk-B/cell", "entry-B/op", "trace-B/inst"}
+var workUnits = []string{"allocs/op", "B/op", "disk-B/cell", "entry-B/op", "trace-B/inst", "loads/pass"}
 
 // compareBaselines diffs old vs new by benchmark name and returns the
 // process exit code: 0 when every shared benchmark's regression is

@@ -153,11 +153,12 @@ func TestCompareGatesOnAllocs(t *testing.T) {
 }
 
 // disk-B/cell, the warm-disk matrix's mean cache-entry size,
-// entry-B/op, the entry bytes a disk-hit op reads, and trace-B/inst, a
-// recorded trace's resident bytes per instruction, are work counts that
-// repeat exactly, so they share the allocs/op gate.
+// entry-B/op, the entry bytes a disk-hit op reads, trace-B/inst, a
+// recorded trace's resident bytes per instruction, and loads/pass, a
+// chunked replay's chunk loads per pass, are work counts that repeat
+// exactly, so they share the allocs/op gate.
 func TestCompareGatesOnDiskBytes(t *testing.T) {
-	for _, unit := range []string{"disk-B/cell", "entry-B/op", "trace-B/inst"} {
+	for _, unit := range []string{"disk-B/cell", "entry-B/op", "trace-B/inst", "loads/pass"} {
 		compareGatesOnDiskBytes(t, unit)
 	}
 }

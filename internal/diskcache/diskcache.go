@@ -16,11 +16,16 @@
 //     the store directory and is published with an atomic rename, so
 //     readers only ever observe complete entries and the last writer
 //     of a key wins with an identical payload.
-//   - Corruption (torn writes on crash, bit rot, truncation): every
-//     entry carries a SHA-256 checksum of its payload; Get verifies it
-//     and reports ErrCorrupt, deleting the bad file so the slot heals
-//     on the next Put. The caller's contract is "any Get error means
-//     re-compute", never "trust a damaged entry".
+//   - Corruption (torn writes on crash, bit rot, truncation): an entry
+//     is two parts, a head and a tail, and its header carries a
+//     SHA-256 checksum and a length for each. Every read checks the
+//     file size against both lengths and the checksum of every part it
+//     returns, so every byte a read hands a value was verified in that
+//     read; a failed check reports ErrCorrupt and deletes the file, so
+//     the slot heals on the next Put. A fault in the tail alone is not
+//     seen by a head-only read (GetHead), which never reads the tail;
+//     it heals on the next full read. The caller's contract is "any
+//     Get error means re-compute", never "trust a damaged entry".
 //   - Unbounded growth: the store is size-capped; GC evicts entries in
 //     LRU order, approximated by file modification time (Get touches
 //     entries it serves). Eviction is never an error — an evicted
@@ -33,23 +38,28 @@
 //     are counted in Stats and reported to an optional observer — the
 //     hook a circuit breaker latches onto (see internal/serve).
 //
-// Values bring their own encoding: Put takes an
-// encoding.BinaryMarshaler and Get an encoding.BinaryUnmarshaler, and
-// the store frames, checksums and publishes the bytes without looking
-// inside them. The harness stores mcd.Result and mcd.ChipResult, whose
+// Values bring their own encoding, in two parts: Put takes a Marshaler
+// and Get and GetHead an Unmarshaler, and the store frames, checksums
+// and publishes the parts without looking inside them. A value puts
+// what every reader needs in the head and what only some need in the
+// tail; GetHead reads, verifies and decodes the header and the head
+// alone. The harness stores every run as an mcd.ChipResult, whose
 // hand-written entry codec (internal/mcd/codec.go) is binary-exact for
-// float64, byte-deterministic, and decodes a hit in one pass: each
-// occupancy series is checked canonical (a run-length section four
-// pairs to a word) and copied once, and each frequency trajectory is
-// rebuilt from its MHz bits and Insts deltas, the short deltas read
-// inline. An entry costs about a byte per occupancy sample, half the
-// two bytes a sample takes in memory; past the decode, a hit costs the
-// file read and the SHA-256 of the payload.
+// float64, byte-deterministic, and decodes a hit in one pass: its head
+// holds every scalar and frequency trajectory, each trajectory rebuilt
+// from its MHz bits and Insts deltas, the short deltas read inline; its
+// tail holds the occupancy series, each checked canonical (a
+// run-length section four pairs to a word) and copied once. The series
+// cost about a byte per occupancy sample, half the two bytes a sample
+// takes in memory, and are most of an entry's bytes. The harness reads
+// the tail only where a caller reads occupancy series: a matrix's
+// controlled cells, which keep none, are read head-only. Past the
+// decode, a hit costs the file read and the SHA-256 of the parts it
+// reads.
 package diskcache
 
 import (
 	"crypto/sha256"
-	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -72,9 +82,11 @@ import (
 // version 3 replaced the gob container with the values' own binary
 // codec; version 4 added the run-length occupancy form and replaced
 // the float64 form with two-byte samples, so no series takes more
-// than two bytes a sample. Cache keys do not include this number, so a
-// bump keeps every key.
-const FormatVersion = 4
+// than two bytes a sample; version 5 split every entry into a head and
+// a tail, each with its own checksum and length in the header, so a
+// head-only read skips the occupancy series. Cache keys do not
+// include this number, so a bump keeps every key.
+const FormatVersion = 5
 
 // Store error taxonomy. Callers dispatch with errors.Is; every Get
 // failure wraps exactly one of these.
@@ -89,14 +101,32 @@ var (
 	ErrVersionMismatch = errors.New("diskcache: format version mismatch")
 )
 
-// entry layout: magic(4) | version(u32 LE) | payload sha256(32) |
-// payload length(u64 LE) | payload (the value's MarshalBinary bytes).
+// entry layout: magic(4) | version(u32 LE) | head sha256(32) |
+// head length(u64 LE) | tail sha256(32) | tail length(u64 LE) | head |
+// tail, the parts the value's MarshalParts returned.
 const (
 	entryMagic  = "MCDR"
-	headerSize  = 4 + 4 + sha256.Size + 8
+	partSize    = sha256.Size + 8 // one part's checksum and length
+	headerSize  = 4 + 4 + 2*partSize
 	entrySuffix = ".res"
 	tmpPattern  = ".tmp-*"
 )
+
+// Marshaler is implemented by a value the store can hold.
+// MarshalParts returns the value's entry in two parts: the head, which
+// every read decodes, and the tail, which only a full read does.
+type Marshaler interface {
+	MarshalParts() (head, tail []byte, err error)
+}
+
+// Unmarshaler is implemented by a value an entry decodes into.
+// UnmarshalParts decodes head, then tail unless tail is nil: a
+// head-only read (GetHead) passes nil, a full read (Get) a non-nil
+// tail even when it is empty. As encoding.BinaryUnmarshaler requires,
+// the value must copy whatever it keeps of either part.
+type Unmarshaler interface {
+	UnmarshalParts(head, tail []byte) error
+}
 
 // DefaultMaxBytes caps a store at 2 GiB unless the caller chooses
 // otherwise — roomy enough for several full experiment matrices at
@@ -129,6 +159,9 @@ type Stats struct {
 	WriteErrors uint64
 	// Retries counts Put attempts beyond the first.
 	Retries uint64
+	// ReadBytes counts the entry bytes hits read and checksummed: the
+	// whole file for Get, the header and the head for GetHead.
+	ReadBytes uint64
 }
 
 // Op labels the store operation an observer callback reports on.
@@ -253,15 +286,89 @@ func (s *Store) count(f func(*Stats)) {
 // matrix replayed from disk reads one multi-megabyte entry per cell;
 // without reuse every hit allocates (and promptly garbage-collects) a
 // fresh blob, which dominated the warm-disk hit path's allocation
-// profile. Buffers are returned to the pool only after UnmarshalBinary
-// has returned, and (as encoding.BinaryUnmarshaler requires) a value
-// copies whatever it keeps, so no decoded data aliases a pooled
-// buffer.
+// profile. Buffers are returned to the pool only after UnmarshalParts
+// has returned, and (as Unmarshaler requires) a value copies whatever
+// it keeps, so no decoded data aliases a pooled buffer.
 var blobPool = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
 
-// readEntry reads the file into a pooled buffer. The returned release
-// func recycles the buffer; the blob must not be used after calling it.
-func readEntry(fsys FS, path string) (blob []byte, release func(), err error) {
+// header is an entry header's checksums and lengths, checked against
+// the file size.
+type header struct {
+	headSum, tailSum [sha256.Size]byte
+	headLen, tailLen int
+}
+
+// parseHeader validates the entry header at the front of blob against
+// an entry file of size bytes: magic, version, and part lengths that
+// sum to the bytes after the header.
+func parseHeader(blob []byte, size int64) (header, error) {
+	// The version comes before the header length: an older version's
+	// header may be shorter.
+	var h header
+	if len(blob) < 8 || string(blob[:4]) != entryMagic {
+		return h, fmt.Errorf("%w: bad magic %q", ErrCorrupt, blob[:min(len(blob), 4)])
+	}
+	if v := binary.LittleEndian.Uint32(blob[4:8]); v != FormatVersion {
+		return h, fmt.Errorf("%w: entry v%d, store v%d", ErrVersionMismatch, v, FormatVersion)
+	}
+	if len(blob) < headerSize {
+		return h, fmt.Errorf("%w: %d-byte entry shorter than header", ErrCorrupt, len(blob))
+	}
+	head, tail := blob[8:8+partSize], blob[8+partSize:headerSize]
+	copy(h.headSum[:], head)
+	copy(h.tailSum[:], tail)
+	headLen := binary.LittleEndian.Uint64(head[sha256.Size:])
+	tailLen := binary.LittleEndian.Uint64(tail[sha256.Size:])
+	body := uint64(size - headerSize)
+	if headLen > body || tailLen != body-headLen {
+		return h, fmt.Errorf("%w: %d bytes after the header, header says %d + %d", ErrCorrupt, body, headLen, tailLen)
+	}
+	h.headLen, h.tailLen = int(headLen), int(tailLen)
+	return h, nil
+}
+
+// putHeader writes the header of an entry with the given parts.
+func putHeader(dst *[headerSize]byte, head, tail []byte) {
+	copy(dst[:4], entryMagic)
+	binary.LittleEndian.PutUint32(dst[4:8], FormatVersion)
+	for i, part := range [2][]byte{head, tail} {
+		at := dst[8+i*partSize:]
+		sum := sha256.Sum256(part)
+		copy(at, sum[:])
+		binary.LittleEndian.PutUint64(at[sha256.Size:], uint64(len(part)))
+	}
+}
+
+// checkPart verifies one part against its header checksum.
+func checkPart(part []byte, sum [sha256.Size]byte, name string) error {
+	if sha256.Sum256(part) != sum {
+		return fmt.Errorf("%w: %s checksum mismatch", ErrCorrupt, name)
+	}
+	return nil
+}
+
+// readTo extends *bp to n bytes, reading the bytes past its current
+// length from r. A buffer too small is replaced by one of exactly n
+// bytes: pooled buffers hold no slack.
+func readTo(r io.Reader, bp *[]byte, n int) error {
+	b := *bp
+	have := len(b)
+	if cap(b) < n {
+		b = append(make([]byte, 0, n), b...)
+	}
+	b = b[:n]
+	*bp = b
+	_, err := io.ReadFull(r, b[have:])
+	return err
+}
+
+// readEntry reads the entry at path into *bp, checks its header
+// against the file size, and returns its head and, unless headOnly,
+// its tail, each verified against its checksum. A head-only read reads
+// the header and the head and no further. A damaged or stale entry
+// fails with ErrCorrupt or ErrVersionMismatch; any other error is the
+// filesystem's.
+func readEntry(fsys FS, path string, bp *[]byte, headOnly bool) (head, tail []byte, err error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -271,44 +378,69 @@ func readEntry(fsys FS, path string) (blob []byte, release func(), err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	size := int(info.Size())
-	bp := blobPool.Get().(*[]byte)
-	if cap(*bp) < size {
-		*bp = make([]byte, 0, size)
+	size := info.Size()
+	n := size
+	if headOnly {
+		n = min(size, headerSize)
 	}
-	blob = (*bp)[:size]
-	release = func() { blobPool.Put(bp) }
-	if _, err := io.ReadFull(f, blob); err != nil {
-		release()
+	*bp = (*bp)[:0]
+	if err := readTo(f, bp, int(n)); err != nil {
 		return nil, nil, err
 	}
-	return blob, release, nil
+	h, err := parseHeader(*bp, size)
+	if err != nil {
+		return nil, nil, err
+	}
+	if headOnly {
+		if err := readTo(f, bp, headerSize+h.headLen); err != nil {
+			return nil, nil, err
+		}
+	}
+	blob := *bp
+	head = blob[headerSize : headerSize+h.headLen]
+	if err := checkPart(head, h.headSum, "head"); err != nil {
+		return nil, nil, err
+	}
+	if headOnly {
+		return head, nil, nil
+	}
+	tail = blob[headerSize+h.headLen:]
+	if err := checkPart(tail, h.tailSum, "tail"); err != nil {
+		return nil, nil, err
+	}
+	return head, tail, nil
 }
 
-// Get decodes the entry for key into v with v.UnmarshalBinary. A
-// missing entry returns ErrMiss; a damaged or stale one, or one v
-// rejects, is deleted and returns ErrCorrupt or ErrVersionMismatch.
-// On success the entry's mtime is refreshed so LRU eviction sees the
-// use.
-func (s *Store) Get(key [sha256.Size]byte, v encoding.BinaryUnmarshaler) error {
+// Get decodes the whole entry for key into v, head and tail. A missing
+// entry returns ErrMiss; a damaged or stale one, or one v rejects, is
+// deleted and returns ErrCorrupt or ErrVersionMismatch. On success the
+// entry's mtime is refreshed so LRU eviction sees the use.
+func (s *Store) Get(key [sha256.Size]byte, v Unmarshaler) error {
+	return s.get(key, v, false)
+}
+
+// GetHead is Get for the head alone: it reads, verifies and decodes
+// the header and the head, and passes v a nil tail. It still checks
+// the file size against both parts' lengths, and counts as one hit or
+// miss like Get; a damaged tail goes unseen until a full Get.
+func (s *Store) GetHead(key [sha256.Size]byte, v Unmarshaler) error {
+	return s.get(key, v, true)
+}
+
+func (s *Store) get(key [sha256.Size]byte, v Unmarshaler, headOnly bool) error {
 	fsys := s.fs()
 	path := s.path(key)
-	blob, release, err := readEntry(fsys, path)
-	if errors.Is(err, fs.ErrNotExist) {
+	bp := blobPool.Get().(*[]byte)
+	defer blobPool.Put(bp)
+	head, tail, err := readEntry(fsys, path, bp, headOnly)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
 		// A miss is a healthy disk answering honestly; observers see it
 		// as a success signal.
 		s.count(func(st *Stats) { st.Misses++ })
 		s.observe(OpGet, nil)
 		return fmt.Errorf("%w: %s", ErrMiss, hex.EncodeToString(key[:8]))
-	}
-	if err != nil {
-		s.count(func(st *Stats) { st.Misses++; st.ReadErrors++ })
-		s.observe(OpGet, err)
-		return fmt.Errorf("%w: reading %s: %v", ErrCorrupt, path, err)
-	}
-	defer release()
-	payload, err := decodeEntry(blob)
-	if err != nil {
+	case errors.Is(err, ErrVersionMismatch), errors.Is(err, ErrCorrupt):
 		fsys.Remove(path) //nolint:errcheck // best-effort self-heal
 		if errors.Is(err, ErrVersionMismatch) {
 			s.count(func(st *Stats) { st.Stale++; st.Misses++ })
@@ -319,8 +451,12 @@ func (s *Store) Get(key [sha256.Size]byte, v encoding.BinaryUnmarshaler) error {
 		// the observer sees success — a breaker must not trip on them.
 		s.observe(OpGet, nil)
 		return err
+	case err != nil:
+		s.count(func(st *Stats) { st.Misses++; st.ReadErrors++ })
+		s.observe(OpGet, err)
+		return fmt.Errorf("%w: reading %s: %v", ErrCorrupt, path, err)
 	}
-	if err := v.UnmarshalBinary(payload); err != nil {
+	if err := v.UnmarshalParts(head, tail); err != nil {
 		fsys.Remove(path) //nolint:errcheck // best-effort self-heal
 		s.count(func(st *Stats) { st.Corrupt++; st.Misses++ })
 		s.observe(OpGet, nil)
@@ -328,58 +464,29 @@ func (s *Store) Get(key [sha256.Size]byte, v encoding.BinaryUnmarshaler) error {
 	}
 	now := time.Now()
 	fsys.Chtimes(path, now, now) //nolint:errcheck // LRU hint only
-	s.count(func(st *Stats) { st.Hits++ })
+	read := uint64(len(*bp))
+	s.count(func(st *Stats) { st.Hits++; st.ReadBytes += read })
 	s.observe(OpGet, nil)
 	return nil
 }
 
-// decodeEntry validates the header and checksum and returns the
-// payload bytes.
-func decodeEntry(blob []byte) ([]byte, error) {
-	if len(blob) < headerSize {
-		return nil, fmt.Errorf("%w: %d-byte entry shorter than header", ErrCorrupt, len(blob))
-	}
-	if string(blob[:4]) != entryMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, blob[:4])
-	}
-	if v := binary.LittleEndian.Uint32(blob[4:8]); v != FormatVersion {
-		return nil, fmt.Errorf("%w: entry v%d, store v%d", ErrVersionMismatch, v, FormatVersion)
-	}
-	var sum [sha256.Size]byte
-	copy(sum[:], blob[8:8+sha256.Size])
-	n := binary.LittleEndian.Uint64(blob[8+sha256.Size : headerSize])
-	payload := blob[headerSize:]
-	if uint64(len(payload)) != n {
-		return nil, fmt.Errorf("%w: payload %d bytes, header says %d", ErrCorrupt, len(payload), n)
-	}
-	if sha256.Sum256(payload) != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	return payload, nil
-}
-
-// Put encodes v with v.MarshalBinary and atomically publishes it as
-// the entry for key:
-// the payload goes to a unique temp file in the store directory and is
-// renamed into place, so a concurrent Get sees either the old complete
+// Put encodes v with v.MarshalParts and atomically publishes it as
+// the entry for key: the header and both parts go to a unique temp
+// file in the store directory, which is renamed into place, so a concurrent Get sees either the old complete
 // entry or the new complete entry, never a torn one. Transient I/O
 // failures anywhere on that path (temp creation, writes, the rename)
 // are retried with exponential backoff (defaultRetryAttempts tries)
 // before Put gives up — a brief disk hiccup must not silently drop the
 // entry.
-func (s *Store) Put(key [sha256.Size]byte, v encoding.BinaryMarshaler) error {
-	payload, err := v.MarshalBinary()
+func (s *Store) Put(key [sha256.Size]byte, v Marshaler) error {
+	head, tail, err := v.MarshalParts()
 	if err != nil {
 		// An unencodable value is the caller's bug, not disk weather:
 		// no retry, no observer signal.
 		return fmt.Errorf("diskcache: encoding entry: %w", err)
 	}
-	var header [headerSize]byte
-	copy(header[:4], entryMagic)
-	binary.LittleEndian.PutUint32(header[4:8], FormatVersion)
-	sum := sha256.Sum256(payload)
-	copy(header[8:8+sha256.Size], sum[:])
-	binary.LittleEndian.PutUint64(header[8+sha256.Size:], uint64(len(payload)))
+	var hdr [headerSize]byte
+	putHeader(&hdr, head, tail)
 
 	s.mu.Lock()
 	attempts, backoff := s.retryAttempts, s.retryBackoff
@@ -390,7 +497,7 @@ func (s *Store) Put(key [sha256.Size]byte, v encoding.BinaryMarshaler) error {
 			s.count(func(st *Stats) { st.Retries++ })
 			time.Sleep(backoff << (attempt - 1))
 		}
-		if err = s.writeEntry(key, header[:], payload); err == nil {
+		if err = s.writeEntry(key, hdr[:], head, tail); err == nil {
 			break
 		}
 	}
@@ -424,15 +531,17 @@ func (s *Store) Put(key [sha256.Size]byte, v encoding.BinaryMarshaler) error {
 // writeEntry is one attempt at the temp-write-rename publish. Any
 // failure removes the temp file (best effort) so a retried or
 // abandoned attempt never leaves a partial entry behind.
-func (s *Store) writeEntry(key [sha256.Size]byte, header, payload []byte) error {
+func (s *Store) writeEntry(key [sha256.Size]byte, hdr, head, tail []byte) error {
 	fsys := s.fs()
 	tmp, err := fsys.CreateTemp(s.dir, tmpPattern)
 	if err != nil {
 		return fmt.Errorf("temp file: %w", err)
 	}
 	name := tmp.Name()
-	if _, err = tmp.Write(header); err == nil {
-		_, err = tmp.Write(payload)
+	for _, b := range [3][]byte{hdr, head, tail} {
+		if err == nil {
+			_, err = tmp.Write(b)
+		}
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
@@ -515,7 +624,8 @@ func (s *Store) GC() (evicted int, err error) {
 }
 
 // Verify scans dir and validates every published entry end to end
-// (magic, version, length, checksum), returning how many entries it
+// (magic, version, part lengths against the file size, both parts'
+// checksums), returning how many entries it
 // checked. It is the chaos-test and post-crash audit tool: after a
 // storm of injected faults, a clean Verify proves the atomic-publish
 // and retry machinery let nothing torn or truncated reach an entry
@@ -547,10 +657,22 @@ func Verify(dir string, strict bool) (checked int, err error) {
 		if rerr != nil {
 			return checked, fmt.Errorf("diskcache: verifying %s: %w", path, rerr)
 		}
-		if _, derr := decodeEntry(blob); derr != nil {
+		if derr := verifyEntry(blob); derr != nil {
 			return checked, fmt.Errorf("diskcache: verifying %s: %w", path, derr)
 		}
 		checked++
 	}
 	return checked, nil
+}
+
+// verifyEntry checks a whole entry file's header and both parts.
+func verifyEntry(blob []byte) error {
+	h, err := parseHeader(blob, int64(len(blob)))
+	if err != nil {
+		return err
+	}
+	if err := checkPart(blob[headerSize:headerSize+h.headLen], h.headSum, "head"); err != nil {
+		return err
+	}
+	return checkPart(blob[headerSize+h.headLen:], h.tailSum, "tail")
 }

@@ -19,8 +19,8 @@ import (
 
 // payload is the value type the store holds in practice: the harness
 // stores every run as a chip result, a single core as a one-core chip.
-// Its entry codec is the store's encoding.BinaryMarshaler contract at
-// work.
+// Its entry codec is the store's Marshaler and Unmarshaler contract at
+// work: the occupancy series in the tail, everything else in the head.
 type payload = mcd.ChipResult
 
 // sampleQueue names the one occupancy series samplePayload fills.
@@ -168,17 +168,27 @@ func TestTruncatedEntryFallsBack(t *testing.T) {
 // v3Payload is the payload entry format 3 wrote for a Result
 // {Benchmark: "gzip", Scheme: "adaptive"} whose INT series is
 // {256, 0, 3}, in the float64 series form format 4 retired. Get checks
-// the version before it decodes anything, so the payload's type does
-// not matter.
+// the version before it reads anything past it, so neither the
+// payload's type nor the rest of the header's shape matters.
 const v3Payload = "04677a697008616461707469766500000000000000000000000203494e5419020000000000007040" +
 	"00000000000000000000000000000840000000000000000000000000000000000000000000000000" +
 	"0000000000000000000000000000000000000000"
 
-// entryBytes frames payload as an entry of the given format version.
-func entryBytes(version uint32, payload []byte) []byte {
-	blob := make([]byte, headerSize, headerSize+len(payload))
+// entryBytes frames head and tail as an entry of the given format
+// version.
+func entryBytes(version uint32, head, tail []byte) []byte {
+	var hdr [headerSize]byte
+	putHeader(&hdr, head, tail)
+	binary.LittleEndian.PutUint32(hdr[4:8], version)
+	return slices.Concat(hdr[:], head, tail)
+}
+
+// v4Entry frames payload as format 4 did: one part, behind a 48-byte
+// header of magic, version, checksum and length.
+func v4Entry(payload []byte) []byte {
+	blob := make([]byte, 48, 48+len(payload))
 	copy(blob, entryMagic)
-	binary.LittleEndian.PutUint32(blob[4:8], version)
+	binary.LittleEndian.PutUint32(blob[4:8], 4)
 	sum := sha256.Sum256(payload)
 	copy(blob[8:8+sha256.Size], sum[:])
 	binary.LittleEndian.PutUint64(blob[8+sha256.Size:], uint64(len(payload)))
@@ -187,54 +197,217 @@ func entryBytes(version uint32, payload []byte) []byte {
 
 // TestVersionMismatchFallsBack asserts an entry of another
 // FormatVersion — a version-3 entry, as the store wrote before the
-// run-length series form, or one from a future version — misses with
-// ErrVersionMismatch and is deleted, and the next Put rewrites the slot
-// at the same path in the current version.
+// run-length series form, a version-4 one, as it wrote before the
+// two-part entry, or one from a future version — misses with
+// ErrVersionMismatch in a full and a head-only read and is deleted,
+// and the next Put rewrites the slot at the same path in the current
+// version.
 func TestVersionMismatchFallsBack(t *testing.T) {
 	want := samplePayload(16)
 	v3, err := hex.DecodeString(v3Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	current, err := want.MarshalBinary()
+	head, tail, err := want.MarshalParts()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		version uint32
-		payload []byte
-	}{{3, v3}, {FormatVersion + 1, current}} {
-		dir := t.TempDir()
-		s, err := Open(dir, 0)
-		if err != nil {
-			t.Fatal(err)
+		blob    []byte
+	}{
+		{3, entryBytes(3, v3, nil)},
+		{4, v4Entry(slices.Concat(head, tail))},
+		{4, v4Entry(nil)}, // shorter than a current header
+		{FormatVersion + 1, entryBytes(FormatVersion+1, head, tail)},
+	} {
+		for _, get := range getModes {
+			dir := t.TempDir()
+			s, err := Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := s.path(key(4))
+			if err := os.WriteFile(path, tc.blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var got payload
+			if err := get.fn(s, key(4), &got); !errors.Is(err, ErrVersionMismatch) {
+				t.Fatalf("%s on a %d-byte v%d entry = %v, want ErrVersionMismatch", get.name, len(tc.blob), tc.version, err)
+			}
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("v%d entry was not deleted", tc.version)
+			}
+			if st := s.Stats(); st.Stale != 1 {
+				t.Errorf("v%d: stats = %+v, want 1 stale", tc.version, st)
+			}
+			if err := s.Put(key(4), want); err != nil {
+				t.Fatal(err)
+			}
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("v%d entry was not rewritten at its path: %v", tc.version, err)
+			}
+			if v := binary.LittleEndian.Uint32(blob[4:8]); v != FormatVersion {
+				t.Errorf("v%d entry rewritten as v%d, want v%d", tc.version, v, FormatVersion)
+			}
+			if err := s.Get(key(4), &got); err != nil || !reflect.DeepEqual(*want, got) {
+				t.Errorf("rewritten v%d entry: err %v, round trip %v", tc.version, err, reflect.DeepEqual(*want, got))
+			}
 		}
-		path := s.path(key(4))
-		if err := os.WriteFile(path, entryBytes(tc.version, tc.payload), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	}
+}
+
+// getModes are the store's two reads.
+var getModes = []struct {
+	name string
+	fn   func(*Store, [sha256.Size]byte, Unmarshaler) error
+}{{"Get", (*Store).Get}, {"GetHead", (*Store).GetHead}}
+
+// headOnly is want as a head-only read decodes it: every core's
+// occupancy series nil.
+func headOnly(want *payload) *payload {
+	out := *want
+	out.Cores = nil
+	for _, c := range want.Cores {
+		cp := *c
+		cp.QueueSamples = nil
+		out.Cores = append(out.Cores, &cp)
+	}
+	return &out
+}
+
+// putEntry stores want at key(7) in a fresh store and returns the
+// store, the entry's path and its head length.
+func putEntry(t *testing.T, want *payload) (*Store, string, int) {
+	t.Helper()
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(key(7), want); err != nil {
+		t.Fatal(err)
+	}
+	head, _, err := want.MarshalParts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, s.path(key(7)), len(head)
+}
+
+// TestGetHeadReadsHead asserts a head-only read decodes the entry
+// without its occupancy series, reads and checksums only the header
+// and the head, and counts as exactly one hit.
+func TestGetHeadReadsHead(t *testing.T) {
+	want := samplePayload(5000)
+	s, path, headLen := putEntry(t, want)
+	var got payload
+	if err := s.GetHead(key(7), &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&got, headOnly(want)) {
+		t.Errorf("head-only read:\n got %+v\nwant %+v", got, *headOnly(want))
+	}
+	st := s.Stats()
+	if st.Hits != 1 || st.Misses != 0 || st.ReadBytes != uint64(headerSize+headLen) {
+		t.Errorf("stats = %+v, want 1 hit, 0 misses and %d bytes read", st, headerSize+headLen)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Get(key(7), &got); err != nil || !reflect.DeepEqual(&got, want) {
+		t.Fatalf("full read after a head-only one: err %v, round trip %v", err, reflect.DeepEqual(&got, want))
+	}
+	if st := s.Stats(); st.Hits != 2 || st.ReadBytes != uint64(headerSize+headLen)+uint64(info.Size()) {
+		t.Errorf("stats = %+v, want 2 hits and the whole %d-byte entry read once more", st, info.Size())
+	}
+}
+
+// rewrite applies damage to the entry file at path.
+func rewrite(t *testing.T, path string, damage func([]byte) []byte) {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, damage(blob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTailFaultSkipsHeadRead asserts a flipped tail byte never changes
+// a head-only read, fails a full read with ErrCorrupt, which deletes
+// the entry, and that the slot heals on the next Put.
+func TestTailFaultSkipsHeadRead(t *testing.T) {
+	want := samplePayload(3000)
+	s, path, headLen := putEntry(t, want)
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for at := headerSize + headLen; at < int(info.Size()); at += 97 {
+		rewrite(t, path, func(b []byte) []byte { b[at] ^= 0x10; return b })
 		var got payload
-		if err := s.Get(key(4), &got); !errors.Is(err, ErrVersionMismatch) {
-			t.Fatalf("Get on v%d entry = %v, want ErrVersionMismatch", tc.version, err)
+		if err := s.GetHead(key(7), &got); err != nil || !reflect.DeepEqual(&got, headOnly(want)) {
+			t.Fatalf("tail byte %d flipped: head-only read err %v, round trip %v", at, err, reflect.DeepEqual(&got, headOnly(want)))
 		}
-		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("v%d entry was not deleted", tc.version)
-		}
-		if st := s.Stats(); st.Stale != 1 {
-			t.Errorf("v%d: stats = %+v, want 1 stale", tc.version, st)
-		}
-		if err := s.Put(key(4), want); err != nil {
-			t.Fatal(err)
-		}
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("v%d entry was not rewritten at its path: %v", tc.version, err)
-		}
-		if v := binary.LittleEndian.Uint32(blob[4:8]); v != FormatVersion {
-			t.Errorf("v%d entry rewritten as v%d, want v%d", tc.version, v, FormatVersion)
-		}
-		if err := s.Get(key(4), &got); err != nil || !reflect.DeepEqual(*want, got) {
-			t.Errorf("rewritten v%d entry: err %v, round trip %v", tc.version, err, reflect.DeepEqual(*want, got))
+		rewrite(t, path, func(b []byte) []byte { b[at] ^= 0x10; return b })
+	}
+	rewrite(t, path, func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b })
+	var got payload
+	if err := s.Get(key(7), &got); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("full read of a damaged tail = %v, want ErrCorrupt", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Error("entry with a damaged tail was not deleted")
+	}
+	if err := s.Put(key(7), want); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Get(key(7), &got); err != nil || !reflect.DeepEqual(&got, want) {
+		t.Errorf("healed entry: err %v, round trip %v", err, reflect.DeepEqual(&got, want))
+	}
+	if st := s.Stats(); st.Corrupt != 1 {
+		t.Errorf("stats = %+v, want 1 corrupt", st)
+	}
+}
+
+// TestHeadFaultFailsBothReads asserts a flipped head byte, a flipped
+// head checksum or part length, and a file of the wrong size fail a
+// full and a head-only read alike with ErrCorrupt, deleting the entry.
+// (The tail checksum is a full read's concern alone; see
+// TestTailFaultSkipsHeadRead.)
+func TestHeadFaultFailsBothReads(t *testing.T) {
+	want := samplePayload(3000)
+	_, _, headLen := putEntry(t, want)
+	flip := func(at int) func([]byte) []byte {
+		return func(b []byte) []byte { b[at] ^= 0x04; return b }
+	}
+	damages := map[string]func([]byte) []byte{
+		"head checksum": flip(8),
+		"head length":   flip(8 + sha256.Size),
+		"tail length":   flip(8 + partSize + sha256.Size),
+		"first head":    flip(headerSize),
+		"last head":     flip(headerSize + headLen - 1),
+		"short":         func(b []byte) []byte { return b[:len(b)-1] },
+		"long":          func(b []byte) []byte { return append(b, 0) },
+		"header only":   func(b []byte) []byte { return b[:headerSize] },
+	}
+	for name, damage := range damages {
+		for _, get := range getModes {
+			s, path, _ := putEntry(t, want)
+			rewrite(t, path, damage)
+			var got payload
+			if err := get.fn(s, key(7), &got); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s after %s damage = %v, want ErrCorrupt", get.name, name, err)
+			}
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("%s after %s damage left the entry in place", get.name, name)
+			}
+			if st := s.Stats(); st.Corrupt != 1 || st.Hits != 0 {
+				t.Errorf("%s after %s damage: stats = %+v, want 1 corrupt and no hit", get.name, name, st)
+			}
 		}
 	}
 }

@@ -49,6 +49,14 @@ import (
 // (timeout, cancellation) are not memoized either: they describe an
 // attempt, not the simulation.
 //
+// A matrix keeps no occupancy series of its controlled cells, so it
+// resolves them head-only: a disk hit reads, verifies and decodes the
+// entry without its series (diskcache.Store.GetHead), and the result
+// is memoized marked as series-elided. Every other caller reads series
+// and treats an elided memo entry as a miss: it resolves on a flight
+// of its own, never a head-only one, reads the full entry, and
+// replaces the elided result with the full one.
+//
 // Cached *mcd.ChipResult values, and the *mcd.Result values callers
 // reach through them, are shared between callers and MUST be treated
 // as read-only. The one historical mutation site — RunMatrixContext
@@ -62,7 +70,7 @@ type Harness struct {
 	mu      sync.Mutex
 	gen     uint64 // bumped by reset; a resolution memoizes only into its own generation
 	memo    map[[sha256.Size]byte]outcome
-	flights flight.Group[[sha256.Size]byte, outcome]
+	flights flight.Group[flightKey, outcome]
 	runs    uint64 // cached calls this generation; hits = runs - misses
 	misses  uint64 // resolutions that went to disk or simulated
 
@@ -120,9 +128,24 @@ func (h *Harness) Fork() *Harness {
 var defaultHarness = NewHarness()
 
 // outcome is one resolved run: a result or a non-transient error.
+// elided marks a result decoded head-only from disk, whose cores hold
+// no occupancy series.
 type outcome struct {
-	res *mcd.ChipResult
-	err error
+	res    *mcd.ChipResult
+	err    error
+	elided bool
+}
+
+// serves reports whether o answers a request: a head-only request
+// takes any outcome, every other request one with its series.
+func (o outcome) serves(headOnly bool) bool { return headOnly || !o.elided }
+
+// flightKey is a resolution's flight: head-only requests and the rest
+// resolve a key on separate flights, so a request that reads series
+// never waits on a head-only read.
+type flightKey struct {
+	key      [sha256.Size]byte
+	headOnly bool
 }
 
 // ResetCache drops every memoized in-process result, classification,
@@ -222,6 +245,7 @@ func (h *Harness) diskCacheStats() (diskcache.Stats, error) {
 		total.ReadErrors += st.ReadErrors
 		total.WriteErrors += st.WriteErrors
 		total.Retries += st.Retries
+		total.ReadBytes += st.ReadBytes
 	}
 	return total, h.firstErr
 }
@@ -255,51 +279,91 @@ func (h *Harness) diskCacheStats() (diskcache.Stats, error) {
 // Only the profiles and the scheme vary between the runs of one
 // Options, so the JSON before them is one constant (keyHead), the JSON
 // after them is encoded once per runSpec, and for a plain spec once
-// per harness (keyParts), and each key streams the parts into one
-// hash. A matrix encodes each benchmark's profile JSON once for all
-// its schemes (profileJSON, keyWithProfile).
+// per harness (keyParts). Each key is assembled in a keyScratch and
+// hashed whole, so a warm key allocates nothing. A matrix encodes each
+// benchmark's profile JSON once for all its schemes (keyScratch,
+// keyFor).
 func cacheKey(profs []trace.Profile, scheme Scheme, s *runSpec) ([sha256.Size]byte, error) {
 	// The options' error, if any, comes before the profiles'.
 	if _, err := s.keyParts(); err != nil {
 		return [sha256.Size]byte{}, err
 	}
-	profJSON, err := profileJSON(profs)
-	if err != nil {
+	ks := keyScratchPool.Get().(*keyScratch)
+	defer keyScratchPool.Put(ks)
+	ks.profs = append(ks.profs[:0], profs...)
+	if err := ks.encodeProfiles(); err != nil {
 		return [sha256.Size]byte{}, err
 	}
-	return s.keyWithProfile(profJSON, scheme)
+	return s.keyFor(ks, scheme)
 }
 
-// profileJSON is the JSON cacheKey hashes for profs, the list of
-// one workload profile per core.
-func profileJSON(profs []trace.Profile) ([]byte, error) {
-	blob, err := json.Marshal(profs)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: cache key: %w", err)
+// keyScratch is the working memory of key derivation, kept between
+// keys: a list of one workload profile per core, its JSON, and the
+// bytes of one key. A matrix keys all its cells with one; cacheKey
+// borrows one from keyScratchPool.
+type keyScratch struct {
+	profs    []trace.Profile
+	profJSON bytes.Buffer  // profs' JSON and a newline, once encoded
+	enc      *json.Encoder // writes to profJSON
+	key      []byte
+}
+
+var keyScratchPool = sync.Pool{New: func() any { return newKeyScratch() }}
+
+func newKeyScratch() *keyScratch {
+	ks := new(keyScratch)
+	ks.enc = json.NewEncoder(&ks.profJSON)
+	return ks
+}
+
+// encodeProfiles encodes the profile list's JSON, the bytes
+// json.Marshal writes for it.
+func (ks *keyScratch) encodeProfiles() error {
+	ks.profJSON.Reset()
+	if err := ks.enc.Encode(&ks.profs); err != nil {
+		return fmt.Errorf("experiment: cache key: %w", err)
 	}
-	return blob, nil
+	return nil
 }
 
-// keyWithProfile is cacheKey for a scheme's run of profiles whose
-// JSON profileJSON already encoded.
-func (s *runSpec) keyWithProfile(profJSON []byte, scheme Scheme) ([sha256.Size]byte, error) {
+// keyFor is cacheKey for a scheme's run of the profiles ks last
+// encoded.
+func (s *runSpec) keyFor(ks *keyScratch, scheme Scheme) ([sha256.Size]byte, error) {
 	tail, err := s.keyParts()
 	if err != nil {
 		return [sha256.Size]byte{}, err
 	}
-	schemeJSON, err := json.Marshal(scheme)
-	if err != nil {
+	profJSON := ks.profJSON.Bytes()
+	profJSON = profJSON[:len(profJSON)-1] // Encode's newline is not JSON's
+	b := ks.key[:0]
+	if n := len(keyHead) + len(profJSON) + len(`,"Scheme":""`) + len(scheme) + len(tail); cap(b) < n {
+		b = make([]byte, 0, n)
+	}
+	b = append(b, keyHead...)
+	b = append(b, profJSON...)
+	b = append(b, `,"Scheme":`...)
+	if b, err = appendJSONString(b, string(scheme)); err != nil {
 		return [sha256.Size]byte{}, fmt.Errorf("experiment: cache key: %w", err)
 	}
-	h := sha256.New()
-	h.Write(keyHead)
-	h.Write(profJSON)
-	h.Write([]byte(`,"Scheme":`))
-	h.Write(schemeJSON)
-	h.Write(tail)
-	var k [sha256.Size]byte
-	h.Sum(k[:0])
-	return k, nil
+	b = append(b, tail...)
+	ks.key = b
+	return sha256.Sum256(b), nil
+}
+
+// appendJSONString appends the JSON json.Marshal writes for str. A
+// string of printable ASCII that HTML escaping leaves alone, as every
+// registered scheme name is, is written as it is; any other goes
+// through json.Marshal.
+func appendJSONString(b []byte, str string) ([]byte, error) {
+	for i := 0; i < len(str); i++ {
+		if c := str[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			js, err := json.Marshal(str)
+			return append(b, js...), err
+		}
+	}
+	b = append(b, '"')
+	b = append(b, str...)
+	return append(b, '"'), nil
 }
 
 // keyParts returns the per-Options tail of every cache key of s's
@@ -436,25 +500,28 @@ var keyHead = fmt.Appendf(nil, `{"Format":%d,"Kind":"chip","Profiles":`, keyForm
 // memoized returns key k's memoized outcome, counted as a hit: the
 // one place a memo hit is served, for cachedRun and a matrix's inline
 // pass alike. ok is false, and nothing is counted, when k is not
-// memoized.
-func (h *Harness) memoized(k [sha256.Size]byte) (o outcome, ok bool) {
+// memoized, or holds a series-elided result and headOnly is false.
+func (h *Harness) memoized(k [sha256.Size]byte, headOnly bool) (o outcome, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if o, ok = h.memo[k]; ok {
+	if o, ok = h.memo[k]; ok && o.serves(headOnly) {
 		h.runs++
+		return o, true
 	}
-	return o, ok
+	return outcome{}, false
 }
 
 // cachedRun returns the memoized chip result for (profs, scheme) under
 // s's options from s's harness, or resolves it. k, when non-nil, is
-// the run's key as cacheKey already derived it. The resolution runs
+// the run's key as cacheKey already derived it. headOnly asks for a
+// result whose occupancy series the caller does not read: it may come
+// back with every core's QueueSamples nil. The resolution runs
 // detached from every caller: each caller waits only until its own
 // context ends or opt.Timeout expires, and the simulation is cancelled
 // once its last waiter leaves. bankSrc is handed to simulate (core 0's
 // stream) and is only invoked if the run actually simulates. The run
 // must already have passed s.validate.
-func cachedRun(ctx context.Context, s *runSpec, profs []trace.Profile, scheme Scheme, k *[sha256.Size]byte, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (*mcd.ChipResult, error) {
+func cachedRun(ctx context.Context, s *runSpec, profs []trace.Profile, scheme Scheme, k *[sha256.Size]byte, headOnly bool, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (*mcd.ChipResult, error) {
 	if s.opt.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.opt.Timeout)
@@ -470,14 +537,14 @@ func cachedRun(ctx context.Context, s *runSpec, profs []trace.Profile, scheme Sc
 		}
 	}
 	h := s.h
-	if o, ok := h.memoized(key); ok {
+	if o, ok := h.memoized(key, headOnly); ok {
 		return o.res, o.err
 	}
 	h.mu.Lock()
 	h.runs++
 	gen := h.gen
 	h.mu.Unlock()
-	o, err := await(ctx, s, key, gen, profs, scheme, bankSrc)
+	o, err := await(ctx, s, flightKey{key, headOnly}, gen, profs, scheme, bankSrc)
 	if err != nil {
 		return nil, err
 	}
@@ -487,7 +554,7 @@ func cachedRun(ctx context.Context, s *runSpec, profs []trace.Profile, scheme Sc
 // await joins or starts the flight resolving key k and waits for it
 // as long as ctx allows. It is split from cachedRun so that a memo hit
 // does not pay for the flight closure's captures.
-func await(ctx context.Context, s *runSpec, k [sha256.Size]byte, gen uint64, profs []trace.Profile, scheme Scheme, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (outcome, error) {
+func await(ctx context.Context, s *runSpec, k flightKey, gen uint64, profs []trace.Profile, scheme Scheme, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (outcome, error) {
 	o, _, err := s.h.flights.Do(ctx, k, func(ctx context.Context) (outcome, error) {
 		return resolve(ctx, s, k, gen, profs, scheme, bankSrc), nil
 	})
@@ -497,20 +564,23 @@ func await(ctx context.Context, s *runSpec, k [sha256.Size]byte, gen uint64, pro
 	return o, nil
 }
 
-// resolve produces key k's outcome on a flight's context: from the
+// resolve produces flight fk's outcome on a flight's context: from the
 // memo if a flight completed it since the caller looked, else from
 // disk, else by simulating. ctx gates the disk probe; a cancelled
 // flight falls straight through to simulate, which honors it. Any disk
 // failure falls back to simulation (Get already healed bad entries).
 // Misses and non-transient outcomes are recorded only in generation
 // gen, so a flight that outlives a reset cannot write into the fresh
-// memo.
+// memo. A head-only flight reads the entry's head alone and memoizes
+// its result as series-elided; a simulated result is whole, on either
+// flight, and an elided result never replaces a whole one.
 //
 // On disk, every run stores its whole mcd.ChipResult.
-func resolve(ctx context.Context, s *runSpec, k [sha256.Size]byte, gen uint64, profs []trace.Profile, scheme Scheme, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (o outcome) {
-	h := s.h
+func resolve(ctx context.Context, s *runSpec, fk flightKey, gen uint64, profs []trace.Profile, scheme Scheme, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (o outcome) {
+	h, k := s.h, fk.key
 	h.mu.Lock()
 	o, ok := h.memo[k]
+	ok = ok && o.serves(fk.headOnly)
 	if !ok && h.gen == gen {
 		h.misses++
 	}
@@ -521,7 +591,9 @@ func resolve(ctx context.Context, s *runSpec, k [sha256.Size]byte, gen uint64, p
 	defer func() {
 		h.mu.Lock()
 		if h.gen == gen && !transientErr(o.err) {
-			h.memo[k] = o
+			if old, ok := h.memo[k]; !ok || !o.elided || old.elided {
+				h.memo[k] = o
+			}
 		}
 		h.mu.Unlock()
 	}()
@@ -531,8 +603,12 @@ func resolve(ctx context.Context, s *runSpec, k [sha256.Size]byte, gen uint64, p
 	}
 	if store != nil && ctx.Err() == nil {
 		var res mcd.ChipResult
-		if store.Get(k, &res) == nil {
-			return outcome{res: &res}
+		get := store.Get
+		if fk.headOnly {
+			get = store.GetHead
+		}
+		if get(k, &res) == nil {
+			return outcome{res: &res, elided: fk.headOnly}
 		}
 	}
 	o.res, o.err = simulate(ctx, s, profs, scheme, bankSrc)

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"mcddvfs/internal/governor"
 	"mcddvfs/internal/mcd"
@@ -35,7 +36,7 @@ func RunChipContext(ctx context.Context, benchmarks []string, sch Scheme, opt Op
 	if err := spec.validate(profs[0], sch); err != nil {
 		return nil, err
 	}
-	return cachedRun(ctx, spec, profs, sch, nil, nil)
+	return cachedRun(ctx, spec, profs, sch, nil, false, nil)
 }
 
 // chipBenchProfiles resolves the per-core workload assignment: one
@@ -64,11 +65,16 @@ func chipBenchProfiles(benchmarks []string, opt Options) ([]trace.Profile, error
 // homogeneous chip a matrix cell or RunProfile call simulates (one
 // core by default).
 func chipProfiles(prof trace.Profile, opt Options) []trace.Profile {
-	out := make([]trace.Profile, opt.chipCores())
-	for i := range out {
-		out[i] = prof
+	return appendChipProfiles(make([]trace.Profile, 0, opt.chipCores()), prof, opt)
+}
+
+// appendChipProfiles appends chipProfiles' list to dst.
+func appendChipProfiles(dst []trace.Profile, prof trace.Profile, opt Options) []trace.Profile {
+	dst = slices.Grow(dst, opt.chipCores())
+	for range opt.chipCores() {
+		dst = append(dst, prof)
 	}
-	return out
+	return dst
 }
 
 // simulate is the one uncached run: build the chip (a single-core run

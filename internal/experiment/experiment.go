@@ -247,23 +247,24 @@ func RunOneContext(ctx context.Context, bench string, scheme Scheme, opt Options
 // returns ErrRunTimeout; cancellation returns ErrCancelled; a panic in
 // the simulator is recovered into ErrRunPanicked.
 func RunProfileContext(ctx context.Context, prof trace.Profile, scheme Scheme, opt Options) (*mcd.Result, error) {
-	return runCell(orBackground(ctx), newRunSpec(opt), prof, scheme, nil, nil)
+	return runCell(orBackground(ctx), newRunSpec(opt), prof, scheme, nil, false, nil)
 }
 
 // runCell runs one benchmark as a cell: a homogeneous chip of
 // opt.Cores copies (one by default) through the shared cached path,
 // reported as the chip aggregate — for one core, that core's own
 // Result. k, when non-nil, is the cell's key as cacheKey already
-// derived it. srcFn, when non-nil, supplies core 0's instruction
-// stream instead of a fresh one — the hook RunMatrixContext uses to
-// fan one recorded trace out across schemes. The provider is only
+// derived it. headOnly is cachedRun's: the caller reads no occupancy
+// series, and the result may hold none. srcFn, when non-nil, supplies
+// core 0's instruction stream instead of a fresh one — the hook
+// RunMatrixContext uses to fan one recorded trace out across schemes. The provider is only
 // invoked if the cell actually simulates; cache hits (in-process or
 // disk) never touch it.
-func runCell(ctx context.Context, s *runSpec, prof trace.Profile, scheme Scheme, k *[sha256.Size]byte, srcFn func(context.Context, trace.Profile) (trace.Source, error)) (*mcd.Result, error) {
+func runCell(ctx context.Context, s *runSpec, prof trace.Profile, scheme Scheme, k *[sha256.Size]byte, headOnly bool, srcFn func(context.Context, trace.Profile) (trace.Source, error)) (*mcd.Result, error) {
 	if err := s.validate(prof, scheme); err != nil {
 		return nil, err
 	}
-	cr, err := cachedRun(ctx, s, chipProfiles(prof, s.opt), scheme, k, srcFn)
+	cr, err := cachedRun(ctx, s, chipProfiles(prof, s.opt), scheme, k, headOnly, srcFn)
 	if err != nil {
 		return nil, err
 	}
@@ -540,10 +541,11 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 		if err != nil {
 			return err
 		}
-		if c.scheme != SchemeNone {
+		if c.headOnly() {
 			// Only baseline occupancy series feed the classifier; drop
 			// the rest to keep the full matrix small. Results may be
-			// shared through the cache, so strip a copy.
+			// shared through the cache, so strip a copy. A cell read
+			// head-only from disk has none to drop.
 			cp := *res
 			cp.QueueSamples = nil
 			res = &cp
@@ -562,7 +564,8 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 	// the pool reports the rest as cancelled.
 	cellErrs := make([]error, len(cells))
 	var pool []int
-	var prof benchProfile
+	prof := benchProfile{ks: keyScratchPool.Get().(*keyScratch)}
+	defer keyScratchPool.Put(prof.ks)
 	for i := range cells {
 		c := &cells[i]
 		if ctx.Err() == nil {
@@ -598,7 +601,7 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 		if c.keyed {
 			k = &c.key
 		}
-		res, err := runCell(ctx, spec, prof, c.scheme, k, bankSrc)
+		res, err := runCell(ctx, spec, prof, c.scheme, k, c.headOnly(), bankSrc)
 		return store(c, res, err)
 	})
 	for _, te := range errs {
@@ -636,12 +639,19 @@ type matrixCell struct {
 	keyed  bool
 }
 
+// headOnly reports whether the matrix keeps the cell's occupancy
+// series: only the no-DVFS baseline's feed the classifier, so every
+// controlled cell is resolved head-only.
+func (c *matrixCell) headOnly() bool { return c.scheme != SchemeNone }
+
 // benchProfile is the profile JSON of the benchmark whose cells a
-// matrix is keying. Cells come benchmark by benchmark, so each
-// benchmark's profiles are encoded once for all its schemes.
+// matrix is keying, in the matrix's keyScratch. Cells come benchmark
+// by benchmark, so each benchmark's profiles are encoded once for all
+// its schemes.
 type benchProfile struct {
-	bench string
-	json  []byte // nil until encoded, or when encoding failed
+	bench   string
+	encoded bool // ks holds bench's profile JSON
+	ks      *keyScratch
 }
 
 // memoHit serves the cell from the result memo when its outcome is
@@ -655,18 +665,19 @@ func (c *matrixCell) memoHit(s *runSpec, bank *traceBank, bp *benchProfile) (res
 	if err != nil || s.validate(prof, c.scheme) != nil {
 		return nil, false, nil
 	}
-	if bp.bench != c.bench || bp.json == nil {
+	if bp.bench != c.bench || !bp.encoded {
 		bp.bench = c.bench
-		bp.json, _ = profileJSON(chipProfiles(prof, s.opt))
+		bp.ks.profs = appendChipProfiles(bp.ks.profs[:0], prof, s.opt)
+		bp.encoded = bp.ks.encodeProfiles() == nil
 	}
-	if bp.json == nil {
+	if !bp.encoded {
 		return nil, false, nil
 	}
-	if c.key, err = s.keyWithProfile(bp.json, c.scheme); err != nil {
+	if c.key, err = s.keyFor(bp.ks, c.scheme); err != nil {
 		return nil, false, nil
 	}
 	c.keyed = true
-	o, hit := s.h.memoized(c.key)
+	o, hit := s.h.memoized(c.key, c.headOnly())
 	if !hit || o.err != nil {
 		return nil, hit, o.err
 	}

@@ -13,12 +13,24 @@ import (
 )
 
 // The entry codec is the disk-cache form of ChipResult (its
-// MarshalBinary and UnmarshalBinary), each core's Result encoded in
-// turn. It is written by hand for the warm-disk hit path: a decode is
-// one pass over the bytes with no per-entry type description to
-// compile, and an occupancy series, which holds its section as it is
-// stored, is checked and copied once out of the read buffer. The
-// layout follows the struct fields in declaration order:
+// MarshalParts and UnmarshalParts), written by hand for the warm-disk
+// hit path: a decode is one pass over the bytes with no per-entry type
+// description to compile, and an occupancy series, which holds its
+// section as it is stored, is checked and copied once out of the read
+// buffer. An entry has two parts, each behind its own checksum in the
+// disk cache (entry format 5):
+//
+//   - the head: the core count, then each core's Result without its
+//     QueueSamples, then the chip fields (Metrics, PowerCapW,
+//     EpochTrace);
+//   - the tail: each core's QueueSamples map, in core order.
+//
+// The head is every scalar and frequency trajectory an experiment
+// reads; the tail is the occupancy series, which only the Section 5.2
+// classifier and Figure 8 read, from no-DVFS runs, and which are most
+// of an entry's bytes. A head-only decode (a nil tail) leaves every
+// core's QueueSamples nil, as a matrix keeps its controlled cells.
+// Each part follows the struct fields in declaration order:
 //
 //   - float64: its 8 little-endian IEEE-754 bits, so every value
 //     round-trips exactly (NaN payloads and −0 included);
@@ -37,13 +49,12 @@ import (
 // length and varint has one encoding. The decoder accepts only that
 // canonical form — minimal varints, strictly ascending keys, the form
 // a series' samples select and its one encoding in that form, no
-// trailing bytes — so whatever it accepts
-// re-encodes to the same bytes. It checks every count against the
-// bytes left before allocating, and copies everything it keeps, so a
-// decoded value never aliases the input. A decoded value is the one a
-// gob round trip gives, as the disk cache served before the codec: an
-// empty slice or series decodes to nil, and a map keeps nil apart from
-// empty.
+// trailing bytes in either part — so whatever it accepts re-encodes to
+// the same bytes. It checks every count against the bytes left before
+// allocating, and copies everything it keeps, so a decoded value never
+// aliases the input. A decoded value is the one a gob round trip
+// gives, as the disk cache served before the codec: an empty slice or
+// series decodes to nil, and a map keeps nil apart from empty.
 //
 // A codec change must bump diskcache.FormatVersion.
 
@@ -53,24 +64,24 @@ import (
 const (
 	minMetricsLen     = 8 + 1 + 1
 	minDomainStatsLen = 6*8 + 3
-	minResultLen      = 1 + 1 + minMetricsLen + 3 + 5*8 + 3
+	minCoreHeadLen    = 1 + 1 + minMetricsLen + 2 + 5*8 + 3
 	minEpochLen       = 1 + 3
 )
 
-// MarshalBinary implements encoding.BinaryMarshaler with the entry
-// codec. A nil core is an error: it has no encoding.
-func (c *ChipResult) MarshalBinary() ([]byte, error) {
+// MarshalParts encodes c as an entry's head and tail (see above), two
+// slices of one buffer. A nil core is an error: it has no encoding.
+func (c *ChipResult) MarshalParts() (head, tail []byte, err error) {
 	n := 16 + 32*len(c.EpochTrace)
 	for _, core := range c.Cores {
 		if core == nil {
-			return nil, errors.New("mcd: encoding a ChipResult with a nil core")
+			return nil, nil, errors.New("mcd: encoding a ChipResult with a nil core")
 		}
 		n += core.encodedLenHint()
 	}
 	b := make([]byte, 0, n)
 	b = binary.AppendUvarint(b, uint64(len(c.Cores)))
 	for _, core := range c.Cores {
-		b = core.appendBinary(b)
+		b = core.appendHead(b)
 	}
 	b = appendMetrics(b, c.Metrics)
 	b = appendFloat(b, c.PowerCapW)
@@ -84,19 +95,25 @@ func (c *ChipResult) MarshalBinary() ([]byte, error) {
 			b = binary.AppendVarint(b, v)
 		}
 	}
-	return b, nil
+	h := len(b)
+	for _, core := range c.Cores {
+		b = core.appendTail(b)
+	}
+	return b[:h:h], b[h:], nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. It replaces
-// all of *c, and leaves *c unchanged on error.
-func (c *ChipResult) UnmarshalBinary(data []byte) error {
-	d := decoder{b: data}
+// UnmarshalParts decodes an entry MarshalParts encoded: head, then
+// tail unless tail is nil. A head-only decode leaves every core's
+// QueueSamples nil and is otherwise the full decode. It replaces all
+// of *c, and leaves *c unchanged on error.
+func (c *ChipResult) UnmarshalParts(head, tail []byte) error {
+	d := decoder{b: head}
 	var out ChipResult
-	if n := d.count(minResultLen); n > 0 {
+	if n := d.count(minCoreHeadLen); n > 0 {
 		out.Cores = make([]*Result, n)
 		for i := range out.Cores {
 			out.Cores[i] = new(Result)
-			out.Cores[i].decode(&d)
+			out.Cores[i].decodeHead(&d)
 		}
 	}
 	out.Metrics = d.metrics()
@@ -119,6 +136,15 @@ func (c *ChipResult) UnmarshalBinary(data []byte) error {
 	if err := d.finish(); err != nil {
 		return err
 	}
+	if tail != nil {
+		d = decoder{b: tail}
+		for _, core := range out.Cores {
+			core.decodeTail(&d)
+		}
+		if err := d.finish(); err != nil {
+			return err
+		}
+	}
 	*c = out
 	return nil
 }
@@ -136,15 +162,12 @@ func (r *Result) encodedLenHint() int {
 	return n
 }
 
-func (r *Result) appendBinary(b []byte) []byte {
+// appendHead appends r's head part: every field but QueueSamples.
+func (r *Result) appendHead(b []byte) []byte {
 	b = appendString(b, r.Benchmark)
 	b = appendString(b, r.Scheme)
 	b = appendMetrics(b, r.Metrics)
 	b = appendMap(b, r.Domains, appendDomainStats)
-	b = appendMap(b, r.QueueSamples, func(b []byte, s Series) []byte {
-		b = binary.AppendUvarint(b, uint64(s.sectionLen()))
-		return s.appendSection(b)
-	})
 	b = appendMap(b, r.FreqTrace, func(b []byte, f FreqSeries) []byte {
 		b = binary.AppendUvarint(b, uint64(f.sectionLen()))
 		return f.appendSection(b)
@@ -159,12 +182,19 @@ func (r *Result) appendBinary(b []byte) []byte {
 	return appendMap(b, r.RetiredByClass, binary.AppendVarint)
 }
 
-func (r *Result) decode(d *decoder) {
+// appendTail appends r's tail part: its QueueSamples.
+func (r *Result) appendTail(b []byte) []byte {
+	return appendMap(b, r.QueueSamples, func(b []byte, s Series) []byte {
+		b = binary.AppendUvarint(b, uint64(s.sectionLen()))
+		return s.appendSection(b)
+	})
+}
+
+func (r *Result) decodeHead(d *decoder) {
 	r.Benchmark = d.string()
 	r.Scheme = d.string()
 	r.Metrics = d.metrics()
 	r.Domains = decodeMap(d, minDomainStatsLen, (*decoder).domainStats)
-	r.QueueSamples = decodeMap(d, 1, (*decoder).series)
 	r.FreqTrace = decodeMap(d, 1, (*decoder).freqSeries)
 	r.IPC = d.float()
 	r.BranchMispredictRate = d.float()
@@ -174,6 +204,10 @@ func (r *Result) decode(d *decoder) {
 	r.QueueFullStalls = decodeMap(d, 1, (*decoder).uvarint)
 	r.ForwardedLoads = d.uvarint()
 	r.RetiredByClass = decodeMap(d, 1, (*decoder).varint)
+}
+
+func (r *Result) decodeTail(d *decoder) {
+	r.QueueSamples = decodeMap(d, 1, (*decoder).series)
 }
 
 func appendDomainStats(b []byte, s DomainStats) []byte {

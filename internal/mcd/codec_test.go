@@ -2,7 +2,6 @@ package mcd_test
 
 import (
 	"bytes"
-	"encoding"
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
@@ -17,10 +16,11 @@ import (
 	"mcddvfs/internal/trace"
 )
 
-// entry is what the disk cache needs of a stored value.
+// entry is what the disk cache needs of a stored value: its
+// diskcache.Marshaler and diskcache.Unmarshaler halves.
 type entry interface {
-	encoding.BinaryMarshaler
-	encoding.BinaryUnmarshaler
+	MarshalParts() (head, tail []byte, err error)
+	UnmarshalParts(head, tail []byte) error
 }
 
 var seriesType = reflect.TypeOf(mcd.Series{})
@@ -93,19 +93,19 @@ func filled[T any](tb testing.TB) *T {
 // encodes to the same bytes.
 func roundTrip(t *testing.T, in, out entry) {
 	t.Helper()
-	blob, err := in.MarshalBinary()
+	head, tail, err := in.MarshalParts()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := out.UnmarshalBinary(blob); err != nil {
+	if err := out.UnmarshalParts(head, tail); err != nil {
 		t.Fatalf("decoding %T: %v", in, err)
 	}
-	again, err := out.MarshalBinary()
+	head2, tail2, err := out.MarshalParts()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(blob, again) {
-		t.Errorf("%T: encode → decode → encode changed the bytes (%d → %d)", in, len(blob), len(again))
+	if !bytes.Equal(head, head2) || !bytes.Equal(tail, tail2) {
+		t.Errorf("%T: encode → decode → encode changed the bytes (%d+%d → %d+%d)", in, len(head), len(tail), len(head2), len(tail2))
 	}
 }
 
@@ -331,7 +331,7 @@ func TestEntryCodecMatchesGob(t *testing.T) {
 // which has no encoding, fails to encode rather than writing a value
 // that decodes differently.
 func TestEntryCodecRejectsNilCore(t *testing.T) {
-	if _, err := (&mcd.ChipResult{Cores: []*mcd.Result{nil}}).MarshalBinary(); err == nil {
+	if _, _, err := (&mcd.ChipResult{Cores: []*mcd.Result{nil}}).MarshalParts(); err == nil {
 		t.Error("encoded a nil core")
 	}
 }
@@ -392,48 +392,93 @@ func seriesResult(samples []uint16) *mcd.Result {
 	return &mcd.Result{Benchmark: "gzip", QueueSamples: map[string]mcd.Series{mcd.NameFP: mcd.NewSeries(samples)}}
 }
 
-// FuzzEntryCodec feeds arbitrary bytes to the Result and ChipResult
-// decoders. Neither may panic or hold more bytes than the input has
-// (every element costs at least one; a series holds its section), a
-// runs section of k bytes may not claim more than 128·k samples, and
-// anything they accept must be the canonical encoding of what they
-// decoded: it re-encodes to the same bytes.
-func FuzzEntryCodec(f *testing.F) {
+// entrySeeds are the fuzz targets' seed entries: empty and fully
+// filled results and chips, a run-length series and a wide one.
+func entrySeeds(f *testing.F) []entry {
 	runs := make([]uint16, 700)
 	for i := range runs {
 		runs[i] = uint16(i / 300)
 	}
-	for _, v := range []entry{
+	return []entry{
 		&mcd.Result{}, filled[mcd.Result](f), &mcd.ChipResult{}, filled[mcd.ChipResult](f),
 		seriesResult(runs), seriesResult([]uint16{0, 256, 65535}),
-	} {
-		blob, err := v.MarshalBinary()
+		&mcd.ChipResult{Cores: []*mcd.Result{seriesResult(runs), filled[mcd.Result](f)}},
+	}
+}
+
+// addSeeds adds each seed entry's parts to f's corpus.
+func addSeeds(f *testing.F) {
+	for _, v := range entrySeeds(f) {
+		head, tail, err := v.MarshalParts()
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(blob)
+		f.Add(head, tail)
 	}
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{}, []byte{})
+}
+
+// FuzzEntryCodec feeds arbitrary parts to the Result and ChipResult
+// decoders. Neither may panic or hold more bytes than the input has
+// (every element costs at least one; a series holds its section), a
+// runs section of k bytes may not claim more than 128·k samples, and
+// anything they accept must be the canonical encoding of what they
+// decoded: it re-encodes to the same head and tail.
+func FuzzEntryCodec(f *testing.F) {
+	addSeeds(f)
+	f.Fuzz(func(t *testing.T, head, tail []byte) {
 		for _, v := range []entry{&mcd.Result{}, &mcd.ChipResult{}} {
-			if err := v.UnmarshalBinary(data); err != nil {
+			if err := v.UnmarshalParts(head, tail); err != nil {
 				continue
 			}
-			if n := elements(reflect.ValueOf(v)); n > len(data) {
-				t.Fatalf("%T: %d elements from %d bytes", v, n, len(data))
+			if n := elements(reflect.ValueOf(v)); n > len(head)+len(tail) {
+				t.Fatalf("%T: %d elements from %d bytes", v, n, len(head)+len(tail))
 			}
 			for _, s := range heldSeries(v) {
 				if k := mcd.SeriesSectionLen(s); s.Len() > 128*k {
 					t.Fatalf("%T: series of %d samples in a %d-byte section", v, s.Len(), k)
 				}
 			}
-			blob, err := v.MarshalBinary()
+			head2, tail2, err := v.MarshalParts()
 			if err != nil {
 				t.Fatalf("%T: re-encode: %v", v, err)
 			}
-			if !bytes.Equal(blob, data) {
-				t.Fatalf("%T: accepted %x, which re-encodes to %x", v, data, blob)
+			if !bytes.Equal(head2, head) || !bytes.Equal(tail2, tail) {
+				t.Fatalf("%T: accepted %x | %x, which re-encodes to %x | %x", v, head, tail, head2, tail2)
 			}
+		}
+	})
+}
+
+// withoutSeries returns a copy of c with every core's QueueSamples
+// nil, the value a head-only decode must give.
+func withoutSeries(c *mcd.ChipResult) *mcd.ChipResult {
+	out := *c
+	out.Cores = nil
+	for _, core := range c.Cores {
+		cp := *core
+		cp.QueueSamples = nil
+		out.Cores = append(out.Cores, &cp)
+	}
+	return &out
+}
+
+// FuzzEntryParts holds the head-only decode to the full one: for any
+// entry the ChipResult codec accepts, decoding its head alone succeeds
+// and gives the full decode with every core's QueueSamples nil, what a
+// matrix keeps of a controlled cell.
+func FuzzEntryParts(f *testing.F) {
+	addSeeds(f)
+	f.Fuzz(func(t *testing.T, head, tail []byte) {
+		var full, headOnly mcd.ChipResult
+		if full.UnmarshalParts(head, tail) != nil {
+			return
+		}
+		if err := headOnly.UnmarshalParts(head, nil); err != nil {
+			t.Fatalf("full decode accepted %x | %x, head-only decode refused it: %v", head, tail, err)
+		}
+		if want := withoutSeries(&full); !reflect.DeepEqual(&headOnly, want) {
+			t.Fatalf("head-only decode differs from the full decode without series:\n got %+v\nwant %+v", headOnly, *want)
 		}
 	})
 }

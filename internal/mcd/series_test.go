@@ -369,12 +369,12 @@ func TestSeriesGobMatchesPlainSlices(t *testing.T) {
 	for k, v := range plain {
 		in.QueueSamples[k] = NewSeries(v)
 	}
-	blob, err := in.MarshalBinary()
+	head, tail, err := in.MarshalParts()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out Result
-	if err := out.UnmarshalBinary(blob); err != nil {
+	if err := out.UnmarshalParts(head, tail); err != nil {
 		t.Fatal(err)
 	}
 

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"mcddvfs/internal/isa"
 )
@@ -88,53 +90,66 @@ type instEncoder struct {
 	addr uint64 // Addr of the previous load or store
 }
 
+// append encodes in at the end of b. It runs once per recorded
+// instruction, so, like instRun.next, it avoids branches on the data:
+// a one-byte Dep2 and a fixed-width payload are written whether or not
+// the instruction has them and counted only when it does, and the
+// payload and the address prediction come from masks over the opcode
+// rather than a switch on the class. Only PC jumps and multi-byte
+// varints take the slow paths.
 func (e *instEncoder) append(b []byte, in isa.Inst) []byte {
-	var rec [maxInstBytes]byte
+	n := len(b)
+	b = slices.Grow(b, maxInstBytes)
+	rec := b[n : n+maxInstBytes]
 	m := byte(in.Class)
 	if !in.Class.Valid() {
 		m = opInvalid
 	}
-	taken := in.Class == isa.Branch && in.Taken
-	if taken {
+	if in.Class == isa.Branch && in.Taken {
 		m = opTaken
 	}
-	n := 1
+	k := 1
 	if in.PC != e.pc {
 		m |= pcJumpBit
-		n += binary.PutUvarint(rec[n:], zigzag(in.PC-e.pc))
+		k += binary.PutUvarint(rec[k:], zigzag(in.PC-e.pc))
 	}
-	n += binary.PutUvarint(rec[n:], uint64(in.Dep1))
+	if in.Dep1 < 0x80 {
+		rec[k] = byte(in.Dep1)
+		k++
+	} else {
+		k += binary.PutUvarint(rec[k:], uint64(in.Dep1))
+	}
+	has2 := 0
 	if in.Dep2 != 0 {
-		m |= dep2Bit
-		n += binary.PutUvarint(rec[n:], uint64(in.Dep2))
+		has2 = 1
 	}
-	var z uint64
-	switch in.Class {
-	case isa.Branch:
-		z = zigzag(in.Target - in.PC)
-	case isa.Load, isa.Store:
-		z = zigzag(in.Addr - e.addr)
-		e.addr = in.Addr
+	m |= byte(has2) * dep2Bit
+	if in.Dep2 < 0x80 {
+		rec[k] = byte(in.Dep2)
+		k += has2
+	} else {
+		k += binary.PutUvarint(rec[k:], uint64(in.Dep2))
 	}
-	if payloadOps>>(m&opMask)&1 != 0 {
-		w := 1 // fixed payload width, or lenVarint+1
-		for w <= maxFixedLen && z>>(8*w) != 0 {
-			w++
-		}
-		m |= byte(w-1) << lenShift
-		if w > maxFixedLen {
-			n += binary.PutUvarint(rec[n:], z)
-		} else {
-			binary.LittleEndian.PutUint32(rec[n:], uint32(z))
-			n += w
-		}
+
+	op := m & opMask
+	branch, mem := -uint64(branchOps>>op&1), -uint64(memOps>>op&1)
+	z := zigzag(in.Target-in.PC)&branch | zigzag(in.Addr-e.addr)&mem
+	e.addr = in.Addr&mem | e.addr&^mem
+	pay := int(payloadOps >> op & 1)
+	if w := max(1, (bits.Len64(z)+7)/8); w <= maxFixedLen {
+		binary.LittleEndian.PutUint32(rec[k:], uint32(z))
+		m |= byte((w-1)*pay) << lenShift
+		k += w * pay
+	} else {
+		m |= lenVarint << lenShift
+		k += binary.PutUvarint(rec[k:], z)
 	}
 	rec[0] = m
 	e.pc = in.PC + 4
-	if taken {
+	if m&opMask == opTaken {
 		e.pc = in.Target
 	}
-	return append(b, rec[:n]...)
+	return b[:n+k]
 }
 
 // zigzag maps a wrapped difference to an unsigned varint payload that

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"sync"
 	"testing"
 )
@@ -151,6 +154,49 @@ func TestRecordedDensity(t *testing.T) {
 			if d := float64(rec.Bytes()) / float64(rec.Len()); d > 6 {
 				t.Errorf("%s at %d instructions: %.2f B/inst, want at most 6", name, n, d)
 			}
+		}
+	}
+}
+
+// TestCodecBytesGolden pins the instruction codec's bytes: the SHA-256
+// of four bundled streams of 20k instructions as a Recorded holds them
+// and as a chunked v3 file of 4096-instruction chunks. The encoder may
+// be rewritten for speed; its bytes may move only with the format
+// version (ChunkedVersion), which these digests then follow.
+func TestCodecBytesGolden(t *testing.T) {
+	golden := map[string][2]string{
+		"gzip":        {"c32847acf644ab93d1d28ae6d2366c0b339972bf7ed122131f0c130cd22f3af4", "11caf345e7707f05e1f28d7f2c376a30871e5c9cfa16eedfd1d13c585b861309"},
+		"epic_decode": {"bc72c2a4fa765ad3553a7c5d9ffe639488bde492c72d83539bc8810333602042", "c58f859b653b24b09dc6297f6e42904f6fe5fdd657c9b269c30ea9834aefdcad"},
+		"swim":        {"55d04d919573574f9e81aace48e871cb0485873ba73e3303796d36325595cb9a", "0e1c8fad647e8771d8214bc69d162b184e29f5e95f2f5cef017328dc13b03aa0"},
+		"mcf":         {"495c0eee9e960f5c4a66aeeedd6403d9637a312e7bf8b3d5377f92e05349f9bb", "cca78528a084be76209bcde00ea193536849b9a7450f0fb0b900b270909eb606"},
+	}
+	const insts = 20_000
+	digest := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	for name, want := range golden {
+		prof, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := RecordProfile(prof, StreamSeed(1), insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := NewGenerator(prof, StreamSeed(1), insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file bytes.Buffer
+		if _, err := WriteChunked(&file, gen, insts, 4096); err != nil {
+			t.Fatal(err)
+		}
+		if got := digest(rec.code); got != want[0] {
+			t.Errorf("%s: recorded bytes digest %s, want %s", name, got, want[0])
+		}
+		if got := digest(file.Bytes()); got != want[1] {
+			t.Errorf("%s: chunked file digest %s, want %s", name, got, want[1])
 		}
 	}
 }
