@@ -619,32 +619,39 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // cores × governor grid, with per-domain adaptive control on every core
 // and the capping governors holding a 7.5 W/core budget. The custom
 // metric is chip-level simulated instructions per second — the figure
-// the epoch-barrier worker pool exists to scale — so the 4-core rows
-// double as the parallel-speedup record next to the single-core ones.
+// the epoch-barrier worker pool exists to scale. The last row runs the
+// 4-core integral-gain chip again on one CPU (GOMAXPROCS 1, so a pool
+// of one worker): its sim-insts/s against the pooled row's is the
+// pool's speedup.
 func BenchmarkChip(b *testing.B) {
 	const instsPerCore = 30000
+	run := func(b *testing.B, cores int, gov string) {
+		opt := benchOpt(instsPerCore)
+		opt.Cores = cores
+		opt.Governor = gov
+		if gov != "none" {
+			opt.PowerCapW = 7.5 * float64(cores)
+		}
+		next := uncached(b, opt)
+		var total int64
+		for i := 0; i < b.N; i++ {
+			res, err := experiment.RunChipContext(context.Background(), nil, experiment.SchemeAdaptive, next())
+			if err != nil {
+				b.Fatal(err)
+			}
+			total += res.Metrics.Instructions
+		}
+		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "sim-insts/s")
+	}
 	for _, cores := range []int{1, 4} {
 		for _, gov := range []string{"none", "static-split", "integral-gain"} {
-			b.Run(fmt.Sprintf("cores=%d/gov=%s", cores, gov), func(b *testing.B) {
-				opt := benchOpt(instsPerCore)
-				opt.Cores = cores
-				opt.Governor = gov
-				if gov != "none" {
-					opt.PowerCapW = 7.5 * float64(cores)
-				}
-				next := uncached(b, opt)
-				var total int64
-				for i := 0; i < b.N; i++ {
-					res, err := experiment.RunChipContext(context.Background(), nil, experiment.SchemeAdaptive, next())
-					if err != nil {
-						b.Fatal(err)
-					}
-					total += res.Metrics.Instructions
-				}
-				b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "sim-insts/s")
-			})
+			b.Run(fmt.Sprintf("cores=%d/gov=%s", cores, gov), func(b *testing.B) { run(b, cores, gov) })
 		}
 	}
+	b.Run("cores=4/gov=integral-gain/workers=1", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		run(b, 4, "integral-gain")
+	})
 }
 
 // BenchmarkAdaptiveObserve measures one controller sampling tick.

@@ -266,8 +266,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *useCache {
+		// A run is simulated or served: from the memo, or from disk.
 		hits, misses := experiment.CacheStats()
-		fmt.Fprintf(stderr, "experiments: %d simulations, %d served from cache\n", misses, hits)
+		sims := experiment.SimulationCount()
+		fmt.Fprintf(stderr, "experiments: %d simulations, %d served from cache\n", sims, hits+misses-sims)
 		if *cacheDir != "" {
 			st, derr := experiment.DiskCacheStats()
 			fmt.Fprintf(stderr, "experiments: disk cache %s: %d hits, %d misses, %d writes\n",

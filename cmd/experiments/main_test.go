@@ -189,3 +189,31 @@ func TestStreamedFiguresAreBatchRenders(t *testing.T) {
 		})
 	}
 }
+
+// TestWarmRunSimulatesNothing: a run whose every result is on disk
+// simulates nothing, and says so, however many runs the disk serves.
+func TestWarmRunSimulatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-only", "table2,fig9", "-insts", "5000", "-bench", "gzip", "-schemes", "adaptive", "-cache-dir", dir}
+	simulations := func() string {
+		t.Helper()
+		experiment.ResetCache() // a fresh process: nothing in memory
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d; stderr:\n%s", code, stderr.String())
+		}
+		for _, line := range strings.Split(stderr.String(), "\n") {
+			if strings.Contains(line, " simulations, ") {
+				return line
+			}
+		}
+		t.Fatalf("no simulation count on stderr:\n%s", stderr.String())
+		return ""
+	}
+	if cold := simulations(); strings.HasPrefix(cold, "experiments: 0 simulations") {
+		t.Fatalf("cold run: %q; it must simulate", cold)
+	}
+	if warm := simulations(); !strings.HasPrefix(warm, "experiments: 0 simulations, ") {
+		t.Errorf("warm run: %q, want 0 simulations", warm)
+	}
+}

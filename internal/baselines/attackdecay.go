@@ -11,10 +11,12 @@ package baselines
 
 import (
 	"fmt"
+	"unsafe"
 
 	"mcddvfs/internal/clock"
 	"mcddvfs/internal/control"
 	"mcddvfs/internal/dvfs"
+	"mcddvfs/internal/layout"
 )
 
 // AttackDecayConfig parameterizes the Semeraro et al. [9] controller.
@@ -71,6 +73,13 @@ func (c AttackDecayConfig) Validate() error {
 // while the queue is comfortable (saving energy) and snaps upward when
 // the queue runs clearly above the reference.
 type AttackDecay struct {
+	attackDecayState
+	// Whole layout.Blocks: each core has its own, written every tick.
+	_ [(layout.Block - unsafe.Sizeof(attackDecayState{})%layout.Block) % layout.Block]byte
+}
+
+// attackDecayState is AttackDecay's state.
+type attackDecayState struct {
 	cfg AttackDecayConfig
 
 	ticks   int
@@ -84,7 +93,7 @@ func NewAttackDecay(cfg AttackDecayConfig) *AttackDecay {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &AttackDecay{cfg: cfg}
+	return &AttackDecay{attackDecayState: attackDecayState{cfg: cfg}}
 }
 
 // Name implements the Controller interface.

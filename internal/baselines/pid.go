@@ -2,10 +2,12 @@ package baselines
 
 import (
 	"fmt"
+	"unsafe"
 
 	"mcddvfs/internal/clock"
 	"mcddvfs/internal/control"
 	"mcddvfs/internal/dvfs"
+	"mcddvfs/internal/layout"
 )
 
 // PIDLaw is the control law of Wu et al. [23] ("Formal Online Methods
@@ -123,6 +125,13 @@ func (c PIDConfig) Validate() error {
 // boundaries it does nothing — which is precisely the limitation the
 // adaptive scheme addresses.
 type PID struct {
+	pidController
+	// Whole layout.Blocks: each core has its own, written every tick.
+	_ [(layout.Block - unsafe.Sizeof(pidController{})%layout.Block) % layout.Block]byte
+}
+
+// pidController is PID's state.
+type pidController struct {
 	cfg PIDConfig
 
 	ticks int
@@ -135,7 +144,7 @@ func NewPID(cfg PIDConfig) *PID {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &PID{cfg: cfg}
+	return &PID{pidController: pidController{cfg: cfg}}
 }
 
 // Name implements the Controller interface.

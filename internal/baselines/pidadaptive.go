@@ -2,8 +2,10 @@ package baselines
 
 import (
 	"fmt"
+	"unsafe"
 
 	"mcddvfs/internal/clock"
+	"mcddvfs/internal/layout"
 )
 
 // AdaptivePIDConfig parameterizes the event-triggered PID variant: the
@@ -72,6 +74,13 @@ func (c AdaptivePIDConfig) Validate() error {
 // persistent swing is acted on within tens of sampling periods rather
 // than at the next boundary.
 type AdaptivePID struct {
+	adaptivePIDState
+	// Whole layout.Blocks: each core has its own, written every tick.
+	_ [(layout.Block - unsafe.Sizeof(adaptivePIDState{})%layout.Block) % layout.Block]byte
+}
+
+// adaptivePIDState is AdaptivePID's state.
+type adaptivePIDState struct {
 	cfg AdaptivePIDConfig
 
 	ticks   int
@@ -85,7 +94,7 @@ func NewAdaptivePID(cfg AdaptivePIDConfig) *AdaptivePID {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &AdaptivePID{cfg: cfg}
+	return &AdaptivePID{adaptivePIDState: adaptivePIDState{cfg: cfg}}
 }
 
 // Name implements the Controller interface.

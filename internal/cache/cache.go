@@ -237,31 +237,34 @@ func Default() Config {
 }
 
 // Hierarchy composes the instruction and data paths over a shared L2.
+// It holds its caches by value, so a Hierarchy held by value in its
+// owner keeps the caches' counters in the owner's allocation. A
+// Hierarchy holds no pointer to itself and may be copied before use.
 type Hierarchy struct {
 	cfg Config
-	l1i *Cache
-	l1d *Cache
-	l2  *Cache
+	l1i Cache
+	l1d Cache
+	l2  Cache
 }
 
 // NewHierarchy builds the hierarchy from cfg.
 func NewHierarchy(cfg Config) *Hierarchy {
 	return &Hierarchy{
 		cfg: cfg,
-		l1i: New("L1I", cfg.L1ISize, cfg.L1IWays, cfg.L1ILine),
-		l1d: New("L1D", cfg.L1DSize, cfg.L1DWays, cfg.L1DLine),
-		l2:  New("L2", cfg.L2Size, cfg.L2Ways, cfg.L2Line),
+		l1i: *New("L1I", cfg.L1ISize, cfg.L1IWays, cfg.L1ILine),
+		l1d: *New("L1D", cfg.L1DSize, cfg.L1DWays, cfg.L1DLine),
+		l2:  *New("L2", cfg.L2Size, cfg.L2Ways, cfg.L2Line),
 	}
 }
 
 // L1I, L1D and L2 expose the component caches for statistics.
-func (h *Hierarchy) L1I() *Cache { return h.l1i }
+func (h *Hierarchy) L1I() *Cache { return &h.l1i }
 
 // L1D returns the L1 data cache.
-func (h *Hierarchy) L1D() *Cache { return h.l1d }
+func (h *Hierarchy) L1D() *Cache { return &h.l1d }
 
 // L2 returns the unified second-level cache.
-func (h *Hierarchy) L2() *Cache { return h.l2 }
+func (h *Hierarchy) L2() *Cache { return &h.l2 }
 
 // Data performs a data access and returns the satisfying level.
 func (h *Hierarchy) Data(addr uint64, write bool) Level {

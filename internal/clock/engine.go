@@ -188,12 +188,19 @@ type domainState struct {
 // Registered domains are owned by the engine: their clocks must only
 // advance through Engine calls, which keep the cached next-edge times
 // in sync. The cache turns arbitration into a scan of
-// one flat Time slice instead of a pointer chase into every Domain on
+// one flat Time array instead of a pointer chase into every Domain on
 // every edge.
+//
+// The per-domain state sits in fixed arrays inside the Engine, so an
+// owner that holds its engine by value (each mcd.Processor does) keeps
+// all of it in the owner's own allocation, never in a small heap
+// object the allocator could place beside another core's. The zero
+// Engine is ready for Add.
 type Engine struct {
-	domains []*Domain
-	state   []domainState
-	edges   []Time // cached Domain.NextEdge, maintained by Advance/IdleAdvance
+	n       int
+	domains [MaxDomains]*Domain
+	state   [MaxDomains]domainState
+	edges   [MaxDomains]Time // cached Domain.NextEdge, maintained by Advance/IdleAdvance
 	pq      eventQueue
 	seq     uint64
 	// issueSubs counts sleepers subscribed to issue broadcasts, so
@@ -202,27 +209,36 @@ type Engine struct {
 	issueSubs int
 }
 
-// NewEngine creates an engine over the given domains, registered in
-// argument order.
-func NewEngine(domains ...*Domain) *Engine {
-	e := &Engine{}
-	for _, d := range domains {
-		e.Add(d)
-	}
-	return e
-}
+// MaxDomains bounds the domains one Engine schedules; an MCD machine
+// has at most six (split front end, three execution domains and the
+// sampling clock).
+const MaxDomains = 8
+
+// initialEvents is the event heap's first capacity: 16 events of 40
+// bytes fill five 128-byte blocks, and every later growth keeps a
+// whole number of blocks, so the heap's array shares no block with
+// another allocation.
+const initialEvents = 16
 
 // Add registers another domain and returns its index. Registration
-// order is the arbitration tie-break.
+// order is the arbitration tie-break. It panics past MaxDomains.
 func (e *Engine) Add(d *Domain) int {
-	e.domains = append(e.domains, d)
-	e.state = append(e.state, domainState{wakeAt: Forever})
-	e.edges = append(e.edges, d.NextEdge())
-	return len(e.domains) - 1
+	if e.n == MaxDomains {
+		panic(fmt.Sprintf("clock: Add of domain %q to an engine of %d domains", d.Name(), MaxDomains))
+	}
+	if e.pq.ev == nil {
+		e.pq.ev = make([]Event, 0, initialEvents)
+	}
+	i := e.n
+	e.n++
+	e.domains[i] = d
+	e.state[i] = domainState{wakeAt: Forever}
+	e.edges[i] = d.NextEdge()
+	return i
 }
 
 // Len returns the number of registered domains.
-func (e *Engine) Len() int { return len(e.domains) }
+func (e *Engine) Len() int { return e.n }
 
 // Domain returns the domain at index i.
 func (e *Engine) Domain(i int) *Domain { return e.domains[i] }
@@ -234,7 +250,7 @@ func (e *Engine) Domain(i int) *Domain { return e.domains[i] }
 func (e *Engine) Next() (int, Time) {
 	best := -1
 	bestT := Forever
-	for i, t := range e.edges {
+	for i, t := range e.edges[:e.n] {
 		if t < bestT {
 			best, bestT = i, t
 		}
@@ -282,7 +298,7 @@ func (e *Engine) IdleAdvance(i int) Time {
 // after each one.
 func (e *Engine) IdleHorizon() Time {
 	h := Forever
-	for i := range e.state {
+	for i := range e.state[:e.n] {
 		st := &e.state[i]
 		if st.asleep {
 			if st.wakeAt < h {
@@ -366,7 +382,7 @@ func (e *Engine) BroadcastIssue(readyAt Time) {
 	if e.issueSubs == 0 {
 		return
 	}
-	for i := range e.state {
+	for i := range e.state[:e.n] {
 		if e.state[i].wakeOnIssue {
 			e.Schedule(readyAt, EvOperandReady, i)
 		}

@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// NewEngine creates an engine over the given domains, registered in
+// argument order.
+func NewEngine(domains ...*Domain) *Engine {
+	e := &Engine{}
+	for _, d := range domains {
+		e.Add(d)
+	}
+	return e
+}
+
 func TestEngineTieBreaksByRegistrationOrder(t *testing.T) {
 	a := NewDomain(DomainConfig{Name: "a", FreqMHz: 1000})
 	b := NewDomain(DomainConfig{Name: "b", FreqMHz: 1000})
@@ -184,4 +194,17 @@ func TestEngineSleepTwicePanics(t *testing.T) {
 		}
 	}()
 	e.Sleep(0, Forever, false)
+}
+
+func TestEngineAddPanicsPastMaxDomains(t *testing.T) {
+	var e Engine
+	for i := 0; i < MaxDomains; i++ {
+		e.Add(NewDomain(DomainConfig{Name: "d", FreqMHz: 1000}))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Add past MaxDomains did not panic")
+		}
+	}()
+	e.Add(NewDomain(DomainConfig{Name: "extra", FreqMHz: 1000}))
 }

@@ -31,10 +31,12 @@ package control
 
 import (
 	"fmt"
+	"unsafe"
 
 	"mcddvfs/internal/clock"
 	"mcddvfs/internal/dvfs"
 	"mcddvfs/internal/isa"
+	"mcddvfs/internal/layout"
 )
 
 // Config parameterizes one adaptive controller instance.
@@ -219,6 +221,13 @@ type Stats struct {
 // the simulator's Controller interface (Observe is called at each
 // 250 MHz sampling tick).
 type Adaptive struct {
+	adaptiveState
+	// Whole layout.Blocks: each core has its own, written every tick.
+	_ [(layout.Block - unsafe.Sizeof(adaptiveState{})%layout.Block) % layout.Block]byte
+}
+
+// adaptiveState is Adaptive's state.
+type adaptiveState struct {
 	cfg Config
 
 	level signalFSM
@@ -240,7 +249,7 @@ func NewAdaptive(cfg Config) *Adaptive {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Adaptive{cfg: cfg}
+	return &Adaptive{adaptiveState: adaptiveState{cfg: cfg}}
 }
 
 // Name implements the Controller interface.

@@ -73,6 +73,7 @@ type Harness struct {
 	flights flight.Group[flightKey, outcome]
 	runs    uint64 // cached calls this generation; hits = runs - misses
 	misses  uint64 // resolutions that went to disk or simulated
+	sims    uint64 // resolutions that simulated: misses no disk entry served
 
 	// ClassifyBenchmarks verdicts, keyed by the cache key of the
 	// SchemeNone run each derives from (see cachedClass).
@@ -161,7 +162,7 @@ func (h *Harness) reset() {
 	h.classes = make(map[[sha256.Size]byte]BenchClass)
 	h.renders = make(map[[sha256.Size]byte][]byte)
 	h.keys = make(map[keyProjection]keyMemoEntry)
-	h.runs, h.misses, h.spectra, h.renderHits, h.renderMisses = 0, 0, 0, 0, 0
+	h.runs, h.misses, h.sims, h.spectra, h.renderHits, h.renderMisses = 0, 0, 0, 0, 0, 0
 	h.mu.Unlock()
 	h.replays.reset()
 }
@@ -175,6 +176,15 @@ func (h *Harness) cacheStats() (hits, misses uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.runs - h.misses, h.misses
+}
+
+// SimulationCount reports how many of the default harness's runs were
+// simulated: the CacheStats misses that no disk entry served.
+func SimulationCount() uint64 {
+	h := defaultHarness
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.sims
 }
 
 // RenderCacheStats reports how many of the default harness's artifact
@@ -611,6 +621,11 @@ func resolve(ctx context.Context, s *runSpec, fk flightKey, gen uint64, profs []
 			return outcome{res: &res, elided: fk.headOnly}
 		}
 	}
+	h.mu.Lock()
+	if h.gen == gen {
+		h.sims++
+	}
+	h.mu.Unlock()
 	o.res, o.err = simulate(ctx, s, profs, scheme, bankSrc)
 	if o.err == nil && store != nil {
 		store.Put(k, o.res) //nolint:errcheck // best-effort: a failed write costs this cell's persistence

@@ -1,14 +1,19 @@
 package mcd
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"time"
+	"unsafe"
 
 	"mcddvfs/internal/clock"
 	"mcddvfs/internal/isa"
+	"mcddvfs/internal/layout"
 	"mcddvfs/internal/power"
 	"mcddvfs/internal/trace"
 )
@@ -229,9 +234,35 @@ func (r *ChipResult) Aggregate() *Result {
 type Chip struct {
 	cfg     ChipConfig
 	cores   []*Processor
+	runs    []coreRun // per-core run state, indexed like cores
 	gov     Governor
 	workers int
 	ran     bool
+}
+
+// coreRun is one core's run state across RunContext's epochs. Only the
+// worker advancing the core writes it, while other workers write their
+// own cores' slots, so each slot fills whole layout.Blocks.
+type coreRun struct {
+	coreRunState
+	_ [(layout.Block - unsafe.Sizeof(coreRunState{})%layout.Block) % layout.Block]byte
+}
+
+// coreRunState is coreRun's state.
+type coreRunState struct {
+	err       error
+	recovered any // a panic value, re-raised on the caller's goroutine
+	done      bool
+	// cost is the host time the core's last epoch took: the next epoch
+	// dispatches the costliest cores first.
+	cost time.Duration
+}
+
+// hostNow reads the host's wall clock. The chip uses it only to order
+// each epoch's dispatch, which decides which worker advances which core
+// when and never reaches a result.
+func hostNow() time.Time {
+	return time.Now() //lint:allow detsource dispatch order only; results merge in core-index order
 }
 
 // NewChip builds a chip from cfg, constructing every core.
@@ -239,7 +270,7 @@ func NewChip(cfg ChipConfig) (*Chip, error) {
 	if err := cfg.validateChip(); err != nil {
 		return nil, err
 	}
-	c := &Chip{cfg: cfg, cores: make([]*Processor, len(cfg.Cores))}
+	c := &Chip{cfg: cfg, cores: make([]*Processor, len(cfg.Cores)), runs: layout.Slice[coreRun](len(cfg.Cores))}
 	for i := range cfg.Cores {
 		// New validates the core's configuration.
 		p, err := New(cfg.Cores[i])
@@ -271,7 +302,8 @@ func (c *Chip) SetGovernor(g Governor) {
 // SetWorkers bounds the worker pool that advances cores in parallel
 // (0 = GOMAXPROCS). Purely a throughput knob: cores only ever
 // synchronize at epoch barriers and the merge order is core index, so
-// every pool size produces byte-identical ChipResults.
+// every pool size (and so every dispatch order) produces
+// byte-identical ChipResults.
 func (c *Chip) SetWorkers(n int) {
 	if c.ran {
 		panic("mcd: SetWorkers after Run")
@@ -294,6 +326,13 @@ func (c *Chip) Run(srcs []trace.Source) (*ChipResult, error) {
 // result is independent of worker count and completion order.
 // A core's panic is re-raised on the caller's goroutine once the pool
 // has drained, as Processor.RunContext would raise it.
+//
+// Each epoch dispatches its live cores longest first: in decreasing
+// order of the host time each took in the previous epoch, ties in
+// core-index order. With fewer workers than cores, the costliest core
+// then starts first instead of last, and the epoch ends sooner. The
+// order changes only which worker advances which core when, never a
+// result.
 func (c *Chip) RunContext(ctx context.Context, srcs []trace.Source) (*ChipResult, error) {
 	if c.ran {
 		return nil, errors.New("mcd: Chip.Run called twice; create a new Chip per run")
@@ -317,37 +356,39 @@ func (c *Chip) RunContext(ctx context.Context, srcs []trace.Source) (*ChipResult
 	if c.gov != nil {
 		deadline = epoch
 	}
-	// Per-core run state. live holds the unfinished cores in index
-	// order; the power and cap slices exist only under a governor.
-	type coreRun struct {
-		err       error
-		recovered any // a panic value, re-raised below
-		done      bool
-	}
-	runs := make([]coreRun, n)
+	// live holds the unfinished cores in index order, order the same
+	// cores in dispatch order; the power and cap slices exist only
+	// under a governor.
+	runs := c.runs
 	live := make([]int, n)
 	for i := range live {
 		live[i] = i
 	}
+	order := make([]int, 0, n)
 	var caps, powerW, lastJ []float64
 	if c.gov != nil {
 		buf := make([]float64, 3*n)
 		caps, powerW, lastJ = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
 	}
 	advance := func(i int) {
+		r := &runs[i]
 		defer func() {
-			if r := recover(); r != nil {
-				runs[i].recovered = r
-				runs[i].done = true
+			if v := recover(); v != nil {
+				r.recovered = v
+				r.done = true
 			}
 		}()
+		start := hostNow()
 		d, err := c.cores[i].advanceEvent(ctx, deadline)
-		runs[i].err = err
-		runs[i].done = d || err != nil
+		r.cost = hostNow().Sub(start)
+		r.err = err
+		r.done = d || err != nil
 	}
 	res := &ChipResult{Cores: make([]*Result, n), PowerCapW: c.cfg.PowerCapW}
 	for len(live) > 0 {
-		c.forEachCore(live, advance)
+		order = append(order[:0], live...)
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(runs[b].cost, runs[a].cost) })
+		c.forEachCore(order, advance)
 		next := live[:0]
 		for _, i := range live {
 			if r := runs[i].recovered; r != nil {
@@ -416,21 +457,21 @@ func (c *Chip) coreErr(i int, err error) error {
 	return fmt.Errorf("mcd: chip core %d: %w", i, err)
 }
 
-// forEachCore runs fn(i) for every core index in live, fanning the
-// indices out over the worker pool. Each invocation only writes its
-// own core's state and its own slots of the caller's per-core slices,
-// and the caller reads nothing until every worker has drained, so the
-// pool needs no ordering beyond the final barrier.
-func (c *Chip) forEachCore(live []int, fn func(i int)) {
+// forEachCore runs fn(i) for every core index in order, handing the
+// indices out over the worker pool in that order. Each invocation only
+// writes its own core's state and its own slots of the caller's
+// per-core slices, and the caller reads nothing until every worker has
+// drained, so the pool needs no ordering beyond the final barrier.
+func (c *Chip) forEachCore(order []int, fn func(i int)) {
 	w := c.workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > len(live) {
-		w = len(live)
+	if w > len(order) {
+		w = len(order)
 	}
 	if w <= 1 {
-		for _, i := range live {
+		for _, i := range order {
 			fn(i)
 		}
 		return
@@ -446,7 +487,7 @@ func (c *Chip) forEachCore(live []int, fn func(i int)) {
 			}
 		}()
 	}
-	for _, i := range live {
+	for _, i := range order {
 		idx <- i
 	}
 	close(idx)

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,10 +34,13 @@ func chipRunBytes(t *testing.T, workers int) []byte {
 // governedChipRun runs the canonical determinism workload — a 4-core
 // chip with heterogeneous per-core benchmarks, adaptive per-domain
 // controllers, and the integral-gain governor holding a 30 W budget —
-// on a worker pool of the given size.
+// on a worker pool of the given size. The per-core budgets stagger the
+// cores' finishes so that the live set shrinks 4 → 3 → 1: one core
+// finishes first, two more in one later epoch.
 func governedChipRun(t *testing.T, workers int) *mcd.ChipResult {
 	t.Helper()
 	benches := []string{"epic_decode", "gzip", "swim", "adpcm_encode"}
+	budgets := []int64{30000, 30000, 25000, 30000}
 	cfg := mcd.ChipConfig{Cores: make([]mcd.Config, len(benches)), PowerCapW: 30}
 	for i := range cfg.Cores {
 		mc := mcd.DefaultConfig()
@@ -74,7 +78,7 @@ func governedChipRun(t *testing.T, workers int) *mcd.ChipResult {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen, err := trace.NewGenerator(prof, cfg.Cores[i].Seed+100, 30000)
+		gen, err := trace.NewGenerator(prof, cfg.Cores[i].Seed+100, budgets[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,11 +133,14 @@ func timedChipRun(t *testing.T, workers int, insts int64) time.Duration {
 // TestChipParallelSpeedup is the throughput half of the worker-pool
 // contract: on a machine with CPUs to spare, a 4-core chip on the full
 // pool must finish at least 2x faster than the same chip advanced
-// serially. Cores share nothing between barriers, so the only serial
-// residue is the per-run setup and the final merge. The test skips
-// where the hardware cannot show the effect (GOMAXPROCS < 4 — a
-// worker per core is the configuration the bound is stated for) and
-// under -race, whose instrumentation serializes the cores' memory
+// serially. Cores exchange no data between barriers, but they do
+// share the host's caches: a core writing a cache line that holds
+// another core's state stalls both. The per-core layout rule of
+// internal/layout keeps that from happening, and
+// TestChipCoresShareNoCacheLine, not this test, is what checks it: this
+// one skips where the hardware cannot show the effect (GOMAXPROCS < 4
+// — a worker per core is the configuration the bound is stated for)
+// and under -race, whose instrumentation serializes the cores' memory
 // traffic and makes wall-clock ratios meaningless.
 func TestChipParallelSpeedup(t *testing.T) {
 	if testing.Short() {
@@ -156,14 +163,39 @@ func TestChipParallelSpeedup(t *testing.T) {
 	}
 }
 
+// liveCounts returns the distinct live-core counts of a governed chip
+// run in epoch order: a core is live after an epoch until its retired
+// count reaches its final one.
+func liveCounts(res *mcd.ChipResult) []int {
+	out := []int{len(res.Cores)}
+	for _, s := range res.EpochTrace {
+		live := 0
+		for i, n := range s.CoreInsts {
+			if n < res.Cores[i].Metrics.Instructions {
+				live++
+			}
+		}
+		if live != out[len(out)-1] {
+			out = append(out, live)
+		}
+	}
+	return out
+}
+
 // TestChipResultIndependentOfWorkers is the parallelism determinism
 // gate: the worker pool is purely a throughput knob, so the same
 // governed heterogeneous chip run must serialize to the same bytes at
-// pool sizes 1, 4, and GOMAXPROCS. Under -race (make race) it doubles
-// as the data-race check on the epoch-barrier protocol.
+// pool sizes 1 to 4 and GOMAXPROCS. Each epoch dispatches its live
+// cores longest first, an order that depends on the live count and the
+// pool width, so the workload's live set shrinks 4 → 3 → 1 and every
+// pool size meets 4, 3 and 1 live cores. Under -race (make race) it
+// doubles as the data-race check on the epoch-barrier protocol.
 func TestChipResultIndependentOfWorkers(t *testing.T) {
+	if got := liveCounts(governedChipRun(t, 1)); !slices.Equal(got, []int{4, 3, 1}) {
+		t.Fatalf("live cores per epoch went %v, want [4 3 1]", got)
+	}
 	want := chipRunBytes(t, 1)
-	for _, w := range []int{4, runtime.GOMAXPROCS(0)} {
+	for _, w := range []int{2, 3, 4, runtime.GOMAXPROCS(0)} {
 		if got := chipRunBytes(t, w); !bytes.Equal(got, want) {
 			t.Errorf("ChipResult bytes at %d workers differ from the serial run (%d vs %d bytes)",
 				w, len(got), len(want))

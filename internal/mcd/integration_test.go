@@ -199,7 +199,7 @@ func TestROBOverflowPanics(t *testing.T) {
 }
 
 func TestUnitPoolAcquire(t *testing.T) {
-	p := newUnitPool(2)
+	p := &unitPool{units: make([]funcUnit, 2)}
 	if !p.acquire(0, 100) || !p.acquire(0, 100) {
 		t.Fatal("two units should be available")
 	}

@@ -10,6 +10,7 @@ import (
 	"mcddvfs/internal/clock"
 	"mcddvfs/internal/faults"
 	"mcddvfs/internal/isa"
+	"mcddvfs/internal/layout"
 	"mcddvfs/internal/power"
 	"mcddvfs/internal/queue"
 	"mcddvfs/internal/trace"
@@ -24,9 +25,6 @@ type fetched struct {
 	mispredict bool
 }
 
-// Processor is one MCD machine instance. Create it with New, attach
-// controllers, then call Run exactly once. It is not safe for
-// concurrent use: determinism comes from single-threaded simulation.
 // Engine domain indices, fixed by registration order in New. Exec
 // domain d lives at engExecBase + int(d).
 const (
@@ -39,10 +37,24 @@ const (
 	numEngDomains
 )
 
+// Processor is one MCD machine instance. Create it with New, attach
+// controllers, then call Run exactly once. It is not safe for
+// concurrent use: determinism comes from single-threaded simulation.
+//
+// A chip runs its cores' Processors on parallel goroutines, so what one
+// core writes on the edge path must share no 128-byte block with
+// another core's state (internal/layout). The small structures the edge
+// path writes (the engine, its domains, queues, meters, samplers, unit
+// pools, ROB and cache hierarchy headers) are therefore held by value
+// here, in one allocation of whole blocks, and every slice the edge
+// path writes is allocated in whole blocks by layout.Slice.
 type Processor struct {
 	cfg Config
 
-	eng      *clock.Engine
+	eng clock.Engine
+	// doms holds the engine's domains in engine order; fe, exec,
+	// sampling and fetchDom point into it.
+	doms     [numEngDomains]clock.Domain
 	fe       *clock.Domain
 	exec     [isa.NumExecDomains]*clock.Domain
 	sampling *clock.Domain
@@ -59,38 +71,38 @@ type Processor struct {
 	// check counts down clock edges to the next context poll.
 	check int
 
-	rob *rob
-	win *window
+	rob rob
+	win window
 
 	// feQueue sits between fetch and dispatch. In the 4-domain machine
 	// both stages share the FrontEnd clock and the queue has no
 	// synchronization window; in the split (5-domain, Iyer-Marculescu
 	// style) machine the fetch stage runs on its own clock and the
 	// queue synchronizes across the extra boundary.
-	feQueue  *queue.Queue[fetched]
+	feQueue  queue.Queue[fetched]
 	fetchDom *clock.Domain // nil unless SplitFrontEnd
-	queues   [isa.NumExecDomains]*queue.Queue[*uop]
+	queues   [isa.NumExecDomains]queue.Queue[*uop]
 	lsqCount int
 	// storeCounts tracks in-flight stores per 8-byte-aligned address,
 	// backing store-to-load forwarding.
-	storeCounts *storeCounter
+	storeCounts storeCounter
 	forwarded   uint64
 	// inflight counts dispatched-but-uncommitted uops per domain,
 	// backing the deep-sleep idleness test.
 	inflight [isa.NumExecDomains]int
 
-	aluPool  [isa.NumExecDomains]*unitPool // simple units per domain
-	longPool [isa.NumExecDomains]*unitPool // mult/div(/sqrt) units
+	aluPool  [isa.NumExecDomains]unitPool // simple units per domain
+	longPool [isa.NumExecDomains]unitPool // mult/div(/sqrt) units
 
 	pred *bpred.Unit
-	mem  *cache.Hierarchy
+	mem  cache.Hierarchy
 
 	// Per-domain energy meters, resolved once at construction so the
-	// per-cycle paths never hash a domain name. fetchMeter is non-nil
-	// only on split-front-end machines.
-	feMeter    *power.Meter
-	fetchMeter *power.Meter
-	execMeters [isa.NumExecDomains]*power.Meter
+	// per-cycle paths never hash a domain name. fetchMeter is used only
+	// on split-front-end machines.
+	feMeter    power.Meter
+	fetchMeter power.Meter
+	execMeters [isa.NumExecDomains]power.Meter
 
 	// uopFree recycles uop structs: the ROB bounds live uops, so after
 	// warm-up dispatch never allocates. deferredBranch is a committed
@@ -113,7 +125,7 @@ type Processor struct {
 	syncWin clock.Time
 
 	controllers [isa.NumExecDomains]Controller
-	samplers    [isa.NumExecDomains]*queue.Sampler
+	samplers    [isa.NumExecDomains]queue.Sampler
 	freqTrace   [isa.NumExecDomains][]FreqPoint
 	lastTraceF  [isa.NumExecDomains]float64
 
@@ -125,7 +137,7 @@ type Processor struct {
 
 	// Dispatch-domain control (5-domain machines with ControlFrontEnd).
 	feController Controller
-	feSampler    *queue.Sampler // nil unless cfg.ControlFrontEnd
+	feSampler    queue.Sampler // used only with cfg.ControlFrontEnd
 	feSensor     *faults.Sensor
 	feActuator   *faults.Actuator
 
@@ -167,12 +179,14 @@ func New(cfg Config) (*Processor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// The structures held by value are built by their packages'
+	// constructors and copied in; none holds a pointer to itself.
 	p := &Processor{
 		cfg:         cfg,
 		rob:         newROB(cfg.ROBSize),
 		win:         newWindow(cfg.ROBSize + 1024),
 		pred:        bpred.DefaultUnit(),
-		mem:         cache.NewHierarchy(cfg.Cache),
+		mem:         *cache.NewHierarchy(cfg.Cache),
 		physIntFree: cfg.PhysInt,
 		physFPFree:  cfg.PhysFP,
 		nextSeq:     1, // seq 0 is the "operand ready" sentinel
@@ -181,12 +195,12 @@ func New(cfg Config) (*Processor, error) {
 	// At most ROBSize uops are in flight, plus one committed blocking
 	// branch awaiting its fetch-side release; one contiguous slab seeds
 	// the free list so steady-state dispatch is allocation-free.
-	slab := make([]uop, cfg.ROBSize+1)
-	p.uopFree = make([]*uop, 0, cfg.ROBSize+1)
+	slab := layout.Slice[uop](cfg.ROBSize + 1)
+	p.uopFree = layout.Slice[*uop](cfg.ROBSize + 1)[:0]
 	for i := range slab {
 		p.uopFree = append(p.uopFree, &slab[i])
 	}
-	p.issueScratch = make([]int, 0, cfg.IssueWidth)
+	p.issueScratch = layout.Slice[int](cfg.IssueWidth)[:0]
 	for d := 0; d < isa.NumExecDomains; d++ {
 		p.uncappedMHz[d] = cfg.Range.MaxMHz
 	}
@@ -210,43 +224,57 @@ func New(cfg Config) (*Processor, error) {
 		feCfg.SlewPerMHz = slew
 		feCfg.Style = cfg.Transitions.Style
 	}
-	p.fe = clock.NewDomain(feCfg)
+	p.doms[engFE] = *clock.NewDomain(feCfg)
+	p.fe = &p.doms[engFE]
 	names := [isa.NumExecDomains]string{isa.DomainInt: NameInt, isa.DomainFP: NameFP, isa.DomainLS: NameLS}
 	for d := 0; d < isa.NumExecDomains; d++ {
-		p.exec[d] = clock.NewDomain(clock.DomainConfig{
+		p.doms[engExecBase+d] = *clock.NewDomain(clock.DomainConfig{
 			Name: names[d], FreqMHz: cfg.Range.MaxMHz,
 			MinMHz: cfg.Range.MinMHz, MaxMHz: cfg.Range.MaxMHz,
 			SlewPerMHz: slew, JitterPS: cfg.JitterPS,
 			Style: cfg.Transitions.Style, Seed: cfg.Seed + 2 + int64(d),
 		})
+		p.exec[d] = &p.doms[engExecBase+d]
 	}
-	p.sampling = clock.NewDomain(clock.DomainConfig{
+	p.doms[engSampling] = *clock.NewDomain(clock.DomainConfig{
 		Name: "sampling", FreqMHz: cfg.SamplingMHz, Seed: cfg.Seed + 9,
 	})
-	p.eng = clock.NewEngine(p.fe, p.exec[0], p.exec[1], p.exec[2], p.sampling)
+	p.sampling = &p.doms[engSampling]
+	for i := engFE; i <= engSampling; i++ {
+		p.eng.Add(&p.doms[i])
+	}
 
 	syncWin := cfg.SyncWindow()
 	p.syncWin = syncWin
 	feWin := clock.Time(0)
 	if cfg.SplitFrontEnd {
 		feWin = syncWin
-		p.fetchDom = clock.NewDomain(clock.DomainConfig{
+		p.doms[engFetch] = *clock.NewDomain(clock.DomainConfig{
 			Name: NameFetch, FreqMHz: cfg.Range.MaxMHz,
 			JitterPS: cfg.JitterPS, Seed: cfg.Seed + 7,
 		})
+		p.fetchDom = &p.doms[engFetch]
 		p.eng.Add(p.fetchDom)
 	}
-	p.feQueue = queue.NewWithPolicy[fetched]("FetchQ", cfg.FetchBuf, feWin, cfg.SyncPolicy)
-	p.queues[isa.DomainInt] = queue.NewWithPolicy[*uop](NameInt, cfg.IntQSize, syncWin, cfg.SyncPolicy)
-	p.queues[isa.DomainFP] = queue.NewWithPolicy[*uop](NameFP, cfg.FPQSize, syncWin, cfg.SyncPolicy)
-	p.queues[isa.DomainLS] = queue.NewWithPolicy[*uop](NameLS, cfg.LSQueue, syncWin, cfg.SyncPolicy)
+	p.feQueue = *queue.NewWithPolicy[fetched]("FetchQ", cfg.FetchBuf, feWin, cfg.SyncPolicy)
+	p.queues[isa.DomainInt] = *queue.NewWithPolicy[*uop](NameInt, cfg.IntQSize, syncWin, cfg.SyncPolicy)
+	p.queues[isa.DomainFP] = *queue.NewWithPolicy[*uop](NameFP, cfg.FPQSize, syncWin, cfg.SyncPolicy)
+	p.queues[isa.DomainLS] = *queue.NewWithPolicy[*uop](NameLS, cfg.LSQueue, syncWin, cfg.SyncPolicy)
 
-	p.aluPool[isa.DomainInt] = newUnitPool(cfg.IntALUs)
-	p.longPool[isa.DomainInt] = newUnitPool(cfg.IntMultDiv)
-	p.aluPool[isa.DomainFP] = newUnitPool(cfg.FPALUs)
-	p.longPool[isa.DomainFP] = newUnitPool(cfg.FPMultDiv)
-	p.aluPool[isa.DomainLS] = newUnitPool(cfg.MemPorts)
-	p.longPool[isa.DomainLS] = newUnitPool(1) // unused; keeps indexing uniform
+	// All six unit pools share one array of whole blocks. The LS
+	// domain's long pool is unused; it keeps indexing uniform.
+	sizes := [2 * isa.NumExecDomains]int{cfg.IntALUs, cfg.IntMultDiv, cfg.FPALUs, cfg.FPMultDiv, cfg.MemPorts, 1}
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	units := layout.Slice[funcUnit](total)
+	for d := 0; d < isa.NumExecDomains; d++ {
+		alu, long := sizes[2*d], sizes[2*d+1]
+		p.aluPool[d] = unitPool{units: units[:alu:alu]}
+		p.longPool[d] = unitPool{units: units[alu : alu+long : alu+long]}
+		units = units[alu+long:]
+	}
 
 	feModel := cfg.Power[NameFrontEnd]
 	if cfg.SplitFrontEnd {
@@ -257,19 +285,19 @@ func New(cfg Config) (*Processor, error) {
 		fetchModel.Name = NameFetch
 		fetchModel.SwitchedCapF *= 0.45
 		fetchModel.LeakagePerV *= 0.45
-		p.fetchMeter = power.NewMeter(fetchModel)
+		p.fetchMeter = *power.NewMeter(fetchModel)
 		feModel.SwitchedCapF *= 0.55
 		feModel.LeakagePerV *= 0.55
 	}
-	p.feMeter = power.NewMeter(feModel)
-	p.execMeters[isa.DomainInt] = power.NewMeter(cfg.Power[NameInt])
-	p.execMeters[isa.DomainFP] = power.NewMeter(cfg.Power[NameFP])
-	p.execMeters[isa.DomainLS] = power.NewMeter(cfg.Power[NameLS])
+	p.feMeter = *power.NewMeter(feModel)
+	p.execMeters[isa.DomainInt] = *power.NewMeter(cfg.Power[NameInt])
+	p.execMeters[isa.DomainFP] = *power.NewMeter(cfg.Power[NameFP])
+	p.execMeters[isa.DomainLS] = *power.NewMeter(cfg.Power[NameLS])
 	for d := 0; d < isa.NumExecDomains; d++ {
-		p.samplers[d] = queue.NewSampler(cfg.SampleLimit)
+		p.samplers[d] = *queue.NewSampler(cfg.SampleLimit)
 	}
 	if cfg.ControlFrontEnd {
-		p.feSampler = queue.NewSampler(cfg.SampleLimit)
+		p.feSampler = *queue.NewSampler(cfg.SampleLimit)
 	}
 	return p, nil
 }
@@ -363,7 +391,7 @@ func (p *Processor) beginEventRun(ctx context.Context, src trace.Source) error {
 // collect. On a sleepless processor no domain ever sleeps, so every
 // edge takes the slow path: the same loop is its own reference.
 func (p *Processor) advanceEvent(ctx context.Context, deadline clock.Time) (bool, error) {
-	eng := p.eng
+	eng := &p.eng
 	for {
 		idx, t := eng.Next()
 		if idx < 0 {
@@ -430,7 +458,7 @@ func (p *Processor) advanceEvent(ctx context.Context, deadline clock.Time) (bool
 // drain is bounded by the context-check budget so cancellation stays
 // responsive even when the horizon is far away.
 func (p *Processor) drainIdle(h clock.Time) {
-	eng := p.eng
+	eng := &p.eng
 	budget := p.check
 	n := 0
 	for di := 0; di < eng.Len(); di++ {
@@ -518,7 +546,7 @@ func (p *Processor) frontEndCycle(now clock.Time) {
 	dispatched := p.dispatch(now)
 
 	act := float64(committed+fetchedN+dispatched) / width
-	m := p.feMeter
+	m := &p.feMeter
 	v := p.feVoltage(now)
 	m.Cycle(v, act)
 	m.Leak(now, v)
@@ -634,7 +662,7 @@ func (p *Processor) dispatchSleepBound(now clock.Time) (clock.Time, bool) {
 // fetchCycle is the split machine's dedicated fetch-domain cycle.
 func (p *Processor) fetchCycle(now clock.Time) {
 	n := p.fetch(now)
-	m := p.fetchMeter
+	m := &p.fetchMeter
 	// The fetch domain always runs at f_max / V_max.
 	m.Cycle(p.cfg.Range.MaxV, float64(n)/float64(p.cfg.FetchWidth))
 	m.Leak(now, p.cfg.Range.MaxV)
@@ -917,7 +945,7 @@ func (p *Processor) execCycle(now clock.Time, dom isa.ExecDomain) {
 	d := p.exec[dom]
 	freq := d.FreqMHz(now)
 	v := p.voltageFor(int(dom), freq)
-	meter := p.execMeters[dom]
+	meter := &p.execMeters[dom]
 
 	units := p.aluPool[dom].size()
 	if dom != isa.DomainLS { // the LS long pool is a structural dummy
@@ -963,7 +991,7 @@ func (p *Processor) execCycle(now clock.Time, dom isa.ExecDomain) {
 	issueWake := false
 	noSleep := false
 	remove := p.issueScratch[:0]
-	q := p.queues[dom]
+	q := &p.queues[dom]
 	for i, qn := 0, q.Len(); i < qn && issued < width; i++ {
 		u, visible := q.EntryAt(i, now)
 		if !visible {
@@ -1071,9 +1099,9 @@ func (p *Processor) tryIssue(u *uop, dom isa.ExecDomain, now clock.Time, period 
 	}
 
 	completion := now + lat + fixed
-	pool := p.aluPool[dom]
+	pool := &p.aluPool[dom]
 	if !class.Pipelined() || class == isa.IntMult || class == isa.FPMult {
-		pool = p.longPool[dom]
+		pool = &p.longPool[dom]
 	}
 	busyUntil := now + period // pipelined: unit accepts a new op next cycle
 	if !class.Pipelined() {
@@ -1205,7 +1233,7 @@ func (p *Processor) SetFreqCap(now clock.Time, mhz float64) {
 // across worker-pool sizes.
 func (p *Processor) EnergySnapshotJ() float64 {
 	total := p.feMeter.TotalJ()
-	if p.fetchMeter != nil {
+	if p.fetchDom != nil {
 		total += p.fetchMeter.TotalJ()
 	}
 	for d := 0; d < isa.NumExecDomains; d++ {
@@ -1253,14 +1281,14 @@ func (p *Processor) collect(end clock.Time) *Result {
 		d    *clock.Domain
 	}
 	meters := make([]domainMeter, 0, 5)
-	meters = append(meters, domainMeter{NameFrontEnd, p.feMeter, p.fe})
-	if p.fetchMeter != nil {
-		meters = append(meters, domainMeter{NameFetch, p.fetchMeter, p.fetchDom})
+	meters = append(meters, domainMeter{NameFrontEnd, &p.feMeter, p.fe})
+	if p.fetchDom != nil {
+		meters = append(meters, domainMeter{NameFetch, &p.fetchMeter, p.fetchDom})
 	}
 	meters = append(meters,
-		domainMeter{NameInt, p.execMeters[isa.DomainInt], p.exec[isa.DomainInt]},
-		domainMeter{NameFP, p.execMeters[isa.DomainFP], p.exec[isa.DomainFP]},
-		domainMeter{NameLS, p.execMeters[isa.DomainLS], p.exec[isa.DomainLS]},
+		domainMeter{NameInt, &p.execMeters[isa.DomainInt], p.exec[isa.DomainInt]},
+		domainMeter{NameFP, &p.execMeters[isa.DomainFP], p.exec[isa.DomainFP]},
+		domainMeter{NameLS, &p.execMeters[isa.DomainLS], p.exec[isa.DomainLS]},
 	)
 	for _, dm := range meters {
 		name, m, d := dm.name, dm.m, dm.d

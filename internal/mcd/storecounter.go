@@ -1,5 +1,7 @@
 package mcd
 
+import "mcddvfs/internal/layout"
+
 // storeCounter counts in-flight stores per 8-byte-aligned address,
 // backing store-to-load forwarding. It replaces the previous
 // map[uint64]int with a fixed-size open-addressed table (linear probing,
@@ -15,7 +17,7 @@ type storeCounter struct {
 }
 
 // newStoreCounter builds a table for at most capacity concurrent keys.
-func newStoreCounter(capacity int) *storeCounter {
+func newStoreCounter(capacity int) storeCounter {
 	size := 8
 	for size < 4*capacity {
 		size <<= 1
@@ -24,9 +26,9 @@ func newStoreCounter(capacity int) *storeCounter {
 	for s := size; s > 1; s >>= 1 {
 		shift--
 	}
-	return &storeCounter{
-		keys:   make([]uint64, size),
-		counts: make([]int32, size),
+	return storeCounter{
+		keys:   layout.Slice[uint64](size),
+		counts: layout.Slice[int32](size),
 		mask:   uint64(size - 1),
 		shift:  shift,
 	}

@@ -3,6 +3,7 @@ package mcd
 import (
 	"mcddvfs/internal/clock"
 	"mcddvfs/internal/isa"
+	"mcddvfs/internal/layout"
 )
 
 // uopState tracks a micro-op through the pipeline.
@@ -59,12 +60,12 @@ type window struct {
 // newWindow creates a window with capacity n (rounded up to a power of
 // two). n must exceed the ROB size plus the maximum dependency
 // distance so that an in-flight producer can never be evicted early.
-func newWindow(n int) *window {
+func newWindow(n int) window {
 	size := 1
 	for size < n {
 		size <<= 1
 	}
-	return &window{slots: make([]*uop, size), mask: uint64(size - 1)}
+	return window{slots: layout.Slice[*uop](size), mask: uint64(size - 1)}
 }
 
 func (w *window) insert(u *uop) { w.slots[u.seq&w.mask] = u }
@@ -93,7 +94,7 @@ type rob struct {
 	count   int
 }
 
-func newROB(size int) *rob { return &rob{entries: make([]*uop, size)} }
+func newROB(size int) rob { return rob{entries: layout.Slice[*uop](size)} }
 
 func (r *rob) full() bool  { return r.count == len(r.entries) }
 func (r *rob) empty() bool { return r.count == 0 }
@@ -139,8 +140,6 @@ type funcUnit struct {
 type unitPool struct {
 	units []funcUnit
 }
-
-func newUnitPool(n int) *unitPool { return &unitPool{units: make([]funcUnit, n)} }
 
 // acquire finds a unit free at time now and books it until busyUntil.
 // It reports whether a unit was available.

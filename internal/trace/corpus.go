@@ -10,8 +10,10 @@ import (
 	"io"
 	"os"
 	"sync"
+	"unsafe"
 
 	"mcddvfs/internal/isa"
+	"mcddvfs/internal/layout"
 )
 
 // Chunked trace format, version 3 — the repository's one trace file
@@ -221,6 +223,13 @@ type Chunked struct {
 	resident int64
 	peak     int64
 	loads    int64 // cache misses (chunk decodes)
+	// inflate decodes every chunk load, reset onto each chunk's
+	// compressed bytes through buf so that a load reuses the
+	// decoder's tables and window instead of building new ones (nil
+	// until the first load).
+	inflate io.Reader
+	sec     io.SectionReader
+	buf     bufio.Reader
 }
 
 // OpenChunked validates a chunked trace of the given size and prepares
@@ -395,7 +404,10 @@ func (c *Chunked) chunk(k int) ([]byte, error) {
 	// decoding out of one after it leaves the window, so the buffer's
 	// lifetime ends when the last cursor moves on, not here.
 	raw := make([]byte, rawLen)
-	fr := flate.NewReader(io.NewSectionReader(c.r, e.off, int64(e.clen)))
+	fr, err := c.decoder(e)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %q chunk %d: inflating: %w", c.name, k, err)
+	}
 	if _, err := io.ReadFull(fr, raw); err != nil {
 		return nil, fmt.Errorf("trace: %q chunk %d: inflating: %w", c.name, k, err)
 	}
@@ -422,6 +434,18 @@ func (c *Chunked) chunk(k int) ([]byte, error) {
 		c.peak = c.resident
 	}
 	return raw, nil
+}
+
+// decoder returns the chunk decoder positioned at e's compressed
+// bytes. The caller holds c.mu.
+func (c *Chunked) decoder(e chunkInfo) (io.Reader, error) {
+	c.sec = *io.NewSectionReader(c.r, e.off, int64(e.clen))
+	c.buf.Reset(&c.sec)
+	if c.inflate == nil {
+		c.inflate = flate.NewReader(&c.buf)
+		return c.inflate, nil
+	}
+	return c.inflate, c.inflate.(flate.Resetter).Reset(&c.buf, nil)
 }
 
 // touch moves chunk k to the most-recently-used end of the order.
@@ -451,7 +475,7 @@ func (c *Chunked) VerifyChunks() error {
 // share the chunk window; a single cursor is not safe for concurrent
 // use — give each consumer its own.
 func (c *Chunked) Replay() *ChunkedReplayer {
-	return &ChunkedReplayer{c: c}
+	return &ChunkedReplayer{chunkedReplayerState: chunkedReplayerState{c: c}}
 }
 
 // ChunkedReplayer streams a chunked trace as a Source. Next decodes
@@ -461,6 +485,13 @@ func (c *Chunked) Replay() *ChunkedReplayer {
 // CRC mismatch, an undecodable instruction) ends the stream; Err
 // distinguishes it from clean end-of-trace.
 type ChunkedReplayer struct {
+	chunkedReplayerState
+	// Whole layout.Blocks: each core has its own, advanced every fetch.
+	_ [(layout.Block - unsafe.Sizeof(chunkedReplayerState{})%layout.Block) % layout.Block]byte
+}
+
+// chunkedReplayerState is ChunkedReplayer's state.
+type chunkedReplayerState struct {
 	c   *Chunked
 	i   int64   // absolute index of the next instruction
 	run instRun // decoder over the pinned chunk's payload

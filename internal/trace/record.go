@@ -2,8 +2,10 @@ package trace
 
 import (
 	"fmt"
+	"unsafe"
 
 	"mcddvfs/internal/isa"
+	"mcddvfs/internal/layout"
 )
 
 // Recorded is a workload's full dynamic instruction stream captured
@@ -84,12 +86,19 @@ func (r *Recorded) Bytes() int64 {
 // returns), but a single Replayer is not safe for concurrent use —
 // give each consumer its own.
 func (r *Recorded) Replay() *Replayer {
-	return &Replayer{name: r.name, run: instRun{buf: r.code, left: r.n}}
+	return &Replayer{replayerState: replayerState{name: r.name, run: instRun{buf: r.code, left: r.n}}}
 }
 
 // Replayer streams a Recorded trace as a Source. Next performs no
 // allocation and no RNG work — it only decodes the shared bytes.
 type Replayer struct {
+	replayerState
+	// Whole layout.Blocks: each core has its own, advanced every fetch.
+	_ [(layout.Block - unsafe.Sizeof(replayerState{})%layout.Block) % layout.Block]byte
+}
+
+// replayerState is Replayer's state.
+type replayerState struct {
 	name string
 	run  instRun
 }

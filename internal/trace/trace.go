@@ -21,8 +21,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"unsafe"
 
 	"mcddvfs/internal/isa"
+	"mcddvfs/internal/layout"
 )
 
 // Mix is the probability of each operation class in a phase. Weights
@@ -153,6 +155,13 @@ type Source interface {
 // Generator streams the dynamic instructions of a profile. It is
 // deterministic for a given (profile, seed, total) triple.
 type Generator struct {
+	generatorState
+	// Whole layout.Blocks: each core has its own, advanced every fetch.
+	_ [(layout.Block - unsafe.Sizeof(generatorState{})%layout.Block) % layout.Block]byte
+}
+
+// generatorState is Generator's state.
+type generatorState struct {
 	prof  Profile
 	rng   *rand.Rand
 	total int64
@@ -204,12 +213,12 @@ func NewGenerator(p Profile, seed int64, total int64) (*Generator, error) {
 	if total <= 0 {
 		return nil, fmt.Errorf("trace: non-positive instruction budget %d", total)
 	}
-	g := &Generator{
+	g := &Generator{generatorState: generatorState{
 		prof:        p,
 		rng:         rand.New(rand.NewSource(seed)),
 		total:       total,
 		branchCount: make(map[uint64]uint32),
-	}
+	}}
 	if !p.Loop {
 		g.lengths = scaledLengths(p.Phases, total)
 	}
