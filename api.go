@@ -100,9 +100,6 @@ type (
 	// RowEvent is one completed benchmark row of a matrix sweep,
 	// delivered through Options.RowFlush in benchmark order.
 	RowEvent = experiment.RowEvent
-	// CorpusStats summarizes streamed-trace residency and self-healing
-	// for a corpus-backed matrix run (Matrix.Corpus).
-	CorpusStats = experiment.CorpusStats
 )
 
 // The harness error taxonomy: every failure a run can produce wraps

@@ -229,13 +229,12 @@ func BenchmarkTransitionStyles(b *testing.B) {
 }
 
 // BenchmarkRunMatrix measures the benchmark × scheme sweep that feeds
-// Figures 9-11 under four caching regimes: cold with the shared replay
-// memo (the default), cold streaming traces from an on-disk corpus,
-// warm from the in-process cache, and warm from the on-disk cache
+// Figures 9-11 under three caching regimes: cold with the shared replay
+// memo, warm from the in-process cache, and warm from the on-disk cache
 // (models re-rendering after process death). Every regime reports
-// cells/s — matrix cells retired per second, the throughput figure the
-// corpus work targets — so BENCH_baseline.json gates it. warm-disk also
-// reports disk-B/cell, the mean entry size each cell decodes.
+// cells/s — matrix cells retired per second — so BENCH_baseline.json
+// gates it. warm-disk also reports disk-B/cell, the mean entry size
+// each cell decodes.
 func BenchmarkRunMatrix(b *testing.B) {
 	opt := benchOpt(60000, "adpcm_encode", "gsm_decode", "gzip", "swim")
 	check := func(m *experiment.Matrix, err error) int {
@@ -254,16 +253,6 @@ func BenchmarkRunMatrix(b *testing.B) {
 
 	b.Run("cold-shared-trace", func(b *testing.B) {
 		next := uncached(b, opt)
-		cells := 0
-		for i := 0; i < b.N; i++ {
-			cells += check(experiment.RunMatrixContext(context.Background(), next()))
-		}
-		reportCells(b, cells)
-	})
-	b.Run("cold-corpus", func(b *testing.B) {
-		copt := opt
-		copt.CorpusDir = buildBenchCorpus(b, opt)
-		next := uncached(b, copt)
 		cells := 0
 		for i := 0; i < b.N; i++ {
 			cells += check(experiment.RunMatrixContext(context.Background(), next()))
@@ -571,29 +560,6 @@ func diskBytesPerEntry(b *testing.B, dir string) float64 {
 	return float64(total) / float64(len(paths))
 }
 
-// buildBenchCorpus emits a chunked trace corpus matching opt into a
-// temporary directory for the cold-corpus matrix regime.
-func buildBenchCorpus(b *testing.B, opt experiment.Options) string {
-	b.Helper()
-	dir := b.TempDir()
-	man := trace.CorpusManifest{FormatVersion: trace.ChunkedVersion, Seed: opt.Seed, Instructions: opt.Instructions}
-	for _, name := range opt.Benchmarks {
-		prof, err := trace.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := trace.EmitCorpusMember(dir, prof, opt.Seed, opt.Instructions, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		man.Members = append(man.Members, m)
-	}
-	if err := trace.WriteCorpusManifest(dir, man); err != nil {
-		b.Fatal(err)
-	}
-	return dir
-}
-
 // ---------------------------------------------------------------------
 // Micro-benchmarks for the hot components.
 // ---------------------------------------------------------------------
@@ -685,7 +651,7 @@ func BenchmarkTraceGeneration(b *testing.B) {
 
 // BenchmarkChunkedReplay measures streamed replay from the chunked
 // on-disk trace format through a two-chunk window: the steady-state
-// cost of a corpus-backed matrix cell's instruction feed. One op is a
+// cost of replaying a trace file (tracegen -stats, -replay). One op is a
 // full pass over an 8-chunk file through a fresh cursor; ns/inst is the
 // per-instruction cost, chunk loads included, and loads/pass the chunk
 // decodes a pass makes (Chunked.Loads), a work count: a sequential pass

@@ -7,7 +7,6 @@
 //	experiments -all -out results/  # also write one .txt per artifact
 //	experiments -faults 0,0.5,1     # robustness sweep: EDP vs fault intensity
 //	experiments -only fig9 -schemes adaptive,pid-adaptive  # subset / extension columns
-//	experiments -only fig9,fig10 -corpus traces/  # stream matrix traces from a corpus
 //
 // Artifact IDs, in the order a run renders them: table1 table4 remarks
 // table2 fig7 fig8 fig9 fig10 fig11 summary table3 ablation transitions
@@ -93,8 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		asJSON = fs.Bool("json", false, "with -out, also write per-artifact .json files")
 		asSVG  = fs.Bool("svg", false, "with -out, also write .svg files for the artifacts that are figures")
 
-		corpusDir = fs.String("corpus", "", "resolve matrix benchmarks from this trace corpus directory (cmd/tracegen -corpus): streams traces from disk with bounded memory; the corpus must match -seed and -insts")
-		benchCSV  = fs.String("bench", "", `restrict every artifact to this comma-separated subset of benchmarks ("" = each artifact's default; with -corpus, the corpus's members in manifest order)`)
+		benchCSV = fs.String("bench", "", `restrict every artifact to this comma-separated subset of benchmarks ("" = each artifact's default)`)
 
 		faultsSpec = fs.String("faults", "", `run the robustness artifact at these comma-separated fault intensities in [0,1] (e.g. "0,0.5,1"; "default" = 0,0.25,0.5,0.75,1)`)
 		schemesCSV = fs.String("schemes", "",
@@ -123,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	opt := experiment.Options{
 		Instructions: *insts, Seed: *seed, Timeout: *timeout,
-		CacheDir: *cacheDir, CacheMaxBytes: *cacheMaxBytes, CorpusDir: *corpusDir,
+		CacheDir: *cacheDir, CacheMaxBytes: *cacheMaxBytes,
 		Cores: *cores, PowerCapW: *powerCap, Governor: *governorName, GovernorGain: *governorGain,
 	}
 	if !*useCache {

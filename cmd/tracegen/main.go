@@ -1,28 +1,22 @@
 // Command tracegen generates, saves, inspects, and replays synthetic
-// workload traces, and emits whole trace corpora for the experiment
-// harness.
+// workload traces.
 //
 // Usage:
 //
 //	tracegen -bench gsm_decode -insts 500000 -o gsm.mcdc   # save a trace
 //	tracegen -stats gsm.mcdc                               # inspect it
 //	tracegen -replay gsm.mcdc -scheme adaptive             # simulate it
-//	tracegen -corpus traces/ -insts 500000 -seed 1         # emit a corpus
 //
 // Every trace is a chunked file (magic "MCDC": compressed
 // fixed-size chunks, per-chunk CRC, seekable index); -stats and
 // -replay stream it from disk with memory bounded by the chunk window
-// and reject any other format. A corpus directory (see
-// `internal/trace`) bundles one chunked trace per benchmark plus a
-// checksummed manifest, and is what the experiment harness's -corpus
-// flag consumes.
+// and reject any other format.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"mcddvfs/internal/experiment"
 	"mcddvfs/internal/isa"
@@ -32,12 +26,11 @@ import (
 
 func main() {
 	var (
-		bench  = flag.String("bench", "", "benchmark to generate (default epic_decode); for -corpus, a comma-separated subset (empty = all benchmarks)")
+		bench  = flag.String("bench", "", "benchmark to generate (default epic_decode)")
 		insts  = flag.Int64("insts", 500000, "instructions to generate")
-		seed   = flag.Int64("seed", 1, "harness seed (streams are recorded at the harness's derived stream seed)")
+		seed   = flag.Int64("seed", 1, "generator seed of the written stream")
 		out    = flag.String("o", "", "write one trace to this file")
 		chunk  = flag.Int("chunk", 0, "instructions per chunk (0 = default)")
-		corpus = flag.String("corpus", "", "emit a trace corpus (one chunked trace per benchmark + manifest) into this directory")
 		stats  = flag.String("stats", "", "print statistics for a trace file and exit")
 		replay = flag.String("replay", "", "simulate a saved trace file")
 		scheme = flag.String("scheme", "adaptive", "DVFS scheme for -replay")
@@ -53,16 +46,12 @@ func main() {
 		if err := replayTrace(*replay, *scheme); err != nil {
 			fail(err)
 		}
-	case *corpus != "":
-		if err := emitCorpus(*corpus, *bench, *insts, *seed, *chunk); err != nil {
-			fail(err)
-		}
 	case *out != "":
 		if err := generate(*bench, *insts, *seed, *out, *chunk); err != nil {
 			fail(err)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "tracegen: pass -o, -corpus, -stats or -replay; see -h")
+		fmt.Fprintln(os.Stderr, "tracegen: pass -o, -stats or -replay; see -h")
 		os.Exit(2)
 	}
 }
@@ -97,41 +86,6 @@ func generate(bench string, insts, seed int64, out string, chunk int) error {
 		return err
 	}
 	fmt.Printf("wrote %d instructions of %s to %s (chunked v%d, %d bytes)\n", insts, bench, out, trace.ChunkedVersion, size)
-	return nil
-}
-
-// emitCorpus records every selected benchmark at the harness seed into
-// dir, writes the manifest, and runs the full integrity verification
-// over the result.
-func emitCorpus(dir, benchCSV string, insts, seed int64, chunk int) error {
-	benches := trace.Names()
-	if benchCSV != "" {
-		benches = strings.Split(benchCSV, ",")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	man := trace.CorpusManifest{FormatVersion: trace.ChunkedVersion, Seed: seed, Instructions: insts}
-	for _, bench := range benches {
-		prof, err := trace.ByName(strings.TrimSpace(bench))
-		if err != nil {
-			return err
-		}
-		m, err := trace.EmitCorpusMember(dir, prof, seed, insts, chunk)
-		if err != nil {
-			return err
-		}
-		man.Members = append(man.Members, m)
-		fmt.Printf("  %-14s %s  sha256=%s...\n", m.Benchmark, m.File, m.SHA256[:12])
-	}
-	if err := trace.WriteCorpusManifest(dir, man); err != nil {
-		return err
-	}
-	if err := trace.VerifyCorpus(dir); err != nil {
-		return fmt.Errorf("verification after emit: %w", err)
-	}
-	fmt.Printf("corpus %s: %d members, %d instructions each, seed %d (verified)\n",
-		dir, len(man.Members), insts, seed)
 	return nil
 }
 

@@ -207,16 +207,6 @@ func (f *signalFSM) reset() {
 	f.counter = 0
 }
 
-// Stats counts controller events for reports and ablations.
-type Stats struct {
-	Samples       uint64
-	Actions       int // frequency changes issued (double steps count once)
-	UpSteps       int // total up steps (a double step counts 2)
-	DownSteps     int
-	Cancellations int // opposite simultaneous triggers annulled
-	DoubleSteps   int // agreeing simultaneous triggers merged
-}
-
 // Adaptive is the paper's event-driven DVFS controller. It implements
 // the simulator's Controller interface (Observe is called at each
 // 250 MHz sampling tick).
@@ -239,8 +229,6 @@ type adaptiveState struct {
 	// holdUntil parks the controller in the Act state while the
 	// physical transition completes.
 	holdUntil clock.Time
-
-	stats Stats
 }
 
 // NewAdaptive creates a controller; it panics on invalid configuration
@@ -262,13 +250,10 @@ func (a *Adaptive) Reset() {
 	a.prevOcc = 0
 	a.havePrev = false
 	a.holdUntil = 0
-	a.stats = Stats{}
 }
 
 // Observe implements the Controller interface: one sampling tick.
 func (a *Adaptive) Observe(now clock.Time, occ int, curMHz float64) (float64, bool) {
-	a.stats.Samples++
-
 	sM := occ - a.cfg.QRef
 	sL := 0
 	if a.havePrev {
@@ -311,12 +296,6 @@ func (a *Adaptive) Observe(now clock.Time, occ int, curMHz float64) (float64, bo
 		steps *= mag
 	}
 
-	a.stats.Actions++
-	if steps > 0 {
-		a.stats.UpSteps += steps
-	} else {
-		a.stats.DownSteps -= steps
-	}
 	target := a.cfg.Range.Step(curMHz, steps)
 	n := steps
 	if n < 0 {
@@ -360,13 +339,11 @@ func (a *Adaptive) reconcile(tM, tL int) int {
 		return tM
 	case tM == tL:
 		if a.cfg.CombineDouble {
-			a.stats.DoubleSteps++
 			return 2 * tM
 		}
 		return tM
 	default:
 		// Opposite actions cancel; both FSMs reset to Wait.
-		a.stats.Cancellations++
 		return 0
 	}
 }

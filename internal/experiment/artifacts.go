@@ -281,9 +281,7 @@ func PrepareRender(id string, format ArtifactFormat, opt Options) (*PreparedRend
 // given, an empty list counting as omitted. GovernorGain, which the
 // key tail also holds, is hashed again so that render keys keep their
 // bytes. Where results are stored and how long a caller waits
-// (CacheDir, Timeout, ...) never enter the key. Nor does CorpusDir: a
-// budget or benchmark list left for a corpus to fill in keys as the
-// harness default.
+// (CacheDir, Timeout, ...) never enter the key.
 func (p *PreparedRender) Key() (string, error) {
 	if p.keyErr != nil {
 		return "", p.keyErr
@@ -292,11 +290,10 @@ func (p *PreparedRender) Key() (string, error) {
 }
 
 // memoizable reports whether the render memo may stand for p. Options
-// the key cannot stand for render afresh every time: a CorpusDir (the
-// key treats a corpus-filled budget as the default), a RowFlush hook
+// the key cannot stand for render afresh every time: a RowFlush hook
 // (a memo hit would never call it), and options whose key fails.
 func (p *PreparedRender) memoizable() bool {
-	return p.keyErr == nil && p.opt.CorpusDir == "" && p.opt.RowFlush == nil
+	return p.keyErr == nil && p.opt.RowFlush == nil
 }
 
 // Memoized returns a copy of the render's memoized bytes, counted as a

@@ -265,7 +265,7 @@ func (h *Harness) diskCacheStats() (diskcache.Stats, error) {
 // are deliberately excluded: they select which runs happen, not what
 // any individual run computes — a cell simulated for a subset matrix
 // must hit the same warm disk-cache entry as the full sweep.
-// CacheDir/CacheMaxBytes/CorpusDir and the rest of the waived fields
+// CacheDir/CacheMaxBytes and the rest of the waived fields
 // are excluded for the same reason — they select or store runs, they
 // never change what one computes. The scheme enters the key as its
 // registry name only. MutateAdaptive is a function and cannot be
@@ -528,10 +528,9 @@ func (h *Harness) memoized(k [sha256.Size]byte, headOnly bool) (o outcome, ok bo
 // back with every core's QueueSamples nil. The resolution runs
 // detached from every caller: each caller waits only until its own
 // context ends or opt.Timeout expires, and the simulation is cancelled
-// once its last waiter leaves. bankSrc is handed to simulate (core 0's
-// stream) and is only invoked if the run actually simulates. The run
-// must already have passed s.validate.
-func cachedRun(ctx context.Context, s *runSpec, profs []trace.Profile, scheme Scheme, k *[sha256.Size]byte, headOnly bool, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (*mcd.ChipResult, error) {
+// once its last waiter leaves. The run must already have passed
+// s.validate.
+func cachedRun(ctx context.Context, s *runSpec, profs []trace.Profile, scheme Scheme, k *[sha256.Size]byte, headOnly bool) (*mcd.ChipResult, error) {
 	if s.opt.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.opt.Timeout)
@@ -554,7 +553,7 @@ func cachedRun(ctx context.Context, s *runSpec, profs []trace.Profile, scheme Sc
 	h.runs++
 	gen := h.gen
 	h.mu.Unlock()
-	o, err := await(ctx, s, flightKey{key, headOnly}, gen, profs, scheme, bankSrc)
+	o, err := await(ctx, s, flightKey{key, headOnly}, gen, profs, scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -564,9 +563,9 @@ func cachedRun(ctx context.Context, s *runSpec, profs []trace.Profile, scheme Sc
 // await joins or starts the flight resolving key k and waits for it
 // as long as ctx allows. It is split from cachedRun so that a memo hit
 // does not pay for the flight closure's captures.
-func await(ctx context.Context, s *runSpec, k flightKey, gen uint64, profs []trace.Profile, scheme Scheme, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (outcome, error) {
+func await(ctx context.Context, s *runSpec, k flightKey, gen uint64, profs []trace.Profile, scheme Scheme) (outcome, error) {
 	o, _, err := s.h.flights.Do(ctx, k, func(ctx context.Context) (outcome, error) {
-		return resolve(ctx, s, k, gen, profs, scheme, bankSrc), nil
+		return resolve(ctx, s, k, gen, profs, scheme), nil
 	})
 	if err != nil {
 		return o, fmt.Errorf("%s/%s: %w", runLabel(profs, s.opt), scheme, wrapRunErr(err))
@@ -586,7 +585,7 @@ func await(ctx context.Context, s *runSpec, k flightKey, gen uint64, profs []tra
 // flight, and an elided result never replaces a whole one.
 //
 // On disk, every run stores its whole mcd.ChipResult.
-func resolve(ctx context.Context, s *runSpec, fk flightKey, gen uint64, profs []trace.Profile, scheme Scheme, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (o outcome) {
+func resolve(ctx context.Context, s *runSpec, fk flightKey, gen uint64, profs []trace.Profile, scheme Scheme) (o outcome) {
 	h, k := s.h, fk.key
 	h.mu.Lock()
 	o, ok := h.memo[k]
@@ -626,7 +625,7 @@ func resolve(ctx context.Context, s *runSpec, fk flightKey, gen uint64, profs []
 		h.sims++
 	}
 	h.mu.Unlock()
-	o.res, o.err = simulate(ctx, s, profs, scheme, bankSrc)
+	o.res, o.err = simulate(ctx, s, profs, scheme)
 	if o.err == nil && store != nil {
 		store.Put(k, o.res) //nolint:errcheck // best-effort: a failed write costs this cell's persistence
 	}

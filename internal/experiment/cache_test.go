@@ -325,6 +325,50 @@ func TestMatrixRecordsEachBenchmarkOnce(t *testing.T) {
 	}
 }
 
+// TestCacheServedMatrixRecordsNoStream: a matrix whose every cell the
+// result cache serves, from memory or from disk, simulates nothing and
+// so records no stream into the replay memo.
+func TestCacheServedMatrixRecordsNoStream(t *testing.T) {
+	t.Parallel()
+	opt := smallOpt()
+	opt.Schemes = []Scheme{SchemeAdaptive}
+	opt.CacheDir = t.TempDir()
+	if _, err := RunMatrixContext(context.Background(), opt); err != nil {
+		t.Fatal(err)
+	}
+	recordings := func(h *Harness) int {
+		h.replays.mu.Lock()
+		defer h.replays.mu.Unlock()
+		return h.replays.recordings
+	}
+	cold := recordings(opt.Harness)
+	if cold != len(opt.Benchmarks) {
+		t.Fatalf("cold matrix recorded %d streams, want %d", cold, len(opt.Benchmarks))
+	}
+	for _, served := range []string{"memory", "disk"} {
+		if served == "disk" {
+			opt.Harness = NewHarness()
+		}
+		_, coldMisses := opt.Harness.cacheStats()
+		before := recordings(opt.Harness)
+		if _, err := RunMatrixContext(context.Background(), opt); err != nil {
+			t.Fatal(err)
+		}
+		opt.Harness.mu.Lock()
+		sims := opt.Harness.sims
+		opt.Harness.mu.Unlock()
+		if _, misses := opt.Harness.cacheStats(); served == "memory" && misses != coldMisses {
+			t.Errorf("%s: warm matrix missed the memo %d times, want every cell served from it", served, misses-coldMisses)
+		}
+		if served == "disk" && sims != 0 {
+			t.Errorf("%s: warm matrix simulated %d cells, want every cell served from disk", served, sims)
+		}
+		if n := recordings(opt.Harness) - before; n != 0 {
+			t.Errorf("%s: cache-served matrix recorded %d streams, want none", served, n)
+		}
+	}
+}
+
 // TestForEachParallelErrorIndex asserts the pool collects every
 // failure sorted by index, runs the healthy tasks to completion
 // anyway, and that firstError names the lowest failing index.

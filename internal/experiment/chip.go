@@ -36,7 +36,7 @@ func RunChipContext(ctx context.Context, benchmarks []string, sch Scheme, opt Op
 	if err := spec.validate(profs[0], sch); err != nil {
 		return nil, err
 	}
-	return cachedRun(ctx, spec, profs, sch, nil, false, nil)
+	return cachedRun(ctx, spec, profs, sch, nil, false)
 }
 
 // chipBenchProfiles resolves the per-core workload assignment: one
@@ -77,32 +77,38 @@ func appendChipProfiles(dst []trace.Profile, prof trace.Profile, opt Options) []
 	return dst
 }
 
-// simulate is the one uncached run: build the chip (a single-core run
-// is a 1-core governorless chip, bit for bit the single-processor
-// machine), run it under s's options, and stamp the scheme on every
-// core's Result. The run must already have been validated. bankSrc,
-// when non-nil, supplies core 0's instruction stream (a matrix cell's
-// trace-bank cursor); otherwise core 0 streams from the harness's
-// replay memo at its seed, bit-identical to generating it. ctx bounds
-// the wait for that stream as well as the run. A panic anywhere below
-// — trace generation, construction, the simulator hot loop — is
-// recovered into ErrRunPanicked so one bad run cannot kill a sweep.
-func simulate(ctx context.Context, s *runSpec, profs []trace.Profile, scheme Scheme, bankSrc func(context.Context, trace.Profile) (trace.Source, error)) (res *mcd.ChipResult, err error) {
-	opt := s.opt
+// simulate is the one uncached run. Core 0 streams from the harness's
+// replay memo at its seed, bit-identical to generating it: through the
+// matrix's trace bank when s has one, else directly. ctx bounds the
+// wait for that stream as well as the run. The run must already have
+// been validated.
+func simulate(ctx context.Context, s *runSpec, profs []trace.Profile, scheme Scheme) (*mcd.ChipResult, error) {
+	var src0 trace.Source
+	var err error
+	if s.bank != nil {
+		src0, err = s.bank.source(ctx, profs[0])
+	} else {
+		src0, err = s.h.replays.source(ctx, profs[0], trace.StreamSeed(s.opt.Seed), s.opt.Instructions)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return runChip(ctx, s.opt, profs, scheme, src0)
+}
+
+// runChip builds the chip (a single-core run is a 1-core governorless
+// chip, bit for bit the single-processor machine) with core 0 streaming
+// from src0, runs it under opt, and stamps the scheme on every core's
+// Result. A panic anywhere below — construction, trace generation, the
+// simulator hot loop — is recovered into ErrRunPanicked so one bad run
+// cannot kill a sweep; a recording's own panic reaches its waiters
+// through the replay memo's flight, as ErrRunPanicked too.
+func runChip(ctx context.Context, opt Options, profs []trace.Profile, scheme Scheme, src0 trace.Source) (res *mcd.ChipResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("%s/%s: %w: %v", runLabel(profs, opt), scheme, ErrRunPanicked, r)
 		}
 	}()
-	var src0 trace.Source
-	if bankSrc != nil {
-		src0, err = bankSrc(ctx, profs[0])
-	} else {
-		src0, err = s.h.replays.source(ctx, profs[0], trace.StreamSeed(opt.Seed), opt.Instructions)
-	}
-	if err != nil {
-		return nil, err
-	}
 	chip, srcs, err := buildChip(profs, scheme, opt, src0)
 	if err != nil {
 		return nil, err

@@ -379,16 +379,17 @@ func TestTraceSharingTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := newRunSpec(opt)
-	generate := func(_ context.Context, prof trace.Profile) (trace.Source, error) {
-		return trace.NewGenerator(prof, trace.StreamSeed(spec.opt.Seed), spec.opt.Instructions)
-	}
 	for _, b := range opt.Benchmarks {
 		prof, err := trace.ByName(b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for s, got := range shared.Results[b] {
-			cr, err := simulate(context.Background(), spec, chipProfiles(prof, spec.opt), s, generate)
+			gen, err := trace.NewGenerator(prof, trace.StreamSeed(spec.opt.Seed), spec.opt.Instructions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cr, err := runChip(context.Background(), spec.opt, chipProfiles(prof, spec.opt), s, gen)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -112,20 +112,6 @@ type Options struct {
 	// diskcache default).
 	//lint:allow cachekey says where results are stored, not what they are
 	CacheMaxBytes int64
-	// CorpusDir, when non-empty, makes RunMatrixContext resolve
-	// benchmark streams from a recorded trace corpus (cmd/tracegen
-	// -corpus) instead of generating them: members stream from disk
-	// through a bounded chunk window, so peak trace memory is
-	// independent of Instructions and of how many benchmarks the
-	// corpus holds. The
-	// corpus must have been recorded at this Options' Seed and
-	// Instructions (checked against the manifest); a member's bytes
-	// are bit-identical to the stream the harness would generate, so
-	// where the stream comes from never changes what a run computes.
-	// On a wider chip the corpus feeds core 0; cores ≥ 1 generate their
-	// streams at their own seeds, as they always do.
-	//lint:allow cachekey names the stream's storage, not its contents; corpus replay is bit-identical to generation (differential-tested)
-	CorpusDir string
 	// RowFlush, when non-nil, is called by RunMatrixContext as
 	// benchmark rows complete, in benchmark order — the hook
 	// incremental artifact rendering hangs off, so long sweeps emit
@@ -247,7 +233,7 @@ func RunOneContext(ctx context.Context, bench string, scheme Scheme, opt Options
 // returns ErrRunTimeout; cancellation returns ErrCancelled; a panic in
 // the simulator is recovered into ErrRunPanicked.
 func RunProfileContext(ctx context.Context, prof trace.Profile, scheme Scheme, opt Options) (*mcd.Result, error) {
-	return runCell(orBackground(ctx), newRunSpec(opt), prof, scheme, nil, false, nil)
+	return runCell(orBackground(ctx), newRunSpec(opt), prof, scheme, nil, false)
 }
 
 // runCell runs one benchmark as a cell: a homogeneous chip of
@@ -255,16 +241,12 @@ func RunProfileContext(ctx context.Context, prof trace.Profile, scheme Scheme, o
 // reported as the chip aggregate — for one core, that core's own
 // Result. k, when non-nil, is the cell's key as cacheKey already
 // derived it. headOnly is cachedRun's: the caller reads no occupancy
-// series, and the result may hold none. srcFn, when non-nil, supplies
-// core 0's instruction stream instead of a fresh one — the hook
-// RunMatrixContext uses to fan one recorded trace out across schemes. The provider is only
-// invoked if the cell actually simulates; cache hits (in-process or
-// disk) never touch it.
-func runCell(ctx context.Context, s *runSpec, prof trace.Profile, scheme Scheme, k *[sha256.Size]byte, headOnly bool, srcFn func(context.Context, trace.Profile) (trace.Source, error)) (*mcd.Result, error) {
+// series, and the result may hold none.
+func runCell(ctx context.Context, s *runSpec, prof trace.Profile, scheme Scheme, k *[sha256.Size]byte, headOnly bool) (*mcd.Result, error) {
 	if err := s.validate(prof, scheme); err != nil {
 		return nil, err
 	}
-	cr, err := cachedRun(ctx, s, chipProfiles(prof, s.opt), scheme, k, headOnly, srcFn)
+	cr, err := cachedRun(ctx, s, chipProfiles(prof, s.opt), scheme, k, headOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -285,6 +267,8 @@ type runSpec struct {
 	memoKey  keyProjection // the key memo's key for s's key tail, if plainKey
 	plainKey bool
 	memoHit  bool // tail came from the key memo
+
+	bank *traceBank // core 0's streams in a matrix; nil for every other run
 
 	keyOnce sync.Once
 	tail    []byte // cacheKey's JSON after the scheme
@@ -439,10 +423,6 @@ type Matrix struct {
 	// timeout, cancellation, bad spec). The rest of the matrix is
 	// intact; renderers skip incomplete rows.
 	Failures []CellError
-	// Corpus carries streamed-trace residency and self-healing stats
-	// when the matrix ran from a corpus (Options.CorpusDir); nil
-	// otherwise.
-	Corpus *CorpusStats
 }
 
 // RunMatrixContext simulates every benchmark under every scheme
@@ -458,44 +438,12 @@ type Matrix struct {
 // callers can flush what finished.
 func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 	ctx = orBackground(ctx)
-	// Corpus resolution comes first: an unset benchmark list or
-	// instruction budget defaults from the manifest, and everything
-	// else about the options must agree with what the corpus was
-	// recorded at.
-	var corpus *trace.Corpus
-	if opt.CorpusDir != "" {
-		var err error
-		corpus, err = trace.OpenCorpus(opt.CorpusDir)
-		if err != nil {
-			return nil, invalidSpec(err)
-		}
-		if len(opt.Benchmarks) == 0 {
-			opt.Benchmarks = corpus.Benchmarks()
-		}
-		if opt.Instructions <= 0 {
-			opt.Instructions = corpus.Instructions()
-		}
-	}
 	if len(opt.Benchmarks) == 0 {
 		// The matrix hands its list to the caller: a copy, not
 		// suiteNames.
 		opt.Benchmarks = trace.Names()
 	}
 	opt = opt.withDefaults()
-	if corpus != nil {
-		if corpus.Seed() != opt.Seed || corpus.Instructions() != opt.Instructions {
-			return nil, invalidSpec(fmt.Errorf("experiment: corpus %s was recorded at seed %d / %d instructions, options ask for seed %d / %d",
-				opt.CorpusDir, corpus.Seed(), corpus.Instructions(), opt.Seed, opt.Instructions))
-		}
-		for _, b := range opt.Benchmarks {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("matrix: %w: %v", ErrCancelled, err)
-			}
-			if _, ok := corpus.Member(b); !ok {
-				return nil, invalidSpec(fmt.Errorf("experiment: corpus %s has no member %q", opt.CorpusDir, b))
-			}
-		}
-	}
 	controlled, err := matrixSchemes(opt)
 	if err != nil {
 		return nil, err
@@ -515,14 +463,13 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 		}
 	}
 
-	// Every cell takes core 0's stream from the bank: its benchmark's
-	// corpus member in corpus mode, otherwise the harness's replay
-	// memo, which records each benchmark once for every scheme's cell.
-	// Cores ≥ 1 of a chip-mode cell stream from generators; see
-	// tracebank.go.
+	// Every cell takes core 0's stream from the bank, which records
+	// each benchmark once in the harness's replay memo for every
+	// scheme's cell. Cores ≥ 1 of a chip-mode cell stream from
+	// generators; see tracebank.go.
 	spec := newRunSpec(opt)
-	bank := newTraceBank(spec, corpus, len(schemes))
-	bankSrc := bank.source // one method value for every cell
+	bank := newTraceBank(spec, len(schemes))
+	spec.bank = bank
 
 	var mu sync.Mutex
 	var flush *rowFlusher
@@ -569,7 +516,7 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 	for i := range cells {
 		c := &cells[i]
 		if ctx.Err() == nil {
-			if res, hit, err := c.memoHit(spec, bank, &prof); hit {
+			if res, hit, err := c.memoHit(spec, &prof); hit {
 				cellErrs[i] = store(c, res, err)
 				// Every cell releases its claim and retires exactly once,
 				// served here or by the pool.
@@ -593,7 +540,7 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 		// Every cell releases its claim exactly once, even on error, so
 		// streams free as benchmarks drain.
 		defer bank.release(c.bench)
-		prof, err := bank.profile(c.bench)
+		prof, err := trace.ByName(c.bench)
 		if err != nil {
 			return invalidSpec(err)
 		}
@@ -601,7 +548,7 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 		if c.keyed {
 			k = &c.key
 		}
-		res, err := runCell(ctx, spec, prof, c.scheme, k, c.headOnly(), bankSrc)
+		res, err := runCell(ctx, spec, prof, c.scheme, k, c.headOnly())
 		return store(c, res, err)
 	})
 	for _, te := range errs {
@@ -612,9 +559,7 @@ func RunMatrixContext(ctx context.Context, opt Options) (*Matrix, error) {
 			m.Failures = append(m.Failures, CellError{Bench: cells[i].bench, Scheme: cells[i].scheme, Err: err})
 		}
 	}
-	if stats := bank.close(); corpus != nil {
-		m.Corpus = &stats
-	}
+	bank.close()
 	if flush != nil {
 		// Emit whatever rows the ordered frontier is still holding —
 		// complete rows stuck behind an earlier failed or cancelled
@@ -660,8 +605,8 @@ type benchProfile struct {
 // the cell's benchmark, and keeps it on the cell for the pool. hit is
 // false, and nothing is counted, for a miss or for a cell whose
 // profile, checks or key fail: the pool runs those, and reports them.
-func (c *matrixCell) memoHit(s *runSpec, bank *traceBank, bp *benchProfile) (res *mcd.Result, hit bool, err error) {
-	prof, err := bank.profile(c.bench)
+func (c *matrixCell) memoHit(s *runSpec, bp *benchProfile) (res *mcd.Result, hit bool, err error) {
+	prof, err := trace.ByName(c.bench)
 	if err != nil || s.validate(prof, c.scheme) != nil {
 		return nil, false, nil
 	}

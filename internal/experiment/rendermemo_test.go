@@ -116,25 +116,10 @@ func TestRenderMemoResetDrops(t *testing.T) {
 	}
 }
 
-// TestRenderMemoBypasses: a corpus, a RowFlush hook and options whose
-// key fails never consult the memo, and render exactly as they do
-// without it.
+// TestRenderMemoBypasses: a RowFlush hook and options whose key fails
+// never consult the memo, and render exactly as they do without it.
 func TestRenderMemoBypasses(t *testing.T) {
 	t.Parallel()
-	t.Run("corpus", func(t *testing.T) {
-		t.Parallel()
-		opt := memoOpt()
-		corp := opt
-		corp.CorpusDir = buildCorpus(t, opt.Seed, opt.Instructions, 1<<10, opt.Benchmarks...)
-		want := uncachedRender(t, "fig9", FormatText, corp)
-		for i := 0; i < 2; i++ {
-			if got := render(t, "fig9", FormatText, corp); !bytes.Equal(got, want) {
-				t.Errorf("corpus render %d differs from an uncached one", i)
-			}
-		}
-		wantRenderStats(t, opt, "corpus", 0, 0)
-	})
-
 	t.Run("rowflush", func(t *testing.T) {
 		t.Parallel()
 		opt := memoOpt()

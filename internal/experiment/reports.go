@@ -99,7 +99,7 @@ func classifyBenchmarks(ctx context.Context, opt Options) ([]BenchClass, error) 
 // classify runs prof's no-DVFS baseline and applies the spectral
 // classifier to its queue-occupancy series.
 func classify(ctx context.Context, spec *runSpec, prof trace.Profile) (BenchClass, error) {
-	res, err := runCell(ctx, spec, prof, SchemeNone, nil, false, nil)
+	res, err := runCell(ctx, spec, prof, SchemeNone, nil, false)
 	if err != nil {
 		return BenchClass{}, err
 	}

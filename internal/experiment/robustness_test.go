@@ -303,11 +303,12 @@ func TestHotLoopPanicIsRunPanicked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := uncached(Options{Instructions: 20000, Seed: 3})
-	_, err = runCell(context.Background(), newRunSpec(opt), prof, SchemeAdaptive, nil, false, func(context.Context, trace.Profile) (trace.Source, error) {
-		gen, err := trace.NewGenerator(prof, trace.StreamSeed(opt.Seed), opt.Instructions)
-		return &panicSource{Source: gen, left: 5000}, err
-	})
+	opt := Options{Instructions: 20000, Seed: 3}.withDefaults()
+	gen, err := trace.NewGenerator(prof, trace.StreamSeed(opt.Seed), opt.Instructions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = runChip(context.Background(), opt, chipProfiles(prof, opt), SchemeAdaptive, &panicSource{Source: gen, left: 5000})
 	if !errors.Is(err, ErrRunPanicked) {
 		t.Fatalf("hot-loop panic not classified ErrRunPanicked: %v", err)
 	}

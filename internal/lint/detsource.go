@@ -26,13 +26,14 @@ import (
 //   - %p in format strings is banned — addresses change with every
 //     process and ASLR makes them useless even as stable labels.
 //
-// In the wider fsListPackages scope (the trace corpus and experiment
+// In the wider fsListPackages scope (the trace package and experiment
 // harness on top of the simulator), filesystem enumeration —
 // os.ReadDir, filepath.Walk/WalkDir/Glob, and the (os.File)
 // Readdir/Readdirnames/ReadDir methods — is banned too: listing order
-// is host state, and corpus resolution feeds the bit-identical-output
-// contract. Code that genuinely needs a listing goes through
-// internal/detfs.SortedNames, the one audited site.
+// is host state, and both packages feed the bit-identical-output
+// contract. Nothing in them lists a directory today; code that
+// genuinely needs a listing sorts it in a helper outside the scope,
+// whose listing carries an audited dettaint waiver.
 var DetSource = &analysis.Analyzer{
 	Name: "detsource",
 	Doc:  "forbids wall-clock, global-rand, pointer-formatting, and filesystem-enumeration nondeterminism sources in simulator packages",
@@ -55,7 +56,7 @@ var fsEnumMethods = map[string]bool{"Readdir": true, "Readdirnames": true, "Read
 
 // fsEnumFix is the remediation every filesystem-enumeration diagnostic
 // points at.
-const fsEnumFix = "depends on host directory order; list through internal/detfs.SortedNames"
+const fsEnumFix = "depends on host directory order; list through a helper that sorts the names, with an audited //lint:allow dettaint waiver on its listing"
 
 func runDetSource(pass *analysis.Pass) error {
 	sim := inScope(pass.Pkg.Path(), simPackages)

@@ -73,11 +73,11 @@ var renderPackages = append([]string{"internal/experiment"}, simPackages...)
 var harnessPackages = []string{"internal/experiment", "internal/serve", "internal/flight"}
 
 // fsListPackages extends detsource's filesystem-enumeration ban to the
-// trace corpus and experiment harness: directory listing order is host
-// state (filesystems disagree about it), and both corpus resolution
+// trace package and experiment harness: directory listing order is
+// host state (filesystems disagree about it), and both trace reading
 // and artifact generation feed the bit-identical-output contract.
-// Listings these packages genuinely need must go through
-// internal/detfs.SortedNames, the one audited enumeration site.
+// Listings these packages genuinely need must go through a helper that
+// sorts the names, with an audited waiver on its listing.
 var fsListPackages = append([]string{"internal/trace", "internal/experiment"}, simPackages...)
 
 // inScope reports whether an import path matches one of the scope

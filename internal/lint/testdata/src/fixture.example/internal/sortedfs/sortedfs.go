@@ -1,10 +1,11 @@
-// Package detfs mirrors the real internal/detfs helper: the one
-// sanctioned directory-enumeration site. It sits outside the
-// fsListPackages scope, so the listing here is dettaint's finding —
-// reachable from the internal/trace roots through VerifiedNames — and
-// the audited waiver on the os.ReadDir line is what keeps the fixture
-// clean. Removing the waiver must make dettaint fire.
-package detfs
+// Package sortedfs is the sanctioned shape of a directory listing: the
+// names are sorted before anyone sees them, and the listing carries an
+// audited waiver. It sits outside the fsListPackages scope, so the
+// listing here is dettaint's finding — reachable from the
+// internal/trace roots through VerifiedNames — and the audited waiver
+// on the os.ReadDir line is what keeps the fixture clean. Removing the
+// waiver must make dettaint fire.
+package sortedfs
 
 import (
 	"os"

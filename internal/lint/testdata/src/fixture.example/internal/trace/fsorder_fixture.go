@@ -1,20 +1,20 @@
 // Package trace is a lint fixture for the filesystem-enumeration ban
-// in the corpus packages: its import path ends in internal/trace,
-// which is both in detsource's fsListPackages scope (direct listings
-// are detsource's findings here) and a dettaint root (everything it
-// calls must be deterministic). Corpus directory listing must go
-// through the sorted deterministic helper in internal/detfs.
+// in the trace package: its import path ends in internal/trace, which
+// is both in detsource's fsListPackages scope (direct listings are
+// detsource's findings here) and a dettaint root (everything it calls
+// must be deterministic). A directory listing it needs must go through
+// a sorted, waiver-audited helper such as internal/sortedfs.
 package trace
 
 import (
 	"os"
 
-	"fixture.example/internal/detfs"
+	"fixture.example/internal/sortedfs"
 )
 
-// CorpusNames lists the corpus directory directly: host listing order
-// leaks into corpus resolution.
-func CorpusNames(dir string) []string {
+// TraceNames lists a trace directory directly: host listing order
+// leaks into whatever reads the names.
+func TraceNames(dir string) []string {
 	ents, err := os.ReadDir(dir) // want detsource `filesystem enumeration os.ReadDir`
 	if err != nil {
 		return nil
@@ -42,5 +42,5 @@ func StrayMembers(dir string) []string {
 // diagnostic here, and the helper's audited //lint:allow waiver is
 // what absorbs the underlying dettaint finding.
 func VerifiedNames(dir string) ([]string, error) {
-	return detfs.SortedNames(dir)
+	return sortedfs.SortedNames(dir)
 }

@@ -17,7 +17,8 @@ import (
 )
 
 // Chunked trace format, version 3 — the repository's one trace file
-// format, for single traces and corpus members alike. A file is
+// format (cmd/tracegen -o writes it, -stats and -replay read it). A
+// file is
 // replayable with memory bounded by the chunk window regardless of
 // trace length:
 //
@@ -50,7 +51,7 @@ const (
 	chunkedFooterMagic = "XDCM"
 
 	// ChunkedVersion is the chunked format version WriteChunked writes
-	// and the only one OpenChunked and corpus manifests accept.
+	// and the only one OpenChunked accepts.
 	ChunkedVersion = 3
 
 	// DefaultChunkInstructions is the writer's default chunk size:
@@ -380,8 +381,10 @@ func (c *Chunked) PeakResidentBytes() int64 {
 }
 
 // Loads reports how many chunk decodes (window-cache misses) have
-// happened — the replay-amplification figure: a perfectly shared
-// sequential sweep loads each chunk once.
+// happened — the replay-amplification figure: a sequential pass loads
+// each chunk once.
+//
+//lint:allow unreachable work count behind the gated loads/pass of BenchmarkChunkedReplay and the window tests
 func (c *Chunked) Loads() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -457,18 +460,6 @@ func (c *Chunked) touch(k int) {
 			return
 		}
 	}
-}
-
-// VerifyChunks decodes every chunk once (through the window, so memory
-// stays bounded) and returns the first payload error: the full
-// integrity pass tracegen and the corpus verifier run.
-func (c *Chunked) VerifyChunks() error {
-	for k := range c.idx {
-		if _, err := c.chunk(k); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Replay returns a fresh streaming cursor. Cursors are independent and

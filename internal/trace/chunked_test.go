@@ -3,8 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -174,9 +172,6 @@ func TestChunkedRejectsCorruption(t *testing.T) {
 	}
 	if err := replayAll(c); err == nil || !strings.Contains(err.Error(), "chunk") {
 		t.Errorf("corrupt payload replayed without error (err=%v)", err)
-	}
-	if err := c.VerifyChunks(); err == nil {
-		t.Error("VerifyChunks passed a corrupt payload")
 	}
 }
 
@@ -381,144 +376,6 @@ func TestReaderImplementsSource(t *testing.T) {
 	var _ Source = (*Generator)(nil)
 	var _ Source = (*Replayer)(nil)
 	var _ Source = (*ChunkedReplayer)(nil)
-}
-
-// TestCorpusDirRoundTrip exercises the directory layer: emit members,
-// write a manifest, reopen, verify, stream.
-func TestCorpusDirRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	const seed, insts = 4, 3000
-	man := CorpusManifest{FormatVersion: ChunkedVersion, Seed: seed, Instructions: insts}
-	for _, bench := range []string{"swim", "gzip", "adpcm_encode"} {
-		prof, err := ByName(bench)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := EmitCorpusMember(dir, prof, seed, insts, 1<<8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		man.Members = append(man.Members, m)
-	}
-	if err := WriteCorpusManifest(dir, man); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyCorpus(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	c, err := OpenCorpus(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOrder := []string{"adpcm_encode", "gzip", "swim"}
-	if got := c.Benchmarks(); len(got) != 3 || got[0] != wantOrder[0] || got[1] != wantOrder[1] || got[2] != wantOrder[2] {
-		t.Fatalf("benchmarks not in sorted manifest order: %v", got)
-	}
-	if c.Seed() != seed || c.Instructions() != insts {
-		t.Fatalf("manifest round trip: seed=%d insts=%d", c.Seed(), c.Instructions())
-	}
-
-	// A member stream equals the generator at the corpus stream seed.
-	cf, err := c.Open("gzip", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cf.Close()
-	prof, _ := c.Profile("gzip")
-	gen, err := NewGenerator(prof, StreamSeed(seed), insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := cf.Replay()
-	for i := 0; i < insts; i++ {
-		want, _ := gen.Next()
-		got, ok := cur.Next()
-		if !ok || got != want {
-			t.Fatalf("member stream diverges from generator at %d (ok=%v)", i, ok)
-		}
-	}
-}
-
-// TestCorpusVerifyCatchesDamage mirrors diskcache's integrity tests:
-// a flipped byte in a member, a hash mismatch, and an orphan trace
-// file must all fail VerifyCorpus with a descriptive error, while
-// OpenCorpus (manifest-only) still succeeds for the orphan case.
-func TestCorpusVerifyCatchesDamage(t *testing.T) {
-	dir := t.TempDir()
-	const seed, insts = 9, 2000
-	prof, _ := ByName("swim")
-	m, err := EmitCorpusMember(dir, prof, seed, insts, 1<<8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man := CorpusManifest{FormatVersion: ChunkedVersion, Seed: seed, Instructions: insts, Members: []CorpusMember{m}}
-	if err := WriteCorpusManifest(dir, man); err != nil {
-		t.Fatal(err)
-	}
-
-	// Orphan member file.
-	orphan := filepath.Join(dir, "stray"+CorpusMemberExt)
-	if err := os.WriteFile(orphan, []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCorpus(dir); err != nil {
-		t.Fatalf("orphan broke manifest-only open: %v", err)
-	}
-	if err := VerifyCorpus(dir); err == nil || !strings.Contains(err.Error(), "stray") {
-		t.Fatalf("want orphan error, got %v", err)
-	}
-	os.Remove(orphan)
-
-	// Flip one payload byte: the hash check must catch it.
-	path := filepath.Join(dir, m.File)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] ^= 1
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyCorpus(dir); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("want checksum error, got %v", err)
-	}
-}
-
-// TestCorpusManifestValidation rejects the malformed manifests
-// OpenCorpus must never act on.
-func TestCorpusManifestValidation(t *testing.T) {
-	prof, _ := ByName("swim")
-	member := func(bench string) CorpusMember {
-		p := prof
-		p.Name = bench
-		return CorpusMember{Benchmark: bench, File: bench + CorpusMemberExt, Profile: p}
-	}
-	base := CorpusManifest{FormatVersion: ChunkedVersion, Seed: 1, Instructions: 100,
-		Members: []CorpusMember{member("a"), member("b")}}
-
-	cases := map[string]func(*CorpusManifest){
-		"wrong version":  func(m *CorpusManifest) { m.FormatVersion = 1 },
-		"no members":     func(m *CorpusManifest) { m.Members = nil },
-		"unsorted":       func(m *CorpusManifest) { m.Members[0], m.Members[1] = m.Members[1], m.Members[0] },
-		"duplicate":      func(m *CorpusManifest) { m.Members[1] = m.Members[0] },
-		"path traversal": func(m *CorpusManifest) { m.Members[0].File = "../evil" },
-		"name mismatch":  func(m *CorpusManifest) { m.Members[0].Profile.Name = "other" },
-		"bad profile":    func(m *CorpusManifest) { m.Members[0].Profile.Phases = nil },
-		"zero insts":     func(m *CorpusManifest) { m.Instructions = 0 },
-	}
-	for name, mutate := range cases {
-		man := base
-		man.Members = append([]CorpusMember(nil), base.Members...)
-		mutate(&man)
-		if err := validateManifest(&man); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	good := base
-	if err := validateManifest(&good); err != nil {
-		t.Errorf("valid manifest rejected: %v", err)
-	}
 }
 
 // TestChunkedOversizeChunkRejected guards the allocation bound: an

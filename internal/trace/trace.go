@@ -199,10 +199,10 @@ const (
 const streamSeedOffset = 11
 
 // StreamSeed maps a user-facing harness seed to the generator seed of
-// the workload stream. The experiment harness and tracegen's corpus
-// emitter share this mapping, which is what makes a corpus member
-// recorded at seed S bit-identical to the stream the harness would
-// generate itself for Options.Seed = S.
+// the workload stream. The experiment harness seeds every stream
+// through it, whether it records the stream into its replay memo or
+// generates it per run, so the two give the same instructions for one
+// Options.Seed; core i of a chip streams at StreamSeed(Seed+i).
 func StreamSeed(seed int64) int64 { return seed + streamSeedOffset }
 
 // NewGenerator builds a generator producing exactly total instructions.
