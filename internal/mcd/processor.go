@@ -81,7 +81,7 @@ type Processor struct {
 	// queue synchronizes across the extra boundary.
 	feQueue  queue.Queue[fetched]
 	fetchDom *clock.Domain // nil unless SplitFrontEnd
-	queues   [isa.NumExecDomains]queue.Queue[*uop]
+	queues   [isa.NumExecDomains]issueQueue
 	lsqCount int
 	// storeCounts tracks in-flight stores per 8-byte-aligned address,
 	// backing store-to-load forwarding.
@@ -110,8 +110,8 @@ type Processor struct {
 	// resolution (fetch still holds the pointer).
 	uopFree        []*uop
 	deferredBranch *uop
-	// issueScratch is the reusable issue-index buffer for execCycle.
-	issueScratch []int
+	// issued is execCycle's reusable list of the uops one edge issued.
+	issued []*uop
 
 	// Single-entry voltage memos, one per metered domain: outside
 	// transitions the frequency is constant for long stretches, so the
@@ -200,7 +200,7 @@ func New(cfg Config) (*Processor, error) {
 	for i := range slab {
 		p.uopFree = append(p.uopFree, &slab[i])
 	}
-	p.issueScratch = layout.Slice[int](cfg.IssueWidth)[:0]
+	p.issued = layout.Slice[*uop](cfg.IssueWidth)[:0]
 	for d := 0; d < isa.NumExecDomains; d++ {
 		p.uncappedMHz[d] = cfg.Range.MaxMHz
 	}
@@ -257,9 +257,9 @@ func New(cfg Config) (*Processor, error) {
 		p.eng.Add(p.fetchDom)
 	}
 	p.feQueue = *queue.NewWithPolicy[fetched]("FetchQ", cfg.FetchBuf, feWin, cfg.SyncPolicy)
-	p.queues[isa.DomainInt] = *queue.NewWithPolicy[*uop](NameInt, cfg.IntQSize, syncWin, cfg.SyncPolicy)
-	p.queues[isa.DomainFP] = *queue.NewWithPolicy[*uop](NameFP, cfg.FPQSize, syncWin, cfg.SyncPolicy)
-	p.queues[isa.DomainLS] = *queue.NewWithPolicy[*uop](NameLS, cfg.LSQueue, syncWin, cfg.SyncPolicy)
+	p.queues[isa.DomainInt] = newIssueQueue(cfg.IntQSize, cfg.ROBSize, syncWin, cfg.SyncPolicy)
+	p.queues[isa.DomainFP] = newIssueQueue(cfg.FPQSize, cfg.ROBSize, syncWin, cfg.SyncPolicy)
+	p.queues[isa.DomainLS] = newIssueQueue(cfg.LSQueue, cfg.ROBSize, syncWin, cfg.SyncPolicy)
 
 	// All six unit pools share one array of whole blocks. The LS
 	// domain's long pool is unused; it keeps indexing uniform.
@@ -695,7 +695,7 @@ func (p *Processor) commit(now clock.Time) int {
 			}
 		}
 		p.inflight[u.domain]--
-		if p.cfg.DeepSleep && p.inflight[u.domain] == 0 && p.queues[u.domain].Empty() {
+		if p.cfg.DeepSleep && p.inflight[u.domain] == 0 && p.queues[u.domain].empty() {
 			// The domain just became deep-sleep eligible: its energy
 			// regime changes from idle-gated to deep-gated, so a sleeping
 			// domain must re-run one cycle to switch charge rates.
@@ -816,10 +816,11 @@ func (p *Processor) dispatch(now clock.Time) int {
 				break
 			}
 		}
-		if p.queues[dom].Full() {
+		q := &p.queues[dom]
+		if q.full() {
 			// Count the stall against the target queue and stop: this
 			// back-pressure is the signal DVFS controllers react to.
-			p.queues[dom].Push(now, nil) // records the full-stall
+			q.fullStalls++
 			break
 		}
 
@@ -832,14 +833,31 @@ func (p *Processor) dispatch(now clock.Time) int {
 		u.domain = dom
 		u.state = stateDispatched
 		u.readyAt = 0
-		u.stallUntil = 0
+		u.waiters = nil
 		u.predTaken = f.predTaken
 		u.predTarget = f.predTarget
 		u.mispredict = f.mispredict
 		u.hasReg = false
 		p.nextSeq++
-		u.src1 = p.producerSeq(in.Dep1, u.seq)
-		u.src2 = p.producerSeq(in.Dep2, u.seq)
+		u.pending = 0
+		u.src1 = 0
+		if pr := p.producer(in.Dep1, u.seq); pr != nil {
+			u.src1 = pr.seq
+			if pr.state != stateIssued {
+				u.waitNext1 = pr.waiters
+				pr.waiters = u
+				u.pending++
+			}
+		}
+		u.src2 = 0
+		if pr := p.producer(in.Dep2, u.seq); pr != nil {
+			u.src2 = pr.seq
+			if pr.state != stateIssued && u.src2 != u.src1 {
+				u.waitNext2 = pr.waiters
+				pr.waiters = u
+				u.pending++
+			}
+		}
 		if needsReg {
 			u.hasReg = true
 			if (&in).IsFP() {
@@ -857,7 +875,7 @@ func (p *Processor) dispatch(now clock.Time) int {
 		}
 		p.win.insert(u)
 		p.rob.push(u)
-		p.queues[dom].Push(now, u)
+		q.push(now, u)
 		p.eng.Wake(engExecBase+int(dom), clock.EvQueuePush)
 		if u.mispredict {
 			p.blockingBranch = u
@@ -873,7 +891,7 @@ func (p *Processor) dispatch(now clock.Time) int {
 			// Removing the front entry reopens a full fetch buffer.
 			p.eng.Wake(engFetch, clock.EvQueueDrain)
 		}
-		p.feQueue.RemoveAt(0)
+		p.feQueue.PopFront()
 		n++
 	}
 	return n
@@ -899,38 +917,35 @@ func (p *Processor) fetchClock() *clock.Domain {
 	return p.fe
 }
 
-// producerSeq converts a dependency distance into a producer sequence
-// number. Distance counts backwards over *all* older instructions; if
-// the producer is no longer in flight the operand is ready (seq 0).
-func (p *Processor) producerSeq(dist uint32, consumer uint64) uint64 {
+// producer resolves a dependency distance to the in-flight uop that
+// produces the operand. Distance counts backwards over *all* older
+// instructions; nil means the operand is ready (no distance, or the
+// producer has committed or writes no register).
+func (p *Processor) producer(dist uint32, consumer uint64) *uop {
 	if dist == 0 || uint64(dist) >= consumer {
-		return 0
+		return nil
 	}
-	producer := consumer - uint64(dist)
-	if u := p.win.lookup(producer); u != nil && u.inst.HasOutput() {
-		return producer
+	if u := p.win.lookup(consumer - uint64(dist)); u != nil && u.inst.HasOutput() {
+		return u
 	}
-	return 0
+	return nil
 }
 
 // srcReadyAt reports whether the operand produced by seq is available
 // to a consumer in domain dom at time now, charging the synchronization
-// window for cross-domain result forwarding. When the operand is not
-// ready but its producer has issued, the returned time is the earliest
-// moment it can become ready (0 when unknowable, i.e. the producer has
-// not issued yet). The bound is the producer's readyAt, NOT readyAt
-// plus the synchronization window: a cross-domain operand also becomes
-// ready the moment its producer commits (the value then comes from the
-// register file, not the forwarding network), and commit can land
-// anywhere in [readyAt, readyAt+syncWin). readyAt is the latest time
-// provably below both paths.
+// window for cross-domain result forwarding. Only a candidate asks, so
+// the producer has issued or committed. When the operand is not ready,
+// the returned time is the earliest moment it can become ready: the
+// producer's readyAt, NOT readyAt plus the synchronization window. A
+// cross-domain operand also becomes ready the moment its producer
+// commits (the value then comes from the register file, not the
+// forwarding network), and commit can land anywhere in
+// [readyAt, readyAt+syncWin). readyAt is the latest time provably
+// below both paths.
 func (p *Processor) srcReadyAt(seq uint64, dom isa.ExecDomain, now clock.Time) (bool, clock.Time) {
 	u := p.win.lookup(seq)
 	if u == nil {
 		return true, 0 // committed
-	}
-	if u.state != stateIssued {
-		return false, 0
 	}
 	ready := u.readyAt
 	if u.domain != dom {
@@ -956,7 +971,8 @@ func (p *Processor) execCycle(now clock.Time, dom isa.ExecDomain) {
 		meter.Leak(now, v)
 		return
 	}
-	if p.cfg.DeepSleep && p.queues[dom].Empty() && p.inflight[dom] == 0 {
+	q := &p.queues[dom]
+	if p.cfg.DeepSleep && q.empty() && p.inflight[dom] == 0 {
 		// Domain sleep: nothing queued, nothing in flight — gate the
 		// whole clock tree.
 		factor := p.cfg.DeepSleepFactor
@@ -979,92 +995,100 @@ func (p *Processor) execCycle(now clock.Time, dom isa.ExecDomain) {
 	if width > units {
 		width = units
 	}
-	issued := 0
 	// Sleep-bound tracking (event mode): bound is the earliest time any
-	// scanned entry can become issuable; issueWake marks an entry gated
-	// on a producer that has not issued yet (unknowable bound — wake on
-	// issue broadcasts); noSleep marks a state the scan cannot bound
-	// (a failed tryIssue retries — and re-touches the cache — every
-	// cycle, and a conservatively-bounded operand inside its
-	// cross-domain synchronization window re-polls every cycle).
+	// candidate can become issuable; noSleep marks a state the scan
+	// cannot bound (a failed tryIssue retries — and re-touches the
+	// cache — every cycle, and a conservatively-bounded operand inside
+	// its cross-domain synchronization window re-polls every cycle). A
+	// parked uop has no bound until its producer issues, so any parked
+	// uop makes the domain wake on issue broadcasts.
 	bound := clock.Forever
-	issueWake := false
 	noSleep := false
-	remove := p.issueScratch[:0]
-	q := &p.queues[dom]
-	for i, qn := 0, q.Len(); i < qn && issued < width; i++ {
-		u, visible := q.EntryAt(i, now)
-		if !visible {
-			if vis := q.VisibleFrom(i); vis < bound {
-				bound = vis
-			}
-			continue
-		}
-		if u.state != stateDispatched {
-			noSleep = true
-			continue
-		}
-		// Readiness is monotonic within the consuming domain (readyAt
-		// is fixed once the producer issues, and now only advances), so
-		// an operand observed ready is cleared to the sentinel and
-		// never looked up again, and a known not-before bound skips the
-		// uop without any lookup.
-		if u.stallUntil > now {
-			if u.stallUntil < bound {
-				bound = u.stallUntil
-			}
-			continue
-		}
-		if u.src1 != 0 {
-			ok, at := p.srcReadyAt(u.src1, dom, now)
+	issued := p.issued[:0]
+	if q.count > q.parked {
+		// Candidates are walked oldest first from the ROB head (every
+		// queued uop is in the ROB). A uop its producer unparks is
+		// looked at from the next edge on: the producers' waiter lists
+		// are walked after the scan, and since every class's latency is
+		// at least one cycle, none of those operands is ready before
+		// then.
+		it := q.candidates(p.rob.peek().seq)
+		for len(issued) < width {
+			s, ok := it.next()
 			if !ok {
-				u.stallUntil = at
-				if at == 0 {
-					issueWake = true
-				} else if at <= now {
-					noSleep = true
-				} else if at < bound {
-					bound = at
+				break
+			}
+			u := q.slots[s]
+			// Readiness is monotonic within the consuming domain
+			// (visibility is fixed at dispatch, readyAt once the producer
+			// issues, and now only advances), so a known not-before bound
+			// skips the uop without any lookup, and an operand observed
+			// ready is cleared to the sentinel and never looked up again.
+			if u.stallUntil > now {
+				if u.stallUntil < bound {
+					bound = u.stallUntil
 				}
 				continue
 			}
-			u.src1 = 0
-		}
-		if u.src2 != 0 {
-			ok, at := p.srcReadyAt(u.src2, dom, now)
-			if !ok {
-				u.stallUntil = at
-				if at == 0 {
-					issueWake = true
-				} else if at <= now {
-					noSleep = true
-				} else if at < bound {
-					bound = at
+			if u.src1 != 0 {
+				ok, at := p.srcReadyAt(u.src1, dom, now)
+				if !ok {
+					u.stallUntil = at
+					if at <= now {
+						noSleep = true
+					} else if at < bound {
+						bound = at
+					}
+					continue
 				}
-				continue
+				u.src1 = 0
 			}
-			u.src2 = 0
+			if u.src2 != 0 {
+				ok, at := p.srcReadyAt(u.src2, dom, now)
+				if !ok {
+					u.stallUntil = at
+					if at <= now {
+						noSleep = true
+					} else if at < bound {
+						bound = at
+					}
+					continue
+				}
+				u.src2 = 0
+			}
+			if !p.tryIssue(u, dom, now, period) {
+				noSleep = true
+				continue // no free unit for this class; try younger ops
+			}
+			issued = append(issued, u)
 		}
-		if !p.tryIssue(u, dom, now, period) {
-			noSleep = true
-			continue // no free unit for this class; try younger ops
-		}
-		issued++
-		remove = append(remove, i)
 	}
-	for j := len(remove) - 1; j >= 0; j-- {
-		q.RemoveAt(remove[j])
+	for _, u := range issued {
+		q.remove(u)
+		p.unparkWaiters(u)
 	}
-	if cap(remove) != cap(p.issueScratch) {
-		// append outgrew the scratch buffer: keep the larger backing.
-		// Guarded so the common no-growth case skips the write barrier.
-		p.issueScratch = remove[:0]
-	}
-	meter.Cycle(v, float64(issued)/float64(units))
+	meter.Cycle(v, float64(len(issued))/float64(units))
 	meter.Leak(now, v)
-	if issued == 0 && !noSleep && bound > now && !d.InTransition(now) {
-		p.sleep(engExecBase+int(dom), meter.IdleCharge(v), bound, issueWake)
+	if len(issued) == 0 && !noSleep && bound > now && !d.InTransition(now) {
+		p.sleep(engExecBase+int(dom), meter.IdleCharge(v), bound, q.parked > 0)
 	}
+}
+
+// unparkWaiters walks the waiter list of u, which just issued: each
+// consumer has one fewer unissued producer, and one with none left
+// becomes a candidate of its queue.
+func (p *Processor) unparkWaiters(u *uop) {
+	for c := u.waiters; c != nil; {
+		next := c.waitNext2
+		if c.src1 == u.seq {
+			next = c.waitNext1
+		}
+		if c.pending--; c.pending == 0 {
+			p.queues[c.domain].unpark(c)
+		}
+		c = next
+	}
+	u.waiters = nil
 }
 
 // tryIssue books a functional unit and computes the uop's completion
@@ -1122,7 +1146,7 @@ func (p *Processor) tryIssue(u *uop, dom isa.ExecDomain, now clock.Time, period 
 // occupancies, consult the controllers, and actuate frequency changes.
 func (p *Processor) sampleCycle(now clock.Time) {
 	for dom := 0; dom < isa.NumExecDomains; dom++ {
-		occ := p.queues[dom].Len()
+		occ := p.queues[dom].count
 		p.samplers[dom].Record(occ)
 		d := p.exec[dom]
 		if c := p.controllers[dom]; c != nil {
@@ -1323,8 +1347,7 @@ func (p *Processor) collect(end clock.Time) *Result {
 		samples := p.samplers[dom].Samples()
 		res.QueueSamples[name] = NewSeries(samples)
 		res.FreqTrace[name] = p.freqTrace[dom]
-		_, _, stalls := p.queues[dom].Stats()
-		res.QueueFullStalls[name] = stalls
+		res.QueueFullStalls[name] = p.queues[dom].fullStalls
 		ds := res.Domains[name]
 		if len(samples) > 0 {
 			sum := 0.0

@@ -11,8 +11,7 @@ type uopState uint8
 
 const (
 	stateDispatched uopState = iota // in ROB + issue queue, waiting
-	stateIssued                     // executing in a functional unit
-	stateDone                       // result available, awaiting commit
+	stateIssued                     // executing, or done and awaiting commit
 )
 
 // uop is one in-flight dynamic instruction.
@@ -22,21 +21,35 @@ type uop struct {
 	domain isa.ExecDomain
 	state  uopState
 
+	// pending counts the producers of this uop's operands that have
+	// not issued yet. While it is above zero the uop is parked: it is
+	// on those producers' waiter lists, off its issue queue's candidate
+	// set, and the issue scan never looks at it.
+	pending uint8
+
 	// src1 and src2 are producer sequence numbers (0 = operand ready).
 	src1, src2 uint64
 
 	// readyAt is the global time the result becomes available to
-	// same-domain consumers once state == stateDone.
+	// same-domain consumers; it is written once, when the uop issues.
 	readyAt clock.Time
 
-	// stallUntil is an issue-scan hint: a lower bound on when an
-	// operand of this (still-dispatched) uop can become ready, learned
-	// from a failed readiness check against an already-issued producer.
-	// The scan skips the uop without window lookups until then. Zero
-	// means no bound is known. Purely an optimization: the producer's
-	// readyAt is written once at issue and bounds both the forwarding
-	// and the commit path, so the hint is never late.
+	// stallUntil is an issue-scan hint: a lower bound on when this
+	// queued uop can issue. Dispatch seeds it with the time the uop
+	// becomes visible across the synchronization interface; a failed
+	// readiness check against an issued producer raises it to that
+	// producer's readyAt. The scan skips the uop without window lookups
+	// until then. Purely an optimization: visibility is fixed at
+	// dispatch, and the producer's readyAt is written once at issue and
+	// bounds both the forwarding and the commit path, so the hint is
+	// never late.
 	stallUntil clock.Time
+
+	// waiters heads the list of parked consumers of this uop's result.
+	// A consumer links on through waitNext1 when this uop produces its
+	// src1, else through waitNext2.
+	waiters              *uop
+	waitNext1, waitNext2 *uop
 
 	// Branch bookkeeping.
 	predTaken  bool

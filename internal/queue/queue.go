@@ -1,10 +1,12 @@
-// Package queue implements the bounded inter-domain interface/issue
-// queues of the MCD processor. A queue lives at a clock-domain boundary:
-// the producer (front end) inserts entries that become visible to the
-// consumer domain only after the synchronization window has elapsed,
-// modeling the arbitration-based synchronization interface used by the
-// MCD implementation the paper builds on. Occupancy is the signal every
-// DVFS controller in the paper observes.
+// Package queue holds the inter-domain interface of the MCD processor:
+// the synchronization policies, the bounded fetch-buffer FIFO and the
+// occupancy sampler. A queue lives at a clock-domain boundary: the
+// producer inserts entries that become visible to the consumer domain
+// only after the synchronization window has elapsed, modeling the
+// arbitration-based synchronization interface used by the MCD
+// implementation the paper builds on. The issue queues (internal/mcd)
+// apply the same policies. Occupancy is the signal every DVFS
+// controller in the paper observes.
 package queue
 
 import (
@@ -41,15 +43,14 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// Queue is a bounded buffer of entries with synchronization-delayed
-// visibility. Entries are kept in insertion (program) order; consumers
-// may remove any visible entry, which is how an out-of-order issue
-// window behaves. The zero Queue is not usable; call New.
+// Queue is a bounded FIFO of entries with synchronization-delayed
+// visibility: the fetch buffer between the fetch and dispatch stages.
+// Entries leave from the front, in insertion order. The zero Queue is
+// not usable; call New.
 //
 // Storage is a fixed ring sized at construction: logical index i lives
-// at physical slot (head+i)&mask, so front removal — the common case at
-// every dispatch — is O(1) instead of a memmove of the whole buffer,
-// and no path allocates after construction.
+// at physical slot (head+i)&mask, so a pop is O(1) and no path
+// allocates after construction.
 type Queue[T any] struct {
 	capacity int
 	syncWin  clock.Time
@@ -60,11 +61,6 @@ type Queue[T any] struct {
 	head    int
 	count   int
 	mask    int
-
-	// Statistics.
-	pushes    uint64
-	pops      uint64
-	fullStall uint64
 }
 
 // NewWithPolicy creates a queue with the given capacity,
@@ -105,13 +101,12 @@ func (q *Queue[T]) Empty() bool { return q.count == 0 }
 // slot maps a logical index to its physical ring slot.
 func (q *Queue[T]) slot(i int) int { return (q.head + i) & q.mask }
 
-// Push inserts v at time now. It reports false (and counts a full-queue
-// stall) when the queue is full. Under the arbitration interface every
-// entry becomes visible at now + the synchronization window; under the
-// token-ring interface only entries written into an empty queue pay it.
+// Push inserts v at time now. It reports false when the queue is full.
+// Under the arbitration interface every entry becomes visible at now +
+// the synchronization window; under the token-ring interface only
+// entries written into an empty queue pay it.
 func (q *Queue[T]) Push(now clock.Time, v T) bool {
 	if q.Full() {
-		q.fullStall++
 		return false
 	}
 	vis := now
@@ -122,20 +117,7 @@ func (q *Queue[T]) Push(now clock.Time, v T) bool {
 	q.buf[i] = v
 	q.visible[i] = vis
 	q.count++
-	q.pushes++
 	return true
-}
-
-// EntryAt returns the entry at index i and whether it is visible to the
-// consumer at time now. It is the allocation-free building block for
-// hot-path scans such as the issue window's.
-func (q *Queue[T]) EntryAt(i int, now clock.Time) (T, bool) {
-	s := q.slot(i)
-	if q.visible[s] > now {
-		var zero T
-		return zero, false
-	}
-	return q.buf[s], true
 }
 
 // VisibleFrom returns the time at which the entry at index i becomes
@@ -143,31 +125,12 @@ func (q *Queue[T]) EntryAt(i int, now clock.Time) (T, bool) {
 // sleeps on when the entry is still inside its synchronization window.
 func (q *Queue[T]) VisibleFrom(i int) clock.Time { return q.visible[q.slot(i)] }
 
-// RemoveAt deletes the entry at index i, preserving order. It shifts
-// whichever side of the ring is shorter; removing the front entry (the
-// dispatch hot path) moves nothing.
-func (q *Queue[T]) RemoveAt(i int) {
+// PopFront deletes the oldest entry. The queue must not be empty.
+func (q *Queue[T]) PopFront() {
 	var zero T
-	if i <= q.count-1-i {
-		// Shift the prefix [0,i) up one slot, then advance head.
-		for j := i; j >= 1; j-- {
-			d, s := q.slot(j), q.slot(j-1)
-			q.buf[d] = q.buf[s]
-			q.visible[d] = q.visible[s]
-		}
-		q.buf[q.head] = zero
-		q.head = (q.head + 1) & q.mask
-	} else {
-		// Shift the suffix (i,count) down one slot.
-		for j := i; j < q.count-1; j++ {
-			d, s := q.slot(j), q.slot(j+1)
-			q.buf[d] = q.buf[s]
-			q.visible[d] = q.visible[s]
-		}
-		q.buf[q.slot(q.count-1)] = zero
-	}
+	q.buf[q.head] = zero
+	q.head = (q.head + 1) & q.mask
 	q.count--
-	q.pops++
 }
 
 // FrontPtr returns a pointer to the oldest entry when it is visible at
@@ -179,9 +142,4 @@ func (q *Queue[T]) FrontPtr(now clock.Time) (*T, bool) {
 		return nil, false
 	}
 	return &q.buf[q.head], true
-}
-
-// Stats returns cumulative pushes, pops, and full-queue stalls.
-func (q *Queue[T]) Stats() (pushes, pops, fullStalls uint64) {
-	return q.pushes, q.pops, q.fullStall
 }

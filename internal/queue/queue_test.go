@@ -22,20 +22,19 @@ func popFront[T any](q *Queue[T], now clock.Time) (T, bool) {
 		return zero, false
 	}
 	v := *p
-	q.RemoveAt(0)
+	q.PopFront()
 	return v, true
 }
 
-// visibleEntries returns the entries the consumer can see at now, in
-// insertion order, the way the issue scan walks them.
-func visibleEntries[T any](q *Queue[T], now clock.Time) []T {
-	var out []T
+// visibleCount returns how many entries the consumer can see at now.
+func visibleCount[T any](q *Queue[T], now clock.Time) int {
+	n := 0
 	for i := 0; i < q.Len(); i++ {
-		if v, ok := q.EntryAt(i, now); ok {
-			out = append(out, v)
+		if q.VisibleFrom(i) <= now {
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 func TestPushPopFIFO(t *testing.T) {
@@ -60,17 +59,13 @@ func TestPushPopFIFO(t *testing.T) {
 	if !q.Empty() {
 		t.Error("queue should be empty")
 	}
-	_, _, stalls := q.Stats()
-	if stalls != 1 {
-		t.Errorf("fullStalls = %d, want 1", stalls)
-	}
 }
 
 func TestSyncWindowDelaysVisibility(t *testing.T) {
 	win := 300 * clock.Picosecond
 	q := newArb[int]("iq", 4, win)
 	q.Push(1000, 7)
-	if len(visibleEntries(q, 1000)) != 0 {
+	if visibleCount(q, 1000) != 0 {
 		t.Error("entry visible before sync window elapsed")
 	}
 	if _, ok := popFront(q, 1000+win-1); ok {
@@ -86,48 +81,20 @@ func TestSyncWindowDelaysVisibility(t *testing.T) {
 	}
 }
 
-func TestScanVisitsOnlyVisibleInOrder(t *testing.T) {
-	q := newArb[int]("iq", 8, 100)
-	q.Push(0, 1)   // visible at 100
-	q.Push(50, 2)  // visible at 150
-	q.Push(500, 3) // visible at 600
-	if seen := visibleEntries(q, 200); len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
-		t.Errorf("scan at 200 saw %v, want [1 2]", seen)
-	}
-	// The entry still inside its window is the one a consumer sleeps on.
-	if _, ok := q.EntryAt(2, 200); ok || q.VisibleFrom(2) != 600 {
-		t.Errorf("entry 2: visible at 200 = %v, VisibleFrom = %d, want false and 600", ok, q.VisibleFrom(2))
-	}
-}
-
-func TestRemoveAtPreservesOrder(t *testing.T) {
-	q := newArb[int]("iq", 8, 0)
-	for i := 1; i <= 5; i++ {
-		q.Push(0, i)
-	}
-	q.RemoveAt(1) // remove 2
-	q.RemoveAt(2) // remove 4 (indices shifted)
-	rest := visibleEntries(q, 0)
-	want := []int{1, 3, 5}
-	for i := range want {
-		if rest[i] != want[i] {
-			t.Fatalf("after removals: %v, want %v", rest, want)
-		}
-	}
-}
-
 func TestOccupancyConservation(t *testing.T) {
 	// Property: Len == pushes - pops at all times.
 	q := newArb[uint16]("iq", 16, 10)
+	pushes, pops := 0, 0
 	f := func(ops []uint16) bool {
 		for _, op := range ops {
 			if op%3 == 0 {
-				q.Push(clock.Time(op), op)
-			} else {
-				popFront(q, clock.Time(op)+100)
+				if q.Push(clock.Time(op), op) {
+					pushes++
+				}
+			} else if _, ok := popFront(q, clock.Time(op)+100); ok {
+				pops++
 			}
-			pushes, pops, _ := q.Stats()
-			if int(pushes-pops) != q.Len() {
+			if pushes-pops != q.Len() {
 				return false
 			}
 			if q.Len() > 16 || q.Len() < 0 {
@@ -144,7 +111,7 @@ func TestOccupancyConservation(t *testing.T) {
 func TestVisibleNeverExceedsLen(t *testing.T) {
 	q := newArb[int]("iq", 8, 500)
 	f := func(now uint32) bool {
-		return len(visibleEntries(q, clock.Time(now))) <= q.Len()
+		return visibleCount(q, clock.Time(now)) <= q.Len()
 	}
 	q.Push(0, 1)
 	q.Push(100, 2)
@@ -201,7 +168,7 @@ func TestTokenRingPaysOnlyOnEmpty(t *testing.T) {
 	win := 300 * clock.Picosecond
 	q := NewWithPolicy[int]("iq", 4, win, SyncTokenRing)
 	q.Push(1000, 1) // into empty queue: pays the window
-	if len(visibleEntries(q, 1000)) != 0 {
+	if visibleCount(q, 1000) != 0 {
 		t.Error("first entry visible before window under token ring")
 	}
 	q.Push(1100, 2) // queue non-empty: free
