@@ -325,3 +325,40 @@ func TestAbandonedMatrixCellFollower(t *testing.T) {
 		t.Error("the follower's results differ from an uncontended matrix's")
 	}
 }
+
+// TestCancelledMatrixDropsInFlightRecording: a matrix cancelled while
+// its cells wait on a recording drops the recording before it exists;
+// the drop holds, so the recording, once finished, is not memoized.
+func TestCancelledMatrixDropsInFlightRecording(t *testing.T) {
+	t.Parallel()
+	opt := Options{Instructions: 1_000_000, Seed: 17, Benchmarks: []string{"gzip"}, Schemes: []Scheme{SchemeAdaptive}, Harness: NewHarness()}
+	replays := opt.Harness.replays
+	recording := func() bool { return replays.flights.Len() == 1 }
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunMatrixContext(ctx, opt)
+		done <- err
+	}()
+	waitUntil(t, "both cells", func() bool { return entered(opt.Harness) == 2 })
+	waitUntil(t, "the recording", recording)
+	cancel()
+	if err := <-done; !errors.Is(err, ErrCancelled) {
+		t.Fatalf("matrix got %v, want ErrCancelled", err)
+	}
+	if !recording() {
+		t.Fatal("the recording finished before the matrix returned; nothing was exercised")
+	}
+	waitUntil(t, "the recording to finish", func() bool { return !recording() })
+	replays.mu.Lock()
+	recordings, pending := replays.recordings, len(replays.recording)
+	replays.mu.Unlock()
+	if recordings != 1 || pending != 0 {
+		t.Fatalf("%d recordings finished, %d still marked in progress; want 1 and 0", recordings, pending)
+	}
+	if n := resident(opt.Harness); n != 0 {
+		t.Errorf("%d recordings resident after the cancelled matrix's recording finished, want 0", n)
+	}
+}

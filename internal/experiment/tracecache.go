@@ -32,6 +32,9 @@ type replayCache struct {
 	bytes      int64
 	maxBytes   int64
 	recordings int // streams recorded since the last reset
+	// recording holds the keys being recorded; the value is true once
+	// the key is dropped, so the finished recording is not inserted.
+	recording map[replayKey]bool
 }
 
 type replayKey struct {
@@ -56,9 +59,10 @@ const replayCacheMaxBytes = 64 << 20
 
 func newReplayCache() *replayCache {
 	return &replayCache{
-		entries:  make(map[replayKey]*list.Element),
-		order:    list.New(),
-		maxBytes: replayCacheMaxBytes,
+		entries:   make(map[replayKey]*list.Element),
+		order:     list.New(),
+		maxBytes:  replayCacheMaxBytes,
+		recording: make(map[replayKey]bool),
 	}
 }
 
@@ -105,11 +109,13 @@ func (c *replayCache) replay(ctx context.Context, k replayKey, prof trace.Profil
 		if rec := c.lookup(k); rec != nil {
 			return rec, nil // recorded by a flight that finished since our lookup
 		}
-		rec, err := trace.RecordProfile(prof, k.seed, k.insts)
-		if err != nil {
+		c.begin(k)
+		var rec *trace.Recorded
+		defer func() { c.finish(k, rec) }()
+		var err error
+		if rec, err = trace.RecordProfile(prof, k.seed, k.insts); err != nil {
 			return nil, invalidSpec(err)
 		}
-		c.insert(k, rec)
 		return rec, nil
 	})
 	if err != nil {
@@ -131,12 +137,28 @@ func (c *replayCache) lookup(k replayKey) *trace.Recorded {
 	return el.Value.(*replayEntry).rec
 }
 
-// insert memoizes rec under k, evicting least recently used recordings
-// past the byte budget.
-func (c *replayCache) insert(k replayKey, rec *trace.Recorded) {
+// begin marks k as being recorded.
+func (c *replayCache) begin(k replayKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.recording[k] = false
+}
+
+// finish ends k's recording: it memoizes rec (nil when the recording
+// failed) unless k was dropped meanwhile, evicting least recently used
+// recordings past the byte budget.
+func (c *replayCache) finish(k replayKey, rec *trace.Recorded) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	dropped := c.recording[k]
+	delete(c.recording, k)
+	if rec == nil {
+		return
+	}
 	c.recordings++
+	if dropped {
+		return
+	}
 	c.entries[k] = c.order.PushFront(&replayEntry{key: k, rec: rec})
 	c.bytes += rec.Bytes()
 	for c.bytes > c.maxBytes && c.order.Len() > 1 {
@@ -144,13 +166,16 @@ func (c *replayCache) insert(k replayKey, rec *trace.Recorded) {
 	}
 }
 
-// drop forgets the recording for k, if resident. Cursors already
-// handed out keep replaying it.
+// drop forgets the recording for k: the resident one, or the one in
+// progress, which is then not memoized when it finishes. Cursors
+// already handed out keep replaying it.
 func (c *replayCache) drop(k replayKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, hit := c.entries[k]; hit {
 		c.removeLocked(el)
+	} else if _, busy := c.recording[k]; busy {
+		c.recording[k] = true
 	}
 }
 
