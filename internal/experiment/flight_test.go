@@ -328,12 +328,19 @@ func TestAbandonedMatrixCellFollower(t *testing.T) {
 
 // TestCancelledMatrixDropsInFlightRecording: a matrix cancelled while
 // its cells wait on a recording drops the recording before it exists;
-// the drop holds, so the recording, once finished, is not memoized.
+// the drop holds, so the recording, once finished, is not memoized. A
+// cell whose simulation reaches the memo after its waiter left may
+// start a second recording of the stream (the abandoned flight keeps
+// running); the drop holds for that one too.
 func TestCancelledMatrixDropsInFlightRecording(t *testing.T) {
 	t.Parallel()
 	opt := Options{Instructions: 1_000_000, Seed: 17, Benchmarks: []string{"gzip"}, Schemes: []Scheme{SchemeAdaptive}, Harness: NewHarness()}
 	replays := opt.Harness.replays
-	recording := func() bool { return replays.flights.Len() == 1 }
+	recording := func() bool {
+		replays.mu.Lock()
+		defer replays.mu.Unlock()
+		return len(replays.recording) > 0
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -351,13 +358,9 @@ func TestCancelledMatrixDropsInFlightRecording(t *testing.T) {
 	if !recording() {
 		t.Fatal("the recording finished before the matrix returned; nothing was exercised")
 	}
-	waitUntil(t, "the recording to finish", func() bool { return !recording() })
-	replays.mu.Lock()
-	recordings, pending := replays.recordings, len(replays.recording)
-	replays.mu.Unlock()
-	if recordings != 1 || pending != 0 {
-		t.Fatalf("%d recordings finished, %d still marked in progress; want 1 and 0", recordings, pending)
-	}
+	waitUntil(t, "the cells' simulations and recordings to finish", func() bool {
+		return inFlight(opt.Harness) == 0 && replays.flights.Len() == 0 && !recording()
+	})
 	if n := resident(opt.Harness); n != 0 {
 		t.Errorf("%d recordings resident after the cancelled matrix's recording finished, want 0", n)
 	}

@@ -32,9 +32,18 @@ type replayCache struct {
 	bytes      int64
 	maxBytes   int64
 	recordings int // streams recorded since the last reset
-	// recording holds the keys being recorded; the value is true once
-	// the key is dropped, so the finished recording is not inserted.
-	recording map[replayKey]bool
+	// recording tracks the keys being recorded. A flight abandoned by
+	// all its waiters keeps recording while a later caller starts
+	// another, so one key can have several recordings in progress.
+	recording map[replayKey]recordingState
+}
+
+// recordingState is one key's recordings in progress: how many, and
+// whether the key was dropped meanwhile, in which case none of them is
+// memoized.
+type recordingState struct {
+	n       int
+	dropped bool
 }
 
 type replayKey struct {
@@ -62,7 +71,7 @@ func newReplayCache() *replayCache {
 		entries:   make(map[replayKey]*list.Element),
 		order:     list.New(),
 		maxBytes:  replayCacheMaxBytes,
-		recording: make(map[replayKey]bool),
+		recording: make(map[replayKey]recordingState),
 	}
 }
 
@@ -137,26 +146,33 @@ func (c *replayCache) lookup(k replayKey) *trace.Recorded {
 	return el.Value.(*replayEntry).rec
 }
 
-// begin marks k as being recorded.
+// begin counts a recording of k in progress.
 func (c *replayCache) begin(k replayKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.recording[k] = false
+	st := c.recording[k]
+	st.n++
+	c.recording[k] = st
 }
 
-// finish ends k's recording: it memoizes rec (nil when the recording
-// failed) unless k was dropped meanwhile, evicting least recently used
-// recordings past the byte budget.
+// finish ends a recording of k: it memoizes rec (nil when the
+// recording failed) unless k was dropped while a recording of it was
+// in progress, evicting least recently used recordings past the byte
+// budget.
 func (c *replayCache) finish(k replayKey, rec *trace.Recorded) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	dropped := c.recording[k]
-	delete(c.recording, k)
+	st := c.recording[k]
+	if st.n--; st.n == 0 {
+		delete(c.recording, k)
+	} else {
+		c.recording[k] = st
+	}
 	if rec == nil {
 		return
 	}
 	c.recordings++
-	if dropped {
+	if st.dropped {
 		return
 	}
 	c.entries[k] = c.order.PushFront(&replayEntry{key: k, rec: rec})
@@ -166,16 +182,18 @@ func (c *replayCache) finish(k replayKey, rec *trace.Recorded) {
 	}
 }
 
-// drop forgets the recording for k: the resident one, or the one in
-// progress, which is then not memoized when it finishes. Cursors
+// drop forgets the recording for k: the resident one, and those in
+// progress, which are then not memoized when they finish. Cursors
 // already handed out keep replaying it.
 func (c *replayCache) drop(k replayKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, hit := c.entries[k]; hit {
 		c.removeLocked(el)
-	} else if _, busy := c.recording[k]; busy {
-		c.recording[k] = true
+	}
+	if st, busy := c.recording[k]; busy {
+		st.dropped = true
+		c.recording[k] = st
 	}
 }
 
