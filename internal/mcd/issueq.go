@@ -54,16 +54,11 @@ func newIssueQueue(capacity, robSize int, syncWin clock.Time, policy queue.SyncP
 func (q *issueQueue) full() bool  { return q.count >= q.capacity }
 func (q *issueQueue) empty() bool { return q.count == 0 }
 
-// push queues u at time now. Under the arbitration interface every
-// uop becomes visible at now + the synchronization window; under the
-// token-ring interface only a uop written into an empty queue pays it.
-// The caller has checked full and set u.pending.
+// push queues u at time now; u cannot issue before it is visible
+// across the synchronization interface. The caller has checked full
+// and set u.pending.
 func (q *issueQueue) push(now clock.Time, u *uop) {
-	vis := now
-	if q.policy == queue.SyncArbitration || q.count == 0 {
-		vis += q.syncWin
-	}
-	u.stallUntil = vis
+	u.stallUntil = q.policy.VisibleAt(now, q.syncWin, q.count == 0)
 	s := u.seq & q.mask
 	q.slots[s] = u
 	if u.pending == 0 {

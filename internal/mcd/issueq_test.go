@@ -44,8 +44,7 @@ func walk(q *issueQueue, start uint64) []uint64 {
 // and after parked uops are unparked and issued ones removed.
 func TestCandidatesWalkInProgramOrder(t *testing.T) {
 	for _, robSize := range []int{8, 80, 128, 300} {
-		q := newIssueQueue(robSize, robSize, 0, queue.SyncArbitration)
-		ring := q.mask + 1
+		ring := newIssueQueue(robSize, robSize, 0, queue.SyncArbitration).mask + 1
 		if ring < uint64(robSize) {
 			t.Fatalf("ROB %d: ring of %d slots", robSize, ring)
 		}

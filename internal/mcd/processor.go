@@ -840,24 +840,8 @@ func (p *Processor) dispatch(now clock.Time) int {
 		u.hasReg = false
 		p.nextSeq++
 		u.pending = 0
-		u.src1 = 0
-		if pr := p.producer(in.Dep1, u.seq); pr != nil {
-			u.src1 = pr.seq
-			if pr.state != stateIssued {
-				u.waitNext1 = pr.waiters
-				pr.waiters = u
-				u.pending++
-			}
-		}
-		u.src2 = 0
-		if pr := p.producer(in.Dep2, u.seq); pr != nil {
-			u.src2 = pr.seq
-			if pr.state != stateIssued && u.src2 != u.src1 {
-				u.waitNext2 = pr.waiters
-				pr.waiters = u
-				u.pending++
-			}
-		}
+		u.src1 = p.dependOn(u, in.Dep1, &u.waitNext1)
+		u.src2 = p.dependOn(u, in.Dep2, &u.waitNext2)
 		if needsReg {
 			u.hasReg = true
 			if (&in).IsFP() {
@@ -917,18 +901,27 @@ func (p *Processor) fetchClock() *clock.Domain {
 	return p.fe
 }
 
-// producer resolves a dependency distance to the in-flight uop that
-// produces the operand. Distance counts backwards over *all* older
-// instructions; nil means the operand is ready (no distance, or the
-// producer has committed or writes no register).
-func (p *Processor) producer(dist uint32, consumer uint64) *uop {
-	if dist == 0 || uint64(dist) >= consumer {
-		return nil
+// dependOn resolves one operand of the dispatching uop u from its
+// dependency distance, which counts backwards over *all* older
+// instructions, and returns the producer's sequence number: 0 when the
+// operand is ready (no distance, or the producer has committed or
+// writes no register). A producer that has not issued yet parks u on
+// its waiter list, linked through next; a producer both operands read
+// links u once (it is then already the list's head).
+func (p *Processor) dependOn(u *uop, dist uint32, next **uop) uint64 {
+	if dist == 0 || uint64(dist) >= u.seq {
+		return 0
 	}
-	if u := p.win.lookup(consumer - uint64(dist)); u != nil && u.inst.HasOutput() {
-		return u
+	pr := p.win.lookup(u.seq - uint64(dist))
+	if pr == nil || !pr.inst.HasOutput() {
+		return 0
 	}
-	return nil
+	if pr.state != stateIssued && pr.waiters != u {
+		*next = pr.waiters
+		pr.waiters = u
+		u.pending++
+	}
+	return pr.seq
 }
 
 // srcReadyAt reports whether the operand produced by seq is available

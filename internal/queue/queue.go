@@ -43,6 +43,17 @@ func (p SyncPolicy) String() string {
 	}
 }
 
+// VisibleAt returns when an entry pushed at now becomes visible to the
+// consumer across a synchronization window win: under the arbitration
+// interface every entry pays the window; under the token-ring
+// interface only an entry written into an empty queue does.
+func (p SyncPolicy) VisibleAt(now, win clock.Time, empty bool) clock.Time {
+	if p == SyncArbitration || empty {
+		return now + win
+	}
+	return now
+}
+
 // Queue is a bounded FIFO of entries with synchronization-delayed
 // visibility: the fetch buffer between the fetch and dispatch stages.
 // Entries leave from the front, in insertion order. The zero Queue is
@@ -101,21 +112,16 @@ func (q *Queue[T]) Empty() bool { return q.count == 0 }
 // slot maps a logical index to its physical ring slot.
 func (q *Queue[T]) slot(i int) int { return (q.head + i) & q.mask }
 
-// Push inserts v at time now. It reports false when the queue is full.
-// Under the arbitration interface every entry becomes visible at now +
-// the synchronization window; under the token-ring interface only
-// entries written into an empty queue pay it.
+// Push inserts v at time now, visible to the consumer as the queue's
+// policy says (SyncPolicy.VisibleAt). It reports false when the queue
+// is full.
 func (q *Queue[T]) Push(now clock.Time, v T) bool {
 	if q.Full() {
 		return false
 	}
-	vis := now
-	if q.policy == SyncArbitration || q.count == 0 {
-		vis += q.syncWin
-	}
 	i := q.slot(q.count)
 	q.buf[i] = v
-	q.visible[i] = vis
+	q.visible[i] = q.policy.VisibleAt(now, q.syncWin, q.count == 0)
 	q.count++
 	return true
 }
