@@ -72,8 +72,10 @@ bench:
 #     disk-B/cell (mean cache-entry size), the disk-hit benchmarks'
 #     entry-B/op (entry bytes read and checksummed per op), the
 #     recorded-replay benchmark's trace-B/inst (resident bytes per
-#     recorded instruction) and the chunked-replay benchmark's
-#     loads/pass (chunk decodes per pass), each the minimum over the
+#     recorded instruction), the chunked-replay benchmark's
+#     loads/pass (chunk decodes per pass) and the simulator
+#     benchmark's slow-edges/inst and skipped-edges/inst (clock edges
+#     per simulated instruction), each the minimum over the
 #     five repeats, repeat between runs, so this gate is tight; it is
 #     the one that catches per-iteration garbage creeping back into
 #     the hot path, a result holding more memory, a cache entry or

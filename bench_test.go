@@ -564,21 +564,65 @@ func diskBytesPerEntry(b *testing.B, dir string) float64 {
 // Micro-benchmarks for the hot components.
 // ---------------------------------------------------------------------
 
-// BenchmarkSimulatorThroughput measures raw simulated instructions per
-// second of the MCD machine with no DVFS controller attached.
+// BenchmarkSimulatorThroughput measures simulated instructions per
+// second of one MCD core replaying a recorded stream, the way the
+// mcdbench core workload runs its cells: gzip with no DVFS controller
+// (INT-bound, few uops waiting on an unissued producer) and swim under
+// the adaptive controllers (FP-heavy and memory-bound, the most such
+// uops). Beside sim-insts/s it reports the event engine's exact work
+// per simulated instruction, summed over the clock domains:
+// slow-edges/inst, edges that ran their cycle work, and
+// skipped-edges/inst, edges a descheduled domain consumed with only an
+// idle charge.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	const insts = 100000
-	next := uncached(b, benchOpt(insts))
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunOneContext(context.Background(), "gzip", experiment.SchemeNone, next())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Metrics.Instructions != insts {
-			b.Fatal("short run")
-		}
+	for _, c := range []struct {
+		bench  string
+		scheme experiment.Scheme
+	}{
+		{"gzip", experiment.SchemeNone},
+		{"swim", experiment.SchemeAdaptive},
+	} {
+		b.Run(c.bench+"/"+string(c.scheme), func(b *testing.B) {
+			prof, err := trace.ByName(c.bench)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rec, err := trace.RecordProfile(prof, trace.StreamSeed(1), insts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opt := benchOpt(insts)
+			cfg := mcd.DefaultConfig()
+			cfg.Seed = opt.Seed
+			var slow, skipped uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, err := mcd.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := experiment.AttachScheme(p, c.scheme, opt); err != nil {
+					b.Fatal(err)
+				}
+				res, err := p.Run(rec.Replay())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Metrics.Instructions != insts {
+					b.Fatal("short run")
+				}
+				slow, skipped = 0, 0
+				for _, st := range p.EngineStats() {
+					slow += st.SlowEdges
+					skipped += st.SkippedEdges
+				}
+			}
+			b.ReportMetric(float64(insts*int64(b.N))/b.Elapsed().Seconds(), "sim-insts/s")
+			b.ReportMetric(float64(slow)/insts, "slow-edges/inst")
+			b.ReportMetric(float64(skipped)/insts, "skipped-edges/inst")
+		})
 	}
-	b.ReportMetric(float64(insts*int64(b.N))/b.Elapsed().Seconds(), "sim-insts/s")
 }
 
 // BenchmarkChip measures whole-chip simulation throughput across the

@@ -28,8 +28,9 @@
 //   - work counts, at -alloc-tolerance percent: allocs/op, B/op, the
 //     warm-disk matrix's disk-B/cell (mean cache-entry size), the
 //     disk-hit benchmarks' entry-B/op (entry bytes read), a recorded
-//     trace's trace-B/inst and a chunked replay's loads/pass repeat
-//     run to run, so this gate can be tight. It is the one
+//     trace's trace-B/inst, a chunked replay's loads/pass and the
+//     simulator's slow-edges/inst and skipped-edges/inst repeat run to
+//     run, so this gate can be tight. It is the one
 //     that catches per-iteration garbage creeping back into the hot
 //     path, a result quietly holding more memory, or a cache entry
 //     quietly growing.
@@ -75,7 +76,7 @@ func main() {
 	out := flag.String("out", "", "write JSON here instead of stdout")
 	compare := flag.Bool("compare", false, "compare two baseline JSON files (old new) instead of parsing stdin")
 	tolerance := flag.Float64("tolerance", 25, "with -compare, max allowed wall-clock (ns/op or sim-insts/s) regression in percent")
-	allocTolerance := flag.Float64("alloc-tolerance", 10, "with -compare, max allowed regression in percent of allocs/op, B/op, disk-B/cell, entry-B/op, trace-B/inst and loads/pass")
+	allocTolerance := flag.Float64("alloc-tolerance", 10, "with -compare, max allowed regression in percent of allocs/op, B/op, disk-B/cell, entry-B/op, trace-B/inst, loads/pass, slow-edges/inst and skipped-edges/inst")
 	flag.Parse()
 
 	if *compare {
@@ -174,11 +175,13 @@ var throughputUnits = []string{"sim-insts/s", "cells/s"}
 // workUnits are the deterministic work counts: -benchmem's allocation
 // count and bytes, the cache-entry bytes per warm-disk cell, the entry
 // bytes a disk-hit op reads, a recorded trace's resident bytes per
-// instruction, and the chunk loads of one chunked-replay pass.
+// instruction, the chunk loads of one chunked-replay pass, and the
+// event engine's slow and skipped clock edges per simulated
+// instruction.
 // Unlike wall time they repeat between runs (past a process's first
 // repeat, which addBest's minimum drops), so they share their own,
 // much tighter gate.
-var workUnits = []string{"allocs/op", "B/op", "disk-B/cell", "entry-B/op", "trace-B/inst", "loads/pass"}
+var workUnits = []string{"allocs/op", "B/op", "disk-B/cell", "entry-B/op", "trace-B/inst", "loads/pass", "slow-edges/inst", "skipped-edges/inst"}
 
 // compareBaselines diffs old vs new by benchmark name and returns the
 // process exit code: 0 when every shared benchmark's regression is
