@@ -20,8 +20,7 @@ import (
 type Global struct {
 	inner *control.Adaptive
 
-	occ    [isa.NumExecDomains]int
-	filled int
+	occ [isa.NumExecDomains]int
 
 	target    float64
 	hasTarget bool
@@ -57,7 +56,6 @@ func (p *GlobalPort) Name() string { return "global" }
 func (p *GlobalPort) Reset() {
 	if p.domain == 0 {
 		p.g.inner.Reset()
-		p.g.filled = 0
 		p.g.hasTarget = false
 		p.g.generation = 0
 	}
@@ -70,7 +68,6 @@ func (p *GlobalPort) Reset() {
 func (p *GlobalPort) Observe(now clock.Time, occ int, cur float64) (float64, bool) {
 	g := p.g
 	g.occ[p.domain] = occ
-	g.filled++
 	if int(p.domain) == isa.NumExecDomains-1 {
 		maxOcc := g.occ[0]
 		for _, o := range g.occ[1:] {
@@ -78,7 +75,6 @@ func (p *GlobalPort) Observe(now clock.Time, occ int, cur float64) (float64, boo
 				maxOcc = o
 			}
 		}
-		g.filled = 0
 		if target, ok := g.inner.Observe(now, maxOcc, cur); ok {
 			g.target = target
 			g.hasTarget = true

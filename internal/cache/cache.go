@@ -1,8 +1,10 @@
 // Package cache implements the simulated memory hierarchy: generic
-// set-associative write-back caches with LRU replacement, composed into
-// the Table-1 hierarchy (64 KB 2-way L1 instruction and data caches, a
+// set-associative caches with LRU replacement, composed into the
+// Table-1 hierarchy (64 KB 2-way L1 instruction and data caches, a
 // 1 MB direct-mapped unified L2, and main memory as an external
-// asynchronous domain with a fixed access latency).
+// asynchronous domain with a fixed access latency). The model tracks
+// residency only: loads and stores allocate alike, and writebacks of
+// evicted lines are not modelled, so they cost no latency.
 package cache
 
 import "fmt"
@@ -33,9 +35,8 @@ func (l Level) String() string {
 
 // Stats counts cache events.
 type Stats struct {
-	Accesses   uint64
-	Misses     uint64
-	Writebacks uint64
+	Accesses uint64
+	Misses   uint64
 }
 
 // MissRate returns misses per access.
@@ -46,8 +47,9 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// Cache is one set-associative write-back, write-allocate cache with
-// true-LRU replacement.
+// Cache is one set-associative, allocate-on-miss cache with true-LRU
+// replacement. It keeps no dirty state: a store is an access like a
+// load, and an eviction writes nothing back.
 type Cache struct {
 	sets     int
 	ways     int
@@ -55,9 +57,8 @@ type Cache struct {
 	setBits  uint
 	setMask  uint64
 
-	tags  []uint64 // sets*ways; tag+1 stored so 0 means invalid
-	dirty []bool
-	age   []uint32 // larger = older
+	tags []uint64 // sets*ways; tag+1 stored so 0 means invalid
+	age  []uint32 // larger = older
 
 	stats Stats
 }
@@ -88,7 +89,7 @@ func New(name string, size, ways, lineSize int) *Cache {
 	return &Cache{
 		sets: sets, ways: ways, lineBits: lineBits,
 		setBits: setBits, setMask: uint64(sets - 1),
-		tags: make([]uint64, n), dirty: make([]bool, n), age: make([]uint32, n),
+		tags: make([]uint64, n), age: make([]uint32, n),
 	}
 }
 
@@ -102,42 +103,15 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	return int(line & c.setMask), line>>c.setBits + 1 // +1 so 0 = invalid
 }
 
-// Access looks up addr, allocating the line on a miss. It returns
-// whether the access hit and whether the allocation evicted a dirty
-// line (a writeback).
-func (c *Cache) Access(addr uint64, write bool) (hit, writeback bool) {
+// Access looks up addr, allocating the line on a miss, and reports
+// whether the access hit.
+func (c *Cache) Access(addr uint64) bool {
 	c.stats.Accesses++
-	set, tag := c.index(addr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == tag {
-			c.touch(base, w)
-			if write {
-				c.dirty[base+w] = true
-			}
-			return true, false
-		}
+	if c.Fill(addr) {
+		return true
 	}
 	c.stats.Misses++
-	// Choose victim: first invalid way, else oldest.
-	victim := 0
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == 0 {
-			victim = w
-			break
-		}
-		if c.age[base+w] > c.age[base+victim] {
-			victim = w
-		}
-	}
-	if c.tags[base+victim] != 0 && c.dirty[base+victim] {
-		writeback = true
-		c.stats.Writebacks++
-	}
-	c.tags[base+victim] = tag
-	c.dirty[base+victim] = write
-	c.touch(base, victim)
-	return false, writeback
+	return false
 }
 
 // Fill allocates the line containing addr without counting a demand
@@ -152,6 +126,7 @@ func (c *Cache) Fill(addr uint64) (wasResident bool) {
 			return true
 		}
 	}
+	// Choose victim: first invalid way, else oldest.
 	victim := 0
 	for w := 0; w < c.ways; w++ {
 		if c.tags[base+w] == 0 {
@@ -162,11 +137,7 @@ func (c *Cache) Fill(addr uint64) (wasResident bool) {
 			victim = w
 		}
 	}
-	if c.tags[base+victim] != 0 && c.dirty[base+victim] {
-		c.stats.Writebacks++
-	}
 	c.tags[base+victim] = tag
-	c.dirty[base+victim] = false
 	c.touch(base, victim)
 	return false
 }
@@ -266,12 +237,13 @@ func (h *Hierarchy) L1D() *Cache { return &h.l1d }
 // L2 returns the unified second-level cache.
 func (h *Hierarchy) L2() *Cache { return &h.l2 }
 
-// Data performs a data access and returns the satisfying level.
-func (h *Hierarchy) Data(addr uint64, write bool) Level {
-	if hit, _ := h.l1d.Access(addr, write); hit {
+// Data performs a data access, load or store, and returns the
+// satisfying level.
+func (h *Hierarchy) Data(addr uint64) Level {
+	if h.l1d.Access(addr) {
 		return LevelL1
 	}
-	if hit, _ := h.l2.Access(addr, write); hit {
+	if h.l2.Access(addr) {
 		return LevelL2
 	}
 	return LevelMem
@@ -286,10 +258,10 @@ func (h *Hierarchy) PrefetchData(addr uint64) {
 
 // Inst performs an instruction fetch access.
 func (h *Hierarchy) Inst(pc uint64) Level {
-	if hit, _ := h.l1i.Access(pc, false); hit {
+	if h.l1i.Access(pc) {
 		return LevelL1
 	}
-	if hit, _ := h.l2.Access(pc, false); hit {
+	if h.l2.Access(pc) {
 		return LevelL2
 	}
 	return LevelMem

@@ -21,13 +21,13 @@ func (c *Cache) Probe(addr uint64) bool {
 
 func TestAccessHitAfterMiss(t *testing.T) {
 	c := New("t", 1<<10, 2, 64)
-	if hit, _ := c.Access(0x1000, false); hit {
+	if c.Access(0x1000) {
 		t.Error("cold access hit")
 	}
-	if hit, _ := c.Access(0x1000, false); !hit {
+	if !c.Access(0x1000) {
 		t.Error("warm access missed")
 	}
-	if hit, _ := c.Access(0x1004, false); !hit {
+	if !c.Access(0x1004) {
 		t.Error("same-line access missed")
 	}
 	s := c.Stats()
@@ -42,10 +42,10 @@ func TestLRUEviction(t *testing.T) {
 	if c.sets != 1 {
 		t.Fatalf("sets = %d, want 1", c.sets)
 	}
-	c.Access(0x0000, false) // A
-	c.Access(0x4000, false) // B
-	c.Access(0x0000, false) // touch A; B is LRU
-	c.Access(0x8000, false) // C evicts B
+	c.Access(0x0000) // A
+	c.Access(0x4000) // B
+	c.Access(0x0000) // touch A; B is LRU
+	c.Access(0x8000) // C evicts B
 	if !c.Probe(0x0000) {
 		t.Error("MRU line A evicted")
 	}
@@ -57,31 +57,9 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestDirtyEvictionWritesBack(t *testing.T) {
-	c := New("t", 128, 2, 64)
-	c.Access(0x0000, true) // dirty A
-	c.Access(0x4000, false)
-	_, wb := c.Access(0x8000, false) // evicts dirty A
-	if !wb {
-		t.Error("dirty eviction did not write back")
-	}
-	if c.Stats().Writebacks != 1 {
-		t.Errorf("writebacks = %d, want 1", c.Stats().Writebacks)
-	}
-}
-
-func TestCleanEvictionNoWriteback(t *testing.T) {
-	c := New("t", 128, 2, 64)
-	c.Access(0x0000, false)
-	c.Access(0x4000, false)
-	if _, wb := c.Access(0x8000, false); wb {
-		t.Error("clean eviction wrote back")
-	}
-}
-
 func TestProbeDoesNotDisturbState(t *testing.T) {
 	c := New("t", 128, 2, 64)
-	c.Access(0x0000, false)
+	c.Access(0x0000)
 	before := c.Stats()
 	c.Probe(0x0000)
 	c.Probe(0x4000)
@@ -96,7 +74,7 @@ func TestWorkingSetFitsMeansHighHitRate(t *testing.T) {
 	// 32 KB working set inside a 64 KB cache: after warmup, ~every
 	// access hits.
 	for i := 0; i < 20000; i++ {
-		c.Access(uint64(rng.Intn(32<<10))&^7, false)
+		c.Access(uint64(rng.Intn(32<<10)) &^ 7)
 	}
 	warm := c.Stats()
 	if warm.MissRate() > 0.1 {
@@ -105,7 +83,7 @@ func TestWorkingSetFitsMeansHighHitRate(t *testing.T) {
 	// 16 MB working set: mostly misses.
 	c2 := New("t2", 64<<10, 2, 64)
 	for i := 0; i < 20000; i++ {
-		c2.Access(uint64(rng.Intn(16<<20))&^7, false)
+		c2.Access(uint64(rng.Intn(16<<20)) &^ 7)
 	}
 	if c2.Stats().MissRate() < 0.5 {
 		t.Errorf("miss rate %.3f too low for thrashing working set", c2.Stats().MissRate())
@@ -116,8 +94,8 @@ func TestDirectMappedConflicts(t *testing.T) {
 	c := New("dm", 1<<20, 1, 128)
 	a := uint64(0x100)
 	b := a + 1<<20 // same set, different tag
-	c.Access(a, false)
-	c.Access(b, false)
+	c.Access(a)
+	c.Access(b)
 	if c.Probe(a) {
 		t.Error("direct-mapped conflict did not evict")
 	}
@@ -126,17 +104,17 @@ func TestDirectMappedConflicts(t *testing.T) {
 func TestHierarchyLevels(t *testing.T) {
 	h := NewHierarchy(Default())
 	addr := uint64(0x2000_0000)
-	if l := h.Data(addr, false); l != LevelMem {
+	if l := h.Data(addr); l != LevelMem {
 		t.Errorf("cold access level = %v, want mem", l)
 	}
-	if l := h.Data(addr, false); l != LevelL1 {
+	if l := h.Data(addr); l != LevelL1 {
 		t.Errorf("warm access level = %v, want L1", l)
 	}
 	// Evict from L1 by filling its set (2-way, 512 sets, 64B lines →
 	// set stride 32 KB); the line stays in L2.
-	h.Data(addr+32<<10, false)
-	h.Data(addr+64<<10, false)
-	if l := h.Data(addr, false); l != LevelL2 {
+	h.Data(addr + 32<<10)
+	h.Data(addr + 64<<10)
+	if l := h.Data(addr); l != LevelL2 {
 		t.Errorf("L1-evicted access level = %v, want L2", l)
 	}
 }
@@ -183,8 +161,8 @@ func TestLevelString(t *testing.T) {
 
 func TestAccessNeverPanics(t *testing.T) {
 	h := NewHierarchy(Default())
-	f := func(addr uint64, write bool) bool {
-		h.Data(addr, write)
+	f := func(addr uint64) bool {
+		h.Data(addr)
 		h.Inst(addr)
 		return true
 	}
@@ -232,7 +210,7 @@ func TestFillDoesNotCountDemandStats(t *testing.T) {
 func TestPrefetchDataWarmsBothLevels(t *testing.T) {
 	h := NewHierarchy(Default())
 	h.PrefetchData(0x4000)
-	if l := h.Data(0x4000, false); l != LevelL1 {
+	if l := h.Data(0x4000); l != LevelL1 {
 		t.Errorf("post-prefetch access level = %v, want L1", l)
 	}
 }

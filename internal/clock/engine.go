@@ -2,10 +2,8 @@ package clock
 
 import "fmt"
 
-// EventKind labels the typed wake events the Engine tracks. The kind is
-// part of the deterministic ordering of simultaneous events (time first,
-// then kind, then scheduling order), so the declaration order below is
-// semantic: it is the tie-break priority mirrored by the event queue.
+// EventKind labels the cause of a domain's wake bound. The engine uses
+// it only to attribute wakes in DomainEngineStats.
 type EventKind uint8
 
 const (
@@ -59,82 +57,6 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one pending typed wake in the engine's queue.
-type Event struct {
-	At     Time
-	Kind   EventKind
-	Domain int
-
-	// epoch snapshots the target domain's sleep epoch at scheduling
-	// time; an event whose epoch is stale (the domain woke since) is
-	// discarded unprocessed.
-	epoch uint64
-	// seq is the global scheduling order, the final tie-break.
-	seq uint64
-}
-
-// before is the deterministic event ordering: time, then kind, then
-// scheduling order. Never wall-clock, never map order.
-func (ev Event) before(other Event) bool {
-	if ev.At != other.At {
-		return ev.At < other.At
-	}
-	if ev.Kind != other.Kind {
-		return ev.Kind < other.Kind
-	}
-	return ev.seq < other.seq
-}
-
-// eventQueue is a binary min-heap of Events ordered by Event.before.
-// It is a concrete heap (no container/heap interface) so pushes and
-// pops on the simulation path stay allocation-free after warm-up.
-type eventQueue struct {
-	ev []Event
-}
-
-func (q *eventQueue) push(ev Event) {
-	q.ev = append(q.ev, ev)
-	i := len(q.ev) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.ev[i].before(q.ev[parent]) {
-			break
-		}
-		q.ev[i], q.ev[parent] = q.ev[parent], q.ev[i]
-		i = parent
-	}
-}
-
-func (q *eventQueue) peek() (Event, bool) {
-	if len(q.ev) == 0 {
-		return Event{}, false
-	}
-	return q.ev[0], true
-}
-
-func (q *eventQueue) pop() Event {
-	top := q.ev[0]
-	last := len(q.ev) - 1
-	q.ev[0] = q.ev[last]
-	q.ev = q.ev[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(q.ev) && q.ev[l].before(q.ev[smallest]) {
-			smallest = l
-		}
-		if r < len(q.ev) && q.ev[r].before(q.ev[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return top
-		}
-		q.ev[i], q.ev[smallest] = q.ev[smallest], q.ev[i]
-		i = smallest
-	}
-}
-
 // DomainEngineStats counts what the engine did for one domain.
 type DomainEngineStats struct {
 	// SlowEdges is the number of clock edges on which the domain's full
@@ -154,35 +76,36 @@ type DomainEngineStats struct {
 // domainState is the engine's per-domain scheduling state.
 type domainState struct {
 	asleep bool
-	// wakeAt is the earliest live wake event for the domain (Forever
-	// when the domain waits for an external wake only). The first edge
-	// at or after wakeAt runs the full cycle work again.
+	// wakeAt is the domain's wake bound: the earliest time anything
+	// scheduled for it can change its work (Forever when the domain
+	// waits for an external wake only). The first edge at or after
+	// wakeAt runs the full cycle work again.
 	wakeAt Time
-	// wakeKind remembers which event set wakeAt, for wake accounting.
+	// wakeKind remembers which kind set wakeAt, for wake accounting.
 	wakeKind EventKind
 	// wakeOnIssue marks sleepers whose wake bound involved a producer
 	// that had not issued yet: any issue broadcast can lower their bound.
 	wakeOnIssue bool
-	epoch       uint64
 	stats       DomainEngineStats
 }
 
-// Engine schedules a set of clock domains as a deterministic event
-// system. It arbitrates clock edges (earliest pending edge wins, ties
-// break by registration order) and adds a typed wake-event queue that
-// lets callers deschedule a domain whose cycle work is provably a
-// no-op: the domain's clock still advances edge by edge — edge times
-// and the per-edge jitter stream are part of the simulator's
-// bit-exact contract — but each descheduled edge is consumed through
-// IdleAdvance instead of running the domain's cycle work, until a
-// wake event (queue push, operand readiness, frequency change,
-// actuation, or a self-scheduled deadline) is due.
+// Engine schedules a set of clock domains deterministically. It
+// arbitrates clock edges (earliest pending edge wins, ties break by
+// registration order) and keeps one wake bound per domain that lets
+// callers deschedule a domain whose cycle work is provably a no-op:
+// the domain's clock still advances edge by edge — edge times and the
+// per-edge jitter stream are part of the simulator's bit-exact
+// contract — but each descheduled edge is consumed through IdleAdvance
+// instead of running the domain's cycle work, until the bound is due
+// or Wake reschedules it at once. A scheduled wake (queue push, operand
+// readiness, frequency change, actuation, or a self-scheduled deadline)
+// only ever lowers the bound.
 //
 // Determinism rules:
 //   - Edge arbitration: earliest edge first; equal times break by
 //     registration order.
-//   - Event ordering: earliest time first; equal times break by event
-//     kind, then by scheduling order (Event.before).
+//   - A wake bound keeps the kind of the first wake scheduled at its
+//     time; a later wake at the same time does not replace it.
 //   - No wall-clock time, no map iteration, no randomness.
 //
 // Registered domains are owned by the engine: their clocks must only
@@ -201,8 +124,6 @@ type Engine struct {
 	domains [MaxDomains]*Domain
 	state   [MaxDomains]domainState
 	edges   [MaxDomains]Time // cached Domain.NextEdge, maintained by Advance/IdleAdvance
-	pq      eventQueue
-	seq     uint64
 	// issueSubs counts sleepers subscribed to issue broadcasts, so
 	// BroadcastIssue on the issue hot path is a single compare when
 	// nobody is listening.
@@ -214,20 +135,11 @@ type Engine struct {
 // sampling clock).
 const MaxDomains = 8
 
-// initialEvents is the event heap's first capacity: 16 events of 40
-// bytes fill five 128-byte blocks, and every later growth keeps a
-// whole number of blocks, so the heap's array shares no block with
-// another allocation.
-const initialEvents = 16
-
 // Add registers another domain and returns its index. Registration
 // order is the arbitration tie-break. It panics past MaxDomains.
 func (e *Engine) Add(d *Domain) int {
 	if e.n == MaxDomains {
 		panic(fmt.Sprintf("clock: Add of domain %q to an engine of %d domains", d.Name(), MaxDomains))
-	}
-	if e.pq.ev == nil {
-		e.pq.ev = make([]Event, 0, initialEvents)
 	}
 	i := e.n
 	e.n++
@@ -259,21 +171,12 @@ func (e *Engine) Next() (int, Time) {
 }
 
 // Advance consumes domain i's pending edge as a full (slow) edge and
-// returns its time. Stale events that reached the queue head are
-// discarded here, off the idle path.
+// returns its time.
 func (e *Engine) Advance(i int) Time {
-	st := &e.state[i]
-	st.stats.SlowEdges++
+	e.state[i].stats.SlowEdges++
 	d := e.domains[i]
 	t := d.Advance()
 	e.edges[i] = d.NextEdge()
-	for {
-		head, ok := e.pq.peek()
-		if !ok || head.epoch == e.state[head.Domain].epoch {
-			break
-		}
-		e.pq.pop()
-	}
 	return t
 }
 
@@ -318,7 +221,7 @@ func (e *Engine) Asleep(i int) bool { return e.state[i].asleep }
 // when it waits for an external wake only).
 func (e *Engine) WakeAt(i int) Time { return e.state[i].wakeAt }
 
-// Sleep deschedules domain i until an event wakes it. A finite `until`
+// Sleep deschedules domain i until a wake is due. A finite `until`
 // self-schedules an EvDeadline wake (the caller's recheck bound);
 // wakeOnIssue additionally subscribes the domain to EvOperandReady
 // broadcasts. The caller must only sleep a domain whose cycle work is a
@@ -342,8 +245,7 @@ func (e *Engine) Sleep(i int, until Time, wakeOnIssue bool) {
 
 // Wake immediately reschedules domain i: its next edge runs the full
 // cycle work. Waking an awake domain is a no-op, so callers can wake
-// unconditionally on state changes. Pending events for the domain
-// become stale and are discarded lazily.
+// unconditionally on state changes. The domain's wake bound is cleared.
 func (e *Engine) Wake(i int, kind EventKind) {
 	st := &e.state[i]
 	if !st.asleep {
@@ -355,22 +257,19 @@ func (e *Engine) Wake(i int, kind EventKind) {
 		e.issueSubs--
 	}
 	st.wakeAt = Forever
-	st.epoch++
 	st.stats.Wakes[kind]++
 }
 
-// Schedule enqueues a typed wake for domain i at time `at`. Events that
-// cannot lower the domain's wake bound (domain awake, or an earlier
-// wake already pending) coalesce into a no-op, so the queue holds only
-// bound-improving events. The first edge at or after the bound wakes
-// the domain.
+// Schedule lowers sleeping domain i's wake bound to `at`, attributed to
+// kind. A wake that cannot lower the bound (domain awake, or a wake at
+// the same time or earlier already scheduled) is a no-op, so the first
+// wake scheduled at a time keeps its kind. The first edge at or after
+// the bound wakes the domain.
 func (e *Engine) Schedule(at Time, kind EventKind, i int) {
 	st := &e.state[i]
 	if !st.asleep || at >= st.wakeAt {
 		return
 	}
-	e.pq.push(Event{At: at, Kind: kind, Domain: i, epoch: st.epoch, seq: e.seq})
-	e.seq++
 	st.wakeAt = at
 	st.wakeKind = kind
 }
@@ -390,12 +289,8 @@ func (e *Engine) BroadcastIssue(readyAt Time) {
 }
 
 // WakeDue wakes domain i from an expired bound (its next edge reached
-// wakeAt), attributing the wake to the event kind that set the bound.
-func (e *Engine) WakeDue(i int) {
-	st := &e.state[i]
-	kind := st.wakeKind
-	e.Wake(i, kind)
-}
+// wakeAt), attributing the wake to the kind that set the bound.
+func (e *Engine) WakeDue(i int) { e.Wake(i, e.state[i].wakeKind) }
 
 // Stats returns domain i's scheduling counters.
 func (e *Engine) Stats(i int) DomainEngineStats { return e.state[i].stats }

@@ -1,9 +1,6 @@
 package clock
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // NewEngine creates an engine over the given domains, registered in
 // argument order.
@@ -46,49 +43,6 @@ func TestEngineMatchesSchedulerOrder(t *testing.T) {
 		if sd.Name() != de[ei].Name() || st != et {
 			t.Fatalf("step %d: scheduler %s@%v, engine %s@%v", i, sd.Name(), st, de[ei].Name(), et)
 		}
-	}
-}
-
-func TestEventQueueDeterministicOrder(t *testing.T) {
-	var q eventQueue
-	// Same time: kind breaks the tie; same kind: scheduling order does.
-	q.push(Event{At: 10, Kind: EvFreqChange, seq: 0})
-	q.push(Event{At: 10, Kind: EvDeadline, seq: 1})
-	q.push(Event{At: 5, Kind: EvActuation, seq: 2})
-	q.push(Event{At: 10, Kind: EvDeadline, seq: 3})
-	q.push(Event{At: 10, Kind: EvQueuePush, seq: 4})
-	want := []Event{
-		{At: 5, Kind: EvActuation, seq: 2},
-		{At: 10, Kind: EvDeadline, seq: 1},
-		{At: 10, Kind: EvDeadline, seq: 3},
-		{At: 10, Kind: EvQueuePush, seq: 4},
-		{At: 10, Kind: EvFreqChange, seq: 0},
-	}
-	for i, w := range want {
-		got := q.pop()
-		if got != w {
-			t.Errorf("pop %d = %+v, want %+v", i, got, w)
-		}
-	}
-}
-
-func TestEventQueueHeapProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var q eventQueue
-	for i := 0; i < 500; i++ {
-		q.push(Event{
-			At:   Time(rng.Int63n(100)),
-			Kind: EventKind(rng.Intn(NumEventKinds)),
-			seq:  uint64(i),
-		})
-	}
-	prev := q.pop()
-	for len(q.ev) > 0 {
-		next := q.pop()
-		if next.before(prev) {
-			t.Fatalf("heap order violated: %+v popped after %+v", next, prev)
-		}
-		prev = next
 	}
 }
 
@@ -146,25 +100,54 @@ func TestEngineScheduleCoalesces(t *testing.T) {
 	e := NewEngine(a)
 	e.Sleep(0, Forever, false)
 	e.Schedule(5000*Picosecond, EvQueuePush, 0)
-	if n := len(e.pq.ev); n != 1 {
-		t.Fatalf("pending events = %d, want 1", n)
+	if got := e.WakeAt(0); got != 5000*Picosecond {
+		t.Fatalf("WakeAt = %v, want 5000 ps", got)
 	}
-	// A later event cannot lower the bound: coalesced away.
+	// A later wake cannot lower the bound: coalesced away.
 	e.Schedule(9000*Picosecond, EvQueuePush, 0)
-	if n := len(e.pq.ev); n != 1 {
-		t.Errorf("later event enqueued: pending = %d, want 1", n)
+	if got := e.WakeAt(0); got != 5000*Picosecond {
+		t.Errorf("later wake moved the bound: WakeAt = %v, want 5000 ps", got)
 	}
-	// An earlier event lowers the bound.
+	// An earlier wake lowers the bound.
 	e.Schedule(3000*Picosecond, EvActuation, 0)
 	if got := e.WakeAt(0); got != 3000*Picosecond {
 		t.Errorf("WakeAt = %v, want 3000 ps", got)
 	}
-	// Waking discards the domain's pending events lazily at the next
-	// slow edge.
+	// Waking clears the bound, and an awake domain ignores Schedule.
 	e.Wake(0, EvFreqChange)
-	e.Advance(0)
-	if n := len(e.pq.ev); n != 0 {
-		t.Errorf("stale events survived a slow edge: pending = %d", n)
+	if got := e.WakeAt(0); got != Forever {
+		t.Errorf("WakeAt after Wake = %v, want Forever", got)
+	}
+	e.Schedule(1000*Picosecond, EvQueuePush, 0)
+	if got := e.WakeAt(0); got != Forever {
+		t.Errorf("Schedule on an awake domain set WakeAt = %v", got)
+	}
+}
+
+// Two wakes scheduled for the same time: the first one scheduled keeps
+// the wake attribution, whatever the kinds.
+func TestEngineScheduleTieKeepsFirstKind(t *testing.T) {
+	for _, tc := range []struct{ first, second EventKind }{
+		{EvActuation, EvDeadline},
+		{EvDeadline, EvActuation},
+	} {
+		a := NewDomain(DomainConfig{Name: "a", FreqMHz: 1000})
+		e := NewEngine(a)
+		e.Sleep(0, Forever, false)
+		e.Schedule(2000*Picosecond, tc.first, 0)
+		e.Schedule(2000*Picosecond, tc.second, 0)
+		for {
+			i, tm := e.Next()
+			if tm >= e.WakeAt(i) {
+				e.WakeDue(i)
+				break
+			}
+			e.IdleAdvance(i)
+		}
+		w := e.Stats(0).Wakes
+		if w[tc.first] != 1 || w[tc.second] != 0 {
+			t.Errorf("%v then %v at one time: wakes %v, want one %v wake", tc.first, tc.second, w, tc.first)
+		}
 	}
 }
 

@@ -291,11 +291,11 @@ func (s *Store) count(f func(*Stats)) {
 // it keeps, so no decoded data aliases a pooled buffer.
 var blobPool = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
 
-// header is an entry header's checksums and lengths, checked against
-// the file size.
+// header is an entry header's checksums and head length; the tail runs
+// from the end of the head to the end of the file.
 type header struct {
 	headSum, tailSum [sha256.Size]byte
-	headLen, tailLen int
+	headLen          int
 }
 
 // parseHeader validates the entry header at the front of blob against
@@ -323,7 +323,7 @@ func parseHeader(blob []byte, size int64) (header, error) {
 	if headLen > body || tailLen != body-headLen {
 		return h, fmt.Errorf("%w: %d bytes after the header, header says %d + %d", ErrCorrupt, body, headLen, tailLen)
 	}
-	h.headLen, h.tailLen = int(headLen), int(tailLen)
+	h.headLen = int(headLen)
 	return h, nil
 }
 

@@ -52,12 +52,11 @@ type Processor struct {
 	cfg Config
 
 	eng clock.Engine
-	// doms holds the engine's domains in engine order; fe, exec,
-	// sampling and fetchDom point into it.
-	doms     [numEngDomains]clock.Domain
-	fe       *clock.Domain
-	exec     [isa.NumExecDomains]*clock.Domain
-	sampling *clock.Domain
+	// doms holds the engine's domains in engine order; fe, exec and
+	// fetchDom point into it.
+	doms [numEngDomains]clock.Domain
+	fe   *clock.Domain
+	exec [isa.NumExecDomains]*clock.Domain
 
 	// sleepless turns descheduling off: every domain runs its full cycle
 	// work on every edge. That is the reference the differential tests
@@ -239,7 +238,6 @@ func New(cfg Config) (*Processor, error) {
 	p.doms[engSampling] = *clock.NewDomain(clock.DomainConfig{
 		Name: "sampling", FreqMHz: cfg.SamplingMHz, Seed: cfg.Seed + 9,
 	})
-	p.sampling = &p.doms[engSampling]
 	for i := engFE; i <= engSampling; i++ {
 		p.eng.Add(&p.doms[i])
 	}
@@ -1098,7 +1096,7 @@ func (p *Processor) tryIssue(u *uop, dom isa.ExecDomain, now clock.Time, period 
 			p.forwarded++
 			lat += clock.Time(p.cfg.Cache.L1Latency) * period
 		} else {
-			level := p.mem.Data(u.inst.Addr, class == isa.Store)
+			level := p.mem.Data(u.inst.Addr)
 			if class == isa.Load && p.cfg.Prefetch && level != cache.LevelL1 {
 				// Next-line prefetch into the hierarchy (stat-neutral).
 				p.mem.PrefetchData(u.inst.Addr + uint64(p.cfg.Cache.L1DLine))

@@ -3,6 +3,7 @@ package spectrum
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -10,6 +11,43 @@ import (
 
 	"mcddvfs/internal/stats"
 )
+
+// FFT is the reference transform the Plan tests check against: the
+// in-order discrete Fourier transform of x by an iterative radix-2
+// Cooley-Tukey algorithm. len(x) must be a power of two. The input is
+// not modified. A Plan transforms bit for bit as FFT does: its twiddle
+// tables hold the values of FFT's recurrence.
+func FFT(x []complex128) []complex128 {
+	n := len(x)
+	if n == 0 {
+		return nil
+	}
+	if n&(n-1) != 0 {
+		panic(fmt.Sprintf("spectrum: FFT length %d is not a power of two", n))
+	}
+	out := make([]complex128, n)
+	// Bit-reversal permutation.
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := range x {
+		out[bits.Reverse64(uint64(i))>>shift] = x[i]
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size / 2
+		ang := -2 * math.Pi / float64(size) // e^{-i2πjk/N}
+		wStep := complex(math.Cos(ang), math.Sin(ang))
+		for start := 0; start < n; start += size {
+			w := complex(1, 0)
+			for k := 0; k < half; k++ {
+				a := out[start+k]
+				b := out[start+k+half] * w
+				out[start+k] = a + b
+				out[start+k+half] = a - b
+				w *= wStep
+			}
+		}
+	}
+	return out
+}
 
 // IFFT and Periodogram are reference transforms for the tests: the
 // inverse FFT checks FFT by round trip, and the plain periodogram is
