@@ -50,7 +50,7 @@ loc:
 
 # BENCH_PATTERN selects the tracked benchmarks: the ones bench runs and
 # bench-compare gates against BENCH_baseline.json.
-BENCH_PATTERN = BenchmarkSimulatorThroughput|BenchmarkRunMatrix|BenchmarkChunkedReplay|BenchmarkRecordedReplay|BenchmarkRecordTrace|BenchmarkChip|BenchmarkRenderArtifact|BenchmarkRenderKey|BenchmarkServeWarmRequest|BenchmarkClassify|BenchmarkDiskHit
+BENCH_PATTERN = BenchmarkSimulatorThroughput|BenchmarkRunMatrix|BenchmarkRecordedReplay|BenchmarkRecordTrace|BenchmarkChip|BenchmarkRenderArtifact|BenchmarkRenderKey|BenchmarkServeWarmRequest|BenchmarkClassify|BenchmarkDiskHit
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem .
@@ -72,14 +72,13 @@ bench:
 #     disk-B/cell (mean cache-entry size), the disk-hit benchmarks'
 #     entry-B/op (entry bytes read and checksummed per op), the
 #     recorded-replay benchmark's trace-B/inst (resident bytes per
-#     recorded instruction), the chunked-replay benchmark's
-#     loads/pass (chunk decodes per pass) and the simulator
-#     benchmark's slow-edges/inst and skipped-edges/inst (clock edges
-#     per simulated instruction), each the minimum over the
-#     five repeats, repeat between runs, so this gate is tight; it is
-#     the one that catches per-iteration garbage creeping back into
-#     the hot path, a result holding more memory, a cache entry or
-#     trace encoding quietly growing, or a replay re-reading chunks.
+#     recorded instruction) and the simulator benchmark's
+#     slow-edges/inst and skipped-edges/inst (clock edges per
+#     simulated instruction), each the minimum over the five repeats,
+#     repeat between runs, so this gate is tight; it is the one that
+#     catches per-iteration garbage creeping back into the hot path, a
+#     result holding more memory, or a cache entry or trace encoding
+#     quietly growing.
 #
 # After a deliberate performance change, refresh the baseline with
 # `make bench-baseline`.

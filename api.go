@@ -26,7 +26,6 @@
 package mcddvfs
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -437,28 +436,24 @@ func NewTraceGenerator(prof Profile, seed, instructions int64) (*trace.Generator
 }
 
 // WriteTrace serializes count instructions from src to w in the
-// repository's chunked trace format (replayable with ReadTrace or
+// repository's trace file format (replayable with ReadTrace or
 // cmd/tracegen) and returns the number of instructions written.
 func WriteTrace(w io.Writer, src TraceSource, count int64) (int64, error) {
-	if _, err := trace.WriteChunked(w, src, count, 0); err != nil {
+	if _, err := trace.Write(w, src, count); err != nil {
 		return 0, err
 	}
 	return count, nil
 }
 
-// ReadTrace reads a whole serialized trace into memory and opens it
-// for replay. Anything but the chunked format, magic "MCDC", is an
-// error.
-func ReadTrace(r io.Reader) (*trace.ChunkedReplayer, error) {
-	blob, err := io.ReadAll(r)
+// ReadTrace reads a whole serialized trace into memory, checking every
+// instruction, and returns a replay cursor over it. Anything but the
+// current trace file format, magic "MCDC" version 4, is an error.
+func ReadTrace(r io.Reader) (*trace.Replayer, error) {
+	rec, err := trace.ReadRecorded(r)
 	if err != nil {
 		return nil, err
 	}
-	c, err := trace.OpenChunked(bytes.NewReader(blob), int64(len(blob)), 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.Replay(), nil
+	return rec.Replay(), nil
 }
 
 // RunTrace simulates a pre-built instruction source (e.g. a replayed

@@ -189,6 +189,54 @@ func TestRunTraceMatchesRunExactly(t *testing.T) {
 	}
 }
 
+// TestTraceFileReplaysEveryProfile: for every bundled profile, a
+// 100k-instruction trace written by WriteTrace and read by ReadTrace
+// replays to the very Result its generator computes, and to the
+// Metrics Run computes for the same stream.
+func TestTraceFileReplaysEveryProfile(t *testing.T) {
+	const insts, seed = 100_000, 3
+	for _, bench := range Benchmarks() {
+		t.Run(bench, func(t *testing.T) {
+			t.Parallel()
+			prof, _ := BenchmarkProfile(bench)
+			gen := func() TraceSource {
+				g, err := NewTraceGenerator(prof, seed+11, insts) // harness offsets the trace seed by 11
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g
+			}
+			spec := RunSpec{Scheme: SchemeAdaptive, Seed: seed}
+			generated, err := RunTrace(gen(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := WriteTrace(&buf, gen(), insts); err != nil {
+				t.Fatal(err)
+			}
+			r, err := ReadTrace(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed, err := RunTrace(r, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(generated, replayed) {
+				t.Errorf("replay diverged from the generated run:\n generated %+v\n replayed  %+v", generated.Metrics, replayed.Metrics)
+			}
+			direct, err := Run(RunSpec{Benchmark: bench, Scheme: SchemeAdaptive, Instructions: insts, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if direct.Metrics != replayed.Metrics {
+				t.Errorf("replay diverged from Run:\n direct  %+v\n replay  %+v", direct.Metrics, replayed.Metrics)
+			}
+		})
+	}
+}
+
 func TestRunTraceErrors(t *testing.T) {
 	// Corrupt machine config propagates.
 	bad := DefaultMachine()

@@ -693,60 +693,6 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkChunkedReplay measures streamed replay from the chunked
-// on-disk trace format through a two-chunk window: the steady-state
-// cost of replaying a trace file (tracegen -stats, -replay). One op is a
-// full pass over an 8-chunk file through a fresh cursor; ns/inst is the
-// per-instruction cost, chunk loads included, and loads/pass the chunk
-// decodes a pass makes (Chunked.Loads), a work count: a sequential pass
-// through a window smaller than the file loads each chunk once.
-// allocs/op is gated too — per-instruction decode must stay
-// allocation-free, with only the per-chunk loads allocating.
-func BenchmarkChunkedReplay(b *testing.B) {
-	prof, err := trace.ByName("gzip")
-	if err != nil {
-		b.Fatal(err)
-	}
-	const insts, chunkInsts = 1 << 15, 4096
-	gen, err := trace.NewGenerator(prof, 1, insts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := trace.WriteChunked(&buf, gen, insts, chunkInsts); err != nil {
-		b.Fatal(err)
-	}
-	c, err := trace.OpenChunked(bytes.NewReader(buf.Bytes()), int64(buf.Len()), 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if c.Chunks() != insts/chunkInsts {
-		b.Fatalf("%d chunks, want %d", c.Chunks(), insts/chunkInsts)
-	}
-	loads := c.Loads()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var n int64
-	for i := 0; i < b.N; i++ {
-		cur := c.Replay()
-		for {
-			if _, ok := cur.Next(); !ok {
-				break
-			}
-			n++
-		}
-		if err := cur.Err(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if n != int64(b.N)*insts {
-		b.Fatalf("replayed %d instructions, want %d", n, int64(b.N)*insts)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/inst")
-	b.ReportMetric(float64(c.Loads()-loads)/float64(b.N), "loads/pass")
-}
-
 // BenchmarkRecordTrace measures the instruction encoder: one op
 // records a 100k-instruction gzip stream, held in memory as
 // instructions so that generating it is off the clock, into a

@@ -154,12 +154,11 @@ func TestCompareGatesOnAllocs(t *testing.T) {
 
 // disk-B/cell, the warm-disk matrix's mean cache-entry size,
 // entry-B/op, the entry bytes a disk-hit op reads, trace-B/inst, a
-// recorded trace's resident bytes per instruction, loads/pass, a
-// chunked replay's chunk loads per pass, and slow-edges/inst and
-// skipped-edges/inst, the simulator's clock edges per instruction, are
+// recorded trace's resident bytes per instruction, and slow-edges/inst
+// and skipped-edges/inst, the simulator's clock edges per instruction, are
 // work counts that repeat exactly, so they share the allocs/op gate.
 func TestCompareGatesOnDiskBytes(t *testing.T) {
-	for _, unit := range []string{"disk-B/cell", "entry-B/op", "trace-B/inst", "loads/pass", "slow-edges/inst", "skipped-edges/inst"} {
+	for _, unit := range []string{"disk-B/cell", "entry-B/op", "trace-B/inst", "slow-edges/inst", "skipped-edges/inst"} {
 		compareGatesOnDiskBytes(t, unit)
 	}
 }

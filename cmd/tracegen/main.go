@@ -7,10 +7,10 @@
 //	tracegen -stats gsm.mcdc                               # inspect it
 //	tracegen -replay gsm.mcdc -scheme adaptive             # simulate it
 //
-// Every trace is a chunked file (magic "MCDC": compressed
-// fixed-size chunks, per-chunk CRC, seekable index); -stats and
-// -replay stream it from disk with memory bounded by the chunk window
-// and reject any other format.
+// Every trace is one file in the trace format (magic "MCDC" version 4:
+// a header with the instruction count and a CRC, then one flate
+// stream of the recording). -stats and -replay read the whole file
+// into memory, check every instruction, and reject any other format.
 package main
 
 import (
@@ -30,7 +30,6 @@ func main() {
 		insts  = flag.Int64("insts", 500000, "instructions to generate")
 		seed   = flag.Int64("seed", 1, "generator seed of the written stream")
 		out    = flag.String("o", "", "write one trace to this file")
-		chunk  = flag.Int("chunk", 0, "instructions per chunk (0 = default)")
 		stats  = flag.String("stats", "", "print statistics for a trace file and exit")
 		replay = flag.String("replay", "", "simulate a saved trace file")
 		scheme = flag.String("scheme", "adaptive", "DVFS scheme for -replay")
@@ -47,7 +46,7 @@ func main() {
 			fail(err)
 		}
 	case *out != "":
-		if err := generate(*bench, *insts, *seed, *out, *chunk); err != nil {
+		if err := generate(*bench, *insts, *seed, *out); err != nil {
 			fail(err)
 		}
 	default:
@@ -61,7 +60,7 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-func generate(bench string, insts, seed int64, out string, chunk int) error {
+func generate(bench string, insts, seed int64, out string) error {
 	if bench == "" {
 		bench = "epic_decode"
 	}
@@ -78,24 +77,42 @@ func generate(bench string, insts, seed int64, out string, chunk int) error {
 		return err
 	}
 	defer f.Close()
-	size, err := trace.WriteChunked(f, gen, insts, chunk)
+	size, err := trace.Write(f, gen, insts)
 	if err != nil {
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d instructions of %s to %s (chunked v%d, %d bytes)\n", insts, bench, out, trace.ChunkedVersion, size)
+	fmt.Printf("wrote %d instructions of %s to %s (trace v%d, %d bytes)\n", insts, bench, out, trace.FileVersion, size)
 	return nil
 }
 
+// readFile reads a whole trace file into a recording and reports the
+// file's size.
+func readFile(path string) (*trace.Recorded, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	rec, err := trace.ReadRecorded(f)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", path, err)
+	}
+	return rec, st.Size(), nil
+}
+
 func printStats(path string) error {
-	cf, err := trace.OpenChunkedFile(path, 0)
+	rec, size, err := readFile(path)
 	if err != nil {
 		return err
 	}
-	defer cf.Close()
-	cur := cf.Replay()
+	cur := rec.Replay()
 	var counts [isa.NumClasses]int64
 	var branches, taken int64
 	for {
@@ -111,31 +128,26 @@ func printStats(path string) error {
 			}
 		}
 	}
-	if err := cur.Err(); err != nil {
-		return err
-	}
-	fmt.Printf("trace %s: %q, %d instructions, chunked v%d (%d chunks of %d insts, %d bytes on disk)\n",
-		path, cf.Name(), cf.Count(), trace.ChunkedVersion, cf.Chunks(), cf.ChunkInstructions(), cf.CompressedBytes())
+	fmt.Printf("trace %s: %q, %d instructions, trace v%d (%d bytes on disk, %d decoded)\n",
+		path, cur.Name(), rec.Len(), trace.FileVersion, size, rec.Bytes())
 	for c := 0; c < isa.NumClasses; c++ {
 		if counts[c] == 0 {
 			continue
 		}
 		fmt.Printf("  %-7s %9d (%5.2f%%)\n", isa.Class(c), counts[c],
-			100*float64(counts[c])/float64(cf.Count()))
+			100*float64(counts[c])/float64(rec.Len()))
 	}
 	if branches > 0 {
 		fmt.Printf("  taken branch fraction: %.3f\n", float64(taken)/float64(branches))
 	}
-	fmt.Printf("  peak resident: %d bytes (window bound %d bytes)\n", cf.PeakResidentBytes(), cf.WindowBytes())
 	return nil
 }
 
 func replayTrace(path, scheme string) error {
-	cf, err := trace.OpenChunkedFile(path, 0)
+	rec, _, err := readFile(path)
 	if err != nil {
 		return err
 	}
-	defer cf.Close()
 	cfg := mcd.DefaultConfig()
 	p, err := mcd.New(cfg)
 	if err != nil {
@@ -144,17 +156,12 @@ func replayTrace(path, scheme string) error {
 	if err := experiment.AttachScheme(p, experiment.Scheme(scheme), experiment.DefaultOptions()); err != nil {
 		return err
 	}
-	cur := cf.Replay()
-	res, err := p.Run(cur)
+	res, err := p.Run(rec.Replay())
 	if err != nil {
-		return err
-	}
-	if err := cur.Err(); err != nil {
 		return err
 	}
 	fmt.Printf("replayed %q (%d insts): time=%v energy=%.4gJ IPC=%.3f\n",
 		res.Benchmark, res.Metrics.Instructions, res.Metrics.ExecTime,
 		res.Metrics.EnergyJ, res.IPC)
-	fmt.Printf("peak resident: %d bytes (window bound %d bytes)\n", cf.PeakResidentBytes(), cf.WindowBytes())
 	return nil
 }

@@ -1,5 +1,5 @@
 // Tracereplay demonstrates deterministic trace capture and replay:
-// generate a workload trace once, serialize it in the chunked trace
+// generate a workload trace once, serialize it in the trace file
 // format (the one cmd/tracegen writes), then replay the *same* dynamic
 // instruction stream under different DVFS schemes — the methodology
 // cycle-accurate simulation studies use to guarantee every scheme sees

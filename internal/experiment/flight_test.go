@@ -327,11 +327,10 @@ func TestAbandonedMatrixCellFollower(t *testing.T) {
 }
 
 // TestCancelledMatrixDropsInFlightRecording: a matrix cancelled while
-// its cells wait on a recording drops the recording before it exists;
-// the drop holds, so the recording, once finished, is not memoized. A
-// cell whose simulation reaches the memo after its waiter left may
-// start a second recording of the stream (the abandoned flight keeps
-// running); the drop holds for that one too.
+// its cells wait on a recording drops the recording before it exists,
+// and the recording, abandoned by every waiter, stops unfinished: once
+// the matrix's flights are gone no recording has finished and none is
+// resident.
 func TestCancelledMatrixDropsInFlightRecording(t *testing.T) {
 	t.Parallel()
 	opt := Options{Instructions: 1_000_000, Seed: 17, Benchmarks: []string{"gzip"}, Schemes: []Scheme{SchemeAdaptive}, Harness: NewHarness()}
@@ -351,17 +350,28 @@ func TestCancelledMatrixDropsInFlightRecording(t *testing.T) {
 	}()
 	waitUntil(t, "both cells", func() bool { return entered(opt.Harness) == 2 })
 	waitUntil(t, "the recording", recording)
+	// Cancel under the memo's lock, so the recording is known to be in
+	// progress when the matrix is cancelled.
+	replays.mu.Lock()
+	busy := len(replays.recording) > 0
 	cancel()
+	replays.mu.Unlock()
+	if !busy {
+		t.Fatal("the recording finished before the matrix was cancelled; nothing was exercised")
+	}
 	if err := <-done; !errors.Is(err, ErrCancelled) {
 		t.Fatalf("matrix got %v, want ErrCancelled", err)
 	}
-	if !recording() {
-		t.Fatal("the recording finished before the matrix returned; nothing was exercised")
-	}
-	waitUntil(t, "the cells' simulations and recordings to finish", func() bool {
+	waitUntil(t, "the cells' simulations and recordings to stop", func() bool {
 		return inFlight(opt.Harness) == 0 && replays.flights.Len() == 0 && !recording()
 	})
+	replays.mu.Lock()
+	recordings := replays.recordings
+	replays.mu.Unlock()
+	if recordings != 0 {
+		t.Errorf("%d recordings finished after every waiter left, want 0", recordings)
+	}
 	if n := resident(opt.Harness); n != 0 {
-		t.Errorf("%d recordings resident after the cancelled matrix's recording finished, want 0", n)
+		t.Errorf("%d recordings resident after the cancelled matrix's recording stopped, want 0", n)
 	}
 }

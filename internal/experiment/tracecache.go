@@ -5,9 +5,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"sync"
 
 	"mcddvfs/internal/flight"
+	"mcddvfs/internal/isa"
 	"mcddvfs/internal/trace"
 )
 
@@ -33,8 +35,9 @@ type replayCache struct {
 	maxBytes   int64
 	recordings int // streams recorded since the last reset
 	// recording tracks the keys being recorded. A flight abandoned by
-	// all its waiters keeps recording while a later caller starts
-	// another, so one key can have several recordings in progress.
+	// all its waiters stops only at its next context poll, and a later
+	// caller may start another recording meanwhile, so one key can have
+	// several recordings in progress.
 	recording map[replayKey]recordingState
 }
 
@@ -108,29 +111,60 @@ func (c *replayCache) source(ctx context.Context, prof trace.Profile, seed, inst
 
 // replay returns a replay cursor over the memoized recording for k, the
 // key of prof's stream, recording it on first use. Concurrent misses on
-// one key share a single recording; ctx bounds this caller's wait,
-// never the recording, which every caller needs.
+// one key share a single recording. ctx bounds this caller's wait; the
+// recording runs while any caller still waits on it, and once the last
+// has left it stops within recordPollInsts instructions, unmemoized.
 func (c *replayCache) replay(ctx context.Context, k replayKey, prof trace.Profile) (trace.Source, error) {
 	if rec := c.lookup(k); rec != nil {
 		return rec.Replay(), nil
 	}
-	rec, _, err := c.flights.Do(ctx, k, func(context.Context) (*trace.Recorded, error) {
+	rec, _, err := c.flights.Do(ctx, k, func(work context.Context) (*trace.Recorded, error) {
 		if rec := c.lookup(k); rec != nil {
 			return rec, nil // recorded by a flight that finished since our lookup
 		}
 		c.begin(k)
 		var rec *trace.Recorded
 		defer func() { c.finish(k, rec) }()
-		var err error
-		if rec, err = trace.RecordProfile(prof, k.seed, k.insts); err != nil {
-			return nil, invalidSpec(err)
+		gen, err := trace.NewGenerator(prof, k.seed, k.insts)
+		if err != nil {
+			return nil, invalidSpec(fmt.Errorf("trace: recording %q: %w", prof.Name, err))
 		}
-		return rec, nil
+		src := &pollingSource{Generator: gen, ctx: work}
+		if r := trace.Record(src, k.insts); src.err == nil {
+			rec = r
+		}
+		return rec, src.err
 	})
 	if err != nil {
 		return nil, wrapRunErr(err)
 	}
 	return rec.Replay(), nil
+}
+
+// recordPollInsts is how many instructions a recording generates
+// between checks of its flight's context: 64Ki, a few milliseconds of
+// generation, so an abandoned recording stops promptly at no
+// measurable cost.
+const recordPollInsts = 1 << 16
+
+// pollingSource is a Generator whose stream ends early, with err set,
+// once ctx is done.
+type pollingSource struct {
+	*trace.Generator
+	ctx  context.Context
+	left int // instructions until the next poll
+	err  error
+}
+
+// Next implements trace.Source.
+func (s *pollingSource) Next() (isa.Inst, bool) {
+	if s.left--; s.left <= 0 {
+		s.left = recordPollInsts
+		if s.err = s.ctx.Err(); s.err != nil {
+			return isa.Inst{}, false
+		}
+	}
+	return s.Generator.Next()
 }
 
 // lookup returns the memoized recording for k (nil on a miss) and marks

@@ -329,9 +329,9 @@ func (p *Processor) EngineStats() map[string]clock.DomainEngineStats {
 }
 
 // Run simulates the instruction source to completion and returns the
-// result. Any trace.Source works: a synthetic Generator, an in-memory
-// trace.Replayer or a chunked trace.ChunkedReplayer. A Processor can
-// run only once.
+// result. Any trace.Source works: a synthetic Generator or a
+// trace.Replayer over a recording, made in memory or read from a trace
+// file. A Processor can run only once.
 func (p *Processor) Run(src trace.Source) (*Result, error) {
 	return p.RunContext(context.Background(), src)
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // The instruction codec is the one byte layout of a recorded stream:
-// a Recorded holds it in memory and every chunk of a chunked trace
-// file carries it as its decoded payload. A run of instructions is
-// encoded back to back, each as
+// a Recorded holds it in memory and a trace file (file.go) carries it
+// as its decoded payload. A run of instructions is encoded back to
+// back, each as
 //
 //	meta     u8: bits 0..3 opcode, bit 4 PC jump, bit 5 Dep2 present,
 //	             bits 6..7 payload length code
@@ -31,12 +31,11 @@ import (
 // one masked load instead of a branch per byte. The predicted PC is
 // the previous instruction's Target when it was a taken branch and its
 // PC+4 otherwise, so straight-line code and taken branches cost no PC
-// bytes. A run starts from a zero PC and a zero address, so every run
-// (a whole Recorded, or one chunk) decodes from its own first
-// instruction. Differences wrap modulo 2^64, so every PC, Target and
-// Addr round-trips exactly. The fields a class does not carry (Taken
-// and Target off branches, Addr off loads and stores) are not stored
-// and replay as zero.
+// bytes. A run starts from a zero PC and a zero address, so a
+// recording decodes from its own first instruction. Differences wrap
+// modulo 2^64, so every PC, Target and Addr round-trips exactly. The
+// fields a class does not carry (Taken and Target off branches, Addr
+// off loads and stores) are not stored and replay as zero.
 const (
 	opMask      = 0x0F
 	opTaken     = 11 // a taken branch
@@ -169,9 +168,9 @@ var (
 	errInvalidClass = errors.New("invalid class")
 )
 
-// instRun decodes a counted run of encoded instructions: a whole
-// Recorded, or one chunk of a chunked trace. Replayer and
-// ChunkedReplayer both decode through it.
+// instRun decodes a counted run of encoded instructions, a whole
+// Recorded: Replayer decodes through it, and ReadRecorded checks a
+// file's payload with it.
 type instRun struct {
 	buf  []byte
 	off  int

@@ -8,55 +8,50 @@ import (
 	"mcddvfs/internal/isa"
 )
 
-// FuzzChunked feeds arbitrary bytes to the chunked-format decoder:
-// open must reject malformed headers, footers, and indexes with clean
-// errors; a file that opens must replay either to a clean end or to a
-// stream error — never a panic, an invalid instruction, or an
-// unbounded allocation (the index's decoded lengths, capped by
-// maxChunkInstructions × maxInstBytes).
+// FuzzChunked feeds arbitrary bytes to the trace file reader: it must
+// refuse every malformed header, body and payload with a clean error,
+// never a panic; a file it accepts replays its declared count of valid
+// instructions to a clean end, as a Recorded always does.
 func FuzzChunked(f *testing.F) {
 	prof, _ := ByName("gzip")
 	gen, _ := NewGenerator(prof, 1, 300)
 	var buf bytes.Buffer
-	if _, err := WriteChunked(&buf, gen, 300, 64); err != nil {
+	if _, err := Write(&buf, gen, 300); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
 	f.Add(valid)
-	f.Add(valid[:len(valid)-5])                         // truncated footer
-	f.Add(valid[:len(valid)*2/3])                       // truncated index
+	f.Add(valid[:len(valid)-5])                         // truncated tail
+	f.Add(valid[:len(valid)*2/3])                       // truncated body
 	f.Add(append([]byte(nil), valid[len(valid)/4:]...)) // missing header
 	f.Add([]byte("MCDCgarbageXDCM"))
 	f.Add([]byte{})
-	// Single flipped bytes in each region: header, payload, index.
-	for _, off := range []int{5, 30, len(valid) - 20} {
+	// Single flipped bytes in each region: header, payload, tail.
+	for _, off := range []int{5, 40, len(valid) - 20} {
 		b := append([]byte(nil), valid...)
 		b[off] ^= 0xFF
 		f.Add(b)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := OpenChunked(bytes.NewReader(data), int64(len(data)), 2)
+		rec, err := ReadRecorded(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		cur := c.Replay()
+		cur := rec.Replay()
 		count := int64(0)
-		for count < 1<<17 {
+		for {
 			in, ok := cur.Next()
 			if !ok {
 				break
 			}
 			if !in.Class.Valid() {
-				t.Fatalf("chunked replayer produced invalid class %d", in.Class)
+				t.Fatalf("replay produced invalid class %d", in.Class)
 			}
 			count++
 		}
-		if cur.Err() == nil && count < c.Count() && count < 1<<17 {
-			t.Fatalf("stream ended at %d of %d with no error", count, c.Count())
-		}
-		if peak := c.PeakResidentBytes(); peak > c.WindowBytes() {
-			t.Fatalf("peak %d exceeds window bound %d", peak, c.WindowBytes())
+		if count != rec.Len() {
+			t.Fatalf("replay ended at %d of %d instructions", count, rec.Len())
 		}
 	})
 }
@@ -66,8 +61,7 @@ func FuzzChunked(f *testing.F) {
 // (0 and near MaxUint64 included), taken and not-taken branches with
 // far targets, address deltas of ±2^63, every class — and asserts that
 // both recorded paths return, field for field, what the retired
-// column layout returned: Record→Replay, and WriteChunked→OpenChunked
-// at chunk sizes 1, 7 and the default.
+// column layout returned: Record→Replay, and Write→ReadRecorded→Replay.
 func FuzzRecordedRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(isa.Branch), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
@@ -109,25 +103,23 @@ func FuzzRecordedRoundTrip(f *testing.F) {
 			t.Fatal("Replay: instruction past the recorded count")
 		}
 
-		for _, chunk := range []int{1, 7, 0} {
-			var buf bytes.Buffer
-			if _, err := WriteChunked(&buf, &sliceSource{insts: want}, int64(len(want)), chunk); err != nil {
-				t.Fatal(err)
+		var buf bytes.Buffer
+		if _, err := Write(&buf, &sliceSource{insts: want}, int64(len(want))); err != nil {
+			t.Fatal(err)
+		}
+		read, err := ReadRecorded(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep = read.Replay()
+		for i, w := range want {
+			got, ok := rep.Next()
+			if !ok || got != columnLayout(w) {
+				t.Fatalf("file: instruction %d = %+v (ok=%v), want %+v", i, got, ok, columnLayout(w))
 			}
-			c, err := OpenChunked(bytes.NewReader(buf.Bytes()), int64(buf.Len()), 2)
-			if err != nil {
-				t.Fatalf("chunk %d: %v", chunk, err)
-			}
-			cur := c.Replay()
-			for i, w := range want {
-				got, ok := cur.Next()
-				if !ok || got != columnLayout(w) {
-					t.Fatalf("chunk %d: instruction %d = %+v (ok=%v, err=%v), want %+v", chunk, i, got, ok, cur.Err(), columnLayout(w))
-				}
-			}
-			if _, ok := cur.Next(); ok || cur.Err() != nil {
-				t.Fatalf("chunk %d: stream did not end cleanly (err=%v)", chunk, cur.Err())
-			}
+		}
+		if _, ok := rep.Next(); ok {
+			t.Fatal("file: instruction past the written count")
 		}
 	})
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"unsafe"
 
 	"mcddvfs/internal/isa"
@@ -38,13 +39,18 @@ const (
 // of stream; the capacity hint sizes the buffer up front (pass the
 // known instruction budget, or 0 when unknown).
 func Record(src Source, capacity int64) *Recorded {
+	return record(src, capacity, math.MaxInt64)
+}
+
+// record is Record stopped after limit instructions.
+func record(src Source, capacity, limit int64) *Recorded {
 	if capacity < 0 {
 		capacity = 0
 	}
 	r := &Recorded{name: src.Name()}
 	code := make([]byte, 0, capacity*recordHintBytes)
 	var enc instEncoder
-	for {
+	for r.n < limit {
 		in, ok := src.Next()
 		if !ok {
 			break

@@ -160,15 +160,15 @@ func TestRecordedDensity(t *testing.T) {
 
 // TestCodecBytesGolden pins the instruction codec's bytes: the SHA-256
 // of four bundled streams of 20k instructions as a Recorded holds them
-// and as a chunked v3 file of 4096-instruction chunks. The encoder may
-// be rewritten for speed; its bytes may move only with the format
-// version (ChunkedVersion), which these digests then follow.
+// and as a trace file. The encoder may be rewritten for speed; its
+// bytes may move only with the file version (FileVersion), which these
+// digests then follow.
 func TestCodecBytesGolden(t *testing.T) {
 	golden := map[string][2]string{
-		"gzip":        {"c32847acf644ab93d1d28ae6d2366c0b339972bf7ed122131f0c130cd22f3af4", "11caf345e7707f05e1f28d7f2c376a30871e5c9cfa16eedfd1d13c585b861309"},
-		"epic_decode": {"bc72c2a4fa765ad3553a7c5d9ffe639488bde492c72d83539bc8810333602042", "c58f859b653b24b09dc6297f6e42904f6fe5fdd657c9b269c30ea9834aefdcad"},
-		"swim":        {"55d04d919573574f9e81aace48e871cb0485873ba73e3303796d36325595cb9a", "0e1c8fad647e8771d8214bc69d162b184e29f5e95f2f5cef017328dc13b03aa0"},
-		"mcf":         {"495c0eee9e960f5c4a66aeeedd6403d9637a312e7bf8b3d5377f92e05349f9bb", "cca78528a084be76209bcde00ea193536849b9a7450f0fb0b900b270909eb606"},
+		"gzip":        {"c32847acf644ab93d1d28ae6d2366c0b339972bf7ed122131f0c130cd22f3af4", "a295a486d96dd4599f6ee53fb09d33402f2ed97305a0de360f3d55b9f736d9a2"},
+		"epic_decode": {"bc72c2a4fa765ad3553a7c5d9ffe639488bde492c72d83539bc8810333602042", "3302d5225dd0901f50358f4e1acefd6ffe9bf1307d5d17c5ce24ac5805f99bf8"},
+		"swim":        {"55d04d919573574f9e81aace48e871cb0485873ba73e3303796d36325595cb9a", "6f7a07427e7f6e17b02861032b4690eba63e7bcdd47d48de20190fe9b3b6191b"},
+		"mcf":         {"495c0eee9e960f5c4a66aeeedd6403d9637a312e7bf8b3d5377f92e05349f9bb", "9b076d92a508f3f08cae431eb61f8d68ec0fcc989e51fe010e2cba0a2a6937ec"},
 	}
 	const insts = 20_000
 	digest := func(b []byte) string {
@@ -189,14 +189,14 @@ func TestCodecBytesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		var file bytes.Buffer
-		if _, err := WriteChunked(&file, gen, insts, 4096); err != nil {
+		if _, err := Write(&file, gen, insts); err != nil {
 			t.Fatal(err)
 		}
 		if got := digest(rec.code); got != want[0] {
 			t.Errorf("%s: recorded bytes digest %s, want %s", name, got, want[0])
 		}
 		if got := digest(file.Bytes()); got != want[1] {
-			t.Errorf("%s: chunked file digest %s, want %s", name, got, want[1])
+			t.Errorf("%s: file digest %s, want %s", name, got, want[1])
 		}
 	}
 }

@@ -143,8 +143,9 @@ func (p *Profile) Validate() error {
 }
 
 // Source is a stream of dynamic instructions. Generator produces them
-// synthetically; Replayer and ChunkedReplayer replay a recorded
-// stream. The simulator consumes any of them.
+// synthetically; Replayer replays a recorded stream, whether Record
+// built it or ReadRecorded read it from a trace file. The simulator
+// consumes either.
 type Source interface {
 	// Next returns the next instruction; ok is false at end of stream.
 	Next() (in isa.Inst, ok bool)
